@@ -32,9 +32,8 @@ from .constructions import (
 from .solvers import (
     SolverConfig,
     Trajectory,
-    euler_expansion_residual,
     evolve,
-    ns_duhamel_residual,
+    first_order_remainders,
     u1_heat,
     u2_duhamel,
 )

@@ -24,6 +24,7 @@ from .spectral import (
     RealField,
     SpectralField,
     VectorField,
+    dealias_grid_size,
     get_fft_workers,
     perp_gradient,
     translate,
@@ -162,10 +163,7 @@ def oscillating_profile_spectral(
     cm = carrier_mode(n, grid)
     m_max = cm + bump.max_mode
     if m_max > grid.dealias_keep:
-        required = 3 * m_max + 1
-        n_req = 16
-        while n_req < required:
-            n_req *= 2
+        n_req = dealias_grid_size(m_max)
         raise ResolutionError(
             f"carrier mode {cm} plus bump width {bump.max_mode} exceeds the "
             f"dealias-safe ball |m|<={grid.dealias_keep} of N={grid.N}; "

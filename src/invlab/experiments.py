@@ -5,7 +5,10 @@ datum family and returns a list of ResultRecords.  Verdicts are computed at
 the configured tolerance mode: ``relaxed`` uses the stated acceptance
 windows, ``strict`` shrinks every window margin by a third.  Experiments
 sharing evolutions (the expansion residuals and the viscous/ideal gap) reuse
-trajectories through a shared ExperimentContext.
+trajectories through a shared ExperimentContext.  The expansion residuals
+take their four remainder fields from ``solvers.first_order_remainders``:
+one Duhamel quadrature per sample time (refined in a single pass in strict
+mode), with the linear time integrals in closed form.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .constructions import (
+    CARRIER_RATIO,
     ShellDatum,
     background_field,
     background_mode_extent,
@@ -26,7 +30,7 @@ from .constructions import (
     taylor_green,
     taylor_green_two_mode,
 )
-from .errors import ConfigError, ResolutionError
+from .errors import ConfigError, NumericsError, ResolutionError
 from .littlewood_paley import (
     BesovParams,
     besov_from_blocks,
@@ -37,13 +41,14 @@ from .littlewood_paley import (
     field_support_radius,
     low_pass,
 )
-from .solvers import SolverConfig, Trajectory, evolve, u2_duhamel
+from .solvers import SolverConfig, Trajectory, evolve, first_order_remainders
 from .spectral import (
     Grid,
     RealField,
     SpectralField,
     VectorField,
     advect,
+    dealias_grid_size,
     divergence_defect,
     gradient,
     heat_factor,
@@ -119,7 +124,10 @@ class ResultRecord:
 
     def __post_init__(self):
         if not np.isfinite(self.value):
-            raise ConfigError(f"record {self.quantity} has non-finite value")
+            raise NumericsError(
+                f"{self.experiment} record {self.quantity} (n={self.n}, t={self.t}) "
+                f"has non-finite value {self.value}"
+            )
         if self.verdict not in ("pass", "fail", "info"):
             raise ConfigError(f"unknown verdict {self.verdict!r}")
 
@@ -143,6 +151,10 @@ def ratio_floor(nominal: float, mode: str) -> float:
 def window(lo: float, hi: float, center: float, mode: str) -> tuple:
     f = _slack(mode)
     return (center - (center - lo) * f, center + (hi - center) * f)
+
+
+def _pass_if(cond: bool) -> str:
+    return "pass" if cond else "fail"
 
 
 def lsq_slope(ts, vals) -> float:
@@ -195,10 +207,8 @@ class ExperimentContext:
             self._bumps[grid.N] = build_profile_bump(grid)
         return self._bumps[grid.N]
 
-    def _fit_pow2(self, required: int, what: str) -> int:
-        N = 16
-        while N < required:
-            N *= 2
+    def _fit_grid(self, max_mode: int, what: str) -> int:
+        N = dealias_grid_size(max_mode)
         if N > self.cfg.N:
             raise ResolutionError(
                 f"{what} needs N>={N}, above the configured budget {self.cfg.N}",
@@ -209,29 +219,25 @@ class ExperimentContext:
     def _datum_mode_extent(self, n: int) -> int:
         # the bump's lattice extent is grid-independent (fixed frequency width)
         bump_m = self.bump(self.grid(16)).max_mode
-        carrier_m = int(round(17.0 / 12.0 * 2**n * self.cfg.R))
+        carrier_m = int(round(CARRIER_RATIO * 2**n * self.cfg.R))
         return carrier_m + bump_m
 
     def datum_grid(self, n: int) -> Grid:
         """Smallest power-of-two grid with the datum inside the 2/3 ball."""
-        return self.grid(
-            self._fit_pow2(3 * self._datum_mode_extent(n) + 1, f"datum n={n}")
-        )
+        return self.grid(self._fit_grid(self._datum_mode_extent(n), f"datum n={n}"))
 
     def product_grid(self, n: int) -> Grid:
         """Smallest grid resolving the exact quadratic product of the datum."""
         return self.grid(
-            self._fit_pow2(
-                6 * self._datum_mode_extent(n) + 1, f"datum product n={n}"
-            )
+            self._fit_grid(2 * self._datum_mode_extent(n), f"datum product n={n}")
         )
 
     def background_grid(self, n_max: int) -> Grid:
-        need = max(
-            3 * self._datum_mode_extent(n_max) + 1,
-            3 * background_mode_extent(self.cfg.psi_band, self.cfg.R) + 1,
+        extent = max(
+            self._datum_mode_extent(n_max),
+            background_mode_extent(self.cfg.psi_band, self.cfg.R),
         )
-        return self.grid(self._fit_pow2(need, "background experiment"))
+        return self.grid(self._fit_grid(extent, "background experiment"))
 
     # -- data --------------------------------------------------------------
 
@@ -304,7 +310,7 @@ def run_heat_law(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
     records = []
     q_values: dict = {}
     base_norm: dict = {}
-    qhat = (17.0 / 12.0) ** 2
+    qhat = CARRIER_RATIO**2
 
     for n in cfg.n_list:
         g = ctx.datum_grid(n)
@@ -485,28 +491,21 @@ def run_nonlinear_drift(cfg: ExperimentConfig, ctx: ExperimentContext | None = N
             )
         )
 
-    # stability of A_i(t)/t across the family (see the decisions ledger for
-    # why the measured values decay geometrically in n)
+    # The paper bounds A_i(t) <~ t uniformly in n, from above only.  The
+    # measured A_i(t)/t falls like 2^(-n(s+1)) (a factor 16.00 from n = 3 to
+    # n = 4 at s = 3), so a two-sided spread fails on correct data; what can
+    # falsify the bound is growth between consecutive resolvable shells.
     cap = ratio_cap(3.0, cfg.mode)
-    if len(resolvable) >= 2:
-        for name in ("A1", "A2"):
+    for name, quantity in (
+        ("A1", "advection_drift_over_t_n_growth"),
+        ("A2", "heat_defect_of_advection_over_t_n_growth"),
+    ):
+        for a, b in zip(resolvable, resolvable[1:]):
             for t in cfg.t_grid:
-                vals = [over_t[(name, n, t)] for n in resolvable]
-                spread = max(vals) / min(vals)
-                quantity = (
-                    "advection_drift_over_t_n_spread"
-                    if name == "A1"
-                    else "heat_defect_of_advection_over_t_n_spread"
-                )
+                growth = over_t[(name, b, t)] / over_t[(name, a, t)]
                 records.append(
                     ResultRecord(
-                        ex,
-                        quantity,
-                        spread,
-                        None,
-                        None,
-                        t,
-                        "pass" if spread <= cap else "fail",
+                        ex, quantity, growth, b, None, t, _pass_if(growth <= cap)
                     )
                 )
     return records
@@ -516,38 +515,12 @@ def run_nonlinear_drift(cfg: ExperimentConfig, ctx: ExperimentContext | None = N
 # first-order expansion residuals (quadratic-in-time remainders)
 
 
-def _simpson_nodes(t: float, nodes: int):
-    h = t / (nodes - 1)
-    w = np.full(nodes, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return np.linspace(0.0, t, nodes), w * (h / 3.0)
-
-
-def _drift_integral(u0: VectorField, t: float, eps: float, nodes: int) -> VectorField:
-    """int_0^t exp((t-tau) eps Lap) P(u1.grad u1 - u0.grad u0) dtau."""
-    g = u0.grid
-    pa0 = leray_project(advect(u0, u0, verify_support=False))
-    taus, w = _simpson_nodes(t, nodes)
-    acc = [np.zeros(g.shape, dtype=np.complex128) for _ in range(g.d)]
-    for wi, tau in zip(w, taus):
-        u1 = heat_propagate(u0, tau, eps)
-        term = leray_project(advect(u1, u1, verify_support=False))
-        back = heat_factor(g, t - tau, eps)
-        for a, c, c0 in zip(acc, term, pa0):
-            a += wi * back * (c.coeffs - c0.coeffs)
-    return VectorField(tuple(SpectralField(g, a) for a in acc))
-
-
-def _heat_defect_integral(u0: VectorField, t: float, eps: float, nodes: int):
-    """int_0^t (exp((t-tau) eps Lap) - Id) P(u0.grad u0) dtau."""
-    g = u0.grid
-    pa0 = leray_project(advect(u0, u0, verify_support=False))
-    taus, w = _simpson_nodes(t, nodes)
-    factor = np.zeros(g.shape)
-    for wi, tau in zip(w, taus):
-        factor += wi * (heat_factor(g, t - tau, eps) - 1.0)
-    return _apply_array(pa0, factor)
+_REMAINDER_LABELS = {
+    "euler": "euler_expansion_residual",
+    "navier_stokes": "ns_duhamel_residual",
+    "drift": "nonlinearity_drift_integral",
+    "heat_defect": "heat_defect_integral",
+}
 
 
 def run_expansion_residuals(
@@ -560,7 +533,6 @@ def run_expansion_residuals(
     bp = cfg.bp
     nodes = cfg.quadrature_nodes
     records = []
-    T = max(cfg.t_grid)
 
     for n in n_sel or cfg.n_list:
         g = ctx.datum_grid(n)
@@ -570,52 +542,22 @@ def run_expansion_residuals(
         traj0 = ctx.trajectory(f"u0n{n}", u0, 0.0, cfg.t_grid)
         traj_eps = ctx.trajectory(f"u0n{n}", u0, eps_n, cfg.t_grid)
 
-        pa0 = leray_project(advect(u0, u0, verify_support=False))
-        series: dict = {name: [] for name in ("yy1", "yy2", "x1", "x2")}
-        for t in cfg.t_grid:
-            s0 = traj0.state_at(t)
-            r1 = _vf_lincomb(g, [(1.0, s0), (-1.0, u0), (t, pa0)])
-            series["yy1"].append(besov_norm(r1, bp, part))
+        series: dict = {field: [] for field in _REMAINDER_LABELS}
+        for rem in first_order_remainders(
+            u0, traj0, traj_eps, cfg.t_grid, nodes, refine=(cfg.mode == "strict")
+        ):
+            for field in _REMAINDER_LABELS:
+                series[field].append(besov_norm(getattr(rem, field), bp, part))
 
-            s_eps = traj_eps.state_at(t)
-            u1 = heat_propagate(u0, t, eps_n)
-            u2 = u2_duhamel(u0, t, eps_n, nodes, refine=(cfg.mode == "strict"))
-            r2 = _vf_lincomb(g, [(1.0, s_eps), (-1.0, u1), (-1.0, u2)])
-            series["yy2"].append(besov_norm(r2, bp, part))
-
-            series["x1"].append(
-                besov_norm(_drift_integral(u0, t, eps_n, nodes), bp, part)
-            )
-            series["x2"].append(
-                besov_norm(_heat_defect_integral(u0, t, eps_n, nodes), bp, part)
-            )
-
-        names = {
-            "yy1": "euler_expansion_residual",
-            "yy2": "ns_duhamel_residual",
-            "x1": "nonlinearity_drift_integral",
-            "x2": "heat_defect_integral",
-        }
-        for key, label in names.items():
+        for key, label in _REMAINDER_LABELS.items():
             for t, v in zip(cfg.t_grid, series[key]):
                 records.append(ResultRecord(ex, label, v, n, eps_n, t))
             sl = lsq_slope(cfg.t_grid, series[key])
-            if key in ("yy1", "yy2"):
-                lo, hi = window(1.8, 2.3, 2.0, cfg.mode)
-                ok = lo <= sl <= hi
-            else:
-                lo = window(1.8, 2.3, 2.0, cfg.mode)[0]
-                ok = sl >= lo
+            # the two integrals are held to a floor only
+            lo, hi = window(1.8, 2.3, 2.0, cfg.mode)
+            ok = lo <= sl and (sl <= hi or key in ("drift", "heat_defect"))
             records.append(
-                ResultRecord(
-                    ex,
-                    f"{label}_slope",
-                    sl,
-                    n,
-                    eps_n,
-                    None,
-                    "pass" if ok else "fail",
-                )
+                ResultRecord(ex, f"{label}_slope", sl, n, eps_n, None, _pass_if(ok))
             )
     return records
 
@@ -983,10 +925,6 @@ def run_perturbed_gap(
 
 # ---------------------------------------------------------------------------
 # validation suite
-
-
-def _pass_if(cond: bool) -> str:
-    return "pass" if cond else "fail"
 
 
 def _rel_l2(a: VectorField, b: VectorField) -> float:

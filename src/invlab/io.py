@@ -131,8 +131,9 @@ CSV_COLUMNS = ("experiment", "n", "eps", "t", "quantity", "value", "verdict")
 def _fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, float):
-        return repr(x)
+    if isinstance(x, (float, np.floating)):
+        # repr of np.float64 is "np.float64(...)", which float() cannot read
+        return repr(float(x))
     return str(x)
 
 

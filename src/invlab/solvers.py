@@ -5,12 +5,19 @@ variables (``eps = 0`` gives the ideal case).  The linear heat part is applied
 exactly through its multiplier; the nonlinear part advances with classical
 RK4 on the integrating-factor transformed state, so stiffness from the
 viscous term never enters the stability restriction.
+
+The first-order expansion ``S^eps_t(u0) = u1(t) + u2(t) + O(t^2)`` is
+computed here once: ``u1`` is the heat flow of the data, ``u2`` the Duhamel
+integral of the projected advection by composite Simpson (a strict-mode
+refinement check reuses the same integrand evaluations), and
+``first_order_remainders`` builds the four remainder fields from ``u2`` and
+the exact linear time integral ``t phi1(t eps |xi|^2)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,7 +26,6 @@ from .errors import (
     QuadratureError,
     SolverDivergenceError,
 )
-from .littlewood_paley import BesovParams, besov_norm
 from .spectral import (
     Grid,
     SpectralField,
@@ -28,6 +34,7 @@ from .spectral import (
     advect,
     divergence_defect,
     heat_factor,
+    heat_integral_factor,
     heat_propagate,
     l2_norm_spectral,
     leray_project,
@@ -283,20 +290,6 @@ def _simpson_weights(t: float, nodes: int) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def _duhamel_sum(u0: VectorField, t: float, eps: float, nodes: int):
-    g = u0.grid
-    w = _simpson_weights(t, nodes)
-    taus = np.linspace(0.0, t, nodes)
-    acc = [np.zeros(g.shape, dtype=np.complex128) for _ in range(g.d)]
-    for wi, tau in zip(w, taus):
-        u1 = heat_propagate(u0, tau, eps)
-        term = leray_project(advect(u1, u1, verify_support=False))
-        back = heat_factor(g, t - tau, eps)
-        for a, c in zip(acc, term):
-            a += wi * back * c.coeffs
-    return acc
-
-
 def u2_duhamel(
     u0: VectorField,
     t: float,
@@ -309,8 +302,10 @@ def u2_duhamel(
 
     Solves ``d/dt u2 = eps*Lap(u2) - P(u1 . grad u1)`` from zero data, i.e.
     ``u2(t) = -int_0^t exp((t-tau) eps Lap) P(u1 . grad u1)(tau) dtau``.
-    With ``refine`` set the node count is doubled and a relative change above
-    ``refine_tol`` raises a QuadratureError.
+    With ``refine`` set the integrand is evaluated once on the doubled grid
+    of ``2*(nodes-1)+1`` nodes: the fine sum is the result, the even-indexed
+    nodes give the ``nodes``-point sum, and a relative change between the
+    two above ``refine_tol`` raises a QuadratureError.
     """
     g = u0.grid
     if nodes < 9 or nodes % 2 == 0:
@@ -318,17 +313,31 @@ def u2_duhamel(
     if t == 0.0:
         zero = np.zeros(g.shape, dtype=np.complex128)
         return VectorField(tuple(SpectralField(g, zero.copy()) for _ in range(g.d)))
-    acc = _duhamel_sum(u0, t, eps, nodes)
+    fine_nodes = 2 * (nodes - 1) + 1 if refine else nodes
+    w = _simpson_weights(t, fine_nodes)
+    w_coarse = _simpson_weights(t, nodes)
+    acc = [np.zeros(g.shape, dtype=np.complex128) for _ in range(g.d)]
+    coarse = (
+        [np.zeros(g.shape, dtype=np.complex128) for _ in range(g.d)] if refine else None
+    )
+    for i, (wi, tau) in enumerate(zip(w, np.linspace(0.0, t, fine_nodes))):
+        u1 = heat_propagate(u0, tau, eps)
+        term = leray_project(advect(u1, u1, verify_support=False))
+        back = heat_factor(g, t - tau, eps)
+        for a, c in zip(acc, term):
+            a += wi * back * c.coeffs
+        if refine and i % 2 == 0:
+            # tau_i on the fine grid equals tau_(i/2) on the coarse one
+            for a, c in zip(coarse, term):
+                a += w_coarse[i // 2] * back * c.coeffs
     if refine:
-        fine = _duhamel_sum(u0, t, eps, 2 * (nodes - 1) + 1)
-        diff = np.sqrt(sum(np.sum(np.abs(a - b) ** 2) for a, b in zip(acc, fine)))
-        scale = np.sqrt(sum(np.sum(np.abs(b) ** 2) for b in fine))
+        diff = np.sqrt(sum(np.sum(np.abs(a - b) ** 2) for a, b in zip(coarse, acc)))
+        scale = np.sqrt(sum(np.sum(np.abs(b) ** 2) for b in acc))
         if scale > 0 and diff / scale > refine_tol:
             raise QuadratureError(
                 f"Duhamel quadrature not converged: doubling {nodes} nodes moved "
                 f"the result by {diff / scale:.3e} (tolerance {refine_tol})"
             )
-        acc = fine
     return VectorField(tuple(SpectralField(g, -a) for a in acc))
 
 
@@ -339,41 +348,69 @@ def _check_same_data(u0: VectorField, traj: Trajectory) -> None:
             raise ValueError("trajectory was computed from different initial data")
 
 
-def euler_expansion_residual(
-    u0: VectorField, t: float, traj: Trajectory, bp: BesovParams
-) -> float:
-    """Besov norm of S0_t(u0) - u0 + t P(u0 . grad u0)."""
-    if traj.eps != 0.0:
-        raise ValueError(f"need an ideal (eps=0) trajectory, got eps={traj.eps}")
-    _check_same_data(u0, traj)
-    g = u0.grid
-    state = traj.state_at(t)
-    pa = leray_project(advect(u0, u0, verify_support=False))
-    comps = tuple(
-        SpectralField(g, s.coeffs - a.coeffs + t * p.coeffs)
-        for s, a, p in zip(state, u0, pa)
-    )
-    return besov_norm(VectorField(comps), bp)
+class FirstOrderRemainders(NamedTuple):
+    """The four remainder fields of the first-order expansion at one time."""
+
+    euler: VectorField
+    navier_stokes: VectorField
+    drift: VectorField
+    heat_defect: VectorField
 
 
-def ns_duhamel_residual(
+def first_order_remainders(
     u0: VectorField,
-    t: float,
-    eps: float,
-    traj: Trajectory,
-    bp: BesovParams,
+    traj0: Trajectory,
+    traj_eps: Trajectory,
+    times: Sequence[float],
     nodes: int = 17,
-) -> float:
-    """Besov norm of S^eps_t(u0) - u1(t) - u2(t), the first-order remainder."""
-    if traj.eps != eps:
-        raise ValueError(f"trajectory viscosity {traj.eps} does not match {eps}")
-    _check_same_data(u0, traj)
+    refine: bool = False,
+) -> Iterator[FirstOrderRemainders]:
+    """Yield the FirstOrderRemainders at each of ``times``, one at a time.
+
+    With ``pa0 = P(u0 . grad u0)``, ``F(tau) = P(u1 . grad u1)(tau)`` and
+    ``eps`` the viscosity of ``traj_eps``:
+
+    - euler: ``S0_t(u0) - u0 + t pa0`` (``traj0`` must be ideal);
+    - navier_stokes: ``S^eps_t(u0) - u1(t) - u2(t)``, with ``u2`` from
+      ``u2_duhamel(u0, t, eps, nodes, refine)``;
+    - drift: ``int_0^t exp((t-tau) eps Lap) (F(tau) - pa0) dtau``.  Since
+      ``u2 = -int_0^t exp((t-tau) eps Lap) F(tau) dtau``, this equals
+      ``-u2 - int_0^t exp((t-tau) eps Lap) dtau . pa0``, and the linear
+      integral is the exact multiplier ``t phi1(t eps |xi|^2)``
+      (``heat_integral_factor``), so no further quadrature is needed;
+    - heat_defect: ``int_0^t (exp((t-tau) eps Lap) - Id) pa0 dtau``
+      ``= (t phi1 - t) pa0``.
+
+    The guards (ideal ``traj0``, both trajectories from ``u0``) run on the
+    call; the fields are computed as the iterator advances.
+    """
+    if traj0.eps != 0.0:
+        raise ValueError(f"need an ideal (eps=0) trajectory, got eps={traj0.eps}")
+    _check_same_data(u0, traj0)
+    _check_same_data(u0, traj_eps)
+    pa0 = leray_project(advect(u0, u0, verify_support=False))
+    return (_remainders_at(u0, pa0, traj0, traj_eps, t, nodes, refine) for t in times)
+
+
+def _remainders_at(u0, pa0, traj0, traj_eps, t, nodes, refine):
     g = u0.grid
-    state = traj.state_at(t)
+    eps = traj_eps.eps
     u1 = u1_heat(u0, t, eps)
-    u2 = u2_duhamel(u0, t, eps, nodes)
-    comps = tuple(
-        SpectralField(g, s.coeffs - a.coeffs - b.coeffs)
-        for s, a, b in zip(state, u1, u2)
+    u2 = u2_duhamel(u0, t, eps, nodes, refine=refine)
+    lin = heat_integral_factor(g, t, eps)
+
+    def field(arrays):
+        return VectorField(tuple(SpectralField(g, a) for a in arrays))
+
+    return FirstOrderRemainders(
+        euler=field(
+            s.coeffs - a.coeffs + t * p.coeffs
+            for s, a, p in zip(traj0.state_at(t), u0, pa0)
+        ),
+        navier_stokes=field(
+            s.coeffs - a.coeffs - b.coeffs
+            for s, a, b in zip(traj_eps.state_at(t), u1, u2)
+        ),
+        drift=field(-b.coeffs - lin * p.coeffs for b, p in zip(u2, pa0)),
+        heat_defect=field((lin - t) * p.coeffs for p in pa0),
     )
-    return besov_norm(VectorField(comps), bp)

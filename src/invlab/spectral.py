@@ -135,6 +135,18 @@ class Grid:
         return arr.shape == self.shape
 
 
+def dealias_grid_size(max_mode: int) -> int:
+    """Smallest admissible N whose 2/3-rule ball holds modes |m| <= max_mode.
+
+    Admissible means a power of two, at least 16; the ball is
+    ``|m_j| <= (N - 1) // 3`` (``Grid.dealias_keep``), i.e. N >= 3*max_mode + 1.
+    """
+    N = 16
+    while N < 3 * max_mode + 1:
+        N *= 2
+    return N
+
+
 @dataclass(frozen=True)
 class RealField:
     """Scalar field sampled on the grid (real-valued)."""
@@ -341,19 +353,28 @@ def heat_factor(grid: Grid, t: float, eps: float) -> np.ndarray:
     return np.exp(-t * eps * grid.k_sq)
 
 
+def heat_integral_factor(grid: Grid, t: float, eps: float) -> np.ndarray:
+    """int_0^t exp(-(t-tau) eps |xi|^2) dtau = t phi1(t eps |xi|^2).
+
+    ``phi1(x) = -expm1(-x)/x`` (the first exponential-integrator function,
+    as in Cox & Matthews 2002 and Kassam & Trefethen 2005) keeps every digit
+    at small x, where ``1 - exp(-x)`` cancels.  The value is exactly t where
+    x = 0, i.e. at xi = 0 or for eps = 0.
+    """
+    heat_factor(grid, t, eps)  # argument validation only
+    x = t * eps * grid.k_sq
+    out = np.full(grid.shape, float(t))
+    pos = x > 0.0
+    out[pos] = t * (-np.expm1(-x[pos]) / x[pos])
+    return out
+
+
 def heat_propagate(V: VectorField, t: float, eps: float) -> VectorField:
     """Apply the heat semigroup exp(t*eps*Laplacian) componentwise."""
     if t == 0.0 or eps == 0.0:
         heat_factor(V.grid, t, eps)  # argument validation only
         return V
     return _apply_factor(V, heat_factor(V.grid, t, eps))
-
-
-def heat_propagate_scalar(F: SpectralField, t: float, eps: float) -> SpectralField:
-    if t == 0.0 or eps == 0.0:
-        heat_factor(F.grid, t, eps)
-        return F
-    return SpectralField(F.grid, F.coeffs * heat_factor(F.grid, t, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +440,7 @@ def _require_dealias_safe(V: VectorField, name: str) -> None:
     g = V.grid
     mmax = max_mode_index(V)
     if mmax > g.dealias_keep:
-        required = 3 * mmax + 1
-        n_req = 16
-        while n_req < required:
-            n_req *= 2
+        n_req = dealias_grid_size(mmax)
         raise ResolutionError(
             f"{name} has support up to |m|={mmax}, outside the 2/3-rule ball "
             f"|m|<={g.dealias_keep} of N={g.N}; need N>={n_req}",

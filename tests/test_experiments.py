@@ -1,8 +1,11 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from invlab.constructions import background_field
-from invlab.errors import ConfigError
+from invlab.errors import ConfigError, NumericsError
 from invlab.experiments import (
     ExperimentConfig,
     ExperimentContext,
@@ -82,8 +85,8 @@ class TestConfigAndRecords:
             ExperimentConfig(bp=BesovParams(2.0, 2.0, 2.0, 2))
 
     def test_record_validation(self):
-        with pytest.raises(ConfigError):
-            ResultRecord("x", "q", float("nan"))
+        with pytest.raises(NumericsError, match=r"x record q \(n=3, t=0.5\)"):
+            ResultRecord("x", "q", float("nan"), n=3, t=0.5)
         with pytest.raises(ConfigError):
             ResultRecord("x", "q", 1.0, verdict="maybe")
 
@@ -201,10 +204,59 @@ class TestNonlinearDrift:
         assert [r.n for r in limited] == [4]
         assert limited[0].value == 2048.0
 
+    def test_two_resolved_shells_pass(self, small_cfg):
+        # A_i(t)/t falls about 16x from n = 3 to n = 4; only growth may fail
+        cfg = ExperimentConfig(
+            n_list=(3, 4), t_grid=small_cfg.t_grid, T0=0.1, t0=0.02, N=2048
+        )
+        recs = run_nonlinear_drift(cfg, ExperimentContext(cfg))
+        assert not by_quantity(recs, "resolution_limited")
+        assert not [r for r in recs if r.verdict == "fail"]
+        growth = by_quantity(recs, "advection_drift_over_t_n_growth")
+        assert len(growth) == len(cfg.t_grid)
+        assert all(r.n == 4 and r.value < 1.0 for r in growth)
+
+
+GOLDEN_RESIDUALS = Path(__file__).parent / "data" / "expansion_residuals_small.json"
+
+
+def simpson_weights(t, nodes):
+    w = np.ones(nodes)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * (t / (nodes - 1) / 3.0)
+
+
+def vf_rel_diff(a, b):
+    num = np.sqrt(
+        sum(np.sum(np.abs(x.coeffs - y.coeffs) ** 2) for x, y in zip(a, b))
+    )
+    den = np.sqrt(sum(np.sum(np.abs(y.coeffs) ** 2) for y in b))
+    return num / den
+
+
+def remainders_at(cfg, ctx, t):
+    """u0, P(u0.grad u0) and the remainder fields of shell 3 at time t."""
+    from invlab.solvers import first_order_remainders
+    from invlab.spectral import advect, leray_project
+
+    _, u0 = ctx.datum(3)
+    traj0 = ctx.trajectory("u0n3", u0, 0.0, cfg.t_grid)
+    traj_eps = ctx.trajectory("u0n3", u0, cfg.eps_n(3), cfg.t_grid)
+    (rem,) = first_order_remainders(
+        u0, traj0, traj_eps, [t], cfg.quadrature_nodes
+    )
+    return u0, leray_project(advect(u0, u0, verify_support=False)), rem
+
+
+@pytest.fixture(scope="module")
+def residual_records(small_cfg, small_ctx):
+    return run_expansion_residuals(small_cfg, small_ctx)
+
 
 class TestExpansionResiduals:
-    def test_quadratic_slopes(self, small_cfg, small_ctx):
-        records = run_expansion_residuals(small_cfg, small_ctx)
+    def test_quadratic_slopes(self, residual_records):
+        records = residual_records
         for name in ("euler_expansion_residual", "ns_duhamel_residual"):
             slope = by_quantity(records, f"{name}_slope")
             assert len(slope) == 1
@@ -213,30 +265,51 @@ class TestExpansionResiduals:
             slope = by_quantity(records, f"{name}_slope")
             assert slope[0].value >= 1.8
 
-    def test_heat_defect_integral_matches_closed_form(self, small_cfg, small_ctx):
-        # Simpson in tau against the exact per-mode integral of the factor
-        from invlab.experiments import _heat_defect_integral
-        from invlab.littlewood_paley import besov_norm
-        from invlab.spectral import advect, leray_project
+    def test_golden_records(self, residual_records):
+        # residuals bitwise; closed-form integrals and slopes at 1e-12
+        golden = json.loads(GOLDEN_RESIDUALS.read_text())
+        got = [(r.quantity, r.t, r.value, r.verdict) for r in residual_records]
+        assert [tuple(g[:2]) for g in golden] == [g[:2] for g in got]
+        for (quantity, t, value, verdict), (_, _, v, vd) in zip(golden, got):
+            assert vd == verdict, (quantity, t)
+            if quantity in ("euler_expansion_residual", "ns_duhamel_residual"):
+                assert v == float(value), (quantity, t)
+            else:
+                assert v == pytest.approx(float(value), rel=1e-12), (quantity, t)
 
-        g = small_ctx.datum_grid(3)
-        _, u0 = small_ctx.datum(3)
-        eps, t = small_cfg.eps_n(3), 0.02
-        quad = _heat_defect_integral(u0, t, eps, small_cfg.quadrature_nodes)
-        pa = leray_project(advect(u0, u0, verify_support=False))
-        # int_0^t (e^{-eps k^2 tau} - 1) dtau = t (phi1(x) - 1), x = t eps k^2,
-        # phi1(x) = -expm1(-x)/x; the form 1 - exp(-x) cancels digits at small x
-        x = t * eps * g.k_sq
-        x_safe = np.where(x > 0.0, x, 1.0)
-        exact_factor = np.where(x > 0.0, t * (-np.expm1(-x_safe) / x_safe - 1.0), 0.0)
-        exact = VectorField(
-            tuple(SpectralField(g, exact_factor * c.coeffs) for c in pa)
-        )
-        num = np.sqrt(
-            sum(np.sum(np.abs(a.coeffs - b.coeffs) ** 2) for a, b in zip(quad, exact))
-        )
-        den = np.sqrt(sum(np.sum(np.abs(b.coeffs) ** 2) for b in exact))
-        assert num <= 1e-8 * den
+    def test_heat_defect_integral_matches_closed_form(self, small_cfg, small_ctx):
+        # program: (t phi1(x) - t) pa0, x = t eps k^2; reference: Simpson in
+        # tau of (exp(-(t - tau) eps k^2) - 1) pa0
+        from invlab.spectral import heat_factor
+
+        t = 0.02
+        u0, pa0, rem = remainders_at(small_cfg, small_ctx, t)
+        g, eps = u0.grid, small_cfg.eps_n(3)
+        nodes = small_cfg.quadrature_nodes
+        factor = np.zeros(g.shape)
+        for w, tau in zip(simpson_weights(t, nodes), np.linspace(0.0, t, nodes)):
+            factor += w * (heat_factor(g, t - tau, eps) - 1.0)
+        quad = VectorField(tuple(SpectralField(g, factor * c.coeffs) for c in pa0))
+        assert vf_rel_diff(rem.heat_defect, quad) <= 1e-8
+
+    def test_drift_integral_matches_direct_simpson(self, small_cfg, small_ctx):
+        # program: -u2 - t phi1 pa0; reference: Simpson in tau of
+        # exp((t - tau) eps Lap) (P(u1.grad u1)(tau) - pa0)
+        from invlab.spectral import advect, heat_factor, heat_propagate, leray_project
+
+        t = 0.02
+        u0, pa0, rem = remainders_at(small_cfg, small_ctx, t)
+        g, eps = u0.grid, small_cfg.eps_n(3)
+        nodes = small_cfg.quadrature_nodes
+        acc = [np.zeros(g.shape, dtype=np.complex128) for _ in range(g.d)]
+        for w, tau in zip(simpson_weights(t, nodes), np.linspace(0.0, t, nodes)):
+            u1 = heat_propagate(u0, tau, eps)
+            term = leray_project(advect(u1, u1, verify_support=False))
+            back = heat_factor(g, t - tau, eps)
+            for a, c, c0 in zip(acc, term, pa0):
+                a += w * back * (c.coeffs - c0.coeffs)
+        quad = VectorField(tuple(SpectralField(g, a) for a in acc))
+        assert vf_rel_diff(rem.drift, quad) <= 1e-8
 
 
 class TestFamilyGap:

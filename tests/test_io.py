@@ -120,6 +120,16 @@ class TestReports:
         assert p1.read_bytes() == p2.read_bytes()
         assert s1.read_bytes() == s2.read_bytes()
 
+    def test_numpy_floats_read_back(self, tmp_path):
+        # numpy 2 spells repr(np.float64(x)) "np.float64(x)"; the CSV must not
+        value = np.float64(1.0) / 3.0
+        eps, t = np.float64(2.0**-6), np.float64(0.05)
+        records = [ResultRecord("x", "a", value, 3, eps, t)]
+        csv_path, _ = write_report(records, tmp_path)
+        row = csv_path.read_text().strip().split("\n")[1].split(",")
+        assert float(row[5]) == value
+        assert float(row[2]) == 2.0**-6 and float(row[3]) == 0.05
+
     def test_collect_constants_picks_first(self):
         records = [
             ResultRecord("x", "a", 1.0, 3),

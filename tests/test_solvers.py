@@ -12,13 +12,12 @@ from invlab.errors import (
     QuadratureError,
     SolverDivergenceError,
 )
-from invlab.littlewood_paley import BesovParams
+from invlab.littlewood_paley import BesovParams, besov_norm
 from invlab.solvers import (
     SolverConfig,
     Trajectory,
-    euler_expansion_residual,
     evolve,
-    ns_duhamel_residual,
+    first_order_remainders,
     u1_heat,
     u2_duhamel,
 )
@@ -259,31 +258,47 @@ class TestFirstOrderApproximants:
             u2_duhamel(u0, 0.02, 2.0**-6, nodes=9, refine=True, refine_tol=1e-30)
 
 
-class TestExpansionResiduals:
-    def test_zero_time_residuals(self, shell_setup, shell_trajectories):
-        bp, g, u0 = shell_setup
-        times, eps, traj0, traj_eps = shell_trajectories
-        traj0b = evolve(u0, SolverConfig(eps=0.0, T=0.01), [0.0, 0.01])
-        assert euler_expansion_residual(u0, 0.0, traj0b, bp) <= 1e-14
+def remainder_norms(u0, traj0, traj_eps, times, bp):
+    """Besov norms of the four remainder fields at each time, by field."""
+    out = {}
+    for rem in first_order_remainders(u0, traj0, traj_eps, times):
+        for name, vf in rem._asdict().items():
+            out.setdefault(name, []).append(besov_norm(vf, bp))
+    return out
 
-    def test_quadratic_decay_rates(self, shell_setup, shell_trajectories):
+
+@pytest.fixture(scope="module")
+def shell_remainders(shell_setup, shell_trajectories):
+    bp, g, u0 = shell_setup
+    times, eps, traj0, traj_eps = shell_trajectories
+    return remainder_norms(u0, traj0, traj_eps, times, bp)
+
+
+class TestExpansionResiduals:
+    def test_zero_time_residuals(self, shell_setup):
+        # sampling only t = 0 takes no step, so the data pass through evolve
         bp, g, u0 = shell_setup
-        times, eps, traj0, traj_eps = shell_trajectories
-        yy1 = [euler_expansion_residual(u0, t, traj0, bp) for t in times]
-        yy2 = [ns_duhamel_residual(u0, t, eps, traj_eps, bp) for t in times]
-        for vals in (yy1, yy2):
-            x = np.log(times)
-            y = np.log(vals)
-            slope = np.polyfit(x, y, 1)[0]
-            assert 1.8 <= slope <= 2.3
+        traj0 = evolve(u0, SolverConfig(eps=0.0, T=0.01), [0.0])
+        traj_eps = evolve(u0, SolverConfig(eps=2.0**-6, T=0.01), [0.0])
+        norms = remainder_norms(u0, traj0, traj_eps, [0.0], bp)
+        assert set(norms) == {"euler", "navier_stokes", "drift", "heat_defect"}
+        for name, (value,) in norms.items():
+            assert value <= 1e-14, name
+
+    def test_quadratic_decay_rates(self, shell_trajectories, shell_remainders):
+        times = shell_trajectories[0]
+        for name, vals in shell_remainders.items():
+            slope = np.polyfit(np.log(times), np.log(vals), 1)[0]
+            if name in ("euler", "navier_stokes"):
+                assert 1.8 <= slope <= 2.3, name
+            else:
+                assert slope >= 1.8, name
 
     def test_wrong_viscosity_rejected(self, shell_setup, shell_trajectories):
         bp, g, u0 = shell_setup
         times, eps, traj0, traj_eps = shell_trajectories
-        with pytest.raises(ValueError):
-            euler_expansion_residual(u0, times[0], traj_eps, bp)
-        with pytest.raises(ValueError):
-            ns_duhamel_residual(u0, times[0], eps / 2, traj_eps, bp)
+        with pytest.raises(ValueError, match="ideal"):
+            first_order_remainders(u0, traj_eps, traj_eps, times)
 
     def test_mismatched_data_rejected(self, shell_setup, shell_trajectories):
         bp, g, u0 = shell_setup
@@ -291,26 +306,41 @@ class TestExpansionResiduals:
         other = VectorField(
             tuple(SpectralField(g, 2.0 * c.coeffs) for c in u0)
         )
-        with pytest.raises(ValueError):
-            euler_expansion_residual(other, times[0], traj0, bp)
+        with pytest.raises(ValueError, match="different initial data"):
+            first_order_remainders(other, traj0, traj_eps, times)
+        foreign = Trajectory(
+            times=traj_eps.times,
+            states=traj_eps.states,
+            eps=traj_eps.eps,
+            u0=other,
+            diagnostics=traj_eps.diagnostics,
+        )
+        with pytest.raises(ValueError, match="different initial data"):
+            first_order_remainders(u0, traj0, foreign, times)
 
-    def test_replay_from_stored_snapshot(self, shell_setup, shell_trajectories, tmp_path):
+    def test_replay_from_stored_snapshot(
+        self, shell_setup, shell_trajectories, shell_remainders, tmp_path
+    ):
         from invlab.io import read_field, write_field
 
         bp, g, u0 = shell_setup
         times, eps, traj0, traj_eps = shell_trajectories
         t = times[2]
-        value = euler_expansion_residual(u0, t, traj0, bp)
-        write_field(tmp_path / "state.spf", traj0.state_at(t))
         write_field(tmp_path / "u0.spf", u0)
-        state = read_field(tmp_path / "state.spf")
         u0b = read_field(tmp_path / "u0.spf")
-        replay = Trajectory(
-            times=(t,),
-            states=(state,),
-            eps=0.0,
-            u0=u0b,
-            diagnostics={"energy": np.array([l2_norm_spectral(state)])},
-        )
-        again = euler_expansion_residual(u0b, t, replay, bp)
-        assert again == pytest.approx(value, rel=1e-12)
+        replays = []
+        for i, traj in enumerate((traj0, traj_eps)):
+            write_field(tmp_path / f"state{i}.spf", traj.state_at(t))
+            state = read_field(tmp_path / f"state{i}.spf")
+            replays.append(
+                Trajectory(
+                    times=(t,),
+                    states=(state,),
+                    eps=traj.eps,
+                    u0=u0b,
+                    diagnostics={"energy": np.array([l2_norm_spectral(state)])},
+                )
+            )
+        again = remainder_norms(u0b, *replays, [t], bp)
+        for name, (value,) in again.items():
+            assert value == pytest.approx(shell_remainders[name][2], rel=1e-12), name
