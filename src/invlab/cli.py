@@ -16,7 +16,6 @@ from pathlib import Path
 from .errors import (
     ConfigError,
     FormatError,
-    InvlabError,
     NumericsError,
     QuadratureError,
     ResolutionError,
@@ -42,7 +41,6 @@ from .io import (
     write_report,
 )
 from .littlewood_paley import besov_norm, build_partition
-from .solvers import SolverConfig, evolve
 from .spectral import divergence_defect, l2_norm_spectral, set_fft_workers
 
 _EXPERIMENTS = {
@@ -121,7 +119,7 @@ def _run_evolve(cfg, ctx, out_dir: Path, raw_cfg: dict):
     _, u0 = ctx.datum(n, shift=shift)
     run_id = f"n{n}_eps{eps:g}_k{shift:g}"
     traj_dir = out_dir / "traj" / run_id
-    traj = evolve(u0, SolverConfig(eps=eps, T=max(cfg.t_grid)), cfg.t_grid)
+    traj = ctx.trajectory(run_id, u0, eps, cfg.t_grid)
     records = []
     for i, (t, state) in enumerate(zip(traj.times, traj.states)):
         write_field(traj_dir / f"t{i:03d}.spf", state)
@@ -186,7 +184,7 @@ def main(argv=None) -> int:
         records,
         out_dir,
         constants,
-        meta={"seed": cfg.seed, "mode": cfg.mode, "threads": args.threads},
+        meta={"seed": cfg.seed, "mode": cfg.mode, "threads": args.threads, **ctx.telemetry()},
     )
     counts = verdict_counts(records)
     print(

@@ -24,10 +24,12 @@ from .spectral import (
     RealField,
     SpectralField,
     VectorField,
+    _conj_mirror,
     dealias_grid_size,
     get_fft_workers,
     perp_gradient,
     translate,
+    vector_field,
 )
 
 CARRIER_RATIO = 17.0 / 12.0
@@ -156,7 +158,7 @@ def oscillating_profile_spectral(
     """Frequency-space construction of the carrier-modulated profile.
 
     The first axis carries the bump shifted to +/- the carrier mode; the
-    remaining axes carry the unshifted bump.
+    remaining axes carry the unshifted bump (the last one on its stored half).
     """
     if bump.grid != grid:
         raise ConfigError("bump was built for a different grid")
@@ -173,8 +175,8 @@ def oscillating_profile_spectral(
     a1 = bump.a_hat
     axis1 = np.roll(a1, cm) + np.roll(a1, -cm)
     out = axis1.astype(np.complex128)
-    for _ in range(grid.d - 1):
-        out = np.multiply.outer(out, a1)
+    for n in grid.spectral_shape[1:]:
+        out = np.multiply.outer(out, a1[:n])
     return SpectralField(grid, out)
 
 
@@ -193,7 +195,7 @@ def _planar_perp(F: SpectralField) -> VectorField:
     c1 = SpectralField(g, -(1j * g.freq_axis(1)) * F.coeffs)
     c2 = SpectralField(g, (1j * g.freq_axis(0)) * F.coeffs)
     zeros = [
-        SpectralField(g, np.zeros(g.shape, dtype=np.complex128))
+        SpectralField(g, np.zeros(g.spectral_shape, dtype=np.complex128))
         for _ in range(g.d - 2)
     ]
     return VectorField((c1, c2, *zeros))
@@ -210,15 +212,7 @@ def shell_velocity(
         shift_vec[0] = datum.shift
         F = translate(F, shift_vec)
     V = _planar_perp(F)
-    a = datum.amplitude
-    return VectorField(tuple(SpectralField(grid, a * c.coeffs) for c in V))
-
-
-def _conjugate_symmetrize(arr: np.ndarray, d: int) -> np.ndarray:
-    mirrored = arr
-    for ax in range(d):
-        mirrored = np.roll(np.flip(mirrored, axis=ax), 1, axis=ax)
-    return 0.5 * (arr + np.conj(mirrored))
+    return vector_field(grid, (datum.amplitude * c.coeffs for c in V))
 
 
 def taylor_green(grid: Grid, amplitude: float = 1.0) -> VectorField:
@@ -289,17 +283,17 @@ def background_field(
         )
     part = build_partition(grid)
     rng = np.random.default_rng(seed)
+    # drawn on the full lattice and symmetrized there, so the stored half is
+    # the spectrum of a real field
     raw = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    raw = _conjugate_symmetrize(raw, grid.d)
+    raw = 0.5 * (raw + _conj_mirror(raw))[..., : grid.spectral_shape[-1]]
     kmag = grid.k_mag
     mask = (kmag > 0.0) & (kmag <= 2.0**band)
-    envelope = np.zeros(grid.shape)
+    envelope = np.zeros(grid.spectral_shape)
     envelope[mask] = kmag[mask] ** (-(bp.s + 2.0))
     stream = SpectralField(grid, raw * envelope)
     psi = _planar_perp(stream)
     norm = besov_norm(psi, bp, part)
     if norm == 0.0:
         raise ConfigError("background field is identically zero; widen the band")
-    return VectorField(
-        tuple(SpectralField(grid, c.coeffs / norm) for c in psi)
-    )
+    return vector_field(grid, (c.coeffs / norm for c in psi))

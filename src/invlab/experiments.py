@@ -61,6 +61,7 @@ from .spectral import (
     to_physical,
     to_spectral,
     translate,
+    vector_field,
 )
 
 DEFAULT_T_GRID = (0.005, 0.01, 0.02, 0.04, 0.05, 0.08)
@@ -172,17 +173,15 @@ def lsq_slope(ts, vals) -> float:
 
 def _vf_lincomb(grid: Grid, terms) -> VectorField:
     """Sum of coefficient * VectorField pairs."""
-    acc = [np.zeros(grid.shape, dtype=np.complex128) for _ in range(grid.d)]
+    acc = [np.zeros(grid.spectral_shape, dtype=np.complex128) for _ in range(grid.d)]
     for coef, vf in terms:
         for a, c in zip(acc, vf):
             a += coef * c.coeffs
-    return VectorField(tuple(SpectralField(grid, a) for a in acc))
+    return vector_field(grid, acc)
 
 
 def _apply_array(vf: VectorField, factor: np.ndarray) -> VectorField:
-    return VectorField(
-        tuple(SpectralField(c.grid, factor * c.coeffs) for c in vf)
-    )
+    return vector_field(vf.grid, (factor * c.coeffs for c in vf))
 
 
 class ExperimentContext:
@@ -194,6 +193,8 @@ class ExperimentContext:
         self._bumps: dict = {}
         self._data: dict = {}
         self._trajectories: dict = {}
+        self.cache_hits = 0
+        self.evolutions: list = []  # {"N", "eps", "steps"} per evolve call
 
     # -- grids -------------------------------------------------------------
 
@@ -267,13 +268,24 @@ class ExperimentContext:
         if cached is not None and all(
             any(abs(t - ti) <= 1e-12 for ti in cached.times) for t in times
         ):
+            self.cache_hits += 1
             return cached
         if cached is not None:
             times = tuple(sorted(set(times) | set(cached.times)))
         cfg = SolverConfig(eps=eps, T=times[-1])
         traj = evolve(u0, cfg, times)
+        self.evolutions.append(
+            {"N": u0.grid.N, "eps": eps, "steps": len(traj.diagnostics["dt"])}
+        )
         self._trajectories[key] = (labels, traj)
         return traj
+
+    def telemetry(self) -> dict:
+        """Trajectory-cache hits and misses and one entry per evolution."""
+        return {
+            "trajectory_cache": {"hits": self.cache_hits, "misses": len(self.evolutions)},
+            "trajectories": list(self.evolutions),
+        }
 
     def drop_trajectories(self, prefix: str) -> None:
         """Forget every trajectory requested under a label with this prefix."""
@@ -1031,7 +1043,7 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     fr = RealField(g, rng.standard_normal(g.shape))
     F = to_spectral(fr)
     phys = (g.dx**g.d) * np.sum(fr.samples**2)
-    spec = np.sum(np.abs(F.coeffs) ** 2) / g.L**g.d
+    spec = l2_norm_spectral(F) ** 2
     pars = abs(phys - spec) / phys
     records.append(ResultRecord(ex, "parseval_defect", pars, verdict=_pass_if(pars <= 1e-12)))
 
@@ -1124,21 +1136,21 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     # cellular-vortex solver checks
     gt = Grid(2, 64, 1.0)
     tg = taylor_green(gt)
-    traj = evolve(tg, SolverConfig(eps=0.01, T=1.0), [1.0])
+    traj = ctx.trajectory("vortex", tg, 0.01, [1.0])
     decay = math.exp(-2.0 * 0.01 * 1.0)
-    ref = VectorField(tuple(SpectralField(gt, decay * c.coeffs) for c in tg))
+    ref = vector_field(gt, (decay * c.coeffs for c in tg))
     tg_err = _rel_l2(traj.state_at(1.0), ref)
     records.append(
         ResultRecord(ex, "vortex_analytic_error", tg_err, verdict=_pass_if(tg_err <= 1e-6))
     )
-    traj0 = evolve(tg, SolverConfig(eps=0.0, T=1.0), [1.0])
+    traj0 = ctx.trajectory("vortex", tg, 0.0, [1.0])
     steady = _rel_l2(traj0.state_at(1.0), tg)
     records.append(
         ResultRecord(ex, "vortex_steady_error", steady, verdict=_pass_if(steady <= 1e-8))
     )
 
     w0 = taylor_green_two_mode(gt)
-    trajE = evolve(w0, SolverConfig(eps=0.0, T=0.1), [0.1])
+    trajE = ctx.trajectory("vortex_two_mode", w0, 0.0, [0.1])
     en = trajE.diagnostics["energy"]
     e0 = l2_norm_spectral(w0)
     drift = float(np.max(np.abs(en - e0)) / e0)
@@ -1149,7 +1161,7 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     records.append(
         ResultRecord(ex, "divergence_preservation", divmax, verdict=_pass_if(divmax <= 1e-9))
     )
-    trajV = evolve(w0, SolverConfig(eps=0.05, T=0.1), [0.1])
+    trajV = ctx.trajectory("vortex_two_mode", w0, 0.05, [0.1])
     env = np.concatenate([[l2_norm_spectral(w0)], trajV.diagnostics["energy"]])
     increase = float(np.max(np.diff(env)) / env[0])
     records.append(

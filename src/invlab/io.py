@@ -4,7 +4,9 @@ Snapshot format (SPF1): magic ``SPF1``, little-endian u32 dimension, u32 N
 per axis, f64 R, u8 kind (0 = physical samples, 1 = spectral coefficients),
 u8 component count, then one payload array per component: f64 samples in
 row-major order for physical fields, interleaved f64 (re, im) pairs in
-row-major ascending-mode order for spectral fields.
+row-major ascending-mode order for spectral fields.  A spectral payload is
+the full spectrum: the writer expands the stored half-spectrum by its
+Hermitian mirror, and the reader checks that mirror and keeps the half.
 """
 
 from __future__ import annotations
@@ -19,35 +21,45 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .experiments import ExperimentConfig, ResultRecord
+from .experiments import ExperimentConfig
 from .littlewood_paley import RAMP_ID, BesovParams
-from .spectral import Grid, RealField, SpectralField, VectorField
+from .spectral import Grid, RealField, SpectralField, VectorField, _conj_mirror
 
 _MAGIC = b"SPF1"
 
 
-def _to_mode_order(coeffs: np.ndarray) -> np.ndarray:
-    """FFT layout -> ascending mode order (-N/2 .. N/2-1 per axis)."""
-    return np.fft.fftshift(coeffs)
+def _to_mode_order(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Stored half-spectrum -> full spectrum in ascending mode order."""
+    cols = grid.spectral_shape[-1]
+    full = np.zeros(grid.shape, dtype=np.complex128)
+    full[..., :cols] = coeffs
+    # conj turns the +0.0 imaginary part of an exact zero into -0.0; + 0.0
+    # writes +0.0 there, as the former full-lattice spectra held
+    full[..., cols:] = _conj_mirror(full)[..., cols:] + 0.0
+    return np.fft.fftshift(full)
 
 
-def _from_mode_order(arr: np.ndarray) -> np.ndarray:
-    return np.fft.ifftshift(arr)
+def _from_mode_order(arr: np.ndarray, grid: Grid, where: str) -> np.ndarray:
+    """Full spectrum in ascending mode order -> stored half-spectrum."""
+    full = np.fft.ifftshift(arr)
+    scale = np.max(np.abs(full))
+    defect = np.max(np.abs(full - _conj_mirror(full)))
+    if defect > 1e-12 * scale:
+        raise FormatError(
+            f"{where}: spectral payload is not Hermitian (defect {defect:.3e} "
+            f"against max |coeff| {scale:.3e}), so it is not a real field"
+        )
+    return np.ascontiguousarray(full[..., : grid.spectral_shape[-1]])
 
 
 def write_field(path, field) -> Path:
     """Write a RealField, SpectralField or VectorField as an SPF1 snapshot."""
     path = Path(path)
-    if isinstance(field, VectorField):
+    if isinstance(field, (VectorField, SpectralField)):
         grid = field.grid
         kind = 1
-        payloads = [
-            _to_mode_order(c.coeffs).astype("<c16", copy=False) for c in field
-        ]
-    elif isinstance(field, SpectralField):
-        grid = field.grid
-        kind = 1
-        payloads = [_to_mode_order(field.coeffs).astype("<c16", copy=False)]
+        comps = field if isinstance(field, VectorField) else [field]
+        payloads = [_to_mode_order(c.coeffs, grid).astype("<c16", copy=False) for c in comps]
     elif isinstance(field, RealField):
         grid = field.grid
         kind = 0
@@ -104,7 +116,7 @@ def read_field(path):
             f"{ncomp} components of {count} values"
         )
     fields = []
-    for _ in range(ncomp):
+    for i in range(ncomp):
         chunk = raw[off : off + count * itemsize]
         off += count * itemsize
         if kind == 0:
@@ -112,9 +124,8 @@ def read_field(path):
             fields.append(RealField(grid, arr.astype(np.float64)))
         else:
             arr = np.frombuffer(chunk, dtype="<c16").reshape(grid.shape)
-            fields.append(
-                SpectralField(grid, _from_mode_order(arr.astype(np.complex128)))
-            )
+            half = _from_mode_order(arr.astype(np.complex128), grid, f"{path}: component {i}")
+            fields.append(SpectralField(grid, half))
     if kind == 0:
         return fields[0] if ncomp == 1 else fields
     if ncomp == 1:
@@ -180,11 +191,8 @@ def write_report(records, out_dir, constants=None, meta=None):
                 ]
             )
 
-    counts = {"pass": 0, "fail": 0, "info": 0}
-    for r in records:
-        counts[r.verdict] += 1
     summary = {
-        "counts": counts,
+        "counts": verdict_counts(records),
         "constants": constants,
         **(meta or {}),
     }

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ResolutionError
-from .spectral import Grid, RealField, SpectralField, VectorField, _phys_array, lp_norm
+from .spectral import Grid, RealField, SpectralField, VectorField, _inverse, lp_norm
 
 THETA_ONE = 0.75  # theta == 1 inside this radius
 THETA_ZERO = 4.0 / 3.0  # theta == 0 outside this radius
@@ -235,9 +235,7 @@ def block_lp_norms(
             out[j + 1] = 0.0
             continue
         vals = part.block_multiplier(j)
-        phys = [
-            RealField(g, _phys_array(SpectralField(g, c.coeffs * vals))) for c in comps
-        ]
+        phys = [RealField(g, _inverse(c.coeffs * vals, g)) for c in comps]
         out[j + 1] = lp_norm(phys[0] if len(phys) == 1 else phys, p)
     return out
 

@@ -28,9 +28,8 @@ from .errors import (
 )
 from .spectral import (
     Grid,
-    SpectralField,
     VectorField,
-    _phys_array,
+    _inverse,
     advect,
     divergence_defect,
     heat_factor,
@@ -38,6 +37,7 @@ from .spectral import (
     heat_propagate,
     l2_norm_spectral,
     leray_project,
+    vector_field,
 )
 
 
@@ -111,18 +111,17 @@ class Trajectory:
         raise ValueError(f"time {t} is not among the sampled times {self.times}")
 
 
-def _max_speed(V: VectorField) -> float:
+def _max_speed(u_phys) -> float:
     acc = None
-    for c in V:
-        p = _phys_array(c)
+    for p in u_phys:
         acc = p**2 if acc is None else acc + p**2
     return float(np.sqrt(acc.max()))
 
 
-def _nonlinear_rhs(grid: Grid, arrays, dealias: bool):
+def _nonlinear_rhs(grid: Grid, arrays, dealias: bool, u_phys=None):
     """-P(u . grad u) as coefficient arrays; inputs assumed dealias-safe."""
-    V = VectorField(tuple(SpectralField(grid, a) for a in arrays))
-    adv = advect(V, V, dealias=dealias, verify_support=False)
+    V = vector_field(grid, arrays)
+    adv = advect(V, V, dealias=dealias, verify_support=False, u_phys=u_phys)
     proj = leray_project(adv)
     return [-c.coeffs for c in proj]
 
@@ -154,13 +153,13 @@ def evolve(
     # anchored: the state variable is exp(+eps t Lap^)-encoded, so the heat
     # flow of the data never passes through per-step multipliers; stepwise:
     # the plain state is kept and per-step half/full factors are applied.
-    grow_acc = np.ones(g.shape) if anchored else None
-    decay_acc = np.ones(g.shape) if anchored else None
+    grow_acc = np.ones(g.spectral_shape) if anchored else None
+    decay_acc = np.ones(g.spectral_shape) if anchored else None
 
     snapshots = []
     snap_times = []
     diag = {k: [] for k in ("t", "dt", "energy", "div_rel", "max_speed")}
-    speed0 = _max_speed(u0)
+    speed0 = _max_speed([_inverse(c.coeffs, g) for c in u0])
     guard = cfg.blowup_factor * max(speed0, 1e-300)
 
     factor_cache = {}
@@ -172,18 +171,17 @@ def evolve(
             factor_cache[dt] = (e_half, e_half**2, g_half)
         return factor_cache[dt]
 
-    def physical_state():
-        if anchored:
-            arrays = [decay_acc * a for a in state]
-        else:
-            arrays = state
-        return VectorField(tuple(SpectralField(g, a) for a in arrays))
+    def plain_state():
+        return [decay_acc * a for a in state] if anchored else state
 
     t = 0.0
     for target in targets:
         while t < target - 1e-15 * cfg.T:
-            vf = physical_state()
-            speed = _max_speed(vf)
+            # stage 1 of RK4 needs no dt: its physical velocity gives the
+            # CFL speed and is handed on to advect
+            plain = plain_state()
+            u_phys = [_inverse(a, g) for a in plain]
+            speed = _max_speed(u_phys)
             if not np.isfinite(speed):
                 raise NumericsError(f"non-finite state at t={t}")
             if speed > guard:
@@ -214,11 +212,10 @@ def evolve(
                 g2 = g1 * G
 
                 def rhs(arrays, dec, enc):
-                    plain = [dec * a for a in arrays]
-                    out = _nonlinear_rhs(g, plain, cfg.dealias)
+                    out = _nonlinear_rhs(g, [dec * a for a in arrays], cfg.dealias)
                     return [enc * k for k in out]
 
-                k1 = rhs(state, d0, g0)
+                k1 = [g0 * k for k in _nonlinear_rhs(g, plain, cfg.dealias, u_phys)]
                 k2 = rhs([u + (dt / 2.0) * k for u, k in zip(state, k1)], d1, g1)
                 k3 = rhs([u + (dt / 2.0) * k for u, k in zip(state, k2)], d1, g1)
                 k4 = rhs([u + dt * k for u, k in zip(state, k3)], d2, g2)
@@ -229,7 +226,7 @@ def evolve(
                 grow_acc = g2
                 decay_acc = d2
             else:
-                k1 = _nonlinear_rhs(g, state, cfg.dealias)
+                k1 = _nonlinear_rhs(g, plain, cfg.dealias, u_phys)
                 s1 = [E * (u + (dt / 2.0) * k) for u, k in zip(state, k1)]
                 k2 = _nonlinear_rhs(g, s1, cfg.dealias)
                 s2 = [E * u + (dt / 2.0) * k for u, k in zip(state, k2)]
@@ -242,7 +239,7 @@ def evolve(
                 ]
 
             t = target if final_step else t + dt
-            vf_new = physical_state()
+            vf_new = vector_field(g, plain_state())
             energy = l2_norm_spectral(vf_new)
             if not np.isfinite(energy):
                 raise NumericsError(f"non-finite state after step to t={t}")
@@ -255,15 +252,9 @@ def evolve(
         if anchored:
             # one exact heat factor from t = 0; matches u1_heat to the bit
             decay_exact = heat_factor(g, target, cfg.eps)
-            snapshots.append(
-                VectorField(
-                    tuple(SpectralField(g, decay_exact * a) for a in state)
-                )
-            )
+            snapshots.append(vector_field(g, (decay_exact * a for a in state)))
         else:
-            snapshots.append(
-                VectorField(tuple(SpectralField(g, a.copy()) for a in state))
-            )
+            snapshots.append(vector_field(g, (a.copy() for a in state)))
 
     diagnostics = {k: np.asarray(v) for k, v in diag.items()}
     if diagnostics["energy"].size == 0:
@@ -311,14 +302,17 @@ def u2_duhamel(
     if nodes < 9 or nodes % 2 == 0:
         raise ValueError(f"composite Simpson needs an odd node count >= 9, got {nodes}")
     if t == 0.0:
-        zero = np.zeros(g.shape, dtype=np.complex128)
-        return VectorField(tuple(SpectralField(g, zero.copy()) for _ in range(g.d)))
+        return vector_field(
+            g, (np.zeros(g.spectral_shape, dtype=np.complex128) for _ in range(g.d))
+        )
     fine_nodes = 2 * (nodes - 1) + 1 if refine else nodes
     w = _simpson_weights(t, fine_nodes)
     w_coarse = _simpson_weights(t, nodes)
-    acc = [np.zeros(g.shape, dtype=np.complex128) for _ in range(g.d)]
+    acc = [np.zeros(g.spectral_shape, dtype=np.complex128) for _ in range(g.d)]
     coarse = (
-        [np.zeros(g.shape, dtype=np.complex128) for _ in range(g.d)] if refine else None
+        [np.zeros(g.spectral_shape, dtype=np.complex128) for _ in range(g.d)]
+        if refine
+        else None
     )
     for i, (wi, tau) in enumerate(zip(w, np.linspace(0.0, t, fine_nodes))):
         u1 = heat_propagate(u0, tau, eps)
@@ -331,14 +325,14 @@ def u2_duhamel(
             for a, c in zip(coarse, term):
                 a += w_coarse[i // 2] * back * c.coeffs
     if refine:
-        diff = np.sqrt(sum(np.sum(np.abs(a - b) ** 2) for a, b in zip(coarse, acc)))
-        scale = np.sqrt(sum(np.sum(np.abs(b) ** 2) for b in acc))
+        diff = l2_norm_spectral(vector_field(g, (a - b for a, b in zip(coarse, acc))))
+        scale = l2_norm_spectral(vector_field(g, acc))
         if scale > 0 and diff / scale > refine_tol:
             raise QuadratureError(
                 f"Duhamel quadrature not converged: doubling {nodes} nodes moved "
                 f"the result by {diff / scale:.3e} (tolerance {refine_tol})"
             )
-    return VectorField(tuple(SpectralField(g, -a) for a in acc))
+    return vector_field(g, (-a for a in acc))
 
 
 def _check_same_data(u0: VectorField, traj: Trajectory) -> None:
@@ -398,19 +392,12 @@ def _remainders_at(u0, pa0, traj0, traj_eps, t, nodes, refine):
     u1 = u1_heat(u0, t, eps)
     u2 = u2_duhamel(u0, t, eps, nodes, refine=refine)
     lin = heat_integral_factor(g, t, eps)
-
-    def field(arrays):
-        return VectorField(tuple(SpectralField(g, a) for a in arrays))
-
+    s0, s_eps, comps = traj0.state_at(t), traj_eps.state_at(t), range(g.d)
     return FirstOrderRemainders(
-        euler=field(
-            s.coeffs - a.coeffs + t * p.coeffs
-            for s, a, p in zip(traj0.state_at(t), u0, pa0)
+        euler=vector_field(g, [s0[i].coeffs - u0[i].coeffs + t * pa0[i].coeffs for i in comps]),
+        navier_stokes=vector_field(
+            g, [s_eps[i].coeffs - u1[i].coeffs - u2[i].coeffs for i in comps]
         ),
-        navier_stokes=field(
-            s.coeffs - a.coeffs - b.coeffs
-            for s, a, b in zip(traj_eps.state_at(t), u1, u2)
-        ),
-        drift=field(-b.coeffs - lin * p.coeffs for b, p in zip(u2, pa0)),
-        heat_defect=field((lin - t) * p.coeffs for p in pa0),
+        drift=vector_field(g, [-u2[i].coeffs - lin * pa0[i].coeffs for i in comps]),
+        heat_defect=vector_field(g, [(lin - t) * pa0[i].coeffs for i in comps]),
     )

@@ -7,7 +7,15 @@ integer mode ``m`` equals ``(L/N)**d * sum_x f(x) exp(-i (m/R).x)``, so that
 ``f(x) = L**-d * sum_m coeff(m) exp(i (m/R).x)``.  The frequency attached to
 mode ``m`` is ``xi = m/R``.
 
-Arrays use the standard FFT layout (mode ``m`` at index ``m mod N``).  Fields
+Every field is real, so its spectrum is Hermitian, coeff(-m) = conj(coeff(m)),
+and only the real half-spectrum of ``scipy.fft.rfftn`` is stored: the leading
+axes hold every mode in FFT layout (mode ``m`` at index ``m mod N``), the last
+axis holds columns ``0 .. N/2`` (``Grid.spectral_shape``).  Column ``c`` with
+``0 < c < N/2`` also stands for its conjugate mirror at column ``-c``, so a sum
+of ``|coeff|**2`` over the stored half weights it by 2; columns 0 and N/2 are
+their own mirrors and weigh 1 (``l2_norm_spectral`` is the one place that sums
+this way).  The frequency arrays of ``Grid`` are the first ``N/2 + 1`` columns
+of the full-lattice arrays, so column N/2 carries the mode ``-N/2``.  Fields
 are treated as immutable values: every operation returns a new field.
 """
 
@@ -84,6 +92,11 @@ class Grid:
     def shape(self) -> tuple:
         return (self.N,) * self.d
 
+    @property
+    def spectral_shape(self) -> tuple:
+        """Shape of a stored half-spectrum: the last axis keeps N/2 + 1 columns."""
+        return (self.N,) * (self.d - 1) + (self.N // 2 + 1,)
+
     @cached_property
     def modes_1d(self) -> np.ndarray:
         """Integer mode numbers m in FFT layout."""
@@ -95,10 +108,10 @@ class Grid:
         return self.modes_1d / self.R
 
     def freq_axis(self, axis: int) -> np.ndarray:
-        """1-D frequency array broadcastable along the given axis."""
+        """1-D frequency array broadcastable along the given spectral axis."""
         shape = [1] * self.d
-        shape[axis] = self.N
-        return self.freqs_1d.reshape(shape)
+        shape[axis] = self.spectral_shape[axis]
+        return self.freqs_1d[: shape[axis]].reshape(shape)
 
     @cached_property
     def x_1d(self) -> np.ndarray:
@@ -106,8 +119,8 @@ class Grid:
 
     @cached_property
     def k_sq(self) -> np.ndarray:
-        """|xi|^2 on the full lattice."""
-        out = np.zeros(self.shape)
+        """|xi|^2 on the stored half lattice."""
+        out = np.zeros(self.spectral_shape)
         for ax in range(self.d):
             out = out + self.freq_axis(ax) ** 2
         return out
@@ -124,15 +137,12 @@ class Grid:
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         keep = np.abs(self.modes_1d) <= self.dealias_keep
-        out = np.ones(self.shape, dtype=bool)
-        for ax in range(self.d):
+        out = np.ones(self.spectral_shape, dtype=bool)
+        for ax, n in enumerate(self.spectral_shape):
             shape = [1] * self.d
-            shape[ax] = self.N
-            out &= keep.reshape(shape)
+            shape[ax] = n
+            out &= keep[:n].reshape(shape)
         return out
-
-    def matches(self, arr: np.ndarray) -> bool:
-        return arr.shape == self.shape
 
 
 def dealias_grid_size(max_mode: int) -> int:
@@ -155,7 +165,7 @@ class RealField:
     samples: np.ndarray
 
     def __post_init__(self):
-        if not self.grid.matches(self.samples):
+        if self.samples.shape != self.grid.shape:
             raise ConfigError(
                 f"sample array shape {self.samples.shape} does not match grid {self.grid.shape}"
             )
@@ -165,15 +175,16 @@ class RealField:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Scalar field given by complex Fourier coefficients on the mode lattice."""
+    """Real scalar field given by its half-spectrum (``Grid.spectral_shape``)."""
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if not self.grid.matches(self.coeffs):
+        if self.coeffs.shape != self.grid.spectral_shape:
             raise ConfigError(
-                f"coefficient array shape {self.coeffs.shape} does not match grid {self.grid.shape}"
+                f"coefficient array shape {self.coeffs.shape} does not match the "
+                f"half-spectrum shape {self.grid.spectral_shape} of the grid"
             )
 
 
@@ -203,68 +214,45 @@ class VectorField:
         return self.components[i]
 
 
-def vector_field(components: Sequence[SpectralField]) -> VectorField:
-    return VectorField(tuple(components))
+def vector_field(grid: Grid, arrays) -> VectorField:
+    """VectorField from one half-spectrum coefficient array per component."""
+    return VectorField(tuple(SpectralField(grid, a) for a in arrays))
+
+
+def _conj_mirror(full: np.ndarray) -> np.ndarray:
+    """conj(c(-m)) at every mode m of a full-lattice (not half) FFT-layout array."""
+    out = np.conj(full)
+    for ax in range(full.ndim):
+        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # transforms
 
 
+# The array pair is the only route to the FFT backend; the hot loops call it
+# directly and skip the per-call sample check of RealField.
+
+
+def _forward(samples: np.ndarray, grid: Grid) -> np.ndarray:
+    return _fft.rfftn(samples, workers=_FFT_WORKERS) * (grid.dx**grid.d)
+
+
+def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    return _fft.irfftn(coeffs, s=grid.shape, workers=_FFT_WORKERS) * (
+        (grid.N / grid.L) ** grid.d
+    )
+
+
 def to_spectral(f: RealField) -> SpectralField:
     """Forward transform; coefficient of mode m is (L/N)^d * DFT."""
-    g = f.grid
-    coeffs = _fft.fftn(f.samples, workers=_FFT_WORKERS) * (g.dx**g.d)
-    return SpectralField(g, coeffs)
+    return SpectralField(f.grid, _forward(f.samples, f.grid))
 
 
 def to_physical(F: SpectralField) -> RealField:
-    """Inverse transform onto the sampling lattice (real part)."""
-    g = F.grid
-    samples = _fft.ifftn(F.coeffs, workers=_FFT_WORKERS).real * ((g.N / g.L) ** g.d)
-    return RealField(g, samples)
-
-
-def _phys_array(F: SpectralField) -> np.ndarray:
-    """Physical samples of a conjugate-symmetric field via the half-spectrum.
-
-    Identical (to rounding) to ``to_physical`` for fields representing real
-    functions, at roughly half the transform cost.
-    """
-    g = F.grid
-    half = F.coeffs[..., : g.N // 2 + 1]
-    return _fft.irfftn(half, s=g.shape, workers=_FFT_WORKERS) * ((g.N / g.L) ** g.d)
-
-
-def _full_from_half(half: np.ndarray, grid: Grid) -> np.ndarray:
-    """Rebuild the full complex spectrum from an rfft half-spectrum."""
-    N = grid.N
-    full = np.empty(grid.shape, dtype=np.complex128)
-    full[..., : N // 2 + 1] = half
-    tail = half[..., 1 : N // 2]
-    tail = np.conj(tail[..., ::-1])
-    for ax in range(grid.d - 1):
-        tail = np.roll(np.flip(tail, axis=ax), 1, axis=ax)
-    full[..., N // 2 + 1 :] = tail
-    return full
-
-
-def _spec_array(samples: np.ndarray, grid: Grid) -> np.ndarray:
-    """Forward transform of real samples to a full complex spectrum."""
-    half = _fft.rfftn(samples, workers=_FFT_WORKERS) * (grid.dx**grid.d)
-    return _full_from_half(half, grid)
-
-
-def conjugate_symmetry_defect(F: SpectralField) -> float:
-    """Relative deviation from coeff(-m) == conj(coeff(m))."""
-    c = F.coeffs
-    mirrored = c
-    for ax in range(F.grid.d):
-        mirrored = np.roll(np.flip(mirrored, axis=ax), 1, axis=ax)
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(c - np.conj(mirrored))) / scale)
+    """Inverse transform onto the sampling lattice."""
+    return RealField(F.grid, _inverse(F.coeffs, F.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +284,7 @@ class MultiplierSpec:
             else:
                 axes = tuple(grid.freq_axis(ax) for ax in range(grid.d))
                 vals = np.asarray(self.fn(*axes), dtype=np.complex128)
-                vals = np.broadcast_to(vals, grid.shape).copy()
+                vals = np.broadcast_to(vals, grid.spectral_shape).copy()
         vals[(0,) * grid.d] = self.at_zero
         if not np.isfinite(vals).all():
             raise ConfigError("multiplier is not finite on the frequency lattice")
@@ -308,7 +296,7 @@ def apply_multiplier(F: SpectralField, spec: MultiplierSpec) -> SpectralField:
 
 
 def _apply_factor(V: VectorField, factor: np.ndarray) -> VectorField:
-    return VectorField(tuple(SpectralField(c.grid, c.coeffs * factor) for c in V))
+    return vector_field(V.grid, (c.coeffs * factor for c in V))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +313,7 @@ def gradient(F: SpectralField) -> VectorField:
 
 def divergence(V: VectorField) -> SpectralField:
     g = V.grid
-    out = np.zeros(g.shape, dtype=np.complex128)
+    out = np.zeros(g.spectral_shape, dtype=np.complex128)
     for ax, comp in enumerate(V):
         out += (1j * g.freq_axis(ax)) * comp.coeffs
     return SpectralField(g, out)
@@ -363,7 +351,7 @@ def heat_integral_factor(grid: Grid, t: float, eps: float) -> np.ndarray:
     """
     heat_factor(grid, t, eps)  # argument validation only
     x = t * eps * grid.k_sq
-    out = np.full(grid.shape, float(t))
+    out = np.full(grid.spectral_shape, float(t))
     pos = x > 0.0
     out[pos] = t * (-np.expm1(-x[pos]) / x[pos])
     return out
@@ -385,7 +373,7 @@ def _leray_parts(V: VectorField):
     g = V.grid
     ksq = g.k_sq.copy()
     ksq[(0,) * g.d] = 1.0  # mode 0 handled explicitly below
-    div = np.zeros(g.shape, dtype=np.complex128)
+    div = np.zeros(g.spectral_shape, dtype=np.complex128)
     for ax, comp in enumerate(V):
         div += g.freq_axis(ax) * comp.coeffs
     div /= ksq
@@ -432,7 +420,7 @@ def max_mode_index(V: VectorField, rel_tol: float = 1e-15) -> int:
             axes = tuple(a for a in range(g.d) if a != ax)
             along = nz.any(axis=axes)
             if along.any():
-                worst = max(worst, int(absm[along].max()))
+                worst = max(worst, int(absm[: along.size][along].max()))
     return worst
 
 
@@ -453,6 +441,7 @@ def advect(
     v: VectorField,
     dealias: bool = True,
     verify_support: bool = True,
+    u_phys: Sequence[np.ndarray] | None = None,
 ) -> VectorField:
     """u . grad(v) via physical-space products of spectral derivatives.
 
@@ -460,6 +449,8 @@ def advect(
     ball and the product is truncated back to it, which makes the quadratic
     term alias-free.  ``verify_support=False`` skips the support scan for
     callers that maintain the invariant themselves (the time stepper).
+    ``u_phys`` may hold the physical samples of ``u``'s components when the
+    caller has them already (the time stepper takes its CFL speed from them).
     """
     if u.grid != v.grid:
         raise ConfigError("advect requires fields on the same grid")
@@ -467,14 +458,14 @@ def advect(
     if dealias and verify_support:
         _require_dealias_safe(u, "advecting field")
         _require_dealias_safe(v, "advected field")
-    u_phys = [_phys_array(c) for c in u]
+    if u_phys is None:
+        u_phys = [_inverse(c.coeffs, g) for c in u]
     out = []
     for i in range(g.d):
         acc = np.zeros(g.shape)
         for j in range(g.d):
-            dj_vi = SpectralField(g, (1j * g.freq_axis(j)) * v[i].coeffs)
-            acc += u_phys[j] * _phys_array(dj_vi)
-        coeffs = _spec_array(acc, g)
+            acc += u_phys[j] * _inverse((1j * g.freq_axis(j)) * v[i].coeffs, g)
+        coeffs = _forward(acc, g)
         if dealias:
             coeffs = np.where(g.dealias_mask, coeffs, 0.0)
         out.append(SpectralField(g, coeffs))
@@ -500,19 +491,24 @@ def _magnitude_samples(fields) -> tuple:
 
 
 def _oversampled_max(grid: Grid, parts, factor: int = 4) -> float:
-    """Max of the pointwise magnitude on a spectrally refined lattice."""
+    """Max of the pointwise magnitude on a spectrally refined lattice.
+
+    The refined field is the symmetric trigonometric interpolant: a Nyquist
+    mode -N/2 of the coarse lattice is split evenly between -N/2 and +N/2.
+    """
     fine = Grid(grid.d, grid.N * factor, grid.R)
-    refined = []
-    for p in parts:
-        coeffs = to_spectral(p).coeffs
-        big = np.zeros(fine.shape, dtype=np.complex128)
-        half = grid.N // 2
-        idx = np.concatenate([np.arange(half), np.arange(-half, 0)])
-        big[np.ix_(*([idx] * grid.d))] = coeffs
-        refined.append(to_physical(SpectralField(fine, big)).samples)
+    half = grid.N // 2
+    rows = np.concatenate([np.arange(half), np.arange(-half, 0)])
     acc = np.zeros(fine.shape)
-    for r in refined:
-        acc += r**2
+    for p in parts:
+        big = np.zeros(fine.spectral_shape, dtype=np.complex128)
+        big[np.ix_(*([rows] * (grid.d - 1)), np.arange(half + 1))] = to_spectral(p).coeffs
+        for ax in range(grid.d - 1):
+            plane = np.moveaxis(big, ax, 0)  # a view: writes land in big
+            plane[-half] *= 0.5
+            plane[half] = plane[-half]
+        big[..., half] *= 0.5  # its mirror at column -N/2 supplies the other half
+        acc += to_physical(SpectralField(fine, big)).samples ** 2
     return float(np.sqrt(acc).max())
 
 
@@ -535,15 +531,21 @@ def lp_norm(f, p: float) -> float:
 
 
 def l2_norm_spectral(F) -> float:
-    """L^2 norm from spectral coefficients (Parseval); scalar or vector."""
-    if isinstance(F, SpectralField):
-        comps = [F]
-    else:
-        comps = list(F)
+    """L^2 norm from the stored half-spectrum (Parseval); scalar or vector.
+
+    Columns 0 and N/2 weigh 1, every other column 2 (it also stands for its
+    conjugate mirror).
+    """
+    comps = [F] if isinstance(F, SpectralField) else list(F)
     g = comps[0].grid
     total = 0.0
     for c in comps:
-        total += float(np.sum(np.abs(c.coeffs) ** 2))
+        sq = np.abs(c.coeffs) ** 2
+        total += (
+            2.0 * float(np.sum(sq[..., 1:-1]))
+            + float(np.sum(sq[..., 0]))
+            + float(np.sum(sq[..., -1]))
+        )
     return float(np.sqrt(total / g.L**g.d))
 
 
@@ -555,7 +557,7 @@ def translate(F, shift) -> "SpectralField | VectorField":
     shift = np.asarray(shift, dtype=float)
     if shift.shape != (g.d,):
         raise ValueError(f"shift must have {g.d} components")
-    phase = np.ones(g.shape, dtype=np.complex128)
+    phase = np.ones(g.spectral_shape, dtype=np.complex128)
     for ax in range(g.d):
         phase = phase * np.exp(-1j * g.freq_axis(ax) * shift[ax])
     return SpectralField(g, F.coeffs * phase)

@@ -37,11 +37,19 @@ def random_vector_field(grid, rng, band=None):
         F = to_spectral(random_real_field(grid, rng))
         if band is not None:
             keep = np.abs(grid.modes_1d) <= band
-            mask = np.ones(grid.shape, dtype=bool)
-            for ax in range(grid.d):
+            mask = np.ones(grid.spectral_shape, dtype=bool)
+            for ax, n in enumerate(grid.spectral_shape):
                 shape = [1] * grid.d
-                shape[ax] = grid.N
-                mask &= keep.reshape(shape)
+                shape[ax] = n
+                mask &= keep[:n].reshape(shape)
             F = SpectralField(grid, np.where(mask, F.coeffs, 0.0))
         comps.append(F)
     return VectorField(tuple(comps))
+
+
+def half_spectrum_weights(grid):
+    """Parseval weights of the stored half-spectrum: 1 on columns 0 and N/2, else 2."""
+    w = np.full(grid.spectral_shape, 2.0)
+    w[..., 0] = 1.0
+    w[..., -1] = 1.0
+    return w

@@ -25,6 +25,8 @@ from invlab.experiments import (
 from invlab.littlewood_paley import BesovParams
 from invlab.spectral import SpectralField, VectorField
 
+from conftest import half_spectrum_weights
+
 
 @pytest.fixture(scope="module")
 def small_cfg():
@@ -157,12 +159,13 @@ class TestHeatLaw:
         _, u0 = small_ctx.datum(3)
         t = small_cfg.t_grid[2]
         fac = heat_factor(g, t, small_cfg.eps_n(3)) - 1.0
+        w = half_spectrum_weights(g)
         blocks = []
         for j in range(-1, part.j_max + 1):
             vals = part.block_multiplier(j)
             blocks.append(
                 np.sqrt(
-                    sum(np.sum(np.abs(vals * fac * c.coeffs) ** 2) for c in u0)
+                    sum(np.sum(w * np.abs(vals * fac * c.coeffs) ** 2) for c in u0)
                     / g.L**2
                 )
             )
@@ -286,7 +289,7 @@ class TestExpansionResiduals:
         u0, pa0, rem = remainders_at(small_cfg, small_ctx, t)
         g, eps = u0.grid, small_cfg.eps_n(3)
         nodes = small_cfg.quadrature_nodes
-        factor = np.zeros(g.shape)
+        factor = np.zeros(g.spectral_shape)
         for w, tau in zip(simpson_weights(t, nodes), np.linspace(0.0, t, nodes)):
             factor += w * (heat_factor(g, t - tau, eps) - 1.0)
         quad = VectorField(tuple(SpectralField(g, factor * c.coeffs) for c in pa0))
@@ -301,7 +304,7 @@ class TestExpansionResiduals:
         u0, pa0, rem = remainders_at(small_cfg, small_ctx, t)
         g, eps = u0.grid, small_cfg.eps_n(3)
         nodes = small_cfg.quadrature_nodes
-        acc = [np.zeros(g.shape, dtype=np.complex128) for _ in range(g.d)]
+        acc = [np.zeros(g.spectral_shape, dtype=np.complex128) for _ in range(g.d)]
         for w, tau in zip(simpson_weights(t, nodes), np.linspace(0.0, t, nodes)):
             u1 = heat_propagate(u0, tau, eps)
             term = leray_project(advect(u1, u1, verify_support=False))
@@ -359,7 +362,8 @@ class TestPerturbedGap:
         g = small_ctx.background_grid(3)
         zero = VectorField(
             tuple(
-                SpectralField(g, np.zeros(g.shape, dtype=complex)) for _ in range(2)
+                SpectralField(g, np.zeros(g.spectral_shape, dtype=complex))
+                for _ in range(2)
             )
         )
         records = run_perturbed_gap(small_cfg, small_ctx, background=zero)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +68,29 @@ class TestFieldSnapshots:
         data = p.read_bytes()
         p.write_bytes(data[:-16])
         with pytest.raises(FormatError, match="payload"):
+            read_field(p)
+
+    def test_shell_datum_bytes_unchanged(self, lab_grid, bp, tmp_path):
+        # the SPF1 payload stays the full spectrum in mode order
+        from invlab.constructions import ShellDatum, shell_velocity
+
+        ref = json.loads((Path(__file__).parent / "data" / "shell_n3_spf1.json").read_text())
+        u0 = shell_velocity(ShellDatum(3, bp), lab_grid)
+        raw = write_field(tmp_path / "u0.spf", u0).read_bytes()
+        assert hashlib.blake2b(raw).hexdigest() == ref["blake2b"]
+
+    def test_non_hermitian_payload_rejected(self, grid, rng, tmp_path):
+        p = write_field(tmp_path / "v.spf", random_vector_field(grid, rng))
+        raw = bytearray(p.read_bytes())
+        header = 4 + 4 * (1 + grid.d) + 8 + 2
+        payload = np.frombuffer(raw, dtype="<c16", offset=header).copy()
+        # in mode order index i holds mode i - N/2; (1, -3) lives in the
+        # mirrored half that the reader does not keep
+        N = grid.N
+        payload[(1 + N // 2) * N + (-3 + N // 2)] += 1.0
+        raw[header:] = payload.tobytes()
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="Hermitian"):
             read_field(p)
 
     def test_kind_flag_respected(self, grid, rng, tmp_path):
@@ -216,6 +241,12 @@ class TestCli:
         assert (tmp_path / "out" / "summary.json").exists()
         assert (tmp_path / "out" / "config.echo.json").exists()
         assert "0 fail" in capsys.readouterr().out
+        # the four default-config vortex evolutions go through the context
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["trajectory_cache"] == {"hits": 0, "misses": 4}
+        runs = summary["trajectories"]
+        assert sorted(r["eps"] for r in runs) == [0.0, 0.0, 0.01, 0.05]
+        assert all(r["N"] == 64 and r["steps"] >= 64 for r in runs)
 
     def test_bad_config_exits_2(self, tmp_path):
         p = tmp_path / "cfg.json"

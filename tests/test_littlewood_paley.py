@@ -26,7 +26,7 @@ from invlab.spectral import (
     to_spectral,
 )
 
-from conftest import random_real_field
+from conftest import half_spectrum_weights, random_real_field
 
 
 class TestCutoffs:
@@ -84,7 +84,7 @@ class TestBlocks:
             dyadic_block(-2, F)
 
     def test_constant_lives_in_low_block(self, grid):
-        coeffs = np.zeros(grid.shape, dtype=complex)
+        coeffs = np.zeros(grid.spectral_shape, dtype=complex)
         coeffs[0, 0] = grid.L**2
         F = SpectralField(grid, coeffs)
         assert np.array_equal(dyadic_block(-1, F).coeffs, F.coeffs)
@@ -142,7 +142,7 @@ class TestBlocks:
         F = to_spectral(random_real_field(grid, rng))
         keep = grid.k_mag <= part.coverage_radius
         F = SpectralField(grid, np.where(keep, F.coeffs, 0.0))
-        total = np.zeros(grid.shape, dtype=complex)
+        total = np.zeros(grid.spectral_shape, dtype=complex)
         for j in range(-1, part.j_max + 1):
             total += dyadic_block(j, F, part).coeffs
         assert np.max(np.abs(total - F.coeffs)) <= 1e-12 * np.max(np.abs(F.coeffs))
@@ -164,7 +164,7 @@ class TestBesovParams:
 
 class TestBesovNorm:
     def test_zero_field(self, grid, bp):
-        F = SpectralField(grid, np.zeros(grid.shape, dtype=complex))
+        F = SpectralField(grid, np.zeros(grid.spectral_shape, dtype=complex))
         assert besov_norm(F, bp) == 0.0
 
     def test_single_shell_value(self, bp, lab_grid):
@@ -223,10 +223,11 @@ class TestBesovNorm:
         u0 = shell_velocity(ShellDatum(3, bp), lab_grid)
         part = build_partition(lab_grid)
         impl = block_lp_norms(u0, 2.0, part)
+        w = half_spectrum_weights(lab_grid)
         for j in range(-1, part.j_max + 1):
             vals = part.block_multiplier(j)
             oracle = np.sqrt(
-                sum(np.sum(np.abs(vals * c.coeffs) ** 2) for c in u0)
+                sum(np.sum(w * np.abs(vals * c.coeffs) ** 2) for c in u0)
                 / lab_grid.L**2
             )
             assert impl[j + 1] == pytest.approx(oracle, rel=1e-10, abs=1e-22)
@@ -255,7 +256,7 @@ class TestBlockSpectrumReport:
 
     def test_two_shell_field_has_two_entries(self, bp):
         g = Grid(2, 256, 1.0)
-        coeffs = np.zeros(g.shape, dtype=complex)
+        coeffs = np.zeros(g.spectral_shape, dtype=complex)
         for m in (3, 12):  # |xi| = 3 in block 1, |xi| = 12 in block 3
             coeffs[m, 0] = 1.0
             coeffs[-m, 0] = 1.0

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -80,7 +82,7 @@ class TestEvolve:
         g = Grid(2, 32, 1.0)
         zero = VectorField(
             tuple(
-                SpectralField(g, np.zeros(g.shape, dtype=complex))
+                SpectralField(g, np.zeros(g.spectral_shape, dtype=complex))
                 for _ in range(2)
             )
         )
@@ -182,6 +184,43 @@ class TestEvolve:
             )
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 3.5
+
+
+class TestTransformCount:
+    @pytest.mark.parametrize("anchor_limit", [60.0, 0.0], ids=["anchored", "stepwise"])
+    def test_transforms_per_evolution_and_step(self, monkeypatch, anchor_limit):
+        # 2 inverse transforms for the initial speed guard; per RK4 step 4
+        # advect calls of 2 forward and 6 inverse each, of which stage 1's
+        # velocity pair also gives the CFL speed
+        import invlab.spectral as spectral
+
+        g = Grid(2, 32, 1.0)
+        w = taylor_green_two_mode(g)
+        counts = {"forward": 0, "inverse": 0}
+        backend = spectral._fft
+
+        def counted(kind, fn):
+            def call(*args, **kwargs):
+                counts[kind] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(
+            spectral,
+            "_fft",
+            types.SimpleNamespace(
+                fftn=counted("forward", backend.fftn),
+                rfftn=counted("forward", backend.rfftn),
+                ifftn=counted("inverse", backend.ifftn),
+                irfftn=counted("inverse", backend.irfftn),
+            ),
+        )
+        cfg = SolverConfig(eps=0.02, T=0.1, anchor_exponent_limit=anchor_limit)
+        traj = evolve(w, cfg, [0.05, 0.1])
+        steps = len(traj.diagnostics["dt"])
+        assert steps >= 64
+        assert counts == {"forward": 8 * steps, "inverse": 2 + 24 * steps}
 
 
 class TestTrajectory:

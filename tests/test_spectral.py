@@ -10,7 +10,6 @@ from invlab.spectral import (
     VectorField,
     advect,
     apply_multiplier,
-    conjugate_symmetry_defect,
     divergence,
     divergence_defect,
     gradient,
@@ -26,7 +25,7 @@ from invlab.spectral import (
     translate,
 )
 
-from conftest import random_real_field, random_vector_field
+from conftest import half_spectrum_weights, random_real_field, random_vector_field
 
 
 def vf_diff_norm(a, b):
@@ -84,16 +83,13 @@ class TestTransforms:
         back = to_physical(to_spectral(f))
         assert np.max(np.abs(back.samples - f.samples)) <= 1e-12
 
-    def test_conjugate_symmetry_of_real_fields(self, grid, rng):
-        F = to_spectral(random_real_field(grid, rng))
-        assert conjugate_symmetry_defect(F) <= 1e-12
-
     def test_parseval(self, grid, rng):
         f = random_real_field(grid, rng)
         F = to_spectral(f)
         phys = grid.dx**2 * np.sum(f.samples**2)
-        spec = np.sum(np.abs(F.coeffs) ** 2) / grid.L**2
+        spec = np.sum(half_spectrum_weights(grid) * np.abs(F.coeffs) ** 2) / grid.L**2
         assert phys == pytest.approx(spec, rel=1e-12)
+        assert l2_norm_spectral(F) ** 2 == pytest.approx(phys, rel=1e-12)
 
     def test_shape_mismatch_rejected(self, grid):
         with pytest.raises(ConfigError):
@@ -202,7 +198,7 @@ class TestHeatPropagator:
     def test_single_mode_decay_factor(self, grid):
         # |xi| = 2 with t = 1, eps = 0.25 decays by exactly 1/e
         g = Grid(2, 32, 1.0)
-        coeffs = np.zeros(g.shape, dtype=complex)
+        coeffs = np.zeros(g.spectral_shape, dtype=complex)
         coeffs[2, 0] = 1.0
         coeffs[-2, 0] = 1.0
         V = VectorField((SpectralField(g, coeffs), SpectralField(g, 0 * coeffs)))
@@ -236,8 +232,9 @@ class TestHeatPropagator:
         )
         impl = l2_norm_spectral(diff)
         factor = np.exp(-t * eps * lab_grid.k_sq) - 1.0
+        w = half_spectrum_weights(lab_grid)
         oracle = np.sqrt(
-            sum(np.sum(np.abs(factor * c.coeffs) ** 2) for c in u0)
+            sum(np.sum(w * np.abs(factor * c.coeffs) ** 2) for c in u0)
             / lab_grid.L**2
         )
         assert impl == pytest.approx(oracle, rel=1e-10)
@@ -274,7 +271,7 @@ class TestLerayProjection:
         assert divergence_defect(P) <= 1e-12
 
     def test_mean_mode_passes_through_projection(self, grid):
-        coeffs = np.zeros(grid.shape, dtype=complex)
+        coeffs = np.zeros(grid.spectral_shape, dtype=complex)
         coeffs[0, 0] = 3.0
         V = VectorField(
             (SpectralField(grid, coeffs), SpectralField(grid, 2.0 * coeffs))
@@ -290,7 +287,7 @@ class TestAdvection:
         c = (0.7, -1.3)
         const = []
         for ci in c:
-            arr = np.zeros(grid.shape, dtype=complex)
+            arr = np.zeros(grid.spectral_shape, dtype=complex)
             arr[0, 0] = ci * grid.L**2  # constant function
             const.append(SpectralField(grid, arr))
         u = VectorField(tuple(const))
@@ -332,6 +329,39 @@ class TestAdvection:
             advect(v, v)
         assert exc.value.required_n is not None
         assert exc.value.required_n > grid.N
+
+    def test_matches_full_spectrum_reference(self, grid, rng):
+        # u . grad v from full complex numpy transforms, independent of the
+        # half-spectrum layout; only the stored half is compared
+        N, d, h = grid.N, grid.d, grid.spectral_shape[-1]
+        m = np.fft.fftfreq(N, d=1.0 / N)
+        inside = (np.abs(m[:, None]) <= grid.dealias_keep) & (
+            np.abs(m[None, :]) <= grid.dealias_keep
+        )
+        xi = (m[:, None] / grid.R, m[None, :] / grid.R)
+        to_coeffs, to_samples = grid.dx**d, (N / grid.L) ** d
+
+        def random_full():
+            spec = np.fft.fftn(rng.standard_normal(grid.shape)) * to_coeffs
+            return np.where(inside, spec, 0.0)
+
+        u_full = [random_full() for _ in range(d)]
+        v_full = [random_full() for _ in range(d)]
+        u_phys = [np.fft.ifftn(c).real * to_samples for c in u_full]
+        expected = []
+        for vi in v_full:
+            prod = sum(
+                u_phys[j] * np.fft.ifftn(1j * xi[j] * vi).real * to_samples
+                for j in range(d)
+            )
+            expected.append(np.where(inside, np.fft.fftn(prod) * to_coeffs, 0.0))
+
+        def half(arrays):
+            return VectorField(tuple(SpectralField(grid, a[..., :h]) for a in arrays))
+
+        adv = advect(half(u_full), half(v_full))
+        for a, e in zip(adv, expected):
+            assert np.max(np.abs(a.coeffs - e[..., :h])) <= 1e-13 * np.max(np.abs(e))
 
     def test_grid_mismatch_rejected(self, grid, rng):
         other = Grid(2, 64, 1.5)
@@ -426,7 +456,7 @@ class TestQSymmetry:
 
         def stream():
             F = to_spectral(RealField(g, rng.standard_normal(g.shape)))
-            mask = keep[:, None] & keep[None, :]
+            mask = keep[:, None] & keep[None, : g.spectral_shape[-1]]
             return SpectralField(g, np.where(mask, F.coeffs, 0.0))
 
         u, v = perp_gradient(stream()), perp_gradient(stream())
