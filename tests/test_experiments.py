@@ -44,6 +44,45 @@ def small_ctx(small_cfg):
     return ExperimentContext(small_cfg)
 
 
+# Each experiment runs once per module on its own context, as the CLI runs
+# it; the behaviour tests and the golden records share these runs.
+
+
+@pytest.fixture(scope="module")
+def heat_law_records(small_cfg):
+    return run_heat_law(small_cfg, ExperimentContext(small_cfg))
+
+
+@pytest.fixture(scope="module")
+def drift_records(small_cfg):
+    # the N=1024 budget resolves shell 3 only
+    cfg = ExperimentConfig(
+        n_list=(3, 4), t_grid=small_cfg.t_grid, T0=0.1, t0=0.02, N=1024
+    )
+    return run_nonlinear_drift(cfg, ExperimentContext(cfg))
+
+
+@pytest.fixture(scope="module")
+def family_gap_records(small_cfg):
+    return run_family_gap(small_cfg, ExperimentContext(small_cfg))
+
+
+@pytest.fixture(scope="module")
+def fixed_limit_records(small_cfg):
+    return run_fixed_datum_limit(small_cfg, ExperimentContext(small_cfg))
+
+
+@pytest.fixture(scope="module")
+def perturbed_gap_records(small_cfg):
+    # the seeded random background
+    return run_perturbed_gap(small_cfg, ExperimentContext(small_cfg))
+
+
+@pytest.fixture(scope="module")
+def validation_records(small_cfg):
+    return run_validation_suite(small_cfg, ExperimentContext(small_cfg))
+
+
 def by_quantity(records, name):
     return [r for r in records if r.quantity == name]
 
@@ -134,26 +173,26 @@ class TestContext:
 
 
 class TestHeatLaw:
-    def test_all_verdicts_pass(self, small_cfg, small_ctx):
-        records = run_heat_law(small_cfg, small_ctx)
+    def test_all_verdicts_pass(self, heat_law_records):
+        records = heat_law_records
         fails = [r for r in records if r.verdict == "fail"]
         assert not fails
         spreads = by_quantity(records, "heat_defect_n_spread[s+0]")
         assert spreads and all(r.value <= 1.1 for r in spreads)
 
-    def test_deterministic_records(self, small_cfg):
-        a = run_heat_law(small_cfg, ExperimentContext(small_cfg))
+    def test_deterministic_records(self, small_cfg, heat_law_records):
+        a = heat_law_records
         b = run_heat_law(small_cfg, ExperimentContext(small_cfg))
         assert [(r.key(), r.value, r.verdict) for r in a] == [
             (r.key(), r.value, r.verdict) for r in b
         ]
 
-    def test_plancherel_oracle(self, small_cfg, small_ctx):
+    def test_plancherel_oracle(self, small_cfg, small_ctx, heat_law_records):
         # independent spectral-route evaluation of the defect ratio
         from invlab.littlewood_paley import build_partition
         from invlab.spectral import heat_factor
 
-        records = run_heat_law(small_cfg, small_ctx)
+        records = heat_law_records
         g = small_ctx.datum_grid(3)
         part = build_partition(g)
         _, u0 = small_ctx.datum(3)
@@ -182,27 +221,20 @@ class TestHeatLaw:
 
 
 class TestNonlinearDrift:
-    @pytest.fixture(scope="class")
-    def records(self, small_cfg):
-        cfg = ExperimentConfig(
-            n_list=(3, 4), t_grid=small_cfg.t_grid, T0=0.1, t0=0.02, N=1024
-        )
-        return cfg, run_nonlinear_drift(cfg, ExperimentContext(cfg))
-
-    def test_slopes_pass(self, records):
-        cfg, recs = records
+    def test_slopes_pass(self, drift_records):
+        recs = drift_records
         slopes = by_quantity(recs, "heat_defect_of_advection_slope") + by_quantity(
             recs, "advection_drift_slope[s+0]"
         )
         assert slopes and all(r.verdict == "pass" for r in slopes)
 
-    def test_support_bound_holds(self, records):
-        cfg, recs = records
+    def test_support_bound_holds(self, drift_records):
+        recs = drift_records
         sup = by_quantity(recs, "advection_support_radius")
         assert sup and all(r.verdict == "pass" for r in sup)
 
-    def test_budget_limited_shell_reported(self, records):
-        cfg, recs = records
+    def test_budget_limited_shell_reported(self, drift_records):
+        recs = drift_records
         limited = by_quantity(recs, "resolution_limited")
         assert [r.n for r in limited] == [4]
         assert limited[0].value == 2048.0
@@ -316,8 +348,8 @@ class TestExpansionResiduals:
 
 
 class TestFamilyGap:
-    def test_gap_checks_pass(self, small_cfg, small_ctx):
-        records = run_family_gap(small_cfg, small_ctx)
+    def test_gap_checks_pass(self, family_gap_records):
+        records = family_gap_records
         for name in (
             "gap_positive",
             "gap_dominance",
@@ -332,8 +364,8 @@ class TestFamilyGap:
 
 
 class TestFixedDatumLimit:
-    def test_monotone_decrease(self, small_cfg, small_ctx):
-        records = run_fixed_datum_limit(small_cfg, small_ctx)
+    def test_monotone_decrease(self, fixed_limit_records):
+        records = fixed_limit_records
         mono = by_quantity(records, "gap_monotone_in_eps")
         assert mono[0].verdict == "pass"
         gaps = [
@@ -343,8 +375,8 @@ class TestFixedDatumLimit:
         ]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
-    def test_euler_gap_is_zero(self, small_cfg, small_ctx):
-        records = run_fixed_datum_limit(small_cfg, small_ctx)
+    def test_euler_gap_is_zero(self, fixed_limit_records):
+        records = fixed_limit_records
         zero = [
             r for r in by_quantity(records, "solution_gap_vs_eps") if r.eps == 0.0
         ]
@@ -352,11 +384,12 @@ class TestFixedDatumLimit:
 
 
 class TestPerturbedGap:
-    def test_zero_background_reduces_to_family_gap(self, small_cfg, small_ctx):
-        family = run_family_gap(small_cfg, small_ctx)
+    def test_zero_background_reduces_to_family_gap(
+        self, small_cfg, small_ctx, family_gap_records
+    ):
         d_ref = next(
             r.value
-            for r in family
+            for r in family_gap_records
             if r.quantity == "solution_gap" and r.n == 3 and abs(r.t - 0.02) < 1e-12
         )
         g = small_ctx.background_grid(3)
@@ -374,8 +407,8 @@ class TestPerturbedGap:
         assert by_quantity(records, "truncation_not_evaluated")
         assert not by_quantity(records, "truncation_constant")
 
-    def test_random_background_records(self, small_cfg, small_ctx):
-        records = run_perturbed_gap(small_cfg, small_ctx)
+    def test_random_background_records(self, perturbed_gap_records):
+        records = perturbed_gap_records
         floor = by_quantity(records, "perturbed_gap_floor")
         assert floor and all(r.verdict == "pass" for r in floor)
         hp = by_quantity(records, "high_pass_background")
@@ -392,12 +425,40 @@ class TestPerturbedGap:
 
 
 class TestValidationSuite:
-    def test_all_pass(self, small_cfg, small_ctx):
-        records = run_validation_suite(small_cfg, small_ctx)
+    def test_all_pass(self, validation_records):
+        records = validation_records
         fails = [r for r in records if r.verdict == "fail"]
         assert not fails, [(r.quantity, r.value) for r in fails]
 
-    def test_record_keys_unique(self, small_cfg, small_ctx):
-        records = run_validation_suite(small_cfg, small_ctx)
-        keys = [r.key() for r in records]
+    def test_record_keys_unique(self, validation_records):
+        keys = [r.key() for r in validation_records]
         assert len(keys) == len(set(keys))
+
+
+GOLDEN_SMALL = Path(__file__).parent / "data" / "golden_small.json"
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [
+        "heat_law_records",
+        "drift_records",
+        "family_gap_records",
+        "fixed_limit_records",
+        "perturbed_gap_records",
+        "validation_records",
+    ],
+)
+def test_golden_records_small(fixture, request):
+    # rows: experiment, quantity, n, eps, t, repr(value), verdict; values and
+    # verdicts must match exactly, keys in order
+    records = request.getfixturevalue(fixture)
+    experiment = records[0].experiment
+    golden = [
+        row for row in json.loads(GOLDEN_SMALL.read_text()) if row[0] == experiment
+    ]
+    assert [row[:5] for row in golden] == [
+        [r.experiment, r.quantity, r.n, r.eps, r.t] for r in records
+    ]
+    for row, r in zip(golden, records):
+        assert (repr(float(r.value)), r.verdict) == (row[5], row[6]), row[:5]
