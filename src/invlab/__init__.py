@@ -14,7 +14,6 @@ from .littlewood_paley import (
     DyadicPartition,
     besov_norm,
     block_lp_norms,
-    block_spectrum_report,
     build_partition,
     dyadic_block,
     low_pass,
@@ -24,7 +23,6 @@ from .constructions import (
     ShellDatum,
     background_field,
     build_profile_bump,
-    oscillating_profile,
     shell_velocity,
     taylor_green,
     taylor_green_two_mode,
@@ -34,23 +32,19 @@ from .solvers import (
     Trajectory,
     evolve,
     first_order_remainders,
-    u1_heat,
     u2_duhamel,
 )
 from .spectral import (
     Grid,
-    MultiplierSpec,
     RealField,
     SpectralField,
     VectorField,
     advect,
-    apply_multiplier,
     divergence,
     divergence_defect,
     gradient,
     heat_propagate,
     l2_norm_spectral,
-    laplacian,
     leray_complement,
     leray_project,
     lp_norm,

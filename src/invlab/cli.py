@@ -88,7 +88,7 @@ def _run_make_data(cfg, ctx, out_dir: Path):
     for n in cfg.n_list:
         grid = ctx.datum_grid(n)
         part = build_partition(grid)
-        _, u0 = ctx.datum(n)
+        u0 = ctx.datum(n)
         write_field(fields_dir / f"shell_n{n}.spf", u0)
         for k in (-1, 0, 1):
             records.append(
@@ -116,7 +116,7 @@ def _run_evolve(cfg, ctx, out_dir: Path, raw_cfg: dict):
     shift = float(opts.get("shift", 0.0))
     grid = ctx.datum_grid(n)
     part = build_partition(grid)
-    _, u0 = ctx.datum(n, shift=shift)
+    u0 = ctx.datum(n, shift=shift)
     run_id = f"n{n}_eps{eps:g}_k{shift:g}"
     traj_dir = out_dir / "traj" / run_id
     traj = ctx.trajectory(run_id, u0, eps, cfg.t_grid)

@@ -94,18 +94,13 @@ class ProfileBump:
         return float(phi[far].sum() / phi.sum())
 
 
-def build_profile_bump(grid: Grid, width_override: float | None = None) -> ProfileBump:
-    """Profile bump with outer support radius 2**-d (or an explicit width).
+def build_profile_bump(grid: Grid) -> ProfileBump:
+    """Profile bump with outer support radius 2**-d = 1/4.
 
-    The admissible width keeps the shifted d-dimensional product inside a
-    radius-1/2 ball around the carrier: sqrt(d) * width <= 1/2.
+    The width keeps the shifted product inside a radius-1/2 ball around the
+    carrier: sqrt(2) * 1/4 <= 1/2.
     """
-    outer = 2.0**-grid.d if width_override is None else float(width_override)
-    if np.sqrt(grid.d) * outer > 0.5 + 1e-12:
-        raise ValueError(
-            f"bump width {outer} violates sqrt(d)*width <= 1/2 (d={grid.d}); "
-            "the shell containment would be lost"
-        )
+    outer = 2.0**-grid.d
     inner = outer * 2.0**-grid.d
     return ProfileBump(grid=grid, inner=inner, outer=outer)
 
@@ -129,15 +124,6 @@ class ShellDatum:
     @property
     def amplitude(self) -> float:
         return 2.0 ** (-self.n * (self.bp.s + 1.0))
-
-    @property
-    def carrier(self) -> float:
-        return CARRIER_RATIO * 2.0**self.n
-
-    @property
-    def eps(self) -> float:
-        """Shell-matched viscosity 2**(-2n)."""
-        return 2.0 ** (-2 * self.n)
 
 
 def carrier_mode(n: int, grid: Grid) -> int:
@@ -180,27 +166,6 @@ def oscillating_profile_spectral(
     return SpectralField(grid, out)
 
 
-def oscillating_profile(bump: ProfileBump, n: int, grid: Grid) -> RealField:
-    """Physical samples of the carrier-modulated profile."""
-    from .spectral import to_physical
-
-    return to_physical(oscillating_profile_spectral(bump, n, grid))
-
-
-def _planar_perp(F: SpectralField) -> VectorField:
-    """(-d2 f, d1 f, 0, ...): the planar curl structure in any dimension."""
-    g = F.grid
-    if g.d == 2:
-        return perp_gradient(F)
-    c1 = SpectralField(g, -(1j * g.freq_axis(1)) * F.coeffs)
-    c2 = SpectralField(g, (1j * g.freq_axis(0)) * F.coeffs)
-    zeros = [
-        SpectralField(g, np.zeros(g.spectral_shape, dtype=np.complex128))
-        for _ in range(g.d - 2)
-    ]
-    return VectorField((c1, c2, *zeros))
-
-
 def shell_velocity(
     datum: ShellDatum, grid: Grid, bump: ProfileBump | None = None
 ) -> VectorField:
@@ -211,7 +176,7 @@ def shell_velocity(
         shift_vec = np.zeros(grid.d)
         shift_vec[0] = datum.shift
         F = translate(F, shift_vec)
-    V = _planar_perp(F)
+    V = perp_gradient(F)
     return vector_field(grid, (datum.amplitude * c.coeffs for c in V))
 
 
@@ -221,8 +186,6 @@ def taylor_green(grid: Grid, amplitude: float = 1.0) -> VectorField:
     Its advection term is a pure gradient, so the projected dynamics are
     linear: the exact solution decays by exp(-2 eps t / R^2).
     """
-    if grid.d != 2:
-        raise ConfigError("the cellular vortex field is two-dimensional")
     from .spectral import to_spectral
 
     x = grid.x_1d / grid.R
@@ -240,8 +203,6 @@ def taylor_green_two_mode(grid: Grid, secondary: float = 0.5) -> VectorField:
     a gradient, which makes this the standard field for time-integration
     convergence measurements.
     """
-    if grid.d != 2:
-        raise ConfigError("the cellular vortex field is two-dimensional")
     from .spectral import to_spectral
 
     x = grid.x_1d / grid.R
@@ -292,7 +253,7 @@ def background_field(
     envelope = np.zeros(grid.spectral_shape)
     envelope[mask] = kmag[mask] ** (-(bp.s + 2.0))
     stream = SpectralField(grid, raw * envelope)
-    psi = _planar_perp(stream)
+    psi = perp_gradient(stream)
     norm = besov_norm(psi, bp, part)
     if norm == 0.0:
         raise ConfigError("background field is identically zero; widen the band")

@@ -97,7 +97,7 @@ def read_field(path):
         return vals
 
     (d,) = take("<I")
-    if d not in (2, 3):
+    if d != 2:
         raise FormatError(f"{path}: unsupported dimension {d}")
     ns = [take("<I")[0] for _ in range(d)]
     if len(set(ns)) != 1:

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ResolutionError
+from .errors import ConfigError
 from .spectral import Grid, RealField, SpectralField, VectorField, _inverse, lp_norm
 
 THETA_ONE = 0.75  # theta == 1 inside this radius
@@ -63,8 +63,6 @@ class DyadicPartition:
     grid: Grid
     j_max: int
     _cache: dict = field(default_factory=dict, repr=False)
-
-    ramp_id: str = RAMP_ID
 
     def theta(self, r):
         return radial_cutoff(r)
@@ -201,29 +199,22 @@ def field_support_radius(F) -> float:
     return field_support_range(F)[1]
 
 
-def block_lp_norms(
-    F,
-    p: float,
-    partition: DyadicPartition | None = None,
-    strict: bool = False,
-) -> np.ndarray:
+def block_lp_norms(F, p: float, partition: DyadicPartition | None = None) -> np.ndarray:
     """L^p norms of the dyadic blocks, indexed j = -1 .. j_max.
 
-    In strict mode a field whose support reaches beyond the radius where the
-    partition is exact raises a ResolutionError; otherwise it only warns.
+    A field whose support reaches beyond the radius where the partition is
+    exact gets truncated blocks, and a UserWarning says so.
     """
     comps = _as_components(F)
     g = comps[0].grid
     part = partition or build_partition(g)
     r_lo, r_hi = field_support_range(F)
     if r_hi > part.coverage_radius:
-        msg = (
+        warnings.warn(
             f"field support |xi| <= {r_hi:.3g} exceeds the exactly resolved "
-            f"ball |xi| <= {part.coverage_radius:.3g}; Besov blocks are truncated"
+            f"ball |xi| <= {part.coverage_radius:.3g}; Besov blocks are truncated",
+            stacklevel=2,
         )
-        if strict:
-            raise ResolutionError(msg)
-        warnings.warn(msg, stacklevel=2)
     out = np.empty(part.j_max + 2)
     for j in range(-1, part.j_max + 1):
         # a block whose annulus misses the support is exactly zero
@@ -249,20 +240,6 @@ def besov_from_blocks(block_norms: np.ndarray, bp: BesovParams) -> float:
     return float(np.sum(weighted**bp.r) ** (1.0 / bp.r))
 
 
-def besov_norm(
-    F,
-    bp: BesovParams,
-    partition: DyadicPartition | None = None,
-    strict: bool = False,
-) -> float:
+def besov_norm(F, bp: BesovParams, partition: DyadicPartition | None = None) -> float:
     """Nonhomogeneous Besov norm; exact for fields resolved by the grid."""
-    return besov_from_blocks(block_lp_norms(F, bp.p, partition, strict), bp)
-
-
-def block_spectrum_report(F, bp: BesovParams, partition: DyadicPartition | None = None):
-    """List of (j, 2**(j s) * L^p block norm) for j = -1 .. j_max."""
-    norms = block_lp_norms(F, bp.p, partition)
-    return [
-        (j, float(2.0 ** (j * bp.s) * norms[j + 1]))
-        for j in range(-1, len(norms) - 1)
-    ]
+    return besov_from_blocks(block_lp_norms(F, bp.p, partition), bp)

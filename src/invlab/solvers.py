@@ -41,12 +41,16 @@ from .spectral import (
 )
 
 
+# CFL number of the adaptive step dt = min(T/64, CFL dx / max|u|)
+CFL = 0.5
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Time-integration parameters.
 
-    ``dt_max`` defaults to T/64; ``dt_fixed`` forces a constant step (used by
-    convergence studies) and bypasses the CFL restriction.
+    Steps are capped at T/64 and by the CFL condition; ``dt_fixed`` forces a
+    constant step (used by convergence studies) and bypasses both.
 
     The heat part is always applied through exact multipliers.  When the
     total exponent ``eps * T * max|xi|^2`` is moderate, the integrating
@@ -59,10 +63,7 @@ class SolverConfig:
 
     eps: float
     T: float
-    cfl: float = 0.5
-    dt_max: float | None = None
     dt_fixed: float | None = None
-    dealias: bool = True
     blowup_factor: float = 1e3
     anchor_exponent_limit: float = 60.0
 
@@ -71,12 +72,10 @@ class SolverConfig:
             raise ValueError(f"final time must be positive, got {self.T}")
         if not (0.0 <= self.eps <= 1.0):
             raise ValueError(f"viscosity must lie in [0, 1], got {self.eps}")
-        if not (0.0 < self.cfl <= 1.0):
-            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
 
     @property
     def dt_cap(self) -> float:
-        return self.T / 64.0 if self.dt_max is None else self.dt_max
+        return self.T / 64.0
 
 
 @dataclass(frozen=True)
@@ -118,10 +117,10 @@ def _max_speed(u_phys) -> float:
     return float(np.sqrt(acc.max()))
 
 
-def _nonlinear_rhs(grid: Grid, arrays, dealias: bool, u_phys=None):
+def _nonlinear_rhs(grid: Grid, arrays, u_phys=None):
     """-P(u . grad u) as coefficient arrays; inputs assumed dealias-safe."""
     V = vector_field(grid, arrays)
-    adv = advect(V, V, dealias=dealias, verify_support=False, u_phys=u_phys)
+    adv = advect(V, V, verify_support=False, u_phys=u_phys)
     proj = leray_project(adv)
     return [-c.coeffs for c in proj]
 
@@ -140,11 +139,8 @@ def evolve(
     if targets[0] < 0 or targets[-1] > cfg.T + 1e-15:
         raise ValueError(f"sample times {targets} must lie in [0, {cfg.T}]")
 
-    if cfg.dealias:
-        # Galerkin projection of the data; identity for admissible inputs
-        state = [np.where(g.dealias_mask, c.coeffs, 0.0) for c in u0]
-    else:
-        state = [c.coeffs.copy() for c in u0]
+    # Galerkin projection of the data; identity for admissible inputs
+    state = [np.where(g.dealias_mask, c.coeffs, 0.0) for c in u0]
 
     anchored = (
         cfg.eps > 0.0
@@ -194,7 +190,7 @@ def evolve(
             else:
                 dt = cfg.dt_cap
                 if speed > 0:
-                    dt = min(dt, cfg.cfl * g.dx / speed)
+                    dt = min(dt, CFL * g.dx / speed)
             remaining = target - t
             final_step = dt >= remaining - 1e-15 * cfg.T
             if final_step:
@@ -212,10 +208,10 @@ def evolve(
                 g2 = g1 * G
 
                 def rhs(arrays, dec, enc):
-                    out = _nonlinear_rhs(g, [dec * a for a in arrays], cfg.dealias)
+                    out = _nonlinear_rhs(g, [dec * a for a in arrays])
                     return [enc * k for k in out]
 
-                k1 = [g0 * k for k in _nonlinear_rhs(g, plain, cfg.dealias, u_phys)]
+                k1 = [g0 * k for k in _nonlinear_rhs(g, plain, u_phys)]
                 k2 = rhs([u + (dt / 2.0) * k for u, k in zip(state, k1)], d1, g1)
                 k3 = rhs([u + (dt / 2.0) * k for u, k in zip(state, k2)], d1, g1)
                 k4 = rhs([u + dt * k for u, k in zip(state, k3)], d2, g2)
@@ -226,13 +222,13 @@ def evolve(
                 grow_acc = g2
                 decay_acc = d2
             else:
-                k1 = _nonlinear_rhs(g, plain, cfg.dealias, u_phys)
+                k1 = _nonlinear_rhs(g, plain, u_phys)
                 s1 = [E * (u + (dt / 2.0) * k) for u, k in zip(state, k1)]
-                k2 = _nonlinear_rhs(g, s1, cfg.dealias)
+                k2 = _nonlinear_rhs(g, s1)
                 s2 = [E * u + (dt / 2.0) * k for u, k in zip(state, k2)]
-                k3 = _nonlinear_rhs(g, s2, cfg.dealias)
+                k3 = _nonlinear_rhs(g, s2)
                 s3 = [E2 * u + dt * E * k for u, k in zip(state, k3)]
-                k4 = _nonlinear_rhs(g, s3, cfg.dealias)
+                k4 = _nonlinear_rhs(g, s3)
                 state = [
                     E2 * u + (dt / 6.0) * (E2 * a + 2.0 * E * (b + c) + d)
                     for u, a, b, c, d in zip(state, k1, k2, k3, k4)
@@ -250,7 +246,7 @@ def evolve(
             diag["max_speed"].append(speed)
         snap_times.append(target)
         if anchored:
-            # one exact heat factor from t = 0; matches u1_heat to the bit
+            # one exact heat factor from t = 0; matches heat_propagate to the bit
             decay_exact = heat_factor(g, target, cfg.eps)
             snapshots.append(vector_field(g, (decay_exact * a for a in state)))
         else:
@@ -266,11 +262,6 @@ def evolve(
         u0=u0,
         diagnostics=diagnostics,
     )
-
-
-def u1_heat(u0: VectorField, t: float, eps: float) -> VectorField:
-    """First-order linear approximant: the heat flow of the data."""
-    return heat_propagate(u0, t, eps)
 
 
 def _simpson_weights(t: float, nodes: int) -> np.ndarray:
@@ -389,7 +380,7 @@ def first_order_remainders(
 def _remainders_at(u0, pa0, traj0, traj_eps, t, nodes, refine):
     g = u0.grid
     eps = traj_eps.eps
-    u1 = u1_heat(u0, t, eps)
+    u1 = heat_propagate(u0, t, eps)  # the first-order linear approximant
     u2 = u2_duhamel(u0, t, eps, nodes, refine=refine)
     lin = heat_integral_factor(g, t, eps)
     s0, s_eps, comps = traj0.state_at(t), traj_eps.state_at(t), range(g.d)

@@ -1,7 +1,7 @@
 """Periodic grid, transforms, Fourier multipliers and differential operators.
 
-All fields live on a d-dimensional torus of period ``L = 2*pi*R`` per axis,
-sampled on a uniform lattice of ``N`` points per axis.  Spectral coefficients
+All fields live on the two-dimensional torus of period ``L = 2*pi*R`` per
+axis, sampled on a uniform lattice of ``N`` points per axis.  Spectral coefficients
 follow the continuum convention scaled to the torus: the coefficient of the
 integer mode ``m`` equals ``(L/N)**d * sum_x f(x) exp(-i (m/R).x)``, so that
 ``f(x) = L**-d * sum_m coeff(m) exp(i (m/R).x)``.  The frequency attached to
@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.fft as _fft
 
-from .errors import ConfigError, ResolutionError
+from .errors import ConfigError, NumericsError, ResolutionError
 
 _FFT_WORKERS = 1
 
@@ -55,7 +55,7 @@ class Grid:
     Parameters
     ----------
     d : int
-        Spatial dimension, 2 or 3.
+        Spatial dimension; only 2 is supported.
     N : int
         Samples per axis; power of two, at least 16.
     R : float
@@ -68,8 +68,8 @@ class Grid:
     R: float
 
     def __post_init__(self):
-        if self.d not in (2, 3):
-            raise ConfigError(f"dimension must be 2 or 3, got {self.d}")
+        if self.d != 2:
+            raise ConfigError(f"dimension must be 2, got {self.d}")
         if self.N < 16 or (self.N & (self.N - 1)) != 0:
             raise ConfigError(f"N must be a power of two >= 16, got {self.N}")
         if not (self.R > 0):
@@ -170,7 +170,7 @@ class RealField:
                 f"sample array shape {self.samples.shape} does not match grid {self.grid.shape}"
             )
         if not np.isfinite(self.samples).all():
-            raise ConfigError("real field contains non-finite samples")
+            raise NumericsError("real field contains non-finite samples")
 
 
 @dataclass(frozen=True)
@@ -259,42 +259,6 @@ def to_physical(F: SpectralField) -> RealField:
 # multipliers
 
 
-@dataclass(frozen=True)
-class MultiplierSpec:
-    """Fourier multiplier sigma(D): u -> F^-1(sigma F u).
-
-    ``kind`` selects how ``fn`` is evaluated: ``"radial"`` receives |xi|,
-    ``"componentwise"`` receives the tuple of frequency axes.  The value at
-    xi = 0 must be given explicitly (radial profiles are often singular
-    there).
-    """
-
-    kind: str
-    fn: Callable
-    at_zero: complex = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("radial", "componentwise"):
-            raise ConfigError(f"unknown multiplier kind {self.kind!r}")
-
-    def values(self, grid: Grid) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self.kind == "radial":
-                vals = np.asarray(self.fn(grid.k_mag), dtype=np.complex128)
-            else:
-                axes = tuple(grid.freq_axis(ax) for ax in range(grid.d))
-                vals = np.asarray(self.fn(*axes), dtype=np.complex128)
-                vals = np.broadcast_to(vals, grid.spectral_shape).copy()
-        vals[(0,) * grid.d] = self.at_zero
-        if not np.isfinite(vals).all():
-            raise ConfigError("multiplier is not finite on the frequency lattice")
-        return vals
-
-
-def apply_multiplier(F: SpectralField, spec: MultiplierSpec) -> SpectralField:
-    return SpectralField(F.grid, F.coeffs * spec.values(F.grid))
-
-
 def _apply_factor(V: VectorField, factor: np.ndarray) -> VectorField:
     return vector_field(V.grid, (c.coeffs * factor for c in V))
 
@@ -319,15 +283,9 @@ def divergence(V: VectorField) -> SpectralField:
     return SpectralField(g, out)
 
 
-def laplacian(F: SpectralField) -> SpectralField:
-    return SpectralField(F.grid, -F.grid.k_sq * F.coeffs)
-
-
 def perp_gradient(F: SpectralField) -> VectorField:
-    """(-d2 f, d1 f); divergence-free by construction.  2-D only."""
+    """(-d2 f, d1 f); divergence-free by construction."""
     g = F.grid
-    if g.d != 2:
-        raise ConfigError(f"perp_gradient requires d=2, got d={g.d}")
     c1 = SpectralField(g, -(1j * g.freq_axis(1)) * F.coeffs)
     c2 = SpectralField(g, (1j * g.freq_axis(0)) * F.coeffs)
     return VectorField((c1, c2))
@@ -439,23 +397,22 @@ def _require_dealias_safe(V: VectorField, name: str) -> None:
 def advect(
     u: VectorField,
     v: VectorField,
-    dealias: bool = True,
     verify_support: bool = True,
     u_phys: Sequence[np.ndarray] | None = None,
 ) -> VectorField:
     """u . grad(v) via physical-space products of spectral derivatives.
 
-    With ``dealias`` set the inputs must be supported inside the 2/3-rule
-    ball and the product is truncated back to it, which makes the quadratic
-    term alias-free.  ``verify_support=False`` skips the support scan for
-    callers that maintain the invariant themselves (the time stepper).
+    The inputs must be supported inside the 2/3-rule ball and the product is
+    truncated back to it, which makes the quadratic term alias-free.
+    ``verify_support=False`` skips the support scan for callers that
+    maintain the invariant themselves (the time stepper).
     ``u_phys`` may hold the physical samples of ``u``'s components when the
     caller has them already (the time stepper takes its CFL speed from them).
     """
     if u.grid != v.grid:
         raise ConfigError("advect requires fields on the same grid")
     g = u.grid
-    if dealias and verify_support:
+    if verify_support:
         _require_dealias_safe(u, "advecting field")
         _require_dealias_safe(v, "advected field")
     if u_phys is None:
@@ -465,10 +422,7 @@ def advect(
         acc = np.zeros(g.shape)
         for j in range(g.d):
             acc += u_phys[j] * _inverse((1j * g.freq_axis(j)) * v[i].coeffs, g)
-        coeffs = _forward(acc, g)
-        if dealias:
-            coeffs = np.where(g.dealias_mask, coeffs, 0.0)
-        out.append(SpectralField(g, coeffs))
+        out.append(SpectralField(g, np.where(g.dealias_mask, _forward(acc, g), 0.0)))
     return VectorField(tuple(out))
 
 

@@ -10,9 +10,8 @@ from invlab.experiments import (
     ExperimentConfig,
     ExperimentContext,
     ResultRecord,
+    check,
     lsq_slope,
-    ratio_cap,
-    ratio_floor,
     run_expansion_residuals,
     run_family_gap,
     run_fixed_datum_limit,
@@ -20,7 +19,7 @@ from invlab.experiments import (
     run_nonlinear_drift,
     run_perturbed_gap,
     run_validation_suite,
-    window,
+    scaled,
 )
 from invlab.littlewood_paley import BesovParams
 from invlab.spectral import SpectralField, VectorField
@@ -96,13 +95,21 @@ class TestHelpers:
         assert np.isnan(lsq_slope([0.1, 0.2], [1.0, 0.0]))
 
     def test_tolerance_scaling(self):
-        assert ratio_cap(1.10, "relaxed") == pytest.approx(1.10)
-        assert ratio_cap(1.10, "strict") == pytest.approx(1.0 + 0.10 * 2 / 3)
-        assert ratio_floor(0.5, "relaxed") == pytest.approx(0.5)
-        assert ratio_floor(0.5, "strict") == pytest.approx(1.0 - 0.5 * 2 / 3)
-        lo, hi = window(1.8, 2.3, 2.0, "strict")
-        assert lo == pytest.approx(2.0 - 0.2 * 2 / 3)
-        assert hi == pytest.approx(2.0 + 0.3 * 2 / 3)
+        assert scaled(1.10, "relaxed") == pytest.approx(1.10)
+        assert scaled(1.10, "strict") == pytest.approx(1.0 + 0.10 * 2 / 3)
+        assert scaled(0.5, "relaxed") == pytest.approx(0.5)
+        assert scaled(0.5, "strict") == pytest.approx(1.0 - 0.5 * 2 / 3)
+        assert scaled(1.8, "strict", center=2.0) == pytest.approx(2.0 - 0.2 * 2 / 3)
+        assert scaled(2.3, "strict", center=2.0) == pytest.approx(2.0 + 0.3 * 2 / 3)
+        assert scaled(0.1, "strict", center=0.0) == pytest.approx(0.1 * 2 / 3)
+        assert scaled(0.25, "strict") == 0.5
+
+    def test_check_is_a_closed_interval(self):
+        assert check(1.0, 1.0, 1.0) == "pass"
+        assert check(2.0, hi=1.0) == "fail"
+        assert check(0.5, lo=1.0) == "fail"
+        assert check(float("inf")) == "pass"
+        assert check(float("nan")) == "fail"
 
 
 class TestConfigAndRecords:
@@ -149,14 +156,23 @@ class TestContext:
         with pytest.raises(ResolutionError):
             ctx.product_grid(5)  # would need 4096 > budget 2048
 
-    def test_trajectory_cache_reuses_superset(self, small_cfg, small_ctx):
-        _, u0 = small_ctx.datum(3)
-        t1 = small_ctx.trajectory("cache_probe", u0, 0.0, [0.01, 0.02])
-        t2 = small_ctx.trajectory("cache_probe", u0, 0.0, [0.02])
-        assert t2 is t1
-        t3 = small_ctx.trajectory("cache_probe", u0, 0.0, [0.005])
-        assert t3 is not t1
-        assert any(abs(t - 0.01) < 1e-12 for t in t3.times)
+    def test_trajectory_cache_hits_only_identical_requests(self, small_cfg):
+        # the step cap T/64 depends on the horizon, so a trajectory sampled
+        # at other times is another computation, even at a shared time
+        from invlab.constructions import taylor_green_two_mode
+        from invlab.solvers import SolverConfig, evolve
+
+        ctx = ExperimentContext(small_cfg)
+        u0 = taylor_green_two_mode(ctx.grid(32))
+        first = ctx.trajectory("probe", u0, 1e-3, [0.02, 0.01])
+        assert ctx.trajectory("probe", u0, 1e-3, [0.01, 0.02]) is first
+        assert ctx.cache_hits == 1
+        subset = ctx.trajectory("probe", u0, 1e-3, [0.01])
+        assert subset is not first and subset.times == (0.01,)
+        fresh = evolve(u0, SolverConfig(eps=1e-3, T=0.01), [0.01])
+        for a, b in zip(subset.state_at(0.01), fresh.state_at(0.01)):
+            assert np.array_equal(a.coeffs, b.coeffs)
+        assert ctx.telemetry()["trajectory_cache"] == {"hits": 1, "misses": 2}
 
     def test_trajectory_cache_keyed_by_data(self, small_cfg):
         from invlab.constructions import taylor_green
@@ -195,7 +211,7 @@ class TestHeatLaw:
         records = heat_law_records
         g = small_ctx.datum_grid(3)
         part = build_partition(g)
-        _, u0 = small_ctx.datum(3)
+        u0 = small_ctx.datum(3)
         t = small_cfg.t_grid[2]
         fac = heat_factor(g, t, small_cfg.eps_n(3)) - 1.0
         w = half_spectrum_weights(g)
@@ -275,7 +291,7 @@ def remainders_at(cfg, ctx, t):
     from invlab.solvers import first_order_remainders
     from invlab.spectral import advect, leray_project
 
-    _, u0 = ctx.datum(3)
+    u0 = ctx.datum(3)
     traj0 = ctx.trajectory("u0n3", u0, 0.0, cfg.t_grid)
     traj_eps = ctx.trajectory("u0n3", u0, cfg.eps_n(3), cfg.t_grid)
     (rem,) = first_order_remainders(

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -51,11 +52,13 @@ class TestFieldSnapshots:
         assert isinstance(back, SpectralField)
         assert np.array_equal(back.coeffs, F.coeffs)
 
-    def test_three_dimensional_round_trip(self, rng, tmp_path):
-        g = Grid(3, 16, 2.0)
-        f = RealField(g, rng.standard_normal(g.shape))
-        back = read_field(write_field(tmp_path / "f3.spf", f))
-        assert np.array_equal(back.samples, f.samples)
+    def test_three_dimensional_file_rejected(self, tmp_path):
+        # header of a 16^3 physical field; the grid is two-dimensional only
+        p = tmp_path / "f3.spf"
+        header = b"SPF1" + struct.pack("<IIIIdBB", 3, 16, 16, 16, 2.0, 0, 1)
+        p.write_bytes(header + b"\x00" * (8 * 16**3))
+        with pytest.raises(FormatError, match="unsupported dimension 3"):
+            read_field(p)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.spf"

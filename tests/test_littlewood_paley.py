@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from invlab.constructions import ShellDatum, shell_velocity
-from invlab.errors import ConfigError
+from invlab.errors import ConfigError, NumericsError
 from invlab.littlewood_paley import (
     BesovParams,
     besov_from_blocks,
     besov_norm,
     block_lp_norms,
-    block_spectrum_report,
     build_partition,
     dyadic_block,
     field_support_range,
@@ -209,14 +208,18 @@ class TestBesovNorm:
             float(np.max(2.0 ** (1.5 * j) * blocks)), rel=1e-13
         )
 
-    def test_unresolved_support_warns_or_raises(self, grid, rng):
-        from invlab.errors import ResolutionError
-
+    def test_unresolved_support_warns(self, grid, rng):
         F = to_spectral(random_real_field(grid, rng))  # corners exceed coverage
         with pytest.warns(UserWarning, match="exceeds the exactly resolved"):
             besov_norm(F, BesovParams(1.5, 2.0, 2.0, 2))
-        with pytest.raises(ResolutionError):
-            besov_norm(F, BesovParams(1.5, 2.0, 2.0, 2), strict=True)
+
+    def test_non_finite_coefficient_is_numeric_error(self, bp):
+        # a degenerate value, not a configuration problem (CLI exit 3, not 2)
+        g = Grid(2, 32, 1.0)
+        coeffs = np.zeros(g.spectral_shape, dtype=complex)
+        coeffs[1, 0] = np.nan
+        with pytest.raises(NumericsError, match="non-finite"):
+            besov_norm(SpectralField(g, coeffs), bp)
 
     def test_plancherel_oracle_at_p2(self, bp, lab_grid):
         # physical-quadrature path against the direct coefficient sums
@@ -239,19 +242,21 @@ class TestBesovNorm:
 
 
 class TestBlockSpectrumReport:
+    """The block spectrum 2**(j s) ||Delta_j u||_p from block_lp_norms."""
+
     def test_single_shell_has_one_entry(self, bp, lab_grid):
         u0 = shell_velocity(ShellDatum(3, bp), lab_grid)
-        report = block_spectrum_report(u0, bp)
-        nonzero = [(j, v) for j, v in report if v > 0]
-        assert len(nonzero) == 1 and nonzero[0][0] == 3
+        blocks = block_lp_norms(u0, bp.p)
+        assert list(np.flatnonzero(blocks) - 1) == [3]
 
     def test_power_sum_matches_norm(self, grid, rng, bp):
         part = build_partition(grid)
         F = to_spectral(random_real_field(grid, rng))
         keep = grid.k_mag <= part.coverage_radius
         F = SpectralField(grid, np.where(keep, F.coeffs, 0.0))
-        report = block_spectrum_report(F, bp)
-        total = sum(v**bp.r for _, v in report) ** (1.0 / bp.r)
+        blocks = block_lp_norms(F, bp.p)
+        j = np.arange(-1, len(blocks) - 1)
+        total = np.sum((2.0 ** (j * bp.s) * blocks) ** bp.r) ** (1.0 / bp.r)
         assert total == pytest.approx(besov_norm(F, bp), rel=1e-12)
 
     def test_two_shell_field_has_two_entries(self, bp):
@@ -261,9 +266,7 @@ class TestBlockSpectrumReport:
             coeffs[m, 0] = 1.0
             coeffs[-m, 0] = 1.0
         F = SpectralField(g, coeffs)
-        report = block_spectrum_report(F, bp)
-        nonzero = [j for j, v in report if v > 0]
-        assert nonzero == [1, 3]
+        assert list(np.flatnonzero(block_lp_norms(F, bp.p)) - 1) == [1, 3]
 
 
 class TestProductLawConstants:

@@ -20,7 +20,6 @@ from invlab.solvers import (
     Trajectory,
     evolve,
     first_order_remainders,
-    u1_heat,
     u2_duhamel,
 )
 from invlab.spectral import (
@@ -29,6 +28,7 @@ from invlab.spectral import (
     VectorField,
     advect,
     heat_factor,
+    heat_propagate,
     l2_norm_spectral,
     leray_project,
 )
@@ -70,8 +70,6 @@ class TestSolverConfig:
             SolverConfig(eps=0.1, T=0.0)
         with pytest.raises(ValueError):
             SolverConfig(eps=1.5, T=1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(eps=0.1, T=1.0, cfl=0.0)
 
     def test_default_step_cap(self):
         assert SolverConfig(eps=0.0, T=0.64).dt_cap == pytest.approx(0.01)
@@ -250,12 +248,12 @@ class TestTrajectory:
 class TestFirstOrderApproximants:
     def test_u1_identity_cases(self, shell_setup):
         bp, g, u0 = shell_setup
-        assert u1_heat(u0, 0.0, 0.3) is u0
-        assert u1_heat(u0, 0.3, 0.0) is u0
+        assert heat_propagate(u0, 0.0, 0.3) is u0
+        assert heat_propagate(u0, 0.3, 0.0) is u0
 
     def test_u1_matches_heat_factor(self, shell_setup):
         bp, g, u0 = shell_setup
-        out = u1_heat(u0, 0.02, 2.0**-6)
+        out = heat_propagate(u0, 0.02, 2.0**-6)
         factor = heat_factor(g, 0.02, 2.0**-6)
         for a, b in zip(out, u0):
             assert np.array_equal(a.coeffs, factor * b.coeffs)

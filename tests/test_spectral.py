@@ -1,21 +1,18 @@
 import numpy as np
 import pytest
 
-from invlab.errors import ConfigError, ResolutionError
+from invlab.errors import ConfigError, NumericsError, ResolutionError
 from invlab.spectral import (
     Grid,
-    MultiplierSpec,
     RealField,
     SpectralField,
     VectorField,
     advect,
-    apply_multiplier,
     divergence,
     divergence_defect,
     gradient,
     heat_propagate,
     l2_norm_spectral,
-    laplacian,
     leray_complement,
     leray_project,
     lp_norm,
@@ -49,6 +46,10 @@ class TestGrid:
         with pytest.raises(ConfigError):
             Grid(2, 32, -1.0)
 
+    def test_rejects_three_dimensions(self):
+        with pytest.raises(ConfigError, match="dimension must be 2"):
+            Grid(3, 16, 2.0)
+
     def test_frequency_lattice(self, grid):
         assert grid.freqs_1d[0] == 0.0
         assert grid.freqs_1d[1] == pytest.approx(1.0 / grid.R)
@@ -77,12 +78,6 @@ class TestTransforms:
             np.abs(f.samples)
         )
 
-    def test_round_trip_3d(self, rng):
-        g = Grid(3, 16, 2.0)
-        f = RealField(g, rng.standard_normal(g.shape))
-        back = to_physical(to_spectral(f))
-        assert np.max(np.abs(back.samples - f.samples)) <= 1e-12
-
     def test_parseval(self, grid, rng):
         f = random_real_field(grid, rng)
         F = to_spectral(f)
@@ -98,62 +93,8 @@ class TestTransforms:
     def test_non_finite_rejected(self, grid):
         bad = np.zeros(grid.shape)
         bad[0, 0] = np.nan
-        with pytest.raises(ConfigError):
+        with pytest.raises(NumericsError):
             RealField(grid, bad)
-
-
-class TestMultipliers:
-    def test_identity(self, grid, rng):
-        F = to_spectral(random_real_field(grid, rng))
-        spec = MultiplierSpec("radial", lambda r: np.ones_like(r), at_zero=1.0)
-        G = apply_multiplier(F, spec)
-        assert np.array_equal(G.coeffs, F.coeffs)
-
-    def test_negative_laplacian_eigenfunction(self, grid):
-        x = grid.x_1d
-        f = RealField(grid, np.cos(x / grid.R)[:, None] + 0.0 * x[None, :])
-        F = to_spectral(f)
-        spec = MultiplierSpec("radial", lambda r: r**2, at_zero=0.0)
-        G = apply_multiplier(F, spec)
-        assert G.coeffs[1, 0] == pytest.approx(F.coeffs[1, 0] / grid.R**2, rel=1e-12)
-
-    def test_componentwise_kind(self, grid, rng):
-        F = to_spectral(random_real_field(grid, rng))
-        spec = MultiplierSpec("componentwise", lambda k1, k2: k1 * 0 + 1.0, at_zero=1.0)
-        G = apply_multiplier(F, spec)
-        assert np.allclose(G.coeffs, F.coeffs)
-
-    def test_origin_value_patches_singular_symbol(self, grid, rng):
-        # 1/|xi| is singular only at the origin, which the explicit rule covers
-        F = to_spectral(random_real_field(grid, rng))
-        spec = MultiplierSpec("radial", lambda r: 1.0 / r, at_zero=0.0)
-        G = apply_multiplier(F, spec)
-        assert G.coeffs[0, 0] == 0.0
-
-    def test_non_finite_multiplier_rejected(self, grid, rng):
-        F = to_spectral(random_real_field(grid, rng))
-        spec = MultiplierSpec(
-            "radial",
-            lambda r: np.where(r > 1.0, np.nan, 1.0),
-            at_zero=1.0,
-        )
-        with pytest.raises(ConfigError):
-            apply_multiplier(F, spec)
-
-    def test_annulus_indicator_fixes_contained_field(self, lab_grid):
-        from invlab.constructions import ShellDatum, shell_velocity
-        from invlab.littlewood_paley import BesovParams
-
-        u0 = shell_velocity(ShellDatum(3, BesovParams(3.0)), lab_grid)
-        lo, hi = 4.0 / 3.0 * 8, 1.5 * 8
-        spec = MultiplierSpec(
-            "radial", lambda r: ((r >= lo) & (r <= hi)).astype(float), at_zero=0.0
-        )
-        for c in u0:
-            out = apply_multiplier(c, spec)
-            assert np.max(np.abs(out.coeffs - c.coeffs)) <= 1e-15 * max(
-                np.max(np.abs(c.coeffs)), 1e-300
-            )
 
 
 class TestDerivatives:
@@ -162,25 +103,10 @@ class TestDerivatives:
         G = gradient(F)
         assert vf_norm(G) <= 1e-12
 
-    def test_laplacian_eigenfunction(self, grid):
-        x = grid.x_1d
-        f = RealField(grid, np.cos(2 * x / grid.R)[:, None] + 0.0 * x[None, :])
-        F = to_spectral(f)
-        L = laplacian(F)
-        assert L.coeffs[2, 0] == pytest.approx(
-            -(4.0 / grid.R**2) * F.coeffs[2, 0], rel=1e-12
-        )
-
     def test_perp_gradient_is_divergence_free(self, grid, rng):
         F = to_spectral(random_real_field(grid, rng))
         V = perp_gradient(F)
         assert divergence_defect(V) <= 1e-12
-
-    def test_perp_gradient_requires_2d(self, rng):
-        g = Grid(3, 16, 1.0)
-        F = to_spectral(RealField(g, rng.standard_normal(g.shape)))
-        with pytest.raises(ConfigError):
-            perp_gradient(F)
 
     def test_divergence_matches_gradient_sum(self, grid, rng):
         V = random_vector_field(grid, rng)
