@@ -32,6 +32,7 @@ from .solvers import (
     Trajectory,
     evolve,
     first_order_remainders,
+    trajectory_gap,
     u2_duhamel,
 )
 from .spectral import (

@@ -121,7 +121,8 @@ def _run_evolve(cfg, ctx, out_dir: Path, raw_cfg: dict):
     traj_dir = out_dir / "traj" / run_id
     traj = ctx.trajectory(run_id, u0, eps, cfg.t_grid)
     records = []
-    for i, (t, state) in enumerate(zip(traj.times, traj.states)):
+    for i, t in enumerate(traj.times):
+        state = traj.state_at(t)
         write_field(traj_dir / f"t{i:03d}.spf", state)
         records.append(
             ResultRecord("evolve", "energy", l2_norm_spectral(state), n, eps, t)

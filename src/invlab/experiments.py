@@ -45,7 +45,13 @@ from .littlewood_paley import (
     field_support_radius,
     low_pass,
 )
-from .solvers import SolverConfig, Trajectory, evolve, first_order_remainders
+from .solvers import (
+    SolverConfig,
+    Trajectory,
+    evolve,
+    first_order_remainders,
+    trajectory_gap,
+)
 from .spectral import (
     Grid,
     RealField,
@@ -555,17 +561,15 @@ def run_family_gap(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
         traj_eps = ctx.trajectory(f"u0n{n}", u0, eps_n, cfg.t_grid)
         gaps = []
         for t in cfg.t_grid:
-            d = besov_norm(
-                _gap_field(traj_eps.state_at(t), traj0.state_at(t)), bp, part
-            )
+            d = besov_norm(trajectory_gap(traj_eps, traj0, t), bp, part)
             gaps.append(d)
             records.append(ResultRecord(ex, "solution_gap", d, n, eps_n, t))
         gap_at_t0[n] = gaps[cfg.t_grid.index(cfg.t0)]
 
         sup = 0.0
         for traj in (traj0, traj_eps):
-            for state in traj.states:
-                sup = max(sup, besov_norm(state, bp, part))
+            for t in traj.times:
+                sup = max(sup, besov_norm(traj.state_at(t), bp, part))
         sup_besov[n] = sup
         records.append(ResultRecord(ex, "trajectory_besov_sup", sup, n, eps_n))
 
@@ -631,14 +635,13 @@ def run_fixed_datum_limit(cfg: ExperimentConfig, ctx: ExperimentContext | None =
     part = build_partition(g)
     u0 = ctx.datum(n)
     traj0 = ctx.trajectory(f"u0n{n}", u0, 0.0, [cfg.t0])
-    s0 = traj0.state_at(cfg.t0)
     records.append(ResultRecord(ex, "solution_gap_vs_eps", 0.0, n, 0.0, cfg.t0))
 
     sweep = [2.0 ** (-2 * m) for m in cfg.eps_exponents]
     gaps = []
     for eps in sweep:
         traj = ctx.trajectory(f"u0n{n}", u0, eps, [cfg.t0])
-        d = besov_norm(_gap_field(traj.state_at(cfg.t0), s0), bp, part)
+        d = besov_norm(trajectory_gap(traj, traj0, cfg.t0), bp, part)
         gaps.append(d)
         records.append(ResultRecord(ex, "solution_gap_vs_eps", d, n, eps, cfg.t0))
 
@@ -665,6 +668,12 @@ def run_fixed_datum_limit(cfg: ExperimentConfig, ctx: ExperimentContext | None =
 
 # ---------------------------------------------------------------------------
 # background-perturbed gap (translated datum on top of a smooth field)
+
+
+def _additivity_defect(t_sum, t_psi, t_u, t, bp, part) -> float:
+    """Besov norm of S(psi + u) - S(psi) - S(u) at t, from three evolutions."""
+    states = [tr.state_at(t) for tr in (t_sum, t_psi, t_u)]
+    return besov_norm(_vf_lincomb(states[0].grid, zip((1.0, -1.0, -1.0), states)), bp, part)
 
 
 def run_perturbed_gap(
@@ -714,18 +723,14 @@ def run_perturbed_gap(
         t_psi = ctx.trajectory(f"{tag}_snpsi", s_n_psi, eps_n, times)
         t_u0 = ctx.trajectory(f"{tag}_shell", u0k, eps_n, times)
 
-        pert = besov_norm(
-            _gap_field(t_full_eps.state_at(t0), t_full_0.state_at(t0)), bp, part
-        )
+        pert = besov_norm(trajectory_gap(t_full_eps, t_full_0, t0), bp, part)
         records.append(ResultRecord(ex, "perturbed_gap", pert, n, eps_n, t0))
 
         if gap_reference and n in gap_reference:
             ref = gap_reference[n]
         else:
             base0 = ctx.trajectory(f"{tag}_shell", u0k, 0.0, times)
-            ref = besov_norm(
-                _gap_field(t_u0.state_at(t0), base0.state_at(t0)), bp, part
-            )
+            ref = besov_norm(trajectory_gap(t_u0, base0, t0), bp, part)
         records.append(ResultRecord(ex, "unperturbed_gap_reference", ref, n, eps_n, t0))
         kept = pert / ref
         records.append(
@@ -736,18 +741,7 @@ def run_perturbed_gap(
         )
 
         # additivity defect and its growth-rate proxy
-        defect = besov_norm(
-            _vf_lincomb(
-                g,
-                [
-                    (1.0, t_trunc.state_at(t0)),
-                    (-1.0, t_psi.state_at(t0)),
-                    (-1.0, t_u0.state_at(t0)),
-                ],
-            ),
-            bp,
-            part,
-        )
+        defect = _additivity_defect(t_trunc, t_psi, t_u0, t0, bp, part)
         records.append(ResultRecord(ex, "additivity_defect", defect, n, eps_n, t0))
         shell_norms = [besov_norm(t_u0.state_at(t), bp, part) for t in times]
         integral = t0 / 4.0 * (
@@ -801,18 +795,7 @@ def run_perturbed_gap(
     t_trunc0 = ctx.trajectory(f"bg_n{n}_trunc_k0", w0, eps_n, [t0])
     t_psi = ctx.trajectory(f"bg_n{n}_snpsi", s_n_psi, eps_n, times)
     t_u00 = ctx.trajectory(f"bg_n{n}_shell_k0", u0_0, eps_n, [t0])
-    defect0 = besov_norm(
-        _vf_lincomb(
-            g,
-            [
-                (1.0, t_trunc0.state_at(t0)),
-                (-1.0, t_psi.state_at(t0)),
-                (-1.0, t_u00.state_at(t0)),
-            ],
-        ),
-        bp,
-        part,
-    )
+    defect0 = _additivity_defect(t_trunc0, t_psi, t_u00, t0, bp, part)
     shifted = next(
         r.value for r in records if r.quantity == "additivity_defect" and r.n == n
     )

@@ -1,17 +1,21 @@
 """Time integration of the Leray-projected system and first-order approximants.
 
 The evolved system is ``d/dt u = eps*Lap(u) - P(u . grad u)`` in spectral
-variables (``eps = 0`` gives the ideal case).  The linear heat part is applied
-exactly through its multiplier; the nonlinear part advances with classical
-RK4 on the integrating-factor transformed state, so stiffness from the
+variables (``eps = 0`` gives the ideal case).  ``evolve`` keeps the increment
+``delta(t) = u(t) - exp(t eps Lap) u0`` over the exact heat flow of the data,
+so a gap between two solutions of one datum (``trajectory_gap``) or a
+first-order remainder never subtracts two arrays of the size of ``u0``.
+Classical RK4 advances ``E = exp(-t eps Lap) delta``, the integrating factor
+anchored at t = 0 (Cox & Matthews 2002): ``d/dt E = -exp(-t eps Lap)
+P(u . grad u)`` with ``u = exp(t eps Lap)(u0 + E)``, so stiffness from the
 viscous term never enters the stability restriction.
 
 The first-order expansion ``S^eps_t(u0) = u1(t) + u2(t) + O(t^2)`` is
 computed here once: ``u1`` is the heat flow of the data, ``u2`` the Duhamel
 integral of the projected advection by composite Simpson (a strict-mode
 refinement check reuses the same integrand evaluations), and
-``first_order_remainders`` builds the four remainder fields from ``u2`` and
-the exact linear time integral ``t phi1(t eps |xi|^2)``.
+``first_order_remainders`` builds the four remainder fields from the
+increments, ``u2`` and the exact linear time integral ``t phi1(t eps |xi|^2)``.
 """
 
 from __future__ import annotations
@@ -43,6 +47,11 @@ from .spectral import (
 
 # CFL number of the adaptive step dt = min(T/64, CFL dx / max|u|)
 CFL = 0.5
+# a step whose max speed exceeds this multiple of the initial one diverged
+BLOWUP_FACTOR = 1e3
+# largest eps * T * max|xi|^2: exp(+eps t |xi|^2) stays below the largest
+# double, about exp(709.78)
+EXPONENT_LIMIT = 700.0
 
 
 @dataclass(frozen=True)
@@ -50,22 +59,15 @@ class SolverConfig:
     """Time-integration parameters.
 
     Steps are capped at T/64 and by the CFL condition; ``dt_fixed`` forces a
-    constant step (used by convergence studies) and bypasses both.
-
-    The heat part is always applied through exact multipliers.  When the
-    total exponent ``eps * T * max|xi|^2`` is moderate, the integrating
-    factor is anchored at t = 0, which makes the linear part of every
-    snapshot a single exponential of the initial data; first-order expansion
-    residuals then cancel their linear parts to the last bit.  For stiffer
-    exponents the factor is applied stepwise instead (same scheme, linear
-    part exact per step).
+    constant step (used by convergence studies) and bypasses both.  The heat
+    part is exact: the state is the heat flow of the data plus an increment
+    carried in the integrating-factor variable anchored at t = 0, so
+    ``eps * T * max|xi|^2`` of the grid may not exceed ``EXPONENT_LIMIT``.
     """
 
     eps: float
     T: float
     dt_fixed: float | None = None
-    blowup_factor: float = 1e3
-    anchor_exponent_limit: float = 60.0
 
     def __post_init__(self):
         if not (self.T > 0):
@@ -80,17 +82,23 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution of one evolution, with per-step diagnostics."""
+    """Sampled solution of one evolution, with per-step diagnostics.
+
+    ``increments[i]`` is ``u(t_i) - exp(t_i eps Lap) u0``; ``state_at`` adds
+    the heat flow of the data back, into a new field on every call.
+    """
 
     times: tuple
-    states: tuple
+    increments: tuple
     eps: float
     u0: VectorField
     diagnostics: dict = field(compare=False)
 
     def __post_init__(self):
-        for t, v in zip(self.times, self.states):
-            d = divergence_defect(v)
+        # checked on the solution: for a steady flow the increment is pure
+        # rounding, and its own relative defect says nothing
+        for t in self.times:
+            d = divergence_defect(self.state_at(t))
             if d > 1e-9:
                 raise NumericsError(
                     f"snapshot at t={t} violates the divergence-free invariant "
@@ -99,15 +107,28 @@ class Trajectory:
         if not np.isfinite(self.diagnostics["energy"]).all():
             raise NumericsError("trajectory diagnostics contain non-finite values")
 
-    @property
-    def grid(self) -> Grid:
-        return self.u0.grid
+    def increment_at(self, t: float) -> VectorField:
+        for ti, inc in zip(self.times, self.increments):
+            if abs(ti - t) <= 1e-12:
+                return inc
+        raise ValueError(f"time {t} is not among the sampled times {self.times}")
 
     def state_at(self, t: float) -> VectorField:
-        for ti, v in zip(self.times, self.states):
-            if abs(ti - t) <= 1e-12:
-                return v
-        raise ValueError(f"time {t} is not among the sampled times {self.times}")
+        g, inc = self.u0.grid, self.increment_at(t)
+        fac = heat_factor(g, t, self.eps)
+        return vector_field(g, (fac * a.coeffs + b.coeffs for a, b in zip(self.u0, inc)))
+
+
+def trajectory_gap(a: Trajectory, b: Trajectory, t: float) -> VectorField:
+    """``S^{eps_a}_t u0 - S^{eps_b}_t u0`` for two trajectories of one datum.
+
+    Formed as ``(exp(t eps_a Lap) - exp(t eps_b Lap)) u0 + (inc_a - inc_b)``,
+    which subtracts no two arrays of the size of ``u0``.
+    """
+    _check_same_data(a.u0, b)
+    g, parts = a.u0.grid, zip(a.u0, a.increment_at(t), b.increment_at(t))
+    fac = heat_factor(g, t, a.eps) - heat_factor(g, t, b.eps)
+    return vector_field(g, (fac * u.coeffs + (x.coeffs - y.coeffs) for u, x, y in parts))
 
 
 def _max_speed(u_phys) -> float:
@@ -117,12 +138,21 @@ def _max_speed(u_phys) -> float:
     return float(np.sqrt(acc.max()))
 
 
-def _nonlinear_rhs(grid: Grid, arrays, u_phys=None):
-    """-P(u . grad u) as coefficient arrays; inputs assumed dealias-safe."""
+def _nonlinear_rhs(grid: Grid, arrays, grow, u_phys=None):
+    """``-grow * P(u . grad u)`` as new arrays; inputs assumed dealias-safe."""
     V = vector_field(grid, arrays)
-    adv = advect(V, V, verify_support=False, u_phys=u_phys)
-    proj = leray_project(adv)
-    return [-c.coeffs for c in proj]
+    proj = leray_project(advect(V, V, verify_support=False, u_phys=u_phys))
+    # the projection's arrays are new and owned here
+    return [np.multiply(c.coeffs, -grow, out=c.coeffs) for c in proj]
+
+
+def _stage(out, base, enc, h, k, dec) -> None:
+    """``out = dec * ((enc + h k) + base)`` componentwise, in place."""
+    for o, u, e, ki in zip(out, base, enc, k):
+        np.multiply(ki, h, out=o)
+        o += e
+        o += u
+        o *= dec
 
 
 def evolve(
@@ -138,51 +168,45 @@ def evolve(
     targets = sorted(set(float(t) for t in sample_times)) or [cfg.T]
     if targets[0] < 0 or targets[-1] > cfg.T + 1e-15:
         raise ValueError(f"sample times {targets} must lie in [0, {cfg.T}]")
+    exponent = cfg.eps * cfg.T * float(g.k_sq.max())
+    if exponent > EXPONENT_LIMIT:
+        raise NumericsError(
+            f"heat exponent eps*T*max|xi|^2 = {exponent:.6g} exceeds "
+            f"{EXPONENT_LIMIT:g}: the integrating factor would overflow"
+        )
 
     # Galerkin projection of the data; identity for admissible inputs
-    state = [np.where(g.dealias_mask, c.coeffs, 0.0) for c in u0]
+    base = [np.where(g.dealias_mask, c.coeffs, 0.0) for c in u0]
+    enc = [np.zeros_like(a) for a in base]  # the encoded increment E, 0 at t = 0
+    s = [a.copy() for a in base]  # a stage's state; between steps, u(t)
+    # exp(-/+ eps t |xi|^2) at the current stage time
+    dec, grow = np.ones(g.spectral_shape), np.ones(g.spectral_shape)
 
-    anchored = (
-        cfg.eps > 0.0
-        and cfg.eps * cfg.T * float(g.k_sq.max()) <= cfg.anchor_exponent_limit
-    )
-    # anchored: the state variable is exp(+eps t Lap^)-encoded, so the heat
-    # flow of the data never passes through per-step multipliers; stepwise:
-    # the plain state is kept and per-step half/full factors are applied.
-    grow_acc = np.ones(g.spectral_shape) if anchored else None
-    decay_acc = np.ones(g.spectral_shape) if anchored else None
-
-    snapshots = []
-    snap_times = []
+    increments = []
     diag = {k: [] for k in ("t", "dt", "energy", "div_rel", "max_speed")}
-    speed0 = _max_speed([_inverse(c.coeffs, g) for c in u0])
-    guard = cfg.blowup_factor * max(speed0, 1e-300)
+    speed0 = _max_speed([_inverse(a, g) for a in base])
+    guard = BLOWUP_FACTOR * max(speed0, 1e-300)
 
     factor_cache = {}
 
     def factors(dt):
         if dt not in factor_cache:
-            e_half = np.exp(-cfg.eps * g.k_sq * (dt / 2.0))
-            g_half = np.exp(cfg.eps * g.k_sq * (dt / 2.0)) if anchored else None
-            factor_cache[dt] = (e_half, e_half**2, g_half)
+            x = cfg.eps * g.k_sq * (dt / 2.0)
+            factor_cache[dt] = (np.exp(-x), np.exp(x))
         return factor_cache[dt]
-
-    def plain_state():
-        return [decay_acc * a for a in state] if anchored else state
 
     t = 0.0
     for target in targets:
         while t < target - 1e-15 * cfg.T:
-            # stage 1 of RK4 needs no dt: its physical velocity gives the
-            # CFL speed and is handed on to advect
-            plain = plain_state()
-            u_phys = [_inverse(a, g) for a in plain]
+            # stage 1 of RK4 needs no dt: the physical velocity of the state
+            # gives the CFL speed and is handed on to advect
+            u_phys = [_inverse(a, g) for a in s]
             speed = _max_speed(u_phys)
             if not np.isfinite(speed):
                 raise NumericsError(f"non-finite state at t={t}")
             if speed > guard:
                 raise SolverDivergenceError(
-                    f"max speed {speed:.3e} exceeded {cfg.blowup_factor} x initial "
+                    f"max speed {speed:.3e} exceeded {BLOWUP_FACTOR:g} x initial "
                     f"at t={t}"
                 )
             if cfg.dt_fixed is not None:
@@ -195,69 +219,56 @@ def evolve(
             final_step = dt >= remaining - 1e-15 * cfg.T
             if final_step:
                 dt = remaining
-            E, E2, G = factors(dt)
+            E, G = factors(dt)
 
-            if anchored:
-                # classical RK4 on the encoded variable; the nonlinear term
-                # is decoded/encoded with the accumulated stage factors
-                d0 = decay_acc
-                d1 = d0 * E
-                d2 = d0 * E2
-                g0 = grow_acc
-                g1 = g0 * G
-                g2 = g1 * G
-
-                def rhs(arrays, dec, enc):
-                    out = _nonlinear_rhs(g, [dec * a for a in arrays])
-                    return [enc * k for k in out]
-
-                k1 = [g0 * k for k in _nonlinear_rhs(g, plain, u_phys)]
-                k2 = rhs([u + (dt / 2.0) * k for u, k in zip(state, k1)], d1, g1)
-                k3 = rhs([u + (dt / 2.0) * k for u, k in zip(state, k2)], d1, g1)
-                k4 = rhs([u + dt * k for u, k in zip(state, k3)], d2, g2)
-                state = [
-                    u + (dt / 6.0) * (a + 2.0 * (b + c) + d)
-                    for u, a, b, c, d in zip(state, k1, k2, k3, k4)
-                ]
-                grow_acc = g2
-                decay_acc = d2
-            else:
-                k1 = _nonlinear_rhs(g, plain, u_phys)
-                s1 = [E * (u + (dt / 2.0) * k) for u, k in zip(state, k1)]
-                k2 = _nonlinear_rhs(g, s1)
-                s2 = [E * u + (dt / 2.0) * k for u, k in zip(state, k2)]
-                k3 = _nonlinear_rhs(g, s2)
-                s3 = [E2 * u + dt * E * k for u, k in zip(state, k3)]
-                k4 = _nonlinear_rhs(g, s3)
-                state = [
-                    E2 * u + (dt / 6.0) * (E2 * a + 2.0 * E * (b + c) + d)
-                    for u, a, b, c, d in zip(state, k1, k2, k3, k4)
-                ]
+            # classical RK4 on E; each stage decodes its state with the
+            # accumulated decay factor and encodes the nonlinear term back,
+            # both moved on by half a step at the midpoint and at the end
+            k1 = _nonlinear_rhs(g, s, grow, u_phys)
+            dec *= E
+            grow *= G
+            _stage(s, base, enc, dt / 2.0, k1, dec)
+            k2 = _nonlinear_rhs(g, s, grow)
+            _stage(s, base, enc, dt / 2.0, k2, dec)
+            k3 = _nonlinear_rhs(g, s, grow)
+            dec *= E
+            grow *= G
+            _stage(s, base, enc, dt, k3, dec)
+            k4 = _nonlinear_rhs(g, s, grow)
+            for e, si, u, a, b, c, d in zip(enc, s, base, k1, k2, k3, k4):
+                # e += dt/6 (a + 2 (b + c) + d), then the state after the step
+                b += c
+                b *= 2.0
+                b += a
+                b += d
+                b *= dt / 6.0
+                e += b
+                np.add(e, u, out=si)
+                si *= dec
 
             t = target if final_step else t + dt
-            vf_new = vector_field(g, plain_state())
-            energy = l2_norm_spectral(vf_new)
+            state = vector_field(g, s)
+            energy = l2_norm_spectral(state)
             if not np.isfinite(energy):
                 raise NumericsError(f"non-finite state after step to t={t}")
             diag["t"].append(t)
             diag["dt"].append(dt)
             diag["energy"].append(energy)
-            diag["div_rel"].append(divergence_defect(vf_new))
+            diag["div_rel"].append(divergence_defect(state))
             diag["max_speed"].append(speed)
-        snap_times.append(target)
-        if anchored:
-            # one exact heat factor from t = 0; matches heat_propagate to the bit
-            decay_exact = heat_factor(g, target, cfg.eps)
-            snapshots.append(vector_field(g, (decay_exact * a for a in state)))
-        else:
-            snapshots.append(vector_field(g, (a.copy() for a in state)))
+        # one exact heat factor from t = 0 decodes E; the increment is taken
+        # over the heat flow of u0 itself, so it also removes what the
+        # projection dropped (zero for admissible data)
+        decay_exact = heat_factor(g, target, cfg.eps)
+        dropped = (c.coeffs - u for c, u in zip(u0, base))
+        increments.append(vector_field(g, (decay_exact * (e - r) for e, r in zip(enc, dropped))))
 
     diagnostics = {k: np.asarray(v) for k, v in diag.items()}
     if diagnostics["energy"].size == 0:
         diagnostics["energy"] = np.asarray([l2_norm_spectral(u0)])
     return Trajectory(
-        times=tuple(snap_times),
-        states=tuple(snapshots),
+        times=tuple(targets),
+        increments=tuple(increments),
         eps=cfg.eps,
         u0=u0,
         diagnostics=diagnostics,
@@ -352,11 +363,14 @@ def first_order_remainders(
 ) -> Iterator[FirstOrderRemainders]:
     """Yield the FirstOrderRemainders at each of ``times``, one at a time.
 
-    With ``pa0 = P(u0 . grad u0)``, ``F(tau) = P(u1 . grad u1)(tau)`` and
-    ``eps`` the viscosity of ``traj_eps``:
+    With ``pa0 = P(u0 . grad u0)``, ``F(tau) = P(u1 . grad u1)(tau)``,
+    ``eps`` the viscosity of ``traj_eps`` and ``delta0``, ``delta_eps`` the
+    increments of the two trajectories over the heat flow of ``u0``:
 
-    - euler: ``S0_t(u0) - u0 + t pa0`` (``traj0`` must be ideal);
-    - navier_stokes: ``S^eps_t(u0) - u1(t) - u2(t)``, with ``u2`` from
+    - euler: ``S0_t(u0) - u0 + t pa0 = delta0(t) + t pa0`` (``traj0`` must
+      be ideal);
+    - navier_stokes: ``S^eps_t(u0) - u1(t) - u2(t) = delta_eps(t) - u2(t)``,
+      since ``u1(t) = exp(t eps Lap) u0``, with ``u2`` from
       ``u2_duhamel(u0, t, eps, nodes, refine)``;
     - drift: ``int_0^t exp((t-tau) eps Lap) (F(tau) - pa0) dtau``.  Since
       ``u2 = -int_0^t exp((t-tau) eps Lap) F(tau) dtau``, this equals
@@ -380,15 +394,12 @@ def first_order_remainders(
 def _remainders_at(u0, pa0, traj0, traj_eps, t, nodes, refine):
     g = u0.grid
     eps = traj_eps.eps
-    u1 = heat_propagate(u0, t, eps)  # the first-order linear approximant
     u2 = u2_duhamel(u0, t, eps, nodes, refine=refine)
     lin = heat_integral_factor(g, t, eps)
-    s0, s_eps, comps = traj0.state_at(t), traj_eps.state_at(t), range(g.d)
+    d0, d_eps, comps = traj0.increment_at(t), traj_eps.increment_at(t), range(g.d)
     return FirstOrderRemainders(
-        euler=vector_field(g, [s0[i].coeffs - u0[i].coeffs + t * pa0[i].coeffs for i in comps]),
-        navier_stokes=vector_field(
-            g, [s_eps[i].coeffs - u1[i].coeffs - u2[i].coeffs for i in comps]
-        ),
+        euler=vector_field(g, [d0[i].coeffs + t * pa0[i].coeffs for i in comps]),
+        navier_stokes=vector_field(g, [d_eps[i].coeffs - u2[i].coeffs for i in comps]),
         drift=vector_field(g, [-u2[i].coeffs - lin * pa0[i].coeffs for i in comps]),
         heat_defect=vector_field(g, [(lin - t) * pa0[i].coeffs for i in comps]),
     )

@@ -286,3 +286,37 @@ class TestCli:
         main(["heat-law", "--config", str(cfg), "--out", str(out), "--seed", "99"])
         payload = json.loads((out / "config.echo.json").read_text())
         assert payload["seed"] == 99
+
+    def test_evolve_command_writes_each_sample_state(self, tmp_path, monkeypatch):
+        import invlab.cli as cli
+
+        contexts = []
+
+        class Recorded(cli.ExperimentContext):
+            def __init__(self, cfg):
+                super().__init__(cfg)
+                contexts.append(self)
+
+        monkeypatch.setattr(cli, "ExperimentContext", Recorded)
+        cfg = self._config(tmp_path, evolve={"n": 3})
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        (ctx,) = contexts
+        eps = 2.0**-6
+        traj = ctx.trajectory("check", ctx.datum(3), eps, [0.01, 0.02])
+        assert ctx.telemetry()["trajectory_cache"] == {"hits": 1, "misses": 1}
+        run_dir = out / "traj" / f"n3_eps{eps:g}_k0"
+        assert sorted(p.name for p in run_dir.glob("*.spf")) == ["t000.spf", "t001.spf"]
+        for i, t in enumerate(traj.times):
+            written = read_field(run_dir / f"t{i:03d}.spf")
+            for a, b in zip(written, traj.state_at(t)):
+                assert np.array_equal(a.coeffs, b.coeffs)
+        rows = (out / "records.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == 4  # energy and Besov norm at each sample time
+
+    def test_evolve_above_heat_exponent_limit_exits_3(self, tmp_path, capsys):
+        # eps * T * max|xi|^2 = 1 * 1 * 910.2 on the N = 512 datum grid
+        cfg = self._config(tmp_path, t_grid=[1.0], T0=1.0, t0=1.0, evolve={"eps": 1.0})
+        code = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "exceeds 700" in capsys.readouterr().err

@@ -19,7 +19,9 @@ from invlab.solvers import (
     SolverConfig,
     Trajectory,
     evolve,
+    EXPONENT_LIMIT,
     first_order_remainders,
+    trajectory_gap,
     u2_duhamel,
 )
 from invlab.spectral import (
@@ -27,6 +29,7 @@ from invlab.spectral import (
     SpectralField,
     VectorField,
     advect,
+    divergence_defect,
     heat_factor,
     heat_propagate,
     l2_norm_spectral,
@@ -85,8 +88,8 @@ class TestEvolve:
             )
         )
         traj = evolve(zero, SolverConfig(eps=0.1, T=0.5), [0.25, 0.5])
-        for state in traj.states:
-            assert l2_norm_spectral(state) == 0.0
+        for inc in traj.increments:
+            assert l2_norm_spectral(inc) == 0.0
 
     def test_taylor_green_viscous_decay(self):
         g = Grid(2, 64, 1.0)
@@ -101,19 +104,6 @@ class TestEvolve:
         tg = taylor_green(g)
         traj = evolve(tg, SolverConfig(eps=0.0, T=1.0), [1.0])
         assert vf_rel_diff(traj.state_at(1.0), tg) <= 1e-8
-
-    def test_anchored_and_stepwise_agree(self):
-        g = Grid(2, 64, 1.0)
-        w = taylor_green_two_mode(g)
-        samples = [0.05, 0.1]
-        a = evolve(w, SolverConfig(eps=0.02, T=0.1), samples)
-        b = evolve(
-            w,
-            SolverConfig(eps=0.02, T=0.1, anchor_exponent_limit=0.0),
-            samples,
-        )
-        for t in samples:
-            assert vf_rel_diff(a.state_at(t), b.state_at(t)) <= 1e-12
 
     def test_exact_hit_on_irregular_sample_times(self):
         g = Grid(2, 32, 1.0)
@@ -140,9 +130,30 @@ class TestEvolve:
     def test_blowup_guard_trips(self):
         g = Grid(2, 32, 1.0)
         w = taylor_green_two_mode(g)
-        cfg = SolverConfig(eps=0.0, T=10.0, dt_fixed=0.8, blowup_factor=2.0)
+        cfg = SolverConfig(eps=0.0, T=10.0, dt_fixed=0.8)
         with pytest.raises((SolverDivergenceError, NumericsError)):
             evolve(w, cfg, [10.0])
+
+    def test_heat_exponent_limit(self, monkeypatch):
+        # eps * T * max|xi|^2 = 1 * 0.5 * 2048 on Grid(2, 64, 1): refused
+        # before any step and before exp(+eps t |xi|^2) can overflow
+        import invlab.solvers as solvers
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        g = Grid(2, 64, 1.0)
+        tg = taylor_green(g)
+        monkeypatch.setattr(solvers, "_nonlinear_rhs", no_step)
+        with pytest.raises(NumericsError, match="= 1024 exceeds 700"):
+            evolve(tg, SolverConfig(eps=1.0, T=0.5), [0.5])
+        monkeypatch.undo()
+        # at the limit itself the factors stay finite: no overflow warning
+        T = EXPONENT_LIMIT / float(g.k_sq.max())
+        traj = evolve(tg, SolverConfig(eps=1.0, T=T), [T])
+        decay = np.exp(-2.0 * T)
+        ref = VectorField(tuple(SpectralField(g, decay * c.coeffs) for c in tg))
+        assert vf_rel_diff(traj.state_at(T), ref) <= 1e-6
 
     def test_energy_conservation_ideal(self):
         g = Grid(2, 64, 1.0)
@@ -185,8 +196,8 @@ class TestEvolve:
 
 
 class TestTransformCount:
-    @pytest.mark.parametrize("anchor_limit", [60.0, 0.0], ids=["anchored", "stepwise"])
-    def test_transforms_per_evolution_and_step(self, monkeypatch, anchor_limit):
+    @pytest.mark.parametrize("eps", [0.0, 0.02], ids=["ideal", "viscous"])
+    def test_transforms_per_evolution_and_step(self, monkeypatch, eps):
         # 2 inverse transforms for the initial speed guard; per RK4 step 4
         # advect calls of 2 forward and 6 inverse each, of which stage 1's
         # velocity pair also gives the CFL speed
@@ -214,7 +225,7 @@ class TestTransformCount:
                 irfftn=counted("inverse", backend.irfftn),
             ),
         )
-        cfg = SolverConfig(eps=0.02, T=0.1, anchor_exponent_limit=anchor_limit)
+        cfg = SolverConfig(eps=eps, T=0.1)
         traj = evolve(w, cfg, [0.05, 0.1])
         steps = len(traj.diagnostics["dt"])
         assert steps >= 64
@@ -225,8 +236,13 @@ class TestTrajectory:
     def test_state_lookup(self):
         g = Grid(2, 32, 1.0)
         tg = taylor_green(g)
-        traj = evolve(tg, SolverConfig(eps=0.0, T=0.1), [0.05, 0.1])
-        assert traj.state_at(0.05) is traj.states[0]
+        traj = evolve(tg, SolverConfig(eps=0.01, T=0.1), [0.05, 0.1])
+        assert traj.increment_at(0.05) is traj.increments[0]
+        factor = heat_factor(g, 0.05, 0.01)
+        for a, b, c in zip(traj.state_at(0.05), tg, traj.increments[0]):
+            assert np.array_equal(a.coeffs, factor * b.coeffs + c.coeffs)
+        with pytest.raises(ValueError):
+            traj.increment_at(0.07)
         with pytest.raises(ValueError):
             traj.state_at(0.07)
 
@@ -238,11 +254,46 @@ class TestTrajectory:
         with pytest.raises(NumericsError):
             Trajectory(
                 times=(0.0,),
-                states=(bad,),
+                increments=(bad,),
                 eps=0.0,
-                u0=bad,
+                u0=taylor_green(g),
                 diagnostics={"energy": np.array([1.0])},
             )
+
+    def test_invariant_checked_on_the_state(self):
+        # steady ideal Taylor-Green: the increment is pure rounding, with a
+        # large divergence relative to its own norm, while the state is clean
+        g = Grid(2, 64, 1.0)
+        traj = evolve(taylor_green(g), SolverConfig(eps=0.0, T=1.0), [1.0])
+        assert divergence_defect(traj.increment_at(1.0)) > 1e-9
+        assert divergence_defect(traj.state_at(1.0)) <= 1e-12
+
+
+class TestTrajectoryGap:
+    def test_matches_difference_of_states(self):
+        g = Grid(2, 64, 1.0)
+        w = taylor_green_two_mode(g)
+        a = evolve(w, SolverConfig(eps=0.02, T=0.1), [0.05, 0.1])
+        b = evolve(w, SolverConfig(eps=0.0, T=0.1), [0.05, 0.1])
+        for t in (0.05, 0.1):
+            direct = VectorField(
+                tuple(
+                    SpectralField(g, x.coeffs - y.coeffs)
+                    for x, y in zip(a.state_at(t), b.state_at(t))
+                )
+            )
+            gap = trajectory_gap(a, b, t)
+            assert vf_rel_diff(gap, direct) <= 1e-12
+            for x, y in zip(gap, trajectory_gap(b, a, t)):
+                assert np.array_equal(-x.coeffs, y.coeffs)
+            assert l2_norm_spectral(trajectory_gap(a, a, t)) == 0.0
+
+    def test_different_data_rejected(self):
+        g = Grid(2, 32, 1.0)
+        a = evolve(taylor_green(g), SolverConfig(eps=0.01, T=0.1), [0.1])
+        b = evolve(taylor_green_two_mode(g), SolverConfig(eps=0.0, T=0.1), [0.1])
+        with pytest.raises(ValueError, match="different initial data"):
+            trajectory_gap(a, b, 0.1)
 
 
 class TestFirstOrderApproximants:
@@ -347,13 +398,31 @@ class TestExpansionResiduals:
             first_order_remainders(other, traj0, traj_eps, times)
         foreign = Trajectory(
             times=traj_eps.times,
-            states=traj_eps.states,
+            increments=traj_eps.increments,
             eps=traj_eps.eps,
             u0=other,
             diagnostics=traj_eps.diagnostics,
         )
         with pytest.raises(ValueError, match="different initial data"):
             first_order_remainders(u0, traj0, foreign, times)
+
+    def test_smallest_t_remainders_independent_of_step(self, shell_setup):
+        # the Euler and NS remainders at t = 0.005 are about 1e-16 of |u0|;
+        # formed from the increments they carry no rounding of |u0|, so 8
+        # and 32 RK4 steps give the same norms
+        bp, g, u0 = shell_setup
+        t, eps = 0.005, 2.0**-6
+        norms = []
+        for steps in (8, 32):
+            traj0, traj_eps = (
+                evolve(u0, SolverConfig(eps=e, T=t, dt_fixed=t / steps), [t])
+                for e in (0.0, eps)
+            )
+            assert len(traj_eps.diagnostics["dt"]) == steps
+            (rem,) = first_order_remainders(u0, traj0, traj_eps, [t])
+            norms.append([besov_norm(rem.euler, bp), besov_norm(rem.navier_stokes, bp)])
+        for coarse, fine in zip(*norms):
+            assert coarse == pytest.approx(fine, rel=1e-8)
 
     def test_replay_from_stored_snapshot(
         self, shell_setup, shell_trajectories, shell_remainders, tmp_path
@@ -367,15 +436,15 @@ class TestExpansionResiduals:
         u0b = read_field(tmp_path / "u0.spf")
         replays = []
         for i, traj in enumerate((traj0, traj_eps)):
-            write_field(tmp_path / f"state{i}.spf", traj.state_at(t))
-            state = read_field(tmp_path / f"state{i}.spf")
+            write_field(tmp_path / f"increment{i}.spf", traj.increment_at(t))
+            inc = read_field(tmp_path / f"increment{i}.spf")
             replays.append(
                 Trajectory(
                     times=(t,),
-                    states=(state,),
+                    increments=(inc,),
                     eps=traj.eps,
                     u0=u0b,
-                    diagnostics={"energy": np.array([l2_norm_spectral(state)])},
+                    diagnostics={"energy": traj.diagnostics["energy"]},
                 )
             )
         again = remainder_norms(u0b, *replays, [t], bp)
