@@ -8,7 +8,8 @@ first-order remainder never subtracts two arrays of the size of ``u0``.
 Classical RK4 advances ``E = exp(-t eps Lap) delta``, the integrating factor
 anchored at t = 0 (Cox & Matthews 2002): ``d/dt E = -exp(-t eps Lap)
 P(u . grad u)`` with ``u = exp(t eps Lap)(u0 + E)``, so stiffness from the
-viscous term never enters the stability restriction.
+viscous term never enters the stability restriction.  The factor
+``exp(+t eps |xi|^2)`` must stay finite: ``eps T max|xi|^2`` <= ``EXPONENT_LIMIT``.
 
 The first-order expansion ``S^eps_t(u0) = u1(t) + u2(t) + O(t^2)`` is
 computed here once: ``u1`` is the heat flow of the data, ``u2`` the Duhamel
@@ -184,7 +185,7 @@ def evolve(
 
     increments = []
     diag = {k: [] for k in ("t", "dt", "energy", "div_rel", "max_speed")}
-    speed0 = _max_speed([_inverse(a, g) for a in base])
+    speed0 = _max_speed([_inverse(c.coeffs, g) for c in u0])
     guard = BLOWUP_FACTOR * max(speed0, 1e-300)
 
     factor_cache = {}

@@ -241,6 +241,10 @@ class TestTrajectory:
         factor = heat_factor(g, 0.05, 0.01)
         for a, b, c in zip(traj.state_at(0.05), tg, traj.increments[0]):
             assert np.array_equal(a.coeffs, factor * b.coeffs + c.coeffs)
+            # the rounding-level modes of tg outside the 2/3 ball, which the
+            # Galerkin projection drops, cancel exactly in the state
+            assert np.any(b.coeffs[~g.dealias_mask])
+            assert not np.any(a.coeffs[~g.dealias_mask])
         with pytest.raises(ValueError):
             traj.increment_at(0.07)
         with pytest.raises(ValueError):
