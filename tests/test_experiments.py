@@ -279,6 +279,39 @@ class TestNonlinearDrift:
 
 GOLDEN_RESIDUALS = Path(__file__).parent / "data" / "expansion_residuals_small.json"
 
+# Golden values are compared at GOLDEN_REL relative; verdicts must be equal.
+# Quantities formed by cancellation, or at the rounding level, move with the
+# rounding of the terms that cancel instead of their own size, so they get an
+# absolute tolerance scaled by those terms: ten times the largest spread
+# measured between the velocity-form and the vorticity-form nonlinear term
+# (same configs, every verdict equal), rounded up.
+GOLDEN_REL = 1e-12
+# The Euler, NS and drift remainders at t are differences of fields of size
+# t ||P(u0 . grad u0)||_B (delta0 + t pa0, delta_eps - u2, -u2 - t phi1 pa0).
+# Largest spread: 1.4e-14 of that scale (ns_duhamel_residual at t = 0.005,
+# 5.5e-28 against 0.005 * 7.8e-12; its relative spread is 3.5e-11).  The
+# heat-defect integral (t phi1 - t) pa0 is a multiplier times pa0, with no
+# cancellation of its own: its spread, 1.8e-13 relative, is that of
+# ||pa0||_B itself, and GOLDEN_REL applies.
+CANCELLING_REMAINDERS = (
+    "euler_expansion_residual", "ns_duhamel_residual", "nonlinearity_drift_integral",
+)
+REMAINDER_ATOL = 2e-13
+# validate's *_defect and *_error records and divergence_preservation are
+# rounding residues normalized by the size of their terms (scale 1).
+# Largest spread: 2.5e-15 (divergence_preservation: 2.48e-15 left by the
+# Leray projection of the velocity form, 7e-18 for the Biot-Savart velocity;
+# vortex_analytic_error moved by 1.8e-18, vortex_steady_error by 4.5e-19).
+VALIDATION_ATOL = 2.5e-14
+# stepper_convergence_order is min log2(e_M / e_2M) over step errors
+# e_16 = 4.0e-8 and e_32 = 2.5e-9 of |w0|, themselves differences of states:
+# a spread delta |w0| in them moves it by (delta/e_16 + delta/e_32) / ln 2.
+# Measured: delta = 7e-18 (e_32 moved 2.9e-9 relative), order 3.9e-9.
+ORDER_ATOL = 4e-8
+# additivity_defect (3.9e-4) is S(psi + u) - S(psi) - S(u) over states of
+# Besov norm about 0.09, so GOLDEN_REL of it is 4e-15 of the terms; its
+# measured spread is 4e-18 of them (9.8e-16 relative), and GOLDEN_REL applies.
+
 
 def simpson_weights(t, nodes):
     w = np.ones(nodes)
@@ -325,17 +358,38 @@ class TestExpansionResiduals:
             slope = by_quantity(records, f"{name}_slope")
             assert slope[0].value >= 1.8
 
-    def test_golden_records(self, residual_records):
-        # residuals bitwise; closed-form integrals and slopes at 1e-12
+    def test_golden_records(self, small_cfg, small_ctx, residual_records):
+        # remainders at REMAINDER_ATOL * t * ||pa0||_B, the rest at GOLDEN_REL;
+        # a slope of log(value) against log(t) may move by what those allow
+        from invlab.littlewood_paley import besov_norm
+        from invlab.spectral import advect, leray_project
+
         golden = json.loads(GOLDEN_RESIDUALS.read_text())
         got = [(r.quantity, r.t, r.value, r.verdict) for r in residual_records]
         assert [tuple(g[:2]) for g in golden] == [g[:2] for g in got]
+        u0 = small_ctx.datum(3)
+        pa0 = besov_norm(leray_project(advect(u0, u0)), small_cfg.bp)
+        tol = {
+            (q, t): REMAINDER_ATOL * t * pa0
+            if q in CANCELLING_REMAINDERS
+            else GOLDEN_REL * abs(float(value))
+            for q, t, value, _ in golden
+            if t is not None
+        }
         for (quantity, t, value, verdict), (_, _, v, vd) in zip(golden, got):
             assert vd == verdict, (quantity, t)
-            if quantity in ("euler_expansion_residual", "ns_duhamel_residual"):
-                assert v == float(value), (quantity, t)
+            if t is None:
+                # slope = sum_i a_i log(v_i), a_i = (x_i - mean x) / sum (x - mean x)^2
+                pts = [(tt, float(vv)) for q, tt, vv, _ in golden if f"{q}_slope" == quantity]
+                x = np.log([tt for tt, _ in pts])
+                a = (x - x.mean()) / ((x - x.mean()) ** 2).sum()
+                allowed = sum(
+                    abs(ai) * tol[(quantity[: -len("_slope")], tt)] / vv
+                    for ai, (tt, vv) in zip(a, pts)
+                )
             else:
-                assert v == pytest.approx(float(value), rel=1e-12), (quantity, t)
+                allowed = tol[(quantity, t)]
+            assert abs(v - float(value)) <= allowed, (quantity, t, v, value)
 
     def test_heat_defect_integral_matches_closed_form(self, small_cfg, small_ctx):
         # program: (t phi1(x) - t) pa0, x = t eps k^2; reference: Simpson in
@@ -477,8 +531,8 @@ GOLDEN_SMALL = Path(__file__).parent / "data" / "golden_small.json"
     ],
 )
 def test_golden_records_small(fixture, request):
-    # rows: experiment, quantity, n, eps, t, repr(value), verdict; values and
-    # verdicts must match exactly, keys in order
+    # rows: experiment, quantity, n, eps, t, repr(value), verdict; keys in
+    # order, verdicts equal, values within the tolerances above
     records = request.getfixturevalue(fixture)
     experiment = records[0].experiment
     golden = [
@@ -488,4 +542,13 @@ def test_golden_records_small(fixture, request):
         [r.experiment, r.quantity, r.n, r.eps, r.t] for r in records
     ]
     for row, r in zip(golden, records):
-        assert (repr(float(r.value)), r.verdict) == (row[5], row[6]), row[:5]
+        quantity, value = row[1], float(row[5])
+        allowed = GOLDEN_REL * abs(value)
+        if experiment == "validation" and quantity == "stepper_convergence_order":
+            allowed = ORDER_ATOL
+        elif experiment == "validation" and (
+            quantity.endswith(("_defect", "_error")) or quantity == "divergence_preservation"
+        ):
+            allowed = VALIDATION_ATOL
+        assert r.verdict == row[6], row[:5]
+        assert abs(float(r.value) - value) <= allowed, (row[:5], r.value, value)
