@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -158,6 +159,7 @@ def main(argv=None) -> int:
         return 2
 
     ctx = ExperimentContext(cfg)
+    start = time.perf_counter()
     try:
         if args.command == "make-data":
             records = _run_make_data(cfg, ctx, out_dir)
@@ -180,13 +182,10 @@ def main(argv=None) -> int:
         print(f"numeric error: {err}", file=sys.stderr)
         return 3
 
+    wall_s = time.perf_counter() - start  # the experiment alone, without the report
     constants = collect_constants(records, _CONSTANT_NAMES)
-    write_report(
-        records,
-        out_dir,
-        constants,
-        meta={"seed": cfg.seed, "mode": cfg.mode, "threads": args.threads, **ctx.telemetry()},
-    )
+    meta = {"seed": cfg.seed, "mode": cfg.mode, "threads": args.threads, "wall_s": wall_s}
+    write_report(records, out_dir, constants, meta={**meta, **ctx.telemetry()})
     counts = verdict_counts(records)
     print(
         f"{args.command}: {counts['pass']} pass, {counts['fail']} fail, "

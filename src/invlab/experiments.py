@@ -191,7 +191,7 @@ class ExperimentContext:
         self._data: dict = {}
         self._trajectories: dict = {}
         self.cache_hits = 0
-        self.evolutions: list = []  # {"N", "eps", "steps"} per evolve call
+        self.evolutions: list = []  # grid, eps and solver statistics per evolve call
 
     # -- grids -------------------------------------------------------------
 
@@ -270,9 +270,13 @@ class ExperimentContext:
             return cached
         cfg = SolverConfig(eps=eps, T=times[-1])
         traj = evolve(u0, cfg, times)
-        self.evolutions.append(
-            {"N": u0.grid.N, "eps": eps, "steps": len(traj.diagnostics["dt"])}
-        )
+        d, e0 = traj.diagnostics, l2_norm_spectral(u0)
+        stats = {"N": u0.grid.N, "eps": eps, "steps": len(d["dt"])}
+        if len(d["dt"]):  # none when only t = 0 is sampled; E is the L2 norm
+            drift = np.abs(d["energy"] - e0).max() / e0 if e0 > 0 else 0.0
+            stats.update(dt_min=float(d["dt"].min()), dt_max=float(d["dt"].max()),
+                         energy_drift=float(drift), div_rel_max=float(d["div_rel"].max()))
+        self.evolutions.append(stats)
         self._trajectories[key] = (labels, traj)
         return traj
 

@@ -1,20 +1,34 @@
 """Time integration of the Leray-projected system and first-order approximants.
 
-The evolved system is ``d/dt u = eps*Lap(u) - P(u . grad u)`` in spectral
-variables (``eps = 0`` gives the ideal case).  ``evolve`` keeps the increment
-``delta(t) = u(t) - exp(t eps Lap) u0`` over the exact heat flow of the data,
-so a gap between two solutions of one datum (``trajectory_gap``) or a
-first-order remainder never subtracts two arrays of the size of ``u0``.
-Classical RK4 advances ``E = exp(-t eps Lap) delta``, the integrating factor
-anchored at t = 0 (Cox & Matthews 2002): ``d/dt E = -exp(-t eps Lap)
-P(u . grad u)`` with ``u = exp(t eps Lap)(u0 + E)``, so stiffness from the
-viscous term never enters the stability restriction.  The factor
-``exp(+t eps |xi|^2)`` must stay finite: ``eps T max|xi|^2`` <= ``EXPONENT_LIMIT``.
+The evolved system is ``d/dt u = eps*Lap(u) - P(u . grad u)``, Galerkin-
+truncated to the 2/3-rule ball (``eps = 0`` gives the ideal case).  It is
+advanced as the vorticity ``w = d1 u2 - d2 u1``, ``d/dt w = eps*Lap(w) -
+div(u w)`` with ``u = perp_grad Lap^-1 w + u(0)`` (``Grid.biot_savart``):
+the same Galerkin system in exact arithmetic, since curl is a multiplier
+and commutes with the mask, ``curl(u . grad u) = u . grad w = div(u w)`` for
+divergence-free u, and the kept modes of a product of two fields in the
+ball are alias-free (a mode folded onto ``|m| <= (N-1)//3`` comes from
+``|m'| >= N - (N-1)//3 > 2 (N-1)//3``, beyond the product's reach).  The
+mean ``u(0)`` is constant and carried on its own.  ``vorticity_rhs`` takes
+3 inverse and 2 forward transforms and no Leray projection (velocity form:
+6, 2 and a projection).
+
+``evolve`` keeps the increment ``delta(t) = u(t) - exp(t eps Lap) u0`` over
+the exact heat flow of the data, so a gap between two solutions of one
+datum (``trajectory_gap``) or a first-order remainder never subtracts two
+arrays of the size of ``u0``.  Classical RK4 advances the vorticity
+increment in the integrating-factor variable anchored at t = 0 (Cox &
+Matthews 2002), ``E = exp(-t eps Lap)(w - exp(t eps Lap) w0)``, so stiffness
+from the viscous term never enters the stability restriction, and
+``exp(+t eps |xi|^2)`` must stay finite: ``eps T max|xi|^2`` <=
+``EXPONENT_LIMIT``.  A sample's velocity increment is the Biot-Savart image
+of the decoded E less the heat flow of the modes of ``u0`` outside the ball,
+which the Galerkin projection drops.
 
 The first-order expansion ``S^eps_t(u0) = u1(t) + u2(t) + O(t^2)`` is
 computed here once: ``u1`` is the heat flow of the data, ``u2`` the Duhamel
-integral of the projected advection by composite Simpson (a strict-mode
-refinement check reuses the same integrand evaluations), and
+integral of the same right-hand side by composite Simpson (a strict-mode
+refinement check reuses the integrand evaluations), and
 ``first_order_remainders`` builds the four remainder fields from the
 increments, ``u2`` and the exact linear time integral ``t phi1(t eps |xi|^2)``.
 """
@@ -34,14 +48,13 @@ from .errors import (
 from .spectral import (
     Grid,
     VectorField,
+    _forward,
     _inverse,
-    advect,
+    curl,
     divergence_defect,
     heat_factor,
     heat_integral_factor,
-    heat_propagate,
     l2_norm_spectral,
-    leray_project,
     vector_field,
 )
 
@@ -132,28 +145,34 @@ def trajectory_gap(a: Trajectory, b: Trajectory, t: float) -> VectorField:
     return vector_field(g, (fac * u.coeffs + (x.coeffs - y.coeffs) for u, x, y in parts))
 
 
-def _max_speed(u_phys) -> float:
-    acc = None
-    for p in u_phys:
-        acc = p**2 if acc is None else acc + p**2
-    return float(np.sqrt(acc.max()))
+def _max_speed(u1, u2) -> float:
+    return float(np.sqrt(np.max(u1**2 + u2**2)))
 
 
-def _nonlinear_rhs(grid: Grid, arrays, grow, u_phys=None):
-    """``-grow * P(u . grad u)`` as new arrays; inputs assumed dealias-safe."""
-    V = vector_field(grid, arrays)
-    proj = leray_project(advect(V, V, verify_support=False, u_phys=u_phys))
-    # the projection's arrays are new and owned here
-    return [np.multiply(c.coeffs, -grow, out=c.coeffs) for c in proj]
+def _velocity(grid: Grid, w: np.ndarray, mean) -> list:
+    """Velocity coefficient arrays of vorticity ``w`` with mean velocity ``mean``."""
+    out = [b * w for b in grid.biot_savart]
+    for c, m in zip(out, mean):
+        c[0, 0] = m
+    return out
 
 
-def _stage(out, base, enc, h, k, dec) -> None:
-    """``out = dec * ((enc + h k) + base)`` componentwise, in place."""
-    for o, u, e, ki in zip(out, base, enc, k):
-        np.multiply(ki, h, out=o)
-        o += e
-        o += u
-        o *= dec
+def vorticity_rhs(grid: Grid, w: np.ndarray, mean) -> tuple:
+    """``-div(u w)`` masked to the 2/3 ball, and the samples of ``u``.
+
+    ``u`` is the Biot-Savart velocity of the dealias-safe ``w`` plus ``mean``.
+    The result is ``-curl P(u . grad u)``; its Biot-Savart image is
+    ``-P(u . grad u)`` less its mean, which is zero in exact arithmetic.
+    """
+    u_phys = [_inverse(c, grid) for c in _velocity(grid, w, mean)]
+    w_phys = _inverse(w, grid)
+    r = _forward(u_phys[0] * w_phys, grid)
+    r *= -1j * grid.freq_axis(0)
+    f = _forward(u_phys[1] * w_phys, grid)
+    f *= 1j * grid.freq_axis(1)
+    r -= f
+    r *= grid.dealias_mask
+    return r, u_phys
 
 
 def evolve(
@@ -176,16 +195,17 @@ def evolve(
             f"{EXPONENT_LIMIT:g}: the integrating factor would overflow"
         )
 
-    # Galerkin projection of the data; identity for admissible inputs
-    base = [np.where(g.dealias_mask, c.coeffs, 0.0) for c in u0]
-    enc = [np.zeros_like(a) for a in base]  # the encoded increment E, 0 at t = 0
-    s = [a.copy() for a in base]  # a stage's state; between steps, u(t)
+    # Galerkin projection of the data's vorticity; the mean velocity is constant
+    base = np.where(g.dealias_mask, curl(u0).coeffs, 0.0)
+    mean = [c.coeffs[0, 0] for c in u0]
+    enc = np.zeros_like(base)  # the encoded increment E, 0 at t = 0
+    s = base.copy()  # a stage's state; between steps, w(t)
     # exp(-/+ eps t |xi|^2) at the current stage time
     dec, grow = np.ones(g.spectral_shape), np.ones(g.spectral_shape)
 
     increments = []
     diag = {k: [] for k in ("t", "dt", "energy", "div_rel", "max_speed")}
-    speed0 = _max_speed([_inverse(c.coeffs, g) for c in u0])
+    speed0 = _max_speed(*(_inverse(c.coeffs, g) for c in u0))
     guard = BLOWUP_FACTOR * max(speed0, 1e-300)
 
     factor_cache = {}
@@ -196,13 +216,21 @@ def evolve(
             factor_cache[dt] = (np.exp(-x), np.exp(x))
         return factor_cache[dt]
 
+    def rhs_at(h, k):
+        # the encoded right-hand side at s = dec * ((enc + h k) + base)
+        np.multiply(k, h, out=s)
+        np.add(s, enc, out=s)
+        np.add(s, base, out=s)
+        r = vorticity_rhs(g, np.multiply(s, dec, out=s), mean)[0]
+        r *= grow
+        return r
+
     t = 0.0
     for target in targets:
         while t < target - 1e-15 * cfg.T:
-            # stage 1 of RK4 needs no dt: the physical velocity of the state
-            # gives the CFL speed and is handed on to advect
-            u_phys = [_inverse(a, g) for a in s]
-            speed = _max_speed(u_phys)
+            # stage 1 of RK4 needs no dt: its velocity samples give the CFL speed
+            k1, u_phys = vorticity_rhs(g, s, mean)
+            speed = _max_speed(*u_phys)
             if not np.isfinite(speed):
                 raise NumericsError(f"non-finite state at t={t}")
             if speed > guard:
@@ -225,30 +253,26 @@ def evolve(
             # classical RK4 on E; each stage decodes its state with the
             # accumulated decay factor and encodes the nonlinear term back,
             # both moved on by half a step at the midpoint and at the end
-            k1 = _nonlinear_rhs(g, s, grow, u_phys)
+            k1 *= grow
             dec *= E
             grow *= G
-            _stage(s, base, enc, dt / 2.0, k1, dec)
-            k2 = _nonlinear_rhs(g, s, grow)
-            _stage(s, base, enc, dt / 2.0, k2, dec)
-            k3 = _nonlinear_rhs(g, s, grow)
+            k2 = rhs_at(dt / 2.0, k1)
+            k3 = rhs_at(dt / 2.0, k2)
             dec *= E
             grow *= G
-            _stage(s, base, enc, dt, k3, dec)
-            k4 = _nonlinear_rhs(g, s, grow)
-            for e, si, u, a, b, c, d in zip(enc, s, base, k1, k2, k3, k4):
-                # e += dt/6 (a + 2 (b + c) + d), then the state after the step
-                b += c
-                b *= 2.0
-                b += a
-                b += d
-                b *= dt / 6.0
-                e += b
-                np.add(e, u, out=si)
-                si *= dec
+            k4 = rhs_at(dt, k3)
+            # enc += dt/6 (k1 + 2 (k2 + k3) + k4), then the state after the step
+            k2 += k3
+            k2 *= 2.0
+            k2 += k1
+            k2 += k4
+            k2 *= dt / 6.0
+            enc += k2
+            np.add(enc, base, out=s)
+            s *= dec
 
             t = target if final_step else t + dt
-            state = vector_field(g, s)
+            state = vector_field(g, _velocity(g, s, mean))
             energy = l2_norm_spectral(state)
             if not np.isfinite(energy):
                 raise NumericsError(f"non-finite state after step to t={t}")
@@ -257,12 +281,15 @@ def evolve(
             diag["energy"].append(energy)
             diag["div_rel"].append(divergence_defect(state))
             diag["max_speed"].append(speed)
-        # one exact heat factor from t = 0 decodes E; the increment is taken
-        # over the heat flow of u0 itself, so it also removes what the
-        # projection dropped (zero for admissible data)
+        # one exact heat factor from t = 0 decodes E into a velocity of zero
+        # mean; the increment is taken over the heat flow of u0 itself, so it
+        # also removes the modes outside the 2/3 ball that the projection
+        # dropped (zero for admissible data)
         decay_exact = heat_factor(g, target, cfg.eps)
-        dropped = (c.coeffs - u for c, u in zip(u0, base))
-        increments.append(vector_field(g, (decay_exact * (e - r) for e, r in zip(enc, dropped))))
+        inc = _velocity(g, decay_exact * enc, (0.0, 0.0))
+        for c, u in zip(inc, u0):
+            c -= decay_exact * np.where(g.dealias_mask, 0.0, u.coeffs)
+        increments.append(vector_field(g, inc))
 
     diagnostics = {k: np.asarray(v) for k, v in diag.items()}
     if diagnostics["energy"].size == 0:
@@ -304,38 +331,31 @@ def u2_duhamel(
     g = u0.grid
     if nodes < 9 or nodes % 2 == 0:
         raise ValueError(f"composite Simpson needs an odd node count >= 9, got {nodes}")
-    if t == 0.0:
-        return vector_field(
-            g, (np.zeros(g.spectral_shape, dtype=np.complex128) for _ in range(g.d))
-        )
     fine_nodes = 2 * (nodes - 1) + 1 if refine else nodes
     w = _simpson_weights(t, fine_nodes)
     w_coarse = _simpson_weights(t, nodes)
-    acc = [np.zeros(g.spectral_shape, dtype=np.complex128) for _ in range(g.d)]
-    coarse = (
-        [np.zeros(g.spectral_shape, dtype=np.complex128) for _ in range(g.d)]
-        if refine
-        else None
-    )
+    # the sums run over the vorticity right-hand side -curl P(u1 . grad u1);
+    # one Biot-Savart image per sum gives the velocity
+    w0, mean = curl(u0).coeffs, [c.coeffs[0, 0] for c in u0]
+    acc = np.zeros(g.spectral_shape, dtype=np.complex128)
+    coarse = np.zeros_like(acc) if refine else None
     for i, (wi, tau) in enumerate(zip(w, np.linspace(0.0, t, fine_nodes))):
-        u1 = heat_propagate(u0, tau, eps)
-        term = leray_project(advect(u1, u1, verify_support=False))
-        back = heat_factor(g, t - tau, eps)
-        for a, c in zip(acc, term):
-            a += wi * back * c.coeffs
+        term = vorticity_rhs(g, heat_factor(g, tau, eps) * w0, mean)[0]
+        term *= heat_factor(g, t - tau, eps)
+        acc += wi * term
         if refine and i % 2 == 0:
             # tau_i on the fine grid equals tau_(i/2) on the coarse one
-            for a, c in zip(coarse, term):
-                a += w_coarse[i // 2] * back * c.coeffs
+            coarse += w_coarse[i // 2] * term
+    u2 = vector_field(g, _velocity(g, acc, (0.0, 0.0)))
     if refine:
-        diff = l2_norm_spectral(vector_field(g, (a - b for a, b in zip(coarse, acc))))
-        scale = l2_norm_spectral(vector_field(g, acc))
+        diff = l2_norm_spectral(vector_field(g, _velocity(g, coarse - acc, (0.0, 0.0))))
+        scale = l2_norm_spectral(u2)
         if scale > 0 and diff / scale > refine_tol:
             raise QuadratureError(
                 f"Duhamel quadrature not converged: doubling {nodes} nodes moved "
                 f"the result by {diff / scale:.3e} (tolerance {refine_tol})"
             )
-    return vector_field(g, (-a for a in acc))
+    return u2
 
 
 def _check_same_data(u0: VectorField, traj: Trajectory) -> None:
@@ -388,7 +408,8 @@ def first_order_remainders(
         raise ValueError(f"need an ideal (eps=0) trajectory, got eps={traj0.eps}")
     _check_same_data(u0, traj0)
     _check_same_data(u0, traj_eps)
-    pa0 = leray_project(advect(u0, u0, verify_support=False))
+    r0 = vorticity_rhs(u0.grid, curl(u0).coeffs, [c.coeffs[0, 0] for c in u0])[0]
+    pa0 = vector_field(u0.grid, (-c for c in _velocity(u0.grid, r0, (0.0, 0.0))))
     return (_remainders_at(u0, pa0, traj0, traj_eps, t, nodes, refine) for t in times)
 
 

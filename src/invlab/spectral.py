@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 import scipy.fft as _fft
@@ -128,6 +127,14 @@ class Grid:
     @cached_property
     def k_mag(self) -> np.ndarray:
         return np.sqrt(self.k_sq)
+
+    @cached_property
+    def biot_savart(self) -> tuple:
+        """Multipliers ``(i xi2, -i xi1)/|xi|^2``, 0 at xi = 0: the velocity of
+        zero mean and zero divergence whose curl is a given vorticity."""
+        inv = np.zeros(self.spectral_shape)
+        np.divide(1.0, self.k_sq, out=inv, where=self.k_sq > 0)
+        return (1j * self.freq_axis(1) * inv, -1j * self.freq_axis(0) * inv)
 
     @cached_property
     def dealias_keep(self) -> int:
@@ -283,6 +290,12 @@ def divergence(V: VectorField) -> SpectralField:
     return SpectralField(g, out)
 
 
+def curl(V: VectorField) -> SpectralField:
+    """The scalar vorticity d1 u2 - d2 u1."""
+    g, (u1, u2) = V.grid, (c.coeffs for c in V)
+    return SpectralField(g, (1j * g.freq_axis(0)) * u2 - (1j * g.freq_axis(1)) * u1)
+
+
 def perp_gradient(F: SpectralField) -> VectorField:
     """(-d2 f, d1 f); divergence-free by construction."""
     g = F.grid
@@ -327,37 +340,21 @@ def heat_propagate(V: VectorField, t: float, eps: float) -> VectorField:
 # Leray projection
 
 
-def _leray_parts(V: VectorField):
+def leray_complement(V: VectorField) -> VectorField:
+    """Q = Id - P: the gradient part; kills the mean mode."""
     g = V.grid
     ksq = g.k_sq.copy()
-    ksq[(0,) * g.d] = 1.0  # mode 0 handled explicitly below
-    div = np.zeros(g.spectral_shape, dtype=np.complex128)
-    for ax, comp in enumerate(V):
-        div += g.freq_axis(ax) * comp.coeffs
-    div /= ksq
-    return g, div
+    ksq[(0,) * g.d] = 1.0  # mode 0 set explicitly below
+    div = sum(g.freq_axis(ax) * comp.coeffs for ax, comp in enumerate(V)) / ksq
+    comps = [g.freq_axis(ax) * div for ax in range(g.d)]
+    for c in comps:
+        c[(0,) * g.d] = 0.0
+    return vector_field(g, comps)
 
 
 def leray_project(V: VectorField) -> VectorField:
     """Project onto divergence-free fields; the mean mode passes through."""
-    g, div = _leray_parts(V)
-    comps = []
-    for ax, comp in enumerate(V):
-        c = comp.coeffs - g.freq_axis(ax) * div
-        c[(0,) * g.d] = comp.coeffs[(0,) * g.d]
-        comps.append(SpectralField(g, c))
-    return VectorField(tuple(comps))
-
-
-def leray_complement(V: VectorField) -> VectorField:
-    """Q = Id - P: the gradient part; kills the mean mode."""
-    g, div = _leray_parts(V)
-    comps = []
-    for ax in range(g.d):
-        c = g.freq_axis(ax) * div
-        c[(0,) * g.d] = 0.0
-        comps.append(SpectralField(g, c))
-    return VectorField(tuple(comps))
+    return vector_field(V.grid, (c.coeffs - q.coeffs for c, q in zip(V, leray_complement(V))))
 
 
 # ---------------------------------------------------------------------------
@@ -394,29 +391,21 @@ def _require_dealias_safe(V: VectorField, name: str) -> None:
         )
 
 
-def advect(
-    u: VectorField,
-    v: VectorField,
-    verify_support: bool = True,
-    u_phys: Sequence[np.ndarray] | None = None,
-) -> VectorField:
+def advect(u: VectorField, v: VectorField) -> VectorField:
     """u . grad(v) via physical-space products of spectral derivatives.
 
     The inputs must be supported inside the 2/3-rule ball and the product is
-    truncated back to it, which makes the quadratic term alias-free.
-    ``verify_support=False`` skips the support scan for callers that
-    maintain the invariant themselves (the time stepper).
-    ``u_phys`` may hold the physical samples of ``u``'s components when the
-    caller has them already (the time stepper takes its CFL speed from them).
+    truncated back to it, which makes the quadratic term alias-free.  The
+    time stepper and the Duhamel integrand use the vorticity form
+    (``solvers.vorticity_rhs``); this velocity form serves the checks of
+    ``run_validation_suite`` and the measurements of ``run_nonlinear_drift``.
     """
     if u.grid != v.grid:
         raise ConfigError("advect requires fields on the same grid")
     g = u.grid
-    if verify_support:
-        _require_dealias_safe(u, "advecting field")
-        _require_dealias_safe(v, "advected field")
-    if u_phys is None:
-        u_phys = [_inverse(c.coeffs, g) for c in u]
+    _require_dealias_safe(u, "advecting field")
+    _require_dealias_safe(v, "advected field")
+    u_phys = [_inverse(c.coeffs, g) for c in u]
     out = []
     for i in range(g.d):
         acc = np.zeros(g.shape)

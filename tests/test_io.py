@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -250,6 +251,18 @@ class TestCli:
         runs = summary["trajectories"]
         assert sorted(r["eps"] for r in runs) == [0.0, 0.0, 0.01, 0.05]
         assert all(r["N"] == 64 and r["steps"] >= 64 for r in runs)
+        # the solver statistics of each evolution, read back: steps are
+        # capped at T/64 (T = 1 for the single-mode vortex, 0.1 otherwise)
+        for r in runs:
+            assert 0 < r["dt_min"] <= r["dt_max"] <= 1.0 / 64
+            assert 0.0 <= r["div_rel_max"] <= 1e-9
+            if r["eps"] == 0.0:
+                assert r["energy_drift"] <= 1e-7
+        # the vortex at eps = 0.01 decays as exp(-2 eps t): the L2 norm loses
+        # 1 - exp(-0.02) by t = 1
+        (decay,) = [r["energy_drift"] for r in runs if r["eps"] == 0.01]
+        assert decay == pytest.approx(-math.expm1(-0.02), rel=1e-6)
+        assert summary["wall_s"] > 0.0
 
     def test_bad_config_exits_2(self, tmp_path):
         p = tmp_path / "cfg.json"

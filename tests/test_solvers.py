@@ -23,17 +23,20 @@ from invlab.solvers import (
     first_order_remainders,
     trajectory_gap,
     u2_duhamel,
+    vorticity_rhs,
 )
 from invlab.spectral import (
     Grid,
     SpectralField,
     VectorField,
     advect,
+    curl,
     divergence_defect,
     heat_factor,
     heat_propagate,
     l2_norm_spectral,
     leray_project,
+    translate,
 )
 
 
@@ -144,7 +147,7 @@ class TestEvolve:
 
         g = Grid(2, 64, 1.0)
         tg = taylor_green(g)
-        monkeypatch.setattr(solvers, "_nonlinear_rhs", no_step)
+        monkeypatch.setattr(solvers, "vorticity_rhs", no_step)
         with pytest.raises(NumericsError, match="= 1024 exceeds 700"):
             evolve(tg, SolverConfig(eps=1.0, T=0.5), [0.5])
         monkeypatch.undo()
@@ -154,6 +157,28 @@ class TestEvolve:
         decay = np.exp(-2.0 * T)
         ref = VectorField(tuple(SpectralField(g, decay * c.coeffs) for c in tg))
         assert vf_rel_diff(traj.state_at(T), ref) <= 1e-6
+
+    def test_mean_velocity_carried_bitwise(self):
+        # Taylor-Green plus a constant flow U solves the system as the decaying
+        # vortex translated by U t; the mean itself never changes
+        g = Grid(2, 32, 1.0)
+        mean = (0.3 * g.L**2, -0.2 * g.L**2)
+
+        def with_mean(V, factor=1.0):
+            arrays = [factor * c.coeffs for c in V]
+            for a, m in zip(arrays, mean):
+                a[0, 0] = m
+            return VectorField(tuple(SpectralField(g, a) for a in arrays))
+
+        tg = taylor_green(g)
+        u0 = with_mean(tg)
+        eps, times = 0.01, (0.05, 0.1)
+        traj = evolve(u0, SolverConfig(eps=eps, T=times[-1]), times)
+        for t in times:
+            state = traj.state_at(t)
+            assert [c.coeffs[0, 0] for c in state] == list(mean)
+            moved = translate(with_mean(tg, np.exp(-2.0 * eps * t)), (0.3 * t, -0.2 * t))
+            assert vf_rel_diff(state, moved) <= 1e-12
 
     def test_energy_conservation_ideal(self):
         g = Grid(2, 64, 1.0)
@@ -199,8 +224,9 @@ class TestTransformCount:
     @pytest.mark.parametrize("eps", [0.0, 0.02], ids=["ideal", "viscous"])
     def test_transforms_per_evolution_and_step(self, monkeypatch, eps):
         # 2 inverse transforms for the initial speed guard; per RK4 step 4
-        # advect calls of 2 forward and 6 inverse each, of which stage 1's
-        # velocity pair also gives the CFL speed
+        # vorticity right-hand sides, each 3 inverse (u1, u2, w) and 2
+        # forward (u1 w, u2 w), and stage 1's u1, u2 also give the CFL speed:
+        # 4 * 2 = 8 forward and 4 * 3 = 12 inverse per step
         import invlab.spectral as spectral
 
         g = Grid(2, 32, 1.0)
@@ -229,7 +255,47 @@ class TestTransformCount:
         traj = evolve(w, cfg, [0.05, 0.1])
         steps = len(traj.diagnostics["dt"])
         assert steps >= 64
-        assert counts == {"forward": 8 * steps, "inverse": 2 + 24 * steps}
+        assert counts == {"forward": 8 * steps, "inverse": 2 + 12 * steps}
+
+
+class TestVorticityRhs:
+    def test_matches_full_spectrum_reference(self, grid, rng):
+        # P(u . grad u) in velocity form from full complex numpy transforms,
+        # on a random divergence-free field with a mean inside the 2/3 ball;
+        # the Biot-Savart image of the vorticity form must give it back
+        N, d, h = grid.N, grid.d, grid.spectral_shape[-1]
+        m = np.fft.fftfreq(N, d=1.0 / N)
+        inside = (np.abs(m[:, None]) <= grid.dealias_keep) & (
+            np.abs(m[None, :]) <= grid.dealias_keep
+        )
+        xi = (m[:, None] / grid.R, m[None, :] / grid.R)
+        k_sq = xi[0] ** 2 + xi[1] ** 2
+        to_coeffs, to_samples = grid.dx**d, (N / grid.L) ** d
+        psi = np.where(inside, np.fft.fftn(rng.standard_normal(grid.shape)) * to_coeffs, 0.0)
+        u_full = [-1j * xi[1] * psi, 1j * xi[0] * psi]
+        for c, mean in zip(u_full, (0.7, -1.3)):
+            c[0, 0] = mean * grid.L**2
+        u_phys = [np.fft.ifftn(c).real * to_samples for c in u_full]
+        adv = []
+        for ui in u_full:
+            prod = sum(
+                u_phys[j] * np.fft.ifftn(1j * xi[j] * ui).real * to_samples
+                for j in range(d)
+            )
+            adv.append(np.where(inside, np.fft.fftn(prod) * to_coeffs, 0.0))
+        div = (xi[0] * adv[0] + xi[1] * adv[1]) / np.where(k_sq > 0, k_sq, 1.0)
+        expected = [a - x * div for a, x in zip(adv, xi)]
+        for a, e in zip(expected, adv):
+            a[0, 0] = e[0, 0]
+
+        u = VectorField(tuple(SpectralField(grid, c[..., :h]) for c in u_full))
+        r, samples = vorticity_rhs(grid, curl(u).coeffs, [c.coeffs[0, 0] for c in u])
+        scale = max(np.max(np.abs(e)) for e in expected)
+        for b, e in zip(grid.biot_savart, expected):
+            assert np.max(np.abs(-b * r - e[..., :h])) <= 1e-13 * scale
+        for a, e in zip(samples, u_phys):
+            assert np.max(np.abs(a - e)) <= 1e-13 * np.max(np.abs(e))
+        assert not np.any(r[~grid.dealias_mask])
 
 
 class TestTrajectory:

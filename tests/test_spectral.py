@@ -8,6 +8,7 @@ from invlab.spectral import (
     SpectralField,
     VectorField,
     advect,
+    curl,
     divergence,
     divergence_defect,
     gradient,
@@ -107,6 +108,21 @@ class TestDerivatives:
         F = to_spectral(random_real_field(grid, rng))
         V = perp_gradient(F)
         assert divergence_defect(V) <= 1e-12
+
+    def test_biot_savart_inverts_curl(self, grid, rng):
+        # u = perp_grad psi has curl Lap psi and no mean: the multipliers give
+        # u back from its curl, and vanish at xi = 0
+        F = to_spectral(random_real_field(grid, rng))
+        u = perp_gradient(F)
+        w = curl(u)
+        assert np.max(np.abs(w.coeffs + grid.k_sq * F.coeffs)) <= 1e-12 * np.max(
+            np.abs(w.coeffs)
+        )
+        for b, c in zip(grid.biot_savart, u):
+            assert b[0, 0] == 0.0
+            assert np.max(np.abs(b * w.coeffs - c.coeffs)) <= 1e-13 * np.max(
+                np.abs(c.coeffs)
+            )
 
     def test_divergence_matches_gradient_sum(self, grid, rng):
         V = random_vector_field(grid, rng)
