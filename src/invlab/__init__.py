@@ -28,7 +28,6 @@ from .constructions import (
     taylor_green_two_mode,
 )
 from .solvers import (
-    SolverConfig,
     Trajectory,
     evolve,
     first_order_remainders,

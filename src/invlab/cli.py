@@ -41,7 +41,7 @@ from .io import (
     write_field,
     write_report,
 )
-from .littlewood_paley import besov_norm, build_partition
+from .littlewood_paley import besov_norm
 from .spectral import divergence_defect, l2_norm_spectral, set_fft_workers
 
 _EXPERIMENTS = {
@@ -87,8 +87,6 @@ def _run_make_data(cfg, ctx, out_dir: Path):
     records = []
     fields_dir = out_dir / "fields"
     for n in cfg.n_list:
-        grid = ctx.datum_grid(n)
-        part = build_partition(grid)
         u0 = ctx.datum(n)
         write_field(fields_dir / f"shell_n{n}.spf", u0)
         for k in (-1, 0, 1):
@@ -96,7 +94,7 @@ def _run_make_data(cfg, ctx, out_dir: Path):
                 ResultRecord(
                     "make_data",
                     f"initial_besov[s{k:+d}]",
-                    besov_norm(u0, cfg.bp.shifted(k), part),
+                    besov_norm(u0, cfg.bp.shifted(k)),
                     n,
                     cfg.eps_n(n),
                 )
@@ -115,12 +113,10 @@ def _run_evolve(cfg, ctx, out_dir: Path, raw_cfg: dict):
     eps = opts.get("eps")
     eps = cfg.eps_n(n) if eps is None else float(eps)
     shift = float(opts.get("shift", 0.0))
-    grid = ctx.datum_grid(n)
-    part = build_partition(grid)
     u0 = ctx.datum(n, shift=shift)
     run_id = f"n{n}_eps{eps:g}_k{shift:g}"
     traj_dir = out_dir / "traj" / run_id
-    traj = ctx.trajectory(run_id, u0, eps, cfg.t_grid)
+    traj = ctx.trajectory(u0, eps, cfg.t_grid)
     records = []
     for i, t in enumerate(traj.times):
         state = traj.state_at(t)
@@ -129,9 +125,7 @@ def _run_evolve(cfg, ctx, out_dir: Path, raw_cfg: dict):
             ResultRecord("evolve", "energy", l2_norm_spectral(state), n, eps, t)
         )
         records.append(
-            ResultRecord(
-                "evolve", "besov_norm", besov_norm(state, cfg.bp, part), n, eps, t
-            )
+            ResultRecord("evolve", "besov_norm", besov_norm(state, cfg.bp), n, eps, t)
         )
     diag = traj.diagnostics
     with open(traj_dir / "steps.csv", "w") as fh:

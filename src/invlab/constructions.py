@@ -18,7 +18,7 @@ import numpy as np
 import scipy.fft as _fft
 
 from .errors import ConfigError, ResolutionError
-from .littlewood_paley import BesovParams, besov_norm, build_partition, radial_cutoff
+from .littlewood_paley import BesovParams, besov_norm, radial_cutoff
 from .spectral import (
     Grid,
     RealField,
@@ -242,7 +242,6 @@ def background_field(
             f"dealias-safe ball |m|<={grid.dealias_keep} of N={grid.N}; "
             f"need floor(2**band * R) <= (N-1)//3"
         )
-    part = build_partition(grid)
     rng = np.random.default_rng(seed)
     # drawn on the full lattice and symmetrized there, so the stored half is
     # the spectrum of a real field
@@ -254,7 +253,7 @@ def background_field(
     envelope[mask] = kmag[mask] ** (-(bp.s + 2.0))
     stream = SpectralField(grid, raw * envelope)
     psi = perp_gradient(stream)
-    norm = besov_norm(psi, bp, part)
+    norm = besov_norm(psi, bp)
     if norm == 0.0:
         raise ConfigError("background field is identically zero; widen the band")
     return vector_field(grid, (c.coeffs / norm for c in psi))

@@ -46,7 +46,6 @@ from .littlewood_paley import (
     low_pass,
 )
 from .solvers import (
-    SolverConfig,
     Trajectory,
     evolve,
     first_order_remainders,
@@ -57,8 +56,8 @@ from .spectral import (
     RealField,
     SpectralField,
     VectorField,
-    _apply_factor,
     advect,
+    apply_multiplier,
     dealias_grid_size,
     divergence_defect,
     gradient,
@@ -250,26 +249,21 @@ class ExperimentContext:
 
     # -- trajectories --------------------------------------------------------
 
-    def trajectory(
-        self, label: str, u0: VectorField, eps: float, times: Iterable[float]
-    ) -> Trajectory:
+    def trajectory(self, u0: VectorField, eps: float, times: Iterable[float]) -> Trajectory:
         """Evolve (or reuse) the datum, sampling the given times.
 
         The cache is keyed by the datum's grid, a digest of its coefficients,
         eps and the sample times, so it returns a trajectory only for an
         identical request: the step cap T/64 depends on the horizon, so a
         longer run sampled at the same time differs in the last bits.
-        ``label`` only groups entries for ``drop_trajectories``.
         """
         times = tuple(sorted(set(float(t) for t in times)))
         key = (u0.grid, _coeff_digest(u0), eps, times)
-        labels, cached = self._trajectories.get(key, (set(), None))
-        labels.add(label)
+        cached = self._trajectories.get(key)
         if cached is not None:
             self.cache_hits += 1
             return cached
-        cfg = SolverConfig(eps=eps, T=times[-1])
-        traj = evolve(u0, cfg, times)
+        traj = evolve(u0, eps, times)
         d, e0 = traj.diagnostics, l2_norm_spectral(u0)
         stats = {"N": u0.grid.N, "eps": eps, "steps": len(d["dt"])}
         if len(d["dt"]):  # none when only t = 0 is sampled; E is the L2 norm
@@ -277,7 +271,7 @@ class ExperimentContext:
             stats.update(dt_min=float(d["dt"].min()), dt_max=float(d["dt"].max()),
                          energy_drift=float(drift), div_rel_max=float(d["div_rel"].max()))
         self.evolutions.append(stats)
-        self._trajectories[key] = (labels, traj)
+        self._trajectories[key] = traj
         return traj
 
     def telemetry(self) -> dict:
@@ -287,14 +281,12 @@ class ExperimentContext:
             "trajectories": list(self.evolutions),
         }
 
-    def drop_trajectories(self, prefix: str) -> None:
-        """Forget every trajectory requested under a label with this prefix."""
-        for key in [
-            k
-            for k, (labels, _) in self._trajectories.items()
-            if any(lab.startswith(prefix) for lab in labels)
-        ]:
-            del self._trajectories[key]
+    def drop_trajectories(self, *trajectories: Trajectory) -> None:
+        """Forget these trajectories; a later request evolves them again."""
+        self._trajectories = {
+            k: v for k, v in self._trajectories.items()
+            if not any(v is tr for tr in trajectories)
+        }
 
 
 def _coeff_digest(vf: VectorField) -> str:
@@ -326,17 +318,16 @@ def run_heat_law(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
 
     for n in cfg.n_list:
         g = ctx.datum_grid(n)
-        part = build_partition(g)
         u0 = ctx.datum(n)
         eps_n = cfg.eps_n(n)
-        u0_blocks = block_lp_norms(u0, bp.p, part)
+        u0_blocks = block_lp_norms(u0, bp.p)
         for k in (-1, 0, 1):
             bnorm = besov_from_blocks(u0_blocks, bp.shifted(k))
             if n == cfg.n_list[0]:
                 base_norm[k] = bnorm / 2.0 ** (k * n)
         for t in cfg.t_grid:
             fac = heat_factor(g, t, eps_n) - 1.0
-            blocks = block_lp_norms(_apply_factor(u0, fac), bp.p, part)
+            blocks = block_lp_norms(apply_multiplier(u0, fac), bp.p)
             for k in (-1, 0, 1):
                 q = besov_from_blocks(blocks, bp.shifted(k)) / (t * 2.0 ** (k * n))
                 q_values[(n, k, t)] = q
@@ -420,7 +411,6 @@ def run_nonlinear_drift(cfg: ExperimentConfig, ctx: ExperimentContext | None = N
             )
             continue
         resolvable.append(n)
-        part = build_partition(g)
         u0 = ctx.datum(n, grid=g)
         eps_n = cfg.eps_n(n)
         pa = advect(u0, u0)
@@ -437,16 +427,16 @@ def run_nonlinear_drift(cfg: ExperimentConfig, ctx: ExperimentContext | None = N
         a2 = []
         for t in cfg.t_grid:
             hf = heat_factor(g, t, eps_n)
-            ut = _apply_factor(u0, hf)
+            ut = apply_multiplier(u0, hf)
             drift = _gap_field(advect(ut, ut), pa)
-            blocks = block_lp_norms(drift, bp.p, part)
+            blocks = block_lp_norms(drift, bp.p)
             for k in (-1, 0, 1):
                 v = besov_from_blocks(blocks, bp.shifted(k))
                 a1[k].append(v)
                 records.append(
                     ResultRecord(ex, f"advection_drift[s{k:+d}]", v, n, eps_n, t)
                 )
-            v2 = besov_norm(_apply_factor(pa, hf - 1.0), bp, part)
+            v2 = besov_norm(apply_multiplier(pa, hf - 1.0), bp)
             a2.append(v2)
             records.append(
                 ResultRecord(ex, "heat_defect_of_advection", v2, n, eps_n, t)
@@ -494,31 +484,25 @@ _REMAINDER_LABELS = {
 }
 
 
-def run_expansion_residuals(
-    cfg: ExperimentConfig,
-    ctx: ExperimentContext | None = None,
-    n_sel: tuple | None = None,
-):
+def run_expansion_residuals(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
     ctx = ctx or ExperimentContext(cfg)
     ex = "expansion_residuals"
     bp = cfg.bp
     nodes = cfg.quadrature_nodes
     records = []
 
-    for n in n_sel or cfg.n_list:
-        g = ctx.datum_grid(n)
-        part = build_partition(g)
+    for n in cfg.n_list:
         u0 = ctx.datum(n)
         eps_n = cfg.eps_n(n)
-        traj0 = ctx.trajectory(f"u0n{n}", u0, 0.0, cfg.t_grid)
-        traj_eps = ctx.trajectory(f"u0n{n}", u0, eps_n, cfg.t_grid)
+        traj0 = ctx.trajectory(u0, 0.0, cfg.t_grid)
+        traj_eps = ctx.trajectory(u0, eps_n, cfg.t_grid)
 
         series: dict = {field: [] for field in _REMAINDER_LABELS}
         for rem in first_order_remainders(
             u0, traj0, traj_eps, cfg.t_grid, nodes, refine=(cfg.mode == "strict")
         ):
             for field in _REMAINDER_LABELS:
-                series[field].append(besov_norm(getattr(rem, field), bp, part))
+                series[field].append(besov_norm(getattr(rem, field), bp))
 
         for key, label in _REMAINDER_LABELS.items():
             for t, v in zip(cfg.t_grid, series[key]):
@@ -549,10 +533,9 @@ def run_family_gap(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
 
     for n in cfg.n_list:
         g = ctx.datum_grid(n)
-        part = build_partition(g)
         u0 = ctx.datum(n)
         eps_n = cfg.eps_n(n)
-        b0 = besov_norm(u0, bp, part)
+        b0 = besov_norm(u0, bp)
         init_norms[n] = b0
         records.append(ResultRecord(ex, "initial_besov", b0, n, eps_n))
         within = b0 / cfg.radius_bound
@@ -562,11 +545,11 @@ def run_family_gap(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
             )
         )
 
-        traj0 = ctx.trajectory(f"u0n{n}", u0, 0.0, cfg.t_grid)
-        traj_eps = ctx.trajectory(f"u0n{n}", u0, eps_n, cfg.t_grid)
+        traj0 = ctx.trajectory(u0, 0.0, cfg.t_grid)
+        traj_eps = ctx.trajectory(u0, eps_n, cfg.t_grid)
         gaps = []
         for t in cfg.t_grid:
-            d = besov_norm(trajectory_gap(traj_eps, traj0, t), bp, part)
+            d = besov_norm(trajectory_gap(traj_eps, traj0, t), bp)
             gaps.append(d)
             records.append(ResultRecord(ex, "solution_gap", d, n, eps_n, t))
         gap_at_t0[n] = gaps[cfg.t_grid.index(cfg.t0)]
@@ -574,13 +557,13 @@ def run_family_gap(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
         sup = 0.0
         for traj in (traj0, traj_eps):
             for t in traj.times:
-                sup = max(sup, besov_norm(traj.state_at(t), bp, part))
+                sup = max(sup, besov_norm(traj.state_at(t), bp))
         sup_besov[n] = sup
         records.append(ResultRecord(ex, "trajectory_besov_sup", sup, n, eps_n))
 
         # the linear heat defect is the gap's leading term
         main = besov_norm(
-            _apply_factor(u0, heat_factor(g, cfg.t0, eps_n) - 1.0), bp, part
+            apply_multiplier(u0, heat_factor(g, cfg.t0, eps_n) - 1.0), bp
         )
         records.append(
             ResultRecord(ex, "heat_defect_main_term", main, n, eps_n, cfg.t0)
@@ -604,7 +587,7 @@ def run_family_gap(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
             ResultRecord(ex, "gap_linear_floor", worst, n, eps_n, None, check(worst, lo=floor))
         )
         if n >= 5:
-            ctx.drop_trajectories(f"u0n{n}")
+            ctx.drop_trajectories(traj0, traj_eps)
 
     # over one shell the spread is 1 by construction: reported, not checked
     rates = [gap_at_t0[n] / cfg.t0 for n in cfg.n_list]
@@ -637,17 +620,15 @@ def run_fixed_datum_limit(cfg: ExperimentConfig, ctx: ExperimentContext | None =
     bp = cfg.bp
     records = []
     n = cfg.n_list[0]
-    g = ctx.datum_grid(n)
-    part = build_partition(g)
     u0 = ctx.datum(n)
-    traj0 = ctx.trajectory(f"u0n{n}", u0, 0.0, [cfg.t0])
+    traj0 = ctx.trajectory(u0, 0.0, [cfg.t0])
     records.append(ResultRecord(ex, "solution_gap_vs_eps", 0.0, n, 0.0, cfg.t0))
 
     sweep = [2.0 ** (-2 * m) for m in cfg.eps_exponents]
     gaps = []
     for eps in sweep:
-        traj = ctx.trajectory(f"u0n{n}", u0, eps, [cfg.t0])
-        d = besov_norm(trajectory_gap(traj, traj0, cfg.t0), bp, part)
+        traj = ctx.trajectory(u0, eps, [cfg.t0])
+        d = besov_norm(trajectory_gap(traj, traj0, cfg.t0), bp)
         gaps.append(d)
         records.append(ResultRecord(ex, "solution_gap_vs_eps", d, n, eps, cfg.t0))
 
@@ -676,27 +657,24 @@ def run_fixed_datum_limit(cfg: ExperimentConfig, ctx: ExperimentContext | None =
 # background-perturbed gap (translated datum on top of a smooth field)
 
 
-def _additivity_defect(t_sum, t_psi, t_u, t, bp, part) -> float:
+def _additivity_defect(t_sum, t_psi, t_u, t, bp) -> float:
     """Besov norm of S(psi + u) - S(psi) - S(u) at t, from three evolutions."""
     states = [tr.state_at(t) for tr in (t_sum, t_psi, t_u)]
-    return besov_norm(_vf_lincomb(states[0].grid, zip((1.0, -1.0, -1.0), states)), bp, part)
+    return besov_norm(_vf_lincomb(states[0].grid, zip((1.0, -1.0, -1.0), states)), bp)
 
 
 def run_perturbed_gap(
     cfg: ExperimentConfig,
     ctx: ExperimentContext | None = None,
     background: VectorField | None = None,
-    gap_reference: dict | None = None,
 ):
     """Perturbed viscous-vs-ideal gap with truncation and additivity terms.
 
     ``background`` overrides the seeded random field (used by degenerate-case
-    tests); ``gap_reference`` maps n to the unperturbed gap at t0 (computed
-    here when absent).  A shell whose low-pass S_n keeps the whole
-    background (``high_pass_background`` = 0), or whose truncation bound
-    would scale a zero constant, gets a ``truncation_not_evaluated`` record
-    (value: the vanishing factor) in place of the truncation constant or
-    bound.
+    tests).  A shell whose low-pass S_n keeps the whole background
+    (``high_pass_background`` = 0), or whose truncation bound would scale a
+    zero constant, gets a ``truncation_not_evaluated`` record (value: the
+    vanishing factor) in place of the truncation constant or bound.
     """
     ctx = ctx or ExperimentContext(cfg)
     ex = "perturbed_gap"
@@ -706,7 +684,6 @@ def run_perturbed_gap(
     if not ns:
         raise ConfigError("the background experiment needs shell indices <= 4")
     g = ctx.background_grid(max(ns))
-    part = build_partition(g)
     psi = background if background is not None else background_field(
         g, cfg.seed, cfg.psi_band, bp
     )
@@ -718,25 +695,21 @@ def run_perturbed_gap(
     for n in ns:
         eps_n = cfg.eps_n(n)
         u0k = ctx.datum(n, grid=g, shift=k_shift)
-        s_n_psi = low_pass(n, psi, part)
+        s_n_psi = low_pass(n, psi)
         w_full = _vf_lincomb(g, [(1.0, psi), (1.0, u0k)])
         w_trunc = _vf_lincomb(g, [(1.0, s_n_psi), (1.0, u0k)])
 
-        tag = f"bg_n{n}"
-        t_full_eps = ctx.trajectory(f"{tag}_full", w_full, eps_n, times)
-        t_full_0 = ctx.trajectory(f"{tag}_full", w_full, 0.0, times)
-        t_trunc = ctx.trajectory(f"{tag}_trunc", w_trunc, eps_n, times)
-        t_psi = ctx.trajectory(f"{tag}_snpsi", s_n_psi, eps_n, times)
-        t_u0 = ctx.trajectory(f"{tag}_shell", u0k, eps_n, times)
+        t_full_eps = ctx.trajectory(w_full, eps_n, times)
+        t_full_0 = ctx.trajectory(w_full, 0.0, times)
+        t_trunc = ctx.trajectory(w_trunc, eps_n, times)
+        t_psi = ctx.trajectory(s_n_psi, eps_n, times)
+        t_u0 = ctx.trajectory(u0k, eps_n, times)
 
-        pert = besov_norm(trajectory_gap(t_full_eps, t_full_0, t0), bp, part)
+        pert = besov_norm(trajectory_gap(t_full_eps, t_full_0, t0), bp)
         records.append(ResultRecord(ex, "perturbed_gap", pert, n, eps_n, t0))
 
-        if gap_reference and n in gap_reference:
-            ref = gap_reference[n]
-        else:
-            base0 = ctx.trajectory(f"{tag}_shell", u0k, 0.0, times)
-            ref = besov_norm(trajectory_gap(t_u0, base0, t0), bp, part)
+        base0 = ctx.trajectory(u0k, 0.0, times)
+        ref = besov_norm(trajectory_gap(t_u0, base0, t0), bp)
         records.append(ResultRecord(ex, "unperturbed_gap_reference", ref, n, eps_n, t0))
         kept = pert / ref
         records.append(
@@ -747,11 +720,11 @@ def run_perturbed_gap(
         )
 
         # additivity defect and its growth-rate proxy
-        defect = _additivity_defect(t_trunc, t_psi, t_u0, t0, bp, part)
+        defect = _additivity_defect(t_trunc, t_psi, t_u0, t0, bp)
         records.append(ResultRecord(ex, "additivity_defect", defect, n, eps_n, t0))
-        shell_norms = [besov_norm(t_u0.state_at(t), bp, part) for t in times]
+        shell_norms = [besov_norm(t_u0.state_at(t), bp) for t in times]
         integral = t0 / 4.0 * (
-            besov_norm(u0k, bp, part) + 2.0 * shell_norms[0] + shell_norms[1]
+            besov_norm(u0k, bp) + 2.0 * shell_norms[0] + shell_norms[1]
         )
         bound_scale = 2.0 ** (n / 2.0) * math.sqrt(integral)
         records.append(
@@ -766,10 +739,8 @@ def run_perturbed_gap(
         )
 
         # sensitivity to truncating the background above the shell
-        i1 = besov_norm(
-            _gap_field(t_full_eps.state_at(t0), t_trunc.state_at(t0)), bp, part
-        )
-        hp = besov_norm(_gap_field(psi, s_n_psi), bp, part)
+        i1 = besov_norm(_gap_field(t_full_eps.state_at(t0), t_trunc.state_at(t0)), bp)
+        hp = besov_norm(_gap_field(psi, s_n_psi), bp)
         records.append(ResultRecord(ex, "truncation_sensitivity", i1, n, eps_n, t0))
         records.append(ResultRecord(ex, "high_pass_background", hp, n, eps_n, t0))
         if hp == 0.0 or trunc_constant == 0.0:
@@ -796,12 +767,12 @@ def run_perturbed_gap(
     n = ns[0]
     eps_n = cfg.eps_n(n)
     u0_0 = ctx.datum(n, grid=g, shift=0.0)
-    s_n_psi = low_pass(n, psi, part)
+    s_n_psi = low_pass(n, psi)
     w0 = _vf_lincomb(g, [(1.0, s_n_psi), (1.0, u0_0)])
-    t_trunc0 = ctx.trajectory(f"bg_n{n}_trunc_k0", w0, eps_n, [t0])
-    t_psi = ctx.trajectory(f"bg_n{n}_snpsi", s_n_psi, eps_n, times)
-    t_u00 = ctx.trajectory(f"bg_n{n}_shell_k0", u0_0, eps_n, [t0])
-    defect0 = _additivity_defect(t_trunc0, t_psi, t_u00, t0, bp, part)
+    t_trunc0 = ctx.trajectory(w0, eps_n, [t0])
+    t_psi = ctx.trajectory(s_n_psi, eps_n, times)
+    t_u00 = ctx.trajectory(u0_0, eps_n, [t0])
+    defect0 = _additivity_defect(t_trunc0, t_psi, t_u00, t0, bp)
     shifted = next(
         r.value for r in records if r.quantity == "additivity_defect" and r.n == n
     )
@@ -861,9 +832,9 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     nf = l2_norm_spectral(f)
     worst = 0.0
     for j in range(-1, part.j_max + 1):
-        bj = dyadic_block(j, f, part)
+        bj = dyadic_block(j, f)
         for j2 in range(j + 2, part.j_max + 1):
-            worst = max(worst, l2_norm_spectral(dyadic_block(j2, bj, part)) / nf)
+            worst = max(worst, l2_norm_spectral(dyadic_block(j2, bj)) / nf)
     records.append(
         ResultRecord(
             ex, "block_orthogonality_defect", worst, verdict=check(worst, hi=1e-12)
@@ -872,7 +843,6 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
 
     # frequency-localized derivative bracket on the first datum shell
     n0 = cfg.n_list[0]
-    gd = ctx.datum_grid(n0)
     u0 = ctx.datum(n0)
     lam = 2.0**n0
     grads = []
@@ -948,13 +918,13 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
         part_n = build_partition(gd_n)
         u0n = ctx.datum(n)
         scale = l2_norm_spectral(u0n)
-        own = _rel_l2(dyadic_block(n, u0n, part_n), u0n)
+        own = _rel_l2(dyadic_block(n, u0n), u0n)
         others = max(
-            l2_norm_spectral(dyadic_block(j, u0n, part_n)) / scale
+            l2_norm_spectral(dyadic_block(j, u0n)) / scale
             for j in range(-1, part_n.j_max + 1)
             if j != n
         )
-        lp_val = l2_norm_spectral(low_pass(n, u0n, part_n)) / scale
+        lp_val = l2_norm_spectral(low_pass(n, u0n)) / scale
         records.append(
             ResultRecord(ex, "single_block_defect", own, n, verdict=check(own, hi=1e-12))
         )
@@ -971,7 +941,7 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
 
     # norm-equivalence sanity (logged, asserted finite and positive)
     zf = _random_stream(g, rng, g.dealias_keep)
-    bz = besov_norm(zf, bp, part)
+    bz = besov_norm(zf, bp)
     low = lp_norm(to_physical(zf), bp.p)
     ratio_eq = bz / max(low, 1e-300)
     records.append(
@@ -990,13 +960,12 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
             gp = ctx.product_grid(n)
         except ResolutionError:
             continue
-        part_p = build_partition(gp)
         u0p = ctx.datum(n, grid=gp)
         pa = advect(u0p, u0p)
-        bu_s = besov_norm(u0p, bp, part_p)
-        bu_sm1 = besov_norm(u0p, bp.shifted(-1), part_p)
-        ratios_prod[n] = besov_norm(pa, bp.shifted(-1), part_p) / (bu_sm1 * bu_s)
-        ratios_q[n] = besov_norm(leray_complement(pa), bp, part_p) / (bu_s * bu_s)
+        bu_s = besov_norm(u0p, bp)
+        bu_sm1 = besov_norm(u0p, bp.shifted(-1))
+        ratios_prod[n] = besov_norm(pa, bp.shifted(-1)) / (bu_sm1 * bu_s)
+        ratios_q[n] = besov_norm(leray_complement(pa), bp) / (bu_s * bu_s)
         records.append(ResultRecord(ex, "product_law_constant", ratios_prod[n], n))
         records.append(ResultRecord(ex, "gradient_part_law_constant", ratios_q[n], n))
     for name, ratios in (
@@ -1013,21 +982,21 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     # cellular-vortex solver checks
     gt = Grid(2, 64, 1.0)
     tg = taylor_green(gt)
-    traj = ctx.trajectory("vortex", tg, 0.01, [1.0])
+    traj = ctx.trajectory(tg, 0.01, [1.0])
     decay = math.exp(-2.0 * 0.01 * 1.0)
     ref = vector_field(gt, (decay * c.coeffs for c in tg))
     tg_err = _rel_l2(traj.state_at(1.0), ref)
     records.append(
         ResultRecord(ex, "vortex_analytic_error", tg_err, verdict=check(tg_err, hi=1e-6))
     )
-    traj0 = ctx.trajectory("vortex", tg, 0.0, [1.0])
+    traj0 = ctx.trajectory(tg, 0.0, [1.0])
     steady = _rel_l2(traj0.state_at(1.0), tg)
     records.append(
         ResultRecord(ex, "vortex_steady_error", steady, verdict=check(steady, hi=1e-8))
     )
 
     w0 = taylor_green_two_mode(gt)
-    trajE = ctx.trajectory("vortex_two_mode", w0, 0.0, [0.1])
+    trajE = ctx.trajectory(w0, 0.0, [0.1])
     en = trajE.diagnostics["energy"]
     e0 = l2_norm_spectral(w0)
     drift = float(np.max(np.abs(en - e0)) / e0)
@@ -1038,7 +1007,7 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     records.append(
         ResultRecord(ex, "divergence_preservation", divmax, verdict=check(divmax, hi=1e-9))
     )
-    trajV = ctx.trajectory("vortex_two_mode", w0, 0.05, [0.1])
+    trajV = ctx.trajectory(w0, 0.05, [0.1])
     env = np.concatenate([[l2_norm_spectral(w0)], trajV.diagnostics["energy"]])
     increase = float(np.max(np.diff(env)) / env[0])
     records.append(
@@ -1048,10 +1017,10 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     )
 
     T = 0.5
-    ref_state = evolve(w0, SolverConfig(eps=0.0, T=T, dt_fixed=T / 512), [T]).state_at(T)
+    ref_state = evolve(w0, 0.0, [T], dt_fixed=T / 512).state_at(T)
     errs = []
     for M in (8, 16, 32):
-        sol = evolve(w0, SolverConfig(eps=0.0, T=T, dt_fixed=T / M), [T]).state_at(T)
+        sol = evolve(w0, 0.0, [T], dt_fixed=T / M).state_at(T)
         errs.append(l2_norm_spectral(_gap_field(sol, ref_state)))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     order = min(orders)
@@ -1088,7 +1057,7 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
 
     # borderline admissible triple, reported info-only
     borderline = BesovParams(bp.d / bp.p + 1.0, bp.p, 1.0, bp.d)
-    bl = besov_norm(u0, borderline, build_partition(gd))
+    bl = besov_norm(u0, borderline)
     records.append(ResultRecord(ex, "borderline_besov", bl, n0))
     lp_u0 = lp_norm([to_physical(c) for c in u0], borderline.p)
     records.append(

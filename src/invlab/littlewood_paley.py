@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .spectral import Grid, RealField, SpectralField, VectorField, _inverse, lp_norm
+from .spectral import Grid, RealField, SpectralField, _inverse, apply_multiplier, lp_norm
 
 THETA_ONE = 0.75  # theta == 1 inside this radius
 THETA_ZERO = 4.0 / 3.0  # theta == 0 outside this radius
@@ -110,35 +110,16 @@ def build_partition(grid: Grid) -> DyadicPartition:
     return DyadicPartition(grid=grid, j_max=j)
 
 
-def _as_components(F) -> list:
-    if isinstance(F, SpectralField):
-        return [F]
-    if isinstance(F, VectorField):
-        return list(F)
-    raise ConfigError(f"expected SpectralField or VectorField, got {type(F).__name__}")
-
-
-def _apply_block(F, vals):
-    comps = [SpectralField(c.grid, c.coeffs * vals) for c in _as_components(F)]
-    if isinstance(F, SpectralField):
-        return comps[0]
-    return VectorField(tuple(comps))
-
-
-def dyadic_block(j: int, F, partition: DyadicPartition | None = None):
+def dyadic_block(j: int, F):
     """Frequency block Delta_j; j = -1 is the low ball, j >= 0 the shells."""
     if j < -1:
         raise ValueError(f"block index must be >= -1, got {j}")
-    grid = _as_components(F)[0].grid
-    part = partition or build_partition(grid)
-    return _apply_block(F, part.block_multiplier(j))
+    return apply_multiplier(F, build_partition(F.grid).block_multiplier(j))
 
 
-def low_pass(n: int, F, partition: DyadicPartition | None = None):
+def low_pass(n: int, F):
     """Cumulative low-pass S_n = theta(2**-n D)."""
-    grid = _as_components(F)[0].grid
-    part = partition or build_partition(grid)
-    return _apply_block(F, part.low_pass_multiplier(n))
+    return apply_multiplier(F, build_partition(F.grid).low_pass_multiplier(n))
 
 
 @dataclass(frozen=True)
@@ -179,8 +160,8 @@ class BesovParams:
 
 def field_support_range(F) -> tuple:
     """(min, max) |xi| carrying nonzero coefficients (relative 1e-15 floor)."""
-    comps = _as_components(F)
-    g = comps[0].grid
+    comps = [F] if isinstance(F, SpectralField) else list(F)
+    g = F.grid
     scale = max(np.max(np.abs(c.coeffs)) for c in comps)
     if scale == 0.0:
         return 0.0, 0.0
@@ -199,15 +180,15 @@ def field_support_radius(F) -> float:
     return field_support_range(F)[1]
 
 
-def block_lp_norms(F, p: float, partition: DyadicPartition | None = None) -> np.ndarray:
+def block_lp_norms(F, p: float) -> np.ndarray:
     """L^p norms of the dyadic blocks, indexed j = -1 .. j_max.
 
     A field whose support reaches beyond the radius where the partition is
     exact gets truncated blocks, and a UserWarning says so.
     """
-    comps = _as_components(F)
-    g = comps[0].grid
-    part = partition or build_partition(g)
+    comps = [F] if isinstance(F, SpectralField) else list(F)
+    g = F.grid
+    part = build_partition(g)
     r_lo, r_hi = field_support_range(F)
     if r_hi > part.coverage_radius:
         warnings.warn(
@@ -240,6 +221,6 @@ def besov_from_blocks(block_norms: np.ndarray, bp: BesovParams) -> float:
     return float(np.sum(weighted**bp.r) ** (1.0 / bp.r))
 
 
-def besov_norm(F, bp: BesovParams, partition: DyadicPartition | None = None) -> float:
+def besov_norm(F, bp: BesovParams) -> float:
     """Nonhomogeneous Besov norm; exact for fields resolved by the grid."""
-    return besov_from_blocks(block_lp_norms(F, bp.p, partition), bp)
+    return besov_from_blocks(block_lp_norms(F, bp.p), bp)

@@ -21,7 +21,8 @@ increment in the integrating-factor variable anchored at t = 0 (Cox &
 Matthews 2002), ``E = exp(-t eps Lap)(w - exp(t eps Lap) w0)``, so stiffness
 from the viscous term never enters the stability restriction, and
 ``exp(+t eps |xi|^2)`` must stay finite: ``eps T max|xi|^2`` <=
-``EXPONENT_LIMIT``.  A sample's velocity increment is the Biot-Savart image
+``EXPONENT_LIMIT``.  The horizon T is the last sample time; it also caps the
+step at T/64.  A sample's velocity increment is the Biot-Savart image
 of the decoded E less the heat flow of the modes of ``u0`` outside the ball,
 which the Galerkin projection drops.
 
@@ -51,6 +52,7 @@ from .spectral import (
     _forward,
     _inverse,
     curl,
+    divergence,
     divergence_defect,
     heat_factor,
     heat_integral_factor,
@@ -59,39 +61,16 @@ from .spectral import (
 )
 
 
-# CFL number of the adaptive step dt = min(T/64, CFL dx / max|u|)
+# CFL number of the adaptive step dt = min(T/64, CFL dx / max|u|), T the
+# last sample time
 CFL = 0.5
 # a step whose max speed exceeds this multiple of the initial one diverged
 BLOWUP_FACTOR = 1e3
-# largest eps * T * max|xi|^2: exp(+eps t |xi|^2) stays below the largest
-# double, about exp(709.78)
+# largest eps * T * max|xi|^2 (T the last sample time): exp(+eps t |xi|^2)
+# stays below the largest double, about exp(709.78)
 EXPONENT_LIMIT = 700.0
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Time-integration parameters.
-
-    Steps are capped at T/64 and by the CFL condition; ``dt_fixed`` forces a
-    constant step (used by convergence studies) and bypasses both.  The heat
-    part is exact: the state is the heat flow of the data plus an increment
-    carried in the integrating-factor variable anchored at t = 0, so
-    ``eps * T * max|xi|^2`` of the grid may not exceed ``EXPONENT_LIMIT``.
-    """
-
-    eps: float
-    T: float
-    dt_fixed: float | None = None
-
-    def __post_init__(self):
-        if not (self.T > 0):
-            raise ValueError(f"final time must be positive, got {self.T}")
-        if not (0.0 <= self.eps <= 1.0):
-            raise ValueError(f"viscosity must lie in [0, 1], got {self.eps}")
-
-    @property
-    def dt_cap(self) -> float:
-        return self.T / 64.0
+# largest relative change of u2_duhamel when its node count is doubled
+REFINE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -176,19 +155,31 @@ def vorticity_rhs(grid: Grid, w: np.ndarray, mean) -> tuple:
 
 
 def evolve(
-    u0: VectorField, cfg: SolverConfig, sample_times: Sequence[float]
+    u0: VectorField,
+    eps: float,
+    sample_times: Sequence[float],
+    dt_fixed: float | None = None,
 ) -> Trajectory:
-    """Integrate the projected system, landing exactly on the sample times."""
+    """Integrate the projected system, landing exactly on the sample times.
+
+    The horizon T is the last sample time.  Steps are capped at T/64 and by
+    the CFL condition; ``dt_fixed`` forces a constant step (for convergence
+    studies) and bypasses both.  ``eps * T * max|xi|^2`` of the grid may not
+    exceed ``EXPONENT_LIMIT``.
+    """
+    if not (0.0 <= eps <= 1.0):
+        raise ValueError(f"viscosity must lie in [0, 1], got {eps}")
     g = u0.grid
     defect = divergence_defect(u0)
     if defect > 1e-10:
         raise ValueError(
             f"initial data is not divergence-free (relative defect {defect:.3e})"
         )
-    targets = sorted(set(float(t) for t in sample_times)) or [cfg.T]
-    if targets[0] < 0 or targets[-1] > cfg.T + 1e-15:
-        raise ValueError(f"sample times {targets} must lie in [0, {cfg.T}]")
-    exponent = cfg.eps * cfg.T * float(g.k_sq.max())
+    targets = sorted(set(float(t) for t in sample_times))
+    if not targets or targets[0] < 0:
+        raise ValueError(f"need one or more sample times >= 0, got {targets}")
+    horizon = targets[-1]
+    exponent = eps * horizon * float(g.k_sq.max())
     if exponent > EXPONENT_LIMIT:
         raise NumericsError(
             f"heat exponent eps*T*max|xi|^2 = {exponent:.6g} exceeds "
@@ -212,7 +203,7 @@ def evolve(
 
     def factors(dt):
         if dt not in factor_cache:
-            x = cfg.eps * g.k_sq * (dt / 2.0)
+            x = eps * g.k_sq * (dt / 2.0)
             factor_cache[dt] = (np.exp(-x), np.exp(x))
         return factor_cache[dt]
 
@@ -227,7 +218,7 @@ def evolve(
 
     t = 0.0
     for target in targets:
-        while t < target - 1e-15 * cfg.T:
+        while t < target - 1e-15 * horizon:
             # stage 1 of RK4 needs no dt: its velocity samples give the CFL speed
             k1, u_phys = vorticity_rhs(g, s, mean)
             speed = _max_speed(*u_phys)
@@ -238,14 +229,14 @@ def evolve(
                     f"max speed {speed:.3e} exceeded {BLOWUP_FACTOR:g} x initial "
                     f"at t={t}"
                 )
-            if cfg.dt_fixed is not None:
-                dt = cfg.dt_fixed
+            if dt_fixed is not None:
+                dt = dt_fixed
             else:
-                dt = cfg.dt_cap
+                dt = horizon / 64.0
                 if speed > 0:
                     dt = min(dt, CFL * g.dx / speed)
             remaining = target - t
-            final_step = dt >= remaining - 1e-15 * cfg.T
+            final_step = dt >= remaining - 1e-15 * horizon
             if final_step:
                 dt = remaining
             E, G = factors(dt)
@@ -279,13 +270,16 @@ def evolve(
             diag["t"].append(t)
             diag["dt"].append(dt)
             diag["energy"].append(energy)
-            diag["div_rel"].append(divergence_defect(state))
+            # divergence_defect(state), without computing the energy twice
+            diag["div_rel"].append(
+                l2_norm_spectral(divergence(state)) / energy if energy > 0.0 else 0.0
+            )
             diag["max_speed"].append(speed)
         # one exact heat factor from t = 0 decodes E into a velocity of zero
         # mean; the increment is taken over the heat flow of u0 itself, so it
         # also removes the modes outside the 2/3 ball that the projection
         # dropped (zero for admissible data)
-        decay_exact = heat_factor(g, target, cfg.eps)
+        decay_exact = heat_factor(g, target, eps)
         inc = _velocity(g, decay_exact * enc, (0.0, 0.0))
         for c, u in zip(inc, u0):
             c -= decay_exact * np.where(g.dealias_mask, 0.0, u.coeffs)
@@ -297,7 +291,7 @@ def evolve(
     return Trajectory(
         times=tuple(targets),
         increments=tuple(increments),
-        eps=cfg.eps,
+        eps=eps,
         u0=u0,
         diagnostics=diagnostics,
     )
@@ -317,7 +311,6 @@ def u2_duhamel(
     eps: float,
     nodes: int = 17,
     refine: bool = False,
-    refine_tol: float = 1e-8,
 ) -> VectorField:
     """First-order nonlinear correction by composite-Simpson quadrature.
 
@@ -326,7 +319,7 @@ def u2_duhamel(
     With ``refine`` set the integrand is evaluated once on the doubled grid
     of ``2*(nodes-1)+1`` nodes: the fine sum is the result, the even-indexed
     nodes give the ``nodes``-point sum, and a relative change between the
-    two above ``refine_tol`` raises a QuadratureError.
+    two above ``REFINE_TOL`` raises a QuadratureError.
     """
     g = u0.grid
     if nodes < 9 or nodes % 2 == 0:
@@ -350,10 +343,10 @@ def u2_duhamel(
     if refine:
         diff = l2_norm_spectral(vector_field(g, _velocity(g, coarse - acc, (0.0, 0.0))))
         scale = l2_norm_spectral(u2)
-        if scale > 0 and diff / scale > refine_tol:
+        if scale > 0 and diff / scale > REFINE_TOL:
             raise QuadratureError(
                 f"Duhamel quadrature not converged: doubling {nodes} nodes moved "
-                f"the result by {diff / scale:.3e} (tolerance {refine_tol})"
+                f"the result by {diff / scale:.3e} (tolerance {REFINE_TOL})"
             )
     return u2
 

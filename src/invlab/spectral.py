@@ -266,8 +266,11 @@ def to_physical(F: SpectralField) -> RealField:
 # multipliers
 
 
-def _apply_factor(V: VectorField, factor: np.ndarray) -> VectorField:
-    return vector_field(V.grid, (c.coeffs * factor for c in V))
+def apply_multiplier(F, factor):
+    """``factor * F`` for a SpectralField, or componentwise for a VectorField."""
+    if isinstance(F, SpectralField):
+        return SpectralField(F.grid, F.coeffs * factor)
+    return vector_field(F.grid, (c.coeffs * factor for c in F))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +336,7 @@ def heat_propagate(V: VectorField, t: float, eps: float) -> VectorField:
     if t == 0.0 or eps == 0.0:
         heat_factor(V.grid, t, eps)  # argument validation only
         return V
-    return _apply_factor(V, heat_factor(V.grid, t, eps))
+    return apply_multiplier(V, heat_factor(V.grid, t, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +363,12 @@ def leray_project(V: VectorField) -> VectorField:
 # ---------------------------------------------------------------------------
 # advection
 
+# a coefficient counts as carried above this fraction of the largest one
+MODE_REL_TOL = 1e-15
 
-def max_mode_index(V: VectorField, rel_tol: float = 1e-15) -> int:
-    """Largest |m_j| carrying a coefficient above rel_tol * max|coeff|."""
+
+def max_mode_index(V: VectorField) -> int:
+    """Largest |m_j| carrying a coefficient above MODE_REL_TOL * max|coeff|."""
     g = V.grid
     scale = max(np.max(np.abs(c.coeffs)) for c in V)
     if scale == 0.0:
@@ -370,7 +376,7 @@ def max_mode_index(V: VectorField, rel_tol: float = 1e-15) -> int:
     absm = np.abs(g.modes_1d)
     worst = 0
     for c in V:
-        nz = np.abs(c.coeffs) > rel_tol * scale
+        nz = np.abs(c.coeffs) > MODE_REL_TOL * scale
         for ax in range(g.d):
             axes = tuple(a for a in range(g.d) if a != ax)
             along = nz.any(axis=axes)
@@ -418,6 +424,9 @@ def advect(u: VectorField, v: VectorField) -> VectorField:
 # ---------------------------------------------------------------------------
 # norms and translations
 
+# the sup norm is taken on a lattice this many times finer per axis
+OVERSAMPLING = 4
+
 
 def _magnitude_samples(fields) -> tuple:
     """(grid, pointwise l2 magnitude) for a scalar or sequence of scalars."""
@@ -433,13 +442,13 @@ def _magnitude_samples(fields) -> tuple:
     return grid, np.sqrt(acc)
 
 
-def _oversampled_max(grid: Grid, parts, factor: int = 4) -> float:
-    """Max of the pointwise magnitude on a spectrally refined lattice.
+def _oversampled_max(grid: Grid, parts) -> float:
+    """Max of the pointwise magnitude on an OVERSAMPLING times finer lattice.
 
     The refined field is the symmetric trigonometric interpolant: a Nyquist
     mode -N/2 of the coarse lattice is split evenly between -N/2 and +N/2.
     """
-    fine = Grid(grid.d, grid.N * factor, grid.R)
+    fine = Grid(grid.d, grid.N * OVERSAMPLING, grid.R)
     half = grid.N // 2
     rows = np.concatenate([np.arange(half), np.arange(-half, 0)])
     acc = np.zeros(fine.shape)

@@ -169,16 +169,16 @@ class TestContext:
         # the step cap T/64 depends on the horizon, so a trajectory sampled
         # at other times is another computation, even at a shared time
         from invlab.constructions import taylor_green_two_mode
-        from invlab.solvers import SolverConfig, evolve
+        from invlab.solvers import evolve
 
         ctx = ExperimentContext(small_cfg)
         u0 = taylor_green_two_mode(ctx.grid(32))
-        first = ctx.trajectory("probe", u0, 1e-3, [0.02, 0.01])
-        assert ctx.trajectory("probe", u0, 1e-3, [0.01, 0.02]) is first
+        first = ctx.trajectory(u0, 1e-3, [0.02, 0.01])
+        assert ctx.trajectory(u0, 1e-3, [0.01, 0.02]) is first
         assert ctx.cache_hits == 1
-        subset = ctx.trajectory("probe", u0, 1e-3, [0.01])
+        subset = ctx.trajectory(u0, 1e-3, [0.01])
         assert subset is not first and subset.times == (0.01,)
-        fresh = evolve(u0, SolverConfig(eps=1e-3, T=0.01), [0.01])
+        fresh = evolve(u0, 1e-3, [0.01])
         for a, b in zip(subset.state_at(0.01), fresh.state_at(0.01)):
             assert np.array_equal(a.coeffs, b.coeffs)
         assert ctx.telemetry()["trajectory_cache"] == {"hits": 1, "misses": 2}
@@ -188,13 +188,26 @@ class TestContext:
 
         ctx = ExperimentContext(small_cfg)
         g = ctx.grid(32)
-        ta = ctx.trajectory("probe", taylor_green(g), 1e-3, [0.01])
-        tb = ctx.trajectory("probe", taylor_green(g, amplitude=0.5), 1e-3, [0.01])
+        ta = ctx.trajectory(taylor_green(g), 1e-3, [0.01])
+        tb = ctx.trajectory(taylor_green(g, amplitude=0.5), 1e-3, [0.01])
         assert tb is not ta
         assert not np.array_equal(
             ta.state_at(0.01)[0].coeffs, tb.state_at(0.01)[0].coeffs
         )
-        assert ctx.trajectory("other", taylor_green(g), 1e-3, [0.01]) is ta
+        assert ctx.trajectory(taylor_green(g), 1e-3, [0.01]) is ta
+
+    def test_drop_trajectories_forgets_only_the_given(self, small_cfg):
+        from invlab.constructions import taylor_green
+
+        ctx = ExperimentContext(small_cfg)
+        g = ctx.grid(32)
+        a, b = taylor_green(g), taylor_green(g, amplitude=0.5)
+        ta = ctx.trajectory(a, 1e-3, [0.01])
+        tb = ctx.trajectory(b, 1e-3, [0.01])
+        ctx.drop_trajectories(ta)
+        assert ctx.trajectory(b, 1e-3, [0.01]) is tb
+        assert ctx.trajectory(a, 1e-3, [0.01]) is not ta
+        assert ctx.telemetry()["trajectory_cache"] == {"hits": 1, "misses": 3}
 
 
 class TestHeatLaw:
@@ -343,8 +356,8 @@ def remainders_at(cfg, ctx, t):
     from invlab.spectral import advect, leray_project
 
     u0 = ctx.datum(3)
-    traj0 = ctx.trajectory("u0n3", u0, 0.0, cfg.t_grid)
-    traj_eps = ctx.trajectory("u0n3", u0, cfg.eps_n(3), cfg.t_grid)
+    traj0 = ctx.trajectory(u0, 0.0, cfg.t_grid)
+    traj_eps = ctx.trajectory(u0, cfg.eps_n(3), cfg.t_grid)
     (rem,) = first_order_remainders(
         u0, traj0, traj_eps, [t], cfg.quadrature_nodes
     )

@@ -316,7 +316,7 @@ class TestCli:
         assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
         (ctx,) = contexts
         eps = 2.0**-6
-        traj = ctx.trajectory("check", ctx.datum(3), eps, [0.01, 0.02])
+        traj = ctx.trajectory(ctx.datum(3), eps, [0.01, 0.02])
         assert ctx.telemetry()["trajectory_cache"] == {"hits": 1, "misses": 1}
         run_dir = out / "traj" / f"n3_eps{eps:g}_k0"
         assert sorted(p.name for p in run_dir.glob("*.spf")) == ["t000.spf", "t001.spf"]

@@ -95,7 +95,7 @@ class TestBlocks:
             part = build_partition(g)
             u0 = shell_velocity(ShellDatum(n, bp), g)
             scale = l2_norm_spectral(u0)
-            own = dyadic_block(n, u0, part)
+            own = dyadic_block(n, u0)
             diff = np.sqrt(
                 sum(
                     np.sum(np.abs(a.coeffs - b.coeffs) ** 2)
@@ -106,7 +106,7 @@ class TestBlocks:
             for j in range(-1, part.j_max + 1):
                 if j != n:
                     assert (
-                        l2_norm_spectral(dyadic_block(j, u0, part))
+                        l2_norm_spectral(dyadic_block(j, u0))
                         <= 1e-12 * scale
                     )
 
@@ -129,11 +129,11 @@ class TestBlocks:
         F = to_spectral(random_real_field(grid, rng))
         nf = l2_norm_spectral(F)
         for j in range(-1, part.j_max + 1):
-            bj = dyadic_block(j, F, part)
+            bj = dyadic_block(j, F)
             for j2 in range(-1, part.j_max + 1):
                 if abs(j - j2) >= 2:
                     assert (
-                        l2_norm_spectral(dyadic_block(j2, bj, part)) <= 1e-12 * nf
+                        l2_norm_spectral(dyadic_block(j2, bj)) <= 1e-12 * nf
                     )
 
     def test_block_sum_reconstructs_band_limited_field(self, grid, rng):
@@ -143,7 +143,7 @@ class TestBlocks:
         F = SpectralField(grid, np.where(keep, F.coeffs, 0.0))
         total = np.zeros(grid.spectral_shape, dtype=complex)
         for j in range(-1, part.j_max + 1):
-            total += dyadic_block(j, F, part).coeffs
+            total += dyadic_block(j, F).coeffs
         assert np.max(np.abs(total - F.coeffs)) <= 1e-12 * np.max(np.abs(F.coeffs))
 
 
@@ -225,7 +225,7 @@ class TestBesovNorm:
         # physical-quadrature path against the direct coefficient sums
         u0 = shell_velocity(ShellDatum(3, bp), lab_grid)
         part = build_partition(lab_grid)
-        impl = block_lp_norms(u0, 2.0, part)
+        impl = block_lp_norms(u0, 2.0)
         w = half_spectrum_weights(lab_grid)
         for j in range(-1, part.j_max + 1):
             vals = part.block_multiplier(j)
@@ -276,16 +276,15 @@ class TestProductLawConstants:
         ratios, qratios = {}, {}
         for n, N in ((3, 1024), (4, 2048)):
             g = Grid(2, N, 12.0)
-            part = build_partition(g)
             u0 = shell_velocity(ShellDatum(n, bp), g)
             pa = advect(u0, u0)
-            bs = besov_norm(u0, bp, part)
-            bsm1 = besov_norm(u0, BesovParams(bp.s - 1, bp.p, bp.r, bp.d), part)
+            bs = besov_norm(u0, bp)
+            bsm1 = besov_norm(u0, BesovParams(bp.s - 1, bp.p, bp.r, bp.d))
             ratios[n] = (
-                besov_norm(pa, BesovParams(bp.s - 1, bp.p, bp.r, bp.d), part)
+                besov_norm(pa, BesovParams(bp.s - 1, bp.p, bp.r, bp.d))
                 / (bsm1 * bs)
             )
-            qratios[n] = besov_norm(leray_complement(pa), bp, part) / bs**2
+            qratios[n] = besov_norm(leray_complement(pa), bp) / bs**2
         # the constants in the product and gradient-part estimates must not
         # grow along the family (the measured values in fact decay; see the
         # decisions ledger)

@@ -16,7 +16,6 @@ from invlab.errors import (
 )
 from invlab.littlewood_paley import BesovParams, besov_norm
 from invlab.solvers import (
-    SolverConfig,
     Trajectory,
     evolve,
     EXPONENT_LIMIT,
@@ -65,23 +64,33 @@ def shell_trajectories(shell_setup):
     bp, g, u0 = shell_setup
     times = (0.005, 0.01, 0.02, 0.04)
     eps = 2.0**-6
-    traj0 = evolve(u0, SolverConfig(eps=0.0, T=times[-1]), times)
-    traj_eps = evolve(u0, SolverConfig(eps=eps, T=times[-1]), times)
+    traj0 = evolve(u0, 0.0, times)
+    traj_eps = evolve(u0, eps, times)
     return times, eps, traj0, traj_eps
 
 
-class TestSolverConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(eps=0.1, T=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(eps=1.5, T=1.0)
-
-    def test_default_step_cap(self):
-        assert SolverConfig(eps=0.0, T=0.64).dt_cap == pytest.approx(0.01)
-
-
 class TestEvolve:
+    def test_rejects_viscosity_outside_unit_interval(self):
+        tg = taylor_green(Grid(2, 32, 1.0))
+        for eps in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="viscosity"):
+                evolve(tg, eps, [0.1])
+
+    def test_rejects_negative_or_no_sample_times(self):
+        tg = taylor_green(Grid(2, 32, 1.0))
+        for times in ([-0.1, 0.1], []):
+            with pytest.raises(ValueError, match="sample times"):
+                evolve(tg, 0.0, times)
+
+    def test_default_step_is_horizon_over_64(self):
+        # the horizon is the last sample time, 0.64, so the step cap is 0.01;
+        # the CFL step 0.5 dx / max|u| of Taylor-Green on this grid is larger
+        tg = taylor_green(Grid(2, 16, 1.0))
+        traj = evolve(tg, 0.0, [0.64, 0.16])
+        dt = traj.diagnostics["dt"]
+        assert len(dt) == 64
+        assert dt == pytest.approx(np.full(64, 0.01), rel=1e-12)
+
     def test_zero_data_stays_zero(self):
         g = Grid(2, 32, 1.0)
         zero = VectorField(
@@ -90,14 +99,14 @@ class TestEvolve:
                 for _ in range(2)
             )
         )
-        traj = evolve(zero, SolverConfig(eps=0.1, T=0.5), [0.25, 0.5])
+        traj = evolve(zero, 0.1, [0.25, 0.5])
         for inc in traj.increments:
             assert l2_norm_spectral(inc) == 0.0
 
     def test_taylor_green_viscous_decay(self):
         g = Grid(2, 64, 1.0)
         tg = taylor_green(g)
-        traj = evolve(tg, SolverConfig(eps=0.01, T=1.0), [1.0])
+        traj = evolve(tg, 0.01, [1.0])
         decay = np.exp(-2.0 * 0.01)
         ref = VectorField(tuple(SpectralField(g, decay * c.coeffs) for c in tg))
         assert vf_rel_diff(traj.state_at(1.0), ref) <= 1e-6
@@ -105,13 +114,13 @@ class TestEvolve:
     def test_taylor_green_ideal_steady(self):
         g = Grid(2, 64, 1.0)
         tg = taylor_green(g)
-        traj = evolve(tg, SolverConfig(eps=0.0, T=1.0), [1.0])
+        traj = evolve(tg, 0.0, [1.0])
         assert vf_rel_diff(traj.state_at(1.0), tg) <= 1e-8
 
     def test_exact_hit_on_irregular_sample_times(self):
         g = Grid(2, 32, 1.0)
         tg = taylor_green(g)
-        traj = evolve(tg, SolverConfig(eps=0.01, T=0.1), [0.013, 0.071, 0.1])
+        traj = evolve(tg, 0.01, [0.013, 0.071, 0.1])
         assert traj.times == (0.013, 0.071, 0.1)
         assert np.isclose(traj.diagnostics["t"], 0.013, atol=1e-15).any()
 
@@ -122,20 +131,13 @@ class TestEvolve:
 
         V = gradient(to_spectral(RealField(g, rng.standard_normal(g.shape))))
         with pytest.raises(ValueError):
-            evolve(V, SolverConfig(eps=0.0, T=0.1), [0.1])
-
-    def test_rejects_sample_times_outside_horizon(self):
-        g = Grid(2, 32, 1.0)
-        tg = taylor_green(g)
-        with pytest.raises(ValueError):
-            evolve(tg, SolverConfig(eps=0.0, T=0.1), [0.2])
+            evolve(V, 0.0, [0.1])
 
     def test_blowup_guard_trips(self):
         g = Grid(2, 32, 1.0)
         w = taylor_green_two_mode(g)
-        cfg = SolverConfig(eps=0.0, T=10.0, dt_fixed=0.8)
         with pytest.raises((SolverDivergenceError, NumericsError)):
-            evolve(w, cfg, [10.0])
+            evolve(w, 0.0, [10.0], dt_fixed=0.8)
 
     def test_heat_exponent_limit(self, monkeypatch):
         # eps * T * max|xi|^2 = 1 * 0.5 * 2048 on Grid(2, 64, 1): refused
@@ -149,11 +151,11 @@ class TestEvolve:
         tg = taylor_green(g)
         monkeypatch.setattr(solvers, "vorticity_rhs", no_step)
         with pytest.raises(NumericsError, match="= 1024 exceeds 700"):
-            evolve(tg, SolverConfig(eps=1.0, T=0.5), [0.5])
+            evolve(tg, 1.0, [0.5])
         monkeypatch.undo()
         # at the limit itself the factors stay finite: no overflow warning
         T = EXPONENT_LIMIT / float(g.k_sq.max())
-        traj = evolve(tg, SolverConfig(eps=1.0, T=T), [T])
+        traj = evolve(tg, 1.0, [T])
         decay = np.exp(-2.0 * T)
         ref = VectorField(tuple(SpectralField(g, decay * c.coeffs) for c in tg))
         assert vf_rel_diff(traj.state_at(T), ref) <= 1e-6
@@ -173,7 +175,7 @@ class TestEvolve:
         tg = taylor_green(g)
         u0 = with_mean(tg)
         eps, times = 0.01, (0.05, 0.1)
-        traj = evolve(u0, SolverConfig(eps=eps, T=times[-1]), times)
+        traj = evolve(u0, eps, times)
         for t in times:
             state = traj.state_at(t)
             assert [c.coeffs[0, 0] for c in state] == list(mean)
@@ -183,31 +185,31 @@ class TestEvolve:
     def test_energy_conservation_ideal(self):
         g = Grid(2, 64, 1.0)
         w = taylor_green_two_mode(g)
-        traj = evolve(w, SolverConfig(eps=0.0, T=0.1), [0.1])
+        traj = evolve(w, 0.0, [0.1])
         e0 = l2_norm_spectral(w)
         assert np.max(np.abs(traj.diagnostics["energy"] - e0)) <= 1e-7 * e0
 
     def test_energy_monotone_viscous(self):
         g = Grid(2, 64, 1.0)
         w = taylor_green_two_mode(g)
-        traj = evolve(w, SolverConfig(eps=0.05, T=0.1), [0.1])
+        traj = evolve(w, 0.05, [0.1])
         en = np.concatenate([[l2_norm_spectral(w)], traj.diagnostics["energy"]])
         assert np.max(np.diff(en)) <= 1e-12 * en[0]
 
     def test_divergence_preserved(self):
         g = Grid(2, 64, 1.0)
         w = taylor_green_two_mode(g)
-        traj = evolve(w, SolverConfig(eps=0.01, T=0.1), [0.1])
+        traj = evolve(w, 0.01, [0.1])
         assert traj.diagnostics["div_rel"].max() <= 1e-9
 
     def test_self_convergence_order(self):
         g = Grid(2, 64, 1.0)
         w = taylor_green_two_mode(g)
         T = 0.5
-        ref = evolve(w, SolverConfig(eps=0.0, T=T, dt_fixed=T / 512), [T]).state_at(T)
+        ref = evolve(w, 0.0, [T], dt_fixed=T / 512).state_at(T)
         errs = []
         for M in (8, 16, 32):
-            sol = evolve(w, SolverConfig(eps=0.0, T=T, dt_fixed=T / M), [T]).state_at(T)
+            sol = evolve(w, 0.0, [T], dt_fixed=T / M).state_at(T)
             errs.append(
                 np.sqrt(
                     sum(
@@ -251,8 +253,7 @@ class TestTransformCount:
                 irfftn=counted("inverse", backend.irfftn),
             ),
         )
-        cfg = SolverConfig(eps=eps, T=0.1)
-        traj = evolve(w, cfg, [0.05, 0.1])
+        traj = evolve(w, eps, [0.05, 0.1])
         steps = len(traj.diagnostics["dt"])
         assert steps >= 64
         assert counts == {"forward": 8 * steps, "inverse": 2 + 12 * steps}
@@ -302,7 +303,7 @@ class TestTrajectory:
     def test_state_lookup(self):
         g = Grid(2, 32, 1.0)
         tg = taylor_green(g)
-        traj = evolve(tg, SolverConfig(eps=0.01, T=0.1), [0.05, 0.1])
+        traj = evolve(tg, 0.01, [0.05, 0.1])
         assert traj.increment_at(0.05) is traj.increments[0]
         factor = heat_factor(g, 0.05, 0.01)
         for a, b, c in zip(traj.state_at(0.05), tg, traj.increments[0]):
@@ -334,7 +335,7 @@ class TestTrajectory:
         # steady ideal Taylor-Green: the increment is pure rounding, with a
         # large divergence relative to its own norm, while the state is clean
         g = Grid(2, 64, 1.0)
-        traj = evolve(taylor_green(g), SolverConfig(eps=0.0, T=1.0), [1.0])
+        traj = evolve(taylor_green(g), 0.0, [1.0])
         assert divergence_defect(traj.increment_at(1.0)) > 1e-9
         assert divergence_defect(traj.state_at(1.0)) <= 1e-12
 
@@ -343,8 +344,8 @@ class TestTrajectoryGap:
     def test_matches_difference_of_states(self):
         g = Grid(2, 64, 1.0)
         w = taylor_green_two_mode(g)
-        a = evolve(w, SolverConfig(eps=0.02, T=0.1), [0.05, 0.1])
-        b = evolve(w, SolverConfig(eps=0.0, T=0.1), [0.05, 0.1])
+        a = evolve(w, 0.02, [0.05, 0.1])
+        b = evolve(w, 0.0, [0.05, 0.1])
         for t in (0.05, 0.1):
             direct = VectorField(
                 tuple(
@@ -360,8 +361,8 @@ class TestTrajectoryGap:
 
     def test_different_data_rejected(self):
         g = Grid(2, 32, 1.0)
-        a = evolve(taylor_green(g), SolverConfig(eps=0.01, T=0.1), [0.1])
-        b = evolve(taylor_green_two_mode(g), SolverConfig(eps=0.0, T=0.1), [0.1])
+        a = evolve(taylor_green(g), 0.01, [0.1])
+        b = evolve(taylor_green_two_mode(g), 0.0, [0.1])
         with pytest.raises(ValueError, match="different initial data"):
             trajectory_gap(a, b, 0.1)
 
@@ -410,10 +411,13 @@ class TestFirstOrderApproximants:
         b = u2_duhamel(u0, 0.02, eps, nodes=33)
         assert vf_rel_diff(a, b) <= 1e-8
 
-    def test_u2_refinement_failure_raises(self, shell_setup):
+    def test_u2_refinement_failure_raises(self, shell_setup, monkeypatch):
+        import invlab.solvers as solvers
+
         bp, g, u0 = shell_setup
+        monkeypatch.setattr(solvers, "REFINE_TOL", 1e-30)
         with pytest.raises(QuadratureError):
-            u2_duhamel(u0, 0.02, 2.0**-6, nodes=9, refine=True, refine_tol=1e-30)
+            u2_duhamel(u0, 0.02, 2.0**-6, nodes=9, refine=True)
 
 
 def remainder_norms(u0, traj0, traj_eps, times, bp):
@@ -436,8 +440,8 @@ class TestExpansionResiduals:
     def test_zero_time_residuals(self, shell_setup):
         # sampling only t = 0 takes no step, so the data pass through evolve
         bp, g, u0 = shell_setup
-        traj0 = evolve(u0, SolverConfig(eps=0.0, T=0.01), [0.0])
-        traj_eps = evolve(u0, SolverConfig(eps=2.0**-6, T=0.01), [0.0])
+        traj0 = evolve(u0, 0.0, [0.0])
+        traj_eps = evolve(u0, 2.0**-6, [0.0])
         norms = remainder_norms(u0, traj0, traj_eps, [0.0], bp)
         assert set(norms) == {"euler", "navier_stokes", "drift", "heat_defect"}
         for name, (value,) in norms.items():
@@ -485,7 +489,7 @@ class TestExpansionResiduals:
         norms = []
         for steps in (8, 32):
             traj0, traj_eps = (
-                evolve(u0, SolverConfig(eps=e, T=t, dt_fixed=t / steps), [t])
+                evolve(u0, e, [t], dt_fixed=t / steps)
                 for e in (0.0, eps)
             )
             assert len(traj_eps.diagnostics["dt"]) == steps
