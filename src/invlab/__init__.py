@@ -38,7 +38,6 @@ from .spectral import (
     Grid,
     RealField,
     SpectralField,
-    VectorField,
     advect,
     divergence,
     divergence_defect,

@@ -23,13 +23,12 @@ from .spectral import (
     Grid,
     RealField,
     SpectralField,
-    VectorField,
     _conj_mirror,
     dealias_grid_size,
     get_fft_workers,
     perp_gradient,
+    to_spectral,
     translate,
-    vector_field,
 )
 
 CARRIER_RATIO = 17.0 / 12.0
@@ -168,7 +167,7 @@ def oscillating_profile_spectral(
 
 def shell_velocity(
     datum: ShellDatum, grid: Grid, bump: ProfileBump | None = None
-) -> VectorField:
+) -> SpectralField:
     """Divergence-free shell velocity for the datum, optionally translated."""
     bump = bump or build_profile_bump(grid)
     F = oscillating_profile_spectral(bump, datum.n, grid)
@@ -176,35 +175,32 @@ def shell_velocity(
         shift_vec = np.zeros(grid.d)
         shift_vec[0] = datum.shift
         F = translate(F, shift_vec)
-    V = perp_gradient(F)
-    return vector_field(grid, (datum.amplitude * c.coeffs for c in V))
+    return SpectralField(grid, datum.amplitude * perp_gradient(F).coeffs)
 
 
-def taylor_green(grid: Grid, amplitude: float = 1.0) -> VectorField:
+def _vector_from_samples(grid: Grid, samples) -> SpectralField:
+    return SpectralField(grid, np.stack([to_spectral(RealField(grid, u)).coeffs for u in samples]))
+
+
+def taylor_green(grid: Grid, amplitude: float = 1.0) -> SpectralField:
     """Classical cellular vortex (-cos x1 sin x2, sin x1 cos x2) on the torus.
 
     Its advection term is a pure gradient, so the projected dynamics are
     linear: the exact solution decays by exp(-2 eps t / R^2).
     """
-    from .spectral import to_spectral
-
     x = grid.x_1d / grid.R
     cx, sx = np.cos(x)[:, None], np.sin(x)[:, None]
     cy, sy = np.cos(x)[None, :], np.sin(x)[None, :]
-    u1 = RealField(grid, -amplitude * cx * sy)
-    u2 = RealField(grid, amplitude * sx * cy)
-    return VectorField((to_spectral(u1), to_spectral(u2)))
+    return _vector_from_samples(grid, (-amplitude * cx * sy, amplitude * sx * cy))
 
 
-def taylor_green_two_mode(grid: Grid, secondary: float = 0.5) -> VectorField:
+def taylor_green_two_mode(grid: Grid, secondary: float = 0.5) -> SpectralField:
     """Two-harmonic vortex superposition with genuinely nonlinear dynamics.
 
     Each harmonic alone is a steady ideal flow; their cross-advection is not
     a gradient, which makes this the standard field for time-integration
     convergence measurements.
     """
-    from .spectral import to_spectral
-
     x = grid.x_1d / grid.R
     u1 = -np.cos(x)[:, None] * np.sin(x)[None, :] - secondary * np.cos(2 * x)[
         :, None
@@ -212,9 +208,7 @@ def taylor_green_two_mode(grid: Grid, secondary: float = 0.5) -> VectorField:
     u2 = np.sin(x)[:, None] * np.cos(x)[None, :] + secondary * np.sin(2 * x)[
         :, None
     ] * np.cos(2 * x)[None, :]
-    return VectorField(
-        (to_spectral(RealField(grid, u1)), to_spectral(RealField(grid, u2)))
-    )
+    return _vector_from_samples(grid, (u1, u2))
 
 
 def background_mode_extent(band: int, R: float) -> int:
@@ -224,7 +218,7 @@ def background_mode_extent(band: int, R: float) -> int:
 
 def background_field(
     grid: Grid, seed: int, band: int, bp: BesovParams
-) -> VectorField:
+) -> SpectralField:
     """Random smooth divergence-free field, unit B^s norm, deterministic in seed.
 
     The stream function gets independent Gaussian coefficients shaped by the
@@ -256,4 +250,4 @@ def background_field(
     norm = besov_norm(psi, bp)
     if norm == 0.0:
         raise ConfigError("background field is identically zero; widen the band")
-    return vector_field(grid, (c.coeffs / norm for c in psi))
+    return SpectralField(grid, psi.coeffs / norm)

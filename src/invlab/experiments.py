@@ -42,7 +42,7 @@ from .littlewood_paley import (
     block_lp_norms,
     build_partition,
     dyadic_block,
-    field_support_radius,
+    field_support_range,
     low_pass,
 )
 from .solvers import (
@@ -55,7 +55,6 @@ from .spectral import (
     Grid,
     RealField,
     SpectralField,
-    VectorField,
     advect,
     apply_multiplier,
     dealias_grid_size,
@@ -71,7 +70,6 @@ from .spectral import (
     to_physical,
     to_spectral,
     translate,
-    vector_field,
 )
 
 DEFAULT_T_GRID = (0.005, 0.01, 0.02, 0.04, 0.05, 0.08)
@@ -104,6 +102,10 @@ class ExperimentConfig:
             raise ConfigError("shell indices must be >= 3")
         if not all(0 < t <= self.T0 for t in self.t_grid):
             raise ConfigError("t_grid values must lie in (0, T0]")
+        if len(set(self.t_grid)) < 2:
+            raise ConfigError("t_grid needs two or more distinct times (slopes, plateaus)")
+        if any(m < 0 for m in self.eps_exponents):
+            raise ConfigError("eps_exponents must be >= 0 (eps = 2**-2m may not exceed 1)")
         if not (0 < self.t0 <= self.T0):
             raise ConfigError("t0 must lie in (0, T0]")
         if self.quadrature_nodes < 9 or self.quadrature_nodes % 2 == 0:
@@ -169,15 +171,6 @@ def lsq_slope(ts, vals) -> float:
     x = x - x.mean()
     y = y - y.mean()
     return float((x * y).sum() / (x * x).sum())
-
-
-def _vf_lincomb(grid: Grid, terms) -> VectorField:
-    """Sum of coefficient * VectorField pairs."""
-    acc = [np.zeros(grid.spectral_shape, dtype=np.complex128) for _ in range(grid.d)]
-    for coef, vf in terms:
-        for a, c in zip(acc, vf):
-            a += coef * c.coeffs
-    return vector_field(grid, acc)
 
 
 class ExperimentContext:
@@ -249,7 +242,7 @@ class ExperimentContext:
 
     # -- trajectories --------------------------------------------------------
 
-    def trajectory(self, u0: VectorField, eps: float, times: Iterable[float]) -> Trajectory:
+    def trajectory(self, u0: SpectralField, eps: float, times: Iterable[float]) -> Trajectory:
         """Evolve (or reuse) the datum, sampling the given times.
 
         The cache is keyed by the datum's grid, a digest of its coefficients,
@@ -289,18 +282,13 @@ class ExperimentContext:
         }
 
 
-def _coeff_digest(vf: VectorField) -> str:
-    """Fingerprint of a field's coefficient dtypes and values."""
+def _coeff_digest(F: SpectralField) -> str:
+    """Fingerprint of a field's coefficient shape, dtype and values."""
     h = hashlib.blake2b(digest_size=16)
-    for c in vf:
-        h.update(c.coeffs.dtype.str.encode())
-        # + 0.0 turns -0.0 into 0.0, so fields with equal values share a key
-        h.update((c.coeffs + 0.0).tobytes())
+    h.update(f"{F.coeffs.shape}{F.coeffs.dtype.str}".encode())
+    # + 0.0 turns -0.0 into 0.0, so fields with equal values share a key
+    h.update(np.ascontiguousarray(F.coeffs + 0.0))
     return h.hexdigest()
-
-
-def _gap_field(a: VectorField, b: VectorField) -> VectorField:
-    return _vf_lincomb(a.grid, [(1.0, a), (-1.0, b)])
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +403,7 @@ def run_nonlinear_drift(cfg: ExperimentConfig, ctx: ExperimentContext | None = N
         eps_n = cfg.eps_n(n)
         pa = advect(u0, u0)
 
-        reach = field_support_radius(pa)
+        reach = field_support_range(pa)[1]
         records.append(
             ResultRecord(
                 ex, "advection_support_radius", reach, n, None, None,
@@ -428,7 +416,7 @@ def run_nonlinear_drift(cfg: ExperimentConfig, ctx: ExperimentContext | None = N
         for t in cfg.t_grid:
             hf = heat_factor(g, t, eps_n)
             ut = apply_multiplier(u0, hf)
-            drift = _gap_field(advect(ut, ut), pa)
+            drift = SpectralField(g, advect(ut, ut).coeffs - pa.coeffs)
             blocks = block_lp_norms(drift, bp.p)
             for k in (-1, 0, 1):
                 v = besov_from_blocks(blocks, bp.shifted(k))
@@ -523,6 +511,8 @@ def run_expansion_residuals(cfg: ExperimentConfig, ctx: ExperimentContext | None
 
 
 def run_family_gap(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
+    if cfg.t0 not in cfg.t_grid:
+        raise ConfigError(f"family-gap checks its gap at t0={cfg.t0}, not in t_grid {cfg.t_grid}")
     ctx = ctx or ExperimentContext(cfg)
     ex = "family_gap"
     bp = cfg.bp
@@ -659,14 +649,14 @@ def run_fixed_datum_limit(cfg: ExperimentConfig, ctx: ExperimentContext | None =
 
 def _additivity_defect(t_sum, t_psi, t_u, t, bp) -> float:
     """Besov norm of S(psi + u) - S(psi) - S(u) at t, from three evolutions."""
-    states = [tr.state_at(t) for tr in (t_sum, t_psi, t_u)]
-    return besov_norm(_vf_lincomb(states[0].grid, zip((1.0, -1.0, -1.0), states)), bp)
+    s_sum, s_psi, s_u = (tr.state_at(t) for tr in (t_sum, t_psi, t_u))
+    return besov_norm(SpectralField(s_sum.grid, s_sum.coeffs - s_psi.coeffs - s_u.coeffs), bp)
 
 
 def run_perturbed_gap(
     cfg: ExperimentConfig,
     ctx: ExperimentContext | None = None,
-    background: VectorField | None = None,
+    background: SpectralField | None = None,
 ):
     """Perturbed viscous-vs-ideal gap with truncation and additivity terms.
 
@@ -696,8 +686,8 @@ def run_perturbed_gap(
         eps_n = cfg.eps_n(n)
         u0k = ctx.datum(n, grid=g, shift=k_shift)
         s_n_psi = low_pass(n, psi)
-        w_full = _vf_lincomb(g, [(1.0, psi), (1.0, u0k)])
-        w_trunc = _vf_lincomb(g, [(1.0, s_n_psi), (1.0, u0k)])
+        w_full = SpectralField(g, psi.coeffs + u0k.coeffs)
+        w_trunc = SpectralField(g, s_n_psi.coeffs + u0k.coeffs)
 
         t_full_eps = ctx.trajectory(w_full, eps_n, times)
         t_full_0 = ctx.trajectory(w_full, 0.0, times)
@@ -739,8 +729,10 @@ def run_perturbed_gap(
         )
 
         # sensitivity to truncating the background above the shell
-        i1 = besov_norm(_gap_field(t_full_eps.state_at(t0), t_trunc.state_at(t0)), bp)
-        hp = besov_norm(_gap_field(psi, s_n_psi), bp)
+        i1 = besov_norm(
+            SpectralField(g, t_full_eps.state_at(t0).coeffs - t_trunc.state_at(t0).coeffs), bp
+        )
+        hp = besov_norm(SpectralField(g, psi.coeffs - s_n_psi.coeffs), bp)
         records.append(ResultRecord(ex, "truncation_sensitivity", i1, n, eps_n, t0))
         records.append(ResultRecord(ex, "high_pass_background", hp, n, eps_n, t0))
         if hp == 0.0 or trunc_constant == 0.0:
@@ -768,7 +760,7 @@ def run_perturbed_gap(
     eps_n = cfg.eps_n(n)
     u0_0 = ctx.datum(n, grid=g, shift=0.0)
     s_n_psi = low_pass(n, psi)
-    w0 = _vf_lincomb(g, [(1.0, s_n_psi), (1.0, u0_0)])
+    w0 = SpectralField(g, s_n_psi.coeffs + u0_0.coeffs)
     t_trunc0 = ctx.trajectory(w0, eps_n, [t0])
     t_psi = ctx.trajectory(s_n_psi, eps_n, times)
     t_u00 = ctx.trajectory(u0_0, eps_n, [t0])
@@ -790,17 +782,20 @@ def run_perturbed_gap(
 # validation suite
 
 
-def _rel_l2(a: VectorField, b: VectorField) -> float:
-    num = l2_norm_spectral(_gap_field(a, b))
+def _rel_l2(a: SpectralField, b: SpectralField) -> float:
+    num = l2_norm_spectral(SpectralField(a.grid, a.coeffs - b.coeffs))
     den = max(l2_norm_spectral(a), l2_norm_spectral(b), 1e-300)
     return num / den
 
 
+def _noise(grid: Grid, rng) -> np.ndarray:
+    """Half-spectrum of fresh white-noise samples."""
+    return to_spectral(RealField(grid, rng.standard_normal(grid.shape))).coeffs
+
+
 def _random_stream(grid: Grid, rng, band_modes: int) -> SpectralField:
-    raw = rng.standard_normal(grid.shape)
-    F = to_spectral(RealField(grid, raw))
     keep = (grid.k_mag * grid.R <= band_modes) & (grid.k_sq > 0)
-    return SpectralField(grid, np.where(keep, F.coeffs, 0.0))
+    return SpectralField(grid, np.where(keep, _noise(grid, rng), 0.0))
 
 
 def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
@@ -845,11 +840,15 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     n0 = cfg.n_list[0]
     u0 = ctx.datum(n0)
     lam = 2.0**n0
-    grads = []
-    for c in u0:
-        grads.extend(to_physical(ci) for ci in gradient(c))
+    gd = u0.grid
+    u0_phys = [to_physical(SpectralField(gd, c)) for c in u0.coeffs]
+    grads = [
+        to_physical(SpectralField(gd, dc))
+        for c in u0.coeffs
+        for dc in gradient(SpectralField(gd, c)).coeffs
+    ]
     gnorm = lp_norm(grads, 2.0)
-    unorm = lp_norm([to_physical(c) for c in u0], 2.0)
+    unorm = lp_norm(u0_phys, 2.0)
     ratio = gnorm / unorm
     lo, hi = (0.75 * lam) * (1 - 1e-12), (8.0 / 3.0 * lam) * (1 + 1e-12)
     records.append(
@@ -857,17 +856,14 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     )
 
     # projector identities on a random field
-    comps = tuple(
-        to_spectral(RealField(g, rng.standard_normal(g.shape))) for _ in range(g.d)
-    )
-    V = VectorField(comps)
+    V = SpectralField(g, np.stack([_noise(g, rng) for _ in range(g.d)]))
     P = leray_project(V)
     Q = leray_complement(V)
-    grad = gradient(to_spectral(RealField(g, rng.standard_normal(g.shape))))
+    grad = gradient(SpectralField(g, _noise(g, rng)))
     checks = {
         "projector_idempotency": _rel_l2(leray_project(P), P),
         "complement_idempotency": _rel_l2(leray_complement(Q), Q),
-        "projector_sum_identity": _rel_l2(_vf_lincomb(g, [(1.0, P), (1.0, Q)]), V),
+        "projector_sum_identity": _rel_l2(SpectralField(g, P.coeffs + Q.coeffs), V),
         "projector_cross_vanishing": l2_norm_spectral(leray_complement(P))
         / l2_norm_spectral(V),
         "projector_kills_gradient": l2_norm_spectral(leray_project(grad))
@@ -884,7 +880,7 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     quv = leray_complement(advect(u, v))
     qvu = leray_complement(advect(v, u))
     scale = max(l2_norm_spectral(advect(u, v)), l2_norm_spectral(advect(v, u)))
-    qsym = l2_norm_spectral(_gap_field(quv, qvu)) / scale
+    qsym = l2_norm_spectral(SpectralField(g, quv.coeffs - qvu.coeffs)) / scale
     records.append(
         ResultRecord(ex, "gradient_part_symmetry", qsym, verdict=check(qsym, hi=1e-11))
     )
@@ -906,7 +902,7 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     records.append(ResultRecord(ex, "translation_periodicity_defect", per, verdict=check(per, hi=1e-12)))
 
     # heat semigroup law
-    W = VectorField((F, to_spectral(RealField(g, rng.standard_normal(g.shape)))))
+    W = SpectralField(g, np.stack([F.coeffs, _noise(g, rng)]))
     one = heat_propagate(W, 0.7, 0.3)
     two = heat_propagate(heat_propagate(W, 0.3, 0.3), 0.4, 0.3)
     semi = _rel_l2(one, two)
@@ -984,7 +980,7 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     tg = taylor_green(gt)
     traj = ctx.trajectory(tg, 0.01, [1.0])
     decay = math.exp(-2.0 * 0.01 * 1.0)
-    ref = vector_field(gt, (decay * c.coeffs for c in tg))
+    ref = SpectralField(gt, decay * tg.coeffs)
     tg_err = _rel_l2(traj.state_at(1.0), ref)
     records.append(
         ResultRecord(ex, "vortex_analytic_error", tg_err, verdict=check(tg_err, hi=1e-6))
@@ -1021,7 +1017,7 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     errs = []
     for M in (8, 16, 32):
         sol = evolve(w0, 0.0, [T], dt_fixed=T / M).state_at(T)
-        errs.append(l2_norm_spectral(_gap_field(sol, ref_state)))
+        errs.append(l2_norm_spectral(SpectralField(gt, sol.coeffs - ref_state.coeffs)))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     order = min(orders)
     records.append(
@@ -1059,7 +1055,7 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     borderline = BesovParams(bp.d / bp.p + 1.0, bp.p, 1.0, bp.d)
     bl = besov_norm(u0, borderline)
     records.append(ResultRecord(ex, "borderline_besov", bl, n0))
-    lp_u0 = lp_norm([to_physical(c) for c in u0], borderline.p)
+    lp_u0 = lp_norm(u0_phys, borderline.p)
     records.append(
         ResultRecord(ex, "borderline_single_shell_ratio", bl / (2.0 ** (n0 * borderline.s) * lp_u0), n0)
     )
@@ -1067,9 +1063,7 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     # deterministic replay of the seeded background field
     psi_a = background_field(g, cfg.seed, 1, bp)
     psi_b = background_field(g, cfg.seed, 1, bp)
-    identical = float(
-        all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(psi_a, psi_b))
-    )
+    identical = float(np.array_equal(psi_a.coeffs, psi_b.coeffs))
     records.append(
         ResultRecord(
             ex, "background_replay_identical", identical, verdict=check(identical, lo=1.0)

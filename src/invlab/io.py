@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, FormatError
 from .experiments import ExperimentConfig
 from .littlewood_paley import RAMP_ID, BesovParams
-from .spectral import Grid, RealField, SpectralField, VectorField, _conj_mirror
+from .spectral import Grid, RealField, SpectralField, _conj_mirror
 
 _MAGIC = b"SPF1"
 
@@ -53,13 +53,13 @@ def _from_mode_order(arr: np.ndarray, grid: Grid, where: str) -> np.ndarray:
 
 
 def write_field(path, field) -> Path:
-    """Write a RealField, SpectralField or VectorField as an SPF1 snapshot."""
+    """Write a RealField or a scalar or vector SpectralField as an SPF1 snapshot."""
     path = Path(path)
-    if isinstance(field, (VectorField, SpectralField)):
+    if isinstance(field, SpectralField):
         grid = field.grid
         kind = 1
-        comps = field if isinstance(field, VectorField) else [field]
-        payloads = [_to_mode_order(c.coeffs, grid).astype("<c16", copy=False) for c in comps]
+        comps = field.coeffs.reshape((-1,) + grid.spectral_shape)
+        payloads = [_to_mode_order(c, grid).astype("<c16", copy=False) for c in comps]
     elif isinstance(field, RealField):
         grid = field.grid
         kind = 0
@@ -81,7 +81,12 @@ def write_field(path, field) -> Path:
 
 
 def read_field(path):
-    """Read an SPF1 snapshot; the kind flag selects the returned type."""
+    """Read an SPF1 snapshot; the kind flag selects the returned type.
+
+    A spectral file of one component gives a scalar SpectralField, of d
+    components a vector one; a physical file gives a RealField, or a list of
+    them for several components.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}")
@@ -125,12 +130,12 @@ def read_field(path):
         else:
             arr = np.frombuffer(chunk, dtype="<c16").reshape(grid.shape)
             half = _from_mode_order(arr.astype(np.complex128), grid, f"{path}: component {i}")
-            fields.append(SpectralField(grid, half))
+            fields.append(half)
     if kind == 0:
         return fields[0] if ncomp == 1 else fields
-    if ncomp == 1:
-        return fields[0]
-    return VectorField(tuple(fields))
+    if ncomp not in (1, d):
+        raise FormatError(f"{path}: a spectral field has 1 or {d} components, got {ncomp}")
+    return SpectralField(grid, fields[0] if ncomp == 1 else np.stack(fields))
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +254,33 @@ _KNOWN_KEYS = set(_SCALAR_KEYS) | {
 _EVOLVE_KEYS = {"n", "eps", "shift"}
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _exponent(value, key):
     if value == "inf":
         return math.inf
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_number(value):
         return float(value)
     raise ConfigError(f"config key {key!r} must be a number or \"inf\"")
+
+
+def _check_evolve_options(opts) -> None:
+    """An integer ``n``, a number ``shift`` and ``eps`` in [0, 1] (null: eps_n)."""
+    if not isinstance(opts, dict):
+        raise ConfigError("config key 'evolve' must be an object")
+    bad = set(opts) - _EVOLVE_KEYS
+    if bad:
+        raise ConfigError(f"unknown evolve keys: {sorted(bad)}")
+    eps = opts.get("eps")
+    for key, ok, want in (
+        ("n", _is_number(opts.get("n", 0), int), "an integer"),
+        ("shift", _is_number(opts.get("shift", 0.0)), "a number"),
+        ("eps", eps is None or (_is_number(eps) and 0.0 <= eps <= 1.0), "a number in [0, 1]"),
+    ):
+        if not ok:
+            raise ConfigError(f"evolve key {key!r} must be {want}, got {opts[key]!r}")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -264,11 +290,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "evolve" in data:
-        if not isinstance(data["evolve"], dict):
-            raise ConfigError("config key 'evolve' must be an object")
-        bad = set(data["evolve"]) - _EVOLVE_KEYS
-        if bad:
-            raise ConfigError(f"unknown evolve keys: {sorted(bad)}")
+        _check_evolve_options(data["evolve"])
 
     kwargs = {}
     for key, cast in _SCALAR_KEYS.items():

@@ -19,7 +19,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .spectral import Grid, RealField, SpectralField, _inverse, apply_multiplier, lp_norm
+from .spectral import (
+    Grid, RealField, SpectralField, _inverse, apply_multiplier, lp_norm, support_mask
+)
 
 THETA_ONE = 0.75  # theta == 1 inside this radius
 THETA_ZERO = 4.0 / 3.0  # theta == 0 outside this radius
@@ -110,14 +112,14 @@ def build_partition(grid: Grid) -> DyadicPartition:
     return DyadicPartition(grid=grid, j_max=j)
 
 
-def dyadic_block(j: int, F):
+def dyadic_block(j: int, F: SpectralField) -> SpectralField:
     """Frequency block Delta_j; j = -1 is the low ball, j >= 0 the shells."""
     if j < -1:
         raise ValueError(f"block index must be >= -1, got {j}")
     return apply_multiplier(F, build_partition(F.grid).block_multiplier(j))
 
 
-def low_pass(n: int, F):
+def low_pass(n: int, F: SpectralField) -> SpectralField:
     """Cumulative low-pass S_n = theta(2**-n D)."""
     return apply_multiplier(F, build_partition(F.grid).low_pass_multiplier(n))
 
@@ -158,36 +160,24 @@ class BesovParams:
         return BesovParams(self.s + ds, self.p, self.r, self.d)
 
 
-def field_support_range(F) -> tuple:
-    """(min, max) |xi| carrying nonzero coefficients (relative 1e-15 floor)."""
-    comps = [F] if isinstance(F, SpectralField) else list(F)
-    g = F.grid
-    scale = max(np.max(np.abs(c.coeffs)) for c in comps)
-    if scale == 0.0:
+def field_support_range(F: SpectralField) -> tuple:
+    """(min, max) |xi| carrying nonzero coefficients (``spectral.support_mask``)."""
+    nz = support_mask(F)
+    if nz is None:
         return 0.0, 0.0
-    lo, hi = np.inf, 0.0
-    for c in comps:
-        nz = np.abs(c.coeffs) > 1e-15 * scale
-        if nz.any():
-            vals = g.k_mag[nz]
-            lo = min(lo, float(vals.min()))
-            hi = max(hi, float(vals.max()))
+    vals = F.grid.k_mag[nz]
+    lo, hi = float(vals.min()), float(vals.max())
     return (0.0, 0.0) if hi == 0.0 else (lo, hi)
 
 
-def field_support_radius(F) -> float:
-    """Largest |xi| carrying a nonzero coefficient (relative 1e-15 floor)."""
-    return field_support_range(F)[1]
-
-
-def block_lp_norms(F, p: float) -> np.ndarray:
+def block_lp_norms(F: SpectralField, p: float) -> np.ndarray:
     """L^p norms of the dyadic blocks, indexed j = -1 .. j_max.
 
     A field whose support reaches beyond the radius where the partition is
     exact gets truncated blocks, and a UserWarning says so.
     """
-    comps = [F] if isinstance(F, SpectralField) else list(F)
     g = F.grid
+    comps = F.coeffs.reshape((-1,) + g.spectral_shape)
     part = build_partition(g)
     r_lo, r_hi = field_support_range(F)
     if r_hi > part.coverage_radius:
@@ -207,7 +197,8 @@ def block_lp_norms(F, p: float) -> np.ndarray:
             out[j + 1] = 0.0
             continue
         vals = part.block_multiplier(j)
-        phys = [RealField(g, _inverse(c.coeffs * vals, g)) for c in comps]
+        # one component at a time: no stacked temporary on the N = 2048 grids
+        phys = [RealField(g, _inverse(c * vals, g)) for c in comps]
         out[j + 1] = lp_norm(phys[0] if len(phys) == 1 else phys, p)
     return out
 
@@ -221,6 +212,6 @@ def besov_from_blocks(block_norms: np.ndarray, bp: BesovParams) -> float:
     return float(np.sum(weighted**bp.r) ** (1.0 / bp.r))
 
 
-def besov_norm(F, bp: BesovParams) -> float:
+def besov_norm(F: SpectralField, bp: BesovParams) -> float:
     """Nonhomogeneous Besov norm; exact for fields resolved by the grid."""
     return besov_from_blocks(block_lp_norms(F, bp.p), bp)

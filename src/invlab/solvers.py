@@ -48,7 +48,7 @@ from .errors import (
 )
 from .spectral import (
     Grid,
-    VectorField,
+    SpectralField,
     _forward,
     _inverse,
     curl,
@@ -57,7 +57,6 @@ from .spectral import (
     heat_factor,
     heat_integral_factor,
     l2_norm_spectral,
-    vector_field,
 )
 
 
@@ -84,7 +83,7 @@ class Trajectory:
     times: tuple
     increments: tuple
     eps: float
-    u0: VectorField
+    u0: SpectralField
     diagnostics: dict = field(compare=False)
 
     def __post_init__(self):
@@ -100,39 +99,39 @@ class Trajectory:
         if not np.isfinite(self.diagnostics["energy"]).all():
             raise NumericsError("trajectory diagnostics contain non-finite values")
 
-    def increment_at(self, t: float) -> VectorField:
+    def increment_at(self, t: float) -> SpectralField:
         for ti, inc in zip(self.times, self.increments):
             if abs(ti - t) <= 1e-12:
                 return inc
         raise ValueError(f"time {t} is not among the sampled times {self.times}")
 
-    def state_at(self, t: float) -> VectorField:
-        g, inc = self.u0.grid, self.increment_at(t)
+    def state_at(self, t: float) -> SpectralField:
+        g = self.u0.grid
         fac = heat_factor(g, t, self.eps)
-        return vector_field(g, (fac * a.coeffs + b.coeffs for a, b in zip(self.u0, inc)))
+        return SpectralField(g, fac * self.u0.coeffs + self.increment_at(t).coeffs)
 
 
-def trajectory_gap(a: Trajectory, b: Trajectory, t: float) -> VectorField:
+def trajectory_gap(a: Trajectory, b: Trajectory, t: float) -> SpectralField:
     """``S^{eps_a}_t u0 - S^{eps_b}_t u0`` for two trajectories of one datum.
 
     Formed as ``(exp(t eps_a Lap) - exp(t eps_b Lap)) u0 + (inc_a - inc_b)``,
     which subtracts no two arrays of the size of ``u0``.
     """
     _check_same_data(a.u0, b)
-    g, parts = a.u0.grid, zip(a.u0, a.increment_at(t), b.increment_at(t))
+    g = a.u0.grid
     fac = heat_factor(g, t, a.eps) - heat_factor(g, t, b.eps)
-    return vector_field(g, (fac * u.coeffs + (x.coeffs - y.coeffs) for u, x, y in parts))
+    inc = a.increment_at(t).coeffs - b.increment_at(t).coeffs
+    return SpectralField(g, fac * a.u0.coeffs + inc)
 
 
 def _max_speed(u1, u2) -> float:
     return float(np.sqrt(np.max(u1**2 + u2**2)))
 
 
-def _velocity(grid: Grid, w: np.ndarray, mean) -> list:
-    """Velocity coefficient arrays of vorticity ``w`` with mean velocity ``mean``."""
-    out = [b * w for b in grid.biot_savart]
-    for c, m in zip(out, mean):
-        c[0, 0] = m
+def _velocity(grid: Grid, w: np.ndarray, mean) -> np.ndarray:
+    """Stacked velocity coefficients of vorticity ``w`` with mean velocity ``mean``."""
+    out = grid.biot_savart * w
+    out[:, 0, 0] = mean
     return out
 
 
@@ -155,7 +154,7 @@ def vorticity_rhs(grid: Grid, w: np.ndarray, mean) -> tuple:
 
 
 def evolve(
-    u0: VectorField,
+    u0: SpectralField,
     eps: float,
     sample_times: Sequence[float],
     dt_fixed: float | None = None,
@@ -188,7 +187,7 @@ def evolve(
 
     # Galerkin projection of the data's vorticity; the mean velocity is constant
     base = np.where(g.dealias_mask, curl(u0).coeffs, 0.0)
-    mean = [c.coeffs[0, 0] for c in u0]
+    mean = u0.coeffs[:, 0, 0]
     enc = np.zeros_like(base)  # the encoded increment E, 0 at t = 0
     s = base.copy()  # a stage's state; between steps, w(t)
     # exp(-/+ eps t |xi|^2) at the current stage time
@@ -196,7 +195,7 @@ def evolve(
 
     increments = []
     diag = {k: [] for k in ("t", "dt", "energy", "div_rel", "max_speed")}
-    speed0 = _max_speed(*(_inverse(c.coeffs, g) for c in u0))
+    speed0 = _max_speed(*(_inverse(c, g) for c in u0.coeffs))
     guard = BLOWUP_FACTOR * max(speed0, 1e-300)
 
     factor_cache = {}
@@ -263,7 +262,7 @@ def evolve(
             s *= dec
 
             t = target if final_step else t + dt
-            state = vector_field(g, _velocity(g, s, mean))
+            state = SpectralField(g, _velocity(g, s, mean))
             energy = l2_norm_spectral(state)
             if not np.isfinite(energy):
                 raise NumericsError(f"non-finite state after step to t={t}")
@@ -280,10 +279,9 @@ def evolve(
         # also removes the modes outside the 2/3 ball that the projection
         # dropped (zero for admissible data)
         decay_exact = heat_factor(g, target, eps)
-        inc = _velocity(g, decay_exact * enc, (0.0, 0.0))
-        for c, u in zip(inc, u0):
-            c -= decay_exact * np.where(g.dealias_mask, 0.0, u.coeffs)
-        increments.append(vector_field(g, inc))
+        inc = _velocity(g, decay_exact * enc, 0.0)
+        inc -= decay_exact * np.where(g.dealias_mask, 0.0, u0.coeffs)
+        increments.append(SpectralField(g, inc))
 
     diagnostics = {k: np.asarray(v) for k, v in diag.items()}
     if diagnostics["energy"].size == 0:
@@ -306,12 +304,12 @@ def _simpson_weights(t: float, nodes: int) -> np.ndarray:
 
 
 def u2_duhamel(
-    u0: VectorField,
+    u0: SpectralField,
     t: float,
     eps: float,
     nodes: int = 17,
     refine: bool = False,
-) -> VectorField:
+) -> SpectralField:
     """First-order nonlinear correction by composite-Simpson quadrature.
 
     Solves ``d/dt u2 = eps*Lap(u2) - P(u1 . grad u1)`` from zero data, i.e.
@@ -329,7 +327,7 @@ def u2_duhamel(
     w_coarse = _simpson_weights(t, nodes)
     # the sums run over the vorticity right-hand side -curl P(u1 . grad u1);
     # one Biot-Savart image per sum gives the velocity
-    w0, mean = curl(u0).coeffs, [c.coeffs[0, 0] for c in u0]
+    w0, mean = curl(u0).coeffs, u0.coeffs[:, 0, 0]
     acc = np.zeros(g.spectral_shape, dtype=np.complex128)
     coarse = np.zeros_like(acc) if refine else None
     for i, (wi, tau) in enumerate(zip(w, np.linspace(0.0, t, fine_nodes))):
@@ -339,9 +337,9 @@ def u2_duhamel(
         if refine and i % 2 == 0:
             # tau_i on the fine grid equals tau_(i/2) on the coarse one
             coarse += w_coarse[i // 2] * term
-    u2 = vector_field(g, _velocity(g, acc, (0.0, 0.0)))
+    u2 = SpectralField(g, _velocity(g, acc, 0.0))
     if refine:
-        diff = l2_norm_spectral(vector_field(g, _velocity(g, coarse - acc, (0.0, 0.0))))
+        diff = l2_norm_spectral(SpectralField(g, _velocity(g, coarse - acc, 0.0)))
         scale = l2_norm_spectral(u2)
         if scale > 0 and diff / scale > REFINE_TOL:
             raise QuadratureError(
@@ -351,24 +349,23 @@ def u2_duhamel(
     return u2
 
 
-def _check_same_data(u0: VectorField, traj: Trajectory) -> None:
-    scale = max(np.max(np.abs(c.coeffs)) for c in traj.u0)
-    for a, b in zip(u0, traj.u0):
-        if np.max(np.abs(a.coeffs - b.coeffs)) > 1e-13 * max(scale, 1e-300):
-            raise ValueError("trajectory was computed from different initial data")
+def _check_same_data(u0: SpectralField, traj: Trajectory) -> None:
+    scale = np.max(np.abs(traj.u0.coeffs))
+    if np.max(np.abs(u0.coeffs - traj.u0.coeffs)) > 1e-13 * max(scale, 1e-300):
+        raise ValueError("trajectory was computed from different initial data")
 
 
 class FirstOrderRemainders(NamedTuple):
     """The four remainder fields of the first-order expansion at one time."""
 
-    euler: VectorField
-    navier_stokes: VectorField
-    drift: VectorField
-    heat_defect: VectorField
+    euler: SpectralField
+    navier_stokes: SpectralField
+    drift: SpectralField
+    heat_defect: SpectralField
 
 
 def first_order_remainders(
-    u0: VectorField,
+    u0: SpectralField,
     traj0: Trajectory,
     traj_eps: Trajectory,
     times: Sequence[float],
@@ -401,8 +398,8 @@ def first_order_remainders(
         raise ValueError(f"need an ideal (eps=0) trajectory, got eps={traj0.eps}")
     _check_same_data(u0, traj0)
     _check_same_data(u0, traj_eps)
-    r0 = vorticity_rhs(u0.grid, curl(u0).coeffs, [c.coeffs[0, 0] for c in u0])[0]
-    pa0 = vector_field(u0.grid, (-c for c in _velocity(u0.grid, r0, (0.0, 0.0))))
+    r0 = vorticity_rhs(u0.grid, curl(u0).coeffs, u0.coeffs[:, 0, 0])[0]
+    pa0 = SpectralField(u0.grid, -_velocity(u0.grid, r0, 0.0))
     return (_remainders_at(u0, pa0, traj0, traj_eps, t, nodes, refine) for t in times)
 
 
@@ -411,10 +408,10 @@ def _remainders_at(u0, pa0, traj0, traj_eps, t, nodes, refine):
     eps = traj_eps.eps
     u2 = u2_duhamel(u0, t, eps, nodes, refine=refine)
     lin = heat_integral_factor(g, t, eps)
-    d0, d_eps, comps = traj0.increment_at(t), traj_eps.increment_at(t), range(g.d)
+    pa0 = pa0.coeffs
     return FirstOrderRemainders(
-        euler=vector_field(g, [d0[i].coeffs + t * pa0[i].coeffs for i in comps]),
-        navier_stokes=vector_field(g, [d_eps[i].coeffs - u2[i].coeffs for i in comps]),
-        drift=vector_field(g, [-u2[i].coeffs - lin * pa0[i].coeffs for i in comps]),
-        heat_defect=vector_field(g, [(lin - t) * pa0[i].coeffs for i in comps]),
+        euler=SpectralField(g, traj0.increment_at(t).coeffs + t * pa0),
+        navier_stokes=SpectralField(g, traj_eps.increment_at(t).coeffs - u2.coeffs),
+        drift=SpectralField(g, -u2.coeffs - lin * pa0),
+        heat_defect=SpectralField(g, (lin - t) * pa0),
     )

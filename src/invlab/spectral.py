@@ -17,6 +17,13 @@ their own mirrors and weigh 1 (``l2_norm_spectral`` is the one place that sums
 this way).  The frequency arrays of ``Grid`` are the first ``N/2 + 1`` columns
 of the full-lattice arrays, so column N/2 carries the mode ``-N/2``.  Fields
 are treated as immutable values: every operation returns a new field.
+
+One type, ``SpectralField``, holds scalar and vector fields alike.  A scalar's
+``coeffs`` has shape ``Grid.spectral_shape``; a vector's has shape
+``(d,) + Grid.spectral_shape``, the component axis first, component i at
+``coeffs[i]``.  Multipliers broadcast over the component axis, so a sum or a
+multiple of fields is one array expression.  ``RealField`` is always scalar;
+a vector in physical space is a sequence of RealFields.
 """
 
 from __future__ import annotations
@@ -129,12 +136,13 @@ class Grid:
         return np.sqrt(self.k_sq)
 
     @cached_property
-    def biot_savart(self) -> tuple:
-        """Multipliers ``(i xi2, -i xi1)/|xi|^2``, 0 at xi = 0: the velocity of
-        zero mean and zero divergence whose curl is a given vorticity."""
+    def biot_savart(self) -> np.ndarray:
+        """Stacked multipliers ``(i xi2, -i xi1)/|xi|^2``, 0 at xi = 0: the
+        velocity of zero mean and zero divergence whose curl is a given
+        vorticity."""
         inv = np.zeros(self.spectral_shape)
         np.divide(1.0, self.k_sq, out=inv, where=self.k_sq > 0)
-        return (1j * self.freq_axis(1) * inv, -1j * self.freq_axis(0) * inv)
+        return np.stack((1j * self.freq_axis(1) * inv, -1j * self.freq_axis(0) * inv))
 
     @cached_property
     def dealias_keep(self) -> int:
@@ -182,48 +190,23 @@ class RealField:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Real scalar field given by its half-spectrum (``Grid.spectral_shape``)."""
+    """Real scalar or vector field given by its half-spectrum.
+
+    ``coeffs`` has shape ``grid.spectral_shape`` (scalar) or
+    ``(grid.d,) + grid.spectral_shape`` (vector, component i at ``coeffs[i]``).
+    """
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.coeffs.shape != self.grid.spectral_shape:
+        shape = self.grid.spectral_shape
+        if self.coeffs.shape not in (shape, (self.grid.d,) + shape):
             raise ConfigError(
-                f"coefficient array shape {self.coeffs.shape} does not match the "
-                f"half-spectrum shape {self.grid.spectral_shape} of the grid"
+                f"coefficient array shape {self.coeffs.shape} is neither the "
+                f"half-spectrum shape {shape} of the grid nor {self.grid.d} "
+                f"stacked components of it"
             )
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """d spectral components sharing one grid."""
-
-    components: tuple
-
-    def __post_init__(self):
-        grids = {c.grid for c in self.components}
-        if len(grids) != 1:
-            raise ConfigError("vector components must share one grid")
-        if len(self.components) != self.grid.d:
-            raise ConfigError(
-                f"expected {self.grid.d} components, got {len(self.components)}"
-            )
-
-    @property
-    def grid(self) -> Grid:
-        return self.components[0].grid
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __getitem__(self, i):
-        return self.components[i]
-
-
-def vector_field(grid: Grid, arrays) -> VectorField:
-    """VectorField from one half-spectrum coefficient array per component."""
-    return VectorField(tuple(SpectralField(grid, a) for a in arrays))
 
 
 def _conj_mirror(full: np.ndarray) -> np.ndarray:
@@ -266,52 +249,52 @@ def to_physical(F: SpectralField) -> RealField:
 # multipliers
 
 
-def apply_multiplier(F, factor):
-    """``factor * F`` for a SpectralField, or componentwise for a VectorField."""
-    if isinstance(F, SpectralField):
-        return SpectralField(F.grid, F.coeffs * factor)
-    return vector_field(F.grid, (c.coeffs * factor for c in F))
+def apply_multiplier(F: SpectralField, factor) -> SpectralField:
+    """``factor * F``, componentwise for a vector field."""
+    return SpectralField(F.grid, F.coeffs * factor)
 
 
 # ---------------------------------------------------------------------------
 # differential operators
 
 
-def gradient(F: SpectralField) -> VectorField:
+def gradient(F: SpectralField) -> SpectralField:
+    """The vector field grad f of a scalar field f."""
     g = F.grid
-    comps = [
-        SpectralField(g, (1j * g.freq_axis(ax)) * F.coeffs) for ax in range(g.d)
-    ]
-    return VectorField(tuple(comps))
+    return SpectralField(g, np.stack([(1j * g.freq_axis(ax)) * F.coeffs for ax in range(g.d)]))
 
 
-def divergence(V: VectorField) -> SpectralField:
+def divergence(V: SpectralField) -> SpectralField:
     g = V.grid
     out = np.zeros(g.spectral_shape, dtype=np.complex128)
-    for ax, comp in enumerate(V):
-        out += (1j * g.freq_axis(ax)) * comp.coeffs
+    for ax in range(g.d):
+        out += (1j * g.freq_axis(ax)) * V.coeffs[ax]
     return SpectralField(g, out)
 
 
-def curl(V: VectorField) -> SpectralField:
+def curl(V: SpectralField) -> SpectralField:
     """The scalar vorticity d1 u2 - d2 u1."""
-    g, (u1, u2) = V.grid, (c.coeffs for c in V)
+    g, (u1, u2) = V.grid, V.coeffs
     return SpectralField(g, (1j * g.freq_axis(0)) * u2 - (1j * g.freq_axis(1)) * u1)
 
 
-def perp_gradient(F: SpectralField) -> VectorField:
+def perp_gradient(F: SpectralField) -> SpectralField:
     """(-d2 f, d1 f); divergence-free by construction."""
     g = F.grid
-    c1 = SpectralField(g, -(1j * g.freq_axis(1)) * F.coeffs)
-    c2 = SpectralField(g, (1j * g.freq_axis(0)) * F.coeffs)
-    return VectorField((c1, c2))
+    return SpectralField(
+        g, np.stack((-(1j * g.freq_axis(1)) * F.coeffs, (1j * g.freq_axis(0)) * F.coeffs))
+    )
 
 
-def heat_factor(grid: Grid, t: float, eps: float) -> np.ndarray:
+def _check_heat_arguments(t: float, eps: float) -> None:
     if t < 0:
         raise ValueError(f"time must be non-negative, got {t}")
     if eps < 0:
         raise ValueError(f"viscosity must be non-negative, got {eps}")
+
+
+def heat_factor(grid: Grid, t: float, eps: float) -> np.ndarray:
+    _check_heat_arguments(t, eps)
     return np.exp(-t * eps * grid.k_sq)
 
 
@@ -323,7 +306,7 @@ def heat_integral_factor(grid: Grid, t: float, eps: float) -> np.ndarray:
     at small x, where ``1 - exp(-x)`` cancels.  The value is exactly t where
     x = 0, i.e. at xi = 0 or for eps = 0.
     """
-    heat_factor(grid, t, eps)  # argument validation only
+    _check_heat_arguments(t, eps)
     x = t * eps * grid.k_sq
     out = np.full(grid.spectral_shape, float(t))
     pos = x > 0.0
@@ -331,10 +314,10 @@ def heat_integral_factor(grid: Grid, t: float, eps: float) -> np.ndarray:
     return out
 
 
-def heat_propagate(V: VectorField, t: float, eps: float) -> VectorField:
+def heat_propagate(V: SpectralField, t: float, eps: float) -> SpectralField:
     """Apply the heat semigroup exp(t*eps*Laplacian) componentwise."""
     if t == 0.0 or eps == 0.0:
-        heat_factor(V.grid, t, eps)  # argument validation only
+        _check_heat_arguments(t, eps)
         return V
     return apply_multiplier(V, heat_factor(V.grid, t, eps))
 
@@ -343,21 +326,20 @@ def heat_propagate(V: VectorField, t: float, eps: float) -> VectorField:
 # Leray projection
 
 
-def leray_complement(V: VectorField) -> VectorField:
+def leray_complement(V: SpectralField) -> SpectralField:
     """Q = Id - P: the gradient part; kills the mean mode."""
     g = V.grid
     ksq = g.k_sq.copy()
     ksq[(0,) * g.d] = 1.0  # mode 0 set explicitly below
-    div = sum(g.freq_axis(ax) * comp.coeffs for ax, comp in enumerate(V)) / ksq
-    comps = [g.freq_axis(ax) * div for ax in range(g.d)]
-    for c in comps:
-        c[(0,) * g.d] = 0.0
-    return vector_field(g, comps)
+    div = sum(g.freq_axis(ax) * V.coeffs[ax] for ax in range(g.d)) / ksq
+    out = np.stack([g.freq_axis(ax) * div for ax in range(g.d)])
+    out[(...,) + (0,) * g.d] = 0.0
+    return SpectralField(g, out)
 
 
-def leray_project(V: VectorField) -> VectorField:
+def leray_project(V: SpectralField) -> SpectralField:
     """Project onto divergence-free fields; the mean mode passes through."""
-    return vector_field(V.grid, (c.coeffs - q.coeffs for c, q in zip(V, leray_complement(V))))
+    return SpectralField(V.grid, V.coeffs - leray_complement(V).coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -367,25 +349,37 @@ def leray_project(V: VectorField) -> VectorField:
 MODE_REL_TOL = 1e-15
 
 
-def max_mode_index(V: VectorField) -> int:
+def support_mask(F: SpectralField):
+    """Modes where a component carries more than MODE_REL_TOL * max|coeff|.
+
+    The components are reduced one at a time.  None where no mode qualifies:
+    the zero field, or a field whose largest coefficient is NaN.
+    """
+    comps = F.coeffs.reshape((-1,) + F.grid.spectral_shape)
+    scale = max(np.max(np.abs(c)) for c in comps)
+    mask = np.zeros(F.grid.spectral_shape, dtype=bool)
+    for c in comps:
+        mask |= np.abs(c) > MODE_REL_TOL * scale
+    return mask if mask.any() else None
+
+
+def max_mode_index(F: SpectralField) -> int:
     """Largest |m_j| carrying a coefficient above MODE_REL_TOL * max|coeff|."""
-    g = V.grid
-    scale = max(np.max(np.abs(c.coeffs)) for c in V)
-    if scale == 0.0:
+    g = F.grid
+    nz = support_mask(F)
+    if nz is None:
         return 0
     absm = np.abs(g.modes_1d)
     worst = 0
-    for c in V:
-        nz = np.abs(c.coeffs) > MODE_REL_TOL * scale
-        for ax in range(g.d):
-            axes = tuple(a for a in range(g.d) if a != ax)
-            along = nz.any(axis=axes)
-            if along.any():
-                worst = max(worst, int(absm[: along.size][along].max()))
+    for ax in range(g.d):
+        axes = tuple(a for a in range(g.d) if a != ax)
+        along = nz.any(axis=axes)
+        if along.any():
+            worst = max(worst, int(absm[: along.size][along].max()))
     return worst
 
 
-def _require_dealias_safe(V: VectorField, name: str) -> None:
+def _require_dealias_safe(V: SpectralField, name: str) -> None:
     g = V.grid
     mmax = max_mode_index(V)
     if mmax > g.dealias_keep:
@@ -397,7 +391,7 @@ def _require_dealias_safe(V: VectorField, name: str) -> None:
         )
 
 
-def advect(u: VectorField, v: VectorField) -> VectorField:
+def advect(u: SpectralField, v: SpectralField) -> SpectralField:
     """u . grad(v) via physical-space products of spectral derivatives.
 
     The inputs must be supported inside the 2/3-rule ball and the product is
@@ -411,14 +405,15 @@ def advect(u: VectorField, v: VectorField) -> VectorField:
     g = u.grid
     _require_dealias_safe(u, "advecting field")
     _require_dealias_safe(v, "advected field")
-    u_phys = [_inverse(c.coeffs, g) for c in u]
-    out = []
+    # one component at a time: no stacked temporaries on the N = 2048 grids
+    u_phys = [_inverse(c, g) for c in u.coeffs]
+    out = np.zeros_like(v.coeffs)
     for i in range(g.d):
         acc = np.zeros(g.shape)
         for j in range(g.d):
-            acc += u_phys[j] * _inverse((1j * g.freq_axis(j)) * v[i].coeffs, g)
-        out.append(SpectralField(g, np.where(g.dealias_mask, _forward(acc, g), 0.0)))
-    return VectorField(tuple(out))
+            acc += u_phys[j] * _inverse((1j * g.freq_axis(j)) * v.coeffs[i], g)
+        np.copyto(out[i], _forward(acc, g), where=g.dealias_mask)
+    return SpectralField(g, out)
 
 
 # ---------------------------------------------------------------------------
@@ -482,17 +477,16 @@ def lp_norm(f, p: float) -> float:
     return float((w * np.sum(mag**p)) ** (1.0 / p))
 
 
-def l2_norm_spectral(F) -> float:
+def l2_norm_spectral(F: SpectralField) -> float:
     """L^2 norm from the stored half-spectrum (Parseval); scalar or vector.
 
     Columns 0 and N/2 weigh 1, every other column 2 (it also stands for its
-    conjugate mirror).
+    conjugate mirror).  The squares are summed one component at a time.
     """
-    comps = [F] if isinstance(F, SpectralField) else list(F)
-    g = comps[0].grid
+    g = F.grid
     total = 0.0
-    for c in comps:
-        sq = np.abs(c.coeffs) ** 2
+    for c in F.coeffs.reshape((-1,) + g.spectral_shape):
+        sq = np.abs(c) ** 2
         total += (
             2.0 * float(np.sum(sq[..., 1:-1]))
             + float(np.sum(sq[..., 0]))
@@ -501,10 +495,8 @@ def l2_norm_spectral(F) -> float:
     return float(np.sqrt(total / g.L**g.d))
 
 
-def translate(F, shift) -> "SpectralField | VectorField":
+def translate(F: SpectralField, shift) -> SpectralField:
     """Exact torus translation: coeff(m) -> exp(-i (m/R).shift) coeff(m)."""
-    if isinstance(F, VectorField):
-        return VectorField(tuple(translate(c, shift) for c in F))
     g = F.grid
     shift = np.asarray(shift, dtype=float)
     if shift.shape != (g.d,):
@@ -515,7 +507,7 @@ def translate(F, shift) -> "SpectralField | VectorField":
     return SpectralField(g, F.coeffs * phase)
 
 
-def divergence_defect(V: VectorField) -> float:
+def divergence_defect(V: SpectralField) -> float:
     """||div u||_L2 / ||u||_L2 from spectral coefficients."""
     nu = l2_norm_spectral(V)
     if nu == 0.0:

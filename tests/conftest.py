@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from invlab.littlewood_paley import BesovParams
-from invlab.spectral import Grid, RealField, SpectralField, VectorField, to_spectral
+from invlab.spectral import Grid, RealField, SpectralField, to_spectral
 
 
 @pytest.fixture(scope="session")
@@ -32,19 +32,18 @@ def random_real_field(grid, rng):
 
 def random_vector_field(grid, rng, band=None):
     """Random spectral vector field; band limits |m| per axis when given."""
-    comps = []
-    for _ in range(grid.d):
-        F = to_spectral(random_real_field(grid, rng))
-        if band is not None:
-            keep = np.abs(grid.modes_1d) <= band
-            mask = np.ones(grid.spectral_shape, dtype=bool)
-            for ax, n in enumerate(grid.spectral_shape):
-                shape = [1] * grid.d
-                shape[ax] = n
-                mask &= keep[:n].reshape(shape)
-            F = SpectralField(grid, np.where(mask, F.coeffs, 0.0))
-        comps.append(F)
-    return VectorField(tuple(comps))
+    coeffs = np.stack(
+        [to_spectral(random_real_field(grid, rng)).coeffs for _ in range(grid.d)]
+    )
+    if band is not None:
+        keep = np.abs(grid.modes_1d) <= band
+        mask = np.ones(grid.spectral_shape, dtype=bool)
+        for ax, n in enumerate(grid.spectral_shape):
+            shape = [1] * grid.d
+            shape[ax] = n
+            mask &= keep[:n].reshape(shape)
+        coeffs = np.where(mask, coeffs, 0.0)
+    return SpectralField(grid, coeffs)
 
 
 def half_spectrum_weights(grid):

@@ -24,7 +24,6 @@ from invlab.spectral import (
     Grid,
     RealField,
     SpectralField,
-    VectorField,
     to_spectral,
 )
 
@@ -36,10 +35,9 @@ class TestFieldSnapshots:
         V = random_vector_field(grid, rng)
         path = write_field(tmp_path / "v.spf", V)
         back = read_field(path)
-        assert isinstance(back, VectorField)
-        for a, b in zip(back, V):
-            assert np.array_equal(a.coeffs, b.coeffs)
-            assert a.grid == b.grid
+        assert back.coeffs.shape == (grid.d,) + grid.spectral_shape
+        assert np.array_equal(back.coeffs, V.coeffs)
+        assert back.grid == V.grid
 
     def test_real_round_trip_bit_exact(self, grid, rng, tmp_path):
         f = random_real_field(grid, rng)
@@ -50,7 +48,7 @@ class TestFieldSnapshots:
     def test_scalar_spectral_round_trip(self, grid, rng, tmp_path):
         F = to_spectral(random_real_field(grid, rng))
         back = read_field(write_field(tmp_path / "F.spf", F))
-        assert isinstance(back, SpectralField)
+        assert back.coeffs.shape == grid.spectral_shape
         assert np.array_equal(back.coeffs, F.coeffs)
 
     def test_three_dimensional_file_rejected(self, tmp_path):
@@ -270,6 +268,33 @@ class TestCli:
         code = main(["validate", "--config", str(p), "--out", str(tmp_path / "out")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("evolve", {"evolve": {"eps": 2}}),
+            ("evolve", {"evolve": {"n": "x"}}),
+            ("fixed-limit", {"eps_exponents": [-1]}),
+            ("family-gap", {"t0": 0.015}),
+            ("heat-law", {"t_grid": [0.01]}),
+            ("expansion-residuals", {"t_grid": [0.01]}),
+        ],
+        ids=["evolve-eps", "evolve-n", "negative-exponent", "t0-off-grid",
+             "heat-law-one-time", "residuals-one-time"],
+    )
+    def test_invalid_input_exits_2_before_evolving(
+        self, tmp_path, capsys, monkeypatch, command, overrides
+    ):
+        import invlab.experiments as experiments
+
+        def no_evolution(*args, **kwargs):
+            raise AssertionError("evolved before the configuration was checked")
+
+        monkeypatch.setattr(experiments, "evolve", no_evolution)
+        cfg = self._config(tmp_path, **overrides)
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, tmp_path):
         code = main(
             ["validate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]
@@ -283,7 +308,7 @@ class TestCli:
         assert code == 0
         assert (out / "fields" / "shell_n3.spf").exists()
         u0 = read_field(out / "fields" / "shell_n3.spf")
-        assert isinstance(u0, VectorField)
+        assert isinstance(u0, SpectralField) and u0.coeffs.ndim == 3
 
     def test_heat_law_command(self, tmp_path):
         cfg = self._config(tmp_path)
@@ -322,14 +347,13 @@ class TestCli:
         assert sorted(p.name for p in run_dir.glob("*.spf")) == ["t000.spf", "t001.spf"]
         for i, t in enumerate(traj.times):
             written = read_field(run_dir / f"t{i:03d}.spf")
-            for a, b in zip(written, traj.state_at(t)):
-                assert np.array_equal(a.coeffs, b.coeffs)
+            assert np.array_equal(written.coeffs, traj.state_at(t).coeffs)
         rows = (out / "records.csv").read_text().strip().split("\n")[1:]
         assert len(rows) == 4  # energy and Besov norm at each sample time
 
     def test_evolve_above_heat_exponent_limit_exits_3(self, tmp_path, capsys):
         # eps * T * max|xi|^2 = 1 * 1 * 910.2 on the N = 512 datum grid
-        cfg = self._config(tmp_path, t_grid=[1.0], T0=1.0, t0=1.0, evolve={"eps": 1.0})
+        cfg = self._config(tmp_path, t_grid=[0.5, 1.0], T0=1.0, t0=1.0, evolve={"eps": 1.0})
         code = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 3
         assert "exceeds 700" in capsys.readouterr().err

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from invlab.errors import ConfigError, NumericsError, ResolutionError
+from invlab.littlewood_paley import besov_from_blocks, besov_norm, build_partition, dyadic_block
 from invlab.spectral import (
     Grid,
     RealField,
     SpectralField,
-    VectorField,
     advect,
+    apply_multiplier,
     curl,
     divergence,
     divergence_defect,
@@ -27,13 +28,44 @@ from conftest import half_spectrum_weights, random_real_field, random_vector_fie
 
 
 def vf_diff_norm(a, b):
-    return np.sqrt(
-        sum(np.sum(np.abs(x.coeffs - y.coeffs) ** 2) for x, y in zip(a, b))
-    )
+    return np.sqrt(np.sum(np.abs(a.coeffs - b.coeffs) ** 2))
 
 
 def vf_norm(a):
-    return np.sqrt(sum(np.sum(np.abs(x.coeffs) ** 2) for x in a))
+    return np.sqrt(np.sum(np.abs(a.coeffs) ** 2))
+
+
+class TestFieldLayout:
+    def test_shapes_other_than_scalar_or_d_components_rejected(self, grid):
+        ok = np.zeros(grid.spectral_shape, dtype=complex)
+        assert SpectralField(grid, ok).coeffs.ndim == 2
+        assert SpectralField(grid, np.stack([ok, ok])).coeffs.shape[0] == grid.d
+        for shape in ((3,) + grid.spectral_shape, grid.shape):
+            with pytest.raises(ConfigError, match="half-spectrum shape"):
+                SpectralField(grid, np.zeros(shape, dtype=complex))
+
+    def test_vector_operations_equal_their_components_bitwise(self, grid, rng, bp):
+        V = random_vector_field(grid, rng, band=grid.dealias_keep)
+        comps = [SpectralField(grid, c) for c in V.coeffs]
+        factor = np.exp(-0.3 * grid.k_sq)
+        for op in (lambda F: apply_multiplier(F, factor), lambda F: translate(F, (0.4, -1.1))):
+            whole = op(V).coeffs
+            for i, c in enumerate(comps):
+                assert np.array_equal(whole[i], op(c).coeffs)
+        # the Parseval sum runs one component after the other
+        total = 0.0
+        for c in V.coeffs:
+            sq = np.abs(c) ** 2
+            total += 2.0 * float(np.sum(sq[..., 1:-1])) + float(np.sum(sq[..., 0]))
+            total += float(np.sum(sq[..., -1]))
+        assert l2_norm_spectral(V) == float(np.sqrt(total / grid.L**2))
+        # a block's L^p norm takes the pointwise magnitude of its components
+        part = build_partition(grid)
+        blocks = [
+            lp_norm([to_physical(dyadic_block(j, c)) for c in comps], bp.p)
+            for j in range(-1, part.j_max + 1)
+        ]
+        assert besov_norm(V, bp) == besov_from_blocks(np.array(blocks), bp)
 
 
 class TestGrid:
@@ -118,16 +150,14 @@ class TestDerivatives:
         assert np.max(np.abs(w.coeffs + grid.k_sq * F.coeffs)) <= 1e-12 * np.max(
             np.abs(w.coeffs)
         )
-        for b, c in zip(grid.biot_savart, u):
+        for b, c in zip(grid.biot_savart, u.coeffs):
             assert b[0, 0] == 0.0
-            assert np.max(np.abs(b * w.coeffs - c.coeffs)) <= 1e-13 * np.max(
-                np.abs(c.coeffs)
-            )
+            assert np.max(np.abs(b * w.coeffs - c)) <= 1e-13 * np.max(np.abs(c))
 
     def test_divergence_matches_gradient_sum(self, grid, rng):
         V = random_vector_field(grid, rng)
         div = divergence(V)
-        manual = sum(gradient(c)[i].coeffs for i, c in enumerate(V))
+        manual = sum(gradient(SpectralField(grid, c)).coeffs[i] for i, c in enumerate(V.coeffs))
         assert np.max(np.abs(div.coeffs - manual)) <= 1e-12 * np.max(np.abs(manual))
 
 
@@ -143,9 +173,9 @@ class TestHeatPropagator:
         coeffs = np.zeros(g.spectral_shape, dtype=complex)
         coeffs[2, 0] = 1.0
         coeffs[-2, 0] = 1.0
-        V = VectorField((SpectralField(g, coeffs), SpectralField(g, 0 * coeffs)))
+        V = SpectralField(g, np.stack([coeffs, 0 * coeffs]))
         W = heat_propagate(V, 1.0, 0.25)
-        assert W[0].coeffs[2, 0] == pytest.approx(np.exp(-1.0), rel=1e-14)
+        assert W.coeffs[0, 2, 0] == pytest.approx(np.exp(-1.0), rel=1e-14)
 
     def test_negative_time_rejected(self, grid, rng):
         V = random_vector_field(grid, rng)
@@ -166,19 +196,10 @@ class TestHeatPropagator:
         u0 = shell_velocity(ShellDatum(3, BesovParams(3.0)), lab_grid)
         t, eps = 0.05, 2.0**-6
         moved = heat_propagate(u0, t, eps)
-        diff = VectorField(
-            tuple(
-                SpectralField(lab_grid, a.coeffs - b.coeffs)
-                for a, b in zip(moved, u0)
-            )
-        )
-        impl = l2_norm_spectral(diff)
+        impl = l2_norm_spectral(SpectralField(lab_grid, moved.coeffs - u0.coeffs))
         factor = np.exp(-t * eps * lab_grid.k_sq) - 1.0
         w = half_spectrum_weights(lab_grid)
-        oracle = np.sqrt(
-            sum(np.sum(w * np.abs(factor * c.coeffs) ** 2) for c in u0)
-            / lab_grid.L**2
-        )
+        oracle = np.sqrt(np.sum(w * np.abs(factor * u0.coeffs) ** 2) / lab_grid.L**2)
         assert impl == pytest.approx(oracle, rel=1e-10)
 
 
@@ -203,11 +224,7 @@ class TestLerayProjection:
     def test_sum_and_cross_identities(self, grid, rng):
         V = random_vector_field(grid, rng)
         P, Q = leray_project(V), leray_complement(V)
-        total = VectorField(
-            tuple(
-                SpectralField(grid, a.coeffs + b.coeffs) for a, b in zip(P, Q)
-            )
-        )
+        total = SpectralField(grid, P.coeffs + Q.coeffs)
         assert vf_diff_norm(total, V) <= 1e-13 * vf_norm(V)
         assert vf_norm(leray_complement(P)) <= 1e-13 * vf_norm(V)
         assert divergence_defect(P) <= 1e-12
@@ -215,33 +232,26 @@ class TestLerayProjection:
     def test_mean_mode_passes_through_projection(self, grid):
         coeffs = np.zeros(grid.spectral_shape, dtype=complex)
         coeffs[0, 0] = 3.0
-        V = VectorField(
-            (SpectralField(grid, coeffs), SpectralField(grid, 2.0 * coeffs))
-        )
+        V = SpectralField(grid, np.stack([coeffs, 2.0 * coeffs]))
         P = leray_project(V)
         Q = leray_complement(V)
-        assert P[0].coeffs[0, 0] == 3.0 and P[1].coeffs[0, 0] == 6.0
-        assert Q[0].coeffs[0, 0] == 0.0
+        assert P.coeffs[0, 0, 0] == 3.0 and P.coeffs[1, 0, 0] == 6.0
+        assert Q.coeffs[0, 0, 0] == 0.0
 
 
 class TestAdvection:
     def test_constant_advecting_field(self, grid, rng):
         c = (0.7, -1.3)
-        const = []
-        for ci in c:
-            arr = np.zeros(grid.spectral_shape, dtype=complex)
-            arr[0, 0] = ci * grid.L**2  # constant function
-            const.append(SpectralField(grid, arr))
-        u = VectorField(tuple(const))
+        arr = np.zeros((2,) + grid.spectral_shape, dtype=complex)
+        arr[:, 0, 0] = np.array(c) * grid.L**2  # constant functions
+        u = SpectralField(grid, arr)
         v = random_vector_field(grid, rng, band=grid.dealias_keep // 2)
         adv = advect(u, v)
-        expected = [
-            c[0] * gradient(v[i])[0].coeffs + c[1] * gradient(v[i])[1].coeffs
-            for i in range(2)
-        ]
-        for a, e in zip(adv, expected):
+        grads = [gradient(SpectralField(grid, vi)).coeffs for vi in v.coeffs]
+        expected = [c[0] * gi[0] + c[1] * gi[1] for gi in grads]
+        for a, e in zip(adv.coeffs, expected):
             mask = grid.dealias_mask
-            assert np.max(np.abs(a.coeffs - np.where(mask, e, 0.0))) <= 1e-10 * max(
+            assert np.max(np.abs(a - np.where(mask, e, 0.0))) <= 1e-10 * max(
                 np.max(np.abs(e)), 1e-300
             )
 
@@ -256,13 +266,8 @@ class TestAdvection:
     def test_bilinearity_in_scaling(self, grid, rng):
         u = random_vector_field(grid, rng, band=grid.dealias_keep // 2)
         v = random_vector_field(grid, rng, band=grid.dealias_keep // 2)
-        a = advect(
-            VectorField(tuple(SpectralField(grid, 2.5 * c.coeffs) for c in u)), v
-        )
-        b = advect(u, v)
-        scaled = VectorField(
-            tuple(SpectralField(grid, 2.5 * c.coeffs) for c in b)
-        )
+        a = advect(SpectralField(grid, 2.5 * u.coeffs), v)
+        scaled = SpectralField(grid, 2.5 * advect(u, v).coeffs)
         assert vf_diff_norm(a, scaled) <= 1e-12 * vf_norm(scaled)
 
     def test_support_violation_reports_required_resolution(self, grid, rng):
@@ -299,11 +304,11 @@ class TestAdvection:
             expected.append(np.where(inside, np.fft.fftn(prod) * to_coeffs, 0.0))
 
         def half(arrays):
-            return VectorField(tuple(SpectralField(grid, a[..., :h]) for a in arrays))
+            return SpectralField(grid, np.stack([a[..., :h] for a in arrays]))
 
         adv = advect(half(u_full), half(v_full))
-        for a, e in zip(adv, expected):
-            assert np.max(np.abs(a.coeffs - e[..., :h])) <= 1e-13 * np.max(np.abs(e))
+        for a, e in zip(adv.coeffs, expected):
+            assert np.max(np.abs(a - e[..., :h])) <= 1e-13 * np.max(np.abs(e))
 
     def test_grid_mismatch_rejected(self, grid, rng):
         other = Grid(2, 64, 1.5)
@@ -386,7 +391,7 @@ class TestBernsteinBracket:
         inside = (g.k_mag >= 0.75 * lam) & (g.k_mag <= (8.0 / 3.0) * lam)
         F = SpectralField(g, np.where(inside, F.coeffs, 0.0))
         nf = l2_norm_spectral(F)
-        ng = np.sqrt(sum(l2_norm_spectral(c) ** 2 for c in gradient(F)))
+        ng = l2_norm_spectral(gradient(F))
         assert (0.75 * lam) * (1 - 1e-12) <= ng / nf <= (8.0 / 3.0 * lam) * (1 + 1e-12)
 
 
