@@ -399,7 +399,7 @@ def first_order_remainders(
     _check_same_data(u0, traj0)
     _check_same_data(u0, traj_eps)
     r0 = vorticity_rhs(u0.grid, curl(u0).coeffs, u0.coeffs[:, 0, 0])[0]
-    pa0 = SpectralField(u0.grid, -_velocity(u0.grid, r0, 0.0))
+    pa0 = -_velocity(u0.grid, r0, 0.0)  # coefficients of P(u0 . grad u0)
     return (_remainders_at(u0, pa0, traj0, traj_eps, t, nodes, refine) for t in times)
 
 
@@ -408,7 +408,6 @@ def _remainders_at(u0, pa0, traj0, traj_eps, t, nodes, refine):
     eps = traj_eps.eps
     u2 = u2_duhamel(u0, t, eps, nodes, refine=refine)
     lin = heat_integral_factor(g, t, eps)
-    pa0 = pa0.coeffs
     return FirstOrderRemainders(
         euler=SpectralField(g, traj0.increment_at(t).coeffs + t * pa0),
         navier_stokes=SpectralField(g, traj_eps.increment_at(t).coeffs - u2.coeffs),
