@@ -67,7 +67,6 @@ from .spectral import (
     leray_project,
     lp_norm,
     perp_gradient,
-    to_physical,
     to_spectral,
     translate,
 )
@@ -98,14 +97,18 @@ class ExperimentConfig:
         self.bp.validate()
         if self.mode not in ("strict", "relaxed"):
             raise ConfigError(f"mode must be strict or relaxed, got {self.mode!r}")
-        if any(n < 3 for n in self.n_list):
-            raise ConfigError("shell indices must be >= 3")
+        if not self.n_list or any(n < 3 for n in self.n_list):
+            raise ConfigError("n_list needs one or more shell indices, each >= 3")
         if not all(0 < t <= self.T0 for t in self.t_grid):
             raise ConfigError("t_grid values must lie in (0, T0]")
         if len(set(self.t_grid)) < 2:
             raise ConfigError("t_grid needs two or more distinct times (slopes, plateaus)")
-        if any(m < 0 for m in self.eps_exponents):
-            raise ConfigError("eps_exponents must be >= 0 (eps = 2**-2m may not exceed 1)")
+        if not self.eps_exponents or any(m < 0 for m in self.eps_exponents):
+            raise ConfigError(
+                "eps_exponents needs one or more exponents, each >= 0 (eps = 2**-2m <= 1)"
+            )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (0 < self.t0 <= self.T0):
             raise ConfigError("t0 must lie in (0, T0]")
         if self.quadrature_nodes < 9 or self.quadrature_nodes % 2 == 0:
@@ -841,14 +844,11 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     u0 = ctx.datum(n0)
     lam = 2.0**n0
     gd = u0.grid
-    u0_phys = [to_physical(SpectralField(gd, c)) for c in u0.coeffs]
-    grads = [
-        to_physical(SpectralField(gd, dc))
-        for c in u0.coeffs
-        for dc in gradient(SpectralField(gd, c)).coeffs
-    ]
-    gnorm = lp_norm(grads, 2.0)
-    unorm = lp_norm(u0_phys, 2.0)
+    # |grad u|^2 = sum_j |d_j u|^2, and d_j u is a vector field
+    gnorm = math.hypot(
+        *(lp_norm(apply_multiplier(u0, 1j * gd.freq_axis(j)), 2.0) for j in range(gd.d))
+    )
+    unorm = lp_norm(u0, 2.0)
     ratio = gnorm / unorm
     lo, hi = (0.75 * lam) * (1 - 1e-12), (8.0 / 3.0 * lam) * (1 + 1e-12)
     records.append(
@@ -938,7 +938,7 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     # norm-equivalence sanity (logged, asserted finite and positive)
     zf = _random_stream(g, rng, g.dealias_keep)
     bz = besov_norm(zf, bp)
-    low = lp_norm(to_physical(zf), bp.p)
+    low = lp_norm(zf, bp.p)
     ratio_eq = bz / max(low, 1e-300)
     records.append(
         ResultRecord(
@@ -1055,7 +1055,7 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     borderline = BesovParams(bp.d / bp.p + 1.0, bp.p, 1.0, bp.d)
     bl = besov_norm(u0, borderline)
     records.append(ResultRecord(ex, "borderline_besov", bl, n0))
-    lp_u0 = lp_norm(u0_phys, borderline.p)
+    lp_u0 = lp_norm(u0, borderline.p)
     records.append(
         ResultRecord(ex, "borderline_single_shell_ratio", bl / (2.0 ** (n0 * borderline.s) * lp_u0), n0)
     )

@@ -84,8 +84,8 @@ def read_field(path):
     """Read an SPF1 snapshot; the kind flag selects the returned type.
 
     A spectral file of one component gives a scalar SpectralField, of d
-    components a vector one; a physical file gives a RealField, or a list of
-    them for several components.
+    components a vector one; a physical file of one component gives a
+    RealField.  Any other component count is a FormatError.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
@@ -111,6 +111,11 @@ def read_field(path):
     kind, ncomp = take("<BB")
     if kind not in (0, 1):
         raise FormatError(f"{path}: unknown field kind {kind}")
+    allowed = (1,) if kind == 0 else (1, d)
+    if ncomp not in allowed:
+        what = ("physical", "spectral")[kind]
+        counts = " or ".join(map(str, allowed))
+        raise FormatError(f"{path}: a {what} field has {counts} components, got {ncomp}")
     grid = Grid(d, ns[0], R)
     count = grid.N**d
     itemsize = 8 if kind == 0 else 16
@@ -120,22 +125,16 @@ def read_field(path):
             f"{path}: payload size {len(raw) - off} does not match "
             f"{ncomp} components of {count} values"
         )
-    fields = []
+    if kind == 0:
+        arr = np.frombuffer(raw, dtype="<f8", offset=off).reshape(grid.shape)
+        return RealField(grid, arr.astype(np.float64))
+    halves = []
     for i in range(ncomp):
         chunk = raw[off : off + count * itemsize]
         off += count * itemsize
-        if kind == 0:
-            arr = np.frombuffer(chunk, dtype="<f8").reshape(grid.shape)
-            fields.append(RealField(grid, arr.astype(np.float64)))
-        else:
-            arr = np.frombuffer(chunk, dtype="<c16").reshape(grid.shape)
-            half = _from_mode_order(arr.astype(np.complex128), grid, f"{path}: component {i}")
-            fields.append(half)
-    if kind == 0:
-        return fields[0] if ncomp == 1 else fields
-    if ncomp not in (1, d):
-        raise FormatError(f"{path}: a spectral field has 1 or {d} components, got {ncomp}")
-    return SpectralField(grid, fields[0] if ncomp == 1 else np.stack(fields))
+        arr = np.frombuffer(chunk, dtype="<c16").reshape(grid.shape)
+        halves.append(_from_mode_order(arr.astype(np.complex128), grid, f"{path}: component {i}"))
+    return SpectralField(grid, halves[0] if ncomp == 1 else np.stack(halves))
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +241,24 @@ _SCALAR_KEYS = {
     "radius_bound": float,
     "mode": str,
 }
-_KNOWN_KEYS = set(_SCALAR_KEYS) | {
-    "p",
-    "r",
-    "n_list",
-    "t_grid",
-    "eps_exponents",
-    "shift",
-    "evolve",
-}
+_LIST_KEYS = {"n_list": int, "t_grid": float, "eps_exponents": int}
+_KNOWN_KEYS = set(_SCALAR_KEYS) | set(_LIST_KEYS) | {"p", "r", "shift", "evolve"}
 _EVOLVE_KEYS = {"n", "eps", "shift"}
 
 
 def _is_number(value, kind=(int, float)) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+# the JSON types each cast accepts; a bool is none of them
+_ACCEPTED = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
+
+
+def _typed(value, kind, key):
+    types, want = _ACCEPTED[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"config key {key!r} must be {want}, got {value!r}")
+    return kind(value)
 
 
 def _exponent(value, key):
@@ -292,28 +295,20 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if "evolve" in data:
         _check_evolve_options(data["evolve"])
 
-    kwargs = {}
-    for key, cast in _SCALAR_KEYS.items():
-        if key in data and key not in ("d", "s"):
-            try:
-                kwargs[key] = cast(data[key])
-            except (TypeError, ValueError) as err:
-                raise ConfigError(f"config key {key!r}: {err}") from None
-    d = int(data.get("d", 2))
+    kwargs = {k: _typed(data[k], kind, k) for k, kind in _SCALAR_KEYS.items() if k in data}
+    for key, kind in _LIST_KEYS.items():
+        if key in data:
+            if not isinstance(data[key], list):
+                raise ConfigError(f"config key {key!r} must be a list, got {data[key]!r}")
+            kwargs[key] = tuple(_typed(v, kind, key) for v in data[key])
+    if data.get("shift") is not None:
+        kwargs["shift"] = _typed(data["shift"], float, "shift")
+    d = kwargs.pop("d", 2)
     if d != 2:
         raise ConfigError("the experiment harness runs in dimension 2")
-    s = float(data.get("s", 3.0))
     p = _exponent(data.get("p", 2.0), "p")
     r = _exponent(data.get("r", 2.0), "r")
-    bp = BesovParams(s, p, r, d).validate()
-    if "n_list" in data:
-        kwargs["n_list"] = tuple(int(n) for n in data["n_list"])
-    if "t_grid" in data:
-        kwargs["t_grid"] = tuple(float(t) for t in data["t_grid"])
-    if "eps_exponents" in data:
-        kwargs["eps_exponents"] = tuple(int(m) for m in data["eps_exponents"])
-    if "shift" in data and data["shift"] is not None:
-        kwargs["shift"] = float(data["shift"])
+    bp = BesovParams(kwargs.pop("s", 3.0), p, r, d).validate()
     return ExperimentConfig(bp=bp, **kwargs)
 
 

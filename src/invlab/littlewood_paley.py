@@ -19,9 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .spectral import (
-    Grid, RealField, SpectralField, _inverse, apply_multiplier, lp_norm, support_mask
-)
+from .spectral import Grid, SpectralField, apply_multiplier, lp_norm, support_mask
 
 THETA_ONE = 0.75  # theta == 1 inside this radius
 THETA_ZERO = 4.0 / 3.0  # theta == 0 outside this radius
@@ -176,9 +174,7 @@ def block_lp_norms(F: SpectralField, p: float) -> np.ndarray:
     A field whose support reaches beyond the radius where the partition is
     exact gets truncated blocks, and a UserWarning says so.
     """
-    g = F.grid
-    comps = F.coeffs.reshape((-1,) + g.spectral_shape)
-    part = build_partition(g)
+    part = build_partition(F.grid)
     r_lo, r_hi = field_support_range(F)
     if r_hi > part.coverage_radius:
         warnings.warn(
@@ -196,10 +192,8 @@ def block_lp_norms(F: SpectralField, p: float) -> np.ndarray:
         if r_lo > blk_hi or r_hi < blk_lo:
             out[j + 1] = 0.0
             continue
-        vals = part.block_multiplier(j)
-        # one component at a time: no stacked temporary on the N = 2048 grids
-        phys = [RealField(g, _inverse(c * vals, g)) for c in comps]
-        out[j + 1] = lp_norm(phys[0] if len(phys) == 1 else phys, p)
+        # lp_norm samples the block one component at a time
+        out[j + 1] = lp_norm(apply_multiplier(F, part.block_multiplier(j)), p)
     return out
 
 

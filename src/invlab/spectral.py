@@ -22,8 +22,10 @@ One type, ``SpectralField``, holds scalar and vector fields alike.  A scalar's
 ``coeffs`` has shape ``Grid.spectral_shape``; a vector's has shape
 ``(d,) + Grid.spectral_shape``, the component axis first, component i at
 ``coeffs[i]``.  Multipliers broadcast over the component axis, so a sum or a
-multiple of fields is one array expression.  ``RealField`` is always scalar;
-a vector in physical space is a sequence of RealFields.
+multiple of fields is one array expression.  ``RealField`` is always scalar.
+
+Norms read spectral fields: ``l2_norm_spectral`` sums coefficients, and
+``lp_norm`` is the one place where a field is sampled for a norm.
 """
 
 from __future__ import annotations
@@ -423,58 +425,65 @@ def advect(u: SpectralField, v: SpectralField) -> SpectralField:
 OVERSAMPLING = 4
 
 
-def _magnitude_samples(fields) -> tuple:
-    """(grid, pointwise l2 magnitude) for a scalar or sequence of scalars."""
-    if isinstance(fields, RealField):
-        return fields.grid, np.abs(fields.samples)
-    parts = list(fields)
-    grid = parts[0].grid
-    acc = np.zeros(grid.shape)
-    for p in parts:
-        if p.grid != grid:
-            raise ConfigError("vector samples must share one grid")
-        acc += p.samples**2
-    return grid, np.sqrt(acc)
+def _magnitude(F: SpectralField, sample) -> np.ndarray:
+    """Pointwise l2 magnitude of F, each component sampled on its own by
+    ``sample``: |s| for a scalar, for a vector the root of the squares summed
+    in component order."""
+    if F.coeffs.shape == F.grid.spectral_shape:
+        return np.abs(sample(F.coeffs))
+    parts = (sample(c) for c in F.coeffs)
+    acc = np.square(next(parts))
+    for s in parts:
+        acc += np.square(s, out=s)
+    return np.sqrt(acc, out=acc)
 
 
-def _oversampled_max(grid: Grid, parts) -> float:
+def _oversampled_max(F: SpectralField) -> float:
     """Max of the pointwise magnitude on an OVERSAMPLING times finer lattice.
 
-    The refined field is the symmetric trigonometric interpolant: a Nyquist
-    mode -N/2 of the coarse lattice is split evenly between -N/2 and +N/2.
+    The refined field is the symmetric trigonometric interpolant of the
+    coefficients: a Nyquist mode -N/2 of the coarse lattice is split evenly
+    between -N/2 and +N/2.
     """
+    grid = F.grid
     fine = Grid(grid.d, grid.N * OVERSAMPLING, grid.R)
     half = grid.N // 2
     rows = np.concatenate([np.arange(half), np.arange(-half, 0)])
-    acc = np.zeros(fine.shape)
-    for p in parts:
+
+    def refined(c):
         big = np.zeros(fine.spectral_shape, dtype=np.complex128)
-        big[np.ix_(*([rows] * (grid.d - 1)), np.arange(half + 1))] = to_spectral(p).coeffs
+        big[np.ix_(*([rows] * (grid.d - 1)), np.arange(half + 1))] = c
         for ax in range(grid.d - 1):
             plane = np.moveaxis(big, ax, 0)  # a view: writes land in big
             plane[-half] *= 0.5
             plane[half] = plane[-half]
         big[..., half] *= 0.5  # its mirror at column -N/2 supplies the other half
-        acc += to_physical(SpectralField(fine, big)).samples ** 2
-    return float(np.sqrt(acc).max())
+        return _inverse(big, fine)
+
+    return float(_magnitude(F, refined).max())
 
 
-def lp_norm(f, p: float) -> float:
-    """L^p norm by uniform-weight quadrature on the sampling lattice.
+def lp_norm(F: SpectralField, p: float) -> float:
+    """L^p norm of a scalar or vector field by uniform-weight quadrature.
 
-    ``f`` may be a RealField or a sequence of RealFields (a vector sampled
-    in physical space); vectors use the pointwise l2 magnitude.  ``p`` may
-    be ``numpy.inf``; the sup norm is evaluated on a 4x spectrally
-    oversampled lattice to reduce the grid-max underestimate.
+    Norms read spectral fields, and this is the one place where a field is
+    sampled for a norm: one component at a time, so no stacked physical
+    array is built.  Vectors use the pointwise l2 magnitude.  ``p`` may be
+    ``numpy.inf``; the sup norm is evaluated on a 4x spectrally oversampled
+    lattice to reduce the grid-max underestimate.  A non-finite value (a NaN
+    or infinite sample) raises NumericsError.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    grid, mag = _magnitude_samples(f)
+    g = F.grid
     if np.isinf(p):
-        parts = [f] if isinstance(f, RealField) else list(f)
-        return _oversampled_max(grid, parts)
-    w = grid.dx**grid.d
-    return float((w * np.sum(mag**p)) ** (1.0 / p))
+        val = _oversampled_max(F)
+    else:
+        mag = _magnitude(F, lambda c: _inverse(c, g))
+        val = float((g.dx**g.d * np.sum(mag**p)) ** (1.0 / p))
+    if not np.isfinite(val):
+        raise NumericsError(f"L^{p:g} norm is non-finite: {val}")
+    return val
 
 
 def l2_norm_spectral(F: SpectralField) -> float:

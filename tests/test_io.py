@@ -59,6 +59,14 @@ class TestFieldSnapshots:
         with pytest.raises(FormatError, match="unsupported dimension 3"):
             read_field(p)
 
+    @pytest.mark.parametrize("ncomp", [0, 3])
+    def test_physical_file_of_other_than_one_component_rejected(self, grid, tmp_path, ncomp):
+        p = tmp_path / "f.spf"
+        header = b"SPF1" + struct.pack("<IIIdBB", 2, grid.N, grid.N, grid.R, 0, ncomp)
+        p.write_bytes(header + b"\x00" * (8 * ncomp * grid.N**2))
+        with pytest.raises(FormatError, match=f"physical field has 1 components, got {ncomp}"):
+            read_field(p)
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.spf"
         p.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -269,20 +277,35 @@ class TestCli:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "command, overrides",
+        "command, overrides, flags",
         [
-            ("evolve", {"evolve": {"eps": 2}}),
-            ("evolve", {"evolve": {"n": "x"}}),
-            ("fixed-limit", {"eps_exponents": [-1]}),
-            ("family-gap", {"t0": 0.015}),
-            ("heat-law", {"t_grid": [0.01]}),
-            ("expansion-residuals", {"t_grid": [0.01]}),
+            ("evolve", {"evolve": {"eps": 2}}, []),
+            ("evolve", {"evolve": {"n": "x"}}, []),
+            ("fixed-limit", {"eps_exponents": [-1]}, []),
+            ("family-gap", {"t0": 0.015}, []),
+            ("heat-law", {"t_grid": [0.01]}, []),
+            ("expansion-residuals", {"t_grid": [0.01]}, []),
+            ("validate", {"s": "x"}, []),
+            ("validate", {"d": "x"}, []),
+            ("validate", {"n_list": ["x"]}, []),
+            ("validate", {"n_list": 5}, []),
+            ("validate", {"t_grid": "ab"}, []),
+            ("validate", {"shift": "x"}, []),
+            ("heat-law", {"n_list": []}, []),
+            ("validate", {"n_list": []}, []),
+            ("fixed-limit", {"eps_exponents": [], "n_list": [3]}, []),
+            ("fixed-limit", {"eps_exponents": [1.5]}, []),
+            ("validate", {"seed": -1}, []),
+            ("validate", {}, ["--seed", "-1"]),
         ],
         ids=["evolve-eps", "evolve-n", "negative-exponent", "t0-off-grid",
-             "heat-law-one-time", "residuals-one-time"],
+             "heat-law-one-time", "residuals-one-time", "s-text", "d-text",
+             "n-text", "n_list-number", "t_grid-text", "shift-text",
+             "heat-law-no-shell", "validate-no-shell", "no-exponent",
+             "fractional-exponent", "negative-seed", "negative-seed-flag"],
     )
     def test_invalid_input_exits_2_before_evolving(
-        self, tmp_path, capsys, monkeypatch, command, overrides
+        self, tmp_path, capsys, monkeypatch, command, overrides, flags
     ):
         import invlab.experiments as experiments
 
@@ -291,7 +314,7 @@ class TestCli:
 
         monkeypatch.setattr(experiments, "evolve", no_evolution)
         cfg = self._config(tmp_path, **overrides)
-        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *flags])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 

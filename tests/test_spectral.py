@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -59,12 +61,15 @@ class TestFieldLayout:
             total += 2.0 * float(np.sum(sq[..., 1:-1])) + float(np.sum(sq[..., 0]))
             total += float(np.sum(sq[..., -1]))
         assert l2_norm_spectral(V) == float(np.sqrt(total / grid.L**2))
-        # a block's L^p norm takes the pointwise magnitude of its components
+        # a block's L^p norm takes the pointwise magnitude of its components,
+        # their squares summed in component order
         part = build_partition(grid)
-        blocks = [
-            lp_norm([to_physical(dyadic_block(j, c)) for c in comps], bp.p)
-            for j in range(-1, part.j_max + 1)
-        ]
+        blocks = []
+        for j in range(-1, part.j_max + 1):
+            sq = np.zeros(grid.shape)
+            for c in comps:
+                sq += to_physical(dyadic_block(j, c)).samples ** 2
+            blocks.append(float((grid.dx**2 * np.sum(np.sqrt(sq) ** bp.p)) ** (1.0 / bp.p)))
         assert besov_norm(V, bp) == besov_from_blocks(np.array(blocks), bp)
 
 
@@ -318,21 +323,25 @@ class TestAdvection:
             advect(u, v)
 
 
+def spectral_of(grid, samples):
+    return to_spectral(RealField(grid, samples))
+
+
 class TestLpNorms:
     def test_constant(self, grid):
-        f = RealField(grid, np.ones(grid.shape))
+        F = spectral_of(grid, np.ones(grid.shape))
         for p in (1.0, 2.0, 3.0):
-            assert lp_norm(f, p) == pytest.approx(grid.L ** (2.0 / p), rel=1e-12)
+            assert lp_norm(F, p) == pytest.approx(grid.L ** (2.0 / p), rel=1e-12)
 
     def test_cosine_closed_form(self, grid):
         x = grid.x_1d
-        f = RealField(grid, np.cos(x / grid.R)[:, None] + 0.0 * x[None, :])
-        assert lp_norm(f, 2.0) == pytest.approx(grid.L / np.sqrt(2.0), rel=1e-12)
+        F = spectral_of(grid, np.cos(x / grid.R)[:, None] + 0.0 * x[None, :])
+        assert lp_norm(F, 2.0) == pytest.approx(grid.L / np.sqrt(2.0), rel=1e-12)
 
     def test_sup_norm_of_cosine(self, grid):
         x = grid.x_1d
-        f = RealField(grid, np.cos(x / grid.R)[:, None] + 0.0 * x[None, :])
-        assert lp_norm(f, np.inf) == pytest.approx(1.0, rel=1e-12)
+        F = spectral_of(grid, np.cos(x / grid.R)[:, None] + 0.0 * x[None, :])
+        assert lp_norm(F, np.inf) == pytest.approx(1.0, rel=1e-12)
 
     def test_sup_norm_oversampling_reduces_underestimate(self):
         # a high-mode phase-shifted cosine peaks between samples; the
@@ -340,21 +349,64 @@ class TestLpNorms:
         g = Grid(2, 32, 1.0)
         x = g.x_1d
         # peak sits exactly halfway between coarse samples of the carrier
-        f = RealField(g, np.cos(8 * x + np.pi / 4)[:, None] + 0.0 * x[None, :])
-        grid_max = float(np.abs(f.samples).max())
-        refined = lp_norm(f, np.inf)
+        samples = np.cos(8 * x + np.pi / 4)[:, None] + 0.0 * x[None, :]
+        grid_max = float(np.abs(samples).max())
+        refined = lp_norm(spectral_of(g, samples), np.inf)
         assert grid_max < 0.75
         assert refined == pytest.approx(1.0, rel=1e-12)
 
     def test_vector_uses_pointwise_magnitude(self, grid):
-        a = RealField(grid, np.full(grid.shape, 3.0))
-        b = RealField(grid, np.full(grid.shape, 4.0))
-        assert lp_norm([a, b], np.inf) == pytest.approx(5.0, rel=1e-12)
+        V = SpectralField(
+            grid,
+            np.stack([spectral_of(grid, np.full(grid.shape, v)).coeffs for v in (3.0, 4.0)]),
+        )
+        assert lp_norm(V, np.inf) == pytest.approx(5.0, rel=1e-12)
 
     def test_invalid_exponent(self, grid):
-        f = RealField(grid, np.ones(grid.shape))
+        F = spectral_of(grid, np.ones(grid.shape))
         with pytest.raises(ValueError):
-            lp_norm(f, 0.5)
+            lp_norm(F, 0.5)
+
+    @pytest.mark.parametrize("p", [2.0, np.inf], ids=["p2", "sup"])
+    def test_nan_coefficient_is_numeric_error(self, grid, rng, p):
+        V = random_vector_field(grid, rng)
+        V.coeffs[1, 2, 3] = np.nan
+        with pytest.raises(NumericsError, match="non-finite"):
+            lp_norm(V, p)
+
+    @pytest.mark.parametrize("p", [2.0, np.inf], ids=["p2", "sup"])
+    def test_one_inverse_transform_per_component_and_no_forward(
+        self, monkeypatch, grid, rng, p
+    ):
+        # the sup norm pads the coefficients and samples them on the 4x finer
+        # lattice; neither path transforms samples back to coefficients
+        import invlab.spectral as spectral
+
+        V = random_vector_field(grid, rng)
+        calls = []
+        backend = spectral._fft
+
+        def counted(kind, fn):
+            def call(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                calls.append((kind, result.shape))
+                return result
+
+            return call
+
+        monkeypatch.setattr(
+            spectral,
+            "_fft",
+            types.SimpleNamespace(
+                fftn=counted("forward", backend.fftn),
+                rfftn=counted("forward", backend.rfftn),
+                ifftn=counted("inverse", backend.ifftn),
+                irfftn=counted("inverse", backend.irfftn),
+            ),
+        )
+        lp_norm(V, p)
+        N = grid.N * (spectral.OVERSAMPLING if np.isinf(p) else 1)
+        assert calls == [("inverse", (N, N))] * grid.d
 
 
 class TestTranslate:
