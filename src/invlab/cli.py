@@ -162,6 +162,10 @@ def main(argv=None) -> int:
             records = _run_evolve(cfg, ctx, out_dir, raw_cfg)
         else:
             records = _EXPERIMENTS[args.command](cfg, ctx)
+        wall_s = time.perf_counter() - start  # the experiment alone, without the report
+        constants = collect_constants(records, _CONSTANT_NAMES)
+        meta = {"seed": cfg.seed, "mode": cfg.mode, "threads": args.threads, "wall_s": wall_s}
+        write_report(records, out_dir, constants, meta={**meta, **ctx.telemetry()})
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
@@ -176,10 +180,6 @@ def main(argv=None) -> int:
         print(f"numeric error: {err}", file=sys.stderr)
         return 3
 
-    wall_s = time.perf_counter() - start  # the experiment alone, without the report
-    constants = collect_constants(records, _CONSTANT_NAMES)
-    meta = {"seed": cfg.seed, "mode": cfg.mode, "threads": args.threads, "wall_s": wall_s}
-    write_report(records, out_dir, constants, meta={**meta, **ctx.telemetry()})
     counts = verdict_counts(records)
     print(
         f"{args.command}: {counts['pass']} pass, {counts['fail']} fail, "

@@ -113,6 +113,15 @@ class ExperimentConfig:
             raise ConfigError("t0 must lie in (0, T0]")
         if self.quadrature_nodes < 9 or self.quadrature_nodes % 2 == 0:
             raise ConfigError("quadrature_nodes must be odd and >= 9")
+        Grid(2, self.N, self.R)  # the budget and the radius obey Grid's rules
+        for name in ("n_list", "eps_exponents"):
+            vals = getattr(self, name)
+            if len(set(vals)) < len(vals):
+                raise ConfigError(f"{name} repeats an entry: {list(vals)}")
+        if self.psi_band < 0:
+            raise ConfigError(f"psi_band must be >= 0, got {self.psi_band}")
+        if not (self.radius_bound > 0):
+            raise ConfigError(f"radius_bound must be positive, got {self.radius_bound}")
 
     def eps_n(self, n: int) -> float:
         return 2.0 ** (-2 * n)

@@ -26,27 +26,16 @@ THETA_ZERO = 4.0 / 3.0  # theta == 0 outside this radius
 RAMP_ID = "normalized-bump-quotient"
 
 
-def _bump(u: np.ndarray) -> np.ndarray:
-    """exp(-1/u) for u > 0, 0 otherwise (C-infinity at 0)."""
-    out = np.zeros_like(u)
-    pos = u > 0
-    with np.errstate(over="ignore", under="ignore"):
-        out[pos] = np.exp(-1.0 / u[pos])
-    return out
-
-
 def smooth_ramp(u: np.ndarray) -> np.ndarray:
-    """Monotone C-infinity ramp with ramp(u)=0 for u<=0 and 1 for u>=1."""
+    """Monotone C-infinity ramp: 0 for u <= 0, 1 for u >= 1, b(u)/(b(u) + b(1-u))
+    between, b(u) = exp(-1/u) evaluated only on 0 < u < 1; NaN stays NaN."""
     u = np.asarray(u, dtype=float)
-    b0 = _bump(u)
-    b1 = _bump(1.0 - u)
-    out = np.empty_like(u)
-    lo = u <= 0.0
-    hi = u >= 1.0
-    mid = ~(lo | hi)
-    out[lo] = 0.0
-    out[hi] = 1.0
-    out[mid] = b0[mid] / (b0[mid] + b1[mid])
+    out = (u >= 1.0).astype(float)
+    mid = ~((u <= 0.0) | (u >= 1.0))
+    um = u[mid]
+    with np.errstate(over="ignore", under="ignore"):
+        b0, b1 = np.exp(-1.0 / um), np.exp(-1.0 / (1.0 - um))
+    out[mid] = b0 / (b0 + b1)
     return out
 
 

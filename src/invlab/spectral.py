@@ -24,8 +24,8 @@ One type, ``SpectralField``, holds scalar and vector fields alike.  A scalar's
 ``coeffs[i]``.  Multipliers broadcast over the component axis, so a sum or a
 multiple of fields is one array expression.  ``RealField`` is always scalar.
 
-Norms read spectral fields: ``l2_norm_spectral`` sums coefficients, and
-``lp_norm`` is the one place where a field is sampled for a norm.
+Norms read spectral fields, and ``lp_norm`` takes every norm: at p = 2 by
+Parseval on the half-spectrum, sampling nothing, and at any other p from samples.
 """
 
 from __future__ import annotations
@@ -464,19 +464,21 @@ def _oversampled_max(F: SpectralField) -> float:
 
 
 def lp_norm(F: SpectralField, p: float) -> float:
-    """L^p norm of a scalar or vector field by uniform-weight quadrature.
+    """L^p norm of a scalar or vector field (pointwise l2 magnitude for vectors).
 
-    Norms read spectral fields, and this is the one place where a field is
-    sampled for a norm: one component at a time, so no stacked physical
-    array is built.  Vectors use the pointwise l2 magnitude.  ``p`` may be
-    ``numpy.inf``; the sup norm is evaluated on a 4x spectrally oversampled
-    lattice to reduce the grid-max underestimate.  A non-finite value (a NaN
-    or infinite sample) raises NumericsError.
+    This is the one place where a norm is taken.  At p = 2 it is Parseval on
+    the stored half-spectrum (``l2_norm_spectral``) and samples nothing.  Any
+    other p samples one component at a time, so no stacked physical array is
+    built: finite p by uniform-weight quadrature, ``numpy.inf`` on a 4x
+    spectrally oversampled lattice to reduce the grid-max underestimate.  A
+    non-finite value (a NaN or infinite coefficient) raises NumericsError.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     g = F.grid
-    if np.isinf(p):
+    if p == 2:
+        val = l2_norm_spectral(F)
+    elif np.isinf(p):
         val = _oversampled_max(F)
     else:
         mag = _magnitude(F, lambda c: _inverse(c, g))

@@ -140,6 +140,14 @@ class TestConfigAndRecords:
             ExperimentConfig(quadrature_nodes=8)
         with pytest.raises(ConfigError):
             ExperimentConfig(bp=BesovParams(2.0, 2.0, 2.0, 2))
+        for bad in (
+            {"N": 8}, {"N": 768}, {"R": 0.0}, {"psi_band": -1}, {"radius_bound": 0.0},
+        ):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(**bad)
+        for key in ("n_list", "eps_exponents"):
+            with pytest.raises(ConfigError, match=f"{key} repeats an entry"):
+                ExperimentConfig(**{key: (3, 4, 3)})
 
     def test_record_validation(self):
         with pytest.raises(NumericsError, match=r"x record q \(n=3, t=0.5\)"):

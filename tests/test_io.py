@@ -297,12 +297,20 @@ class TestCli:
             ("fixed-limit", {"eps_exponents": [1.5]}, []),
             ("validate", {"seed": -1}, []),
             ("validate", {}, ["--seed", "-1"]),
+            ("heat-law", {"n_list": [3, 3], "t_grid": [0.01, 0.02]}, []),
+            ("fixed-limit", {"eps_exponents": [3, 3], "n_list": [3]}, []),
+            ("heat-law", {"N": -5, "n_list": [3]}, []),
+            ("heat-law", {"N": 768}, []),
+            ("family-gap", {"radius_bound": -1, "t_grid": [0.02, 0.05]}, []),
+            ("perturbed-gap", {"psi_band": -1, "n_list": [3]}, []),
         ],
         ids=["evolve-eps", "evolve-n", "negative-exponent", "t0-off-grid",
              "heat-law-one-time", "residuals-one-time", "s-text", "d-text",
              "n-text", "n_list-number", "t_grid-text", "shift-text",
              "heat-law-no-shell", "validate-no-shell", "no-exponent",
-             "fractional-exponent", "negative-seed", "negative-seed-flag"],
+             "fractional-exponent", "negative-seed", "negative-seed-flag",
+             "repeated-shell", "repeated-exponent", "negative-N", "N-not-power-of-two",
+             "negative-radius-bound", "negative-psi-band"],
     )
     def test_invalid_input_exits_2_before_evolving(
         self, tmp_path, capsys, monkeypatch, command, overrides, flags

@@ -20,10 +20,11 @@ from invlab.spectral import (
     SpectralField,
     l2_norm_spectral,
     lp_norm,
+    to_physical,
     to_spectral,
 )
 
-from conftest import half_spectrum_weights, random_real_field
+from conftest import random_real_field
 
 
 class TestCutoffs:
@@ -49,6 +50,27 @@ class TestCutoffs:
         v = smooth_ramp(u)
         assert (np.diff(v) >= 0).all()
         assert v[0] == 0.0 and v[-1] == 1.0
+
+    def test_ramp_matches_reference_bump_quotient_bitwise(self):
+        # reference: both bumps over the whole array, the quotient on 0 < u < 1
+        def bump(u):
+            out = np.zeros_like(u)
+            pos = u > 0
+            with np.errstate(over="ignore", under="ignore"):
+                out[pos] = np.exp(-1.0 / u[pos])
+            return out
+
+        edges = [0.0, 1.0, np.inf, -np.inf, 5e-324, 1.0 - 2.0**-53]
+        edges += [np.nextafter(x, d) for x in (0.0, 1.0) for d in (-1.0, 2.0)]
+        u = np.concatenate([np.linspace(-2.0, 3.0, 100_001), edges])
+        b0, b1 = bump(u), bump(1.0 - u)
+        ref = np.empty_like(u)
+        lo, hi = u <= 0.0, u >= 1.0
+        mid = ~(lo | hi)
+        ref[lo], ref[hi] = 0.0, 1.0
+        ref[mid] = b0[mid] / (b0[mid] + b1[mid])
+        assert np.array_equal(smooth_ramp(u), ref)
+        assert np.isnan(smooth_ramp(np.array([np.nan]))).all()
 
     def test_cutoff_general_bounds(self):
         r = np.linspace(0, 3, 301)
@@ -214,14 +236,14 @@ class TestBesovNorm:
             besov_norm(SpectralField(g, coeffs), bp)
 
     def test_plancherel_oracle_at_p2(self, bp, lab_grid):
-        # physical-quadrature path against the direct coefficient sums
+        # the coefficient sums against the physical quadrature of each block
         u0 = shell_velocity(ShellDatum(3, bp), lab_grid)
         part = build_partition(lab_grid)
         impl = block_lp_norms(u0, 2.0)
-        w = half_spectrum_weights(lab_grid)
         for j in range(-1, part.j_max + 1):
-            vals = part.block_multiplier(j)
-            oracle = np.sqrt(np.sum(w * np.abs(vals * u0.coeffs) ** 2) / lab_grid.L**2)
+            blk = dyadic_block(j, u0)
+            sq = sum(to_physical(SpectralField(lab_grid, c)).samples ** 2 for c in blk.coeffs)
+            oracle = np.sqrt(lab_grid.dx**2 * np.sum(sq))
             assert impl[j + 1] == pytest.approx(oracle, rel=1e-10, abs=1e-22)
 
     def test_support_range_helper(self, lab_grid, bp):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from invlab.errors import ConfigError, NumericsError, ResolutionError
-from invlab.littlewood_paley import besov_from_blocks, besov_norm, build_partition, dyadic_block
+from invlab.littlewood_paley import (
+    BesovParams,
+    besov_from_blocks,
+    besov_norm,
+    block_lp_norms,
+    build_partition,
+    dyadic_block,
+)
 from invlab.spectral import (
     Grid,
     RealField,
@@ -61,16 +68,21 @@ class TestFieldLayout:
             total += 2.0 * float(np.sum(sq[..., 1:-1])) + float(np.sum(sq[..., 0]))
             total += float(np.sum(sq[..., -1]))
         assert l2_norm_spectral(V) == float(np.sqrt(total / grid.L**2))
-        # a block's L^p norm takes the pointwise magnitude of its components,
-        # their squares summed in component order
+        # at p = 2 a block's norm is the Parseval sum of the block, no samples
         part = build_partition(grid)
+        js = range(-1, part.j_max + 1)
+        blocks = [l2_norm_spectral(dyadic_block(j, V)) for j in js]
+        assert np.array_equal(block_lp_norms(V, 2.0), blocks)
+        # at any other p it takes the pointwise magnitude of the components,
+        # their squares summed in component order
+        bp3 = BesovParams(3.0, 3.0, 2.0, 2)
         blocks = []
-        for j in range(-1, part.j_max + 1):
+        for j in js:
             sq = np.zeros(grid.shape)
             for c in comps:
                 sq += to_physical(dyadic_block(j, c)).samples ** 2
-            blocks.append(float((grid.dx**2 * np.sum(np.sqrt(sq) ** bp.p)) ** (1.0 / bp.p)))
-        assert besov_norm(V, bp) == besov_from_blocks(np.array(blocks), bp)
+            blocks.append(float((grid.dx**2 * np.sum(np.sqrt(sq) ** bp3.p)) ** (1.0 / bp3.p)))
+        assert besov_norm(V, bp3) == besov_from_blocks(np.array(blocks), bp3)
 
 
 class TestGrid:
@@ -362,6 +374,18 @@ class TestLpNorms:
         )
         assert lp_norm(V, np.inf) == pytest.approx(5.0, rel=1e-12)
 
+    @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+    def test_p2_equals_physical_quadrature(self, grid, rng, vector):
+        # Parseval on the half-spectrum against the sampled sum of squares
+        if vector:
+            F = random_vector_field(grid, rng)
+            comps = F.coeffs
+        else:
+            F = spectral_of(grid, rng.standard_normal(grid.shape))
+            comps = [F.coeffs]
+        sq = sum(to_physical(SpectralField(grid, c)).samples ** 2 for c in comps)
+        assert lp_norm(F, 2.0) == pytest.approx(np.sqrt(grid.dx**2 * np.sum(sq)), rel=1e-13)
+
     def test_invalid_exponent(self, grid):
         F = spectral_of(grid, np.ones(grid.shape))
         with pytest.raises(ValueError):
@@ -374,12 +398,14 @@ class TestLpNorms:
         with pytest.raises(NumericsError, match="non-finite"):
             lp_norm(V, p)
 
-    @pytest.mark.parametrize("p", [2.0, np.inf], ids=["p2", "sup"])
+    @pytest.mark.parametrize("p", [2.0, 3.0, np.inf], ids=["p2", "p3", "sup"])
     def test_one_inverse_transform_per_component_and_no_forward(
         self, monkeypatch, grid, rng, p
     ):
-        # the sup norm pads the coefficients and samples them on the 4x finer
-        # lattice; neither path transforms samples back to coefficients
+        # p = 2 is a sum over the coefficients and transforms nothing; other
+        # finite p sample each component once, and the sup norm pads the
+        # coefficients and samples them on the 4x finer lattice; no path
+        # transforms samples back to coefficients
         import invlab.spectral as spectral
 
         V = random_vector_field(grid, rng)
@@ -406,7 +432,7 @@ class TestLpNorms:
         )
         lp_norm(V, p)
         N = grid.N * (spectral.OVERSAMPLING if np.isinf(p) else 1)
-        assert calls == [("inverse", (N, N))] * grid.d
+        assert calls == ([] if p == 2 else [("inverse", (N, N))] * grid.d)
 
 
 class TestTranslate:
