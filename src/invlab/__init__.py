@@ -36,7 +36,6 @@ from .solvers import (
 )
 from .spectral import (
     Grid,
-    RealField,
     SpectralField,
     advect,
     divergence,
@@ -49,8 +48,6 @@ from .spectral import (
     lp_norm,
     perp_gradient,
     set_fft_workers,
-    to_physical,
-    to_spectral,
     translate,
 )
 from .experiments import (

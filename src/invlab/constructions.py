@@ -21,13 +21,11 @@ from .errors import ConfigError, ResolutionError
 from .littlewood_paley import BesovParams, besov_norm, radial_cutoff
 from .spectral import (
     Grid,
-    RealField,
     SpectralField,
     _conj_mirror,
     dealias_grid_size,
     get_fft_workers,
     perp_gradient,
-    to_spectral,
     translate,
 )
 
@@ -178,20 +176,28 @@ def shell_velocity(
     return SpectralField(grid, datum.amplitude * perp_gradient(F).coeffs)
 
 
-def _vector_from_samples(grid: Grid, samples) -> SpectralField:
-    return SpectralField(grid, np.stack([to_spectral(RealField(grid, u)).coeffs for u in samples]))
+def _vortex_cell(grid: Grid, amplitude: float, k: int) -> np.ndarray:
+    """Coefficients of amplitude * (-cos k x1 sin k x2, sin k x1 cos k x2), x/R.
+
+    On the stored half the cell has modes (k, k) and (-k, k) only, each
+    +/- i amplitude L^2/4; every other coefficient is exactly zero.
+    """
+    c = np.zeros((grid.d,) + grid.spectral_shape, dtype=np.complex128)
+    a = 0.25j * amplitude * grid.L**grid.d
+    c[0, k, k] = c[0, -k, k] = a
+    c[1, k, k] = -a
+    c[1, -k, k] = a
+    return c
 
 
 def taylor_green(grid: Grid, amplitude: float = 1.0) -> SpectralField:
     """Classical cellular vortex (-cos x1 sin x2, sin x1 cos x2) on the torus.
 
     Its advection term is a pure gradient, so the projected dynamics are
-    linear: the exact solution decays by exp(-2 eps t / R^2).
+    linear: the exact solution decays by exp(-2 eps t / R^2).  The (+/-1,
+    +/-1) coefficients are set exactly, so nothing lies outside the 2/3 ball.
     """
-    x = grid.x_1d / grid.R
-    cx, sx = np.cos(x)[:, None], np.sin(x)[:, None]
-    cy, sy = np.cos(x)[None, :], np.sin(x)[None, :]
-    return _vector_from_samples(grid, (-amplitude * cx * sy, amplitude * sx * cy))
+    return SpectralField(grid, _vortex_cell(grid, amplitude, 1))
 
 
 def taylor_green_two_mode(grid: Grid, secondary: float = 0.5) -> SpectralField:
@@ -199,16 +205,10 @@ def taylor_green_two_mode(grid: Grid, secondary: float = 0.5) -> SpectralField:
 
     Each harmonic alone is a steady ideal flow; their cross-advection is not
     a gradient, which makes this the standard field for time-integration
-    convergence measurements.
+    convergence measurements.  The (+/-1, +/-1) and (+/-2, +/-2)
+    coefficients are set exactly, so nothing lies outside the 2/3 ball.
     """
-    x = grid.x_1d / grid.R
-    u1 = -np.cos(x)[:, None] * np.sin(x)[None, :] - secondary * np.cos(2 * x)[
-        :, None
-    ] * np.sin(2 * x)[None, :]
-    u2 = np.sin(x)[:, None] * np.cos(x)[None, :] + secondary * np.sin(2 * x)[
-        :, None
-    ] * np.cos(2 * x)[None, :]
-    return _vector_from_samples(grid, (u1, u2))
+    return SpectralField(grid, _vortex_cell(grid, 1.0, 1) + _vortex_cell(grid, secondary, 2))
 
 
 def background_mode_extent(band: int, R: float) -> int:

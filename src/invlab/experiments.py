@@ -53,8 +53,8 @@ from .solvers import (
 )
 from .spectral import (
     Grid,
-    RealField,
     SpectralField,
+    _forward,
     advect,
     apply_multiplier,
     dealias_grid_size,
@@ -67,7 +67,6 @@ from .spectral import (
     leray_project,
     lp_norm,
     perp_gradient,
-    to_spectral,
     translate,
 )
 
@@ -802,7 +801,7 @@ def _rel_l2(a: SpectralField, b: SpectralField) -> float:
 
 def _noise(grid: Grid, rng) -> np.ndarray:
     """Half-spectrum of fresh white-noise samples."""
-    return to_spectral(RealField(grid, rng.standard_normal(grid.shape))).coeffs
+    return _forward(rng.standard_normal(grid.shape), grid)
 
 
 def _random_stream(grid: Grid, rng, band_modes: int) -> SpectralField:
@@ -895,9 +894,9 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     )
 
     # Parseval and transform isometries
-    fr = RealField(g, rng.standard_normal(g.shape))
-    F = to_spectral(fr)
-    phys = (g.dx**g.d) * np.sum(fr.samples**2)
+    samples = rng.standard_normal(g.shape)
+    F = SpectralField(g, _forward(samples, g))
+    phys = (g.dx**g.d) * np.sum(samples**2)
     spec = l2_norm_spectral(F) ** 2
     pars = abs(phys - spec) / phys
     records.append(ResultRecord(ex, "parseval_defect", pars, verdict=check(pars, hi=1e-12)))

@@ -4,9 +4,10 @@ Snapshot format (SPF1): magic ``SPF1``, little-endian u32 dimension, u32 N
 per axis, f64 R, u8 kind (0 = physical samples, 1 = spectral coefficients),
 u8 component count, then one payload array per component: f64 samples in
 row-major order for physical fields, interleaved f64 (re, im) pairs in
-row-major ascending-mode order for spectral fields.  A spectral payload is
-the full spectrum: the writer expands the stored half-spectrum by its
-Hermitian mirror, and the reader checks that mirror and keeps the half.
+row-major ascending-mode order for spectral fields.  Only spectral snapshots
+are written and read; a physical one (kind 0) is a FormatError.  A spectral
+payload is the full spectrum: the writer expands the stored half-spectrum by
+its Hermitian mirror, and the reader checks that mirror and keeps the half.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, FormatError
 from .experiments import ExperimentConfig
 from .littlewood_paley import RAMP_ID, BesovParams
-from .spectral import Grid, RealField, SpectralField, _conj_mirror
+from .spectral import Grid, SpectralField, _conj_mirror
 
 _MAGIC = b"SPF1"
 
@@ -53,26 +54,20 @@ def _from_mode_order(arr: np.ndarray, grid: Grid, where: str) -> np.ndarray:
 
 
 def write_field(path, field) -> Path:
-    """Write a RealField or a scalar or vector SpectralField as an SPF1 snapshot."""
+    """Write a scalar or vector SpectralField as an SPF1 snapshot."""
     path = Path(path)
-    if isinstance(field, SpectralField):
-        grid = field.grid
-        kind = 1
-        comps = field.coeffs.reshape((-1,) + grid.spectral_shape)
-        payloads = [_to_mode_order(c, grid).astype("<c16", copy=False) for c in comps]
-    elif isinstance(field, RealField):
-        grid = field.grid
-        kind = 0
-        payloads = [field.samples.astype("<f8", copy=False)]
-    else:
+    if not isinstance(field, SpectralField):
         raise ConfigError(f"cannot serialize {type(field).__name__}")
+    grid = field.grid
+    comps = field.coeffs.reshape((-1,) + grid.spectral_shape)
+    payloads = [_to_mode_order(c, grid).astype("<c16", copy=False) for c in comps]
     buf = _io.BytesIO()
     buf.write(_MAGIC)
     buf.write(struct.pack("<I", grid.d))
     for _ in range(grid.d):
         buf.write(struct.pack("<I", grid.N))
     buf.write(struct.pack("<d", grid.R))
-    buf.write(struct.pack("<BB", kind, len(payloads)))
+    buf.write(struct.pack("<BB", 1, len(payloads)))
     for p in payloads:
         buf.write(np.ascontiguousarray(p).tobytes())
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -81,11 +76,11 @@ def write_field(path, field) -> Path:
 
 
 def read_field(path):
-    """Read an SPF1 snapshot; the kind flag selects the returned type.
+    """Read a spectral SPF1 snapshot.
 
-    A spectral file of one component gives a scalar SpectralField, of d
-    components a vector one; a physical file of one component gives a
-    RealField.  Any other component count is a FormatError.
+    A file of one component gives a scalar SpectralField, of d components a
+    vector one.  Any other component count is a FormatError, and so is a
+    physical snapshot (kind 0): physical snapshots are not read.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
@@ -109,29 +104,24 @@ def read_field(path):
         raise FormatError(f"{path}: anisotropic grids are not supported: {ns}")
     (R,) = take("<d")
     kind, ncomp = take("<BB")
-    if kind not in (0, 1):
+    if kind == 0:
+        raise FormatError(f"{path}: physical snapshots (kind 0) are not read")
+    if kind != 1:
         raise FormatError(f"{path}: unknown field kind {kind}")
-    allowed = (1,) if kind == 0 else (1, d)
-    if ncomp not in allowed:
-        what = ("physical", "spectral")[kind]
-        counts = " or ".join(map(str, allowed))
-        raise FormatError(f"{path}: a {what} field has {counts} components, got {ncomp}")
+    if ncomp not in (1, d):
+        raise FormatError(f"{path}: a spectral field has 1 or {d} components, got {ncomp}")
     grid = Grid(d, ns[0], R)
     count = grid.N**d
-    itemsize = 8 if kind == 0 else 16
-    expected = off + ncomp * count * itemsize
-    if len(raw) != expected:
+    size = 16 * count  # bytes of one component: complex128 values
+    if len(raw) != off + ncomp * size:
         raise FormatError(
             f"{path}: payload size {len(raw) - off} does not match "
             f"{ncomp} components of {count} values"
         )
-    if kind == 0:
-        arr = np.frombuffer(raw, dtype="<f8", offset=off).reshape(grid.shape)
-        return RealField(grid, arr.astype(np.float64))
     halves = []
     for i in range(ncomp):
-        chunk = raw[off : off + count * itemsize]
-        off += count * itemsize
+        chunk = raw[off : off + size]
+        off += size
         arr = np.frombuffer(chunk, dtype="<c16").reshape(grid.shape)
         halves.append(_from_mode_order(arr.astype(np.complex128), grid, f"{path}: component {i}"))
     return SpectralField(grid, halves[0] if ncomp == 1 else np.stack(halves))

@@ -22,9 +22,9 @@ Matthews 2002), ``E = exp(-t eps Lap)(w - exp(t eps Lap) w0)``, so stiffness
 from the viscous term never enters the stability restriction, and
 ``exp(+t eps |xi|^2)`` must stay finite: ``eps T max|xi|^2`` <=
 ``EXPONENT_LIMIT``.  The horizon T is the last sample time; it also caps the
-step at T/64.  A sample's velocity increment is the Biot-Savart image
-of the decoded E less the heat flow of the modes of ``u0`` outside the ball,
-which the Galerkin projection drops.
+step at T/64.  The data must lie in the ball: a nonzero coefficient of
+``u0`` outside it is a ValueError, so the projection drops nothing.  A
+sample's velocity increment is the Biot-Savart image of the decoded E.
 
 The first-order expansion ``S^eps_t(u0) = u1(t) + u2(t) + O(t^2)`` is
 computed here once: ``u1`` is the heat flow of the data, ``u2`` the Duhamel
@@ -135,6 +135,18 @@ def _velocity(grid: Grid, w: np.ndarray, mean) -> np.ndarray:
     return out
 
 
+def _require_in_ball(u0: SpectralField) -> None:
+    """Raise ValueError if a coefficient of ``u0`` outside the 2/3 ball is nonzero."""
+    g, c = u0.grid, u0.coeffs
+    keep = g.dealias_keep
+    # rows keep+1 .. N-keep-1 and columns from keep+1 hold the modes |m_j| > keep
+    if np.any(c[..., keep + 1 : g.N - keep, :]) or np.any(c[..., keep + 1 :]):
+        raise ValueError(
+            f"initial data has nonzero coefficients outside the 2/3-rule ball "
+            f"|m|<={keep} of N={g.N}"
+        )
+
+
 def vorticity_rhs(grid: Grid, w: np.ndarray, mean) -> tuple:
     """``-div(u w)`` masked to the 2/3 ball, and the samples of ``u``.
 
@@ -164,7 +176,9 @@ def evolve(
     The horizon T is the last sample time.  Steps are capped at T/64 and by
     the CFL condition; ``dt_fixed`` forces a constant step (for convergence
     studies) and bypasses both.  ``eps * T * max|xi|^2`` of the grid may not
-    exceed ``EXPONENT_LIMIT``.
+    exceed ``EXPONENT_LIMIT``.  ``u0`` must be divergence-free and lie in the
+    2/3 ball, every coefficient outside it exactly zero.  The increment at a
+    sample time is the Biot-Savart image of the decoded E.
     """
     if not (0.0 <= eps <= 1.0):
         raise ValueError(f"viscosity must lie in [0, 1], got {eps}")
@@ -174,6 +188,7 @@ def evolve(
         raise ValueError(
             f"initial data is not divergence-free (relative defect {defect:.3e})"
         )
+    _require_in_ball(u0)
     targets = sorted(set(float(t) for t in sample_times))
     if not targets or targets[0] < 0:
         raise ValueError(f"need one or more sample times >= 0, got {targets}")
@@ -185,8 +200,8 @@ def evolve(
             f"{EXPONENT_LIMIT:g}: the integrating factor would overflow"
         )
 
-    # Galerkin projection of the data's vorticity; the mean velocity is constant
-    base = np.where(g.dealias_mask, curl(u0).coeffs, 0.0)
+    # the data's vorticity; the mean velocity is constant
+    base = curl(u0).coeffs
     mean = u0.coeffs[:, 0, 0]
     enc = np.zeros_like(base)  # the encoded increment E, 0 at t = 0
     s = base.copy()  # a stage's state; between steps, w(t)
@@ -274,13 +289,8 @@ def evolve(
                 l2_norm_spectral(divergence(state)) / energy if energy > 0.0 else 0.0
             )
             diag["max_speed"].append(speed)
-        # one exact heat factor from t = 0 decodes E into a velocity of zero
-        # mean; the increment is taken over the heat flow of u0 itself, so it
-        # also removes the modes outside the 2/3 ball that the projection
-        # dropped (zero for admissible data)
-        decay_exact = heat_factor(g, target, eps)
-        inc = _velocity(g, decay_exact * enc, 0.0)
-        inc -= decay_exact * np.where(g.dealias_mask, 0.0, u0.coeffs)
+        # one exact heat factor from t = 0 decodes E into a velocity of zero mean
+        inc = _velocity(g, heat_factor(g, target, eps) * enc, 0.0)
         increments.append(SpectralField(g, inc))
 
     diagnostics = {k: np.asarray(v) for k, v in diag.items()}
@@ -317,11 +327,13 @@ def u2_duhamel(
     With ``refine`` set the integrand is evaluated once on the doubled grid
     of ``2*(nodes-1)+1`` nodes: the fine sum is the result, the even-indexed
     nodes give the ``nodes``-point sum, and a relative change between the
-    two above ``REFINE_TOL`` raises a QuadratureError.
+    two above ``REFINE_TOL`` raises a QuadratureError.  ``u0`` must lie in
+    the 2/3 ball, as for ``evolve``.
     """
     g = u0.grid
     if nodes < 9 or nodes % 2 == 0:
         raise ValueError(f"composite Simpson needs an odd node count >= 9, got {nodes}")
+    _require_in_ball(u0)
     fine_nodes = 2 * (nodes - 1) + 1 if refine else nodes
     w = _simpson_weights(t, fine_nodes)
     w_coarse = _simpson_weights(t, nodes)

@@ -22,7 +22,7 @@ One type, ``SpectralField``, holds scalar and vector fields alike.  A scalar's
 ``coeffs`` has shape ``Grid.spectral_shape``; a vector's has shape
 ``(d,) + Grid.spectral_shape``, the component axis first, component i at
 ``coeffs[i]``.  Multipliers broadcast over the component axis, so a sum or a
-multiple of fields is one array expression.  ``RealField`` is always scalar.
+multiple of fields is one array expression.
 
 Norms read spectral fields, and ``lp_norm`` takes every norm: at p = 2 by
 Parseval on the half-spectrum, sampling nothing, and at any other p from samples.
@@ -175,22 +175,6 @@ def dealias_grid_size(max_mode: int) -> int:
 
 
 @dataclass(frozen=True)
-class RealField:
-    """Scalar field sampled on the grid (real-valued)."""
-
-    grid: Grid
-    samples: np.ndarray
-
-    def __post_init__(self):
-        if self.samples.shape != self.grid.shape:
-            raise ConfigError(
-                f"sample array shape {self.samples.shape} does not match grid {self.grid.shape}"
-            )
-        if not np.isfinite(self.samples).all():
-            raise NumericsError("real field contains non-finite samples")
-
-
-@dataclass(frozen=True)
 class SpectralField:
     """Real scalar or vector field given by its half-spectrum.
 
@@ -223,8 +207,7 @@ def _conj_mirror(full: np.ndarray) -> np.ndarray:
 # transforms
 
 
-# The array pair is the only route to the FFT backend; the hot loops call it
-# directly and skip the per-call sample check of RealField.
+# The array pair is the only route to the FFT backend.
 
 
 def _forward(samples: np.ndarray, grid: Grid) -> np.ndarray:
@@ -235,16 +218,6 @@ def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     return _fft.irfftn(coeffs, s=grid.shape, workers=_FFT_WORKERS) * (
         (grid.N / grid.L) ** grid.d
     )
-
-
-def to_spectral(f: RealField) -> SpectralField:
-    """Forward transform; coefficient of mode m is (L/N)^d * DFT."""
-    return SpectralField(f.grid, _forward(f.samples, f.grid))
-
-
-def to_physical(F: SpectralField) -> RealField:
-    """Inverse transform onto the sampling lattice."""
-    return RealField(F.grid, _inverse(F.coeffs, F.grid))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from invlab.littlewood_paley import BesovParams
-from invlab.spectral import Grid, RealField, SpectralField, to_spectral
+from invlab.spectral import Grid, SpectralField, _forward
 
 
 @pytest.fixture(scope="session")
@@ -27,13 +27,19 @@ def bp():
 
 
 def random_real_field(grid, rng):
-    return RealField(grid, rng.standard_normal(grid.shape))
+    """White-noise samples on the grid's lattice."""
+    return rng.standard_normal(grid.shape)
+
+
+def spectral_of(grid, samples):
+    """The spectral field of samples on the grid's lattice."""
+    return SpectralField(grid, _forward(samples, grid))
 
 
 def random_vector_field(grid, rng, band=None):
     """Random spectral vector field; band limits |m| per axis when given."""
     coeffs = np.stack(
-        [to_spectral(random_real_field(grid, rng)).coeffs for _ in range(grid.d)]
+        [_forward(random_real_field(grid, rng), grid) for _ in range(grid.d)]
     )
     if band is not None:
         keep = np.abs(grid.modes_1d) <= band

@@ -21,12 +21,15 @@ from invlab.littlewood_paley import (
 )
 from invlab.spectral import (
     Grid,
+    SpectralField,
+    _inverse,
     divergence_defect,
     l2_norm_spectral,
     lp_norm,
-    to_physical,
     translate,
 )
+
+from conftest import spectral_of
 
 
 class TestProfileBump:
@@ -79,8 +82,7 @@ class TestOscillatingProfile:
 
     def test_real_and_even(self, lab_grid):
         bump = build_profile_bump(lab_grid)
-        f = to_physical(oscillating_profile_spectral(bump, 3, lab_grid))
-        s = f.samples
+        s = _inverse(oscillating_profile_spectral(bump, 3, lab_grid).coeffs, lab_grid)
         for ax in range(2):
             flipped = np.roll(np.flip(s, axis=ax), 1, axis=ax)
             assert np.max(np.abs(s - flipped)) <= 1e-12 * np.max(np.abs(s))
@@ -89,7 +91,7 @@ class TestOscillatingProfile:
         # the frequency-space field equals 2 * cos(carrier x1) times the
         # periodized profile in each coordinate
         bump = build_profile_bump(lab_grid)
-        f = to_physical(oscillating_profile_spectral(bump, 3, lab_grid))
+        f = _inverse(oscillating_profile_spectral(bump, 3, lab_grid).coeffs, lab_grid)
         phi = bump.physical_profile()
         x = lab_grid.x_1d
         carrier = 17.0 / 12.0 * 8
@@ -98,7 +100,7 @@ class TestOscillatingProfile:
             * (phi * np.cos(carrier * x))[:, None]
             * phi[None, :]
         )
-        assert np.max(np.abs(f.samples - expected)) <= 1e-10 * np.max(np.abs(expected))
+        assert np.max(np.abs(f - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     def test_off_lattice_carrier_rejected(self):
         g = Grid(2, 128, 1.0)
@@ -188,6 +190,44 @@ class TestVortexFields:
         proj = leray_project(advect(w, w))
         assert l2_norm_spectral(proj) > 1e-3 * l2_norm_spectral(w)
 
-    def test_requires_two_dimensions(self):
-        with pytest.raises(ConfigError):
-            taylor_green(Grid(3, 16, 1.0))
+    @pytest.mark.parametrize("N", [16, 64, 512])
+    def test_exact_fields_match_sampled_reference(self, N):
+        # the vortex formulas sampled on the lattice and transformed
+        g = Grid(2, N, 1.0)
+        x = g.x_1d / g.R
+
+        def cell(k):
+            c, s = np.cos(k * x), np.sin(k * x)
+            return np.stack((-c[:, None] * s[None, :], s[:, None] * c[None, :]))
+
+        for exact, samples in (
+            (taylor_green(g, 0.7), 0.7 * cell(1)),
+            (taylor_green_two_mode(g), cell(1) + 0.5 * cell(2)),
+        ):
+            ref = np.stack([spectral_of(g, u).coeffs for u in samples])
+            peak = np.max(np.abs(ref))
+            assert np.max(np.abs(exact.coeffs - ref)) <= 1e-15 * peak
+            assert not np.any(exact.coeffs[:, ~g.dealias_mask])
+
+
+_DATA = {
+    "shell": lambda g, bp: shell_velocity(ShellDatum(3, bp), g),
+    "shifted_shell": lambda g, bp: shell_velocity(ShellDatum(3, bp, shift=g.L / 2), g),
+    "background": lambda g, bp: background_field(g, seed=7, band=3, bp=bp),
+    "shell_plus_background": lambda g, bp: SpectralField(
+        g,
+        shell_velocity(ShellDatum(3, bp), g).coeffs
+        + background_field(g, seed=7, band=3, bp=bp).coeffs,
+    ),
+    "taylor_green": lambda g, bp: taylor_green(g),
+    "taylor_green_two_mode": lambda g, bp: taylor_green_two_mode(g),
+}
+
+
+class TestAdmissibility:
+    @pytest.mark.parametrize("name", list(_DATA))
+    def test_data_lie_in_the_dealias_ball(self, lab_grid, bp, name):
+        # evolve and u2_duhamel refuse any nonzero coefficient outside the ball
+        u0 = _DATA[name](lab_grid, bp)
+        assert u0.coeffs.any()
+        assert not np.any(u0.coeffs[:, ~lab_grid.dealias_mask])

@@ -20,14 +20,9 @@ from invlab.io import (
     write_field,
     write_report,
 )
-from invlab.spectral import (
-    Grid,
-    RealField,
-    SpectralField,
-    to_spectral,
-)
+from invlab.spectral import SpectralField
 
-from conftest import random_real_field, random_vector_field
+from conftest import random_real_field, random_vector_field, spectral_of
 
 
 class TestFieldSnapshots:
@@ -39,14 +34,8 @@ class TestFieldSnapshots:
         assert np.array_equal(back.coeffs, V.coeffs)
         assert back.grid == V.grid
 
-    def test_real_round_trip_bit_exact(self, grid, rng, tmp_path):
-        f = random_real_field(grid, rng)
-        back = read_field(write_field(tmp_path / "f.spf", f))
-        assert isinstance(back, RealField)
-        assert np.array_equal(back.samples, f.samples)
-
     def test_scalar_spectral_round_trip(self, grid, rng, tmp_path):
-        F = to_spectral(random_real_field(grid, rng))
+        F = spectral_of(grid, random_real_field(grid, rng))
         back = read_field(write_field(tmp_path / "F.spf", F))
         assert back.coeffs.shape == grid.spectral_shape
         assert np.array_equal(back.coeffs, F.coeffs)
@@ -59,12 +48,13 @@ class TestFieldSnapshots:
         with pytest.raises(FormatError, match="unsupported dimension 3"):
             read_field(p)
 
-    @pytest.mark.parametrize("ncomp", [0, 3])
-    def test_physical_file_of_other_than_one_component_rejected(self, grid, tmp_path, ncomp):
+    @pytest.mark.parametrize("ncomp", [0, 1, 3])
+    def test_physical_file_rejected(self, grid, tmp_path, ncomp):
+        # kind 0 keeps its place in the SPF1 header, but no such file is read
         p = tmp_path / "f.spf"
         header = b"SPF1" + struct.pack("<IIIdBB", 2, grid.N, grid.N, grid.R, 0, ncomp)
         p.write_bytes(header + b"\x00" * (8 * ncomp * grid.N**2))
-        with pytest.raises(FormatError, match=f"physical field has 1 components, got {ncomp}"):
+        with pytest.raises(FormatError, match=r"physical snapshots \(kind 0\) are not read"):
             read_field(p)
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -104,12 +94,10 @@ class TestFieldSnapshots:
             read_field(p)
 
     def test_kind_flag_respected(self, grid, rng, tmp_path):
-        f = random_real_field(grid, rng)
-        F = to_spectral(f)
-        real_back = read_field(write_field(tmp_path / "a.spf", f))
-        spec_back = read_field(write_field(tmp_path / "b.spf", F))
-        assert isinstance(real_back, RealField)
-        assert isinstance(spec_back, SpectralField)
+        F = spectral_of(grid, random_real_field(grid, rng))
+        path = write_field(tmp_path / "b.spf", F)
+        assert path.read_bytes()[4 + 4 * (1 + grid.d) + 8] == 1  # kind: spectral
+        assert isinstance(read_field(path), SpectralField)
 
 
 class TestReports:

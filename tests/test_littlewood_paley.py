@@ -18,13 +18,12 @@ from invlab.littlewood_paley import (
 from invlab.spectral import (
     Grid,
     SpectralField,
+    _inverse,
     l2_norm_spectral,
     lp_norm,
-    to_physical,
-    to_spectral,
 )
 
-from conftest import random_real_field
+from conftest import random_real_field, spectral_of
 
 
 class TestCutoffs:
@@ -98,7 +97,7 @@ class TestCutoffs:
 
 class TestBlocks:
     def test_negative_index_rejected(self, grid, rng):
-        F = to_spectral(random_real_field(grid, rng))
+        F = spectral_of(grid, random_real_field(grid, rng))
         with pytest.raises(ValueError):
             dyadic_block(-2, F)
 
@@ -131,7 +130,7 @@ class TestBlocks:
         assert l2_norm_spectral(out) <= 1e-12 * l2_norm_spectral(u0)
 
     def test_low_pass_keeps_low_frequencies(self, lab_grid, rng):
-        F = to_spectral(random_real_field(lab_grid, rng))
+        F = spectral_of(lab_grid, random_real_field(lab_grid, rng))
         keep = lab_grid.k_mag <= 0.75 * 2.0**3
         F = SpectralField(lab_grid, np.where(keep, F.coeffs, 0.0))
         out = low_pass(3, F)
@@ -141,7 +140,7 @@ class TestBlocks:
 
     def test_almost_orthogonality(self, grid, rng):
         part = build_partition(grid)
-        F = to_spectral(random_real_field(grid, rng))
+        F = spectral_of(grid, random_real_field(grid, rng))
         nf = l2_norm_spectral(F)
         for j in range(-1, part.j_max + 1):
             bj = dyadic_block(j, F)
@@ -153,7 +152,7 @@ class TestBlocks:
 
     def test_block_sum_reconstructs_band_limited_field(self, grid, rng):
         part = build_partition(grid)
-        F = to_spectral(random_real_field(grid, rng))
+        F = spectral_of(grid, random_real_field(grid, rng))
         keep = grid.k_mag <= part.coverage_radius
         F = SpectralField(grid, np.where(keep, F.coeffs, 0.0))
         total = np.zeros(grid.spectral_shape, dtype=complex)
@@ -212,7 +211,7 @@ class TestBesovNorm:
 
     def test_ell_infinity_summation(self, grid, rng):
         part = build_partition(grid)
-        F = to_spectral(random_real_field(grid, rng))
+        F = spectral_of(grid, random_real_field(grid, rng))
         keep = grid.k_mag <= part.coverage_radius
         F = SpectralField(grid, np.where(keep, F.coeffs, 0.0))
         blocks = block_lp_norms(F, 2.0)
@@ -223,7 +222,7 @@ class TestBesovNorm:
         )
 
     def test_unresolved_support_warns(self, grid, rng):
-        F = to_spectral(random_real_field(grid, rng))  # corners exceed coverage
+        F = spectral_of(grid, random_real_field(grid, rng))  # corners exceed coverage
         with pytest.warns(UserWarning, match="exceeds the exactly resolved"):
             besov_norm(F, BesovParams(1.5, 2.0, 2.0, 2))
 
@@ -242,7 +241,7 @@ class TestBesovNorm:
         impl = block_lp_norms(u0, 2.0)
         for j in range(-1, part.j_max + 1):
             blk = dyadic_block(j, u0)
-            sq = sum(to_physical(SpectralField(lab_grid, c)).samples ** 2 for c in blk.coeffs)
+            sq = sum(_inverse(c, lab_grid) ** 2 for c in blk.coeffs)
             oracle = np.sqrt(lab_grid.dx**2 * np.sum(sq))
             assert impl[j + 1] == pytest.approx(oracle, rel=1e-10, abs=1e-22)
 
@@ -262,7 +261,7 @@ class TestBlockSpectrumReport:
 
     def test_power_sum_matches_norm(self, grid, rng, bp):
         part = build_partition(grid)
-        F = to_spectral(random_real_field(grid, rng))
+        F = spectral_of(grid, random_real_field(grid, rng))
         keep = grid.k_mag <= part.coverage_radius
         F = SpectralField(grid, np.where(keep, F.coeffs, 0.0))
         blocks = block_lp_norms(F, bp.p)

@@ -30,12 +30,15 @@ from invlab.spectral import (
     advect,
     curl,
     divergence_defect,
+    gradient,
     heat_factor,
     heat_propagate,
     l2_norm_spectral,
     leray_project,
     translate,
 )
+
+from conftest import spectral_of
 
 
 def vf_rel_diff(a, b):
@@ -118,10 +121,7 @@ class TestEvolve:
 
     def test_rejects_non_divergence_free_data(self, rng):
         g = Grid(2, 32, 1.0)
-        from invlab.spectral import gradient, to_spectral
-        from invlab.spectral import RealField
-
-        V = gradient(to_spectral(RealField(g, rng.standard_normal(g.shape))))
+        V = gradient(spectral_of(g, rng.standard_normal(g.shape)))
         with pytest.raises(ValueError):
             evolve(V, 0.0, [0.1])
 
@@ -151,6 +151,30 @@ class TestEvolve:
         decay = np.exp(-2.0 * T)
         ref = SpectralField(g, decay * tg.coeffs)
         assert vf_rel_diff(traj.state_at(T), ref) <= 1e-6
+
+    @pytest.mark.parametrize("where", ["row", "column"])
+    def test_data_outside_the_ball_rejected(self, monkeypatch, where):
+        # one 1e-300 coefficient just outside the 2/3 ball, on a mode whose
+        # divergence it leaves exactly zero: only the ball test can trip
+        import invlab.solvers as solvers
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a right-hand side was evaluated")
+
+        g = Grid(2, 64, 1.0)
+        c = taylor_green(g).coeffs
+        out = g.dealias_keep + 1
+        if where == "row":
+            c[1, out, 0] = c[1, -out, 0] = 1e-300  # u2 at (+/-out, 0): xi2 = 0
+        else:
+            c[0, 0, out] = 1e-300  # u1 at (0, out): xi1 = 0
+        u0 = SpectralField(g, c)
+        assert divergence_defect(u0) <= 1e-10
+        monkeypatch.setattr(solvers, "vorticity_rhs", no_step)
+        with pytest.raises(ValueError, match="outside the 2/3-rule ball"):
+            evolve(u0, 0.0, [0.1])
+        with pytest.raises(ValueError, match="outside the 2/3-rule ball"):
+            u2_duhamel(u0, 0.1, 0.0)
 
     def test_mean_velocity_carried_bitwise(self):
         # Taylor-Green plus a constant flow U solves the system as the decaying
@@ -292,9 +316,8 @@ class TestTrajectory:
         factor = heat_factor(g, 0.05, 0.01)
         for a, b, c in zip(traj.state_at(0.05).coeffs, tg.coeffs, traj.increments[0].coeffs):
             assert np.array_equal(a, factor * b + c)
-            # the rounding-level modes of tg outside the 2/3 ball, which the
-            # Galerkin projection drops, cancel exactly in the state
-            assert np.any(b[~g.dealias_mask])
+            # the data lie in the 2/3 ball exactly, and so does the state
+            assert not np.any(b[~g.dealias_mask])
             assert not np.any(a[~g.dealias_mask])
         with pytest.raises(ValueError):
             traj.increment_at(0.07)
@@ -303,9 +326,7 @@ class TestTrajectory:
 
     def test_invariant_enforced_at_construction(self, rng):
         g = Grid(2, 32, 1.0)
-        from invlab.spectral import RealField, gradient, to_spectral
-
-        bad = gradient(to_spectral(RealField(g, rng.standard_normal(g.shape))))
+        bad = gradient(spectral_of(g, rng.standard_normal(g.shape)))
         with pytest.raises(NumericsError):
             Trajectory(
                 times=(0.0,),
@@ -315,13 +336,23 @@ class TestTrajectory:
                 diagnostics={"energy": np.array([1.0])},
             )
 
-    def test_invariant_checked_on_the_state(self):
-        # steady ideal Taylor-Green: the increment is pure rounding, with a
-        # large divergence relative to its own norm, while the state is clean
+    def test_invariant_checked_on_the_state(self, rng):
+        # an increment of rounding size may have a large divergence relative
+        # to its own norm, as for a steady flow; the state is still clean
         g = Grid(2, 64, 1.0)
-        traj = evolve(taylor_green(g), 0.0, [1.0])
-        assert divergence_defect(traj.increment_at(1.0)) > 1e-9
-        assert divergence_defect(traj.state_at(1.0)) <= 1e-12
+        tg = taylor_green(g)
+        grad = gradient(spectral_of(g, rng.standard_normal(g.shape)))
+        scale = 1e-16 * l2_norm_spectral(tg) / l2_norm_spectral(grad)
+        inc = SpectralField(g, scale * grad.coeffs)
+        traj = Trajectory(
+            times=(0.0,),
+            increments=(inc,),
+            eps=0.0,
+            u0=tg,
+            diagnostics={"energy": np.array([1.0])},
+        )
+        assert divergence_defect(traj.increment_at(0.0)) > 1e-9
+        assert divergence_defect(traj.state_at(0.0)) <= 1e-12
 
 
 class TestTrajectoryGap:
