@@ -7,6 +7,16 @@ annulus ``3/4 <= |xi| <= 8/3`` and equal to 1 on ``4/3 <= |xi| <= 3/2``.
 Block ``j = -1`` applies ``theta``, block ``j >= 0`` applies
 ``phi(2**-j .)``; the cumulative low-pass of order ``n`` applies
 ``theta(2**-n .)``.
+
+Each multiplier vanishes for ``|xi| >= r_out``: ``r_out = 4/3`` for block -1,
+``(8/3) 2**j`` for block j and ``(4/3) 2**n`` for the low-pass of order n.
+There the ramp argument is at least 1, ``smooth_ramp`` writes exactly 1 and
+the multiplier is exactly 0.  So the partition keeps each multiplier only on
+the smallest box of the stored half-spectrum that holds the modes
+``|m_j| < r_out R``: rows ``|m_0| <= M`` (FFT layout) by columns
+``0 .. min(M, N/2)``, with ``M = ceil(r_out R) - 1``.  Outside the box some
+``|m_j| >= r_out R``, so ``|xi| >= r_out``.  Blocks are applied, and their
+L^2 norms summed, on the box alone.
 """
 
 from __future__ import annotations
@@ -18,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError
-from .spectral import Grid, SpectralField, apply_multiplier, lp_norm, support_mask
+from .errors import ConfigError, NumericsError
+from .spectral import Grid, SpectralField, half_spectrum_l2, lp_norm, support_mask
 
 THETA_ONE = 0.75  # theta == 1 inside this radius
 THETA_ZERO = 4.0 / 3.0  # theta == 0 outside this radius
@@ -47,7 +57,13 @@ def radial_cutoff(r, inner: float = THETA_ONE, outer: float = THETA_ZERO):
 
 @dataclass
 class DyadicPartition:
-    """Dyadic cutoffs bound to one grid, with cached block multipliers."""
+    """Dyadic cutoffs bound to one grid, with cached multipliers.
+
+    ``block(j)`` and ``low_pass(n)`` return ``(box, values)``: the index of
+    the multiplier's box into a half-spectrum array (module docstring) and
+    its values there, computed from ``theta``/``phi`` on ``grid.k_mag[box]``.
+    Outside the box the multiplier is exactly 0.
+    """
 
     grid: Grid
     j_max: int
@@ -65,23 +81,37 @@ class DyadicPartition:
         """The partition sums to exactly 1 for |xi| up to this radius."""
         return THETA_ONE * 2.0 ** (self.j_max + 1)
 
-    def block_multiplier(self, j: int) -> np.ndarray:
+    def _box(self, r_out: float) -> tuple:
+        """Index of the smallest half-spectrum box holding ``|m_j| < r_out R``."""
+        g = self.grid
+        M = math.ceil(r_out * g.R) - 1
+        if 2 * M + 1 >= g.N:
+            rows = slice(None)
+        else:
+            rows = np.concatenate((np.arange(M + 1), np.arange(g.N - M, g.N)))
+        return rows, slice(0, min(M, g.N // 2) + 1)
+
+    def block(self, j: int) -> tuple:
+        """``(box, values)`` of the multiplier of Delta_j."""
         if j < -1:
             raise ValueError(f"block index must be >= -1, got {j}")
         key = ("block", j)
         if key not in self._cache:
-            k = self.grid.k_mag
             if j == -1:
-                vals = self.theta(k)
+                box = self._box(THETA_ZERO)
+                vals = self.theta(self.grid.k_mag[box])
             else:
-                vals = self.phi(k / 2.0**j)
-            self._cache[key] = vals
+                box = self._box(2.0 * THETA_ZERO * 2.0**j)
+                vals = self.phi(self.grid.k_mag[box] / 2.0**j)
+            self._cache[key] = (box, vals)
         return self._cache[key]
 
-    def low_pass_multiplier(self, n: int) -> np.ndarray:
+    def low_pass(self, n: int) -> tuple:
+        """``(box, values)`` of the multiplier of S_n."""
         key = ("low", n)
         if key not in self._cache:
-            self._cache[key] = self.theta(self.grid.k_mag / 2.0**n)
+            box = self._box(THETA_ZERO * 2.0**n)
+            self._cache[key] = (box, self.theta(self.grid.k_mag[box] / 2.0**n))
         return self._cache[key]
 
 
@@ -99,16 +129,22 @@ def build_partition(grid: Grid) -> DyadicPartition:
     return DyadicPartition(grid=grid, j_max=j)
 
 
+def _on_box(F: SpectralField, box: tuple, values: np.ndarray) -> SpectralField:
+    """``values * F`` on the box, exactly zero outside it."""
+    idx = (Ellipsis,) + box
+    out = np.zeros_like(F.coeffs)
+    out[idx] = F.coeffs[idx] * values
+    return SpectralField(F.grid, out)
+
+
 def dyadic_block(j: int, F: SpectralField) -> SpectralField:
     """Frequency block Delta_j; j = -1 is the low ball, j >= 0 the shells."""
-    if j < -1:
-        raise ValueError(f"block index must be >= -1, got {j}")
-    return apply_multiplier(F, build_partition(F.grid).block_multiplier(j))
+    return _on_box(F, *build_partition(F.grid).block(j))
 
 
 def low_pass(n: int, F: SpectralField) -> SpectralField:
     """Cumulative low-pass S_n = theta(2**-n D)."""
-    return apply_multiplier(F, build_partition(F.grid).low_pass_multiplier(n))
+    return _on_box(F, *build_partition(F.grid).low_pass(n))
 
 
 @dataclass(frozen=True)
@@ -161,7 +197,8 @@ def block_lp_norms(F: SpectralField, p: float) -> np.ndarray:
     """L^p norms of the dyadic blocks, indexed j = -1 .. j_max.
 
     A field whose support reaches beyond the radius where the partition is
-    exact gets truncated blocks, and a UserWarning says so.
+    exact gets truncated blocks, and a UserWarning says so.  A non-finite
+    coefficient or block norm raises NumericsError.
     """
     part = build_partition(F.grid)
     r_lo, r_hi = field_support_range(F)
@@ -171,6 +208,10 @@ def block_lp_norms(F: SpectralField, p: float) -> np.ndarray:
             f"ball |xi| <= {part.coverage_radius:.3g}; Besov blocks are truncated",
             stacklevel=2,
         )
+    if not np.isfinite(F.coeffs).all():
+        # no block's box need hold the offending coefficient
+        raise NumericsError("field has a non-finite coefficient")
+    comps = F.coeffs.reshape((-1,) + F.grid.spectral_shape)
     out = np.empty(part.j_max + 2)
     for j in range(-1, part.j_max + 1):
         # a block whose annulus misses the support is exactly zero
@@ -181,8 +222,16 @@ def block_lp_norms(F: SpectralField, p: float) -> np.ndarray:
         if r_lo > blk_hi or r_hi < blk_lo:
             out[j + 1] = 0.0
             continue
-        # lp_norm samples the block one component at a time
-        out[j + 1] = lp_norm(apply_multiplier(F, part.block_multiplier(j)), p)
+        box, vals = part.block(j)
+        if p == 2:
+            # Parseval on the box: no block field is built
+            val = half_spectrum_l2((c[box] * vals for c in comps), F.grid)
+            if not np.isfinite(val):
+                raise NumericsError(f"L^2 norm is non-finite: {val}")
+        else:
+            # lp_norm samples the block one component at a time
+            val = lp_norm(_on_box(F, box, vals), p)
+        out[j + 1] = val
     return out
 
 

@@ -161,7 +161,9 @@ def vorticity_rhs(grid: Grid, w: np.ndarray, mean) -> tuple:
     f = _forward(u_phys[1] * w_phys, grid)
     f *= 1j * grid.freq_axis(1)
     r -= f
-    r *= grid.dealias_mask
+    keep = grid.dealias_keep
+    r[keep + 1 : grid.N - keep] = 0.0  # the rows and columns of |m_j| > keep
+    r[:, keep + 1 :] = 0.0
     return r, u_phys
 
 

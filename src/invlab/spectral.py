@@ -13,10 +13,11 @@ axes hold every mode in FFT layout (mode ``m`` at index ``m mod N``), the last
 axis holds columns ``0 .. N/2`` (``Grid.spectral_shape``).  Column ``c`` with
 ``0 < c < N/2`` also stands for its conjugate mirror at column ``-c``, so a sum
 of ``|coeff|**2`` over the stored half weights it by 2; columns 0 and N/2 are
-their own mirrors and weigh 1 (``l2_norm_spectral`` is the one place that sums
-this way).  The frequency arrays of ``Grid`` are the first ``N/2 + 1`` columns
-of the full-lattice arrays, so column N/2 carries the mode ``-N/2``.  Fields
-are treated as immutable values: every operation returns a new field.
+their own mirrors and weigh 1 (``half_spectrum_l2`` is the one place that sums
+this way; ``l2_norm_spectral`` and the Besov blocks call it).  The frequency
+arrays of ``Grid`` are the first ``N/2 + 1`` columns of the full-lattice
+arrays, so column N/2 carries the mode ``-N/2``.  Fields are treated as
+immutable values: every operation returns a new field.
 
 One type, ``SpectralField``, holds scalar and vector fields alike.  A scalar's
 ``coeffs`` has shape ``Grid.spectral_shape``; a vector's has shape
@@ -24,8 +25,11 @@ One type, ``SpectralField``, holds scalar and vector fields alike.  A scalar's
 ``coeffs[i]``.  Multipliers broadcast over the component axis, so a sum or a
 multiple of fields is one array expression.
 
-Norms read spectral fields, and ``lp_norm`` takes every norm: at p = 2 by
-Parseval on the half-spectrum, sampling nothing, and at any other p from samples.
+Norms read spectral fields, and ``lp_norm`` takes the norm of a field: at p = 2
+by Parseval on the half-spectrum, sampling nothing, and at any other p from
+samples.  The Besov blocks at p = 2 sum only the box of the half-spectrum that
+holds their multiplier (``littlewood_paley``), through the same weighting
+helper ``half_spectrum_l2``.
 """
 
 from __future__ import annotations
@@ -439,12 +443,13 @@ def _oversampled_max(F: SpectralField) -> float:
 def lp_norm(F: SpectralField, p: float) -> float:
     """L^p norm of a scalar or vector field (pointwise l2 magnitude for vectors).
 
-    This is the one place where a norm is taken.  At p = 2 it is Parseval on
-    the stored half-spectrum (``l2_norm_spectral``) and samples nothing.  Any
-    other p samples one component at a time, so no stacked physical array is
-    built: finite p by uniform-weight quadrature, ``numpy.inf`` on a 4x
-    spectrally oversampled lattice to reduce the grid-max underestimate.  A
-    non-finite value (a NaN or infinite coefficient) raises NumericsError.
+    This is the one place where a field is sampled for a norm.  At p = 2 it is
+    Parseval on the stored half-spectrum (``l2_norm_spectral``) and samples
+    nothing.  Any other p samples one component at a time, so no stacked
+    physical array is built: finite p by uniform-weight quadrature,
+    ``numpy.inf`` on a 4x spectrally oversampled lattice to reduce the
+    grid-max underestimate.  A non-finite value (a NaN or infinite
+    coefficient) raises NumericsError.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
@@ -461,22 +466,30 @@ def lp_norm(F: SpectralField, p: float) -> float:
     return val
 
 
-def l2_norm_spectral(F: SpectralField) -> float:
-    """L^2 norm from the stored half-spectrum (Parseval); scalar or vector.
+def half_spectrum_l2(components, grid: Grid) -> float:
+    """Parseval L^2 norm of the components of a field, each given on the
+    leading columns ``0 .. C-1`` of the stored half-spectrum (any rows).
 
     Columns 0 and N/2 weigh 1, every other column 2 (it also stands for its
-    conjugate mirror).  The squares are summed one component at a time.
+    conjugate mirror).  The squares are summed one component at a time, so
+    an iterable of slabs builds no stacked array.
     """
-    g = F.grid
+    h = grid.N // 2
     total = 0.0
-    for c in F.coeffs.reshape((-1,) + g.spectral_shape):
+    for c in components:
         sq = np.abs(c) ** 2
         total += (
-            2.0 * float(np.sum(sq[..., 1:-1]))
+            2.0 * float(np.sum(sq[..., 1:h]))
             + float(np.sum(sq[..., 0]))
-            + float(np.sum(sq[..., -1]))
+            + float(np.sum(sq[..., h:]))
         )
-    return float(np.sqrt(total / g.L**g.d))
+    return float(np.sqrt(total / grid.L**grid.d))
+
+
+def l2_norm_spectral(F: SpectralField) -> float:
+    """L^2 norm from the stored half-spectrum (Parseval); scalar or vector."""
+    g = F.grid
+    return half_spectrum_l2(F.coeffs.reshape((-1,) + g.spectral_shape), g)
 
 
 def translate(F: SpectralField, shift) -> SpectralField:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from invlab.constructions import (
-    ProfileBump,
     ShellDatum,
     background_field,
     build_profile_bump,
@@ -14,9 +13,7 @@ from invlab.constructions import (
 )
 from invlab.errors import ConfigError, ResolutionError
 from invlab.littlewood_paley import (
-    BesovParams,
     besov_norm,
-    build_partition,
     field_support_range,
 )
 from invlab.spectral import (
@@ -25,7 +22,6 @@ from invlab.spectral import (
     _inverse,
     divergence_defect,
     l2_norm_spectral,
-    lp_norm,
     translate,
 )
 

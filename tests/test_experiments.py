@@ -5,7 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invlab.constructions import background_field
 from invlab.errors import ConfigError, NumericsError
 from invlab.experiments import (
     ExperimentConfig,
@@ -253,7 +252,7 @@ class TestHeatLaw:
         w = half_spectrum_weights(g)
         blocks = []
         for j in range(-1, part.j_max + 1):
-            vals = part.block_multiplier(j)
+            vals = part.theta(g.k_mag) if j == -1 else part.phi(g.k_mag / 2.0**j)
             blocks.append(
                 np.sqrt(np.sum(w * np.abs(vals * fac * u0.coeffs) ** 2) / g.L**2)
             )

@@ -23,7 +23,7 @@ from invlab.spectral import (
     lp_norm,
 )
 
-from conftest import random_real_field, spectral_of
+from conftest import random_real_field, random_vector_field, spectral_of
 
 
 class TestCutoffs:
@@ -161,6 +161,56 @@ class TestBlocks:
         assert np.max(np.abs(total - F.coeffs)) <= 1e-12 * np.max(np.abs(F.coeffs))
 
 
+BOX_GRIDS = [Grid(2, N, R) for N in (64, 512) for R in (1.0, 12.0)]
+
+
+def _full_grid_multipliers(part):
+    """(kind, order, cached (box, values), full-grid reference) of every block
+    and of the low-pass orders -2 .. 5."""
+    k = part.grid.k_mag
+    for j in range(-1, part.j_max + 1):
+        ref = part.theta(k) if j == -1 else part.phi(k / 2.0**j)
+        yield "block", j, part.block(j), ref
+    for n in range(-2, 6):
+        yield "low", n, part.low_pass(n), part.theta(k / 2.0**n)
+
+
+class TestMultiplierBoxes:
+    """Each multiplier is cached on the smallest box that holds its support."""
+
+    @pytest.mark.parametrize("g", BOX_GRIDS, ids=lambda g: f"N{g.N}-R{g.R:g}")
+    def test_reference_vanishes_outside_box_and_matches_inside(self, g):
+        for kind, order, (box, vals), ref in _full_grid_multipliers(build_partition(g)):
+            inside = np.zeros(g.spectral_shape, dtype=bool)
+            inside[box] = True
+            assert not ref[~inside].any(), (kind, order)
+            assert ref[box].tobytes() == vals.tobytes(), (kind, order)
+
+    @pytest.mark.parametrize("g", BOX_GRIDS, ids=lambda g: f"N{g.N}-R{g.R:g}")
+    def test_block_and_low_pass_equal_reference_products(self, g, rng):
+        V = random_vector_field(g, rng, band=g.dealias_keep)
+        for kind, order, _, ref in _full_grid_multipliers(build_partition(g)):
+            got = dyadic_block(order, V) if kind == "block" else low_pass(order, V)
+            assert np.array_equal(got.coeffs, ref * V.coeffs), (kind, order)
+
+    @pytest.mark.parametrize("g", BOX_GRIDS, ids=lambda g: f"N{g.N}-R{g.R:g}")
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_block_norms_equal_norms_of_reference_blocks(self, g, p, rng):
+        V = random_vector_field(g, rng, band=g.dealias_keep)
+        part = build_partition(g)
+        got = block_lp_norms(V, p)
+        for kind, j, _, ref in _full_grid_multipliers(part):
+            if kind == "block":
+                want = lp_norm(SpectralField(g, ref * V.coeffs), p)
+                assert got[j + 1] == pytest.approx(want, rel=1e-14, abs=0.0), j
+
+    def test_cached_bytes_stay_small(self):
+        # 28.1 MiB as full half-spectrum arrays
+        part = build_partition(Grid(2, 1024, 12.0))
+        cached = sum(vals.nbytes for _, vals in map(part.block, range(-1, part.j_max + 1)))
+        assert cached <= 10 * 2**20
+
+
 class TestBesovParams:
     def test_admissible_triples(self):
         BesovParams(3.0, 2.0, 2.0, 2).validate()
@@ -232,6 +282,20 @@ class TestBesovNorm:
         coeffs = np.zeros(g.spectral_shape, dtype=complex)
         coeffs[1, 0] = np.nan
         with pytest.raises(NumericsError, match="non-finite"):
+            besov_norm(SpectralField(g, coeffs), bp)
+
+    @pytest.mark.parametrize(
+        "index, value",
+        # outside every box the support reaches, in the component that sets
+        # the support or in the other one; and a block sum that overflows
+        [((0, 10, 5), np.nan), ((1, 10, 5), np.nan), ((1, 10, 5), np.inf), ((0, 1, 0), 1e200)],
+    )
+    def test_non_finite_anywhere_is_numeric_error(self, bp, index, value):
+        g = Grid(2, 32, 1.0)
+        coeffs = np.zeros((2,) + g.spectral_shape, dtype=complex)
+        coeffs[0, 1, 0] = 1.0
+        coeffs[index] = value
+        with np.errstate(over="ignore"), pytest.raises(NumericsError, match="non-finite"):
             besov_norm(SpectralField(g, coeffs), bp)
 
     def test_plancherel_oracle_at_p2(self, bp, lab_grid):
