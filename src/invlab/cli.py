@@ -116,7 +116,7 @@ def _run_evolve(cfg, ctx, out_dir: Path, raw_cfg: dict):
     u0 = ctx.datum(n, shift=shift)
     run_id = f"n{n}_eps{eps:g}_k{shift:g}"
     traj_dir = out_dir / "traj" / run_id
-    traj = ctx.trajectory(u0, eps, cfg.t_grid)
+    (traj,) = ctx.trajectory([(u0, eps)], cfg.t_grid)
     records = []
     for i, t in enumerate(traj.times):
         state = traj.state_at(t)

@@ -9,7 +9,9 @@ stated acceptance windows, ``strict`` moves every bound a third of the way
 toward its center.  Experiments sharing evolutions (the expansion residuals
 and the viscous/ideal gap) reuse trajectories through a shared
 ExperimentContext, which returns a cached trajectory only for an identical
-request.  The expansion residuals
+request.  An experiment asks for the evolutions it needs together (the
+viscous and ideal runs of one datum, a viscosity sweep), and the context
+evolves the misses side by side.  The expansion residuals
 take their four remainder fields from ``solvers.first_order_remainders``:
 one Duhamel quadrature per sample time (refined in a single pass in strict
 mode), with the linear time integrals in closed form.
@@ -19,8 +21,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import threading
+import time
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -185,7 +190,14 @@ def lsq_slope(ts, vals) -> float:
 
 
 class ExperimentContext:
-    """Shared grids, data and trajectories for one configuration."""
+    """Shared grids, data and trajectories for one configuration.
+
+    ``trajectory`` takes a batch of evolution requests.  The misses of a
+    batch run side by side, on min(number of misses, CPUs this process may
+    run on) threads, the calling thread one of them; a single miss runs on
+    the calling thread alone.  The evolutions are independent and spend
+    most of their time in FFTs and array arithmetic that release the GIL.
+    """
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -253,30 +265,44 @@ class ExperimentContext:
 
     # -- trajectories --------------------------------------------------------
 
-    def trajectory(self, u0: SpectralField, eps: float, times: Iterable[float]) -> Trajectory:
-        """Evolve (or reuse) the datum, sampling the given times.
+    def trajectory(
+        self, requests: Sequence[tuple], times: Iterable[float]
+    ) -> list[Trajectory]:
+        """The trajectories of the ``(u0, eps)`` requests, each sampled at ``times``.
 
-        The cache is keyed by the datum's grid, a digest of its coefficients,
-        eps and the sample times, so it returns a trajectory only for an
-        identical request: the step cap T/64 depends on the horizon, so a
-        longer run sampled at the same time differs in the last bits.
+        Returned in request order.  The cache is keyed by the datum's grid, a
+        digest of its coefficients, eps and the sample times, so it returns a
+        trajectory only for an identical request: the step cap T/64 depends
+        on the horizon, so a longer run sampled at the same time differs in
+        the last bits.  Cache hits, insertions and the per-evolution
+        statistics follow request order, as if the requests came one by one:
+        a request repeated in the batch evolves once and then hits.  If an
+        evolution raises, the running ones finish, none is started, and the
+        first error in request order is raised.
         """
         times = tuple(sorted(set(float(t) for t in times)))
-        key = (u0.grid, _coeff_digest(u0), eps, times)
-        cached = self._trajectories.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        traj = evolve(u0, eps, times)
-        d, e0 = traj.diagnostics, l2_norm_spectral(u0)
-        stats = {"N": u0.grid.N, "eps": eps, "steps": len(d["dt"])}
-        if len(d["dt"]):  # none when only t = 0 is sampled; E is the L2 norm
-            drift = np.abs(d["energy"] - e0).max() / e0 if e0 > 0 else 0.0
-            stats.update(dt_min=float(d["dt"].min()), dt_max=float(d["dt"].max()),
-                         energy_drift=float(drift), div_rel_max=float(d["div_rel"].max()))
-        self.evolutions.append(stats)
-        self._trajectories[key] = traj
-        return traj
+        keys = [(u0.grid, _coeff_digest(u0), eps, times) for u0, eps in requests]
+        misses: dict = {}  # key -> its first request
+        for key, request in zip(keys, requests):
+            if key not in self._trajectories:
+                misses.setdefault(key, request)
+        outcomes = dict(zip(misses, _evolve_all(list(misses.values()), times)))
+
+        out = []
+        for key in keys:
+            cached = self._trajectories.get(key)
+            if cached is not None:
+                self.cache_hits += 1
+                out.append(cached)
+                continue
+            outcome = outcomes[key]
+            if isinstance(outcome, Exception):
+                raise outcome
+            traj, wall_s = outcome
+            self.evolutions.append(_evolution_stats(traj, wall_s))
+            self._trajectories[key] = traj
+            out.append(traj)
+        return out
 
     def telemetry(self) -> dict:
         """Trajectory-cache hits and misses and one entry per evolution."""
@@ -291,6 +317,57 @@ class ExperimentContext:
             k: v for k, v in self._trajectories.items()
             if not any(v is tr for tr in trajectories)
         }
+
+
+def _evolve_all(jobs: list, times: tuple) -> list:
+    """``(trajectory, wall_s)``, or the exception raised, for each ``(u0, eps)``.
+
+    The jobs are taken in order by min(len(jobs), CPUs) threads, the calling
+    thread one of them.  After a failure no further job is started; a job
+    not started is left as None.
+    """
+    outcomes: list = [None] * len(jobs)
+    pending = iter(range(len(jobs)))
+    take = threading.Lock()
+    stop = threading.Event()
+
+    def work():
+        while not stop.is_set():
+            with take:
+                i = next(pending, None)
+            if i is None:
+                return
+            start = time.perf_counter()
+            try:
+                traj = evolve(*jobs[i], times)
+            except Exception as err:
+                outcomes[i] = err
+                stop.set()
+            else:
+                outcomes[i] = (traj, time.perf_counter() - start)
+
+    width = min(len(jobs), len(os.sched_getaffinity(0)))
+    helpers = [threading.Thread(target=work) for _ in range(width - 1)]
+    for h in helpers:
+        h.start()
+    try:
+        work()
+    finally:
+        stop.set()  # also when the calling thread is interrupted
+        for h in helpers:
+            h.join()
+    return outcomes
+
+
+def _evolution_stats(traj: Trajectory, wall_s: float) -> dict:
+    """Grid, eps, wall time and solver statistics of one evolution."""
+    d, e0 = traj.diagnostics, l2_norm_spectral(traj.u0)
+    stats = {"N": traj.u0.grid.N, "eps": traj.eps, "steps": len(d["dt"]), "wall_s": wall_s}
+    if len(d["dt"]):  # none when only t = 0 is sampled; E is the L2 norm
+        drift = np.abs(d["energy"] - e0).max() / e0 if e0 > 0 else 0.0
+        stats.update(dt_min=float(d["dt"].min()), dt_max=float(d["dt"].max()),
+                     energy_drift=float(drift), div_rel_max=float(d["div_rel"].max()))
+    return stats
 
 
 def _coeff_digest(F: SpectralField) -> str:
@@ -493,8 +570,7 @@ def run_expansion_residuals(cfg: ExperimentConfig, ctx: ExperimentContext | None
     for n in cfg.n_list:
         u0 = ctx.datum(n)
         eps_n = cfg.eps_n(n)
-        traj0 = ctx.trajectory(u0, 0.0, cfg.t_grid)
-        traj_eps = ctx.trajectory(u0, eps_n, cfg.t_grid)
+        traj0, traj_eps = ctx.trajectory([(u0, 0.0), (u0, eps_n)], cfg.t_grid)
 
         series: dict = {field: [] for field in _REMAINDER_LABELS}
         for rem in first_order_remainders(
@@ -546,8 +622,7 @@ def run_family_gap(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
             )
         )
 
-        traj0 = ctx.trajectory(u0, 0.0, cfg.t_grid)
-        traj_eps = ctx.trajectory(u0, eps_n, cfg.t_grid)
+        traj0, traj_eps = ctx.trajectory([(u0, 0.0), (u0, eps_n)], cfg.t_grid)
         gaps = []
         for t in cfg.t_grid:
             d = besov_norm(trajectory_gap(traj_eps, traj0, t), bp)
@@ -622,13 +697,12 @@ def run_fixed_datum_limit(cfg: ExperimentConfig, ctx: ExperimentContext | None =
     records = []
     n = cfg.n_list[0]
     u0 = ctx.datum(n)
-    traj0 = ctx.trajectory(u0, 0.0, [cfg.t0])
+    sweep = [2.0 ** (-2 * m) for m in cfg.eps_exponents]
+    traj0, *trajs = ctx.trajectory([(u0, eps) for eps in [0.0, *sweep]], [cfg.t0])
     records.append(ResultRecord(ex, "solution_gap_vs_eps", 0.0, n, 0.0, cfg.t0))
 
-    sweep = [2.0 ** (-2 * m) for m in cfg.eps_exponents]
     gaps = []
-    for eps in sweep:
-        traj = ctx.trajectory(u0, eps, [cfg.t0])
+    for eps, traj in zip(sweep, trajs):
         d = besov_norm(trajectory_gap(traj, traj0, cfg.t0), bp)
         gaps.append(d)
         records.append(ResultRecord(ex, "solution_gap_vs_eps", d, n, eps, cfg.t0))
@@ -700,16 +774,21 @@ def run_perturbed_gap(
         w_full = SpectralField(g, psi.coeffs + u0k.coeffs)
         w_trunc = SpectralField(g, s_n_psi.coeffs + u0k.coeffs)
 
-        t_full_eps = ctx.trajectory(w_full, eps_n, times)
-        t_full_0 = ctx.trajectory(w_full, 0.0, times)
-        t_trunc = ctx.trajectory(w_trunc, eps_n, times)
-        t_psi = ctx.trajectory(s_n_psi, eps_n, times)
-        t_u0 = ctx.trajectory(u0k, eps_n, times)
+        t_full_eps, t_full_0, t_trunc, t_psi, t_u0, base0 = ctx.trajectory(
+            [
+                (w_full, eps_n),
+                (w_full, 0.0),
+                (w_trunc, eps_n),
+                (s_n_psi, eps_n),
+                (u0k, eps_n),
+                (u0k, 0.0),
+            ],
+            times,
+        )
 
         pert = besov_norm(trajectory_gap(t_full_eps, t_full_0, t0), bp)
         records.append(ResultRecord(ex, "perturbed_gap", pert, n, eps_n, t0))
 
-        base0 = ctx.trajectory(u0k, 0.0, times)
         ref = besov_norm(trajectory_gap(t_u0, base0, t0), bp)
         records.append(ResultRecord(ex, "unperturbed_gap_reference", ref, n, eps_n, t0))
         kept = pert / ref
@@ -772,9 +851,8 @@ def run_perturbed_gap(
     u0_0 = ctx.datum(n, grid=g, shift=0.0)
     s_n_psi = low_pass(n, psi)
     w0 = SpectralField(g, s_n_psi.coeffs + u0_0.coeffs)
-    t_trunc0 = ctx.trajectory(w0, eps_n, [t0])
-    t_psi = ctx.trajectory(s_n_psi, eps_n, times)
-    t_u00 = ctx.trajectory(u0_0, eps_n, [t0])
+    t_trunc0, t_u00 = ctx.trajectory([(w0, eps_n), (u0_0, eps_n)], [t0])
+    (t_psi,) = ctx.trajectory([(s_n_psi, eps_n)], times)  # cached by the loop
     defect0 = _additivity_defect(t_trunc0, t_psi, t_u00, t0, bp)
     shifted = next(
         r.value for r in records if r.quantity == "additivity_defect" and r.n == n
@@ -986,21 +1064,21 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     # cellular-vortex solver checks
     gt = Grid(2, 64, 1.0)
     tg = taylor_green(gt)
-    traj = ctx.trajectory(tg, 0.01, [1.0])
+    (traj,) = ctx.trajectory([(tg, 0.01)], [1.0])
     decay = math.exp(-2.0 * 0.01 * 1.0)
     ref = SpectralField(gt, decay * tg.coeffs)
     tg_err = _rel_l2(traj.state_at(1.0), ref)
     records.append(
         ResultRecord(ex, "vortex_analytic_error", tg_err, verdict=check(tg_err, hi=1e-6))
     )
-    traj0 = ctx.trajectory(tg, 0.0, [1.0])
+    (traj0,) = ctx.trajectory([(tg, 0.0)], [1.0])
     steady = _rel_l2(traj0.state_at(1.0), tg)
     records.append(
         ResultRecord(ex, "vortex_steady_error", steady, verdict=check(steady, hi=1e-8))
     )
 
     w0 = taylor_green_two_mode(gt)
-    trajE = ctx.trajectory(w0, 0.0, [0.1])
+    (trajE,) = ctx.trajectory([(w0, 0.0)], [0.1])
     en = trajE.diagnostics["energy"]
     e0 = l2_norm_spectral(w0)
     drift = float(np.max(np.abs(en - e0)) / e0)
@@ -1011,7 +1089,7 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     records.append(
         ResultRecord(ex, "divergence_preservation", divmax, verdict=check(divmax, hi=1e-9))
     )
-    trajV = ctx.trajectory(w0, 0.05, [0.1])
+    (trajV,) = ctx.trajectory([(w0, 0.05)], [0.1])
     env = np.concatenate([[l2_norm_spectral(w0)], trajV.diagnostics["energy"]])
     increase = float(np.max(np.diff(env)) / env[0])
     records.append(

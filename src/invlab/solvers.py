@@ -16,7 +16,9 @@ mean ``u(0)`` is constant and carried on its own.  ``vorticity_rhs`` takes
 ``evolve`` keeps the increment ``delta(t) = u(t) - exp(t eps Lap) u0`` over
 the exact heat flow of the data, so a gap between two solutions of one
 datum (``trajectory_gap``) or a first-order remainder never subtracts two
-arrays of the size of ``u0``.  Classical RK4 advances the vorticity
+arrays of the size of ``u0``.  A ``Trajectory`` stores each increment as
+vorticity, a scalar field of half the size of the velocity, and builds its
+Biot-Savart image on request.  Classical RK4 advances the vorticity
 increment in the integrating-factor variable anchored at t = 0 (Cox &
 Matthews 2002), ``E = exp(-t eps Lap)(w - exp(t eps Lap) w0)``, so stiffness
 from the viscous term never enters the stability restriction, and
@@ -24,7 +26,8 @@ from the viscous term never enters the stability restriction, and
 ``EXPONENT_LIMIT``.  The horizon T is the last sample time; it also caps the
 step at T/64.  The data must lie in the ball: a nonzero coefficient of
 ``u0`` outside it is a ValueError, so the projection drops nothing.  A
-sample's velocity increment is the Biot-Savart image of the decoded E.
+sample's vorticity increment is the decoded E, and its velocity increment
+the Biot-Savart image of that.
 
 The first-order expansion ``S^eps_t(u0) = u1(t) + u2(t) + O(t^2)`` is
 computed here once: ``u1`` is the heat flow of the data, ``u2`` the Duhamel
@@ -52,8 +55,8 @@ from .spectral import (
     _forward,
     _inverse,
     curl,
-    divergence,
     divergence_defect,
+    half_spectrum_l2,
     heat_factor,
     heat_integral_factor,
     l2_norm_spectral,
@@ -76,8 +79,12 @@ REFINE_TOL = 1e-8
 class Trajectory:
     """Sampled solution of one evolution, with per-step diagnostics.
 
-    ``increments[i]`` is ``u(t_i) - exp(t_i eps Lap) u0``; ``state_at`` adds
-    the heat flow of the data back, into a new field on every call.
+    ``increments[i]`` is the vorticity increment ``w(t_i) - exp(t_i eps Lap)
+    w0``, a scalar field on the grid of ``u0``.  ``increment_at`` returns its
+    Biot-Savart image, the velocity increment ``u(t_i) - exp(t_i eps Lap) u0``
+    (of zero mean, since the mean velocity is constant), and ``state_at``
+    adds the heat flow of the data back; both build a new field on every
+    call.
     """
 
     times: tuple
@@ -87,8 +94,14 @@ class Trajectory:
     diagnostics: dict = field(compare=False)
 
     def __post_init__(self):
-        # checked on the solution: for a steady flow the increment is pure
-        # rounding, and its own relative defect says nothing
+        g = self.u0.grid
+        for inc in self.increments:
+            if inc.grid != g or inc.coeffs.shape != g.spectral_shape:
+                raise ValueError(
+                    "an increment is stored as vorticity: a scalar field on the grid of u0"
+                )
+        # checked on the solution: the velocity increment is divergence-free
+        # to rounding by construction, the data need not be
         for t in self.times:
             d = divergence_defect(self.state_at(t))
             if d > 1e-9:
@@ -102,7 +115,7 @@ class Trajectory:
     def increment_at(self, t: float) -> SpectralField:
         for ti, inc in zip(self.times, self.increments):
             if abs(ti - t) <= 1e-12:
-                return inc
+                return SpectralField(inc.grid, _velocity(inc.grid, inc.coeffs, 0.0))
         raise ValueError(f"time {t} is not among the sampled times {self.times}")
 
     def state_at(self, t: float) -> SpectralField:
@@ -135,6 +148,31 @@ def _velocity(grid: Grid, w: np.ndarray, mean) -> np.ndarray:
     return out
 
 
+def _velocity_component(grid: Grid, w: np.ndarray, mean, ax: int) -> np.ndarray:
+    """Component ``ax`` of ``_velocity(grid, w, mean)``, built alone."""
+    out = grid.biot_savart[ax] * w
+    out[0, 0] = mean[ax]
+    return out
+
+
+def _velocity_norms(grid: Grid, w: np.ndarray, mean) -> tuple:
+    """L2 norms of the velocity of ``w`` with mean ``mean`` and of its divergence.
+
+    The values of ``l2_norm_spectral`` of ``_velocity(grid, w, mean)`` and of
+    its ``divergence``, with one velocity component held at a time.
+    """
+    div = np.zeros(grid.spectral_shape, dtype=np.complex128)
+
+    def components():
+        for ax in range(grid.d):
+            c = _velocity_component(grid, w, mean, ax)
+            np.add(div, (1j * grid.freq_axis(ax)) * c, out=div)
+            yield c
+
+    energy = half_spectrum_l2(components(), grid)
+    return energy, l2_norm_spectral(SpectralField(grid, div))
+
+
 def _require_in_ball(u0: SpectralField) -> None:
     """Raise ValueError if a coefficient of ``u0`` outside the 2/3 ball is nonzero."""
     g, c = u0.grid, u0.coeffs
@@ -153,18 +191,27 @@ def vorticity_rhs(grid: Grid, w: np.ndarray, mean) -> tuple:
     ``u`` is the Biot-Savart velocity of the dealias-safe ``w`` plus ``mean``.
     The result is ``-curl P(u . grad u)``; its Biot-Savart image is
     ``-P(u . grad u)`` less its mean, which is zero in exact arithmetic.
+    The velocity is built one component at a time, and the second product
+    overwrites the samples of ``w``.
     """
-    u_phys = [_inverse(c, grid) for c in _velocity(grid, w, mean)]
     w_phys = _inverse(w, grid)
-    r = _forward(u_phys[0] * w_phys, grid)
+    u1 = _inverse(_velocity_component(grid, w, mean, 0), grid)
+    r = _forward(u1 * w_phys, grid)
     r *= -1j * grid.freq_axis(0)
-    f = _forward(u_phys[1] * w_phys, grid)
+    u2 = _inverse(_velocity_component(grid, w, mean, 1), grid)
+    f = _forward(np.multiply(u2, w_phys, out=w_phys), grid)
     f *= 1j * grid.freq_axis(1)
     r -= f
     keep = grid.dealias_keep
     r[keep + 1 : grid.N - keep] = 0.0  # the rows and columns of |m_j| > keep
     r[:, keep + 1 :] = 0.0
-    return r, u_phys
+    return r, [u1, u2]
+
+
+def _half_step_factors(grid: Grid, eps: float, dt: float) -> tuple:
+    """``exp(-/+ eps |xi|^2 dt/2)``: the decay and growth over half a step."""
+    x = eps * grid.k_sq * (dt / 2.0)
+    return np.exp(-x), np.exp(x)
 
 
 def evolve(
@@ -179,8 +226,8 @@ def evolve(
     the CFL condition; ``dt_fixed`` forces a constant step (for convergence
     studies) and bypasses both.  ``eps * T * max|xi|^2`` of the grid may not
     exceed ``EXPONENT_LIMIT``.  ``u0`` must be divergence-free and lie in the
-    2/3 ball, every coefficient outside it exactly zero.  The increment at a
-    sample time is the Biot-Savart image of the decoded E.
+    2/3 ball, every coefficient outside it exactly zero.  The vorticity
+    increment at a sample time is the decoded E.
     """
     if not (0.0 <= eps <= 1.0):
         raise ValueError(f"viscosity must lie in [0, 1], got {eps}")
@@ -214,21 +261,20 @@ def evolve(
     diag = {k: [] for k in ("t", "dt", "energy", "div_rel", "max_speed")}
     speed0 = _max_speed(*(_inverse(c, g) for c in u0.coeffs))
     guard = BLOWUP_FACTOR * max(speed0, 1e-300)
+    # the half-step factors of the last step size; a new size recomputes
+    # them (the final step before each sample time is shorter)
+    step_dt = E = G = None
 
-    factor_cache = {}
-
-    def factors(dt):
-        if dt not in factor_cache:
-            x = eps * g.k_sq * (dt / 2.0)
-            factor_cache[dt] = (np.exp(-x), np.exp(x))
-        return factor_cache[dt]
-
-    def rhs_at(h, k):
-        # the encoded right-hand side at s = dec * ((enc + h k) + base)
+    def load(h, k):
+        # a stage's state dec * ((enc + h k) + base), into s
         np.multiply(k, h, out=s)
         np.add(s, enc, out=s)
         np.add(s, base, out=s)
-        r = vorticity_rhs(g, np.multiply(s, dec, out=s), mean)[0]
+        np.multiply(s, dec, out=s)
+
+    def rhs():
+        # the encoded right-hand side at the state in s
+        r = vorticity_rhs(g, s, mean)[0]
         r *= grow
         return r
 
@@ -238,6 +284,7 @@ def evolve(
             # stage 1 of RK4 needs no dt: its velocity samples give the CFL speed
             k1, u_phys = vorticity_rhs(g, s, mean)
             speed = _max_speed(*u_phys)
+            del u_phys
             if not np.isfinite(speed):
                 raise NumericsError(f"non-finite state at t={t}")
             if speed > guard:
@@ -255,7 +302,9 @@ def evolve(
             final_step = dt >= remaining - 1e-15 * horizon
             if final_step:
                 dt = remaining
-            E, G = factors(dt)
+            if dt != step_dt:
+                step_dt = dt
+                E, G = _half_step_factors(g, eps, dt)
 
             # classical RK4 on E; each stage decodes its state with the
             # accumulated decay factor and encodes the nonlinear term back,
@@ -263,37 +312,40 @@ def evolve(
             k1 *= grow
             dec *= E
             grow *= G
-            k2 = rhs_at(dt / 2.0, k1)
-            k3 = rhs_at(dt / 2.0, k2)
+            load(dt / 2.0, k1)
+            k2 = rhs()
+            load(dt / 2.0, k2)
+            k3 = rhs()
+            # the update needs only k2 + k3, so k3 is freed once stage 4 has
+            # its state
+            k2 += k3
             dec *= E
             grow *= G
-            k4 = rhs_at(dt, k3)
+            load(dt, k3)
+            del k3
+            k4 = rhs()
             # enc += dt/6 (k1 + 2 (k2 + k3) + k4), then the state after the step
-            k2 += k3
             k2 *= 2.0
             k2 += k1
             k2 += k4
             k2 *= dt / 6.0
             enc += k2
+            del k1, k2, k4
             np.add(enc, base, out=s)
             s *= dec
 
             t = target if final_step else t + dt
-            state = SpectralField(g, _velocity(g, s, mean))
-            energy = l2_norm_spectral(state)
+            energy, div_norm = _velocity_norms(g, s, mean)
             if not np.isfinite(energy):
                 raise NumericsError(f"non-finite state after step to t={t}")
             diag["t"].append(t)
             diag["dt"].append(dt)
             diag["energy"].append(energy)
-            # divergence_defect(state), without computing the energy twice
-            diag["div_rel"].append(
-                l2_norm_spectral(divergence(state)) / energy if energy > 0.0 else 0.0
-            )
+            # the divergence defect of the state
+            diag["div_rel"].append(div_norm / energy if energy > 0.0 else 0.0)
             diag["max_speed"].append(speed)
-        # one exact heat factor from t = 0 decodes E into a velocity of zero mean
-        inc = _velocity(g, heat_factor(g, target, eps) * enc, 0.0)
-        increments.append(SpectralField(g, inc))
+        # one exact heat factor from t = 0 decodes E, the vorticity increment
+        increments.append(SpectralField(g, heat_factor(g, target, eps) * enc))
 
     diagnostics = {k: np.asarray(v) for k, v in diag.items()}
     if diagnostics["energy"].size == 0:

@@ -331,11 +331,17 @@ MODE_REL_TOL = 1e-15
 def support_mask(F: SpectralField):
     """Modes where a component carries more than MODE_REL_TOL * max|coeff|.
 
-    The components are reduced one at a time.  None where no mode qualifies:
-    the zero field, or a field whose largest coefficient is NaN.
+    The components are reduced one at a time.  None where no mode qualifies,
+    i.e. for the zero field.  A non-finite coefficient, in any component,
+    raises NumericsError: no scale can be taken from it.
     """
     comps = F.coeffs.reshape((-1,) + F.grid.spectral_shape)
-    scale = max(np.max(np.abs(c)) for c in comps)
+    scale = 0.0
+    for c in comps:
+        m = float(np.max(np.abs(c)))
+        if not np.isfinite(m):
+            raise NumericsError(f"field has a non-finite coefficient ({m})")
+        scale = max(scale, m)
     mask = np.zeros(F.grid.spectral_shape, dtype=bool)
     for c in comps:
         mask |= np.abs(c) > MODE_REL_TOL * scale

@@ -180,10 +180,10 @@ class TestContext:
 
         ctx = ExperimentContext(small_cfg)
         u0 = taylor_green_two_mode(ctx.grid(32))
-        first = ctx.trajectory(u0, 1e-3, [0.02, 0.01])
-        assert ctx.trajectory(u0, 1e-3, [0.01, 0.02]) is first
+        (first,) = ctx.trajectory([(u0, 1e-3)], [0.02, 0.01])
+        assert ctx.trajectory([(u0, 1e-3)], [0.01, 0.02])[0] is first
         assert ctx.cache_hits == 1
-        subset = ctx.trajectory(u0, 1e-3, [0.01])
+        (subset,) = ctx.trajectory([(u0, 1e-3)], [0.01])
         assert subset is not first and subset.times == (0.01,)
         fresh = evolve(u0, 1e-3, [0.01])
         assert np.array_equal(subset.state_at(0.01).coeffs, fresh.state_at(0.01).coeffs)
@@ -194,11 +194,12 @@ class TestContext:
 
         ctx = ExperimentContext(small_cfg)
         g = ctx.grid(32)
-        ta = ctx.trajectory(taylor_green(g), 1e-3, [0.01])
-        tb = ctx.trajectory(taylor_green(g, amplitude=0.5), 1e-3, [0.01])
+        ta, tb = ctx.trajectory(
+            [(taylor_green(g), 1e-3), (taylor_green(g, amplitude=0.5), 1e-3)], [0.01]
+        )
         assert tb is not ta
         assert not np.array_equal(ta.state_at(0.01).coeffs[0], tb.state_at(0.01).coeffs[0])
-        assert ctx.trajectory(taylor_green(g), 1e-3, [0.01]) is ta
+        assert ctx.trajectory([(taylor_green(g), 1e-3)], [0.01])[0] is ta
 
     def test_drop_trajectories_forgets_only_the_given(self, small_cfg):
         from invlab.constructions import taylor_green
@@ -206,12 +207,161 @@ class TestContext:
         ctx = ExperimentContext(small_cfg)
         g = ctx.grid(32)
         a, b = taylor_green(g), taylor_green(g, amplitude=0.5)
-        ta = ctx.trajectory(a, 1e-3, [0.01])
-        tb = ctx.trajectory(b, 1e-3, [0.01])
+        ta, tb = ctx.trajectory([(a, 1e-3), (b, 1e-3)], [0.01])
         ctx.drop_trajectories(ta)
-        assert ctx.trajectory(b, 1e-3, [0.01]) is tb
-        assert ctx.trajectory(a, 1e-3, [0.01]) is not ta
+        assert ctx.trajectory([(b, 1e-3)], [0.01])[0] is tb
+        assert ctx.trajectory([(a, 1e-3)], [0.01])[0] is not ta
         assert ctx.telemetry()["trajectory_cache"] == {"hits": 1, "misses": 3}
+
+
+class TestTrajectoryBatch:
+    """``ExperimentContext.trajectory`` evolves the misses of a batch side by side."""
+
+    @pytest.fixture
+    def threads_seen(self, monkeypatch):
+        # the thread of each evolve call, and three CPUs, so that a batch
+        # runs on several threads on any machine
+        import threading
+
+        import invlab.experiments as experiments
+        from invlab.solvers import evolve
+
+        seen = []
+
+        def recorded(*args, **kwargs):
+            seen.append(threading.get_ident())
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "evolve", recorded)
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        return seen
+
+    def test_batch_equals_sequential_evolutions(self, small_cfg, threads_seen):
+        import threading
+
+        from invlab.constructions import taylor_green, taylor_green_two_mode
+        from invlab.solvers import evolve
+
+        ctx = ExperimentContext(small_cfg)
+        g = ctx.grid(32)
+        requests = [
+            (taylor_green_two_mode(g), 0.0),
+            (taylor_green_two_mode(g), 1e-2),
+            (taylor_green(g), 1e-3),
+            (taylor_green_two_mode(g), 1e-3),
+        ]
+        times = [0.02, 0.01, 0.04]
+        batch = ctx.trajectory(requests, times)
+        assert len(set(threads_seen)) == 3  # three threads took the four misses
+        assert threading.get_ident() in threads_seen
+        for traj, (u0, eps) in zip(batch, requests):
+            alone = evolve(u0, eps, times)
+            assert traj.times == alone.times == (0.01, 0.02, 0.04)
+            assert traj.eps == eps
+            for t, a, b in zip(traj.times, traj.increments, alone.increments):
+                assert np.array_equal(a.coeffs, b.coeffs)
+                assert np.array_equal(traj.state_at(t).coeffs, alone.state_at(t).coeffs)
+            for key in alone.diagnostics:
+                assert np.array_equal(traj.diagnostics[key], alone.diagnostics[key])
+
+    def test_single_request_runs_on_the_calling_thread(self, small_cfg, threads_seen):
+        import threading
+
+        from invlab.constructions import taylor_green
+
+        ctx = ExperimentContext(small_cfg)
+        before = threading.active_count()
+        ctx.trajectory([(taylor_green(ctx.grid(32)), 1e-3)], [0.01])
+        assert threads_seen == [threading.get_ident()]
+        assert threading.active_count() == before
+
+    def test_repeated_request_evolves_once_and_hits(self, small_cfg, threads_seen):
+        from invlab.constructions import taylor_green
+
+        ctx = ExperimentContext(small_cfg)
+        g = ctx.grid(32)
+        a, b = taylor_green(g), taylor_green(g, amplitude=0.5)
+        # the same datum and eps, built twice: the cache is keyed by data
+        ta, tb, again = ctx.trajectory([(a, 1e-3), (b, 1e-3), (taylor_green(g), 1e-3)], [0.01])
+        assert again is ta and tb is not ta
+        assert len(threads_seen) == 2
+        assert ctx.telemetry()["trajectory_cache"] == {"hits": 1, "misses": 2}
+
+    def test_telemetry_follows_request_order(self, small_cfg, threads_seen):
+        from invlab.constructions import taylor_green_two_mode
+
+        ctx = ExperimentContext(small_cfg)
+        g = ctx.grid(32)
+        u0 = taylor_green_two_mode(g)
+        (first,) = ctx.trajectory([(u0, 0.0)], [0.01])
+        sweep = [0.04, 0.0, 0.01, 0.02]
+        trajs = ctx.trajectory([(u0, eps) for eps in sweep], [0.01])
+        assert trajs[1] is first
+        assert [tr.eps for tr in trajs] == sweep
+        runs = ctx.telemetry()["trajectories"]
+        assert [r["eps"] for r in runs] == [0.0, 0.04, 0.01, 0.02]
+        assert all(r["N"] == 32 and r["steps"] == 64 for r in runs)
+        assert all(r["wall_s"] > 0.0 for r in runs)
+        assert ctx.telemetry()["trajectory_cache"] == {"hits": 1, "misses": 4}
+
+    def test_many_requests_on_more_threads_than_cores(self, small_cfg, monkeypatch):
+        # six threads and a short switch interval: every request is taken
+        # by exactly one thread, and each result lands at its own index
+        import sys
+        import threading
+
+        import invlab.experiments as experiments
+        from invlab.constructions import taylor_green_two_mode
+        from invlab.solvers import evolve
+
+        taken = []
+
+        def recorded(u0, eps, times):
+            taken.append(eps)
+            return evolve(u0, eps, times)
+
+        monkeypatch.setattr(experiments, "evolve", recorded)
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(6)))
+        ctx = ExperimentContext(small_cfg)
+        u0 = taylor_green_two_mode(ctx.grid(16))
+        sweep = [1e-3 * (i + 1) for i in range(24)]
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            trajs = ctx.trajectory([(u0, eps) for eps in sweep], [0.01])
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert sorted(taken) == sweep
+        assert [tr.eps for tr in trajs] == sweep
+        assert [r["eps"] for r in ctx.telemetry()["trajectories"]] == sweep
+
+    @pytest.mark.parametrize("failing_first", [False, True], ids=["second", "first"])
+    def test_failing_request_raises_as_in_sequence(self, small_cfg, threads_seen, failing_first):
+        import threading
+
+        from invlab.constructions import taylor_green_two_mode
+        from invlab.solvers import EXPONENT_LIMIT, evolve
+        from invlab.spectral import Grid
+
+        ctx = ExperimentContext(small_cfg)
+        g = Grid(2, 32, 1.0)
+        u0 = taylor_green_two_mode(g)
+        # eps * T * max|xi|^2 = 1 * 2 * 512 exceeds the limit on N = 32, R = 1
+        assert 1.0 * 2.0 * g.k_sq.max() > EXPONENT_LIMIT
+        with pytest.raises(NumericsError) as alone:
+            evolve(u0, 1.0, [2.0])
+        requests = [(u0, 1e-3), (u0, 1.0), (u0, 2e-3)]
+        if failing_first:
+            requests = requests[1:]
+        before = threading.active_count()
+        with pytest.raises(type(alone.value), match="exceeds"):
+            ctx.trajectory(requests, [2.0])
+        assert threading.active_count() == before
+        # the requests before the failing one are kept, as in a sequence
+        kept = 0 if failing_first else 1
+        assert ctx.telemetry()["trajectory_cache"] == {"hits": 0, "misses": kept}
 
 
 class TestHeatLaw:
@@ -354,8 +504,7 @@ def remainders_at(cfg, ctx, t):
     from invlab.spectral import advect, leray_project
 
     u0 = ctx.datum(3)
-    traj0 = ctx.trajectory(u0, 0.0, cfg.t_grid)
-    traj_eps = ctx.trajectory(u0, cfg.eps_n(3), cfg.t_grid)
+    traj0, traj_eps = ctx.trajectory([(u0, 0.0), (u0, cfg.eps_n(3))], cfg.t_grid)
     (rem,) = first_order_remainders(
         u0, traj0, traj_eps, [t], cfg.quadrature_nodes
     )

@@ -257,6 +257,10 @@ class TestCli:
         (decay,) = [r["energy_drift"] for r in runs if r["eps"] == 0.01]
         assert decay == pytest.approx(-math.expm1(-0.02), rel=1e-6)
         assert summary["wall_s"] > 0.0
+        # each evolution's own wall time; validate requests them one at a
+        # time, so they do not overlap and fit inside the experiment's
+        assert all(r["wall_s"] > 0.0 for r in runs)
+        assert sum(r["wall_s"] for r in runs) < summary["wall_s"]
 
     def test_bad_config_exits_2(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -360,7 +364,7 @@ class TestCli:
         assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
         (ctx,) = contexts
         eps = 2.0**-6
-        traj = ctx.trajectory(ctx.datum(3), eps, [0.01, 0.02])
+        (traj,) = ctx.trajectory([(ctx.datum(3), eps)], [0.01, 0.02])
         assert ctx.telemetry()["trajectory_cache"] == {"hits": 1, "misses": 1}
         run_dir = out / "traj" / f"n3_eps{eps:g}_k0"
         assert sorted(p.name for p in run_dir.glob("*.spf")) == ["t000.spf", "t001.spf"]

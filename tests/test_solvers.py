@@ -309,12 +309,25 @@ class TestVorticityRhs:
 
 class TestTrajectory:
     def test_state_lookup(self):
+        # an increment is stored as vorticity, a scalar field; increment_at
+        # builds its Biot-Savart image, a velocity of zero mean, anew on
+        # every call
         g = Grid(2, 32, 1.0)
-        tg = taylor_green(g)
-        traj = evolve(tg, 0.01, [0.05, 0.1])
-        assert traj.increment_at(0.05) is traj.increments[0]
+        w = taylor_green_two_mode(g)
+        traj = evolve(w, 0.01, [0.05, 0.1])
+        w_inc = traj.increments[0]
+        assert w_inc.coeffs.shape == g.spectral_shape
+        inc = traj.increment_at(0.05)
+        assert inc is not traj.increment_at(0.05)
+        assert inc.coeffs.shape == (2,) + g.spectral_shape
+        for b, c in zip(g.biot_savart, inc.coeffs):
+            assert np.array_equal(c, b * w_inc.coeffs)
+        assert not np.any(inc.coeffs[:, 0, 0])
+        scale = np.max(np.abs(w_inc.coeffs))
+        assert scale > 0.0
+        assert np.max(np.abs(curl(inc).coeffs - w_inc.coeffs)) <= 1e-13 * scale
         factor = heat_factor(g, 0.05, 0.01)
-        for a, b, c in zip(traj.state_at(0.05).coeffs, tg.coeffs, traj.increments[0].coeffs):
+        for a, b, c in zip(traj.state_at(0.05).coeffs, w.coeffs, inc.coeffs):
             assert np.array_equal(a, factor * b + c)
             # the data lie in the 2/3 ball exactly, and so does the state
             assert not np.any(b[~g.dealias_mask])
@@ -325,34 +338,64 @@ class TestTrajectory:
             traj.state_at(0.07)
 
     def test_invariant_enforced_at_construction(self, rng):
+        # an increment must be a vorticity on the grid of u0: a stacked
+        # velocity, or a scalar on another grid, is rejected; and the state
+        # must be divergence-free, which data with a gradient part are not
         g = Grid(2, 32, 1.0)
+        tg = taylor_green(g)
+        diagnostics = {"energy": np.array([1.0])}
+        velocity = SpectralField(g, np.zeros((2,) + g.spectral_shape, dtype=complex))
+        other = Grid(2, 64, 1.0)
+        foreign = SpectralField(other, np.zeros(other.spectral_shape, dtype=complex))
+        for inc in (velocity, foreign):
+            with pytest.raises(ValueError, match="vorticity"):
+                Trajectory(
+                    times=(0.0,), increments=(inc,), eps=0.0, u0=tg, diagnostics=diagnostics
+                )
         bad = gradient(spectral_of(g, rng.standard_normal(g.shape)))
+        zero = SpectralField(g, np.zeros(g.spectral_shape, dtype=complex))
         with pytest.raises(NumericsError):
             Trajectory(
                 times=(0.0,),
-                increments=(bad,),
+                increments=(zero,),
                 eps=0.0,
-                u0=taylor_green(g),
-                diagnostics={"energy": np.array([1.0])},
+                u0=SpectralField(g, tg.coeffs + bad.coeffs),
+                diagnostics=diagnostics,
             )
 
     def test_invariant_checked_on_the_state(self, rng):
-        # an increment of rounding size may have a large divergence relative
-        # to its own norm, as for a steady flow; the state is still clean
+        # the Biot-Savart image of any vorticity is divergence-free to
+        # rounding, so a random increment of the size of the data's
+        # vorticity leaves the state clean; the check on the state is then
+        # decided by the data: a gradient part of relative size 1e-8 (a
+        # defect above 1e-9) fails it, one of 1e-12 passes
         g = Grid(2, 64, 1.0)
         tg = taylor_green(g)
-        grad = gradient(spectral_of(g, rng.standard_normal(g.shape)))
-        scale = 1e-16 * l2_norm_spectral(tg) / l2_norm_spectral(grad)
-        inc = SpectralField(g, scale * grad.coeffs)
+        diagnostics = {"energy": np.array([1.0])}
+        noise = spectral_of(g, rng.standard_normal(g.shape))
+        scale = l2_norm_spectral(curl(tg)) / l2_norm_spectral(noise)
+        w_inc = SpectralField(g, scale * noise.coeffs)
         traj = Trajectory(
-            times=(0.0,),
-            increments=(inc,),
-            eps=0.0,
-            u0=tg,
-            diagnostics={"energy": np.array([1.0])},
+            times=(0.0,), increments=(w_inc,), eps=0.0, u0=tg, diagnostics=diagnostics
         )
-        assert divergence_defect(traj.increment_at(0.0)) > 1e-9
+        assert divergence_defect(traj.increment_at(0.0)) <= 1e-12
         assert divergence_defect(traj.state_at(0.0)) <= 1e-12
+        grad = gradient(spectral_of(g, rng.standard_normal(g.shape)))
+        unit = l2_norm_spectral(tg) / l2_norm_spectral(grad)
+        zero = SpectralField(g, np.zeros(g.spectral_shape, dtype=complex))
+        for size, clean in ((1e-8, False), (1e-12, True)):
+            u0 = SpectralField(g, tg.coeffs + (size * unit) * grad.coeffs)
+            assert (divergence_defect(u0) <= 1e-9) == clean
+            if clean:
+                Trajectory(
+                    times=(0.0,), increments=(zero,), eps=0.0, u0=u0, diagnostics=diagnostics
+                )
+            else:
+                with pytest.raises(NumericsError):
+                    Trajectory(
+                        times=(0.0,), increments=(zero,), eps=0.0, u0=u0,
+                        diagnostics=diagnostics,
+                    )
 
 
 class TestTrajectoryGap:
@@ -514,7 +557,8 @@ class TestExpansionResiduals:
         u0b = read_field(tmp_path / "u0.spf")
         replays = []
         for i, traj in enumerate((traj0, traj_eps)):
-            write_field(tmp_path / f"increment{i}.spf", traj.increment_at(t))
+            # the stored vorticity increment at t, a scalar field
+            write_field(tmp_path / f"increment{i}.spf", traj.increments[traj.times.index(t)])
             inc = read_field(tmp_path / f"increment{i}.spf")
             replays.append(
                 Trajectory(

@@ -28,6 +28,7 @@ from invlab.spectral import (
     leray_complement,
     leray_project,
     lp_norm,
+    max_mode_index,
     perp_gradient,
     translate,
 )
@@ -279,6 +280,21 @@ class TestAdvection:
             advect(v, v)
         assert exc.value.required_n is not None
         assert exc.value.required_n > grid.N
+
+    @pytest.mark.parametrize("nan_in", [0, 1], ids=["nan-first", "nan-second"])
+    def test_non_finite_coefficient_in_either_component_is_numeric_error(self, nan_in):
+        # a mode far outside the 2/3 ball (|m| = 15 > 10 on N = 32) in one
+        # component and a NaN in the other: no support can be read, whichever
+        # component is reduced first
+        g = Grid(2, 32, 1.0)
+        c = np.zeros((2,) + g.spectral_shape, dtype=complex)
+        c[1 - nan_in, 15, 15] = 1.0
+        c[nan_in, 1, 1] = np.nan
+        F = SpectralField(g, c)
+        with pytest.raises(NumericsError, match="non-finite"):
+            max_mode_index(F)
+        with pytest.raises(NumericsError, match="non-finite"):
+            advect(F, F)
 
     def test_matches_full_spectrum_reference(self, grid, rng):
         # u . grad v from full complex numpy transforms, independent of the

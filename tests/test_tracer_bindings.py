@@ -73,8 +73,9 @@ def test_install_wraps_every_traced_name_and_uninstall_restores_all():
     assert all(after[k] is v for k, v in before.items())
 
     # inside evolve: the data's divergence check and one per sample in
-    # Trajectory, each two L2 norms, and per step the energy and the norm of
-    # the divergence, with no second norm of the state
+    # Trajectory, each two L2 norms, and per step the norm of the
+    # divergence; the energy is summed from the velocity components
+    # (spectral.half_spectrum_l2) without a stacked field
     steps = len(traj.diagnostics["dt"])
     under = tracer.inside(t.spans, "solvers.evolve")
     calls = {}
@@ -83,4 +84,4 @@ def test_install_wraps_every_traced_name_and_uninstall_restores_all():
             calls[span[0]] = calls.get(span[0], 0) + 1
     assert steps == 64
     assert calls["spectral.divergence_defect"] == 1 + 2
-    assert calls["spectral.l2_norm_spectral"] == 2 * (1 + 2) + 2 * steps
+    assert calls["spectral.l2_norm_spectral"] == 2 * (1 + 2) + steps
