@@ -47,7 +47,6 @@ from .spectral import (
     leray_project,
     lp_norm,
     perp_gradient,
-    set_fft_workers,
     translate,
 )
 from .experiments import (

@@ -42,7 +42,7 @@ from .io import (
     write_report,
 )
 from .littlewood_paley import besov_norm
-from .spectral import divergence_defect, l2_norm_spectral, set_fft_workers
+from .spectral import divergence_defect, l2_norm_spectral
 
 _EXPERIMENTS = {
     "heat-law": run_heat_law,
@@ -76,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override seed")
-        p.add_argument("--threads", type=int, default=1, help="FFT worker threads")
         p.add_argument(
             "--mode", choices=("strict", "relaxed"), default=None, help="override mode"
         )
@@ -144,10 +143,7 @@ def main(argv=None) -> int:
             cfg = replace(cfg, seed=args.seed)
         if args.mode is not None:
             cfg = replace(cfg, mode=args.mode)
-        if args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
-        set_fft_workers(args.threads)
-        echo_config(cfg, out_dir, {"threads": args.threads, "command": args.command})
+        echo_config(cfg, out_dir, {"command": args.command})
     except (ConfigError, OSError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
@@ -164,8 +160,8 @@ def main(argv=None) -> int:
             records = _EXPERIMENTS[args.command](cfg, ctx)
         wall_s = time.perf_counter() - start  # the experiment alone, without the report
         constants = collect_constants(records, _CONSTANT_NAMES)
-        meta = {"seed": cfg.seed, "mode": cfg.mode, "threads": args.threads, "wall_s": wall_s}
-        write_report(records, out_dir, constants, meta={**meta, **ctx.telemetry()})
+        meta = {"seed": cfg.seed, "mode": cfg.mode, "wall_s": wall_s}
+        write_report(records, out_dir, constants, meta={**meta, "trajectories": ctx.evolutions})
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

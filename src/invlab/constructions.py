@@ -24,7 +24,6 @@ from .spectral import (
     SpectralField,
     _conj_mirror,
     dealias_grid_size,
-    get_fft_workers,
     perp_gradient,
     translate,
 )
@@ -57,7 +56,7 @@ class ProfileBump:
     def physical_profile(self) -> np.ndarray:
         """Periodized physical profile on the 1-D sampling lattice."""
         g = self.grid
-        return _fft.ifft(self.a_hat, workers=get_fft_workers()).real * (g.N / g.L)
+        return _fft.ifft(self.a_hat).real * (g.N / g.L)
 
     def lp_norm_1d(self, p: float) -> float:
         g = self.grid
@@ -67,7 +66,7 @@ class ProfileBump:
             half = g.N // 2
             fine[:half] = self.a_hat[:half]
             fine[-half:] = self.a_hat[-half:]
-            vals = _fft.ifft(fine, workers=get_fft_workers()).real * (4 * g.N / g.L)
+            vals = _fft.ifft(fine).real * (4 * g.N / g.L)
             return float(np.abs(vals).max())
         return float((g.dx * np.sum(np.abs(phi) ** p)) ** (1.0 / p))
 
@@ -82,9 +81,7 @@ class ProfileBump:
         g = self.grid
         xi = np.abs(np.fft.fftfreq(4 * g.N, d=1.0 / (4 * g.N)) / (4.0 * g.R))
         a_fine = radial_cutoff(xi, self.inner, self.outer)
-        phi = np.abs(
-            _fft.ifft(a_fine, workers=get_fft_workers()).real * (g.N / g.L)
-        )
+        phi = np.abs(_fft.ifft(a_fine).real * (g.N / g.L))
         x = (g.L / g.N) * np.arange(4 * g.N)
         dist = np.minimum(x, 4 * g.L - x)
         far = dist > g.L / 2.0

@@ -6,12 +6,11 @@ datum family and returns a list of ResultRecords.  Every pass/fail verdict is
 be rechecked from records.csv alone; a bound on a quotient is stated on that
 quotient.  Mode-dependent bounds come from ``scaled``: ``relaxed`` uses the
 stated acceptance windows, ``strict`` moves every bound a third of the way
-toward its center.  Experiments sharing evolutions (the expansion residuals
-and the viscous/ideal gap) reuse trajectories through a shared
-ExperimentContext, which returns a cached trajectory only for an identical
-request.  An experiment asks for the evolutions it needs together (the
-viscous and ideal runs of one datum, a viscosity sweep), and the context
-evolves the misses side by side.  The expansion residuals
+toward its center.  An experiment asks its ExperimentContext for the
+evolutions it needs together (the viscous and ideal runs of one datum, a
+viscosity sweep), and the context evolves them side by side.  Each
+experiment holds its own trajectories: the context keeps none, so an
+experiment that needs a run twice keeps it.  The expansion residuals
 take their four remainder fields from ``solvers.first_order_remainders``:
 one Duhamel quadrature per sample time (refined in a single pass in strict
 mode), with the linear time integrals in closed form.
@@ -19,7 +18,6 @@ mode), with the linear time integrals in closed form.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import threading
@@ -190,22 +188,19 @@ def lsq_slope(ts, vals) -> float:
 
 
 class ExperimentContext:
-    """Shared grids, data and trajectories for one configuration.
+    """Grids, data and evolutions for one configuration.
 
-    ``trajectory`` takes a batch of evolution requests.  The misses of a
-    batch run side by side, on min(number of misses, CPUs this process may
-    run on) threads, the calling thread one of them; a single miss runs on
-    the calling thread alone.  The evolutions are independent and spend
-    most of their time in FFTs and array arithmetic that release the GIL.
+    The context caches only its grids, since a ``Grid`` caches its frequency
+    arrays per instance.  ``trajectory`` evolves every request of a batch,
+    side by side on min(number of requests, CPUs this process may run on)
+    threads, the calling thread one of them; a single request runs on the
+    calling thread alone.  The evolutions are independent and spend most of
+    their time in FFTs and array arithmetic that release the GIL.
     """
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self._grids: dict = {}
-        self._bumps: dict = {}
-        self._data: dict = {}
-        self._trajectories: dict = {}
-        self.cache_hits = 0
         self.evolutions: list = []  # grid, eps and solver statistics per evolve call
 
     # -- grids -------------------------------------------------------------
@@ -214,11 +209,6 @@ class ExperimentContext:
         if N not in self._grids:
             self._grids[N] = Grid(2, N, self.cfg.R)
         return self._grids[N]
-
-    def bump(self, grid: Grid):
-        if grid.N not in self._bumps:
-            self._bumps[grid.N] = build_profile_bump(grid)
-        return self._bumps[grid.N]
 
     def _fit_grid(self, max_mode: int, what: str) -> int:
         N = dealias_grid_size(max_mode)
@@ -231,7 +221,7 @@ class ExperimentContext:
 
     def _datum_mode_extent(self, n: int) -> int:
         # the bump's lattice extent is grid-independent (fixed frequency width)
-        bump_m = self.bump(self.grid(16)).max_mode
+        bump_m = build_profile_bump(self.grid(16)).max_mode
         carrier_m = int(round(CARRIER_RATIO * 2**n * self.cfg.R))
         return carrier_m + bump_m
 
@@ -257,11 +247,7 @@ class ExperimentContext:
     def datum(self, n: int, grid: Grid | None = None, shift: float = 0.0):
         """The shell velocity of index n on the grid (default ``datum_grid``)."""
         grid = grid or self.datum_grid(n)
-        key = (n, shift, grid.N)
-        if key not in self._data:
-            d = ShellDatum(n, self.cfg.bp, shift)
-            self._data[key] = shell_velocity(d, grid, self.bump(grid))
-        return self._data[key]
+        return shell_velocity(ShellDatum(n, self.cfg.bp, shift), grid)
 
     # -- trajectories --------------------------------------------------------
 
@@ -270,53 +256,19 @@ class ExperimentContext:
     ) -> list[Trajectory]:
         """The trajectories of the ``(u0, eps)`` requests, each sampled at ``times``.
 
-        Returned in request order.  The cache is keyed by the datum's grid, a
-        digest of its coefficients, eps and the sample times, so it returns a
-        trajectory only for an identical request: the step cap T/64 depends
-        on the horizon, so a longer run sampled at the same time differs in
-        the last bits.  Cache hits, insertions and the per-evolution
-        statistics follow request order, as if the requests came one by one:
-        a request repeated in the batch evolves once and then hits.  If an
-        evolution raises, the running ones finish, none is started, and the
-        first error in request order is raised.
+        Returned in request order, with the per-evolution statistics appended
+        to ``evolutions`` in that order.  If an evolution raises, the running
+        ones finish, none is started, and the first error in request order
+        is raised; the statistics of the requests before it are kept.
         """
-        times = tuple(sorted(set(float(t) for t in times)))
-        keys = [(u0.grid, _coeff_digest(u0), eps, times) for u0, eps in requests]
-        misses: dict = {}  # key -> its first request
-        for key, request in zip(keys, requests):
-            if key not in self._trajectories:
-                misses.setdefault(key, request)
-        outcomes = dict(zip(misses, _evolve_all(list(misses.values()), times)))
-
         out = []
-        for key in keys:
-            cached = self._trajectories.get(key)
-            if cached is not None:
-                self.cache_hits += 1
-                out.append(cached)
-                continue
-            outcome = outcomes[key]
+        for outcome in _evolve_all(list(requests), tuple(times)):
             if isinstance(outcome, Exception):
                 raise outcome
             traj, wall_s = outcome
             self.evolutions.append(_evolution_stats(traj, wall_s))
-            self._trajectories[key] = traj
             out.append(traj)
         return out
-
-    def telemetry(self) -> dict:
-        """Trajectory-cache hits and misses and one entry per evolution."""
-        return {
-            "trajectory_cache": {"hits": self.cache_hits, "misses": len(self.evolutions)},
-            "trajectories": list(self.evolutions),
-        }
-
-    def drop_trajectories(self, *trajectories: Trajectory) -> None:
-        """Forget these trajectories; a later request evolves them again."""
-        self._trajectories = {
-            k: v for k, v in self._trajectories.items()
-            if not any(v is tr for tr in trajectories)
-        }
 
 
 def _evolve_all(jobs: list, times: tuple) -> list:
@@ -368,15 +320,6 @@ def _evolution_stats(traj: Trajectory, wall_s: float) -> dict:
         stats.update(dt_min=float(d["dt"].min()), dt_max=float(d["dt"].max()),
                      energy_drift=float(drift), div_rel_max=float(d["div_rel"].max()))
     return stats
-
-
-def _coeff_digest(F: SpectralField) -> str:
-    """Fingerprint of a field's coefficient shape, dtype and values."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(f"{F.coeffs.shape}{F.coeffs.dtype.str}".encode())
-    # + 0.0 turns -0.0 into 0.0, so fields with equal values share a key
-    h.update(np.ascontiguousarray(F.coeffs + 0.0))
-    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +605,6 @@ def run_family_gap(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
         records.append(
             ResultRecord(ex, "gap_linear_floor", worst, n, eps_n, None, check(worst, lo=floor))
         )
-        if n >= 5:
-            ctx.drop_trajectories(traj0, traj_eps)
 
     # over one shell the spread is 1 by construction: reported, not checked
     rates = [gap_at_t0[n] / cfg.t0 for n in cfg.n_list]
@@ -749,7 +690,9 @@ def run_perturbed_gap(
     tests).  A shell whose low-pass S_n keeps the whole background
     (``high_pass_background`` = 0), or whose truncation bound would scale a
     zero constant, gets a ``truncation_not_evaluated`` record (value: the
-    vanishing factor) in place of the truncation constant or bound.
+    vanishing factor) in place of the truncation constant or bound.  Each
+    shell evolves six runs, five when S_n keeps the whole background; the
+    shift comparison evolves two more.
     """
     ctx = ctx or ExperimentContext(cfg)
     ex = "perturbed_gap"
@@ -771,20 +714,26 @@ def run_perturbed_gap(
         eps_n = cfg.eps_n(n)
         u0k = ctx.datum(n, grid=g, shift=k_shift)
         s_n_psi = low_pass(n, psi)
+        hp = besov_norm(SpectralField(g, psi.coeffs - s_n_psi.coeffs), bp)
         w_full = SpectralField(g, psi.coeffs + u0k.coeffs)
-        w_trunc = SpectralField(g, s_n_psi.coeffs + u0k.coeffs)
+        # where S_n keeps the whole background (hp = 0), the truncated datum
+        # is the full one, and its run is the full viscous run
+        truncated = [] if hp == 0.0 else [(SpectralField(g, s_n_psi.coeffs + u0k.coeffs), eps_n)]
 
-        t_full_eps, t_full_0, t_trunc, t_psi, t_u0, base0 = ctx.trajectory(
+        runs = ctx.trajectory(
             [
                 (w_full, eps_n),
                 (w_full, 0.0),
-                (w_trunc, eps_n),
+                *truncated,
                 (s_n_psi, eps_n),
                 (u0k, eps_n),
                 (u0k, 0.0),
             ],
             times,
         )
+        if hp == 0.0:
+            runs.insert(2, runs[0])
+        t_full_eps, t_full_0, t_trunc, t_psi, t_u0, base0 = runs
 
         pert = besov_norm(trajectory_gap(t_full_eps, t_full_0, t0), bp)
         records.append(ResultRecord(ex, "perturbed_gap", pert, n, eps_n, t0))
@@ -802,6 +751,8 @@ def run_perturbed_gap(
         # additivity defect and its growth-rate proxy
         defect = _additivity_defect(t_trunc, t_psi, t_u0, t0, bp)
         records.append(ResultRecord(ex, "additivity_defect", defect, n, eps_n, t0))
+        if n == ns[0]:
+            first_shell = s_n_psi, t_psi, defect  # for the shift comparison
         shell_norms = [besov_norm(t_u0.state_at(t), bp) for t in times]
         integral = t0 / 4.0 * (
             besov_norm(u0k, bp) + 2.0 * shell_norms[0] + shell_norms[1]
@@ -822,7 +773,6 @@ def run_perturbed_gap(
         i1 = besov_norm(
             SpectralField(g, t_full_eps.state_at(t0).coeffs - t_trunc.state_at(t0).coeffs), bp
         )
-        hp = besov_norm(SpectralField(g, psi.coeffs - s_n_psi.coeffs), bp)
         records.append(ResultRecord(ex, "truncation_sensitivity", i1, n, eps_n, t0))
         records.append(ResultRecord(ex, "high_pass_background", hp, n, eps_n, t0))
         if hp == 0.0 or trunc_constant == 0.0:
@@ -848,15 +798,11 @@ def run_perturbed_gap(
     # half-period translation (reported only; the torus has no far-field decay)
     n = ns[0]
     eps_n = cfg.eps_n(n)
+    s_n_psi, t_psi, shifted = first_shell
     u0_0 = ctx.datum(n, grid=g, shift=0.0)
-    s_n_psi = low_pass(n, psi)
     w0 = SpectralField(g, s_n_psi.coeffs + u0_0.coeffs)
     t_trunc0, t_u00 = ctx.trajectory([(w0, eps_n), (u0_0, eps_n)], [t0])
-    (t_psi,) = ctx.trajectory([(s_n_psi, eps_n)], times)  # cached by the loop
     defect0 = _additivity_defect(t_trunc0, t_psi, t_u00, t0, bp)
-    shifted = next(
-        r.value for r in records if r.quantity == "additivity_defect" and r.n == n
-    )
     records.append(ResultRecord(ex, "additivity_defect_unshifted", defect0, n, eps_n, t0))
     if defect0 > 0:
         records.append(
@@ -1020,6 +966,7 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
         records.append(
             ResultRecord(ex, "datum_divergence_defect", div, n, verdict=check(div, hi=1e-12))
         )
+    del u0n  # the last shell's datum, the largest, is not needed below
 
     # norm-equivalence sanity (logged, asserted finite and positive)
     zf = _random_stream(g, rng, g.dealias_keep)
@@ -1111,7 +1058,7 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     )
 
     # profile bump diagnostics
-    bump = ctx.bump(ctx.datum_grid(cfg.n_list[0]))
+    bump = build_profile_bump(ctx.datum_grid(cfg.n_list[0]))
     a0 = float(bump.a_hat[0])
     records.append(ResultRecord(ex, "bump_center_value", a0, verdict=check(a0, 1.0, 1.0)))
     phi = bump.physical_profile()

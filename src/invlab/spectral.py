@@ -42,24 +42,6 @@ import scipy.fft as _fft
 
 from .errors import ConfigError, NumericsError, ResolutionError
 
-_FFT_WORKERS = 1
-
-
-def set_fft_workers(n: int) -> None:
-    """Set the number of threads used by the FFT backend (pocketfft).
-
-    Results are bit-identical for any worker count; this only affects speed.
-    """
-    global _FFT_WORKERS
-    if n < 1:
-        raise ValueError("worker count must be >= 1")
-    _FFT_WORKERS = int(n)
-
-
-def get_fft_workers() -> int:
-    return _FFT_WORKERS
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic sampling lattice.
@@ -215,13 +197,11 @@ def _conj_mirror(full: np.ndarray) -> np.ndarray:
 
 
 def _forward(samples: np.ndarray, grid: Grid) -> np.ndarray:
-    return _fft.rfftn(samples, workers=_FFT_WORKERS) * (grid.dx**grid.d)
+    return _fft.rfftn(samples) * (grid.dx**grid.d)
 
 
 def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    return _fft.irfftn(coeffs, s=grid.shape, workers=_FFT_WORKERS) * (
-        (grid.N / grid.L) ** grid.d
-    )
+    return _fft.irfftn(coeffs, s=grid.shape) * ((grid.N / grid.L) ** grid.d)
 
 
 # ---------------------------------------------------------------------------

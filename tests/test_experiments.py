@@ -80,9 +80,14 @@ def fixed_limit_records(small_cfg):
 
 
 @pytest.fixture(scope="module")
-def perturbed_gap_records(small_cfg):
+def perturbed_ctx(small_cfg):
+    return ExperimentContext(small_cfg)
+
+
+@pytest.fixture(scope="module")
+def perturbed_gap_records(small_cfg, perturbed_ctx):
     # the seeded random background
-    return run_perturbed_gap(small_cfg, ExperimentContext(small_cfg))
+    return run_perturbed_gap(small_cfg, perturbed_ctx)
 
 
 @pytest.fixture(scope="module")
@@ -172,50 +177,9 @@ class TestContext:
         with pytest.raises(ResolutionError):
             ctx.product_grid(5)  # would need 4096 > budget 2048
 
-    def test_trajectory_cache_hits_only_identical_requests(self, small_cfg):
-        # the step cap T/64 depends on the horizon, so a trajectory sampled
-        # at other times is another computation, even at a shared time
-        from invlab.constructions import taylor_green_two_mode
-        from invlab.solvers import evolve
-
-        ctx = ExperimentContext(small_cfg)
-        u0 = taylor_green_two_mode(ctx.grid(32))
-        (first,) = ctx.trajectory([(u0, 1e-3)], [0.02, 0.01])
-        assert ctx.trajectory([(u0, 1e-3)], [0.01, 0.02])[0] is first
-        assert ctx.cache_hits == 1
-        (subset,) = ctx.trajectory([(u0, 1e-3)], [0.01])
-        assert subset is not first and subset.times == (0.01,)
-        fresh = evolve(u0, 1e-3, [0.01])
-        assert np.array_equal(subset.state_at(0.01).coeffs, fresh.state_at(0.01).coeffs)
-        assert ctx.telemetry()["trajectory_cache"] == {"hits": 1, "misses": 2}
-
-    def test_trajectory_cache_keyed_by_data(self, small_cfg):
-        from invlab.constructions import taylor_green
-
-        ctx = ExperimentContext(small_cfg)
-        g = ctx.grid(32)
-        ta, tb = ctx.trajectory(
-            [(taylor_green(g), 1e-3), (taylor_green(g, amplitude=0.5), 1e-3)], [0.01]
-        )
-        assert tb is not ta
-        assert not np.array_equal(ta.state_at(0.01).coeffs[0], tb.state_at(0.01).coeffs[0])
-        assert ctx.trajectory([(taylor_green(g), 1e-3)], [0.01])[0] is ta
-
-    def test_drop_trajectories_forgets_only_the_given(self, small_cfg):
-        from invlab.constructions import taylor_green
-
-        ctx = ExperimentContext(small_cfg)
-        g = ctx.grid(32)
-        a, b = taylor_green(g), taylor_green(g, amplitude=0.5)
-        ta, tb = ctx.trajectory([(a, 1e-3), (b, 1e-3)], [0.01])
-        ctx.drop_trajectories(ta)
-        assert ctx.trajectory([(b, 1e-3)], [0.01])[0] is tb
-        assert ctx.trajectory([(a, 1e-3)], [0.01])[0] is not ta
-        assert ctx.telemetry()["trajectory_cache"] == {"hits": 1, "misses": 3}
-
 
 class TestTrajectoryBatch:
-    """``ExperimentContext.trajectory`` evolves the misses of a batch side by side."""
+    """``ExperimentContext.trajectory`` evolves the requests of a batch side by side."""
 
     @pytest.fixture
     def threads_seen(self, monkeypatch):
@@ -252,7 +216,7 @@ class TestTrajectoryBatch:
         ]
         times = [0.02, 0.01, 0.04]
         batch = ctx.trajectory(requests, times)
-        assert len(set(threads_seen)) == 3  # three threads took the four misses
+        assert len(set(threads_seen)) == 3  # three threads took the four requests
         assert threading.get_ident() in threads_seen
         for traj, (u0, eps) in zip(batch, requests):
             alone = evolve(u0, eps, times)
@@ -275,17 +239,20 @@ class TestTrajectoryBatch:
         assert threads_seen == [threading.get_ident()]
         assert threading.active_count() == before
 
-    def test_repeated_request_evolves_once_and_hits(self, small_cfg, threads_seen):
+    def test_every_request_evolves(self, small_cfg, threads_seen):
+        # a request repeated in a batch, or asked for again, evolves again:
+        # the context keeps no trajectory
         from invlab.constructions import taylor_green
 
         ctx = ExperimentContext(small_cfg)
         g = ctx.grid(32)
-        a, b = taylor_green(g), taylor_green(g, amplitude=0.5)
-        # the same datum and eps, built twice: the cache is keyed by data
-        ta, tb, again = ctx.trajectory([(a, 1e-3), (b, 1e-3), (taylor_green(g), 1e-3)], [0.01])
-        assert again is ta and tb is not ta
-        assert len(threads_seen) == 2
-        assert ctx.telemetry()["trajectory_cache"] == {"hits": 1, "misses": 2}
+        a = taylor_green(g)
+        ta, again = ctx.trajectory([(a, 1e-3), (a, 1e-3)], [0.01])
+        (later,) = ctx.trajectory([(a, 1e-3)], [0.01])
+        assert len({id(ta), id(again), id(later)}) == 3
+        assert len(threads_seen) == len(ctx.evolutions) == 3
+        for traj in (again, later):
+            assert np.array_equal(traj.state_at(0.01).coeffs, ta.state_at(0.01).coeffs)
 
     def test_telemetry_follows_request_order(self, small_cfg, threads_seen):
         from invlab.constructions import taylor_green_two_mode
@@ -293,16 +260,14 @@ class TestTrajectoryBatch:
         ctx = ExperimentContext(small_cfg)
         g = ctx.grid(32)
         u0 = taylor_green_two_mode(g)
-        (first,) = ctx.trajectory([(u0, 0.0)], [0.01])
+        ctx.trajectory([(u0, 0.0)], [0.01])
         sweep = [0.04, 0.0, 0.01, 0.02]
         trajs = ctx.trajectory([(u0, eps) for eps in sweep], [0.01])
-        assert trajs[1] is first
         assert [tr.eps for tr in trajs] == sweep
-        runs = ctx.telemetry()["trajectories"]
-        assert [r["eps"] for r in runs] == [0.0, 0.04, 0.01, 0.02]
+        runs = ctx.evolutions
+        assert [r["eps"] for r in runs] == [0.0, *sweep]
         assert all(r["N"] == 32 and r["steps"] == 64 for r in runs)
         assert all(r["wall_s"] > 0.0 for r in runs)
-        assert ctx.telemetry()["trajectory_cache"] == {"hits": 1, "misses": 4}
 
     def test_many_requests_on_more_threads_than_cores(self, small_cfg, monkeypatch):
         # six threads and a short switch interval: every request is taken
@@ -335,7 +300,7 @@ class TestTrajectoryBatch:
         assert threading.active_count() == before
         assert sorted(taken) == sweep
         assert [tr.eps for tr in trajs] == sweep
-        assert [r["eps"] for r in ctx.telemetry()["trajectories"]] == sweep
+        assert [r["eps"] for r in ctx.evolutions] == sweep
 
     @pytest.mark.parametrize("failing_first", [False, True], ids=["second", "first"])
     def test_failing_request_raises_as_in_sequence(self, small_cfg, threads_seen, failing_first):
@@ -361,7 +326,7 @@ class TestTrajectoryBatch:
         assert threading.active_count() == before
         # the requests before the failing one are kept, as in a sequence
         kept = 0 if failing_first else 1
-        assert ctx.telemetry()["trajectory_cache"] == {"hits": 0, "misses": kept}
+        assert len(ctx.evolutions) == kept
 
 
 class TestHeatLaw:
@@ -498,13 +463,22 @@ def vf_rel_diff(a, b):
     return num / np.sqrt(np.sum(np.abs(b.coeffs) ** 2))
 
 
-def remainders_at(cfg, ctx, t):
+@pytest.fixture(scope="module")
+def shell3_pair(small_cfg, small_ctx):
+    """Shell 3 with its ideal and viscous runs over small_cfg.t_grid."""
+    u0 = small_ctx.datum(3)
+    traj0, traj_eps = small_ctx.trajectory(
+        [(u0, 0.0), (u0, small_cfg.eps_n(3))], small_cfg.t_grid
+    )
+    return u0, traj0, traj_eps
+
+
+def remainders_at(cfg, pair, t):
     """u0, P(u0.grad u0) and the remainder fields of shell 3 at time t."""
     from invlab.solvers import first_order_remainders
     from invlab.spectral import advect, leray_project
 
-    u0 = ctx.datum(3)
-    traj0, traj_eps = ctx.trajectory([(u0, 0.0), (u0, cfg.eps_n(3))], cfg.t_grid)
+    u0, traj0, traj_eps = pair
     (rem,) = first_order_remainders(
         u0, traj0, traj_eps, [t], cfg.quadrature_nodes
     )
@@ -512,8 +486,8 @@ def remainders_at(cfg, ctx, t):
 
 
 @pytest.fixture(scope="module")
-def residual_records(small_cfg, small_ctx):
-    return run_expansion_residuals(small_cfg, small_ctx)
+def residual_records(small_cfg):
+    return run_expansion_residuals(small_cfg, ExperimentContext(small_cfg))
 
 
 class TestExpansionResiduals:
@@ -560,13 +534,13 @@ class TestExpansionResiduals:
                 allowed = tol[(quantity, t)]
             assert abs(v - float(value)) <= allowed, (quantity, t, v, value)
 
-    def test_heat_defect_integral_matches_closed_form(self, small_cfg, small_ctx):
+    def test_heat_defect_integral_matches_closed_form(self, small_cfg, shell3_pair):
         # program: (t phi1(x) - t) pa0, x = t eps k^2; reference: Simpson in
         # tau of (exp(-(t - tau) eps k^2) - 1) pa0
         from invlab.spectral import heat_factor
 
         t = 0.02
-        u0, pa0, rem = remainders_at(small_cfg, small_ctx, t)
+        u0, pa0, rem = remainders_at(small_cfg, shell3_pair, t)
         g, eps = u0.grid, small_cfg.eps_n(3)
         nodes = small_cfg.quadrature_nodes
         factor = np.zeros(g.spectral_shape)
@@ -575,13 +549,13 @@ class TestExpansionResiduals:
         quad = SpectralField(g, factor * pa0.coeffs)
         assert vf_rel_diff(rem.heat_defect, quad) <= 1e-8
 
-    def test_drift_integral_matches_direct_simpson(self, small_cfg, small_ctx):
+    def test_drift_integral_matches_direct_simpson(self, small_cfg, shell3_pair):
         # program: -u2 - t phi1 pa0; reference: Simpson in tau of
         # exp((t - tau) eps Lap) (P(u1.grad u1)(tau) - pa0)
         from invlab.spectral import advect, heat_factor, heat_propagate, leray_project
 
         t = 0.02
-        u0, pa0, rem = remainders_at(small_cfg, small_ctx, t)
+        u0, pa0, rem = remainders_at(small_cfg, shell3_pair, t)
         g, eps = u0.grid, small_cfg.eps_n(3)
         nodes = small_cfg.quadrature_nodes
         acc = np.zeros_like(pa0.coeffs)
@@ -641,26 +615,33 @@ class TestFixedDatumLimit:
 
 
 class TestPerturbedGap:
-    def test_zero_background_reduces_to_family_gap(
-        self, small_cfg, small_ctx, family_gap_records
-    ):
+    def test_zero_background_reduces_to_family_gap(self, small_cfg, family_gap_records):
         d_ref = next(
             r.value
             for r in family_gap_records
             if r.quantity == "solution_gap" and r.n == 3 and abs(r.t - 0.02) < 1e-12
         )
-        g = small_ctx.background_grid(3)
+        ctx = ExperimentContext(small_cfg)
+        g = ctx.background_grid(3)
         zero = SpectralField(g, np.zeros((2,) + g.spectral_shape, dtype=complex))
-        records = run_perturbed_gap(small_cfg, small_ctx, background=zero)
+        records = run_perturbed_gap(small_cfg, ctx, background=zero)
+        # S_3 passes the zero background whole, so the truncated run is the
+        # full viscous run: five runs for the shell, two for the shift
+        assert len(ctx.evolutions) == 5 + 2
         pert = next(r.value for r in records if r.quantity == "perturbed_gap")
         assert pert == pytest.approx(d_ref, rel=1e-12)
         defect = next(r.value for r in records if r.quantity == "additivity_defect")
         assert defect <= 1e-12 * d_ref
         assert by_quantity(records, "truncation_not_evaluated")
         assert not by_quantity(records, "truncation_constant")
+        (sensitivity,) = by_quantity(records, "truncation_sensitivity")
+        assert sensitivity.value == 0.0
 
-    def test_random_background_records(self, perturbed_gap_records):
+    def test_random_background_records(self, perturbed_gap_records, perturbed_ctx):
         records = perturbed_gap_records
+        # six runs for the shell, two for the shift comparison, which reuses
+        # the shell's background run
+        assert len(perturbed_ctx.evolutions) == 6 + 2
         floor = by_quantity(records, "perturbed_gap_floor")
         assert floor and all(r.verdict == "pass" for r in floor)
         hp = by_quantity(records, "high_pass_background")

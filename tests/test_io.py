@@ -211,9 +211,9 @@ class TestConfigParsing:
 
     def test_echo_written(self, tmp_path):
         cfg = ExperimentConfig()
-        path = echo_config(cfg, tmp_path, {"threads": 2})
+        path = echo_config(cfg, tmp_path, {"command": "validate"})
         payload = json.loads(path.read_text())
-        assert payload["threads"] == 2
+        assert payload["command"] == "validate"
         assert payload["seed"] == cfg.seed
 
 
@@ -239,16 +239,18 @@ class TestCli:
         assert (tmp_path / "out" / "summary.json").exists()
         assert (tmp_path / "out" / "config.echo.json").exists()
         assert "0 fail" in capsys.readouterr().out
-        # the four default-config vortex evolutions go through the context
+        # the four default-config vortex evolutions go through the context,
+        # each 64 steps of T/64 with no sliver step to land on T
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert summary["trajectory_cache"] == {"hits": 0, "misses": 4}
+        assert "trajectory_cache" not in summary and "threads" not in summary
         runs = summary["trajectories"]
         assert sorted(r["eps"] for r in runs) == [0.0, 0.0, 0.01, 0.05]
-        assert all(r["N"] == 64 and r["steps"] >= 64 for r in runs)
+        assert all(r["N"] == 64 and r["steps"] == 64 for r in runs)
         # the solver statistics of each evolution, read back: steps are
         # capped at T/64 (T = 1 for the single-mode vortex, 0.1 otherwise)
         for r in runs:
             assert 0 < r["dt_min"] <= r["dt_max"] <= 1.0 / 64
+            assert r["dt_max"] / r["dt_min"] <= 1.0 + 1e-12
             assert 0.0 <= r["div_rel_max"] <= 1e-9
             if r["eps"] == 0.0:
                 assert r["energy_drift"] <= 1e-7
@@ -348,24 +350,18 @@ class TestCli:
         payload = json.loads((out / "config.echo.json").read_text())
         assert payload["seed"] == 99
 
-    def test_evolve_command_writes_each_sample_state(self, tmp_path, monkeypatch):
-        import invlab.cli as cli
+    def test_evolve_command_writes_each_sample_state(self, tmp_path):
+        from invlab.experiments import ExperimentContext
+        from invlab.solvers import evolve
 
-        contexts = []
-
-        class Recorded(cli.ExperimentContext):
-            def __init__(self, cfg):
-                super().__init__(cfg)
-                contexts.append(self)
-
-        monkeypatch.setattr(cli, "ExperimentContext", Recorded)
         cfg = self._config(tmp_path, evolve={"n": 3})
         out = tmp_path / "out"
         assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
-        (ctx,) = contexts
         eps = 2.0**-6
-        (traj,) = ctx.trajectory([(ctx.datum(3), eps)], [0.01, 0.02])
-        assert ctx.telemetry()["trajectory_cache"] == {"hits": 1, "misses": 1}
+        u0 = ExperimentContext(parse_config(cfg)).datum(3)
+        traj = evolve(u0, eps, [0.01, 0.02])
+        (run,) = json.loads((out / "summary.json").read_text())["trajectories"]
+        assert (run["eps"], run["steps"]) == (eps, len(traj.diagnostics["dt"]))
         run_dir = out / "traj" / f"n3_eps{eps:g}_k0"
         assert sorted(p.name for p in run_dir.glob("*.spf")) == ["t000.spf", "t001.spf"]
         for i, t in enumerate(traj.times):
