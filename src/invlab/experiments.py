@@ -8,19 +8,18 @@ quotient.  Mode-dependent bounds come from ``scaled``: ``relaxed`` uses the
 stated acceptance windows, ``strict`` moves every bound a third of the way
 toward its center.  An experiment asks its ExperimentContext for the
 evolutions it needs together (the viscous and ideal runs of one datum, a
-viscosity sweep), and the context evolves them side by side.  Each
-experiment holds its own trajectories: the context keeps none, so an
-experiment that needs a run twice keeps it.  The expansion residuals
-take their four remainder fields from ``solvers.first_order_remainders``:
-one Duhamel quadrature per sample time (refined in a single pass in strict
-mode), with the linear time integrals in closed form.
+viscosity sweep), and the context evolves them side by side
+(``solvers.threaded_map``).  Each experiment holds its own trajectories:
+the context keeps none, so an experiment that needs a run twice keeps it.
+The expansion residuals take their four remainder fields from
+``solvers.first_order_remainders``: one Duhamel sweep for all sample times,
+which evaluates each distinct quadrature node once (refined in the same pass
+in strict mode), with the linear time integrals in closed form.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -52,6 +51,7 @@ from .solvers import (
     Trajectory,
     evolve,
     first_order_remainders,
+    threaded_map,
     trajectory_gap,
 )
 from .spectral import (
@@ -261,54 +261,18 @@ class ExperimentContext:
         ones finish, none is started, and the first error in request order
         is raised; the statistics of the requests before it are kept.
         """
+        times = tuple(times)
+
+        def timed(request):
+            start = time.perf_counter()
+            traj = evolve(*request, times)
+            return traj, time.perf_counter() - start
+
         out = []
-        for outcome in _evolve_all(list(requests), tuple(times)):
-            if isinstance(outcome, Exception):
-                raise outcome
-            traj, wall_s = outcome
+        for traj, wall_s in threaded_map(timed, requests):
             self.evolutions.append(_evolution_stats(traj, wall_s))
             out.append(traj)
         return out
-
-
-def _evolve_all(jobs: list, times: tuple) -> list:
-    """``(trajectory, wall_s)``, or the exception raised, for each ``(u0, eps)``.
-
-    The jobs are taken in order by min(len(jobs), CPUs) threads, the calling
-    thread one of them.  After a failure no further job is started; a job
-    not started is left as None.
-    """
-    outcomes: list = [None] * len(jobs)
-    pending = iter(range(len(jobs)))
-    take = threading.Lock()
-    stop = threading.Event()
-
-    def work():
-        while not stop.is_set():
-            with take:
-                i = next(pending, None)
-            if i is None:
-                return
-            start = time.perf_counter()
-            try:
-                traj = evolve(*jobs[i], times)
-            except Exception as err:
-                outcomes[i] = err
-                stop.set()
-            else:
-                outcomes[i] = (traj, time.perf_counter() - start)
-
-    width = min(len(jobs), len(os.sched_getaffinity(0)))
-    helpers = [threading.Thread(target=work) for _ in range(width - 1)]
-    for h in helpers:
-        h.start()
-    try:
-        work()
-    finally:
-        stop.set()  # also when the calling thread is interrupted
-        for h in helpers:
-            h.join()
-    return outcomes
 
 
 def _evolution_stats(traj: Trajectory, wall_s: float) -> dict:

@@ -35,12 +35,20 @@ integral of the same right-hand side by composite Simpson (a strict-mode
 refinement check reuses the integrand evaluations), and
 ``first_order_remainders`` builds the four remainder fields from the
 increments, ``u2`` and the exact linear time integral ``t phi1(t eps |xi|^2)``.
+``u2_duhamel`` takes all sample times at once and sweeps the sorted union of
+their Simpson nodes, evaluating the integrand once per distinct node (the
+dyadic sample times share nodes bitwise), on every CPU through
+``threaded_map``.  Each time's sum still adds its own terms in its own node
+order, so the result equals a per-time loop bitwise.  The sums live on the
+box of the 2/3 ball, where ``vorticity_rhs`` puts every nonzero entry.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,6 +60,7 @@ from .errors import (
 from .spectral import (
     Grid,
     SpectralField,
+    _check_heat_arguments,
     _forward,
     _inverse,
     curl,
@@ -73,6 +82,86 @@ BLOWUP_FACTOR = 1e3
 EXPONENT_LIMIT = 700.0
 # largest relative change of u2_duhamel when its node count is doubled
 REFINE_TOL = 1e-8
+
+
+def threaded_map(fn: Callable, jobs: Iterable) -> Iterator:
+    """Yield ``fn(job)`` for each of ``jobs``, in order.
+
+    The calls run on min(len(jobs), CPUs) threads, the calling thread one of
+    them, so a single job runs on the calling thread.  Its heap arena thus
+    serves jobs too: with new threads only, the peak RSS of a strict n = 3
+    ``expansion-residuals`` run rose from 168 to 191 MiB (2 CPUs, glibc,
+    which keeps one arena per thread).  Jobs start in order, at most
+    twice the thread count ahead of the next result to be yielded, so the
+    results waiting for the caller stay bounded.  If a call raises, no
+    further job starts, the running ones finish, and its error is raised
+    when its turn comes: the results before it are yielded as in a
+    sequence.  The helper threads are joined before the generator returns,
+    raises or is closed.
+    """
+    jobs = list(jobs)
+    width = min(len(jobs), len(os.sched_getaffinity(0)))
+    window = 2 * width
+    done: dict = {}  # job index -> (ok, result or error), until yielded
+    cond = threading.Condition()
+    # next job to start, next result to yield, and whether no job may start
+    state = {"start": 0, "yield": 0, "stop": False}
+
+    def take():
+        # with cond held: the index of a job that may start now, or None
+        i = state["start"]
+        if state["stop"] or i >= len(jobs) or i >= state["yield"] + window:
+            return None
+        state["start"] = i + 1
+        return i
+
+    def run(i):
+        try:
+            out = (True, fn(jobs[i]))
+        except Exception as err:
+            out = (False, err)
+        with cond:
+            done[i] = out
+            state["stop"] |= not out[0]
+            cond.notify_all()
+
+    def helper():
+        while True:
+            with cond:
+                while (i := take()) is None:
+                    if state["stop"] or state["start"] >= len(jobs):
+                        return
+                    cond.wait()
+            run(i)
+
+    helpers = [threading.Thread(target=helper) for _ in range(width - 1)]
+    for h in helpers:
+        h.start()
+    try:
+        for k in range(len(jobs)):
+            # job k has started, or starts here: a failure before it was
+            # raised at its own turn
+            while True:
+                with cond:
+                    if k in done:
+                        ok, out = done.pop(k)
+                        state["yield"] = k + 1
+                        cond.notify_all()
+                        break
+                    i = take()
+                    if i is None:
+                        cond.wait()
+                        continue
+                run(i)
+            if not ok:
+                raise out
+            yield out
+    finally:
+        with cond:
+            state["stop"] = True  # also when the caller is interrupted
+            cond.notify_all()
+        for h in helpers:
+            h.join()
 
 
 @dataclass(frozen=True)
@@ -375,50 +464,101 @@ def _simpson_weights(t: float, nodes: int) -> np.ndarray:
 
 def u2_duhamel(
     u0: SpectralField,
-    t: float,
+    times: Iterable[float],
     eps: float,
     nodes: int = 17,
     refine: bool = False,
-) -> SpectralField:
-    """First-order nonlinear correction by composite-Simpson quadrature.
+    *,
+    rhs0: np.ndarray | None = None,
+) -> Iterator[SpectralField]:
+    """First-order nonlinear correction at each of ``times``, by composite Simpson.
 
     Solves ``d/dt u2 = eps*Lap(u2) - P(u1 . grad u1)`` from zero data, i.e.
-    ``u2(t) = -int_0^t exp((t-tau) eps Lap) P(u1 . grad u1)(tau) dtau``.
-    With ``refine`` set the integrand is evaluated once on the doubled grid
-    of ``2*(nodes-1)+1`` nodes: the fine sum is the result, the even-indexed
-    nodes give the ``nodes``-point sum, and a relative change between the
-    two above ``REFINE_TOL`` raises a QuadratureError.  ``u0`` must lie in
-    the 2/3 ball, as for ``evolve``.
+    ``u2(t) = -int_0^t exp((t-tau) eps Lap) P(u1 . grad u1)(tau) dtau``, on
+    ``nodes`` equispaced nodes of ``[0, t]``.  With ``refine`` set the
+    integrand is evaluated on the doubled grid of ``2*(nodes-1)+1`` nodes:
+    the fine sum is the result, the even-indexed nodes give the
+    ``nodes``-point sum, and a relative change between the two above
+    ``REFINE_TOL``, at any of the times, raises a QuadratureError.  ``u0``
+    must lie in the 2/3 ball, as for ``evolve``.
+
+    The vorticity of the integrand, ``F(tau) = vorticity_rhs(exp(tau eps
+    Lap) w0)`` with ``w0 = curl u0``, is evaluated once per distinct node of
+    all the times (``threaded_map``); ``rhs0`` stands for ``F(0)`` when the
+    caller holds it, since ``heat_factor`` is exactly 1 at tau = 0.  Each
+    time's sum adds its terms ``w_i exp((t-tau_i) eps Lap) F(tau_i)`` in
+    ascending node order, as a loop over its own nodes would.  The sweep and
+    every refinement check run on the call; the returned iterator yields one
+    velocity field per time, the Biot-Savart image of its sum, built as it
+    advances.
     """
     g = u0.grid
     if nodes < 9 or nodes % 2 == 0:
         raise ValueError(f"composite Simpson needs an odd node count >= 9, got {nodes}")
     _require_in_ball(u0)
+    times = tuple(times)
+    for t in times:
+        _check_heat_arguments(t, eps)
     fine_nodes = 2 * (nodes - 1) + 1 if refine else nodes
-    w = _simpson_weights(t, fine_nodes)
-    w_coarse = _simpson_weights(t, nodes)
-    # the sums run over the vorticity right-hand side -curl P(u1 . grad u1);
-    # one Biot-Savart image per sum gives the velocity
+    # the (time, node) index pairs of each distinct node; tau_i of a time
+    # equals tau_2i of twice that time bitwise, so dyadic times share nodes
+    uses: dict = {}
+    for k, t in enumerate(times):
+        for i, tau in enumerate(np.linspace(0.0, t, fine_nodes)):
+            uses.setdefault(float(tau), []).append((k, i))
+    fine_w = [_simpson_weights(t, fine_nodes) for t in times]
+    coarse_w = [_simpson_weights(t, nodes) for t in times]
+    # vorticity_rhs zeroes every entry outside the ball, so the sums are kept
+    # on its box: rows |m_0| <= keep and columns 0 .. keep
+    keep = g.dealias_keep
+    box = (np.r_[0 : keep + 1, g.N - keep : g.N], slice(0, keep + 1))
+    k_box = g.k_sq[box]
     w0, mean = curl(u0).coeffs, u0.coeffs[:, 0, 0]
-    acc = np.zeros(g.spectral_shape, dtype=np.complex128)
-    coarse = np.zeros_like(acc) if refine else None
-    for i, (wi, tau) in enumerate(zip(w, np.linspace(0.0, t, fine_nodes))):
-        term = vorticity_rhs(g, heat_factor(g, tau, eps) * w0, mean)[0]
-        term *= heat_factor(g, t - tau, eps)
-        acc += wi * term
-        if refine and i % 2 == 0:
-            # tau_i on the fine grid equals tau_(i/2) on the coarse one
-            coarse += w_coarse[i // 2] * term
-    u2 = SpectralField(g, _velocity(g, acc, 0.0))
+
+    def terms(tau):
+        # exp((t - tau) eps Lap) F(tau) on the box, for each time with node tau
+        if tau == 0.0 and rhs0 is not None:
+            f = rhs0[box]
+        else:
+            f = vorticity_rhs(g, heat_factor(g, tau, eps) * w0, mean)[0][box]
+        # the factor is heat_factor(g, t - tau, eps)[box], by the same arithmetic
+        return {
+            k: f * np.exp(-(times[k] - tau) * eps * k_box)
+            for k in dict.fromkeys(k for k, _ in uses[tau])
+        }
+
+    fine = [np.zeros(k_box.shape, dtype=np.complex128) for _ in times]
+    coarse = [np.zeros_like(s) for s in fine] if refine else None
+    order = sorted(uses)
+    for tau, term in zip(order, threaded_map(terms, order)):
+        for k, i in uses[tau]:
+            fine[k] += fine_w[k][i] * term[k]
+            if refine and i % 2 == 0:
+                # tau_i on the fine grid equals tau_(i/2) on the coarse one
+                coarse[k] += coarse_w[k][i // 2] * term[k]
     if refine:
-        diff = l2_norm_spectral(SpectralField(g, _velocity(g, coarse - acc, 0.0)))
-        scale = l2_norm_spectral(u2)
-        if scale > 0 and diff / scale > REFINE_TOL:
-            raise QuadratureError(
-                f"Duhamel quadrature not converged: doubling {nodes} nodes moved "
-                f"the result by {diff / scale:.3e} (tolerance {REFINE_TOL})"
-            )
-    return u2
+        # L2 norms of the velocities, on the box: its columns 0 .. keep lie
+        # below N/2, as half_spectrum_l2 needs
+        bs = g.biot_savart[(slice(None),) + box]
+        for t, f, c in zip(times, fine, coarse):
+            c -= f
+            diff = half_spectrum_l2((b * c for b in bs), g)
+            scale = half_spectrum_l2((b * f for b in bs), g)
+            if scale > 0 and diff / scale > REFINE_TOL:
+                raise QuadratureError(
+                    f"Duhamel quadrature not converged at t={t}: doubling {nodes} "
+                    f"nodes moved the result by {diff / scale:.3e} "
+                    f"(tolerance {REFINE_TOL})"
+                )
+    fine.reverse()
+    return (_box_velocity(g, box, fine.pop()) for _ in times)
+
+
+def _box_velocity(grid: Grid, box: tuple, w_box: np.ndarray) -> SpectralField:
+    """The velocity of zero mean whose vorticity is ``w_box`` on ``box``, 0 elsewhere."""
+    w = np.zeros(grid.spectral_shape, dtype=np.complex128)
+    w[box] = w_box
+    return SpectralField(grid, _velocity(grid, w, 0.0))
 
 
 def _check_same_data(u0: SpectralField, traj: Trajectory) -> None:
@@ -440,7 +580,7 @@ def first_order_remainders(
     u0: SpectralField,
     traj0: Trajectory,
     traj_eps: Trajectory,
-    times: Sequence[float],
+    times: Iterable[float],
     nodes: int = 17,
     refine: bool = False,
 ) -> Iterator[FirstOrderRemainders]:
@@ -454,7 +594,7 @@ def first_order_remainders(
       be ideal);
     - navier_stokes: ``S^eps_t(u0) - u1(t) - u2(t) = delta_eps(t) - u2(t)``,
       since ``u1(t) = exp(t eps Lap) u0``, with ``u2`` from
-      ``u2_duhamel(u0, t, eps, nodes, refine)``;
+      ``u2_duhamel(u0, times, eps, nodes, refine)``;
     - drift: ``int_0^t exp((t-tau) eps Lap) (F(tau) - pa0) dtau``.  Since
       ``u2 = -int_0^t exp((t-tau) eps Lap) F(tau) dtau``, this equals
       ``-u2 - int_0^t exp((t-tau) eps Lap) dtau . pa0``, and the linear
@@ -463,23 +603,25 @@ def first_order_remainders(
     - heat_defect: ``int_0^t (exp((t-tau) eps Lap) - Id) pa0 dtau``
       ``= (t phi1 - t) pa0``.
 
-    The guards (ideal ``traj0``, both trajectories from ``u0``) run on the
-    call; the fields are computed as the iterator advances.
+    On the call the guards run first (ideal ``traj0``, both trajectories
+    from ``u0``), then one Duhamel sweep for all the times, which reuses the
+    vorticity of ``pa0`` as its tau = 0 integrand; the fields of each time
+    are built as the iterator reaches it.
     """
     if traj0.eps != 0.0:
         raise ValueError(f"need an ideal (eps=0) trajectory, got eps={traj0.eps}")
     _check_same_data(u0, traj0)
     _check_same_data(u0, traj_eps)
+    times = tuple(times)
     r0 = vorticity_rhs(u0.grid, curl(u0).coeffs, u0.coeffs[:, 0, 0])[0]
     pa0 = -_velocity(u0.grid, r0, 0.0)  # coefficients of P(u0 . grad u0)
-    return (_remainders_at(u0, pa0, traj0, traj_eps, t, nodes, refine) for t in times)
+    u2s = u2_duhamel(u0, times, traj_eps.eps, nodes, refine, rhs0=r0)
+    return (_remainders_at(u0, pa0, traj0, traj_eps, t, u2) for t, u2 in zip(times, u2s))
 
 
-def _remainders_at(u0, pa0, traj0, traj_eps, t, nodes, refine):
+def _remainders_at(u0, pa0, traj0, traj_eps, t, u2):
     g = u0.grid
-    eps = traj_eps.eps
-    u2 = u2_duhamel(u0, t, eps, nodes, refine=refine)
-    lin = heat_integral_factor(g, t, eps)
+    lin = heat_integral_factor(g, t, traj_eps.eps)
     return FirstOrderRemainders(
         euler=SpectralField(g, traj0.increment_at(t).coeffs + t * pa0),
         navier_stokes=SpectralField(g, traj_eps.increment_at(t).coeffs - u2.coeffs),

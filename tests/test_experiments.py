@@ -185,6 +185,7 @@ class TestTrajectoryBatch:
     def threads_seen(self, monkeypatch):
         # the thread of each evolve call, and three CPUs, so that a batch
         # runs on several threads on any machine
+        import os
         import threading
 
         import invlab.experiments as experiments
@@ -197,7 +198,7 @@ class TestTrajectoryBatch:
             return evolve(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "evolve", recorded)
-        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         return seen
 
     def test_batch_equals_sequential_evolutions(self, small_cfg, threads_seen):
@@ -272,6 +273,7 @@ class TestTrajectoryBatch:
     def test_many_requests_on_more_threads_than_cores(self, small_cfg, monkeypatch):
         # six threads and a short switch interval: every request is taken
         # by exactly one thread, and each result lands at its own index
+        import os
         import sys
         import threading
 
@@ -286,7 +288,7 @@ class TestTrajectoryBatch:
             return evolve(u0, eps, times)
 
         monkeypatch.setattr(experiments, "evolve", recorded)
-        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(6)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)))
         ctx = ExperimentContext(small_cfg)
         u0 = taylor_green_two_mode(ctx.grid(16))
         sweep = [1e-3 * (i + 1) for i in range(24)]

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+import time
 import types
 
 import numpy as np
@@ -14,12 +18,15 @@ from invlab.errors import (
     QuadratureError,
     SolverDivergenceError,
 )
+from invlab.experiments import DEFAULT_T_GRID
 from invlab.littlewood_paley import BesovParams, besov_norm
 from invlab.solvers import (
+    REFINE_TOL,
     Trajectory,
     evolve,
     EXPONENT_LIMIT,
     first_order_remainders,
+    threaded_map,
     trajectory_gap,
     u2_duhamel,
     vorticity_rhs,
@@ -35,6 +42,7 @@ from invlab.spectral import (
     heat_propagate,
     l2_norm_spectral,
     leray_project,
+    perp_gradient,
     translate,
 )
 
@@ -185,7 +193,7 @@ class TestEvolve:
         with pytest.raises(ValueError, match="outside the 2/3-rule ball"):
             evolve(u0, 0.0, [0.1])
         with pytest.raises(ValueError, match="outside the 2/3-rule ball"):
-            u2_duhamel(u0, 0.1, 0.0)
+            u2_duhamel(u0, [0.1], 0.0)
 
     def test_mean_velocity_carried_bitwise(self):
         # Taylor-Green plus a constant flow U solves the system as the decaying
@@ -444,32 +452,38 @@ class TestFirstOrderApproximants:
 
     def test_u2_zero_time(self, shell_setup):
         bp, g, u0 = shell_setup
-        out = u2_duhamel(u0, 0.0, 2.0**-6)
-        assert l2_norm_spectral(out) == 0.0
+        out = list(u2_duhamel(u0, [0.0, 0.005, 0.0], 2.0**-6))
+        assert len(out) == 3
+        assert l2_norm_spectral(out[0]) == l2_norm_spectral(out[2]) == 0.0
+        assert l2_norm_spectral(out[1]) > 0.0
 
     def test_u2_node_validation(self, shell_setup):
         bp, g, u0 = shell_setup
         with pytest.raises(ValueError):
-            u2_duhamel(u0, 0.01, 0.0, nodes=8)
+            u2_duhamel(u0, [0.01], 0.0, nodes=8)
         with pytest.raises(ValueError):
-            u2_duhamel(u0, 0.01, 0.0, nodes=7)
+            u2_duhamel(u0, [0.01, 0.02], 0.0, nodes=7)
+        with pytest.raises(ValueError, match="non-negative"):
+            u2_duhamel(u0, [0.01, -0.02], 0.0)
 
     def test_u2_ideal_case_closed_form(self, shell_setup):
         # with eps = 0 the integrand is constant: u2 = -t P(u0.grad u0)
         bp, g, u0 = shell_setup
-        t = 0.03
-        out = u2_duhamel(u0, t, 0.0)
         ref = leray_project(advect(u0, u0))
-        scale = np.max(np.abs(ref.coeffs)) * t
-        diff = np.max(np.abs(out.coeffs + t * ref.coeffs))
-        assert diff <= 1e-10 * scale
+        times = [0.03, 0.01]
+        for t, out in zip(times, u2_duhamel(u0, times, 0.0)):
+            scale = np.max(np.abs(ref.coeffs)) * t
+            diff = np.max(np.abs(out.coeffs + t * ref.coeffs))
+            assert diff <= 1e-10 * scale
 
     def test_u2_quadrature_refinement(self, shell_setup):
         bp, g, u0 = shell_setup
         eps = 2.0**-6
-        a = u2_duhamel(u0, 0.02, eps, nodes=17)
-        b = u2_duhamel(u0, 0.02, eps, nodes=33)
-        assert vf_rel_diff(a, b) <= 1e-8
+        times = [0.02, 0.04]
+        for a, b in zip(
+            u2_duhamel(u0, times, eps, nodes=17), u2_duhamel(u0, times, eps, nodes=33)
+        ):
+            assert vf_rel_diff(a, b) <= 1e-8
 
     def test_u2_refinement_failure_raises(self, shell_setup, monkeypatch):
         import invlab.solvers as solvers
@@ -477,7 +491,239 @@ class TestFirstOrderApproximants:
         bp, g, u0 = shell_setup
         monkeypatch.setattr(solvers, "REFINE_TOL", 1e-30)
         with pytest.raises(QuadratureError):
-            u2_duhamel(u0, 0.02, 2.0**-6, nodes=9, refine=True)
+            u2_duhamel(u0, [0.02], 2.0**-6, nodes=9, refine=True)
+
+    def test_u2_refinement_failure_at_one_of_several_times(self, shell_setup, monkeypatch):
+        # a tolerance between the relative changes of the two times: the
+        # check of the later time alone trips, and the error names it
+        import invlab.solvers as solvers
+
+        bp, g, u0 = shell_setup
+        times, eps = [0.005, 0.08], 2.0**-6
+        small, large = (u2_reference(u0, t, eps, 9, refine=True)[1] for t in times)
+        assert 0.0 < small < 1e-3 * large
+        monkeypatch.setattr(solvers, "REFINE_TOL", np.sqrt(small * large))
+        with pytest.raises(QuadratureError, match="at t=0.08"):
+            u2_duhamel(u0, times, eps, nodes=9, refine=True)
+        monkeypatch.setattr(solvers, "REFINE_TOL", 2.0 * large)
+        assert len(list(u2_duhamel(u0, times, eps, nodes=9, refine=True))) == 2
+
+
+def u2_reference(u0, t, eps, nodes=17, refine=False):
+    """The per-time Simpson loop that ``u2_duhamel``'s sweep replaced.
+
+    Returns ``u2`` at ``t`` and, with ``refine`` set, the relative change of
+    the ``nodes``-point sum against the doubled one (0.0 without).
+    """
+    g = u0.grid
+    fine_nodes = 2 * (nodes - 1) + 1 if refine else nodes
+
+    def weights(n):
+        h = t / (n - 1)
+        w = np.full(n, 2.0)
+        w[1::2] = 4.0
+        w[0] = w[-1] = 1.0
+        return w * (h / 3.0)
+
+    w, w_coarse = weights(fine_nodes), weights(nodes)
+    w0, mean = curl(u0).coeffs, u0.coeffs[:, 0, 0]
+    acc = np.zeros(g.spectral_shape, dtype=np.complex128)
+    coarse = np.zeros_like(acc)
+    for i, (wi, tau) in enumerate(zip(w, np.linspace(0.0, t, fine_nodes))):
+        term = vorticity_rhs(g, heat_factor(g, tau, eps) * w0, mean)[0]
+        term *= heat_factor(g, t - tau, eps)
+        acc += wi * term
+        if refine and i % 2 == 0:
+            coarse += w_coarse[i // 2] * term
+    u2 = SpectralField(g, g.biot_savart * acc)
+    if not refine:
+        return u2, 0.0
+    diff = l2_norm_spectral(SpectralField(g, g.biot_savart * (coarse - acc)))
+    return u2, diff / l2_norm_spectral(u2)
+
+
+@pytest.fixture(scope="module")
+def ball_datum():
+    """A random divergence-free field of zero mean, band-limited inside the 2/3 ball."""
+    g = Grid(2, 64, 1.0)
+    rng = np.random.default_rng(16)
+    psi = spectral_of(g, rng.standard_normal(g.shape)).coeffs
+    band = np.abs(g.modes_1d) <= 8
+    psi = np.where(band[:, None] & band[None, : g.spectral_shape[1]], psi, 0.0)
+    return perp_gradient(SpectralField(g, psi / np.max(np.abs(psi))))
+
+
+@pytest.fixture(scope="module")
+def sweep_references(ball_datum):
+    """``u2_reference`` at each time of DEFAULT_T_GRID, by (refine, eps)."""
+    return {
+        (refine, eps): [u2_reference(ball_datum, t, eps, refine=refine)[0] for t in DEFAULT_T_GRID]
+        for refine in (True, False)
+        for eps in (2.0**-6, 0.0)
+    }
+
+
+def counting_rhs(monkeypatch, fail_at=None):
+    """Record each vorticity_rhs call of the solvers module; raise on call ``fail_at``."""
+    import invlab.solvers as solvers
+
+    calls = []
+    take = threading.Lock()
+
+    def counted(*args):
+        with take:
+            calls.append(threading.get_ident())
+            n = len(calls)
+        if n == fail_at:
+            raise FloatingPointError("injected")
+        return vorticity_rhs(*args)
+
+    monkeypatch.setattr(solvers, "vorticity_rhs", counted)
+    return calls
+
+
+def bounded(fn, timeout=120.0):
+    """``fn()`` on its own thread, joined with a timeout: ``(result, error)``."""
+    out = [None, None]
+
+    def target():
+        try:
+            out[0] = fn()
+        except Exception as err:
+            out[1] = err
+
+    th = threading.Thread(target=target)
+    th.start()
+    th.join(timeout)
+    assert not th.is_alive(), "the sweep did not finish in time"
+    return tuple(out)
+
+
+class TestDuhamelSweep:
+    """``u2_duhamel`` evaluates each distinct node once for all sample times."""
+
+    @pytest.mark.parametrize("eps", [2.0**-6, 0.0], ids=["viscous", "ideal"])
+    @pytest.mark.parametrize(
+        "refine, distinct", [(True, 120), (False, 60)], ids=["strict", "relaxed"]
+    )
+    def test_equals_per_time_loop(
+        self, ball_datum, sweep_references, monkeypatch, refine, distinct, eps
+    ):
+        # of 6 * 33 (strict) or 6 * 17 (relaxed) nodes of the default t_grid,
+        # 120 and 60 are distinct: each is evaluated once, and each time's
+        # field is the per-time loop's, bitwise
+        calls = counting_rhs(monkeypatch)
+        out = list(u2_duhamel(ball_datum, DEFAULT_T_GRID, eps, refine=refine))
+        assert len(calls) == distinct
+        refs = sweep_references[(refine, eps)]
+        assert len(out) == len(refs) == len(DEFAULT_T_GRID)
+        for a, b in zip(out, refs):
+            assert np.array_equal(a.coeffs, b.coeffs)
+            assert l2_norm_spectral(a) > 0.0
+
+    def test_tau_zero_node_is_the_data_term(self, ball_datum, sweep_references, monkeypatch):
+        # heat_factor is exactly 1 at tau = 0, so F(0) is the vorticity of
+        # P(u0 . grad u0) that first_order_remainders forms for pa0 bitwise;
+        # handed in, it saves one evaluation and changes no field
+        u0, eps = ball_datum, 2.0**-6
+        g, w0, mean = u0.grid, curl(u0).coeffs, u0.coeffs[:, 0, 0]
+        r0 = vorticity_rhs(g, w0, mean)[0]
+        assert np.array_equal(vorticity_rhs(g, heat_factor(g, 0.0, eps) * w0, mean)[0], r0)
+        calls = counting_rhs(monkeypatch)
+        out = list(u2_duhamel(u0, DEFAULT_T_GRID, eps, refine=True, rhs0=r0))
+        assert len(calls) == 119
+        for a, b in zip(out, sweep_references[(True, eps)]):
+            assert np.array_equal(a.coeffs, b.coeffs)
+
+    def test_first_order_remainders_one_sweep(self, ball_datum, monkeypatch):
+        # one evaluation for pa0 and 119 for the strict sweep of the six times
+        u0, eps = ball_datum, 2.0**-6
+        traj0, traj_eps = (evolve(u0, e, DEFAULT_T_GRID) for e in (0.0, eps))
+        calls = counting_rhs(monkeypatch)
+        rems = first_order_remainders(u0, traj0, traj_eps, DEFAULT_T_GRID, refine=True)
+        assert len(calls) == 1 + 119
+        assert len(list(rems)) == len(DEFAULT_T_GRID)
+        assert len(calls) == 1 + 119
+
+    def test_more_threads_than_cores(self, ball_datum, sweep_references, monkeypatch):
+        # six threads on any machine and a short switch interval: every
+        # node is taken once and each sum adds its terms in node order
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)))
+        calls = counting_rhs(monkeypatch)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out, err = bounded(
+                lambda: list(u2_duhamel(ball_datum, DEFAULT_T_GRID, 2.0**-6, refine=True))
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert err is None
+        assert threading.active_count() == before
+        assert len(calls) == 120 and len(set(calls)) > 1
+        for a, b in zip(out, sweep_references[(True, 2.0**-6)]):
+            assert np.array_equal(a.coeffs, b.coeffs)
+
+    def test_rejected_inputs_leave_no_thread(self, ball_datum, monkeypatch):
+        import invlab.solvers as solvers
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)))
+        u0, eps = ball_datum, 2.0**-6
+        g = u0.grid
+        c = u0.coeffs.copy()
+        c[0, 0, g.dealias_keep + 1] = 1e-300  # u1 at (0, keep + 1): xi1 = 0
+        outside = SpectralField(g, c)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, err = bounded(lambda: u2_duhamel(outside, DEFAULT_T_GRID, eps))
+            assert isinstance(err, ValueError) and "outside the 2/3-rule ball" in str(err)
+            assert threading.active_count() == before
+
+            monkeypatch.setattr(solvers, "REFINE_TOL", 1e-30)
+            _, err = bounded(lambda: u2_duhamel(u0, DEFAULT_T_GRID, eps, refine=True))
+            assert isinstance(err, QuadratureError)
+            assert threading.active_count() == before
+            monkeypatch.setattr(solvers, "REFINE_TOL", REFINE_TOL)
+
+            # a failing node: no node starts after it, so at most the two
+            # before it and a window of 2 * 6 were taken, and its error is
+            # the one raised
+            calls = counting_rhs(monkeypatch, fail_at=3)
+            _, err = bounded(lambda: u2_duhamel(u0, DEFAULT_T_GRID, eps, refine=True))
+            assert isinstance(err, FloatingPointError)
+            assert 3 <= len(calls) <= 2 + 2 * 6
+            assert threading.active_count() == before
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestThreadedMap:
+    def test_in_order_with_bounded_lead(self, monkeypatch):
+        # three threads: when result k is handed over, at most 2 * 3 jobs
+        # past it have started
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        started = []
+
+        def job(i):
+            started.append(i)
+            return i * i
+
+        for k, value in enumerate(threaded_map(job, range(40))):
+            assert value == k * k
+            time.sleep(1e-3)  # let the helpers run ahead as far as they may
+            assert len(started) <= k + 1 + 2 * 3
+        assert sorted(started) == list(range(40))
+
+    def test_closing_early_joins_the_helpers(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        before = threading.active_count()
+        results = threaded_map(lambda i: i, range(40))
+        assert next(results) == 0
+        results.close()
+        assert threading.active_count() == before
 
 
 def remainder_norms(u0, traj0, traj_eps, times, bp):
@@ -555,6 +801,13 @@ class TestExpansionResiduals:
             norms.append([besov_norm(rem.euler, bp), besov_norm(rem.navier_stokes, bp)])
         for coarse, fine in zip(*norms):
             assert coarse == pytest.approx(fine, rel=1e-8)
+
+    def test_times_as_a_generator(self, shell_setup, shell_trajectories, shell_remainders):
+        # the times are read once, before the sweep
+        bp, g, u0 = shell_setup
+        times, eps, traj0, traj_eps = shell_trajectories
+        again = remainder_norms(u0, traj0, traj_eps, (t for t in times), bp)
+        assert again == shell_remainders
 
     def test_replay_from_stored_snapshot(
         self, shell_setup, shell_trajectories, shell_remainders, tmp_path
