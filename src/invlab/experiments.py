@@ -481,7 +481,7 @@ def run_expansion_residuals(cfg: ExperimentConfig, ctx: ExperimentContext | None
 
         series: dict = {field: [] for field in _REMAINDER_LABELS}
         for rem in first_order_remainders(
-            u0, traj0, traj_eps, cfg.t_grid, nodes, refine=(cfg.mode == "strict")
+            traj0, traj_eps, cfg.t_grid, nodes, refine=(cfg.mode == "strict")
         ):
             for field in _REMAINDER_LABELS:
                 series[field].append(besov_norm(getattr(rem, field), bp))

@@ -13,10 +13,9 @@ Each multiplier vanishes for ``|xi| >= r_out``: ``r_out = 4/3`` for block -1,
 There the ramp argument is at least 1, ``smooth_ramp`` writes exactly 1 and
 the multiplier is exactly 0.  So the partition keeps each multiplier only on
 the smallest box of the stored half-spectrum that holds the modes
-``|m_j| < r_out R``: rows ``|m_0| <= M`` (FFT layout) by columns
-``0 .. min(M, N/2)``, with ``M = ceil(r_out R) - 1``.  Outside the box some
-``|m_j| >= r_out R``, so ``|xi| >= r_out``.  Blocks are applied, and their
-L^2 norms summed, on the box alone.
+``|m_j| < r_out R``, ``Grid.box(M)`` with ``M = ceil(r_out R) - 1``.  Outside
+the box some ``|m_j| >= r_out R``, so ``|xi| >= r_out``.  Blocks are applied,
+and their L^2 norms summed, on the box alone.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .spectral import Grid, SpectralField, half_spectrum_l2, lp_norm, support_mask
+from .spectral import Grid, SpectralField, half_spectrum_l2, lp_norm
 
 THETA_ONE = 0.75  # theta == 1 inside this radius
 THETA_ZERO = 4.0 / 3.0  # theta == 0 outside this radius
@@ -81,37 +80,26 @@ class DyadicPartition:
         """The partition sums to exactly 1 for |xi| up to this radius."""
         return THETA_ONE * 2.0 ** (self.j_max + 1)
 
-    def _box(self, r_out: float) -> tuple:
-        """Index of the smallest half-spectrum box holding ``|m_j| < r_out R``."""
-        g = self.grid
-        M = math.ceil(r_out * g.R) - 1
-        if 2 * M + 1 >= g.N:
-            rows = slice(None)
-        else:
-            rows = np.concatenate((np.arange(M + 1), np.arange(g.N - M, g.N)))
-        return rows, slice(0, min(M, g.N // 2) + 1)
-
     def block(self, j: int) -> tuple:
         """``(box, values)`` of the multiplier of Delta_j."""
         if j < -1:
             raise ValueError(f"block index must be >= -1, got {j}")
         key = ("block", j)
         if key not in self._cache:
-            if j == -1:
-                box = self._box(THETA_ZERO)
-                vals = self.theta(self.grid.k_mag[box])
-            else:
-                box = self._box(2.0 * THETA_ZERO * 2.0**j)
-                vals = self.phi(self.grid.k_mag[box] / 2.0**j)
-            self._cache[key] = (box, vals)
+            g = self.grid
+            r_out = THETA_ZERO if j == -1 else 2.0 * THETA_ZERO * 2.0**j
+            box = g.box(math.ceil(r_out * g.R) - 1)
+            k = g.k_mag[box]
+            self._cache[key] = (box, self.theta(k) if j == -1 else self.phi(k / 2.0**j))
         return self._cache[key]
 
     def low_pass(self, n: int) -> tuple:
         """``(box, values)`` of the multiplier of S_n."""
         key = ("low", n)
         if key not in self._cache:
-            box = self._box(THETA_ZERO * 2.0**n)
-            self._cache[key] = (box, self.theta(self.grid.k_mag[box] / 2.0**n))
+            g = self.grid
+            box = g.box(math.ceil(THETA_ZERO * 2.0**n * g.R) - 1)
+            self._cache[key] = (box, self.theta(g.k_mag[box] / 2.0**n))
         return self._cache[key]
 
 
@@ -183,8 +171,32 @@ class BesovParams:
         return BesovParams(self.s + ds, self.p, self.r, self.d)
 
 
+# a coefficient counts as carried above this fraction of the largest one
+MODE_REL_TOL = 1e-15
+
+
+def support_mask(F: SpectralField):
+    """Modes where a component carries more than MODE_REL_TOL * max|coeff|.
+
+    The components are reduced one at a time.  None where no mode qualifies,
+    i.e. for the zero field.  A non-finite coefficient, in any component,
+    raises NumericsError: no scale can be taken from it.
+    """
+    comps = F.coeffs.reshape((-1,) + F.grid.spectral_shape)
+    scale = 0.0
+    for c in comps:
+        m = float(np.max(np.abs(c)))
+        if not np.isfinite(m):
+            raise NumericsError(f"field has a non-finite coefficient ({m})")
+        scale = max(scale, m)
+    mask = np.zeros(F.grid.spectral_shape, dtype=bool)
+    for c in comps:
+        mask |= np.abs(c) > MODE_REL_TOL * scale
+    return mask if mask.any() else None
+
+
 def field_support_range(F: SpectralField) -> tuple:
-    """(min, max) |xi| carrying nonzero coefficients (``spectral.support_mask``)."""
+    """(min, max) |xi| carrying nonzero coefficients (``support_mask``)."""
     nz = support_mask(F)
     if nz is None:
         return 0.0, 0.0

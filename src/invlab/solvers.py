@@ -7,11 +7,10 @@ div(u w)`` with ``u = perp_grad Lap^-1 w + u(0)`` (``Grid.biot_savart``):
 the same Galerkin system in exact arithmetic, since curl is a multiplier
 and commutes with the mask, ``curl(u . grad u) = u . grad w = div(u w)`` for
 divergence-free u, and the kept modes of a product of two fields in the
-ball are alias-free (a mode folded onto ``|m| <= (N-1)//3`` comes from
-``|m'| >= N - (N-1)//3 > 2 (N-1)//3``, beyond the product's reach).  The
-mean ``u(0)`` is constant and carried on its own.  ``vorticity_rhs`` takes
-3 inverse and 2 forward transforms and no Leray projection (velocity form:
-6, 2 and a projection).
+ball are alias-free (``spectral`` module docstring).  The mean ``u(0)`` is
+constant and carried on its own.  ``vorticity_rhs`` takes 3 inverse and 2
+forward transforms and no Leray projection (velocity form: 6, 2 and a
+projection).
 
 ``evolve`` keeps the increment ``delta(t) = u(t) - exp(t eps Lap) u0`` over
 the exact heat flow of the data, so a gap between two solutions of one
@@ -24,10 +23,10 @@ Matthews 2002), ``E = exp(-t eps Lap)(w - exp(t eps Lap) w0)``, so stiffness
 from the viscous term never enters the stability restriction, and
 ``exp(+t eps |xi|^2)`` must stay finite: ``eps T max|xi|^2`` <=
 ``EXPONENT_LIMIT``.  The horizon T is the last sample time; it also caps the
-step at T/64.  The data must lie in the ball: a nonzero coefficient of
-``u0`` outside it is a ValueError, so the projection drops nothing.  A
-sample's vorticity increment is the decoded E, and its velocity increment
-the Biot-Savart image of that.
+step at T/64.  The data are admitted by ``spectral.require_in_ball``, the
+one admission rule of the 2/3-rule ball (``spectral`` module docstring), so
+the projection drops nothing.  A sample's vorticity increment is the
+decoded E, and its velocity increment the Biot-Savart image of that.
 
 The first-order expansion ``S^eps_t(u0) = u1(t) + u2(t) + O(t^2)`` is
 computed here once: ``u1`` is the heat flow of the data, ``u2`` the Duhamel
@@ -69,6 +68,8 @@ from .spectral import (
     heat_factor,
     heat_integral_factor,
     l2_norm_spectral,
+    require_in_ball,
+    zero_outside_ball,
 )
 
 
@@ -262,18 +263,6 @@ def _velocity_norms(grid: Grid, w: np.ndarray, mean) -> tuple:
     return energy, l2_norm_spectral(SpectralField(grid, div))
 
 
-def _require_in_ball(u0: SpectralField) -> None:
-    """Raise ValueError if a coefficient of ``u0`` outside the 2/3 ball is nonzero."""
-    g, c = u0.grid, u0.coeffs
-    keep = g.dealias_keep
-    # rows keep+1 .. N-keep-1 and columns from keep+1 hold the modes |m_j| > keep
-    if np.any(c[..., keep + 1 : g.N - keep, :]) or np.any(c[..., keep + 1 :]):
-        raise ValueError(
-            f"initial data has nonzero coefficients outside the 2/3-rule ball "
-            f"|m|<={keep} of N={g.N}"
-        )
-
-
 def vorticity_rhs(grid: Grid, w: np.ndarray, mean) -> tuple:
     """``-div(u w)`` masked to the 2/3 ball, and the samples of ``u``.
 
@@ -291,9 +280,7 @@ def vorticity_rhs(grid: Grid, w: np.ndarray, mean) -> tuple:
     f = _forward(np.multiply(u2, w_phys, out=w_phys), grid)
     f *= 1j * grid.freq_axis(1)
     r -= f
-    keep = grid.dealias_keep
-    r[keep + 1 : grid.N - keep] = 0.0  # the rows and columns of |m_j| > keep
-    r[:, keep + 1 :] = 0.0
+    zero_outside_ball(r, grid)
     return r, [u1, u2]
 
 
@@ -314,9 +301,9 @@ def evolve(
     The horizon T is the last sample time.  Steps are capped at T/64 and by
     the CFL condition; ``dt_fixed`` forces a constant step (for convergence
     studies) and bypasses both.  ``eps * T * max|xi|^2`` of the grid may not
-    exceed ``EXPONENT_LIMIT``.  ``u0`` must be divergence-free and lie in the
-    2/3 ball, every coefficient outside it exactly zero.  The vorticity
-    increment at a sample time is the decoded E.
+    exceed ``EXPONENT_LIMIT``.  ``u0`` must be divergence-free and pass
+    ``require_in_ball``.  The vorticity increment at a sample time is the
+    decoded E.
     """
     if not (0.0 <= eps <= 1.0):
         raise ValueError(f"viscosity must lie in [0, 1], got {eps}")
@@ -326,7 +313,7 @@ def evolve(
         raise ValueError(
             f"initial data is not divergence-free (relative defect {defect:.3e})"
         )
-    _require_in_ball(u0)
+    require_in_ball(u0)
     targets = sorted(set(float(t) for t in sample_times))
     if not targets or targets[0] < 0:
         raise ValueError(f"need one or more sample times >= 0, got {targets}")
@@ -479,8 +466,9 @@ def u2_duhamel(
     integrand is evaluated on the doubled grid of ``2*(nodes-1)+1`` nodes:
     the fine sum is the result, the even-indexed nodes give the
     ``nodes``-point sum, and a relative change between the two above
-    ``REFINE_TOL``, at any of the times, raises a QuadratureError.  ``u0``
-    must lie in the 2/3 ball, as for ``evolve``.
+    ``REFINE_TOL``, at any of the times, raises a QuadratureError, and a
+    non-finite change or fine sum a NumericsError.  ``u0`` must pass
+    ``require_in_ball``, as for ``evolve``.
 
     The vorticity of the integrand, ``F(tau) = vorticity_rhs(exp(tau eps
     Lap) w0)`` with ``w0 = curl u0``, is evaluated once per distinct node of
@@ -495,7 +483,7 @@ def u2_duhamel(
     g = u0.grid
     if nodes < 9 or nodes % 2 == 0:
         raise ValueError(f"composite Simpson needs an odd node count >= 9, got {nodes}")
-    _require_in_ball(u0)
+    require_in_ball(u0)
     times = tuple(times)
     for t in times:
         _check_heat_arguments(t, eps)
@@ -509,9 +497,8 @@ def u2_duhamel(
     fine_w = [_simpson_weights(t, fine_nodes) for t in times]
     coarse_w = [_simpson_weights(t, nodes) for t in times]
     # vorticity_rhs zeroes every entry outside the ball, so the sums are kept
-    # on its box: rows |m_0| <= keep and columns 0 .. keep
-    keep = g.dealias_keep
-    box = (np.r_[0 : keep + 1, g.N - keep : g.N], slice(0, keep + 1))
+    # on its box
+    box = g.box(g.dealias_keep)
     k_box = g.k_sq[box]
     w0, mean = curl(u0).coeffs, u0.coeffs[:, 0, 0]
 
@@ -544,6 +531,8 @@ def u2_duhamel(
             c -= f
             diff = half_spectrum_l2((b * c for b in bs), g)
             scale = half_spectrum_l2((b * f for b in bs), g)
+            if not (np.isfinite(diff) and np.isfinite(scale)):
+                raise NumericsError(f"Duhamel quadrature at t={t} is non-finite")
             if scale > 0 and diff / scale > REFINE_TOL:
                 raise QuadratureError(
                     f"Duhamel quadrature not converged at t={t}: doubling {nodes} "
@@ -577,7 +566,6 @@ class FirstOrderRemainders(NamedTuple):
 
 
 def first_order_remainders(
-    u0: SpectralField,
     traj0: Trajectory,
     traj_eps: Trajectory,
     times: Iterable[float],
@@ -586,9 +574,10 @@ def first_order_remainders(
 ) -> Iterator[FirstOrderRemainders]:
     """Yield the FirstOrderRemainders at each of ``times``, one at a time.
 
-    With ``pa0 = P(u0 . grad u0)``, ``F(tau) = P(u1 . grad u1)(tau)``,
-    ``eps`` the viscosity of ``traj_eps`` and ``delta0``, ``delta_eps`` the
-    increments of the two trajectories over the heat flow of ``u0``:
+    With ``u0`` the data of ``traj0``, ``pa0 = P(u0 . grad u0)``, ``F(tau) =
+    P(u1 . grad u1)(tau)``, ``eps`` the viscosity of ``traj_eps`` and
+    ``delta0``, ``delta_eps`` the increments of the two trajectories over the
+    heat flow of ``u0``:
 
     - euler: ``S0_t(u0) - u0 + t pa0 = delta0(t) + t pa0`` (``traj0`` must
       be ideal);
@@ -603,14 +592,14 @@ def first_order_remainders(
     - heat_defect: ``int_0^t (exp((t-tau) eps Lap) - Id) pa0 dtau``
       ``= (t phi1 - t) pa0``.
 
-    On the call the guards run first (ideal ``traj0``, both trajectories
-    from ``u0``), then one Duhamel sweep for all the times, which reuses the
+    On the call the guards run first (ideal ``traj0``, ``traj_eps`` from the
+    data of ``traj0``), then one Duhamel sweep for all the times, which reuses the
     vorticity of ``pa0`` as its tau = 0 integrand; the fields of each time
     are built as the iterator reaches it.
     """
     if traj0.eps != 0.0:
         raise ValueError(f"need an ideal (eps=0) trajectory, got eps={traj0.eps}")
-    _check_same_data(u0, traj0)
+    u0 = traj0.u0
     _check_same_data(u0, traj_eps)
     times = tuple(times)
     r0 = vorticity_rhs(u0.grid, curl(u0).coeffs, u0.coeffs[:, 0, 0])[0]

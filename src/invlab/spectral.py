@@ -25,6 +25,16 @@ One type, ``SpectralField``, holds scalar and vector fields alike.  A scalar's
 ``coeffs[i]``.  Multipliers broadcast over the component axis, so a sum or a
 multiple of fields is one array expression.
 
+The 2/3-rule ball is the set of modes ``|m_j| <= keep = (N - 1) // 3``
+(``Grid.dealias_keep``); on the stored half-spectrum it fills the box
+``Grid.box(keep)``.  A product of two fields in the ball, truncated back to it
+(``zero_outside_ball``), is alias-free: a mode folded onto ``|m| <= keep``
+comes from ``|m'| >= N - keep > 2 keep``, beyond the product's reach.
+``require_in_ball`` admits a field, as ``advect`` (both arguments),
+``solvers.evolve`` and ``solvers.u2_duhamel`` do: a non-finite coefficient
+raises NumericsError, and one outside the ball that is not exactly 0 raises
+ResolutionError with ``required_n = dealias_grid_size(largest nonzero |m_j|)``.
+
 Norms read spectral fields, and ``lp_norm`` takes the norm of a field: at p = 2
 by Parseval on the half-spectrum, sampling nothing, and at any other p from
 samples.  The Besov blocks at p = 2 sum only the box of the half-spectrum that
@@ -137,15 +147,14 @@ class Grid:
         """Largest retained |m| under the 2/3 rule (modes |m_j| >= N/3 zeroed)."""
         return (self.N - 1) // 3
 
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        keep = np.abs(self.modes_1d) <= self.dealias_keep
-        out = np.ones(self.spectral_shape, dtype=bool)
-        for ax, n in enumerate(self.spectral_shape):
-            shape = [1] * self.d
-            shape[ax] = n
-            out &= keep[:n].reshape(shape)
-        return out
+    def box(self, M: int) -> tuple:
+        """Index of the smallest half-spectrum box holding the modes |m_j| <= M:
+        rows |m_0| <= M (FFT layout) by columns 0 .. min(M, N/2)."""
+        if 2 * M + 1 >= self.N:
+            rows = slice(None)
+        else:
+            rows = np.concatenate((np.arange(M + 1), np.arange(self.N - M, self.N)))
+        return rows, slice(0, min(M, self.N // 2) + 1)
 
 
 def dealias_grid_size(max_mode: int) -> int:
@@ -179,6 +188,42 @@ class SpectralField:
                 f"half-spectrum shape {shape} of the grid nor {self.grid.d} "
                 f"stacked components of it"
             )
+
+
+# ---------------------------------------------------------------------------
+# the 2/3-rule ball
+
+
+def _beyond_ball(grid: Grid) -> tuple:
+    """Indices of the entries of a half-spectrum, or of a stack of them, outside
+    the ball: rows ``keep+1 .. N-keep-1`` and columns from ``keep+1``."""
+    keep = grid.dealias_keep
+    rows, cols = slice(keep + 1, grid.N - keep), slice(keep + 1, None)
+    return (..., rows, slice(None)), (..., cols)
+
+
+def zero_outside_ball(coeffs: np.ndarray, grid: Grid) -> None:
+    """Set every entry of a half-spectrum, or of a stack of them, outside the
+    ball to 0, in place."""
+    for idx in _beyond_ball(grid):
+        coeffs[idx] = 0.0
+
+
+def require_in_ball(F: SpectralField) -> None:
+    """Raise unless ``F`` may enter the Galerkin system (module docstring)."""
+    g = F.grid
+    if not np.isfinite(F.coeffs).all():
+        raise NumericsError("field has a non-finite coefficient")
+    if not any(np.any(F.coeffs[idx]) for idx in _beyond_ball(g)):
+        return
+    nz = np.any(F.coeffs.reshape((-1,) + g.spectral_shape), axis=0)
+    mmax = int(np.abs(g.modes_1d)[np.concatenate(np.nonzero(nz))].max())
+    n_req = dealias_grid_size(mmax)
+    raise ResolutionError(
+        f"field has nonzero coefficients up to |m|={mmax}, outside the 2/3-rule "
+        f"ball |m|<={g.dealias_keep} of N={g.N}; need N>={n_req}",
+        required_n=n_req,
+    )
 
 
 def _conj_mirror(full: np.ndarray) -> np.ndarray:
@@ -304,80 +349,30 @@ def leray_project(V: SpectralField) -> SpectralField:
 # ---------------------------------------------------------------------------
 # advection
 
-# a coefficient counts as carried above this fraction of the largest one
-MODE_REL_TOL = 1e-15
-
-
-def support_mask(F: SpectralField):
-    """Modes where a component carries more than MODE_REL_TOL * max|coeff|.
-
-    The components are reduced one at a time.  None where no mode qualifies,
-    i.e. for the zero field.  A non-finite coefficient, in any component,
-    raises NumericsError: no scale can be taken from it.
-    """
-    comps = F.coeffs.reshape((-1,) + F.grid.spectral_shape)
-    scale = 0.0
-    for c in comps:
-        m = float(np.max(np.abs(c)))
-        if not np.isfinite(m):
-            raise NumericsError(f"field has a non-finite coefficient ({m})")
-        scale = max(scale, m)
-    mask = np.zeros(F.grid.spectral_shape, dtype=bool)
-    for c in comps:
-        mask |= np.abs(c) > MODE_REL_TOL * scale
-    return mask if mask.any() else None
-
-
-def max_mode_index(F: SpectralField) -> int:
-    """Largest |m_j| carrying a coefficient above MODE_REL_TOL * max|coeff|."""
-    g = F.grid
-    nz = support_mask(F)
-    if nz is None:
-        return 0
-    absm = np.abs(g.modes_1d)
-    worst = 0
-    for ax in range(g.d):
-        axes = tuple(a for a in range(g.d) if a != ax)
-        along = nz.any(axis=axes)
-        if along.any():
-            worst = max(worst, int(absm[: along.size][along].max()))
-    return worst
-
-
-def _require_dealias_safe(V: SpectralField, name: str) -> None:
-    g = V.grid
-    mmax = max_mode_index(V)
-    if mmax > g.dealias_keep:
-        n_req = dealias_grid_size(mmax)
-        raise ResolutionError(
-            f"{name} has support up to |m|={mmax}, outside the 2/3-rule ball "
-            f"|m|<={g.dealias_keep} of N={g.N}; need N>={n_req}",
-            required_n=n_req,
-        )
-
-
 def advect(u: SpectralField, v: SpectralField) -> SpectralField:
     """u . grad(v) via physical-space products of spectral derivatives.
 
-    The inputs must be supported inside the 2/3-rule ball and the product is
-    truncated back to it, which makes the quadratic term alias-free.  The
-    time stepper and the Duhamel integrand use the vorticity form
-    (``solvers.vorticity_rhs``); this velocity form serves the checks of
-    ``run_validation_suite`` and the measurements of ``run_nonlinear_drift``.
+    Both inputs are admitted by ``require_in_ball`` and the product is
+    truncated back to the ball, which makes it alias-free (module
+    docstring).  The time stepper and the Duhamel integrand use the
+    vorticity form (``solvers.vorticity_rhs``); this velocity form serves the
+    checks of ``run_validation_suite`` and the measurements of
+    ``run_nonlinear_drift``.
     """
     if u.grid != v.grid:
         raise ConfigError("advect requires fields on the same grid")
     g = u.grid
-    _require_dealias_safe(u, "advecting field")
-    _require_dealias_safe(v, "advected field")
+    require_in_ball(u)
+    require_in_ball(v)
     # one component at a time: no stacked temporaries on the N = 2048 grids
     u_phys = [_inverse(c, g) for c in u.coeffs]
-    out = np.zeros_like(v.coeffs)
+    out = np.empty_like(v.coeffs)
     for i in range(g.d):
         acc = np.zeros(g.shape)
         for j in range(g.d):
             acc += u_phys[j] * _inverse((1j * g.freq_axis(j)) * v.coeffs[i], g)
-        np.copyto(out[i], _forward(acc, g), where=g.dealias_mask)
+        out[i] = _forward(acc, g)
+    zero_outside_ball(out, g)
     return SpectralField(g, out)
 
 

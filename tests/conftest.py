@@ -36,19 +36,26 @@ def spectral_of(grid, samples):
     return SpectralField(grid, _forward(samples, grid))
 
 
+def ball_mask(grid, band=None, full=False):
+    """The modes with |m_j| <= band on both axes, from ``grid.modes_1d`` alone.
+
+    Without ``band`` it is the 2/3-rule ball, 3 |m_j| < N, i.e. |m_j| <=
+    (N - 1) // 3.  The mask covers the stored half-spectrum, whose column c
+    holds mode ``modes_1d[c]``, or with ``full`` the whole lattice.
+    """
+    m = np.abs(grid.modes_1d)
+    inside = 3 * m < grid.N if band is None else m <= band
+    mask = inside[:, None] & inside[None, :]
+    return mask if full else mask[:, : grid.spectral_shape[-1]]
+
+
 def random_vector_field(grid, rng, band=None):
     """Random spectral vector field; band limits |m| per axis when given."""
     coeffs = np.stack(
         [_forward(random_real_field(grid, rng), grid) for _ in range(grid.d)]
     )
     if band is not None:
-        keep = np.abs(grid.modes_1d) <= band
-        mask = np.ones(grid.spectral_shape, dtype=bool)
-        for ax, n in enumerate(grid.spectral_shape):
-            shape = [1] * grid.d
-            shape[ax] = n
-            mask &= keep[:n].reshape(shape)
-        coeffs = np.where(mask, coeffs, 0.0)
+        coeffs = np.where(ball_mask(grid, band), coeffs, 0.0)
     return SpectralField(grid, coeffs)
 
 

@@ -481,9 +481,7 @@ def remainders_at(cfg, pair, t):
     from invlab.spectral import advect, leray_project
 
     u0, traj0, traj_eps = pair
-    (rem,) = first_order_remainders(
-        u0, traj0, traj_eps, [t], cfg.quadrature_nodes
-    )
+    (rem,) = first_order_remainders(traj0, traj_eps, [t], cfg.quadrature_nodes)
     return u0, leray_project(advect(u0, u0)), rem
 
 

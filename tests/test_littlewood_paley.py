@@ -23,7 +23,7 @@ from invlab.spectral import (
     lp_norm,
 )
 
-from conftest import random_real_field, random_vector_field, spectral_of
+from conftest import ball_mask, random_real_field, random_vector_field, spectral_of
 
 
 class TestCutoffs:
@@ -185,6 +185,13 @@ class TestMultiplierBoxes:
             inside[box] = True
             assert not ref[~inside].any(), (kind, order)
             assert ref[box].tobytes() == vals.tobytes(), (kind, order)
+
+    @pytest.mark.parametrize("g", BOX_GRIDS, ids=lambda g: f"N{g.N}-R{g.R:g}")
+    def test_ball_box_is_the_ball(self, g):
+        # the box of radius dealias_keep holds the 2/3-rule ball and nothing else
+        inside = np.zeros(g.spectral_shape, dtype=bool)
+        inside[g.box(g.dealias_keep)] = True
+        assert np.array_equal(inside, ball_mask(g))
 
     @pytest.mark.parametrize("g", BOX_GRIDS, ids=lambda g: f"N{g.N}-R{g.R:g}")
     def test_block_and_low_pass_equal_reference_products(self, g, rng):

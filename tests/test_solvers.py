@@ -16,6 +16,7 @@ from invlab.constructions import (
 from invlab.errors import (
     NumericsError,
     QuadratureError,
+    ResolutionError,
     SolverDivergenceError,
 )
 from invlab.experiments import DEFAULT_T_GRID
@@ -46,7 +47,7 @@ from invlab.spectral import (
     translate,
 )
 
-from conftest import spectral_of
+from conftest import ball_mask, spectral_of
 
 
 def vf_rel_diff(a, b):
@@ -75,6 +76,15 @@ def shell_trajectories(shell_setup):
     traj0 = evolve(u0, 0.0, times)
     traj_eps = evolve(u0, eps, times)
     return times, eps, traj0, traj_eps
+
+
+# the entry points of the Galerkin system, each given bad data and good data
+BALL_ENTRY_POINTS = {
+    "evolve": lambda bad, good: evolve(bad, 0.0, [0.1]),
+    "u2_duhamel": lambda bad, good: u2_duhamel(bad, [0.1], 0.0),
+    "advect-first": lambda bad, good: advect(bad, good),
+    "advect-second": lambda bad, good: advect(good, bad),
+}
 
 
 class TestEvolve:
@@ -171,29 +181,41 @@ class TestEvolve:
         ref = SpectralField(g, decay * tg.coeffs)
         assert vf_rel_diff(traj.state_at(T), ref) <= 1e-6
 
-    @pytest.mark.parametrize("where", ["row", "column"])
-    def test_data_outside_the_ball_rejected(self, monkeypatch, where):
+    @pytest.mark.parametrize("entry", list(BALL_ENTRY_POINTS))
+    @pytest.mark.parametrize("defect", ["row", "column", "nan"])
+    def test_data_outside_the_ball_rejected(self, monkeypatch, entry, defect):
         # one 1e-300 coefficient just outside the 2/3 ball, on a mode whose
-        # divergence it leaves exactly zero: only the ball test can trip
+        # divergence it leaves exactly zero, or a NaN inside the ball: the
+        # admission rule refuses the data before any right-hand side or
+        # transform runs
         import invlab.solvers as solvers
+        import invlab.spectral as spectral
 
-        def no_step(*args, **kwargs):
-            raise AssertionError("a right-hand side was evaluated")
+        def no_work(*args, **kwargs):
+            raise AssertionError("a right-hand side or a transform ran")
 
         g = Grid(2, 64, 1.0)
-        c = taylor_green(g).coeffs
+        good = taylor_green(g)
+        c = good.coeffs.copy()
         out = g.dealias_keep + 1
-        if where == "row":
+        if defect == "row":
             c[1, out, 0] = c[1, -out, 0] = 1e-300  # u2 at (+/-out, 0): xi2 = 0
-        else:
+        elif defect == "column":
             c[0, 0, out] = 1e-300  # u1 at (0, out): xi1 = 0
-        u0 = SpectralField(g, c)
-        assert divergence_defect(u0) <= 1e-10
-        monkeypatch.setattr(solvers, "vorticity_rhs", no_step)
-        with pytest.raises(ValueError, match="outside the 2/3-rule ball"):
-            evolve(u0, 0.0, [0.1])
-        with pytest.raises(ValueError, match="outside the 2/3-rule ball"):
-            u2_duhamel(u0, [0.1], 0.0)
+        else:
+            c[0, 1, 1] = np.nan
+        bad = SpectralField(g, c)
+        monkeypatch.setattr(solvers, "vorticity_rhs", no_work)
+        no_fft = types.SimpleNamespace(rfftn=no_work, irfftn=no_work)
+        monkeypatch.setattr(spectral, "_fft", no_fft)
+        if defect == "nan":
+            with pytest.raises(NumericsError, match="non-finite"):
+                BALL_ENTRY_POINTS[entry](bad, good)
+        else:
+            assert divergence_defect(bad) <= 1e-10
+            with pytest.raises(ResolutionError, match="outside the 2/3-rule ball") as exc:
+                BALL_ENTRY_POINTS[entry](bad, good)
+            assert exc.value.required_n == 2 * g.N
 
     def test_mean_velocity_carried_bitwise(self):
         # Taylor-Green plus a constant flow U solves the system as the decaying
@@ -293,9 +315,7 @@ class TestVorticityRhs:
         # the Biot-Savart image of the vorticity form must give it back
         N, d, h = grid.N, grid.d, grid.spectral_shape[-1]
         m = np.fft.fftfreq(N, d=1.0 / N)
-        inside = (np.abs(m[:, None]) <= grid.dealias_keep) & (
-            np.abs(m[None, :]) <= grid.dealias_keep
-        )
+        inside = ball_mask(grid, full=True)
         xi = (m[:, None] / grid.R, m[None, :] / grid.R)
         k_sq = xi[0] ** 2 + xi[1] ** 2
         to_coeffs, to_samples = grid.dx**d, (N / grid.L) ** d
@@ -323,7 +343,7 @@ class TestVorticityRhs:
             assert np.max(np.abs(-b * r - e[..., :h])) <= 1e-13 * scale
         for a, e in zip(samples, u_phys):
             assert np.max(np.abs(a - e)) <= 1e-13 * np.max(np.abs(e))
-        assert not np.any(r[~grid.dealias_mask])
+        assert not np.any(r[~ball_mask(grid)])
 
 
 class TestTrajectory:
@@ -349,8 +369,8 @@ class TestTrajectory:
         for a, b, c in zip(traj.state_at(0.05).coeffs, w.coeffs, inc.coeffs):
             assert np.array_equal(a, factor * b + c)
             # the data lie in the 2/3 ball exactly, and so does the state
-            assert not np.any(b[~g.dealias_mask])
-            assert not np.any(a[~g.dealias_mask])
+            assert not np.any(b[~ball_mask(g)])
+            assert not np.any(a[~ball_mask(g)])
         with pytest.raises(ValueError):
             traj.increment_at(0.07)
         with pytest.raises(ValueError):
@@ -508,6 +528,29 @@ class TestFirstOrderApproximants:
         monkeypatch.setattr(solvers, "REFINE_TOL", 2.0 * large)
         assert len(list(u2_duhamel(u0, times, eps, nodes=9, refine=True))) == 2
 
+    def test_u2_non_finite_integrand_raises(self, monkeypatch):
+        # a NaN in the integrand at one node makes the refinement change NaN,
+        # which no comparison with REFINE_TOL can trip
+        import invlab.solvers as solvers
+
+        g = Grid(2, 64, 1.0)
+        u0 = taylor_green_two_mode(g)
+        calls = []
+        take = threading.Lock()
+
+        def poisoned(*args):
+            r, samples = vorticity_rhs(*args)
+            with take:
+                calls.append(None)
+                n = len(calls)
+            if n == 2:
+                r[1, 1] = np.nan
+            return r, samples
+
+        monkeypatch.setattr(solvers, "vorticity_rhs", poisoned)
+        with pytest.raises(NumericsError, match="non-finite"):
+            u2_duhamel(u0, [0.05, 0.1], 2.0**-6, refine=True)
+
 
 def u2_reference(u0, t, eps, nodes=17, refine=False):
     """The per-time Simpson loop that ``u2_duhamel``'s sweep replaced.
@@ -548,8 +591,7 @@ def ball_datum():
     g = Grid(2, 64, 1.0)
     rng = np.random.default_rng(16)
     psi = spectral_of(g, rng.standard_normal(g.shape)).coeffs
-    band = np.abs(g.modes_1d) <= 8
-    psi = np.where(band[:, None] & band[None, : g.spectral_shape[1]], psi, 0.0)
+    psi = np.where(ball_mask(g, band=8), psi, 0.0)
     return perp_gradient(SpectralField(g, psi / np.max(np.abs(psi))))
 
 
@@ -640,7 +682,7 @@ class TestDuhamelSweep:
         u0, eps = ball_datum, 2.0**-6
         traj0, traj_eps = (evolve(u0, e, DEFAULT_T_GRID) for e in (0.0, eps))
         calls = counting_rhs(monkeypatch)
-        rems = first_order_remainders(u0, traj0, traj_eps, DEFAULT_T_GRID, refine=True)
+        rems = first_order_remainders(traj0, traj_eps, DEFAULT_T_GRID, refine=True)
         assert len(calls) == 1 + 119
         assert len(list(rems)) == len(DEFAULT_T_GRID)
         assert len(calls) == 1 + 119
@@ -679,7 +721,7 @@ class TestDuhamelSweep:
         sys.setswitchinterval(1e-6)
         try:
             _, err = bounded(lambda: u2_duhamel(outside, DEFAULT_T_GRID, eps))
-            assert isinstance(err, ValueError) and "outside the 2/3-rule ball" in str(err)
+            assert isinstance(err, ResolutionError) and "outside the 2/3-rule ball" in str(err)
             assert threading.active_count() == before
 
             monkeypatch.setattr(solvers, "REFINE_TOL", 1e-30)
@@ -726,10 +768,10 @@ class TestThreadedMap:
         assert threading.active_count() == before
 
 
-def remainder_norms(u0, traj0, traj_eps, times, bp):
+def remainder_norms(traj0, traj_eps, times, bp):
     """Besov norms of the four remainder fields at each time, by field."""
     out = {}
-    for rem in first_order_remainders(u0, traj0, traj_eps, times):
+    for rem in first_order_remainders(traj0, traj_eps, times):
         for name, vf in rem._asdict().items():
             out.setdefault(name, []).append(besov_norm(vf, bp))
     return out
@@ -737,9 +779,9 @@ def remainder_norms(u0, traj0, traj_eps, times, bp):
 
 @pytest.fixture(scope="module")
 def shell_remainders(shell_setup, shell_trajectories):
-    bp, g, u0 = shell_setup
+    bp = shell_setup[0]
     times, eps, traj0, traj_eps = shell_trajectories
-    return remainder_norms(u0, traj0, traj_eps, times, bp)
+    return remainder_norms(traj0, traj_eps, times, bp)
 
 
 class TestExpansionResiduals:
@@ -748,7 +790,7 @@ class TestExpansionResiduals:
         bp, g, u0 = shell_setup
         traj0 = evolve(u0, 0.0, [0.0])
         traj_eps = evolve(u0, 2.0**-6, [0.0])
-        norms = remainder_norms(u0, traj0, traj_eps, [0.0], bp)
+        norms = remainder_norms(traj0, traj_eps, [0.0], bp)
         assert set(norms) == {"euler", "navier_stokes", "drift", "heat_defect"}
         for name, (value,) in norms.items():
             assert value <= 1e-14, name
@@ -762,27 +804,23 @@ class TestExpansionResiduals:
             else:
                 assert slope >= 1.8, name
 
-    def test_wrong_viscosity_rejected(self, shell_setup, shell_trajectories):
-        bp, g, u0 = shell_setup
+    def test_wrong_viscosity_rejected(self, shell_trajectories):
         times, eps, traj0, traj_eps = shell_trajectories
         with pytest.raises(ValueError, match="ideal"):
-            first_order_remainders(u0, traj_eps, traj_eps, times)
+            first_order_remainders(traj_eps, traj_eps, times)
 
     def test_mismatched_data_rejected(self, shell_setup, shell_trajectories):
         bp, g, u0 = shell_setup
         times, eps, traj0, traj_eps = shell_trajectories
-        other = SpectralField(g, 2.0 * u0.coeffs)
-        with pytest.raises(ValueError, match="different initial data"):
-            first_order_remainders(other, traj0, traj_eps, times)
         foreign = Trajectory(
             times=traj_eps.times,
             increments=traj_eps.increments,
             eps=traj_eps.eps,
-            u0=other,
+            u0=SpectralField(g, 2.0 * u0.coeffs),
             diagnostics=traj_eps.diagnostics,
         )
         with pytest.raises(ValueError, match="different initial data"):
-            first_order_remainders(u0, traj0, foreign, times)
+            first_order_remainders(traj0, foreign, times)
 
     def test_smallest_t_remainders_independent_of_step(self, shell_setup):
         # the Euler and NS remainders at t = 0.005 are about 1e-16 of |u0|;
@@ -797,16 +835,16 @@ class TestExpansionResiduals:
                 for e in (0.0, eps)
             )
             assert len(traj_eps.diagnostics["dt"]) == steps
-            (rem,) = first_order_remainders(u0, traj0, traj_eps, [t])
+            (rem,) = first_order_remainders(traj0, traj_eps, [t])
             norms.append([besov_norm(rem.euler, bp), besov_norm(rem.navier_stokes, bp)])
         for coarse, fine in zip(*norms):
             assert coarse == pytest.approx(fine, rel=1e-8)
 
     def test_times_as_a_generator(self, shell_setup, shell_trajectories, shell_remainders):
         # the times are read once, before the sweep
-        bp, g, u0 = shell_setup
+        bp = shell_setup[0]
         times, eps, traj0, traj_eps = shell_trajectories
-        again = remainder_norms(u0, traj0, traj_eps, (t for t in times), bp)
+        again = remainder_norms(traj0, traj_eps, (t for t in times), bp)
         assert again == shell_remainders
 
     def test_replay_from_stored_snapshot(
@@ -833,6 +871,6 @@ class TestExpansionResiduals:
                     diagnostics={"energy": traj.diagnostics["energy"]},
                 )
             )
-        again = remainder_norms(u0b, *replays, [t], bp)
+        again = remainder_norms(*replays, [t], bp)
         for name, (value,) in again.items():
             assert value == pytest.approx(shell_remainders[name][2], rel=1e-12), name
