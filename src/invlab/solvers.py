@@ -47,7 +47,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -556,13 +556,43 @@ def _check_same_data(u0: SpectralField, traj: Trajectory) -> None:
         raise ValueError("trajectory was computed from different initial data")
 
 
-class FirstOrderRemainders(NamedTuple):
-    """The four remainder fields of the first-order expansion at one time."""
+class FirstOrderRemainders:
+    """The four remainder fields of the first-order expansion at one time.
 
-    euler: SpectralField
-    navier_stokes: SpectralField
-    drift: SpectralField
-    heat_defect: SpectralField
+    Each field (``FIELDS``) is built when its attribute is read and is not
+    kept, so a caller that takes one norm at a time holds one field of the
+    size of ``u0`` at a time; a second read builds the same field again.
+    """
+
+    FIELDS = ("euler", "navier_stokes", "drift", "heat_defect")
+
+    def __init__(self, pa0: np.ndarray, traj0, traj_eps, t: float, u2: SpectralField):
+        self.grid, self.t = traj0.u0.grid, t
+        self._pa0, self._traj0, self._traj_eps, self._u2 = pa0, traj0, traj_eps, u2
+        self._lin = heat_integral_factor(self.grid, t, traj_eps.eps)
+
+    # each is the expression of first_order_remainders, updated in place
+    @property
+    def euler(self) -> SpectralField:
+        c = self._traj0.increment_at(self.t).coeffs
+        c += self.t * self._pa0
+        return SpectralField(self.grid, c)
+
+    @property
+    def navier_stokes(self) -> SpectralField:
+        c = self._traj_eps.increment_at(self.t).coeffs
+        c -= self._u2.coeffs
+        return SpectralField(self.grid, c)
+
+    @property
+    def drift(self) -> SpectralField:
+        c = -self._u2.coeffs
+        c -= self._lin * self._pa0
+        return SpectralField(self.grid, c)
+
+    @property
+    def heat_defect(self) -> SpectralField:
+        return SpectralField(self.grid, (self._lin - self.t) * self._pa0)
 
 
 def first_order_remainders(
@@ -594,8 +624,9 @@ def first_order_remainders(
 
     On the call the guards run first (ideal ``traj0``, ``traj_eps`` from the
     data of ``traj0``), then one Duhamel sweep for all the times, which reuses the
-    vorticity of ``pa0`` as its tau = 0 integrand; the fields of each time
-    are built as the iterator reaches it.
+    vorticity of ``pa0`` as its tau = 0 integrand; the ``u2`` of each time
+    is built as the iterator reaches it, and each remainder field when it is
+    read.
     """
     if traj0.eps != 0.0:
         raise ValueError(f"need an ideal (eps=0) trajectory, got eps={traj0.eps}")
@@ -605,15 +636,4 @@ def first_order_remainders(
     r0 = vorticity_rhs(u0.grid, curl(u0).coeffs, u0.coeffs[:, 0, 0])[0]
     pa0 = -_velocity(u0.grid, r0, 0.0)  # coefficients of P(u0 . grad u0)
     u2s = u2_duhamel(u0, times, traj_eps.eps, nodes, refine, rhs0=r0)
-    return (_remainders_at(u0, pa0, traj0, traj_eps, t, u2) for t, u2 in zip(times, u2s))
-
-
-def _remainders_at(u0, pa0, traj0, traj_eps, t, u2):
-    g = u0.grid
-    lin = heat_integral_factor(g, t, traj_eps.eps)
-    return FirstOrderRemainders(
-        euler=SpectralField(g, traj0.increment_at(t).coeffs + t * pa0),
-        navier_stokes=SpectralField(g, traj_eps.increment_at(t).coeffs - u2.coeffs),
-        drift=SpectralField(g, -u2.coeffs - lin * pa0),
-        heat_defect=SpectralField(g, (lin - t) * pa0),
-    )
+    return (FirstOrderRemainders(pa0, traj0, traj_eps, t, u2) for t, u2 in zip(times, u2s))

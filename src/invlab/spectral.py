@@ -8,7 +8,7 @@ integer mode ``m`` equals ``(L/N)**d * sum_x f(x) exp(-i (m/R).x)``, so that
 mode ``m`` is ``xi = m/R``.
 
 Every field is real, so its spectrum is Hermitian, coeff(-m) = conj(coeff(m)),
-and only the real half-spectrum of ``scipy.fft.rfftn`` is stored: the leading
+and only the real half-spectrum of ``numpy.fft.rfftn`` is stored: the leading
 axes hold every mode in FFT layout (mode ``m`` at index ``m mod N``), the last
 axis holds columns ``0 .. N/2`` (``Grid.spectral_shape``).  Column ``c`` with
 ``0 < c < N/2`` also stands for its conjugate mirror at column ``-c``, so a sum
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as _fft
+import numpy.fft as _fft
 
 from .errors import ConfigError, NumericsError, ResolutionError
 
@@ -238,15 +238,24 @@ def _conj_mirror(full: np.ndarray) -> np.ndarray:
 # transforms
 
 
-# The array pair is the only route to the FFT backend.
+# The array pair is the only route to the FFT backend, numpy's pocketfft.
+# Both transform one field over the d axes of the grid, named explicitly,
+# and scale the transform's output in place.  The forward transform writes
+# into its own output: numpy.fft transforms one axis at a time, and would
+# otherwise hold a second half-spectrum between the axes.
 
 
 def _forward(samples: np.ndarray, grid: Grid) -> np.ndarray:
-    return _fft.rfftn(samples) * (grid.dx**grid.d)
+    out = np.empty(grid.spectral_shape, dtype=np.complex128)
+    _fft.rfftn(samples, axes=tuple(range(grid.d)), out=out)
+    out *= grid.dx**grid.d
+    return out
 
 
 def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    return _fft.irfftn(coeffs, s=grid.shape) * ((grid.N / grid.L) ** grid.d)
+    out = _fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(grid.d)))
+    out *= (grid.N / grid.L) ** grid.d
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import invlab
 from invlab.cli import main
 from invlab.errors import ConfigError, FormatError
 from invlab.experiments import ExperimentConfig, ResultRecord
@@ -263,6 +267,20 @@ class TestCli:
         # time, so they do not overlap and fit inside the experiment's
         assert all(r["wall_s"] > 0.0 for r in runs)
         assert sum(r["wall_s"] for r in runs) < summary["wall_s"]
+
+    def test_import_loads_no_scipy(self):
+        # every transform goes through numpy.fft; a fresh interpreter that
+        # imports the CLI holds no scipy module
+        src = str(Path(invlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = (
+            "import sys, invlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_bad_config_exits_2(self, tmp_path):
         p = tmp_path / "cfg.json"

@@ -40,6 +40,7 @@ from invlab.spectral import (
     divergence_defect,
     gradient,
     heat_factor,
+    heat_integral_factor,
     heat_propagate,
     l2_norm_spectral,
     leray_project,
@@ -772,8 +773,8 @@ def remainder_norms(traj0, traj_eps, times, bp):
     """Besov norms of the four remainder fields at each time, by field."""
     out = {}
     for rem in first_order_remainders(traj0, traj_eps, times):
-        for name, vf in rem._asdict().items():
-            out.setdefault(name, []).append(besov_norm(vf, bp))
+        for name in rem.FIELDS:
+            out.setdefault(name, []).append(besov_norm(getattr(rem, name), bp))
     return out
 
 
@@ -803,6 +804,32 @@ class TestExpansionResiduals:
                 assert 1.8 <= slope <= 2.3, name
             else:
                 assert slope >= 1.8, name
+
+    def test_fields_are_the_expansion_expressions_built_on_read(self, shell_trajectories):
+        # each read builds a new array, bitwise the expression of the
+        # first_order_remainders docstring
+        from invlab.solvers import _velocity
+
+        times, eps, traj0, traj_eps = shell_trajectories
+        t = times[1]
+        u0 = traj0.u0
+        g = u0.grid
+        (rem,) = first_order_remainders(traj0, traj_eps, [t])
+        (u2,) = u2_duhamel(u0, [t], eps)
+        pa0 = -_velocity(g, vorticity_rhs(g, curl(u0).coeffs, u0.coeffs[:, 0, 0])[0], 0.0)
+        lin = heat_integral_factor(g, t, eps)
+        expected = {
+            "euler": traj0.increment_at(t).coeffs + t * pa0,
+            "navier_stokes": traj_eps.increment_at(t).coeffs - u2.coeffs,
+            "drift": -u2.coeffs - lin * pa0,
+            "heat_defect": (lin - t) * pa0,
+        }
+        assert rem.FIELDS == tuple(expected)
+        for name, ref in expected.items():
+            first, second = getattr(rem, name), getattr(rem, name)
+            assert first.coeffs is not second.coeffs
+            assert np.array_equal(first.coeffs, ref), name
+            assert np.array_equal(second.coeffs, ref), name
 
     def test_wrong_viscosity_rejected(self, shell_trajectories):
         times, eps, traj0, traj_eps = shell_trajectories

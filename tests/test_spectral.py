@@ -73,11 +73,27 @@ class TestFieldLayout:
             total += 2.0 * float(np.sum(sq[..., 1:-1])) + float(np.sum(sq[..., 0]))
             total += float(np.sum(sq[..., -1]))
         assert l2_norm_spectral(V) == float(np.sqrt(total / grid.L**2))
-        # at p = 2 a block's norm is the Parseval sum of the block, no samples
+        # at p = 2 a block's norm is the Parseval sum over the block's box,
+        # no samples; the box's columns keep their weights 1, 2 .. 2, 1
         part = build_partition(grid)
         js = range(-1, part.j_max + 1)
-        blocks = [l2_norm_spectral(dyadic_block(j, V)) for j in js]
+        h = grid.N // 2
+        blocks = []
+        for j in js:
+            box, vals = part.block(j)
+            total = 0.0
+            for c in V.coeffs:
+                sq = np.abs(c[box] * vals) ** 2
+                total += (
+                    2.0 * float(np.sum(sq[..., 1:h]))
+                    + float(np.sum(sq[..., 0]))
+                    + float(np.sum(sq[..., h:]))
+                )
+            blocks.append(float(np.sqrt(total / grid.L**2)))
         assert np.array_equal(block_lp_norms(V, 2.0), blocks)
+        # the same norm as the block field's, up to the order of the sum
+        whole = [l2_norm_spectral(dyadic_block(j, V)) for j in js]
+        np.testing.assert_allclose(blocks, whole, rtol=1e-14, atol=0)
         # at any other p it takes the pointwise magnitude of the components,
         # their squares summed in component order
         bp3 = BesovParams(3.0, 3.0, 2.0, 2)

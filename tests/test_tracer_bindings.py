@@ -8,6 +8,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from invlab import cli, experiments, solvers, spectral
 from invlab.constructions import taylor_green
 
@@ -85,3 +87,23 @@ def test_install_wraps_every_traced_name_and_uninstall_restores_all():
     assert steps == 64
     assert calls["spectral.divergence_defect"] == 1 + 2
     assert calls["spectral.l2_norm_spectral"] == 2 * (1 + 2) + steps
+
+
+def test_each_transform_records_one_span():
+    # the proxy of spectral._fft sees numpy.fft's n-dimensional entry
+    # points: one call of _forward or _inverse is one transform span
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    g = spectral.Grid(2, 16, 1.0)
+    samples = np.cos(g.x_1d)[:, None] * np.sin(2.0 * g.x_1d)[None, :]
+    uninstall = tracer.install(t)
+    try:
+        coeffs = spectral._forward(samples, g)
+        forward = [span[0] for span in t.spans]
+        back = spectral._inverse(coeffs, g)
+        inverse = [span[0] for span in t.spans[len(forward):]]
+    finally:
+        uninstall()
+    assert forward == ["spectral.fft_forward"]
+    assert inverse == ["spectral.fft_inverse"]
+    assert np.allclose(back, samples, rtol=0, atol=1e-14)
