@@ -1,5 +1,13 @@
 """Command-line surface: batch experiments writing CSV/JSON reports.
 
+Each command writes ``config.echo.json``, ``records.csv`` and ``summary.json``
+(verdict counts, constants, wall time and one entry per evolution: N, eps,
+steps, dt range, energy drift and the largest divergence defect of its
+sampled states) under ``--out``.  ``make-data`` adds ``fields/shell_n{n}.spf``;
+``evolve`` adds, under ``traj/<run>/``, the state at each sample time as
+``t{i:03d}.spf`` and ``steps.csv``, one row per RK4 step with the columns
+``t,dt,energy,max_speed``.
+
 Exit codes: 0 when every verdict passed (or was informational), 1 when fail
 verdicts are present, 2 for configuration problems, 3 for numeric or solver
 failures.
@@ -128,8 +136,8 @@ def _run_evolve(cfg, ctx, out_dir: Path, raw_cfg: dict):
         )
     diag = traj.diagnostics
     with open(traj_dir / "steps.csv", "w") as fh:
-        fh.write("t,dt,energy,div_rel,max_speed\n")
-        for row in zip(*(diag[k] for k in ("t", "dt", "energy", "div_rel", "max_speed"))):
+        fh.write("t,dt,energy,max_speed\n")
+        for row in zip(*(diag[k] for k in ("t", "dt", "energy", "max_speed"))):
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
     return records
 

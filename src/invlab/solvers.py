@@ -27,6 +27,9 @@ step at T/64.  The data are admitted by ``spectral.require_in_ball``, the
 one admission rule of the 2/3-rule ball (``spectral`` module docstring), so
 the projection drops nothing.  A sample's vorticity increment is the
 decoded E, and its velocity increment the Biot-Savart image of that.
+No step measures the divergence, zero up to rounding for a Biot-Savart
+image: ``evolve`` checks the data's, and ``Trajectory`` the state's once per
+sample time (``div_rel``).
 
 The first-order expansion ``S^eps_t(u0) = u1(t) + u2(t) + O(t^2)`` is
 computed here once: ``u1`` is the heat flow of the data, ``u2`` the Duhamel
@@ -174,7 +177,9 @@ class Trajectory:
     Biot-Savart image, the velocity increment ``u(t_i) - exp(t_i eps Lap) u0``
     (of zero mean, since the mean velocity is constant), and ``state_at``
     adds the heat flow of the data back; both build a new field on every
-    call.
+    call.  ``diagnostics`` holds ``t``, ``dt``, ``energy`` and ``max_speed``
+    per step; ``div_rel[i]``, the divergence defect of the state at
+    ``times[i]``, is measured on construction and may not exceed 1e-9.
     """
 
     times: tuple
@@ -182,6 +187,7 @@ class Trajectory:
     eps: float
     u0: SpectralField
     diagnostics: dict = field(compare=False)
+    div_rel: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
         g = self.u0.grid
@@ -192,20 +198,21 @@ class Trajectory:
                 )
         # checked on the solution: the velocity increment is divergence-free
         # to rounding by construction, the data need not be
-        for t in self.times:
-            d = divergence_defect(self.state_at(t))
+        defects = tuple(divergence_defect(self.state_at(t)) for t in self.times)
+        for t, d in zip(self.times, defects):
             if d > 1e-9:
                 raise NumericsError(
                     f"snapshot at t={t} violates the divergence-free invariant "
                     f"(relative defect {d:.3e})"
                 )
+        object.__setattr__(self, "div_rel", defects)
         if not np.isfinite(self.diagnostics["energy"]).all():
             raise NumericsError("trajectory diagnostics contain non-finite values")
 
     def increment_at(self, t: float) -> SpectralField:
         for ti, inc in zip(self.times, self.increments):
             if abs(ti - t) <= 1e-12:
-                return SpectralField(inc.grid, _velocity(inc.grid, inc.coeffs, 0.0))
+                return SpectralField(inc.grid, _velocity(inc.grid, inc.coeffs))
         raise ValueError(f"time {t} is not among the sampled times {self.times}")
 
     def state_at(self, t: float) -> SpectralField:
@@ -231,36 +238,18 @@ def _max_speed(u1, u2) -> float:
     return float(np.sqrt(np.max(u1**2 + u2**2)))
 
 
-def _velocity(grid: Grid, w: np.ndarray, mean) -> np.ndarray:
-    """Stacked velocity coefficients of vorticity ``w`` with mean velocity ``mean``."""
+def _velocity(grid: Grid, w: np.ndarray) -> np.ndarray:
+    """Stacked velocity coefficients of zero mean of vorticity ``w``."""
     out = grid.biot_savart * w
-    out[:, 0, 0] = mean
+    out[:, 0, 0] = 0.0
     return out
 
 
 def _velocity_component(grid: Grid, w: np.ndarray, mean, ax: int) -> np.ndarray:
-    """Component ``ax`` of ``_velocity(grid, w, mean)``, built alone."""
+    """Component ``ax`` of the velocity of vorticity ``w`` with mean ``mean``."""
     out = grid.biot_savart[ax] * w
     out[0, 0] = mean[ax]
     return out
-
-
-def _velocity_norms(grid: Grid, w: np.ndarray, mean) -> tuple:
-    """L2 norms of the velocity of ``w`` with mean ``mean`` and of its divergence.
-
-    The values of ``l2_norm_spectral`` of ``_velocity(grid, w, mean)`` and of
-    its ``divergence``, with one velocity component held at a time.
-    """
-    div = np.zeros(grid.spectral_shape, dtype=np.complex128)
-
-    def components():
-        for ax in range(grid.d):
-            c = _velocity_component(grid, w, mean, ax)
-            np.add(div, (1j * grid.freq_axis(ax)) * c, out=div)
-            yield c
-
-    energy = half_spectrum_l2(components(), grid)
-    return energy, l2_norm_spectral(SpectralField(grid, div))
 
 
 def vorticity_rhs(grid: Grid, w: np.ndarray, mean) -> tuple:
@@ -301,9 +290,10 @@ def evolve(
     The horizon T is the last sample time.  Steps are capped at T/64 and by
     the CFL condition; ``dt_fixed`` forces a constant step (for convergence
     studies) and bypasses both.  ``eps * T * max|xi|^2`` of the grid may not
-    exceed ``EXPONENT_LIMIT``.  ``u0`` must be divergence-free and pass
-    ``require_in_ball``.  The vorticity increment at a sample time is the
-    decoded E.
+    exceed ``EXPONENT_LIMIT``.  ``u0`` must be divergence-free (defect at
+    most 1e-10) and pass ``require_in_ball``; the states' defects are taken
+    per sample time, by ``Trajectory``.  The vorticity increment at a sample
+    time is the decoded E.
     """
     if not (0.0 <= eps <= 1.0):
         raise ValueError(f"viscosity must lie in [0, 1], got {eps}")
@@ -334,7 +324,7 @@ def evolve(
     dec, grow = np.ones(g.spectral_shape), np.ones(g.spectral_shape)
 
     increments = []
-    diag = {k: [] for k in ("t", "dt", "energy", "div_rel", "max_speed")}
+    diag = {k: [] for k in ("t", "dt", "energy", "max_speed")}
     speed0 = _max_speed(*(_inverse(c, g) for c in u0.coeffs))
     guard = BLOWUP_FACTOR * max(speed0, 1e-300)
     # the half-step factors of the last step size; a new size recomputes
@@ -417,14 +407,14 @@ def evolve(
             s *= dec
 
             t = target if final_step else t + dt
-            energy, div_norm = _velocity_norms(g, s, mean)
+            energy = half_spectrum_l2(
+                (_velocity_component(g, s, mean, ax) for ax in range(g.d)), g
+            )
             if not np.isfinite(energy):
                 raise NumericsError(f"non-finite state after step to t={t}")
             diag["t"].append(t)
             diag["dt"].append(dt)
             diag["energy"].append(energy)
-            # the divergence defect of the state
-            diag["div_rel"].append(div_norm / energy if energy > 0.0 else 0.0)
             diag["max_speed"].append(speed)
         # one exact heat factor from t = 0 decodes E, the vorticity increment
         increments.append(SpectralField(g, heat_factor(g, target, eps) * enc))
@@ -547,7 +537,7 @@ def _box_velocity(grid: Grid, box: tuple, w_box: np.ndarray) -> SpectralField:
     """The velocity of zero mean whose vorticity is ``w_box`` on ``box``, 0 elsewhere."""
     w = np.zeros(grid.spectral_shape, dtype=np.complex128)
     w[box] = w_box
-    return SpectralField(grid, _velocity(grid, w, 0.0))
+    return SpectralField(grid, _velocity(grid, w))
 
 
 def _check_same_data(u0: SpectralField, traj: Trajectory) -> None:
@@ -634,6 +624,6 @@ def first_order_remainders(
     _check_same_data(u0, traj_eps)
     times = tuple(times)
     r0 = vorticity_rhs(u0.grid, curl(u0).coeffs, u0.coeffs[:, 0, 0])[0]
-    pa0 = -_velocity(u0.grid, r0, 0.0)  # coefficients of P(u0 . grad u0)
+    pa0 = -_velocity(u0.grid, r0)  # coefficients of P(u0 . grad u0)
     u2s = u2_duhamel(u0, times, traj_eps.eps, nodes, refine, rhs0=r0)
     return (FirstOrderRemainders(pa0, traj0, traj_eps, t, u2) for t, u2 in zip(times, u2s))

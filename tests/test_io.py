@@ -361,6 +361,31 @@ class TestCli:
         header = (out / "records.csv").read_text().split("\n")[0]
         assert header == "experiment,n,eps,t,quantity,value,verdict"
 
+    def test_benchmark_child_hooks_are_called(self, tmp_path, monkeypatch):
+        # the benchmark's child process (bench/child.py) times a run by
+        # rebinding cli.write_report and one entry of cli._EXPERIMENTS, so
+        # main must reach both through the module at call time
+        import invlab.cli as cli
+
+        calls = []
+        run, write = cli._EXPERIMENTS["heat-law"], cli.write_report
+
+        def recorded_run(*args, **kwargs):
+            calls.append("heat-law")
+            return run(*args, **kwargs)
+
+        def recorded_write(*args, **kwargs):
+            calls.append("write_report")
+            return write(*args, **kwargs)
+
+        monkeypatch.setitem(cli._EXPERIMENTS, "heat-law", recorded_run)
+        monkeypatch.setattr(cli, "write_report", recorded_write)
+        cfg = self._config(tmp_path)
+        assert main(["heat-law", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert calls == ["heat-law", "write_report"]
+        # the benchmark's workloads run these two commands
+        assert {"expansion-residuals", "validate"} <= set(cli._EXPERIMENTS)
+
     def test_seed_override_reaches_echo(self, tmp_path):
         cfg = self._config(tmp_path)
         out = tmp_path / "out"
@@ -387,6 +412,13 @@ class TestCli:
             assert np.array_equal(written.coeffs, traj.state_at(t).coeffs)
         rows = (out / "records.csv").read_text().strip().split("\n")[1:]
         assert len(rows) == 4  # energy and Besov norm at each sample time
+        # one row per step; the divergence is measured per sample, into
+        # summary.json's div_rel_max
+        header, *steps = (run_dir / "steps.csv").read_text().strip().split("\n")
+        assert header == "t,dt,energy,max_speed"
+        energies = [float(row.split(",")[2]) for row in steps]
+        assert energies == list(traj.diagnostics["energy"])
+        assert run["div_rel_max"] == max(traj.div_rel)
 
     def test_evolve_above_heat_exponent_limit_exits_3(self, tmp_path, capsys):
         # eps * T * max|xi|^2 = 1 * 1 * 910.2 on the N = 512 datum grid

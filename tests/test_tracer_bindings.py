@@ -75,18 +75,18 @@ def test_install_wraps_every_traced_name_and_uninstall_restores_all():
     assert all(after[k] is v for k, v in before.items())
 
     # inside evolve: the data's divergence check and one per sample in
-    # Trajectory, each two L2 norms, and per step the norm of the
-    # divergence; the energy is summed from the velocity components
-    # (spectral.half_spectrum_l2) without a stacked field
-    steps = len(traj.diagnostics["dt"])
+    # Trajectory, each two L2 norms, whatever the step count; no step
+    # measures the divergence, and a step's energy is summed from the
+    # velocity components (spectral.half_spectrum_l2) without a stacked field
+    steps, samples = len(traj.diagnostics["dt"]), len(traj.times)
     under = tracer.inside(t.spans, "solvers.evolve")
     calls = {}
     for span, inside in zip(t.spans, under):
         if inside:
             calls[span[0]] = calls.get(span[0], 0) + 1
-    assert steps == 64
-    assert calls["spectral.divergence_defect"] == 1 + 2
-    assert calls["spectral.l2_norm_spectral"] == 2 * (1 + 2) + steps
+    assert (steps, samples) == (64, 2)
+    assert calls["spectral.divergence_defect"] == 1 + samples
+    assert calls["spectral.l2_norm_spectral"] == 2 * (1 + samples)
 
 
 def test_each_transform_records_one_span():
