@@ -10,7 +10,12 @@ divergence-free u, and the kept modes of a product of two fields in the
 ball are alias-free (``spectral`` module docstring).  The mean ``u(0)`` is
 constant and carried on its own.  ``vorticity_rhs`` takes 3 inverse and 2
 forward transforms and no Leray projection (velocity form: 6, 2 and a
-projection).
+projection).  It works on the slab of the 2/3 ball (``Grid.slab_shape``):
+each transform is a column pass over the keep + 1 columns of the slab and a
+row pass (``spectral._inverse_slab``, ``spectral._forward_slab``), and every
+array it writes is handed in, its result and an ``RhsWork``.  The work
+arrays are allocated once per evolution and once per thread of a Duhamel
+sweep; the velocity samples it returns are overwritten by the next call.
 
 ``evolve`` keeps the increment ``delta(t) = u(t) - exp(t eps Lap) u0`` over
 the exact heat flow of the data, so a gap between two solutions of one
@@ -25,11 +30,12 @@ from the viscous term never enters the stability restriction, and
 ``EXPONENT_LIMIT``.  The horizon T is the last sample time; it also caps the
 step at T/64.  The data are admitted by ``spectral.require_in_ball``, the
 one admission rule of the 2/3-rule ball (``spectral`` module docstring), so
-the projection drops nothing.  A sample's vorticity increment is the
-decoded E, and its velocity increment the Biot-Savart image of that.
-No step measures the divergence, zero up to rounding for a Biot-Savart
-image: ``evolve`` checks the data's, and ``Trajectory`` the state's once per
-sample time (``div_rel``).
+the projection drops nothing.  The state lives on the slab, which holds
+every nonzero entry; a sample's vorticity increment is the decoded E,
+embedded in a half-spectrum, and its velocity increment the Biot-Savart
+image of that.  No step measures the divergence, zero up to rounding for
+a Biot-Savart image: ``evolve`` checks the data's, and ``Trajectory`` the
+state's once per sample time (``div_rel``).
 
 The first-order expansion ``S^eps_t(u0) = u1(t) + u2(t) + O(t^2)`` is
 computed here once: ``u1`` is the heat flow of the data, ``u2`` the Duhamel
@@ -63,16 +69,14 @@ from .spectral import (
     Grid,
     SpectralField,
     _check_heat_arguments,
-    _forward,
-    _inverse,
+    _forward_slab,
+    _inverse_slab,
     curl,
     divergence_defect,
     half_spectrum_l2,
     heat_factor,
     heat_integral_factor,
-    l2_norm_spectral,
     require_in_ball,
-    zero_outside_ball,
 )
 
 
@@ -235,7 +239,11 @@ def trajectory_gap(a: Trajectory, b: Trajectory, t: float) -> SpectralField:
 
 
 def _max_speed(u1, u2) -> float:
-    return float(np.sqrt(np.max(u1**2 + u2**2)))
+    """The largest speed of the velocity samples ``u1``, ``u2``, which it
+    overwrites: ``u1`` ends as the squared speed."""
+    np.square(u1, out=u1)
+    u1 += np.square(u2, out=u2)
+    return float(np.sqrt(np.max(u1)))
 
 
 def _velocity(grid: Grid, w: np.ndarray) -> np.ndarray:
@@ -245,38 +253,56 @@ def _velocity(grid: Grid, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _velocity_component(grid: Grid, w: np.ndarray, mean, ax: int) -> np.ndarray:
-    """Component ``ax`` of the velocity of vorticity ``w`` with mean ``mean``."""
-    out = grid.biot_savart[ax] * w
+def _embed(grid: Grid, slab: np.ndarray) -> np.ndarray:
+    """The half-spectrum holding ``slab`` in its leading columns, 0 elsewhere."""
+    out = np.zeros(grid.spectral_shape, dtype=np.complex128)
+    out[:, : slab.shape[-1]] = slab
+    return out
+
+
+def _velocity_slab(grid: Grid, w: np.ndarray, mean, ax: int, out: np.ndarray) -> np.ndarray:
+    """Component ``ax`` of the velocity of slab vorticity ``w`` with mean
+    ``mean``, into ``out``."""
+    np.multiply(grid.biot_savart[ax][:, : w.shape[-1]], w, out=out)
     out[0, 0] = mean[ax]
     return out
 
 
-def vorticity_rhs(grid: Grid, w: np.ndarray, mean) -> tuple:
-    """``-div(u w)`` masked to the 2/3 ball, and the samples of ``u``.
+class RhsWork:
+    """The work arrays of ``vorticity_rhs`` on one grid: three sample arrays,
+    the column-pass scratch (``Grid.slab_shape``) and the row-pass buffer
+    (``Grid.spectral_shape``).  One holder serves one thread at a time."""
 
-    ``u`` is the Biot-Savart velocity of the dealias-safe ``w`` plus ``mean``.
-    The result is ``-curl P(u . grad u)``; its Biot-Savart image is
-    ``-P(u . grad u)`` less its mean, which is zero in exact arithmetic.
-    The velocity is built one component at a time, and the second product
-    overwrites the samples of ``w``.
+    def __init__(self, grid: Grid):
+        self.phys = tuple(np.empty(grid.shape) for _ in range(3))
+        self.scratch = np.empty(grid.slab_shape, dtype=np.complex128)
+        self.rows = np.empty(grid.spectral_shape, dtype=np.complex128)
+
+
+def vorticity_rhs(
+    grid: Grid, w: np.ndarray, mean, work: RhsWork, out: np.ndarray
+) -> tuple:
+    """``-div(u w)`` masked to the 2/3 ball, into ``out``; returns the samples
+    of ``u``.
+
+    ``w`` and ``out`` are distinct slabs (``Grid.slab_shape``) and ``u`` is
+    the Biot-Savart velocity of the dealias-safe ``w`` plus ``mean``.  The
+    result is ``-curl P(u . grad u)``; its Biot-Savart image is ``-P(u .
+    grad u)`` less its mean, which is zero in exact arithmetic.  Every array
+    the transforms write is ``out`` or one of ``work``, so the returned
+    samples are overwritten by the next call with the same ``work``.
     """
-    w_phys = _inverse(w, grid)
-    u1 = _inverse(_velocity_component(grid, w, mean, 0), grid)
-    r = _forward(u1 * w_phys, grid)
-    r *= -1j * grid.freq_axis(0)
-    u2 = _inverse(_velocity_component(grid, w, mean, 1), grid)
-    f = _forward(np.multiply(u2, w_phys, out=w_phys), grid)
-    f *= 1j * grid.freq_axis(1)
-    r -= f
-    zero_outside_ball(r, grid)
-    return r, [u1, u2]
-
-
-def _half_step_factors(grid: Grid, eps: float, dt: float) -> tuple:
-    """``exp(-/+ eps |xi|^2 dt/2)``: the decay and growth over half a step."""
-    x = eps * grid.k_sq * (dt / 2.0)
-    return np.exp(-x), np.exp(x)
+    w_phys, u1, u2 = work.phys
+    vel = work.rows[:, : w.shape[-1]]  # free between the transforms
+    _inverse_slab(w, grid, work.scratch, w_phys)
+    _inverse_slab(_velocity_slab(grid, w, mean, 0, vel), grid, work.scratch, u1)
+    _forward_slab(np.multiply(u1, w_phys, out=u2), grid, work.rows, out)
+    out *= -1j * grid.freq_axis(0)
+    _inverse_slab(_velocity_slab(grid, w, mean, 1, vel), grid, work.scratch, u2)
+    f = _forward_slab(np.multiply(u2, w_phys, out=w_phys), grid, work.rows, work.scratch)
+    f *= 1j * grid.freq_axis(1)[:, : w.shape[-1]]
+    out -= f
+    return u1, u2
 
 
 def evolve(
@@ -293,7 +319,8 @@ def evolve(
     exceed ``EXPONENT_LIMIT``.  ``u0`` must be divergence-free (defect at
     most 1e-10) and pass ``require_in_ball``; the states' defects are taken
     per sample time, by ``Trajectory``.  The vorticity increment at a sample
-    time is the decoded E.
+    time is the decoded E.  Each per-step diagnostic has one entry per step,
+    none when only t = 0 is sampled.
     """
     if not (0.0 <= eps <= 1.0):
         raise ValueError(f"viscosity must lie in [0, 1], got {eps}")
@@ -315,21 +342,37 @@ def evolve(
             f"{EXPONENT_LIMIT:g}: the integrating factor would overflow"
         )
 
-    # the data's vorticity; the mean velocity is constant
-    base = curl(u0).coeffs
+    # every array of the state is a slab, allocated once: the data's
+    # vorticity (the mean velocity is constant), the encoded increment E (0
+    # at t = 0), a stage's state (between steps, w(t)), exp(-/+ eps t
+    # |xi|^2) at the current stage time, the half-step factors of the last
+    # step size, and the stages' right-hand sides (k4 reuses k3's array)
+    cols = slice(0, g.dealias_keep + 1)
+    k_sq = g.k_sq[:, cols]
+    base = curl(u0).coeffs[:, cols].copy()
     mean = u0.coeffs[:, 0, 0]
-    enc = np.zeros_like(base)  # the encoded increment E, 0 at t = 0
-    s = base.copy()  # a stage's state; between steps, w(t)
-    # exp(-/+ eps t |xi|^2) at the current stage time
-    dec, grow = np.ones(g.spectral_shape), np.ones(g.spectral_shape)
+    enc = np.zeros_like(base)
+    s = base.copy()
+    dec, grow = np.ones(k_sq.shape), np.ones(k_sq.shape)
+    E, G = np.empty(k_sq.shape), np.empty(k_sq.shape)
+    k1, k2, k3 = (np.empty_like(base) for _ in range(3))
+    work = RhsWork(g)
 
     increments = []
     diag = {k: [] for k in ("t", "dt", "energy", "max_speed")}
-    speed0 = _max_speed(*(_inverse(c, g) for c in u0.coeffs))
+    speed0 = _max_speed(
+        *(_inverse_slab(c[:, cols], g, work.scratch, p) for c, p in zip(u0.coeffs, work.phys))
+    )
     guard = BLOWUP_FACTOR * max(speed0, 1e-300)
-    # the half-step factors of the last step size; a new size recomputes
-    # them (the final step before each sample time is shorter)
-    step_dt = E = G = None
+    # a new step size recomputes the half-step factors (the final step
+    # before each sample time is shorter)
+    step_dt = None
+
+    def half_step_factors(dt):
+        # E, G = exp(-/+ eps |xi|^2 dt/2): the decay and growth over half a step
+        np.multiply(np.multiply(k_sq, eps, out=E), dt / 2.0, out=E)
+        np.exp(E, out=G)
+        np.exp(np.negative(E, out=E), out=E)
 
     def load(h, k):
         # a stage's state dec * ((enc + h k) + base), into s
@@ -338,11 +381,19 @@ def evolve(
         np.add(s, base, out=s)
         np.multiply(s, dec, out=s)
 
-    def rhs():
-        # the encoded right-hand side at the state in s
-        r = vorticity_rhs(g, s, mean)[0]
-        r *= grow
-        return r
+    def rhs(k):
+        # the encoded right-hand side at the state in s, into k
+        vorticity_rhs(g, s, mean, work, k)
+        k *= grow
+
+    def velocity_components():
+        # each component of the state's velocity on the whole half-spectrum,
+        # in the row-pass buffer: half_spectrum_l2 sums the same array as it
+        # would for the velocity of the embedded state
+        for ax in range(g.d):
+            _velocity_slab(g, s, mean, ax, work.rows[:, cols])
+            work.rows[:, cols.stop :] = 0.0
+            yield work.rows
 
     # A step that would end within ``land`` of a sample time ends on it.
     # Each ``t + dt`` rounds by at most half an ulp, 2**-53 * horizon, so m
@@ -353,10 +404,9 @@ def evolve(
     t = 0.0
     for target in targets:
         while t < target - land:
-            # stage 1 of RK4 needs no dt: its velocity samples give the CFL speed
-            k1, u_phys = vorticity_rhs(g, s, mean)
-            speed = _max_speed(*u_phys)
-            del u_phys
+            # stage 1 of RK4 needs no dt: its velocity samples give the CFL
+            # speed; k1 is encoded after the step's factors are known
+            speed = _max_speed(*vorticity_rhs(g, s, mean, work, k1))
             if not np.isfinite(speed):
                 raise NumericsError(f"non-finite state at t={t}")
             if speed > guard:
@@ -376,7 +426,7 @@ def evolve(
                 dt = remaining
             if dt != step_dt:
                 step_dt = dt
-                E, G = _half_step_factors(g, eps, dt)
+                half_step_factors(dt)
 
             # classical RK4 on E; each stage decodes its state with the
             # accumulated decay factor and encodes the nonlinear term back,
@@ -385,31 +435,27 @@ def evolve(
             dec *= E
             grow *= G
             load(dt / 2.0, k1)
-            k2 = rhs()
+            rhs(k2)
             load(dt / 2.0, k2)
-            k3 = rhs()
-            # the update needs only k2 + k3, so k3 is freed once stage 4 has
-            # its state
+            rhs(k3)
+            # the update needs only k2 + k3, so k3's array takes k4 once
+            # stage 4 has its state
             k2 += k3
             dec *= E
             grow *= G
             load(dt, k3)
-            del k3
-            k4 = rhs()
+            rhs(k3)
             # enc += dt/6 (k1 + 2 (k2 + k3) + k4), then the state after the step
             k2 *= 2.0
             k2 += k1
-            k2 += k4
+            k2 += k3
             k2 *= dt / 6.0
             enc += k2
-            del k1, k2, k4
             np.add(enc, base, out=s)
             s *= dec
 
             t = target if final_step else t + dt
-            energy = half_spectrum_l2(
-                (_velocity_component(g, s, mean, ax) for ax in range(g.d)), g
-            )
+            energy = half_spectrum_l2(velocity_components(), g)
             if not np.isfinite(energy):
                 raise NumericsError(f"non-finite state after step to t={t}")
             diag["t"].append(t)
@@ -417,17 +463,16 @@ def evolve(
             diag["energy"].append(energy)
             diag["max_speed"].append(speed)
         # one exact heat factor from t = 0 decodes E, the vorticity increment
-        increments.append(SpectralField(g, heat_factor(g, target, eps) * enc))
+        increments.append(SpectralField(g, _embed(g, np.exp(-target * eps * k_sq) * enc)))
 
-    diagnostics = {k: np.asarray(v) for k, v in diag.items()}
-    if diagnostics["energy"].size == 0:
-        diagnostics["energy"] = np.asarray([l2_norm_spectral(u0)])
+    # the work arrays are freed before Trajectory measures the sampled states
+    del work, base, enc, s, k1, k2, k3, E, G, dec, grow
     return Trajectory(
         times=tuple(targets),
         increments=tuple(increments),
         eps=eps,
         u0=u0,
-        diagnostics=diagnostics,
+        diagnostics={k: np.asarray(v) for k, v in diag.items()},
     )
 
 
@@ -461,14 +506,14 @@ def u2_duhamel(
     ``require_in_ball``, as for ``evolve``.
 
     The vorticity of the integrand, ``F(tau) = vorticity_rhs(exp(tau eps
-    Lap) w0)`` with ``w0 = curl u0``, is evaluated once per distinct node of
-    all the times (``threaded_map``); ``rhs0`` stands for ``F(0)`` when the
-    caller holds it, since ``heat_factor`` is exactly 1 at tau = 0.  Each
-    time's sum adds its terms ``w_i exp((t-tau_i) eps Lap) F(tau_i)`` in
-    ascending node order, as a loop over its own nodes would.  The sweep and
-    every refinement check run on the call; the returned iterator yields one
-    velocity field per time, the Biot-Savart image of its sum, built as it
-    advances.
+    Lap) w0)`` with ``w0 = curl u0``, is evaluated on the slab once per
+    distinct node of all the times (``threaded_map``, one ``RhsWork`` per
+    thread); ``rhs0``, a slab, stands for ``F(0)`` when the caller holds it,
+    since ``heat_factor`` is exactly 1 at tau = 0.  Each time's sum adds its
+    terms ``w_i exp((t-tau_i) eps Lap) F(tau_i)`` in ascending node order, as
+    a loop over its own nodes would.  The sweep and every refinement check
+    run on the call; the returned iterator yields one velocity field per
+    time, the Biot-Savart image of its sum, built as it advances.
     """
     g = u0.grid
     if nodes < 9 or nodes % 2 == 0:
@@ -487,17 +532,27 @@ def u2_duhamel(
     fine_w = [_simpson_weights(t, fine_nodes) for t in times]
     coarse_w = [_simpson_weights(t, nodes) for t in times]
     # vorticity_rhs zeroes every entry outside the ball, so the sums are kept
-    # on its box
+    # on its box; the box's columns are those of the slab
     box = g.box(g.dealias_keep)
     k_box = g.k_sq[box]
-    w0, mean = curl(u0).coeffs, u0.coeffs[:, 0, 0]
+    k_slab = g.k_sq[:, box[1]]
+    w0, mean = curl(u0).coeffs[:, box[1]], u0.coeffs[:, 0, 0]
+    # one RhsWork per thread of the sweep, dropped with it
+    local = threading.local()
 
     def terms(tau):
         # exp((t - tau) eps Lap) F(tau) on the box, for each time with node tau
         if tau == 0.0 and rhs0 is not None:
             f = rhs0[box]
         else:
-            f = vorticity_rhs(g, heat_factor(g, tau, eps) * w0, mean)[0][box]
+            if not hasattr(local, "work"):
+                local.work = RhsWork(g)
+            # the heat flow of the data, as heat_factor(g, tau, eps) * w0
+            # computes it on the slab
+            w = np.exp(-tau * eps * k_slab) * w0
+            f = np.empty_like(w)
+            vorticity_rhs(g, w, mean, local.work, f)
+            f = f[box]
         # the factor is heat_factor(g, t - tau, eps)[box], by the same arithmetic
         return {
             k: f * np.exp(-(times[k] - tau) * eps * k_box)
@@ -623,7 +678,9 @@ def first_order_remainders(
     u0 = traj0.u0
     _check_same_data(u0, traj_eps)
     times = tuple(times)
-    r0 = vorticity_rhs(u0.grid, curl(u0).coeffs, u0.coeffs[:, 0, 0])[0]
-    pa0 = -_velocity(u0.grid, r0)  # coefficients of P(u0 . grad u0)
+    g = u0.grid
+    r0 = np.empty(g.slab_shape, dtype=np.complex128)
+    vorticity_rhs(g, curl(u0).coeffs[:, : r0.shape[-1]], u0.coeffs[:, 0, 0], RhsWork(g), r0)
+    pa0 = -_velocity(g, _embed(g, r0))  # coefficients of P(u0 . grad u0)
     u2s = u2_duhamel(u0, times, traj_eps.eps, nodes, refine, rhs0=r0)
     return (FirstOrderRemainders(pa0, traj0, traj_eps, t, u2) for t, u2 in zip(times, u2s))

@@ -17,7 +17,9 @@ their own mirrors and weigh 1 (``half_spectrum_l2`` is the one place that sums
 this way; ``l2_norm_spectral`` and the Besov blocks call it).  The frequency
 arrays of ``Grid`` are the first ``N/2 + 1`` columns of the full-lattice
 arrays, so column N/2 carries the mode ``-N/2``.  Fields are treated as
-immutable values: every operation returns a new field.
+immutable values: every operation of the public API returns a new field.
+The slab transforms (``_inverse_slab``, ``_forward_slab``) are the exception:
+they write into arrays their callers own.
 
 One type, ``SpectralField``, holds scalar and vector fields alike.  A scalar's
 ``coeffs`` has shape ``Grid.spectral_shape``; a vector's has shape
@@ -34,6 +36,9 @@ comes from ``|m'| >= N - keep > 2 keep``, beyond the product's reach.
 ``solvers.evolve`` and ``solvers.u2_duhamel`` do: a non-finite coefficient
 raises NumericsError, and one outside the ball that is not exactly 0 raises
 ResolutionError with ``required_n = dealias_grid_size(largest nonzero |m_j|)``.
+Every column of the ball lies in the **slab**, columns ``0 .. keep`` of the
+stored half-spectrum over all N rows (``Grid.slab_shape``); the time stepper
+keeps its state there.
 
 Norms read spectral fields, and ``lp_norm`` takes the norm of a field: at p = 2
 by Parseval on the half-spectrum, sampling nothing, and at any other p from
@@ -147,6 +152,11 @@ class Grid:
         """Largest retained |m| under the 2/3 rule (modes |m_j| >= N/3 zeroed)."""
         return (self.N - 1) // 3
 
+    @property
+    def slab_shape(self) -> tuple:
+        """Shape of the ball's column slab: columns 0 .. keep, every row."""
+        return (self.N,) * (self.d - 1) + (self.dealias_keep + 1,)
+
     def box(self, M: int) -> tuple:
         """Index of the smallest half-spectrum box holding the modes |m_j| <= M:
         rows |m_0| <= M (FFT layout) by columns 0 .. min(M, N/2)."""
@@ -238,11 +248,12 @@ def _conj_mirror(full: np.ndarray) -> np.ndarray:
 # transforms
 
 
-# The array pair is the only route to the FFT backend, numpy's pocketfft.
-# Both transform one field over the d axes of the grid, named explicitly,
-# and scale the transform's output in place.  The forward transform writes
-# into its own output: numpy.fft transforms one axis at a time, and would
-# otherwise hold a second half-spectrum between the axes.
+# The two array pairs are the only route to the FFT backend, numpy's
+# pocketfft; every call transforms the axes it names, and each pair scales
+# its output in place.  ``_forward``/``_inverse`` transform one field over
+# the d axes of the grid and return a new array.  The forward transform
+# writes into its own output: numpy.fft transforms one axis at a time, and
+# would otherwise hold a second half-spectrum between the axes.
 
 
 def _forward(samples: np.ndarray, grid: Grid) -> np.ndarray:
@@ -255,6 +266,40 @@ def _forward(samples: np.ndarray, grid: Grid) -> np.ndarray:
 def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     out = _fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(grid.d)))
     out *= (grid.N / grid.L) ** grid.d
+    return out
+
+
+# The slab pair transforms a field whose spectrum lies in the 2/3 ball, one
+# pass per axis, into arrays its caller owns: the column pass (axis 0) runs
+# over the keep + 1 columns of the slab only, since every other column is
+# zero.  The values equal those of ``_inverse`` of the zero-padded
+# half-spectrum and, inside the ball, of ``_forward(...)[:, :keep+1]``,
+# bitwise: a column pass transforms each column on its own, and the row
+# pass of an inverse zero-pads a row to N/2 + 1 columns as irfftn does.
+
+
+def _inverse_slab(
+    slab: np.ndarray, grid: Grid, scratch: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Samples of the field of slab coefficients ``slab`` into ``out``; the
+    column pass goes through ``scratch`` (``Grid.slab_shape``, complex)."""
+    _fft.ifftn(slab, axes=(0,), out=scratch)
+    _fft.irfftn(scratch, s=(grid.N,), axes=(1,), out=out)
+    out *= (grid.N / grid.L) ** grid.d
+    return out
+
+
+def _forward_slab(
+    samples: np.ndarray, grid: Grid, rows: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Slab coefficients of ``samples`` into ``out`` (``Grid.slab_shape``),
+    with the rows outside the ball set to 0; the row pass fills ``rows``, an
+    array of ``Grid.spectral_shape``."""
+    keep = grid.dealias_keep
+    _fft.rfftn(samples, axes=(1,), out=rows)
+    _fft.fftn(rows[:, : keep + 1], axes=(0,), out=out)
+    out *= grid.dx**grid.d
+    out[keep + 1 : grid.N - keep] = 0.0
     return out
 
 

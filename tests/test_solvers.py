@@ -23,6 +23,7 @@ from invlab.experiments import DEFAULT_T_GRID
 from invlab.littlewood_paley import BesovParams, besov_norm
 from invlab.solvers import (
     REFINE_TOL,
+    RhsWork,
     Trajectory,
     evolve,
     EXPONENT_LIMIT,
@@ -51,6 +52,15 @@ from invlab.spectral import (
 )
 
 from conftest import ball_mask, spectral_of
+
+
+def full_rhs(g, w, mean):
+    """``vorticity_rhs`` of the slab of ``w``, a half-spectrum, embedded back
+    into a half-spectrum."""
+    cols = slice(0, g.dealias_keep + 1)
+    out = np.zeros(g.spectral_shape, dtype=np.complex128)
+    vorticity_rhs(g, w[:, cols], mean, RhsWork(g), out[:, cols])
+    return out
 
 
 def vf_rel_diff(a, b):
@@ -122,6 +132,13 @@ class TestEvolve:
         assert len(d["dt"]) == 64
         assert d["dt"] == pytest.approx(np.full(64, T / 64), rel=1e-12)
         assert set(times) <= set(d["t"])
+
+    def test_zero_step_diagnostics_are_aligned(self):
+        # only t = 0 sampled: no step, so every per-step column is empty
+        traj = evolve(taylor_green(Grid(2, 16, 1.0)), 0.0, [0.0])
+        d = traj.diagnostics
+        assert [len(d[k]) for k in ("t", "dt", "energy", "max_speed")] == [0, 0, 0, 0]
+        assert l2_norm_spectral(traj.increments[0]) == 0.0
 
     def test_zero_data_stays_zero(self):
         g = Grid(2, 32, 1.0)
@@ -297,41 +314,79 @@ class TestEvolve:
         assert min(orders) >= 3.5
 
 
+def recording_backend(monkeypatch):
+    """Route spectral._fft through wrappers; return the list of passes, one
+    ``(kind, axis, input shape, out)`` per transformed axis."""
+    import invlab.spectral as spectral
+
+    backend = spectral._fft
+    passes = []
+
+    def recorded(kind, fn):
+        def call(a, *args, axes, out=None, **kwargs):
+            for ax in axes:
+                passes.append((kind, ax, np.shape(a), out))
+            return fn(a, *args, axes=axes, out=out, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(
+        spectral,
+        "_fft",
+        types.SimpleNamespace(
+            fftn=recorded("forward", backend.fftn),
+            rfftn=recorded("forward", backend.rfftn),
+            ifftn=recorded("inverse", backend.ifftn),
+            irfftn=recorded("inverse", backend.irfftn),
+        ),
+    )
+    return passes
+
+
 class TestTransformCount:
     @pytest.mark.parametrize("eps", [0.0, 0.02], ids=["ideal", "viscous"])
     def test_transforms_per_evolution_and_step(self, monkeypatch, eps):
         # 2 inverse transforms for the initial speed guard; per RK4 step 4
         # vorticity right-hand sides, each 3 inverse (u1, u2, w) and 2
         # forward (u1 w, u2 w), and stage 1's u1, u2 also give the CFL speed:
-        # 4 * 2 = 8 forward and 4 * 3 = 12 inverse per step
-        import invlab.spectral as spectral
-
+        # 4 * 2 = 8 forward and 4 * 3 = 12 inverse per step.  Each transform
+        # is a row pass and a column pass, the column pass over the keep + 1
+        # columns of the 2/3 ball only.
         g = Grid(2, 32, 1.0)
         w = taylor_green_two_mode(g)
-        counts = {"forward": 0, "inverse": 0}
-        backend = spectral._fft
-
-        def counted(kind, fn):
-            def call(*args, **kwargs):
-                counts[kind] += 1
-                return fn(*args, **kwargs)
-
-            return call
-
-        monkeypatch.setattr(
-            spectral,
-            "_fft",
-            types.SimpleNamespace(
-                fftn=counted("forward", backend.fftn),
-                rfftn=counted("forward", backend.rfftn),
-                ifftn=counted("inverse", backend.ifftn),
-                irfftn=counted("inverse", backend.irfftn),
-            ),
-        )
+        passes = recording_backend(monkeypatch)
         traj = evolve(w, eps, [0.05, 0.1])
         steps = len(traj.diagnostics["dt"])
         assert steps == 64
-        assert counts == {"forward": 8 * steps, "inverse": 2 + 12 * steps}
+        counts = {
+            (kind, ax): sum(1 for p in passes if p[:2] == (kind, ax))
+            for kind in ("forward", "inverse")
+            for ax in (0, 1)
+        }
+        assert counts == {
+            ("forward", 0): 8 * steps,
+            ("forward", 1): 8 * steps,
+            ("inverse", 0): 2 + 12 * steps,
+            ("inverse", 1): 2 + 12 * steps,
+        }
+        assert {p[2] for p in passes if p[1] == 0} == {(g.N, g.dealias_keep + 1)}
+
+    def test_stage_reuses_its_arrays(self, monkeypatch):
+        # every pass writes into an array it is handed: the three sample
+        # arrays, the column scratch and the row buffer of the right-hand
+        # side, and the stage arrays k1, k2, k3 (k4 reuses k3's), the same
+        # arrays after 8 steps as after 64
+        g = Grid(2, 32, 1.0)
+        w = taylor_green_two_mode(g)
+        passes = recording_backend(monkeypatch)
+        traj = evolve(w, 0.0, [0.1])
+        assert len(traj.diagnostics["dt"]) == 64
+        assert all(p[3] is not None for p in passes)
+        written = [p[3].__array_interface__["data"][0] for p in passes]
+        per_step = 2 * (8 + 12)
+        assert len(written) == 4 + 64 * per_step
+        assert set(written[: 4 + 8 * per_step]) == set(written)
+        assert len(set(written)) <= 8
 
 
 class TestVorticityRhs:
@@ -362,14 +417,21 @@ class TestVorticityRhs:
         for a, e in zip(expected, adv):
             a[0, 0] = e[0, 0]
 
+        # the right-hand side of the slab, columns 0 .. keep, into an array
+        # of the caller
         u = SpectralField(grid, np.stack([c[..., :h] for c in u_full]))
-        r, samples = vorticity_rhs(grid, curl(u).coeffs, u.coeffs[:, 0, 0])
+        K = grid.dealias_keep + 1
+        r = np.zeros(grid.spectral_shape, dtype=np.complex128)
+        work = RhsWork(grid)
+        samples = vorticity_rhs(grid, curl(u).coeffs[:, :K], u.coeffs[:, 0, 0], work, r[:, :K])
         scale = max(np.max(np.abs(e)) for e in expected)
         for b, e in zip(grid.biot_savart, expected):
             assert np.max(np.abs(-b * r - e[..., :h])) <= 1e-13 * scale
         for a, e in zip(samples, u_phys):
             assert np.max(np.abs(a - e)) <= 1e-13 * np.max(np.abs(e))
         assert not np.any(r[~ball_mask(grid)])
+        # the samples are the work object's arrays
+        assert all(any(a is p for p in work.phys) for a in samples)
 
 
 class TestTrajectory:
@@ -564,14 +626,14 @@ class TestFirstOrderApproximants:
         calls = []
         take = threading.Lock()
 
-        def poisoned(*args):
-            r, samples = vorticity_rhs(*args)
+        def poisoned(g, w, mean, work, out):
+            samples = vorticity_rhs(g, w, mean, work, out)
             with take:
                 calls.append(None)
                 n = len(calls)
             if n == 2:
-                r[1, 1] = np.nan
-            return r, samples
+                out[1, 1] = np.nan
+            return samples
 
         monkeypatch.setattr(solvers, "vorticity_rhs", poisoned)
         with pytest.raises(NumericsError, match="non-finite"):
@@ -599,7 +661,7 @@ def u2_reference(u0, t, eps, nodes=17, refine=False):
     acc = np.zeros(g.spectral_shape, dtype=np.complex128)
     coarse = np.zeros_like(acc)
     for i, (wi, tau) in enumerate(zip(w, np.linspace(0.0, t, fine_nodes))):
-        term = vorticity_rhs(g, heat_factor(g, tau, eps) * w0, mean)[0]
+        term = full_rhs(g, heat_factor(g, tau, eps) * w0, mean)
         term *= heat_factor(g, t - tau, eps)
         acc += wi * term
         if refine and i % 2 == 0:
@@ -695,10 +757,11 @@ class TestDuhamelSweep:
         # handed in, it saves one evaluation and changes no field
         u0, eps = ball_datum, 2.0**-6
         g, w0, mean = u0.grid, curl(u0).coeffs, u0.coeffs[:, 0, 0]
-        r0 = vorticity_rhs(g, w0, mean)[0]
-        assert np.array_equal(vorticity_rhs(g, heat_factor(g, 0.0, eps) * w0, mean)[0], r0)
+        r0 = full_rhs(g, w0, mean)
+        assert np.array_equal(full_rhs(g, heat_factor(g, 0.0, eps) * w0, mean), r0)
         calls = counting_rhs(monkeypatch)
-        out = list(u2_duhamel(u0, DEFAULT_T_GRID, eps, refine=True, rhs0=r0))
+        rhs0 = r0[:, : g.dealias_keep + 1]
+        out = list(u2_duhamel(u0, DEFAULT_T_GRID, eps, refine=True, rhs0=rhs0))
         assert len(calls) == 119
         for a, b in zip(out, sweep_references[(True, eps)]):
             assert np.array_equal(a.coeffs, b.coeffs)
@@ -841,7 +904,7 @@ class TestExpansionResiduals:
         g = u0.grid
         (rem,) = first_order_remainders(traj0, traj_eps, [t])
         (u2,) = u2_duhamel(u0, [t], eps)
-        pa0 = -_velocity(g, vorticity_rhs(g, curl(u0).coeffs, u0.coeffs[:, 0, 0])[0])
+        pa0 = -_velocity(g, full_rhs(g, curl(u0).coeffs, u0.coeffs[:, 0, 0]))
         lin = heat_integral_factor(g, t, eps)
         expected = {
             "euler": traj0.increment_at(t).coeffs + t * pa0,

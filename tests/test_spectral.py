@@ -16,7 +16,9 @@ from invlab.spectral import (
     Grid,
     SpectralField,
     _forward,
+    _forward_slab,
     _inverse,
+    _inverse_slab,
     advect,
     apply_multiplier,
     curl,
@@ -145,6 +147,33 @@ class TestTransforms:
         f = random_real_field(grid, rng)
         back = _inverse(_forward(f, grid), grid)
         assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
+
+    @pytest.mark.parametrize("N", [16, 64, 512])
+    def test_slab_pair_equals_the_full_pair_bitwise(self, N, rng):
+        # random coefficients filling the 2/3 ball, rows +/-keep and column
+        # keep included, and random samples: the slab pair gives the values
+        # of _inverse of the zero-padded half-spectrum and of _forward's
+        # ball, bit for bit, in the arrays it is handed
+        g = Grid(2, N, 1.5)
+        keep, K = g.dealias_keep, g.dealias_keep + 1
+        inside = ball_mask(g)
+        c = rng.standard_normal(inside.shape) + 1j * rng.standard_normal(inside.shape)
+        c = np.where(inside, c, 0.0)
+        assert np.all(c[[keep, -keep], keep] != 0.0)
+        scratch = np.empty(g.slab_shape, dtype=np.complex128)
+        samples = np.empty(g.shape)
+        back = _inverse_slab(c[:, :K], g, scratch, samples)
+        assert back is samples
+        assert np.array_equal(samples, _inverse(c, g))
+
+        f = rng.standard_normal(g.shape)
+        rows = np.empty(g.spectral_shape, dtype=np.complex128)
+        out = np.full(g.slab_shape, np.nan + 0j)
+        assert _forward_slab(f, g, rows, out) is out
+        full = _forward(f, g)
+        assert np.array_equal(out[inside[:, :K]], full[:, :K][inside[:, :K]])
+        assert not np.any(out[~inside[:, :K]])
+        assert g.slab_shape == (N, K)
 
     def test_parseval(self, grid, rng):
         f = random_real_field(grid, rng)

@@ -107,3 +107,30 @@ def test_each_transform_records_one_span():
     assert forward == ["spectral.fft_forward"]
     assert inverse == ["spectral.fft_inverse"]
     assert np.allclose(back, samples, rtol=0, atol=1e-14)
+
+
+def test_each_slab_pass_records_one_span():
+    # the slab pair calls numpy.fft once per axis: a row pass and a column
+    # pass per transform, each one span
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    g = spectral.Grid(2, 16, 1.0)
+    K = g.dealias_keep + 1
+    samples = np.cos(g.x_1d)[:, None] * np.sin(2.0 * g.x_1d)[None, :]
+    coeffs = np.empty(g.slab_shape, dtype=np.complex128)
+    back = np.empty(g.shape)
+    rows = np.empty(g.spectral_shape, dtype=np.complex128)
+    uninstall = tracer.install(t)
+    try:
+        spectral._forward_slab(samples, g, rows, coeffs)
+        forward = [span[0] for span in t.spans]
+        spectral._inverse_slab(coeffs, g, np.empty_like(coeffs), back)
+        inverse = [span[0] for span in t.spans[len(forward):]]
+    finally:
+        uninstall()
+    assert forward == ["spectral.fft_forward"] * 2
+    assert inverse == ["spectral.fft_inverse"] * 2
+    full = spectral._forward(samples, g)
+    spectral.zero_outside_ball(full, g)
+    assert np.array_equal(coeffs, full[:, :K])
+    assert np.allclose(back, samples, rtol=0, atol=1e-14)
