@@ -11,11 +11,14 @@ ball are alias-free (``spectral`` module docstring).  The mean ``u(0)`` is
 constant and carried on its own.  ``vorticity_rhs`` takes 3 inverse and 2
 forward transforms and no Leray projection (velocity form: 6, 2 and a
 projection).  It works on the slab of the 2/3 ball (``Grid.slab_shape``):
-each transform is a column pass over the keep + 1 columns of the slab and a
-row pass (``spectral._inverse_slab``, ``spectral._forward_slab``), and every
-array it writes is handed in, its result and an ``RhsWork``.  The work
-arrays are allocated once per evolution and once per thread of a Duhamel
-sweep; the velocity samples it returns are overwritten by the next call.
+it hands the slab to the one transform pair (``spectral._inverse``,
+``spectral._forward``), whose column pass then covers the keep + 1 columns
+of the slab only, and truncates each product to the ball
+(``spectral.zero_outside_ball``).  Every array it writes is handed in, its
+result and an ``RhsWork``.  The work arrays are allocated once per
+evolution and once per thread of a Duhamel sweep; the velocity samples it
+returns are overwritten by the next call.  A slab or a box of the ball goes
+back into a half-spectrum through ``spectral._embed``.
 
 ``evolve`` keeps the increment ``delta(t) = u(t) - exp(t eps Lap) u0`` over
 the exact heat flow of the data, so a gap between two solutions of one
@@ -69,14 +72,16 @@ from .spectral import (
     Grid,
     SpectralField,
     _check_heat_arguments,
-    _forward_slab,
-    _inverse_slab,
+    _embed,
+    _forward,
+    _inverse,
     curl,
     divergence_defect,
     half_spectrum_l2,
     heat_factor,
     heat_integral_factor,
     require_in_ball,
+    zero_outside_ball,
 )
 
 
@@ -253,13 +258,6 @@ def _velocity(grid: Grid, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _embed(grid: Grid, slab: np.ndarray) -> np.ndarray:
-    """The half-spectrum holding ``slab`` in its leading columns, 0 elsewhere."""
-    out = np.zeros(grid.spectral_shape, dtype=np.complex128)
-    out[:, : slab.shape[-1]] = slab
-    return out
-
-
 def _velocity_slab(grid: Grid, w: np.ndarray, mean, ax: int, out: np.ndarray) -> np.ndarray:
     """Component ``ax`` of the velocity of slab vorticity ``w`` with mean
     ``mean``, into ``out``."""
@@ -294,12 +292,14 @@ def vorticity_rhs(
     """
     w_phys, u1, u2 = work.phys
     vel = work.rows[:, : w.shape[-1]]  # free between the transforms
-    _inverse_slab(w, grid, work.scratch, w_phys)
-    _inverse_slab(_velocity_slab(grid, w, mean, 0, vel), grid, work.scratch, u1)
-    _forward_slab(np.multiply(u1, w_phys, out=u2), grid, work.rows, out)
+    _inverse(w, grid, w_phys, work.scratch)
+    _inverse(_velocity_slab(grid, w, mean, 0, vel), grid, u1, work.scratch)
+    _forward(np.multiply(u1, w_phys, out=u2), grid, out, work.rows)
+    zero_outside_ball(out, grid)
     out *= -1j * grid.freq_axis(0)
-    _inverse_slab(_velocity_slab(grid, w, mean, 1, vel), grid, work.scratch, u2)
-    f = _forward_slab(np.multiply(u2, w_phys, out=w_phys), grid, work.rows, work.scratch)
+    _inverse(_velocity_slab(grid, w, mean, 1, vel), grid, u2, work.scratch)
+    f = _forward(np.multiply(u2, w_phys, out=w_phys), grid, work.scratch, work.rows)
+    zero_outside_ball(f, grid)
     f *= 1j * grid.freq_axis(1)[:, : w.shape[-1]]
     out -= f
     return u1, u2
@@ -361,7 +361,7 @@ def evolve(
     increments = []
     diag = {k: [] for k in ("t", "dt", "energy", "max_speed")}
     speed0 = _max_speed(
-        *(_inverse_slab(c[:, cols], g, work.scratch, p) for c, p in zip(u0.coeffs, work.phys))
+        *(_inverse(c[:, cols], g, p, work.scratch) for c, p in zip(u0.coeffs, work.phys))
     )
     guard = BLOWUP_FACTOR * max(speed0, 1e-300)
     # a new step size recomputes the half-step factors (the final step
@@ -463,7 +463,8 @@ def evolve(
             diag["energy"].append(energy)
             diag["max_speed"].append(speed)
         # one exact heat factor from t = 0 decodes E, the vorticity increment
-        increments.append(SpectralField(g, _embed(g, np.exp(-target * eps * k_sq) * enc)))
+        inc = _embed(np.exp(-target * eps * k_sq) * enc, g, (slice(None), cols))
+        increments.append(SpectralField(g, inc))
 
     # the work arrays are freed before Trajectory measures the sampled states
     del work, base, enc, s, k1, k2, k3, E, G, dec, grow
@@ -585,14 +586,7 @@ def u2_duhamel(
                     f"(tolerance {REFINE_TOL})"
                 )
     fine.reverse()
-    return (_box_velocity(g, box, fine.pop()) for _ in times)
-
-
-def _box_velocity(grid: Grid, box: tuple, w_box: np.ndarray) -> SpectralField:
-    """The velocity of zero mean whose vorticity is ``w_box`` on ``box``, 0 elsewhere."""
-    w = np.zeros(grid.spectral_shape, dtype=np.complex128)
-    w[box] = w_box
-    return SpectralField(grid, _velocity(grid, w))
+    return (SpectralField(g, _velocity(g, _embed(fine.pop(), g, box))) for _ in times)
 
 
 def _check_same_data(u0: SpectralField, traj: Trajectory) -> None:
@@ -679,8 +673,9 @@ def first_order_remainders(
     _check_same_data(u0, traj_eps)
     times = tuple(times)
     g = u0.grid
+    slab = (slice(None), slice(0, g.dealias_keep + 1))
     r0 = np.empty(g.slab_shape, dtype=np.complex128)
-    vorticity_rhs(g, curl(u0).coeffs[:, : r0.shape[-1]], u0.coeffs[:, 0, 0], RhsWork(g), r0)
-    pa0 = -_velocity(g, _embed(g, r0))  # coefficients of P(u0 . grad u0)
+    vorticity_rhs(g, curl(u0).coeffs[slab], u0.coeffs[:, 0, 0], RhsWork(g), r0)
+    pa0 = -_velocity(g, _embed(r0, g, slab))  # coefficients of P(u0 . grad u0)
     u2s = u2_duhamel(u0, times, traj_eps.eps, nodes, refine, rhs0=r0)
     return (FirstOrderRemainders(pa0, traj0, traj_eps, t, u2) for t, u2 in zip(times, u2s))

@@ -18,8 +18,6 @@ this way; ``l2_norm_spectral`` and the Besov blocks call it).  The frequency
 arrays of ``Grid`` are the first ``N/2 + 1`` columns of the full-lattice
 arrays, so column N/2 carries the mode ``-N/2``.  Fields are treated as
 immutable values: every operation of the public API returns a new field.
-The slab transforms (``_inverse_slab``, ``_forward_slab``) are the exception:
-they write into arrays their callers own.
 
 One type, ``SpectralField``, holds scalar and vector fields alike.  A scalar's
 ``coeffs`` has shape ``Grid.spectral_shape``; a vector's has shape
@@ -37,8 +35,12 @@ comes from ``|m'| >= N - keep > 2 keep``, beyond the product's reach.
 raises NumericsError, and one outside the ball that is not exactly 0 raises
 ResolutionError with ``required_n = dealias_grid_size(largest nonzero |m_j|)``.
 Every column of the ball lies in the **slab**, columns ``0 .. keep`` of the
-stored half-spectrum over all N rows (``Grid.slab_shape``); the time stepper
-keeps its state there.
+stored half-spectrum over all N rows (``Grid.slab_shape``).  The one
+transform pair, ``_forward`` and ``_inverse``, takes the leading columns it
+is given, so ball data (``advect``, the time stepper's state) are
+transformed on the slab; ``zero_outside_ball`` works on a slab as on a
+half-spectrum, and ``_embed`` puts a slab or a box back into a
+half-spectrum.
 
 Norms read spectral fields, and ``lp_norm`` takes the norm of a field: at p = 2
 by Parseval on the half-spectrum, sampling nothing, and at any other p from
@@ -248,58 +250,44 @@ def _conj_mirror(full: np.ndarray) -> np.ndarray:
 # transforms
 
 
-# The two array pairs are the only route to the FFT backend, numpy's
-# pocketfft; every call transforms the axes it names, and each pair scales
-# its output in place.  ``_forward``/``_inverse`` transform one field over
-# the d axes of the grid and return a new array.  The forward transform
-# writes into its own output: numpy.fft transforms one axis at a time, and
-# would otherwise hold a second half-spectrum between the axes.
+# The one transform pair is the only route to the FFT backend, numpy's
+# pocketfft.  Each transform is two passes through the module-level ``_fft``,
+# as numpy's rfftn and irfftn make them: a row pass (axis 1, real to half
+# spectrum) and a column pass (axis 0), each transforming every column on its
+# own.  The column pass covers the leading columns its caller hands over, the
+# whole half-spectrum or the ball's slab (``Grid.slab_shape``); the row pass
+# of an inverse zero-pads each row to N/2 + 1 columns as irfftn does, so
+# either way the values are those of rfftn and irfftn, bitwise.  Both scale
+# in place, and write into ``out`` (and ``rows``, ``scratch``) when handed.
 
 
-def _forward(samples: np.ndarray, grid: Grid) -> np.ndarray:
-    out = np.empty(grid.spectral_shape, dtype=np.complex128)
-    _fft.rfftn(samples, axes=tuple(range(grid.d)), out=out)
+def _forward(samples: np.ndarray, grid: Grid, out=None, rows=None) -> np.ndarray:
+    """Coefficients of ``samples`` in the leading ``out.shape[-1]`` columns,
+    into ``out``; the row pass fills ``rows`` (``Grid.spectral_shape``).
+    Without ``out``, all N/2 + 1 columns, in place in ``rows``."""
+    rows = _fft.rfftn(samples, axes=(1,), out=rows)
+    if out is None:
+        out = rows
+    _fft.fftn(rows[:, : out.shape[-1]], axes=(0,), out=out)
     out *= grid.dx**grid.d
     return out
 
 
-def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    out = _fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(grid.d)))
+def _inverse(coeffs: np.ndarray, grid: Grid, out=None, scratch=None) -> np.ndarray:
+    """Samples of the field whose half-spectrum holds ``coeffs`` in its
+    leading columns and 0 in the rest, into ``out``; the column pass goes
+    through ``scratch`` (the shape of ``coeffs``)."""
+    cols = _fft.ifftn(coeffs, axes=(0,), out=scratch)
+    out = _fft.irfftn(cols, s=(grid.N,), axes=(1,), out=out)
     out *= (grid.N / grid.L) ** grid.d
     return out
 
 
-# The slab pair transforms a field whose spectrum lies in the 2/3 ball, one
-# pass per axis, into arrays its caller owns: the column pass (axis 0) runs
-# over the keep + 1 columns of the slab only, since every other column is
-# zero.  The values equal those of ``_inverse`` of the zero-padded
-# half-spectrum and, inside the ball, of ``_forward(...)[:, :keep+1]``,
-# bitwise: a column pass transforms each column on its own, and the row
-# pass of an inverse zero-pads a row to N/2 + 1 columns as irfftn does.
-
-
-def _inverse_slab(
-    slab: np.ndarray, grid: Grid, scratch: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Samples of the field of slab coefficients ``slab`` into ``out``; the
-    column pass goes through ``scratch`` (``Grid.slab_shape``, complex)."""
-    _fft.ifftn(slab, axes=(0,), out=scratch)
-    _fft.irfftn(scratch, s=(grid.N,), axes=(1,), out=out)
-    out *= (grid.N / grid.L) ** grid.d
-    return out
-
-
-def _forward_slab(
-    samples: np.ndarray, grid: Grid, rows: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Slab coefficients of ``samples`` into ``out`` (``Grid.slab_shape``),
-    with the rows outside the ball set to 0; the row pass fills ``rows``, an
-    array of ``Grid.spectral_shape``."""
-    keep = grid.dealias_keep
-    _fft.rfftn(samples, axes=(1,), out=rows)
-    _fft.fftn(rows[:, : keep + 1], axes=(0,), out=out)
-    out *= grid.dx**grid.d
-    out[keep + 1 : grid.N - keep] = 0.0
+def _embed(values: np.ndarray, grid: Grid, index: tuple) -> np.ndarray:
+    """The half-spectrum, or stack of them, holding ``values`` at ``index``
+    of its last two axes and 0 elsewhere."""
+    out = np.zeros(values.shape[: -grid.d] + grid.spectral_shape, dtype=np.complex128)
+    out[(...,) + index] = values
     return out
 
 
@@ -408,10 +396,12 @@ def advect(u: SpectralField, v: SpectralField) -> SpectralField:
 
     Both inputs are admitted by ``require_in_ball`` and the product is
     truncated back to the ball, which makes it alias-free (module
-    docstring).  The time stepper and the Duhamel integrand use the
-    vorticity form (``solvers.vorticity_rhs``); this velocity form serves the
-    checks of ``run_validation_suite`` and the measurements of
-    ``run_nonlinear_drift``.
+    docstring).  Every entry of the inputs and of the result outside the
+    slab is 0, so each transform covers the slab's keep + 1 columns only,
+    and the result is the slab embedded in a half-spectrum.  The time
+    stepper and the Duhamel integrand use the vorticity form
+    (``solvers.vorticity_rhs``); this velocity form serves the checks of
+    ``run_validation_suite`` and the measurements of ``run_nonlinear_drift``.
     """
     if u.grid != v.grid:
         raise ConfigError("advect requires fields on the same grid")
@@ -419,15 +409,16 @@ def advect(u: SpectralField, v: SpectralField) -> SpectralField:
     require_in_ball(u)
     require_in_ball(v)
     # one component at a time: no stacked temporaries on the N = 2048 grids
-    u_phys = [_inverse(c, g) for c in u.coeffs]
-    out = np.empty_like(v.coeffs)
+    slab = (slice(None), slice(0, g.dealias_keep + 1))
+    u_phys = [_inverse(c[slab], g) for c in u.coeffs]
+    out = np.empty((g.d,) + g.slab_shape, dtype=np.complex128)
     for i in range(g.d):
         acc = np.zeros(g.shape)
         for j in range(g.d):
-            acc += u_phys[j] * _inverse((1j * g.freq_axis(j)) * v.coeffs[i], g)
-        out[i] = _forward(acc, g)
+            acc += u_phys[j] * _inverse((1j * g.freq_axis(j)[slab]) * v.coeffs[i][slab], g)
+        _forward(acc, g, out=out[i])
     zero_outside_ball(out, g)
-    return SpectralField(g, out)
+    return SpectralField(g, _embed(out, g, slab))
 
 
 # ---------------------------------------------------------------------------
@@ -463,13 +454,13 @@ def _oversampled_max(F: SpectralField) -> float:
     rows = np.concatenate([np.arange(half), np.arange(-half, 0)])
 
     def refined(c):
-        big = np.zeros(fine.spectral_shape, dtype=np.complex128)
-        big[np.ix_(*([rows] * (grid.d - 1)), np.arange(half + 1))] = c
-        for ax in range(grid.d - 1):
-            plane = np.moveaxis(big, ax, 0)  # a view: writes land in big
-            plane[-half] *= 0.5
-            plane[half] = plane[-half]
-        big[..., half] *= 0.5  # its mirror at column -N/2 supplies the other half
+        # the fine half-spectrum's columns beyond N/2 are 0: only the first
+        # N/2 + 1 are handed to the transform
+        big = np.zeros((fine.N, half + 1), dtype=np.complex128)
+        big[rows] = c
+        big[-half] *= 0.5
+        big[half] = big[-half]
+        big[:, half] *= 0.5  # its mirror at column -N/2 supplies the other half
         return _inverse(big, fine)
 
     return float(_magnitude(F, refined).max())

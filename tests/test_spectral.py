@@ -16,9 +16,7 @@ from invlab.spectral import (
     Grid,
     SpectralField,
     _forward,
-    _forward_slab,
     _inverse,
-    _inverse_slab,
     advect,
     apply_multiplier,
     curl,
@@ -148,31 +146,33 @@ class TestTransforms:
         back = _inverse(_forward(f, grid), grid)
         assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
 
-    @pytest.mark.parametrize("N", [16, 64, 512])
-    def test_slab_pair_equals_the_full_pair_bitwise(self, N, rng):
+    @pytest.mark.parametrize("N", [16, 64, 512, 2048])
+    def test_pair_on_leading_columns_equals_the_full_call_bitwise(self, N, rng):
         # random coefficients filling the 2/3 ball, rows +/-keep and column
-        # keep included, and random samples: the slab pair gives the values
-        # of _inverse of the zero-padded half-spectrum and of _forward's
-        # ball, bit for bit, in the arrays it is handed
+        # keep included, and random samples: on all N/2 + 1 columns the pair
+        # is numpy's irfftn and rfftn, scaled, and handed the leading keep + 1
+        # columns it gives the same values, bit for bit, in the arrays it is
+        # handed
         g = Grid(2, N, 1.5)
         keep, K = g.dealias_keep, g.dealias_keep + 1
         inside = ball_mask(g)
         c = rng.standard_normal(inside.shape) + 1j * rng.standard_normal(inside.shape)
         c = np.where(inside, c, 0.0)
         assert np.all(c[[keep, -keep], keep] != 0.0)
+        full = _inverse(c, g)
+        assert np.array_equal(full, np.fft.irfftn(c, s=g.shape, axes=(0, 1)) * (N / g.L) ** 2)
         scratch = np.empty(g.slab_shape, dtype=np.complex128)
         samples = np.empty(g.shape)
-        back = _inverse_slab(c[:, :K], g, scratch, samples)
-        assert back is samples
-        assert np.array_equal(samples, _inverse(c, g))
+        assert _inverse(c[:, :K], g, samples, scratch) is samples
+        assert np.array_equal(samples, full)
 
         f = rng.standard_normal(g.shape)
+        full = _forward(f, g)
+        assert np.array_equal(full, np.fft.rfftn(f) * g.dx**2)
         rows = np.empty(g.spectral_shape, dtype=np.complex128)
         out = np.full(g.slab_shape, np.nan + 0j)
-        assert _forward_slab(f, g, rows, out) is out
-        full = _forward(f, g)
-        assert np.array_equal(out[inside[:, :K]], full[:, :K][inside[:, :K]])
-        assert not np.any(out[~inside[:, :K]])
+        assert _forward(f, g, out, rows) is out
+        assert np.array_equal(out, full[:, :K])
         assert g.slab_shape == (N, K)
 
     def test_parseval(self, grid, rng):
@@ -375,6 +375,52 @@ class TestAdvection:
         for a, e in zip(adv.coeffs, expected):
             assert np.max(np.abs(a - e[..., :h])) <= 1e-13 * np.max(np.abs(e))
 
+    @pytest.mark.parametrize("N", [64, 512])
+    def test_column_passes_cover_the_slab_and_match_numpy_bitwise(self, monkeypatch, N, rng):
+        # every column pass of advect runs on the keep + 1 columns of the
+        # slab; the result is, bit for bit, the product taken with numpy's
+        # transforms on the whole half-spectrum and truncated to the ball
+        import invlab.spectral as spectral
+
+        g = Grid(2, N, 1.5)
+        u = random_vector_field(g, rng, band=g.dealias_keep)
+        v = random_vector_field(g, rng, band=g.dealias_keep)
+        to_coeffs, to_samples = g.dx**2, (N / g.L) ** 2
+        u_phys = [np.fft.irfftn(c, s=g.shape, axes=(0, 1)) * to_samples for c in u.coeffs]
+        expected = np.empty_like(v.coeffs)
+        for i in range(2):
+            acc = np.zeros(g.shape)
+            for j in range(2):
+                deriv = (1j * g.freq_axis(j)) * v.coeffs[i]
+                acc += u_phys[j] * (np.fft.irfftn(deriv, s=g.shape, axes=(0, 1)) * to_samples)
+            expected[i] = np.fft.rfftn(acc) * to_coeffs
+        expected = np.where(ball_mask(g), expected, 0.0)
+
+        backend = spectral._fft
+        columns = []
+
+        def column_pass(fn):
+            def call(a, *args, **kwargs):
+                columns.append(np.shape(a))
+                return fn(a, *args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(
+            spectral,
+            "_fft",
+            types.SimpleNamespace(
+                fftn=column_pass(backend.fftn),
+                rfftn=backend.rfftn,
+                ifftn=column_pass(backend.ifftn),
+                irfftn=backend.irfftn,
+            ),
+        )
+        adv = advect(u, v)
+        assert len(columns) == 2 + 2 * 2 + 2
+        assert set(columns) == {g.slab_shape}
+        assert np.array_equal(adv.coeffs, expected)
+
     def test_grid_mismatch_rejected(self, grid, rng):
         other = Grid(2, 64, 1.5)
         u = random_vector_field(grid, rng, band=5)
@@ -447,8 +493,9 @@ class TestLpNorms:
         self, monkeypatch, grid, rng, p
     ):
         # p = 2 is a sum over the coefficients and transforms nothing; other
-        # finite p sample each component once, and the sup norm pads the
-        # coefficients and samples them on the 4x finer lattice; no path
+        # finite p sample each component once, a column pass and a row pass,
+        # and the sup norm pads the coefficients to the N/2 + 1 leading
+        # columns of the 4x finer lattice and samples them there; no path
         # transforms samples back to coefficients
         import invlab.spectral as spectral
 
@@ -476,7 +523,8 @@ class TestLpNorms:
         )
         lp_norm(V, p)
         N = grid.N * (spectral.OVERSAMPLING if np.isinf(p) else 1)
-        assert calls == ([] if p == 2 else [("inverse", (N, N))] * grid.d)
+        per_component = [("inverse", (N, grid.N // 2 + 1)), ("inverse", (N, N))]
+        assert calls == ([] if p == 2 else per_component * grid.d)
 
 
 class TestTranslate:

@@ -89,48 +89,28 @@ def test_install_wraps_every_traced_name_and_uninstall_restores_all():
     assert calls["spectral.l2_norm_spectral"] == 2 * (1 + samples)
 
 
-def test_each_transform_records_one_span():
+def test_each_transform_records_a_row_and_a_column_span():
     # the proxy of spectral._fft sees numpy.fft's n-dimensional entry
-    # points: one call of _forward or _inverse is one transform span
-    tracer = load_tracer()
-    t = tracer.Tracer()
-    g = spectral.Grid(2, 16, 1.0)
-    samples = np.cos(g.x_1d)[:, None] * np.sin(2.0 * g.x_1d)[None, :]
-    uninstall = tracer.install(t)
-    try:
-        coeffs = spectral._forward(samples, g)
-        forward = [span[0] for span in t.spans]
-        back = spectral._inverse(coeffs, g)
-        inverse = [span[0] for span in t.spans[len(forward):]]
-    finally:
-        uninstall()
-    assert forward == ["spectral.fft_forward"]
-    assert inverse == ["spectral.fft_inverse"]
-    assert np.allclose(back, samples, rtol=0, atol=1e-14)
-
-
-def test_each_slab_pass_records_one_span():
-    # the slab pair calls numpy.fft once per axis: a row pass and a column
-    # pass per transform, each one span
+    # points, and a transform calls one per axis: a row pass and a column
+    # pass, each one span, whether it covers the whole half-spectrum or the
+    # leading keep + 1 columns of the slab
     tracer = load_tracer()
     t = tracer.Tracer()
     g = spectral.Grid(2, 16, 1.0)
     K = g.dealias_keep + 1
     samples = np.cos(g.x_1d)[:, None] * np.sin(2.0 * g.x_1d)[None, :]
-    coeffs = np.empty(g.slab_shape, dtype=np.complex128)
-    back = np.empty(g.shape)
+    slab = np.empty(g.slab_shape, dtype=np.complex128)
     rows = np.empty(g.spectral_shape, dtype=np.complex128)
     uninstall = tracer.install(t)
     try:
-        spectral._forward_slab(samples, g, rows, coeffs)
-        forward = [span[0] for span in t.spans]
-        spectral._inverse_slab(coeffs, g, np.empty_like(coeffs), back)
-        inverse = [span[0] for span in t.spans[len(forward):]]
+        coeffs = spectral._forward(samples, g)
+        back = spectral._inverse(coeffs, g)
+        spectral._forward(samples, g, slab, rows)
+        slab_back = spectral._inverse(slab, g, np.empty(g.shape), np.empty_like(slab))
     finally:
         uninstall()
-    assert forward == ["spectral.fft_forward"] * 2
-    assert inverse == ["spectral.fft_inverse"] * 2
-    full = spectral._forward(samples, g)
-    spectral.zero_outside_ball(full, g)
-    assert np.array_equal(coeffs, full[:, :K])
-    assert np.allclose(back, samples, rtol=0, atol=1e-14)
+    forward, inverse = ["spectral.fft_forward"] * 2, ["spectral.fft_inverse"] * 2
+    assert [span[0] for span in t.spans] == forward + inverse + forward + inverse
+    assert np.array_equal(slab, coeffs[:, :K])
+    for b in (back, slab_back):
+        assert np.allclose(b, samples, rtol=0, atol=1e-14)
