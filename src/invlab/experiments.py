@@ -32,6 +32,7 @@ from .constructions import (
     background_field,
     background_mode_extent,
     build_profile_bump,
+    carrier_mode,
     shell_velocity,
     taylor_green,
     taylor_green_two_mode,
@@ -41,6 +42,7 @@ from .littlewood_paley import (
     BesovParams,
     besov_from_blocks,
     besov_norm,
+    block_annulus,
     block_lp_norms,
     build_partition,
     dyadic_block,
@@ -103,8 +105,8 @@ class ExperimentConfig:
             raise ConfigError("n_list needs one or more shell indices, each >= 3")
         if not all(0 < t <= self.T0 for t in self.t_grid):
             raise ConfigError("t_grid values must lie in (0, T0]")
-        if len(set(self.t_grid)) < 2:
-            raise ConfigError("t_grid needs two or more distinct times (slopes, plateaus)")
+        if len(self.t_grid) < 2 or list(self.t_grid) != sorted(set(self.t_grid)):
+            raise ConfigError("t_grid needs two or more strictly ascending times (slopes)")
         if not self.eps_exponents or any(m < 0 for m in self.eps_exponents):
             raise ConfigError(
                 "eps_exponents needs one or more exponents, each >= 0 (eps = 2**-2m <= 1)"
@@ -220,10 +222,8 @@ class ExperimentContext:
         return N
 
     def _datum_mode_extent(self, n: int) -> int:
-        # the bump's lattice extent is grid-independent (fixed frequency width)
-        bump_m = build_profile_bump(self.grid(16)).max_mode
-        carrier_m = int(round(CARRIER_RATIO * 2**n * self.cfg.R))
-        return carrier_m + bump_m
+        g = self.grid(16)  # the carrier and the bump's extent depend on R alone
+        return carrier_mode(n, g) + build_profile_bump(g).max_mode
 
     def datum_grid(self, n: int) -> Grid:
         """Smallest power-of-two grid with the datum inside the 2/3 ball."""
@@ -839,7 +839,6 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     # frequency-localized derivative bracket on the first datum shell
     n0 = cfg.n_list[0]
     u0 = ctx.datum(n0)
-    lam = 2.0**n0
     gd = u0.grid
     # |grad u|^2 = sum_j |d_j u|^2, and d_j u is a vector field
     gnorm = math.hypot(
@@ -847,7 +846,7 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     )
     unorm = lp_norm(u0, 2.0)
     ratio = gnorm / unorm
-    lo, hi = (0.75 * lam) * (1 - 1e-12), (8.0 / 3.0 * lam) * (1 + 1e-12)
+    lo, hi = (r * slack for r, slack in zip(block_annulus(n0), (1 - 1e-12, 1 + 1e-12)))
     records.append(
         ResultRecord(ex, "derivative_bracket_ratio", ratio, n0, verdict=check(ratio, lo, hi))
     )

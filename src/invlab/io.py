@@ -45,9 +45,9 @@ def _from_mode_order(arr: np.ndarray, grid: Grid, where: str) -> np.ndarray:
     full = np.fft.ifftshift(arr)
     scale = np.max(np.abs(full))
     defect = np.max(np.abs(full - _conj_mirror(full)))
-    if defect > 1e-12 * scale:
+    if not defect <= 1e-12 * scale:  # a non-finite value makes the defect NaN
         raise FormatError(
-            f"{where}: spectral payload is not Hermitian (defect {defect:.3e} "
+            f"{where}: spectral payload is not finite and Hermitian (defect {defect:.3e} "
             f"against max |coeff| {scale:.3e}), so it is not a real field"
         )
     return np.ascontiguousarray(full[..., : grid.spectral_shape[-1]])
@@ -80,7 +80,7 @@ def read_field(path):
 
     A file of one component gives a scalar SpectralField, of d components a
     vector one.  Any other component count is a FormatError, and so is a
-    physical snapshot (kind 0): physical snapshots are not read.
+    physical snapshot (kind 0), an N or R that Grid rejects or a non-finite payload.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
@@ -110,7 +110,10 @@ def read_field(path):
         raise FormatError(f"{path}: unknown field kind {kind}")
     if ncomp not in (1, d):
         raise FormatError(f"{path}: a spectral field has 1 or {d} components, got {ncomp}")
-    grid = Grid(d, ns[0], R)
+    try:
+        grid = Grid(d, ns[0], R)
+    except ConfigError as err:
+        raise FormatError(f"{path}: bad grid in header: {err}") from None
     count = grid.N**d
     size = 16 * count  # bytes of one component: complex128 values
     if len(raw) != off + ncomp * size:

@@ -54,6 +54,13 @@ def radial_cutoff(r, inner: float = THETA_ONE, outer: float = THETA_ZERO):
     return 1.0 - smooth_ramp((r - inner) / (outer - inner))
 
 
+def block_annulus(j: int) -> tuple:
+    """``(inner, outer)``: block j's multiplier is 0 off ``inner < |xi| < outer``."""
+    if j == -1:
+        return 0.0, THETA_ZERO
+    return THETA_ONE * 2.0**j, 2.0 * THETA_ZERO * 2.0**j
+
+
 @dataclass
 class DyadicPartition:
     """Dyadic cutoffs bound to one grid, with cached multipliers.
@@ -87,8 +94,7 @@ class DyadicPartition:
         key = ("block", j)
         if key not in self._cache:
             g = self.grid
-            r_out = THETA_ZERO if j == -1 else 2.0 * THETA_ZERO * 2.0**j
-            box = g.box(math.ceil(r_out * g.R) - 1)
+            box = g.box(math.ceil(block_annulus(j)[1] * g.R) - 1)
             k = g.k_mag[box]
             self._cache[key] = (box, self.theta(k) if j == -1 else self.phi(k / 2.0**j))
         return self._cache[key]
@@ -227,10 +233,7 @@ def block_lp_norms(F: SpectralField, p: float) -> np.ndarray:
     out = np.empty(part.j_max + 2)
     for j in range(-1, part.j_max + 1):
         # a block whose annulus misses the support is exactly zero
-        if j == -1:
-            blk_lo, blk_hi = 0.0, THETA_ZERO
-        else:
-            blk_lo, blk_hi = THETA_ONE * 2.0**j, 2.0 * THETA_ZERO * 2.0**j
+        blk_lo, blk_hi = block_annulus(j)
         if r_lo > blk_hi or r_hi < blk_lo:
             out[j + 1] = 0.0
             continue

@@ -10,7 +10,7 @@ divergence-free u, and the kept modes of a product of two fields in the
 ball are alias-free (``spectral`` module docstring).  The mean ``u(0)`` is
 constant and carried on its own.  ``vorticity_rhs`` takes 3 inverse and 2
 forward transforms and no Leray projection (velocity form: 6, 2 and a
-projection).  It works on the slab of the 2/3 ball (``Grid.slab_shape``):
+projection).  It works on the slab of the 2/3 ball, indexed by ``Grid.slab``:
 it hands the slab to the one transform pair (``spectral._inverse``,
 ``spectral._forward``), whose column pass then covers the keep + 1 columns
 of the slab only, and truncates each product to the ball
@@ -261,7 +261,7 @@ def _velocity(grid: Grid, w: np.ndarray) -> np.ndarray:
 def _velocity_slab(grid: Grid, w: np.ndarray, mean, ax: int, out: np.ndarray) -> np.ndarray:
     """Component ``ax`` of the velocity of slab vorticity ``w`` with mean
     ``mean``, into ``out``."""
-    np.multiply(grid.biot_savart[ax][:, : w.shape[-1]], w, out=out)
+    np.multiply(grid.biot_savart[ax][grid.slab], w, out=out)
     out[0, 0] = mean[ax]
     return out
 
@@ -291,7 +291,7 @@ def vorticity_rhs(
     samples are overwritten by the next call with the same ``work``.
     """
     w_phys, u1, u2 = work.phys
-    vel = work.rows[:, : w.shape[-1]]  # free between the transforms
+    vel = work.rows[grid.slab]  # free between the transforms
     _inverse(w, grid, w_phys, work.scratch)
     _inverse(_velocity_slab(grid, w, mean, 0, vel), grid, u1, work.scratch)
     _forward(np.multiply(u1, w_phys, out=u2), grid, out, work.rows)
@@ -300,7 +300,7 @@ def vorticity_rhs(
     _inverse(_velocity_slab(grid, w, mean, 1, vel), grid, u2, work.scratch)
     f = _forward(np.multiply(u2, w_phys, out=w_phys), grid, work.scratch, work.rows)
     zero_outside_ball(f, grid)
-    f *= 1j * grid.freq_axis(1)[:, : w.shape[-1]]
+    f *= 1j * grid.freq_axis(1)[grid.slab]
     out -= f
     return u1, u2
 
@@ -347,9 +347,8 @@ def evolve(
     # at t = 0), a stage's state (between steps, w(t)), exp(-/+ eps t
     # |xi|^2) at the current stage time, the half-step factors of the last
     # step size, and the stages' right-hand sides (k4 reuses k3's array)
-    cols = slice(0, g.dealias_keep + 1)
-    k_sq = g.k_sq[:, cols]
-    base = curl(u0).coeffs[:, cols].copy()
+    k_sq = g.k_sq[g.slab]
+    base = curl(u0).coeffs[g.slab].copy()
     mean = u0.coeffs[:, 0, 0]
     enc = np.zeros_like(base)
     s = base.copy()
@@ -361,7 +360,7 @@ def evolve(
     increments = []
     diag = {k: [] for k in ("t", "dt", "energy", "max_speed")}
     speed0 = _max_speed(
-        *(_inverse(c[:, cols], g, p, work.scratch) for c, p in zip(u0.coeffs, work.phys))
+        *(_inverse(c[g.slab], g, p, work.scratch) for c, p in zip(u0.coeffs, work.phys))
     )
     guard = BLOWUP_FACTOR * max(speed0, 1e-300)
     # a new step size recomputes the half-step factors (the final step
@@ -391,8 +390,8 @@ def evolve(
         # in the row-pass buffer: half_spectrum_l2 sums the same array as it
         # would for the velocity of the embedded state
         for ax in range(g.d):
-            _velocity_slab(g, s, mean, ax, work.rows[:, cols])
-            work.rows[:, cols.stop :] = 0.0
+            _velocity_slab(g, s, mean, ax, work.rows[g.slab])
+            work.rows[:, g.slab_shape[-1] :] = 0.0
             yield work.rows
 
     # A step that would end within ``land`` of a sample time ends on it.
@@ -463,7 +462,7 @@ def evolve(
             diag["energy"].append(energy)
             diag["max_speed"].append(speed)
         # one exact heat factor from t = 0 decodes E, the vorticity increment
-        inc = _embed(np.exp(-target * eps * k_sq) * enc, g, (slice(None), cols))
+        inc = _embed(np.exp(-target * eps * k_sq) * enc, g, g.slab)
         increments.append(SpectralField(g, inc))
 
     # the work arrays are freed before Trajectory measures the sampled states
@@ -491,8 +490,6 @@ def u2_duhamel(
     eps: float,
     nodes: int = 17,
     refine: bool = False,
-    *,
-    rhs0: np.ndarray | None = None,
 ) -> Iterator[SpectralField]:
     """First-order nonlinear correction at each of ``times``, by composite Simpson.
 
@@ -508,11 +505,10 @@ def u2_duhamel(
 
     The vorticity of the integrand, ``F(tau) = vorticity_rhs(exp(tau eps
     Lap) w0)`` with ``w0 = curl u0``, is evaluated on the slab once per
-    distinct node of all the times (``threaded_map``, one ``RhsWork`` per
-    thread); ``rhs0``, a slab, stands for ``F(0)`` when the caller holds it,
-    since ``heat_factor`` is exactly 1 at tau = 0.  Each time's sum adds its
-    terms ``w_i exp((t-tau_i) eps Lap) F(tau_i)`` in ascending node order, as
-    a loop over its own nodes would.  The sweep and every refinement check
+    distinct node of all the times, tau = 0 among them (``threaded_map``,
+    one ``RhsWork`` per thread).  Each time's sum adds its terms ``w_i
+    exp((t-tau_i) eps Lap) F(tau_i)`` in ascending node order, as a loop
+    over its own nodes would.  The sweep and every refinement check
     run on the call; the returned iterator yields one velocity field per
     time, the Biot-Savart image of its sum, built as it advances.
     """
@@ -533,27 +529,23 @@ def u2_duhamel(
     fine_w = [_simpson_weights(t, fine_nodes) for t in times]
     coarse_w = [_simpson_weights(t, nodes) for t in times]
     # vorticity_rhs zeroes every entry outside the ball, so the sums are kept
-    # on its box; the box's columns are those of the slab
+    # on its box, the ball's rows of the slab
     box = g.box(g.dealias_keep)
     k_box = g.k_sq[box]
-    k_slab = g.k_sq[:, box[1]]
-    w0, mean = curl(u0).coeffs[:, box[1]], u0.coeffs[:, 0, 0]
+    k_slab = g.k_sq[g.slab]
+    w0, mean = curl(u0).coeffs[g.slab], u0.coeffs[:, 0, 0]
     # one RhsWork per thread of the sweep, dropped with it
     local = threading.local()
 
     def terms(tau):
         # exp((t - tau) eps Lap) F(tau) on the box, for each time with node tau
-        if tau == 0.0 and rhs0 is not None:
-            f = rhs0[box]
-        else:
-            if not hasattr(local, "work"):
-                local.work = RhsWork(g)
-            # the heat flow of the data, as heat_factor(g, tau, eps) * w0
-            # computes it on the slab
-            w = np.exp(-tau * eps * k_slab) * w0
-            f = np.empty_like(w)
-            vorticity_rhs(g, w, mean, local.work, f)
-            f = f[box]
+        if not hasattr(local, "work"):
+            local.work = RhsWork(g)
+        # the data's heat flow on the slab, by heat_factor(g, tau, eps)'s arithmetic
+        w = np.exp(-tau * eps * k_slab) * w0
+        f = np.empty_like(w)
+        vorticity_rhs(g, w, mean, local.work, f)
+        f = f[box]
         # the factor is heat_factor(g, t - tau, eps)[box], by the same arithmetic
         return {
             k: f * np.exp(-(times[k] - tau) * eps * k_box)
@@ -662,10 +654,9 @@ def first_order_remainders(
       ``= (t phi1 - t) pa0``.
 
     On the call the guards run first (ideal ``traj0``, ``traj_eps`` from the
-    data of ``traj0``), then one Duhamel sweep for all the times, which reuses the
-    vorticity of ``pa0`` as its tau = 0 integrand; the ``u2`` of each time
-    is built as the iterator reaches it, and each remainder field when it is
-    read.
+    data of ``traj0``), then one Duhamel sweep for all the times; the ``u2``
+    of each time is built as the iterator reaches it, and each remainder
+    field when it is read.
     """
     if traj0.eps != 0.0:
         raise ValueError(f"need an ideal (eps=0) trajectory, got eps={traj0.eps}")
@@ -673,9 +664,8 @@ def first_order_remainders(
     _check_same_data(u0, traj_eps)
     times = tuple(times)
     g = u0.grid
-    slab = (slice(None), slice(0, g.dealias_keep + 1))
     r0 = np.empty(g.slab_shape, dtype=np.complex128)
-    vorticity_rhs(g, curl(u0).coeffs[slab], u0.coeffs[:, 0, 0], RhsWork(g), r0)
-    pa0 = -_velocity(g, _embed(r0, g, slab))  # coefficients of P(u0 . grad u0)
-    u2s = u2_duhamel(u0, times, traj_eps.eps, nodes, refine, rhs0=r0)
+    vorticity_rhs(g, curl(u0).coeffs[g.slab], u0.coeffs[:, 0, 0], RhsWork(g), r0)
+    pa0 = -_velocity(g, _embed(r0, g, g.slab))  # coefficients of P(u0 . grad u0)
+    u2s = u2_duhamel(u0, times, traj_eps.eps, nodes, refine)
     return (FirstOrderRemainders(pa0, traj0, traj_eps, t, u2) for t, u2 in zip(times, u2s))

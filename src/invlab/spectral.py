@@ -35,11 +35,11 @@ comes from ``|m'| >= N - keep > 2 keep``, beyond the product's reach.
 raises NumericsError, and one outside the ball that is not exactly 0 raises
 ResolutionError with ``required_n = dealias_grid_size(largest nonzero |m_j|)``.
 Every column of the ball lies in the **slab**, columns ``0 .. keep`` of the
-stored half-spectrum over all N rows (``Grid.slab_shape``).  The one
-transform pair, ``_forward`` and ``_inverse``, takes the leading columns it
-is given, so ball data (``advect``, the time stepper's state) are
-transformed on the slab; ``zero_outside_ball`` works on a slab as on a
-half-spectrum, and ``_embed`` puts a slab or a box back into a
+stored half-spectrum over all N rows, indexed by ``Grid.slab`` (shape
+``Grid.slab_shape``).  The one transform pair, ``_forward`` and ``_inverse``,
+takes the leading columns it is given, so ball data (``advect``, the time
+stepper's state) are transformed on the slab; ``zero_outside_ball`` works on
+a slab as on a half-spectrum, and ``_embed`` puts a slab or a box back into a
 half-spectrum.
 
 Norms read spectral fields, and ``lp_norm`` takes the norm of a field: at p = 2
@@ -155,8 +155,13 @@ class Grid:
         return (self.N - 1) // 3
 
     @property
+    def slab(self) -> tuple:
+        """Index of the ball's slab in the last two axes: columns 0 .. keep, every row."""
+        return slice(None), slice(0, self.dealias_keep + 1)
+
+    @property
     def slab_shape(self) -> tuple:
-        """Shape of the ball's column slab: columns 0 .. keep, every row."""
+        """Shape of the ball's column slab (``slab``)."""
         return (self.N,) * (self.d - 1) + (self.dealias_keep + 1,)
 
     def box(self, M: int) -> tuple:
@@ -255,7 +260,7 @@ def _conj_mirror(full: np.ndarray) -> np.ndarray:
 # as numpy's rfftn and irfftn make them: a row pass (axis 1, real to half
 # spectrum) and a column pass (axis 0), each transforming every column on its
 # own.  The column pass covers the leading columns its caller hands over, the
-# whole half-spectrum or the ball's slab (``Grid.slab_shape``); the row pass
+# whole half-spectrum or the ball's slab (``Grid.slab``); the row pass
 # of an inverse zero-pads each row to N/2 + 1 columns as irfftn does, so
 # either way the values are those of rfftn and irfftn, bitwise.  Both scale
 # in place, and write into ``out`` (and ``rows``, ``scratch``) when handed.
@@ -409,16 +414,15 @@ def advect(u: SpectralField, v: SpectralField) -> SpectralField:
     require_in_ball(u)
     require_in_ball(v)
     # one component at a time: no stacked temporaries on the N = 2048 grids
-    slab = (slice(None), slice(0, g.dealias_keep + 1))
-    u_phys = [_inverse(c[slab], g) for c in u.coeffs]
+    u_phys = [_inverse(c[g.slab], g) for c in u.coeffs]
     out = np.empty((g.d,) + g.slab_shape, dtype=np.complex128)
     for i in range(g.d):
         acc = np.zeros(g.shape)
         for j in range(g.d):
-            acc += u_phys[j] * _inverse((1j * g.freq_axis(j)[slab]) * v.coeffs[i][slab], g)
+            acc += u_phys[j] * _inverse((1j * g.freq_axis(j)[g.slab]) * v.coeffs[i][g.slab], g)
         _forward(acc, g, out=out[i])
     zero_outside_ball(out, g)
-    return SpectralField(g, _embed(out, g, slab))
+    return SpectralField(g, _embed(out, g, g.slab))
 
 
 # ---------------------------------------------------------------------------

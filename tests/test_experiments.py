@@ -166,6 +166,12 @@ class TestContext:
         assert small_ctx.datum_grid(4).N == 1024
         assert small_ctx.datum_grid(5).N == 2048
 
+    def test_datum_grid_needs_the_carrier_on_the_lattice(self):
+        # the carrier 17/12 2**3 R of R = 13 is no lattice mode: the grid is
+        # refused, as the datum itself would be
+        with pytest.raises(ConfigError, match="not on the lattice"):
+            ExperimentContext(ExperimentConfig(R=13.0)).datum_grid(3)
+
     def test_product_grids_double(self, small_ctx):
         assert small_ctx.product_grid(3).N == 1024
         assert small_ctx.product_grid(4).N == 2048

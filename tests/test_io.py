@@ -12,6 +12,7 @@ import pytest
 
 import invlab
 from invlab.cli import main
+from invlab.constructions import taylor_green
 from invlab.errors import ConfigError, FormatError
 from invlab.experiments import ExperimentConfig, ResultRecord
 from invlab.io import (
@@ -95,6 +96,27 @@ class TestFieldSnapshots:
         raw[header:] = payload.tobytes()
         p.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="Hermitian"):
+            read_field(p)
+
+    def test_non_finite_payload_rejected(self, grid, tmp_path):
+        # a NaN defect compares False against any bound, so the Hermitian
+        # check alone lets it through; the last value lies in the kept half
+        p = write_field(tmp_path / "tg.spf", taylor_green(grid))
+        raw = bytearray(p.read_bytes())
+        raw[-8:] = struct.pack("<d", math.nan)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=r"tg\.spf.*not finite"):
+            read_field(p)
+
+    @pytest.mark.parametrize(
+        "N, R", [(15, 1.5), (16, -1.0), (16, math.nan)], ids=["N-15", "R-negative", "R-nan"]
+    )
+    def test_header_grid_rejected(self, tmp_path, N, R):
+        # a grid that Grid refuses makes the snapshot malformed
+        p = tmp_path / "g.spf"
+        header = b"SPF1" + struct.pack("<IIIdBB", 2, N, N, R, 1, 1)
+        p.write_bytes(header + b"\x00" * (16 * N**2))
+        with pytest.raises(FormatError, match=r"g\.spf: bad grid"):
             read_field(p)
 
     def test_kind_flag_respected(self, grid, rng, tmp_path):
@@ -315,6 +337,8 @@ class TestCli:
             ("heat-law", {"N": 768}, []),
             ("family-gap", {"radius_bound": -1, "t_grid": [0.02, 0.05]}, []),
             ("perturbed-gap", {"psi_band": -1, "n_list": [3]}, []),
+            ("family-gap", {"t_grid": [0.01, 0.01, 0.02]}, []),
+            ("family-gap", {"t_grid": [0.02, 0.01]}, []),
         ],
         ids=["evolve-eps", "evolve-n", "negative-exponent", "t0-off-grid",
              "heat-law-one-time", "residuals-one-time", "s-text", "d-text",
@@ -322,7 +346,8 @@ class TestCli:
              "heat-law-no-shell", "validate-no-shell", "no-exponent",
              "fractional-exponent", "negative-seed", "negative-seed-flag",
              "repeated-shell", "repeated-exponent", "negative-N", "N-not-power-of-two",
-             "negative-radius-bound", "negative-psi-band"],
+             "negative-radius-bound", "negative-psi-band", "repeated-time",
+             "descending-time"],
     )
     def test_invalid_input_exits_2_before_evolving(
         self, tmp_path, capsys, monkeypatch, command, overrides, flags

@@ -174,6 +174,7 @@ class TestTransforms:
         assert _forward(f, g, out, rows) is out
         assert np.array_equal(out, full[:, :K])
         assert g.slab_shape == (N, K)
+        assert g.k_sq[g.slab].shape == g.slab_shape
 
     def test_parseval(self, grid, rng):
         f = random_real_field(grid, rng)
