@@ -254,10 +254,12 @@ class ExperimentContext:
     def trajectory(
         self, requests: Sequence[tuple], times: Iterable[float]
     ) -> list[Trajectory]:
-        """The trajectories of the ``(u0, eps)`` requests, each sampled at ``times``.
+        """The trajectories of the requests, each sampled at ``times``.
 
-        Returned in request order, with the per-evolution statistics appended
-        to ``evolutions`` in that order.  If an evolution raises, the running
+        A request is ``(u0, eps)``, or ``(u0, eps, dt_fixed)`` for a fixed
+        step: the arguments of ``evolve`` but the sample times.  Returned in
+        request order, with the per-evolution statistics appended to
+        ``evolutions`` in that order.  If an evolution raises, the running
         ones finish, none is started, and the first error in request order
         is raised; the statistics of the requests before it are kept.
         """
@@ -265,7 +267,7 @@ class ExperimentContext:
 
         def timed(request):
             start = time.perf_counter()
-            traj = evolve(*request, times)
+            traj = evolve(*request[:2], times, *request[2:])
             return traj, time.perf_counter() - start
 
         out = []
@@ -1006,11 +1008,10 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     )
 
     T = 0.5
-    ref_state = evolve(w0, 0.0, [T], dt_fixed=T / 512).state_at(T)
-    errs = []
-    for M in (8, 16, 32):
-        sol = evolve(w0, 0.0, [T], dt_fixed=T / M).state_at(T)
-        errs.append(l2_norm_spectral(SpectralField(gt, sol.coeffs - ref_state.coeffs)))
+    # one request per call: at N = 64 side-by-side runs contend for the GIL
+    runs = [ctx.trajectory([(w0, 0.0, T / M)], [T])[0] for M in (512, 8, 16, 32)]
+    ref, *sols = (traj.state_at(T).coeffs for traj in runs)
+    errs = [l2_norm_spectral(SpectralField(gt, sol - ref)) for sol in sols]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     order = min(orders)
     records.append(

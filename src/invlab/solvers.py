@@ -17,26 +17,27 @@ of the slab only, and truncates each product to the ball
 (``spectral.zero_outside_ball``).  Every array it writes is handed in, its
 result and an ``RhsWork``.  The work arrays are allocated once per
 evolution and once per thread of a Duhamel sweep; the velocity samples it
-returns are overwritten by the next call.  A slab or a box of the ball goes
-back into a half-spectrum through ``spectral._embed``.
+returns are overwritten by the next call.  Ball data stay on the slab inside
+this module: the data enter as the slab of their vorticity and their mean
+velocity (``_slab_data``), and ``_velocity`` is the one exit from slab
+vorticity to a velocity half-spectrum.
 
 ``evolve`` keeps the increment ``delta(t) = u(t) - exp(t eps Lap) u0`` over
 the exact heat flow of the data, so a gap between two solutions of one
 datum (``trajectory_gap``) or a first-order remainder never subtracts two
 arrays of the size of ``u0``.  A ``Trajectory`` stores each increment as
-vorticity, a scalar field of half the size of the velocity, and builds its
-Biot-Savart image on request.  Classical RK4 advances the vorticity
-increment in the integrating-factor variable anchored at t = 0 (Cox &
-Matthews 2002), ``E = exp(-t eps Lap)(w - exp(t eps Lap) w0)``, so stiffness
+vorticity on the slab, the solver's own layout, and builds its Biot-Savart
+image on request.  Classical RK4 advances the vorticity increment in the
+integrating-factor variable anchored at t = 0 (Cox & Matthews 2002),
+``E = exp(-t eps Lap)(w - exp(t eps Lap) w0)``, so stiffness
 from the viscous term never enters the stability restriction, and
 ``exp(+t eps |xi|^2)`` must stay finite: ``eps T max|xi|^2`` <=
 ``EXPONENT_LIMIT``.  The horizon T is the last sample time; it also caps the
 step at T/64.  The data are admitted by ``spectral.require_in_ball``, the
 one admission rule of the 2/3-rule ball (``spectral`` module docstring), so
 the projection drops nothing.  The state lives on the slab, which holds
-every nonzero entry; a sample's vorticity increment is the decoded E,
-embedded in a half-spectrum, and its velocity increment the Biot-Savart
-image of that.  No step measures the divergence, zero up to rounding for
+every nonzero entry; a sample's vorticity increment is the decoded E, kept
+as the slab it is.  No step measures the divergence, zero up to rounding for
 a Biot-Savart image: ``evolve`` checks the data's, and ``Trajectory`` the
 state's once per sample time (``div_rel``).
 
@@ -51,7 +52,7 @@ their Simpson nodes, evaluating the integrand once per distinct node (the
 dyadic sample times share nodes bitwise), on every CPU through
 ``threaded_map``.  Each time's sum still adds its own terms in its own node
 order, so the result equals a per-time loop bitwise.  The sums live on the
-box of the 2/3 ball, where ``vorticity_rhs`` puts every nonzero entry.
+slab, where ``vorticity_rhs`` puts every nonzero entry.
 """
 
 from __future__ import annotations
@@ -182,8 +183,9 @@ class Trajectory:
     """Sampled solution of one evolution, with per-step diagnostics.
 
     ``increments[i]`` is the vorticity increment ``w(t_i) - exp(t_i eps Lap)
-    w0``, a scalar field on the grid of ``u0``.  ``increment_at`` returns its
-    Biot-Savart image, the velocity increment ``u(t_i) - exp(t_i eps Lap) u0``
+    w0`` on the slab of the grid of ``u0``, an array of ``Grid.slab_shape``,
+    the solver's own layout.  ``increment_at`` returns its Biot-Savart image
+    (``_velocity``), the velocity increment ``u(t_i) - exp(t_i eps Lap) u0``
     (of zero mean, since the mean velocity is constant), and ``state_at``
     adds the heat flow of the data back; both build a new field on every
     call.  ``diagnostics`` holds ``t``, ``dt``, ``energy`` and ``max_speed``
@@ -201,9 +203,9 @@ class Trajectory:
     def __post_init__(self):
         g = self.u0.grid
         for inc in self.increments:
-            if inc.grid != g or inc.coeffs.shape != g.spectral_shape:
+            if np.shape(inc) != g.slab_shape:
                 raise ValueError(
-                    "an increment is stored as vorticity: a scalar field on the grid of u0"
+                    "an increment is stored as vorticity on the slab of the grid of u0"
                 )
         # checked on the solution: the velocity increment is divergence-free
         # to rounding by construction, the data need not be
@@ -221,7 +223,7 @@ class Trajectory:
     def increment_at(self, t: float) -> SpectralField:
         for ti, inc in zip(self.times, self.increments):
             if abs(ti - t) <= 1e-12:
-                return SpectralField(inc.grid, _velocity(inc.grid, inc.coeffs))
+                return SpectralField(self.u0.grid, _velocity(self.u0.grid, inc))
         raise ValueError(f"time {t} is not among the sampled times {self.times}")
 
     def state_at(self, t: float) -> SpectralField:
@@ -251,9 +253,14 @@ def _max_speed(u1, u2) -> float:
     return float(np.sqrt(np.max(u1)))
 
 
+def _slab_data(u0: SpectralField) -> tuple:
+    """The data's vorticity on the slab, a copy, and its mean velocity."""
+    return curl(u0).coeffs[u0.grid.slab].copy(), u0.coeffs[:, 0, 0]
+
+
 def _velocity(grid: Grid, w: np.ndarray) -> np.ndarray:
-    """Stacked velocity coefficients of zero mean of vorticity ``w``."""
-    out = grid.biot_savart * w
+    """Stacked velocity half-spectra of zero mean of slab vorticity ``w``."""
+    out = _embed(grid.biot_savart[(slice(None),) + grid.slab] * w, grid)
     out[:, 0, 0] = 0.0
     return out
 
@@ -324,6 +331,8 @@ def evolve(
     """
     if not (0.0 <= eps <= 1.0):
         raise ValueError(f"viscosity must lie in [0, 1], got {eps}")
+    if dt_fixed is not None and not dt_fixed > 0:
+        raise ValueError(f"a fixed step must be > 0, got {dt_fixed}")
     g = u0.grid
     defect = divergence_defect(u0)
     if defect > 1e-10:
@@ -348,8 +357,7 @@ def evolve(
     # |xi|^2) at the current stage time, the half-step factors of the last
     # step size, and the stages' right-hand sides (k4 reuses k3's array)
     k_sq = g.k_sq[g.slab]
-    base = curl(u0).coeffs[g.slab].copy()
-    mean = u0.coeffs[:, 0, 0]
+    base, mean = _slab_data(u0)
     enc = np.zeros_like(base)
     s = base.copy()
     dec, grow = np.ones(k_sq.shape), np.ones(k_sq.shape)
@@ -462,8 +470,7 @@ def evolve(
             diag["energy"].append(energy)
             diag["max_speed"].append(speed)
         # one exact heat factor from t = 0 decodes E, the vorticity increment
-        inc = _embed(np.exp(-target * eps * k_sq) * enc, g, g.slab)
-        increments.append(SpectralField(g, inc))
+        increments.append(np.exp(-target * eps * k_sq) * enc)
 
     # the work arrays are freed before Trajectory measures the sampled states
     del work, base, enc, s, k1, k2, k3, E, G, dec, grow
@@ -506,7 +513,7 @@ def u2_duhamel(
     The vorticity of the integrand, ``F(tau) = vorticity_rhs(exp(tau eps
     Lap) w0)`` with ``w0 = curl u0``, is evaluated on the slab once per
     distinct node of all the times, tau = 0 among them (``threaded_map``,
-    one ``RhsWork`` per thread).  Each time's sum adds its terms ``w_i
+    one ``RhsWork`` per thread).  Each time's sum, a slab, adds its terms ``w_i
     exp((t-tau_i) eps Lap) F(tau_i)`` in ascending node order, as a loop
     over its own nodes would.  The sweep and every refinement check
     run on the call; the returned iterator yields one velocity field per
@@ -528,31 +535,26 @@ def u2_duhamel(
             uses.setdefault(float(tau), []).append((k, i))
     fine_w = [_simpson_weights(t, fine_nodes) for t in times]
     coarse_w = [_simpson_weights(t, nodes) for t in times]
-    # vorticity_rhs zeroes every entry outside the ball, so the sums are kept
-    # on its box, the ball's rows of the slab
-    box = g.box(g.dealias_keep)
-    k_box = g.k_sq[box]
     k_slab = g.k_sq[g.slab]
-    w0, mean = curl(u0).coeffs[g.slab], u0.coeffs[:, 0, 0]
+    w0, mean = _slab_data(u0)
     # one RhsWork per thread of the sweep, dropped with it
     local = threading.local()
 
     def terms(tau):
-        # exp((t - tau) eps Lap) F(tau) on the box, for each time with node tau
+        # exp((t - tau) eps Lap) F(tau) on the slab, for each time with node tau
         if not hasattr(local, "work"):
             local.work = RhsWork(g)
         # the data's heat flow on the slab, by heat_factor(g, tau, eps)'s arithmetic
         w = np.exp(-tau * eps * k_slab) * w0
         f = np.empty_like(w)
         vorticity_rhs(g, w, mean, local.work, f)
-        f = f[box]
-        # the factor is heat_factor(g, t - tau, eps)[box], by the same arithmetic
+        # the factor is heat_factor(g, t - tau, eps)[g.slab], by the same arithmetic
         return {
-            k: f * np.exp(-(times[k] - tau) * eps * k_box)
+            k: f * np.exp(-(times[k] - tau) * eps * k_slab)
             for k in dict.fromkeys(k for k, _ in uses[tau])
         }
 
-    fine = [np.zeros(k_box.shape, dtype=np.complex128) for _ in times]
+    fine = [np.zeros(k_slab.shape, dtype=np.complex128) for _ in times]
     coarse = [np.zeros_like(s) for s in fine] if refine else None
     order = sorted(uses)
     for tau, term in zip(order, threaded_map(terms, order)):
@@ -562,9 +564,9 @@ def u2_duhamel(
                 # tau_i on the fine grid equals tau_(i/2) on the coarse one
                 coarse[k] += coarse_w[k][i // 2] * term[k]
     if refine:
-        # L2 norms of the velocities, on the box: its columns 0 .. keep lie
+        # L2 norms of the velocities, on the slab: its columns 0 .. keep lie
         # below N/2, as half_spectrum_l2 needs
-        bs = g.biot_savart[(slice(None),) + box]
+        bs = g.biot_savart[(slice(None),) + g.slab]
         for t, f, c in zip(times, fine, coarse):
             c -= f
             diff = half_spectrum_l2((b * c for b in bs), g)
@@ -578,7 +580,7 @@ def u2_duhamel(
                     f"(tolerance {REFINE_TOL})"
                 )
     fine.reverse()
-    return (SpectralField(g, _velocity(g, _embed(fine.pop(), g, box))) for _ in times)
+    return (SpectralField(g, _velocity(g, fine.pop())) for _ in times)
 
 
 def _check_same_data(u0: SpectralField, traj: Trajectory) -> None:
@@ -665,7 +667,7 @@ def first_order_remainders(
     times = tuple(times)
     g = u0.grid
     r0 = np.empty(g.slab_shape, dtype=np.complex128)
-    vorticity_rhs(g, curl(u0).coeffs[g.slab], u0.coeffs[:, 0, 0], RhsWork(g), r0)
-    pa0 = -_velocity(g, _embed(r0, g, g.slab))  # coefficients of P(u0 . grad u0)
+    vorticity_rhs(g, *_slab_data(u0), RhsWork(g), r0)
+    pa0 = -_velocity(g, r0)  # coefficients of P(u0 . grad u0)
     u2s = u2_duhamel(u0, times, traj_eps.eps, nodes, refine)
     return (FirstOrderRemainders(pa0, traj0, traj_eps, t, u2) for t, u2 in zip(times, u2s))

@@ -39,7 +39,7 @@ stored half-spectrum over all N rows, indexed by ``Grid.slab`` (shape
 ``Grid.slab_shape``).  The one transform pair, ``_forward`` and ``_inverse``,
 takes the leading columns it is given, so ball data (``advect``, the time
 stepper's state) are transformed on the slab; ``zero_outside_ball`` works on
-a slab as on a half-spectrum, and ``_embed`` puts a slab or a box back into a
+a slab as on a half-spectrum, and ``_embed`` puts a slab back into a
 half-spectrum.
 
 Norms read spectral fields, and ``lp_norm`` takes the norm of a field: at p = 2
@@ -288,11 +288,11 @@ def _inverse(coeffs: np.ndarray, grid: Grid, out=None, scratch=None) -> np.ndarr
     return out
 
 
-def _embed(values: np.ndarray, grid: Grid, index: tuple) -> np.ndarray:
-    """The half-spectrum, or stack of them, holding ``values`` at ``index``
-    of its last two axes and 0 elsewhere."""
+def _embed(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """The half-spectrum, or stack of them, holding the slab ``values`` in its
+    leading columns (``Grid.slab``) and 0 elsewhere."""
     out = np.zeros(values.shape[: -grid.d] + grid.spectral_shape, dtype=np.complex128)
-    out[(...,) + index] = values
+    out[(...,) + grid.slab] = values
     return out
 
 
@@ -367,9 +367,6 @@ def heat_integral_factor(grid: Grid, t: float, eps: float) -> np.ndarray:
 
 def heat_propagate(V: SpectralField, t: float, eps: float) -> SpectralField:
     """Apply the heat semigroup exp(t*eps*Laplacian) componentwise."""
-    if t == 0.0 or eps == 0.0:
-        _check_heat_arguments(t, eps)
-        return V
     return apply_multiplier(V, heat_factor(V.grid, t, eps))
 
 
@@ -422,7 +419,7 @@ def advect(u: SpectralField, v: SpectralField) -> SpectralField:
             acc += u_phys[j] * _inverse((1j * g.freq_axis(j)[g.slab]) * v.coeffs[i][g.slab], g)
         _forward(acc, g, out=out[i])
     zero_outside_ball(out, g)
-    return SpectralField(g, _embed(out, g, g.slab))
+    return SpectralField(g, _embed(out, g))
 
 
 # ---------------------------------------------------------------------------

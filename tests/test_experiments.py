@@ -91,8 +91,13 @@ def perturbed_gap_records(small_cfg, perturbed_ctx):
 
 
 @pytest.fixture(scope="module")
-def validation_records(small_cfg):
-    return run_validation_suite(small_cfg, ExperimentContext(small_cfg))
+def validation_ctx(small_cfg):
+    return ExperimentContext(small_cfg)
+
+
+@pytest.fixture(scope="module")
+def validation_records(small_cfg, validation_ctx):
+    return run_validation_suite(small_cfg, validation_ctx)
 
 
 def by_quantity(records, name):
@@ -230,7 +235,7 @@ class TestTrajectoryBatch:
             assert traj.times == alone.times == (0.01, 0.02, 0.04)
             assert traj.eps == eps
             for t, a, b in zip(traj.times, traj.increments, alone.increments):
-                assert np.array_equal(a.coeffs, b.coeffs)
+                assert np.array_equal(a, b)
                 assert np.array_equal(traj.state_at(t).coeffs, alone.state_at(t).coeffs)
             for key in alone.diagnostics:
                 assert np.array_equal(traj.diagnostics[key], alone.diagnostics[key])
@@ -687,6 +692,14 @@ class TestValidationSuite:
     def test_record_keys_unique(self, validation_records):
         keys = [r.key() for r in validation_records]
         assert len(keys) == len(set(keys))
+
+    def test_every_evolution_is_listed(self, validation_ctx, validation_records):
+        # four cellular-vortex runs, then the stepper-order runs: a T/512
+        # reference and T/8, T/16 and T/32, each at its fixed step
+        runs = validation_ctx.evolutions
+        assert len(runs) == 8
+        assert [r["steps"] for r in runs[4:]] == [512, 8, 16, 32]
+        assert all(r["dt_min"] == r["dt_max"] for r in runs[4:])
 
 
 GOLDEN_SMALL = Path(__file__).parent / "data" / "golden_small.json"

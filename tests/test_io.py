@@ -265,11 +265,15 @@ class TestCli:
         assert (tmp_path / "out" / "summary.json").exists()
         assert (tmp_path / "out" / "config.echo.json").exists()
         assert "0 fail" in capsys.readouterr().out
-        # the four default-config vortex evolutions go through the context,
-        # each 64 steps of T/64 with no sliver step to land on T
+        # every evolution goes through the context: the four default-config
+        # vortex evolutions, each 64 steps of T/64 with no sliver step to
+        # land on T, then the stepper-order runs at fixed steps T/512, T/8,
+        # T/16 and T/32
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert "trajectory_cache" not in summary and "threads" not in summary
-        runs = summary["trajectories"]
+        runs, fixed = summary["trajectories"][:4], summary["trajectories"][4:]
+        assert [r["steps"] for r in fixed] == [512, 8, 16, 32]
+        assert all(r["N"] == 64 and r["eps"] == 0.0 for r in fixed)
         assert sorted(r["eps"] for r in runs) == [0.0, 0.0, 0.01, 0.05]
         assert all(r["N"] == 64 and r["steps"] == 64 for r in runs)
         # the solver statistics of each evolution, read back: steps are
@@ -287,8 +291,8 @@ class TestCli:
         assert summary["wall_s"] > 0.0
         # each evolution's own wall time; validate requests them one at a
         # time, so they do not overlap and fit inside the experiment's
-        assert all(r["wall_s"] > 0.0 for r in runs)
-        assert sum(r["wall_s"] for r in runs) < summary["wall_s"]
+        assert all(r["wall_s"] > 0.0 for r in runs + fixed)
+        assert sum(r["wall_s"] for r in runs + fixed) < summary["wall_s"]
 
     def test_import_loads_no_scipy(self):
         # every transform goes through numpy.fft; a fresh interpreter that

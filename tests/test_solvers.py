@@ -47,6 +47,7 @@ from invlab.spectral import (
     l2_norm_spectral,
     leray_project,
     perp_gradient,
+    _embed,
     translate,
     zero_outside_ball,
 )
@@ -57,9 +58,9 @@ from conftest import ball_mask, spectral_of
 def full_rhs(g, w, mean):
     """``vorticity_rhs`` of the slab of ``w``, a half-spectrum, embedded back
     into a half-spectrum."""
-    out = np.zeros(g.spectral_shape, dtype=np.complex128)
-    vorticity_rhs(g, w[g.slab], mean, RhsWork(g), out[g.slab])
-    return out
+    out = np.empty(g.slab_shape, dtype=np.complex128)
+    vorticity_rhs(g, w[g.slab], mean, RhsWork(g), out)
+    return _embed(out, g)
 
 
 def vf_rel_diff(a, b):
@@ -134,17 +135,27 @@ class TestEvolve:
 
     def test_zero_step_diagnostics_are_aligned(self):
         # only t = 0 sampled: no step, so every per-step column is empty
-        traj = evolve(taylor_green(Grid(2, 16, 1.0)), 0.0, [0.0])
+        g = Grid(2, 16, 1.0)
+        traj = evolve(taylor_green(g), 0.0, [0.0])
         d = traj.diagnostics
         assert [len(d[k]) for k in ("t", "dt", "energy", "max_speed")] == [0, 0, 0, 0]
-        assert l2_norm_spectral(traj.increments[0]) == 0.0
+        (inc,) = traj.increments
+        assert inc.shape == g.slab_shape and not np.any(inc)
 
     def test_zero_data_stays_zero(self):
         g = Grid(2, 32, 1.0)
         zero = SpectralField(g, np.zeros((2,) + g.spectral_shape, dtype=complex))
         traj = evolve(zero, 0.1, [0.25, 0.5])
         for inc in traj.increments:
-            assert l2_norm_spectral(inc) == 0.0
+            assert inc.shape == g.slab_shape and not np.any(inc)
+
+    @pytest.mark.parametrize(
+        "dt", [0.0, -0.01, float("nan")], ids=["zero", "negative", "nan"]
+    )
+    def test_fixed_step_must_be_positive(self, dt):
+        # a step that is not > 0 would never reach the sample time
+        with pytest.raises(ValueError, match="fixed step"):
+            evolve(taylor_green(Grid(2, 16, 1.0)), 0.0, [0.1], dt_fixed=dt)
 
     def test_taylor_green_viscous_decay(self):
         g = Grid(2, 64, 1.0)
@@ -434,24 +445,34 @@ class TestVorticityRhs:
 
 
 class TestTrajectory:
+    def test_increments_are_slabs(self):
+        # each increment is the slab of a vorticity; increment_at is the
+        # Biot-Savart image of the slab zero-padded to a half-spectrum, with
+        # the mean set to 0
+        g = Grid(2, 32, 1.0)
+        traj = evolve(taylor_green_two_mode(g), 0.01, [0.05, 0.1])
+        for t, w_inc in zip(traj.times, traj.increments):
+            assert w_inc.shape == g.slab_shape
+            padded = np.zeros(g.spectral_shape, dtype=complex)
+            padded[:, : g.dealias_keep + 1] = w_inc
+            expected = g.biot_savart * padded
+            expected[:, 0, 0] = 0.0
+            assert np.array_equal(traj.increment_at(t).coeffs, expected)
+
     def test_state_lookup(self):
-        # an increment is stored as vorticity, a scalar field; increment_at
-        # builds its Biot-Savart image, a velocity of zero mean, anew on
-        # every call
+        # increment_at builds the Biot-Savart image of the slab vorticity, a
+        # velocity of zero mean, anew on every call
         g = Grid(2, 32, 1.0)
         w = taylor_green_two_mode(g)
         traj = evolve(w, 0.01, [0.05, 0.1])
         w_inc = traj.increments[0]
-        assert w_inc.coeffs.shape == g.spectral_shape
         inc = traj.increment_at(0.05)
         assert inc is not traj.increment_at(0.05)
         assert inc.coeffs.shape == (2,) + g.spectral_shape
-        for b, c in zip(g.biot_savart, inc.coeffs):
-            assert np.array_equal(c, b * w_inc.coeffs)
         assert not np.any(inc.coeffs[:, 0, 0])
-        scale = np.max(np.abs(w_inc.coeffs))
+        scale = np.max(np.abs(w_inc))
         assert scale > 0.0
-        assert np.max(np.abs(curl(inc).coeffs - w_inc.coeffs)) <= 1e-13 * scale
+        assert np.max(np.abs(curl(inc).coeffs - _embed(w_inc, g))) <= 1e-13 * scale
         factor = heat_factor(g, 0.05, 0.01)
         for a, b, c in zip(traj.state_at(0.05).coeffs, w.coeffs, inc.coeffs):
             assert np.array_equal(a, factor * b + c)
@@ -464,22 +485,27 @@ class TestTrajectory:
             traj.state_at(0.07)
 
     def test_invariant_enforced_at_construction(self, rng):
-        # an increment must be a vorticity on the grid of u0: a stacked
-        # velocity, or a scalar on another grid, is rejected; and the state
-        # must be divergence-free, which data with a gradient part are not
+        # an increment must be a vorticity on the slab of the grid of u0: a
+        # stacked velocity slab, a whole half-spectrum, a slab of another
+        # grid or a field is rejected; and the state must be
+        # divergence-free, which data with a gradient part are not
         g = Grid(2, 32, 1.0)
         tg = taylor_green(g)
         diagnostics = {"energy": np.array([1.0])}
-        velocity = SpectralField(g, np.zeros((2,) + g.spectral_shape, dtype=complex))
         other = Grid(2, 64, 1.0)
-        foreign = SpectralField(other, np.zeros(other.spectral_shape, dtype=complex))
-        for inc in (velocity, foreign):
+        rejected = (
+            np.zeros((2,) + g.slab_shape, dtype=complex),
+            np.zeros(g.spectral_shape, dtype=complex),
+            np.zeros(other.slab_shape, dtype=complex),
+            SpectralField(g, np.zeros(g.spectral_shape, dtype=complex)),
+        )
+        for inc in rejected:
             with pytest.raises(ValueError, match="vorticity"):
                 Trajectory(
                     times=(0.0,), increments=(inc,), eps=0.0, u0=tg, diagnostics=diagnostics
                 )
         bad = gradient(spectral_of(g, rng.standard_normal(g.shape)))
-        zero = SpectralField(g, np.zeros(g.spectral_shape, dtype=complex))
+        zero = np.zeros(g.slab_shape, dtype=complex)
         with pytest.raises(NumericsError):
             Trajectory(
                 times=(0.0,),
@@ -500,7 +526,7 @@ class TestTrajectory:
         diagnostics = {"energy": np.array([1.0])}
         noise = spectral_of(g, rng.standard_normal(g.shape))
         scale = l2_norm_spectral(curl(tg)) / l2_norm_spectral(noise)
-        w_inc = SpectralField(g, scale * noise.coeffs)
+        w_inc = scale * noise.coeffs[g.slab]
         traj = Trajectory(
             times=(0.0,), increments=(w_inc,), eps=0.0, u0=tg, diagnostics=diagnostics
         )
@@ -508,7 +534,7 @@ class TestTrajectory:
         assert divergence_defect(traj.state_at(0.0)) <= 1e-12
         grad = gradient(spectral_of(g, rng.standard_normal(g.shape)))
         unit = l2_norm_spectral(tg) / l2_norm_spectral(grad)
-        zero = SpectralField(g, np.zeros(g.spectral_shape, dtype=complex))
+        zero = np.zeros(g.slab_shape, dtype=complex)
         for size, clean in ((1e-8, False), (1e-12, True)):
             u0 = SpectralField(g, tg.coeffs + (size * unit) * grad.coeffs)
             assert (divergence_defect(u0) <= 1e-9) == clean
@@ -547,9 +573,12 @@ class TestTrajectoryGap:
 
 class TestFirstOrderApproximants:
     def test_u1_identity_cases(self, shell_setup):
+        # a new field, as every public operation returns, with the values of u0
         bp, g, u0 = shell_setup
-        assert heat_propagate(u0, 0.0, 0.3) is u0
-        assert heat_propagate(u0, 0.3, 0.0) is u0
+        for t, eps in ((0.0, 0.3), (0.3, 0.0)):
+            out = heat_propagate(u0, t, eps)
+            assert out is not u0 and out.coeffs is not u0.coeffs
+            assert np.array_equal(out.coeffs, u0.coeffs)
 
     def test_u1_matches_heat_factor(self, shell_setup):
         bp, g, u0 = shell_setup
@@ -888,7 +917,7 @@ class TestExpansionResiduals:
         g = u0.grid
         (rem,) = first_order_remainders(traj0, traj_eps, [t])
         (u2,) = u2_duhamel(u0, [t], eps)
-        pa0 = -_velocity(g, full_rhs(g, curl(u0).coeffs, u0.coeffs[:, 0, 0]))
+        pa0 = -_velocity(g, full_rhs(g, curl(u0).coeffs, u0.coeffs[:, 0, 0])[g.slab])
         lin = heat_integral_factor(g, t, eps)
         expected = {
             "euler": traj0.increment_at(t).coeffs + t * pa0,
@@ -958,9 +987,10 @@ class TestExpansionResiduals:
         u0b = read_field(tmp_path / "u0.spf")
         replays = []
         for i, traj in enumerate((traj0, traj_eps)):
-            # the stored vorticity increment at t, a scalar field
-            write_field(tmp_path / f"increment{i}.spf", traj.increments[traj.times.index(t)])
-            inc = read_field(tmp_path / f"increment{i}.spf")
+            # the stored vorticity increment at t, a slab, written as a scalar field
+            inc = traj.increments[traj.times.index(t)]
+            write_field(tmp_path / f"increment{i}.spf", SpectralField(g, _embed(inc, g)))
+            inc = read_field(tmp_path / f"increment{i}.spf").coeffs[g.slab]
             replays.append(
                 Trajectory(
                     times=(t,),
