@@ -7,10 +7,16 @@ shifted to the carrier frequency ``17/12 * 2**n`` along the first axis,
 multiplied by unshifted bumps along the other axes, and turned into a
 divergence-free velocity through the perpendicular gradient.  The amplitude
 ``2**(-n (s+1))`` makes the B^s norm independent of ``n``.
+
+The datum's extent, the largest |m_j| it carries, is stated once from n and R:
+``datum_mode_extent`` is the carrier mode plus the bump's half-width, the
+largest |m| at which the profile is nonzero.  Every grid that carries the datum
+is sized from it, and ``oscillating_profile_spectral`` checks its ball by it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +34,9 @@ from .spectral import (
 )
 
 CARRIER_RATIO = 17.0 / 12.0
+# the profile bump is 1 on |xi| <= BUMP_INNER and 0 from |xi| >= BUMP_OUTER
+BUMP_OUTER = 0.25
+BUMP_INNER = BUMP_OUTER**2
 
 
 def _real_ifft(a: np.ndarray) -> np.ndarray:
@@ -44,23 +53,15 @@ def _real_ifft(a: np.ndarray) -> np.ndarray:
 class ProfileBump:
     """Even nonnegative 1-D frequency profile restricted to the axis lattice.
 
-    ``a_hat`` is 1 for |xi| <= inner, 0 for |xi| >= outer, and smooth in
-    between (same ramp as the dyadic cutoffs).
+    ``a_hat`` is 1 for |xi| <= BUMP_INNER, 0 for |xi| >= BUMP_OUTER, and
+    smooth in between (same ramp as the dyadic cutoffs).
     """
 
     grid: Grid
-    inner: float
-    outer: float
 
     @cached_property
     def a_hat(self) -> np.ndarray:
-        return radial_cutoff(np.abs(self.grid.freqs_1d), self.inner, self.outer)
-
-    @cached_property
-    def max_mode(self) -> int:
-        """Largest |m| on the 1-D lattice with a nonzero profile value."""
-        nz = self.a_hat > 0.0
-        return int(np.abs(self.grid.modes_1d[nz]).max())
+        return radial_cutoff(np.abs(self.grid.freqs_1d), BUMP_INNER, BUMP_OUTER)
 
     def physical_profile(self) -> np.ndarray:
         """Periodized physical profile on the 1-D sampling lattice."""
@@ -89,7 +90,7 @@ class ProfileBump:
         """
         g = self.grid
         xi = np.abs(np.fft.fftfreq(4 * g.N, d=1.0 / (4 * g.N)) / (4.0 * g.R))
-        a_fine = radial_cutoff(xi, self.inner, self.outer)
+        a_fine = radial_cutoff(xi, BUMP_INNER, BUMP_OUTER)
         phi = np.abs(_real_ifft(a_fine) * (g.N / g.L))
         x = (g.L / g.N) * np.arange(4 * g.N)
         dist = np.minimum(x, 4 * g.L - x)
@@ -98,14 +99,48 @@ class ProfileBump:
 
 
 def build_profile_bump(grid: Grid) -> ProfileBump:
-    """Profile bump with outer support radius 2**-d = 1/4.
+    """Profile bump with outer support radius 2**-d = 1/4 (``BUMP_OUTER``).
 
     The width keeps the shifted product inside a radius-1/2 ball around the
     carrier: sqrt(2) * 1/4 <= 1/2.
     """
-    outer = 2.0**-grid.d
-    inner = outer * 2.0**-grid.d
-    return ProfileBump(grid=grid, inner=inner, outer=outer)
+    return ProfileBump(grid)
+
+
+def carrier_mode(n: int, R: float) -> int:
+    """Carrier frequency 17/12 * 2**n as an integer lattice mode; errors if off-lattice."""
+    exact = CARRIER_RATIO * 2.0**n * R
+    m = int(round(exact))
+    if abs(exact - m) > 1e-9:
+        raise ConfigError(
+            f"carrier frequency {CARRIER_RATIO}*2^{n} is not on the lattice for "
+            f"R={R}; choose R a multiple of 12"
+        )
+    return m
+
+
+def bump_half_width(R: float) -> int:
+    """Largest |m| at which the profile bump (``ProfileBump.a_hat``) is nonzero
+    on the lattice xi = m/R.  The profile decreases in |m| and rounds to exactly
+    0 short of BUMP_OUTER, so bisection on 0 .. ceil(R/4) finds it in log R steps."""
+    lo, hi = 0, math.ceil(BUMP_OUTER * R)  # the profile is nonzero at lo, 0 at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if radial_cutoff([mid / R], BUMP_INNER, BUMP_OUTER)[0] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def datum_mode_extent(n: int, R: float) -> int:
+    """Largest |m_j| the shell datum of index n carries: carrier plus bump half-width."""
+    return carrier_mode(n, R) + bump_half_width(R)
+
+
+def background_mode_extent(band: int, R: float) -> int:
+    """Largest lattice mode |m| inside the background band |xi| <= 2**band."""
+    return int(2.0**band * R)
 
 
 @dataclass(frozen=True)
@@ -129,56 +164,32 @@ class ShellDatum:
         return 2.0 ** (-self.n * (self.bp.s + 1.0))
 
 
-def carrier_mode(n: int, grid: Grid) -> int:
-    """Carrier frequency as an integer lattice mode; errors if off-lattice."""
-    exact = CARRIER_RATIO * 2.0**n * grid.R
-    m = int(round(exact))
-    if abs(exact - m) > 1e-9:
-        raise ConfigError(
-            f"carrier frequency {CARRIER_RATIO}*2^{n} is not on the lattice for "
-            f"R={grid.R}; choose R a multiple of 12"
-        )
-    return m
-
-
-def oscillating_profile_spectral(
-    bump: ProfileBump, n: int, grid: Grid
-) -> SpectralField:
+def oscillating_profile_spectral(n: int, grid: Grid) -> SpectralField:
     """Frequency-space construction of the carrier-modulated profile.
 
     The first axis carries the bump shifted to +/- the carrier mode; the
-    remaining axes carry the unshifted bump (the last one on its stored half).
+    second carries the unshifted bump on its stored half.
     """
-    if bump.grid != grid:
-        raise ConfigError("bump was built for a different grid")
-    cm = carrier_mode(n, grid)
-    m_max = cm + bump.max_mode
+    m_max = datum_mode_extent(n, grid.R)
     if m_max > grid.dealias_keep:
         n_req = dealias_grid_size(m_max)
         raise ResolutionError(
-            f"carrier mode {cm} plus bump width {bump.max_mode} exceeds the "
-            f"dealias-safe ball |m|<={grid.dealias_keep} of N={grid.N}; "
-            f"need N>={n_req}",
+            f"shell datum n={n} reaches mode {m_max} (carrier plus bump "
+            f"half-width), beyond the dealias-safe ball |m|<={grid.dealias_keep} "
+            f"of N={grid.N}; need N>={n_req}",
             required_n=n_req,
         )
-    a1 = bump.a_hat
-    axis1 = np.roll(a1, cm) + np.roll(a1, -cm)
-    out = axis1.astype(np.complex128)
-    for n in grid.spectral_shape[1:]:
-        out = np.multiply.outer(out, a1[:n])
-    return SpectralField(grid, out)
+    cm = carrier_mode(n, grid.R)
+    a1 = build_profile_bump(grid).a_hat
+    axis1 = (np.roll(a1, cm) + np.roll(a1, -cm)).astype(np.complex128)
+    return SpectralField(grid, np.multiply.outer(axis1, a1[: grid.spectral_shape[1]]))
 
 
-def shell_velocity(
-    datum: ShellDatum, grid: Grid, bump: ProfileBump | None = None
-) -> SpectralField:
+def shell_velocity(datum: ShellDatum, grid: Grid) -> SpectralField:
     """Divergence-free shell velocity for the datum, optionally translated."""
-    bump = bump or build_profile_bump(grid)
-    F = oscillating_profile_spectral(bump, datum.n, grid)
+    F = oscillating_profile_spectral(datum.n, grid)
     if datum.shift != 0.0:
-        shift_vec = np.zeros(grid.d)
-        shift_vec[0] = datum.shift
-        F = translate(F, shift_vec)
+        F = translate(F, (datum.shift, 0.0))
     return SpectralField(grid, datum.amplitude * perp_gradient(F).coeffs)
 
 
@@ -215,11 +226,6 @@ def taylor_green_two_mode(grid: Grid, secondary: float = 0.5) -> SpectralField:
     coefficients are set exactly, so nothing lies outside the 2/3 ball.
     """
     return SpectralField(grid, _vortex_cell(grid, 1.0, 1) + _vortex_cell(grid, secondary, 2))
-
-
-def background_mode_extent(band: int, R: float) -> int:
-    """Largest lattice mode |m| inside the background band |xi| <= 2**band."""
-    return int(2.0**band * R)
 
 
 def background_field(

@@ -32,7 +32,7 @@ from .constructions import (
     background_field,
     background_mode_extent,
     build_profile_bump,
-    carrier_mode,
+    datum_mode_extent,
     shell_velocity,
     taylor_green,
     taylor_green_two_mode,
@@ -221,23 +221,18 @@ class ExperimentContext:
             )
         return N
 
-    def _datum_mode_extent(self, n: int) -> int:
-        g = self.grid(16)  # the carrier and the bump's extent depend on R alone
-        return carrier_mode(n, g) + build_profile_bump(g).max_mode
-
     def datum_grid(self, n: int) -> Grid:
         """Smallest power-of-two grid with the datum inside the 2/3 ball."""
-        return self.grid(self._fit_grid(self._datum_mode_extent(n), f"datum n={n}"))
+        return self.grid(self._fit_grid(datum_mode_extent(n, self.cfg.R), f"datum n={n}"))
 
     def product_grid(self, n: int) -> Grid:
         """Smallest grid resolving the exact quadratic product of the datum."""
-        return self.grid(
-            self._fit_grid(2 * self._datum_mode_extent(n), f"datum product n={n}")
-        )
+        extent = 2 * datum_mode_extent(n, self.cfg.R)
+        return self.grid(self._fit_grid(extent, f"datum product n={n}"))
 
     def background_grid(self, n_max: int) -> Grid:
         extent = max(
-            self._datum_mode_extent(n_max),
+            datum_mode_extent(n_max, self.cfg.R),
             background_mode_extent(self.cfg.psi_band, self.cfg.R),
         )
         return self.grid(self._fit_grid(extent, "background experiment"))

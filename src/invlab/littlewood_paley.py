@@ -63,17 +63,18 @@ def block_annulus(j: int) -> tuple:
 
 @dataclass
 class DyadicPartition:
-    """Dyadic cutoffs bound to one grid, with cached multipliers.
+    """Dyadic cutoffs bound to one grid, with cached block multipliers.
 
     ``block(j)`` and ``low_pass(n)`` return ``(box, values)``: the index of
     the multiplier's box into a half-spectrum array (module docstring) and
     its values there, computed from ``theta``/``phi`` on ``grid.k_mag[box]``.
-    Outside the box the multiplier is exactly 0.
+    Outside the box the multiplier is exactly 0.  Only the blocks, which every
+    Besov norm reads, are cached.
     """
 
     grid: Grid
     j_max: int
-    _cache: dict = field(default_factory=dict, repr=False)
+    _blocks: dict = field(default_factory=dict, repr=False)
 
     def theta(self, r):
         return radial_cutoff(r)
@@ -91,22 +92,18 @@ class DyadicPartition:
         """``(box, values)`` of the multiplier of Delta_j."""
         if j < -1:
             raise ValueError(f"block index must be >= -1, got {j}")
-        key = ("block", j)
-        if key not in self._cache:
+        if j not in self._blocks:
             g = self.grid
             box = g.box(math.ceil(block_annulus(j)[1] * g.R) - 1)
             k = g.k_mag[box]
-            self._cache[key] = (box, self.theta(k) if j == -1 else self.phi(k / 2.0**j))
-        return self._cache[key]
+            self._blocks[j] = (box, self.theta(k) if j == -1 else self.phi(k / 2.0**j))
+        return self._blocks[j]
 
     def low_pass(self, n: int) -> tuple:
-        """``(box, values)`` of the multiplier of S_n."""
-        key = ("low", n)
-        if key not in self._cache:
-            g = self.grid
-            box = g.box(math.ceil(THETA_ZERO * 2.0**n * g.R) - 1)
-            self._cache[key] = (box, self.theta(g.k_mag[box] / 2.0**n))
-        return self._cache[key]
+        """``(box, values)`` of the multiplier of S_n, computed on each call."""
+        g = self.grid
+        box = g.box(math.ceil(THETA_ZERO * 2.0**n * g.R) - 1)
+        return box, self.theta(g.k_mag[box] / 2.0**n)
 
 
 @lru_cache(maxsize=None)
@@ -151,6 +148,8 @@ class BesovParams:
     d: int = 2
 
     def __post_init__(self):
+        if not math.isfinite(self.s):
+            raise ConfigError(f"s must be finite, got {self.s}")
         if not (1 <= self.p):
             raise ConfigError(f"p must lie in [1, inf], got {self.p}")
         if not (1 <= self.r):
@@ -216,7 +215,7 @@ def block_lp_norms(F: SpectralField, p: float) -> np.ndarray:
 
     A field whose support reaches beyond the radius where the partition is
     exact gets truncated blocks, and a UserWarning says so.  A non-finite
-    coefficient or block norm raises NumericsError.
+    coefficient (``support_mask``) or block norm raises NumericsError.
     """
     part = build_partition(F.grid)
     r_lo, r_hi = field_support_range(F)
@@ -226,9 +225,6 @@ def block_lp_norms(F: SpectralField, p: float) -> np.ndarray:
             f"ball |xi| <= {part.coverage_radius:.3g}; Besov blocks are truncated",
             stacklevel=2,
         )
-    if not np.isfinite(F.coeffs).all():
-        # no block's box need hold the offending coefficient
-        raise NumericsError("field has a non-finite coefficient")
     comps = F.coeffs.reshape((-1,) + F.grid.spectral_shape)
     out = np.empty(part.j_max + 2)
     for j in range(-1, part.j_max + 1):

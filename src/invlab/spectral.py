@@ -83,8 +83,8 @@ class Grid:
             raise ConfigError(f"dimension must be 2, got {self.d}")
         if self.N < 16 or (self.N & (self.N - 1)) != 0:
             raise ConfigError(f"N must be a power of two >= 16, got {self.N}")
-        if not (self.R > 0):
-            raise ConfigError(f"R must be positive, got {self.R}")
+        if not (0 < self.R < np.inf):
+            raise ConfigError(f"R must be finite and positive, got {self.R}")
 
     @property
     def L(self) -> float:

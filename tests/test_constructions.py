@@ -5,7 +5,9 @@ from invlab.constructions import (
     ShellDatum,
     background_field,
     build_profile_bump,
+    bump_half_width,
     carrier_mode,
+    datum_mode_extent,
     oscillating_profile_spectral,
     shell_velocity,
     taylor_green,
@@ -15,6 +17,7 @@ from invlab.errors import ConfigError, ResolutionError
 from invlab.littlewood_paley import (
     besov_norm,
     field_support_range,
+    radial_cutoff,
 )
 from invlab.spectral import (
     Grid,
@@ -35,7 +38,7 @@ class TestProfileBump:
         assert bump.a_hat[0] == 1.0
         assert bump.a_hat[3] == 0.0  # xi = 3/12 = 1/4
         assert 0.0 < bump.a_hat[2] <= 1.0
-        assert bump.max_mode == 2
+        assert bump_half_width(lab_grid.R) == 2
 
     def test_even_profile(self, lab_grid):
         bump = build_profile_bump(lab_grid)
@@ -69,16 +72,14 @@ class TestProfileBump:
 
 class TestOscillatingProfile:
     def test_support_inside_dyadic_annulus(self, lab_grid):
-        bump = build_profile_bump(lab_grid)
-        F = oscillating_profile_spectral(bump, 3, lab_grid)
+        F = oscillating_profile_spectral(3, lab_grid)
         lo, hi = field_support_range(F)
         carrier = 17.0 / 12.0 * 8
         assert carrier - 0.5 <= lo <= hi <= carrier + 0.5
         assert 4.0 / 3.0 * 8 <= lo and hi <= 1.5 * 8
 
     def test_real_and_even(self, lab_grid):
-        bump = build_profile_bump(lab_grid)
-        s = _inverse(oscillating_profile_spectral(bump, 3, lab_grid).coeffs, lab_grid)
+        s = _inverse(oscillating_profile_spectral(3, lab_grid).coeffs, lab_grid)
         for ax in range(2):
             flipped = np.roll(np.flip(s, axis=ax), 1, axis=ax)
             assert np.max(np.abs(s - flipped)) <= 1e-12 * np.max(np.abs(s))
@@ -86,9 +87,8 @@ class TestOscillatingProfile:
     def test_matches_physical_product_construction(self, lab_grid):
         # the frequency-space field equals 2 * cos(carrier x1) times the
         # periodized profile in each coordinate
-        bump = build_profile_bump(lab_grid)
-        f = _inverse(oscillating_profile_spectral(bump, 3, lab_grid).coeffs, lab_grid)
-        phi = bump.physical_profile()
+        f = _inverse(oscillating_profile_spectral(3, lab_grid).coeffs, lab_grid)
+        phi = build_profile_bump(lab_grid).physical_profile()
         x = lab_grid.x_1d
         carrier = 17.0 / 12.0 * 8
         expected = (
@@ -99,16 +99,51 @@ class TestOscillatingProfile:
         assert np.max(np.abs(f - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     def test_off_lattice_carrier_rejected(self):
-        g = Grid(2, 128, 1.0)
         with pytest.raises(ConfigError):
-            carrier_mode(3, g)
+            carrier_mode(3, 1.0)
 
     def test_insufficient_resolution_names_requirement(self):
         g = Grid(2, 256, 12.0)
-        bump = build_profile_bump(g)
         with pytest.raises(ResolutionError) as exc:
-            oscillating_profile_spectral(bump, 3, g)
+            oscillating_profile_spectral(3, g)
         assert exc.value.required_n == 512
+
+
+def _lattice_half_width(R: float) -> int:
+    """The bump's half-width read on a lattice wide enough to hold it."""
+    g = Grid(2, 2048, R)  # |m| up to 1024 > R/4: past the support
+    return int(np.abs(g.modes_1d[build_profile_bump(g).a_hat > 0.0]).max())
+
+
+class TestDatumExtent:
+    @pytest.mark.parametrize("R, extent", [(12.0, 136 + 2), (48.0, 544 + 11), (60.0, 680 + 14)])
+    def test_carrier_plus_lattice_half_width(self, R, extent):
+        # a 16-point lattice stops at |m| = 8, short of the half-width 11 at
+        # R = 48 and 14 at R = 60; the rule needs no lattice
+        assert datum_mode_extent(3, R) == extent
+        for n in (3, 4, 5):
+            assert datum_mode_extent(n, R) == carrier_mode(n, R) + _lattice_half_width(R)
+
+    def test_half_width_matches_the_lattice(self):
+        # from R ~ 300 on the ramp rounds to 0 below the last mode under R/4
+        for R in [0.25 * k for k in range(1, 400)] + [1 / 3, 12 + 1e-9, 299.9, 480.0, 4000.0]:
+            assert bump_half_width(R) == _lattice_half_width(R), R
+
+    def test_half_width_at_a_radius_no_lattice_holds(self):
+        # no lattice this large is built: the half-width is where the profile
+        # turns exactly 0, about 0.245 R, and is found at a cost in log R
+        R = 12.0 * 2**40
+        W = bump_half_width(R)
+        edge = radial_cutoff([W / R, (W + 1) / R], 1 / 16, 1 / 4)
+        assert edge[0] > 0.0 and edge[1] == 0.0
+        assert 0.24 * R < W < 0.25 * R
+
+    def test_outermost_mode_is_the_extent(self):
+        # the n = 4 datum at R = 6 reaches 136 + 1, inside the ball of N = 512
+        g = Grid(2, 512, 6.0)
+        F = oscillating_profile_spectral(4, g)
+        m = datum_mode_extent(4, g.R)
+        assert F.coeffs[m, 0] != 0.0 and not F.coeffs[m + 1].any()
 
 
 class TestShellDatum:
@@ -126,9 +161,8 @@ class TestShellDatum:
 
     def test_besov_norm_against_profile_norms(self, bp, lab_grid):
         # the B^s norm is comparable to the squared 1-D profile L^p norm
-        bump = build_profile_bump(lab_grid)
-        u0 = shell_velocity(ShellDatum(3, bp), lab_grid, bump)
-        ratio = besov_norm(u0, bp) / bump.lp_norm_1d(bp.p) ** 2
+        u0 = shell_velocity(ShellDatum(3, bp), lab_grid)
+        ratio = besov_norm(u0, bp) / build_profile_bump(lab_grid).lp_norm_1d(bp.p) ** 2
         assert 1.0 / 3.0 <= ratio <= 3.0
 
     def test_translation_leaves_norms_invariant(self, bp, lab_grid):

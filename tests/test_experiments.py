@@ -188,6 +188,18 @@ class TestContext:
         with pytest.raises(ResolutionError):
             ctx.product_grid(5)  # would need 4096 > budget 2048
 
+    def test_grids_hold_the_whole_datum_at_radius_60(self):
+        # at R = 60 the n = 5 datum reaches 2720 + 14 = 2734: its grid needs
+        # N >= 3 * 2734 + 1, so 16384, and its product 32768, over the budget;
+        # a half-width read on 16 points (8) would size them at 8192 and 16384
+        from invlab.errors import ResolutionError
+
+        ctx = ExperimentContext(ExperimentConfig(R=60.0, N=16384, n_list=(5,)))
+        assert ctx.datum_grid(5).N == 16384
+        with pytest.raises(ResolutionError) as exc:
+            ctx.product_grid(5)
+        assert exc.value.required_n == 32768
+
 
 class TestTrajectoryBatch:
     """``ExperimentContext.trajectory`` evolves the requests of a batch side by side."""

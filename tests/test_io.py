@@ -109,7 +109,9 @@ class TestFieldSnapshots:
             read_field(p)
 
     @pytest.mark.parametrize(
-        "N, R", [(15, 1.5), (16, -1.0), (16, math.nan)], ids=["N-15", "R-negative", "R-nan"]
+        "N, R",
+        [(15, 1.5), (16, -1.0), (16, math.nan), (16, math.inf)],
+        ids=["N-15", "R-negative", "R-nan", "R-inf"],
     )
     def test_header_grid_rejected(self, tmp_path, N, R):
         # a grid that Grid refuses makes the snapshot malformed
@@ -343,6 +345,8 @@ class TestCli:
             ("perturbed-gap", {"psi_band": -1, "n_list": [3]}, []),
             ("family-gap", {"t_grid": [0.01, 0.01, 0.02]}, []),
             ("family-gap", {"t_grid": [0.02, 0.01]}, []),
+            ("family-gap", {"R": math.inf}, []),
+            ("family-gap", {"s": math.inf}, []),
         ],
         ids=["evolve-eps", "evolve-n", "negative-exponent", "t0-off-grid",
              "heat-law-one-time", "residuals-one-time", "s-text", "d-text",
@@ -351,7 +355,7 @@ class TestCli:
              "fractional-exponent", "negative-seed", "negative-seed-flag",
              "repeated-shell", "repeated-exponent", "negative-N", "N-not-power-of-two",
              "negative-radius-bound", "negative-psi-band", "repeated-time",
-             "descending-time"],
+             "descending-time", "R-inf", "s-inf"],
     )
     def test_invalid_input_exits_2_before_evolving(
         self, tmp_path, capsys, monkeypatch, command, overrides, flags

@@ -217,6 +217,12 @@ class TestMultiplierBoxes:
         cached = sum(vals.nbytes for _, vals in map(part.block, range(-1, part.j_max + 1)))
         assert cached <= 10 * 2**20
 
+    def test_low_pass_is_computed_on_each_call(self):
+        # the experiments ask for each low-pass about once: none is kept
+        part = build_partition(Grid(2, 64, 12.0))
+        first, again = part.low_pass(1)[1], part.low_pass(1)[1]
+        assert first is not again and np.array_equal(first, again)
+
 
 class TestBesovParams:
     def test_admissible_triples(self):
