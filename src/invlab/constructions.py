@@ -12,6 +12,8 @@ The datum's extent, the largest |m_j| it carries, is stated once from n and R:
 ``datum_mode_extent`` is the carrier mode plus the bump's half-width, the
 largest |m| at which the profile is nonzero.  Every grid that carries the datum
 is sized from it, and ``oscillating_profile_spectral`` checks its ball by it.
+An evolved shell state stays in boxes of ``envelope_half_width`` around the
+carrier's harmonics, the envelopes on which ``solvers`` evolves it.
 """
 
 from __future__ import annotations
@@ -126,11 +128,25 @@ def bump_half_width(R: float) -> int:
     lo, hi = 0, math.ceil(BUMP_OUTER * R)  # the profile is nonzero at lo, 0 at hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if radial_cutoff([mid / R], BUMP_INNER, BUMP_OUTER)[0] > 0.0:
+        if radial_cutoff(mid / R, BUMP_INNER, BUMP_OUTER) > 0.0:
             lo = mid
         else:
             hi = mid
     return lo
+
+
+def envelope_half_width(R: float) -> int:
+    """Half-width W of the boxes ``|m_j| <= W`` around the carrier harmonics
+    ``h * carrier_mode(n, R)`` that hold an evolved shell state
+    (``solvers.Envelopes``): five bump half-widths b, 10 at R = 12.
+
+    The datum fills the boxes of half-width b around h = +/-1, and the
+    evolution spreads it: by t = 0.08 (n = 3 and 4, eps = 0 and eps_n) every
+    mode above 1e-20 of the peak lies within 3b of a harmonic (measured at
+    R = 12).  Five widths leave the outer ring ``|m|_inf > W - b`` that
+    ``solvers.Envelopes.guard`` watches a further b beyond that.
+    """
+    return 5 * bump_half_width(R)
 
 
 def datum_mode_extent(n: int, R: float) -> int:

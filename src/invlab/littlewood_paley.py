@@ -39,7 +39,7 @@ def smooth_ramp(u: np.ndarray) -> np.ndarray:
     """Monotone C-infinity ramp: 0 for u <= 0, 1 for u >= 1, b(u)/(b(u) + b(1-u))
     between, b(u) = exp(-1/u) evaluated only on 0 < u < 1; NaN stays NaN."""
     u = np.asarray(u, dtype=float)
-    out = (u >= 1.0).astype(float)
+    out = np.array(u >= 1.0, dtype=float)  # an array also for a 0-d u
     mid = ~((u <= 0.0) | (u >= 1.0))
     um = u[mid]
     with np.errstate(over="ignore", under="ignore"):

@@ -255,15 +255,16 @@ def _conj_mirror(full: np.ndarray) -> np.ndarray:
 # transforms
 
 
-# The one transform pair is the only route to the FFT backend, numpy's
-# pocketfft.  Each transform is two passes through the module-level ``_fft``,
-# as numpy's rfftn and irfftn make them: a row pass (axis 1, real to half
-# spectrum) and a column pass (axis 0), each transforming every column on its
-# own.  The column pass covers the leading columns its caller hands over, the
-# whole half-spectrum or the ball's slab (``Grid.slab``); the row pass
-# of an inverse zero-pads each row to N/2 + 1 columns as irfftn does, so
-# either way the values are those of rfftn and irfftn, bitwise.  Both scale
-# in place, and write into ``out`` (and ``rows``, ``scratch``) when handed.
+# The one transform pair and the envelope pair below are the only routes to
+# the FFT backend, numpy's pocketfft.  Each transform of the pair is two
+# passes through the module-level ``_fft``, as numpy's rfftn and irfftn make
+# them: a row pass (axis 1, real to half spectrum) and a column pass (axis
+# 0), each transforming every column on its own.  The column pass covers the
+# leading columns its caller hands over, the whole half-spectrum or the
+# ball's slab (``Grid.slab``); the row pass of an inverse zero-pads each row
+# to N/2 + 1 columns as irfftn does, so either way the values are those of
+# rfftn and irfftn, bitwise.  Both scale in place, and write into ``out``
+# (and ``rows``, ``scratch``) when handed.
 
 
 def _forward(samples: np.ndarray, grid: Grid, out=None, rows=None) -> np.ndarray:
@@ -285,6 +286,25 @@ def _inverse(coeffs: np.ndarray, grid: Grid, out=None, scratch=None) -> np.ndarr
     cols = _fft.ifftn(coeffs, axes=(0,), out=scratch)
     out = _fft.irfftn(cols, s=(grid.N,), axes=(1,), out=out)
     out *= (grid.N / grid.L) ** grid.d
+    return out
+
+
+# The envelope pair transforms complex fields on a coarse M x M lattice of the
+# same period L, over the last two axes of a stack (``solvers.Envelopes``),
+# with the continuum convention above: one complex n-dimensional call each.
+
+
+def _box_forward(samples: np.ndarray, L: float, out=None) -> np.ndarray:
+    """Coefficients of a stack of complex M x M samples of period ``L``."""
+    out = _fft.fftn(samples, axes=(-2, -1), out=out)
+    out *= (L / samples.shape[-1]) ** 2
+    return out
+
+
+def _box_inverse(coeffs: np.ndarray, L: float, out=None) -> np.ndarray:
+    """Complex samples of a stack of M x M coefficient arrays of period ``L``."""
+    out = _fft.ifftn(coeffs, axes=(-2, -1), out=out)
+    out *= (coeffs.shape[-1] / L) ** 2
     return out
 
 

@@ -75,8 +75,13 @@ def two_shell_gap_records(small_cfg):
 
 
 @pytest.fixture(scope="module")
-def fixed_limit_records(small_cfg):
-    return run_fixed_datum_limit(small_cfg, ExperimentContext(small_cfg))
+def fixed_limit_ctx(small_cfg):
+    return ExperimentContext(small_cfg)
+
+
+@pytest.fixture(scope="module")
+def fixed_limit_records(small_cfg, fixed_limit_ctx):
+    return run_fixed_datum_limit(small_cfg, fixed_limit_ctx)
 
 
 @pytest.fixture(scope="module")
@@ -650,6 +655,24 @@ class TestFixedDatumLimit:
             r for r in by_quantity(records, "solution_gap_vs_eps") if r.eps == 0.0
         ]
         assert zero[0].value == 0.0
+
+
+class TestEvolutionLayouts:
+    def test_bare_shell_runs_on_envelopes(self, fixed_limit_ctx, fixed_limit_records):
+        # each entry names its layout: the shell's boxes of W = 10 on an
+        # M = 32 envelope grid, one harmonic on the ball of N = 512, and the
+        # largest ring share the guard measured
+        runs = fixed_limit_ctx.evolutions
+        assert len(runs) == 1 + 3
+        for r in runs:
+            assert (r["layout"], r["N"], r["M"], r["W"], r["H"]) == ("envelopes", 512, 32, 10, 1)
+            assert 0.0 < r["ring_share_max"] <= 1e-14
+
+    def test_background_runs_on_the_ball(self, perturbed_ctx, perturbed_gap_records):
+        # the additivity defect subtracts runs with and without a background,
+        # so all of them evolve one system: the ball
+        runs = perturbed_ctx.evolutions
+        assert runs and all(r["layout"] == "ball" and "M" not in r for r in runs)
 
 
 class TestPerturbedGap:

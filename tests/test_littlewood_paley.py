@@ -71,6 +71,16 @@ class TestCutoffs:
         assert np.array_equal(smooth_ramp(u), ref)
         assert np.isnan(smooth_ramp(np.array([np.nan]))).all()
 
+    @pytest.mark.parametrize("u", [0.3, -0.5, 0.0, 1.0, 2.5])
+    def test_ramp_of_a_scalar(self, u):
+        # a float, an np.float64 and a 0-d array give the value of the
+        # one-element array
+        (ref,) = smooth_ramp(np.array([u]))
+        for form in (u, np.float64(u), np.array(u)):
+            v = smooth_ramp(form)
+            assert np.shape(v) == () and v == ref
+        assert radial_cutoff(u) == radial_cutoff(np.array([u]))[0]
+
     def test_cutoff_general_bounds(self):
         r = np.linspace(0, 3, 301)
         v = radial_cutoff(r, 0.5, 2.0)

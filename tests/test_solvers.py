@@ -23,6 +23,9 @@ from invlab.experiments import DEFAULT_T_GRID
 from invlab.littlewood_paley import BesovParams, besov_norm
 from invlab.solvers import (
     REFINE_TOL,
+    RING_TOL,
+    Ball,
+    Envelopes,
     RhsWork,
     Trajectory,
     evolve,
@@ -1003,3 +1006,168 @@ class TestExpansionResiduals:
         again = remainder_norms(*replays, [t], bp)
         for name, (value,) in again.items():
             assert value == pytest.approx(shell_remainders[name][2], rel=1e-12), name
+
+
+# ---------------------------------------------------------------------------
+# harmonic envelopes
+
+
+def shell_envelopes(n, N):
+    """The shell datum n on Grid(2, N, 12) and its envelope layout."""
+    from invlab.constructions import bump_half_width, carrier_mode, envelope_half_width
+
+    g = Grid(2, N, 12.0)
+    u0 = shell_velocity(ShellDatum(n, BesovParams(3.0, 2.0, 2.0, 2)), g)
+    return u0, Envelopes(g, carrier_mode(n, 12.0), envelope_half_width(12.0), bump_half_width(12.0))
+
+
+def in_boxes(layout):
+    """The entries of the slab of the layout's grid that lie in its boxes."""
+    return layout.slab(layout.mask.astype(complex)) != 0
+
+
+@pytest.fixture(scope="module")
+def envelope_datum():
+    return shell_envelopes(3, 512)
+
+
+class TestEnvelopes:
+    def test_layout_of_the_shell_grids(self):
+        # boxes of W = 5 b = 10 on an M = 32 grid; one harmonic meets the
+        # ball of each datum grid, two meet the ball of N = 1024 at n = 3
+        # (2 c = 272 + 10 <= keep = 341)
+        for n, N, H in ((3, 512, 1), (4, 1024, 1), (5, 2048, 1), (3, 1024, 2)):
+            lay = shell_envelopes(n, N)[1]
+            assert (lay.width, lay.M, lay.H) == (10, 32, H)
+            assert lay.mask.sum() == (H + 1) * 21**2
+
+    @pytest.mark.parametrize(
+        "n, N, evolved",
+        [(3, 512, False), (3, 512, True), (3, 1024, False)],
+        ids=["datum", "evolved", "two-harmonics"],
+    )
+    def test_rhs_matches_vorticity_rhs_in_the_boxes(self, n, N, evolved):
+        # the envelope right-hand side, scattered to the slab, is the ball's
+        # inside the boxes to rounding (1.5-1.7e-14 of the peak measured at
+        # H = 1) and exactly 0 outside them
+        u0, lay = shell_envelopes(n, N)
+        if evolved:
+            u0 = evolve(u0, 2.0**-6, [0.04], layout=lay).state_at(0.04)
+        g = u0.grid
+        w, mean = lay.data(u0)
+        out = np.empty_like(w)
+        lay.rhs(w, mean, lay.work(), out)
+        got = lay.slab(out)
+        ref = np.empty(g.slab_shape, dtype=np.complex128)
+        vorticity_rhs(g, curl(u0).coeffs[g.slab], mean, RhsWork(g), ref)
+        boxes = in_boxes(lay)
+        peak = np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)[boxes]) <= 1e-13 * peak
+        assert not np.any(got[~boxes])
+
+    def test_evolution_matches_the_ball(self, envelope_datum, shell_trajectories):
+        # the increments of one Galerkin system in two layouts: 1.5-7.4e-15
+        # relative in L2 measured at n = 3
+        u0, lay = envelope_datum
+        times, eps, traj0, traj_eps = shell_trajectories
+        for ball in (traj0, traj_eps):
+            env = evolve(u0, ball.eps, times, layout=lay)
+            assert env.layout == lay and ball.layout == Ball(u0.grid)
+            assert np.array_equal(env.diagnostics["dt"], ball.diagnostics["dt"])
+            for t in times:
+                assert vf_rel_diff(env.increment_at(t), ball.increment_at(t)) <= 1e-13
+            assert len(env.diagnostics["ring_share"]) == len(times)
+            assert max(env.diagnostics["ring_share"]) <= RING_TOL
+            assert len(ball.diagnostics["ring_share"]) == 0
+
+    def test_duhamel_sums_match_the_ball(self, envelope_datum):
+        u0, lay = envelope_datum
+        times, eps = (0.01, 0.02), 2.0**-6
+        ball = u2_duhamel(u0, times, eps, nodes=9)
+        for a, b in zip(u2_duhamel(u0, times, eps, nodes=9, layout=lay), ball):
+            assert vf_rel_diff(a, b) <= 1e-13
+
+    def test_remainders_need_one_layout(self, envelope_datum, shell_trajectories):
+        u0, lay = envelope_datum
+        times, eps, traj0, _ = shell_trajectories
+        env = evolve(u0, eps, times, layout=lay)
+        with pytest.raises(ValueError, match="different layouts"):
+            first_order_remainders(traj0, env, times)
+
+    def test_layout_of_another_grid_rejected(self, envelope_datum):
+        u0, _ = envelope_datum
+        other = shell_envelopes(3, 1024)[1]
+        with pytest.raises(ValueError, match="the layout is of"):
+            evolve(u0, 0.0, [0.01], layout=other)
+
+    def test_carrier_must_exceed_three_widths(self):
+        # at c <= 3W a product of two envelopes reaches a neighbouring box
+        g = Grid(2, 512, 12.0)
+        with pytest.raises(ResolutionError, match="not above 3W = 30"):
+            Envelopes(g, 30, 10, 2)
+        assert Envelopes(g, 31, 10, 2).H == 5
+
+    @pytest.mark.parametrize("where", ["between-boxes", "beyond-box"])
+    def test_data_outside_the_boxes_rejected(self, envelope_datum, monkeypatch, where):
+        # one 1e-300 stream coefficient inside the ball but outside the boxes:
+        # the admission refuses the data before any transform runs
+        import invlab.spectral as spectral
+
+        u0, lay = envelope_datum
+        g = u0.grid
+        psi = np.zeros(g.spectral_shape, dtype=np.complex128)
+        c, W = lay.carrier, lay.width
+        psi[(c // 2, 3) if where == "between-boxes" else (c + W + 1, 3)] = 1e-300
+        bad = SpectralField(g, u0.coeffs + perp_gradient(SpectralField(g, psi)).coeffs)
+        assert divergence_defect(bad) <= 1e-10
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a transform ran")
+
+        monkeypatch.setattr(spectral, "_fft", types.SimpleNamespace(fftn=no_work, ifftn=no_work))
+        with pytest.raises(ResolutionError, match="outside the harmonic boxes"):
+            evolve(bad, 0.0, [0.01], layout=lay)
+        with pytest.raises(ResolutionError, match="outside the harmonic boxes"):
+            u2_duhamel(bad, [0.01], 0.0, layout=lay)
+
+    @pytest.mark.parametrize("share", [1e-12, 1e-15])
+    def test_ring_guard(self, envelope_datum, share):
+        # vorticity in the outer ring |m|_inf > W - b of box 1 at a share
+        # above RING_TOL raises at the sample time, naming the envelope grid
+        # of twice the width; below it, the share is reported
+        u0, lay = envelope_datum
+        g = u0.grid
+        psi = np.zeros(g.spectral_shape, dtype=np.complex128)
+        psi[lay.carrier, lay.width] = 1.0
+        ring = perp_gradient(SpectralField(g, psi)).coeffs
+        scale = share * l2_norm_spectral(curl(u0)) / l2_norm_spectral(curl(SpectralField(g, ring)))
+        u = SpectralField(g, u0.coeffs + scale * ring)
+        if share > 1e-14:
+            with pytest.raises(ResolutionError, match="M = 64"):
+                evolve(u, 0.0, [0.0, 0.01], layout=lay)
+        else:
+            traj = evolve(u, 0.0, [0.0], layout=lay)
+            assert traj.diagnostics["ring_share"][0] == pytest.approx(share, rel=1e-6)
+
+
+class TestEnvelopeTransformCount:
+    def test_transforms_per_evolution_and_step(self, envelope_datum, monkeypatch):
+        # one complex M x M inverse call for the data's speed; per RK4 step 4
+        # right-hand sides, each one inverse call on the samples of w, u1
+        # and u2 and one forward call on the two products, per harmonic: no
+        # transform of the N = 512 grid
+        u0, lay = envelope_datum
+        passes = recording_backend(monkeypatch)
+        traj = evolve(u0, 2.0**-6, [0.04, 0.08], layout=lay)
+        steps = len(traj.diagnostics["dt"])
+        assert steps == 64
+        shape = (lay.H + 1, lay.M, lay.M)
+        counts = {}
+        for kind, ax, in_shape, _ in passes:
+            counts[(kind, ax, in_shape)] = counts.get((kind, ax, in_shape), 0) + 1
+        assert counts == {
+            ("inverse", -2, (3,) + shape): 1 + 4 * steps,
+            ("inverse", -1, (3,) + shape): 1 + 4 * steps,
+            ("forward", -2, (2,) + shape): 4 * steps,
+            ("forward", -1, (2,) + shape): 4 * steps,
+        }
