@@ -25,6 +25,11 @@ is the same.  ``perturbed-gap`` stays on the ball: its additivity defect
 subtracts the bare-shell run from runs with a background, which fills a low
 box of radius 2^psi_band R, so all of them must be one Galerkin system.
 ``validate`` evolves Taylor-Green vortices on the ball of N = 64.
+An envelope run stays on its boxes up to its records: its states, gaps and
+remainder fields are ``solvers.BoxField``, whose p = 2 Besov norms are
+Parseval sums over the boxes, and only a norm at p != 2 scatters them to
+the half-spectrum of the datum grid (``BoxField.spectral``).  The datum
+itself, its initial Besov norm and its heat defect stay half-spectra.
 The expansion residuals take their four remainder fields from
 ``solvers.first_order_remainders``: one Duhamel sweep for all sample times,
 which evaluates each distinct quadrature node once (refined in the same pass

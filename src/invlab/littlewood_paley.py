@@ -16,6 +16,14 @@ the smallest box of the stored half-spectrum that holds the modes
 ``|m_j| < r_out R``, ``Grid.box(M)`` with ``M = ceil(r_out R) - 1``.  Outside
 the box some ``|m_j| >= r_out R``, so ``|xi| >= r_out``.  Blocks are applied,
 and their L^2 norms summed, on the box alone.
+
+A field on the boxes of an envelope layout (``solvers.BoxField``) is normed
+where it lives: at p = 2 by Parseval on the layout's entries
+(``Envelopes.l2``), with every block multiplier evaluated once per layout at
+the entries' |xi| (``DyadicPartition.multipliers``, kept as
+``Envelopes.blocks``); at any other p through its one exit to the
+half-spectrum (``BoxField.spectral``).  The support range, the truncation
+warning and the non-finite errors are the same code for both kinds.
 """
 
 from __future__ import annotations
@@ -99,6 +107,16 @@ class DyadicPartition:
             self._blocks[j] = (box, self.theta(k) if j == -1 else self.phi(k / 2.0**j))
         return self._blocks[j]
 
+    def multipliers(self, k: np.ndarray) -> np.ndarray:
+        """The multipliers of blocks -1 .. j_max at the radii ``k``, stacked.
+
+        Each ``theta(k / 2**m)`` is evaluated once, and block j >= 0 is the
+        difference of two of them: bitwise ``phi(k / 2**j)``, since halving
+        is exact.
+        """
+        theta = np.stack([self.theta(k / 2.0**m) for m in range(self.j_max + 2)])
+        return np.concatenate((theta[:1], theta[1:] - theta[:-1]))
+
     def low_pass(self, n: int) -> tuple:
         """``(box, values)`` of the multiplier of S_n, computed on each call."""
         g = self.grid
@@ -180,43 +198,55 @@ class BesovParams:
 MODE_REL_TOL = 1e-15
 
 
-def support_mask(F: SpectralField):
-    """Modes where a component carries more than MODE_REL_TOL * max|coeff|.
+def _entries(F) -> tuple:
+    """The components of ``F`` stacked, and |xi| at their entries: the stored
+    half-spectrum of a ``SpectralField``, the boxes of a ``BoxField``."""
+    if isinstance(F, SpectralField):
+        return F.coeffs.reshape((-1,) + F.grid.spectral_shape), F.grid.k_mag
+    return F.coeffs, F.layout.k_mag
 
-    The components are reduced one at a time.  None where no mode qualifies,
-    i.e. for the zero field.  A non-finite coefficient, in any component,
-    raises NumericsError: no scale can be taken from it.
+
+def support_mask(F):
+    """Entries where a component carries more than MODE_REL_TOL * max|coeff|.
+
+    The components are reduced one at a time.  None where no entry
+    qualifies, i.e. for the zero field.  A non-finite coefficient, in any
+    component, raises NumericsError: no scale can be taken from it.
     """
-    comps = F.coeffs.reshape((-1,) + F.grid.spectral_shape)
+    comps, k_mag = _entries(F)
     scale = 0.0
     for c in comps:
         m = float(np.max(np.abs(c)))
         if not np.isfinite(m):
             raise NumericsError(f"field has a non-finite coefficient ({m})")
         scale = max(scale, m)
-    mask = np.zeros(F.grid.spectral_shape, dtype=bool)
+    mask = np.zeros(k_mag.shape, dtype=bool)
     for c in comps:
         mask |= np.abs(c) > MODE_REL_TOL * scale
     return mask if mask.any() else None
 
 
-def field_support_range(F: SpectralField) -> tuple:
+def field_support_range(F) -> tuple:
     """(min, max) |xi| carrying nonzero coefficients (``support_mask``)."""
     nz = support_mask(F)
     if nz is None:
         return 0.0, 0.0
-    vals = F.grid.k_mag[nz]
+    vals = _entries(F)[1][nz]
     lo, hi = float(vals.min()), float(vals.max())
     return (0.0, 0.0) if hi == 0.0 else (lo, hi)
 
 
-def block_lp_norms(F: SpectralField, p: float) -> np.ndarray:
+def block_lp_norms(F, p: float) -> np.ndarray:
     """L^p norms of the dyadic blocks, indexed j = -1 .. j_max.
 
-    A field whose support reaches beyond the radius where the partition is
-    exact gets truncated blocks, and a UserWarning says so.  A non-finite
-    coefficient (``support_mask``) or block norm raises NumericsError.
+    ``F`` is a ``SpectralField`` or a ``solvers.BoxField`` (module
+    docstring).  A field whose support reaches beyond the radius where the
+    partition is exact gets truncated blocks, and a UserWarning says so.  A
+    non-finite coefficient (``support_mask``) or block norm raises
+    NumericsError.
     """
+    if p != 2 and not isinstance(F, SpectralField):
+        F = F.spectral()
     part = build_partition(F.grid)
     r_lo, r_hi = field_support_range(F)
     if r_hi > part.coverage_radius:
@@ -225,7 +255,7 @@ def block_lp_norms(F: SpectralField, p: float) -> np.ndarray:
             f"ball |xi| <= {part.coverage_radius:.3g}; Besov blocks are truncated",
             stacklevel=2,
         )
-    comps = F.coeffs.reshape((-1,) + F.grid.spectral_shape)
+    comps = _entries(F)[0]
     out = np.empty(part.j_max + 2)
     for j in range(-1, part.j_max + 1):
         # a block whose annulus misses the support is exactly zero
@@ -233,15 +263,18 @@ def block_lp_norms(F: SpectralField, p: float) -> np.ndarray:
         if r_lo > blk_hi or r_hi < blk_lo:
             out[j + 1] = 0.0
             continue
-        box, vals = part.block(j)
         if p == 2:
-            # Parseval on the box: no block field is built
-            val = half_spectrum_l2((c[box] * vals for c in comps), F.grid)
+            # Parseval on the entries: no block field is built
+            if isinstance(F, SpectralField):
+                box, vals = part.block(j)
+                val = half_spectrum_l2((c[box] * vals for c in comps), F.grid)
+            else:
+                val = F.layout.l2(comps * F.layout.blocks[j + 1])
             if not np.isfinite(val):
                 raise NumericsError(f"L^2 norm is non-finite: {val}")
         else:
             # lp_norm samples the block one component at a time
-            val = lp_norm(_on_box(F, box, vals), p)
+            val = lp_norm(_on_box(F, *part.block(j)), p)
         out[j + 1] = val
     return out
 
@@ -255,6 +288,7 @@ def besov_from_blocks(block_norms: np.ndarray, bp: BesovParams) -> float:
     return float(np.sum(weighted**bp.r) ** (1.0 / bp.r))
 
 
-def besov_norm(F: SpectralField, bp: BesovParams) -> float:
-    """Nonhomogeneous Besov norm; exact for fields resolved by the grid."""
+def besov_norm(F, bp: BesovParams) -> float:
+    """Nonhomogeneous Besov norm of a ``SpectralField`` or a
+    ``solvers.BoxField``; exact for fields resolved by the grid."""
     return besov_from_blocks(block_lp_norms(F, bp.p), bp)

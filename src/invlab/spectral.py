@@ -364,13 +364,20 @@ def _check_heat_arguments(t: float, eps: float) -> None:
         raise ValueError(f"viscosity must be non-negative, got {eps}")
 
 
-def heat_factor(grid: Grid, t: float, eps: float) -> np.ndarray:
+def heat_multiplier(k_sq: np.ndarray, t: float, eps: float) -> np.ndarray:
+    """exp(-t eps |xi|^2) at the |xi|^2 values ``k_sq``: of a half-spectrum,
+    the ball's slab or the entries of ``solvers.Envelopes``."""
     _check_heat_arguments(t, eps)
-    return np.exp(-t * eps * grid.k_sq)
+    return np.exp(-t * eps * k_sq)
 
 
-def heat_integral_factor(grid: Grid, t: float, eps: float) -> np.ndarray:
-    """int_0^t exp(-(t-tau) eps |xi|^2) dtau = t phi1(t eps |xi|^2).
+def heat_factor(grid: Grid, t: float, eps: float) -> np.ndarray:
+    return heat_multiplier(grid.k_sq, t, eps)
+
+
+def heat_integral_multiplier(k_sq: np.ndarray, t: float, eps: float) -> np.ndarray:
+    """int_0^t exp(-(t-tau) eps |xi|^2) dtau = t phi1(t eps |xi|^2) at the
+    |xi|^2 values ``k_sq``.
 
     ``phi1(x) = -expm1(-x)/x`` (the first exponential-integrator function,
     as in Cox & Matthews 2002 and Kassam & Trefethen 2005) keeps every digit
@@ -378,11 +385,15 @@ def heat_integral_factor(grid: Grid, t: float, eps: float) -> np.ndarray:
     x = 0, i.e. at xi = 0 or for eps = 0.
     """
     _check_heat_arguments(t, eps)
-    x = t * eps * grid.k_sq
-    out = np.full(grid.spectral_shape, float(t))
+    x = t * eps * k_sq
+    out = np.full(np.shape(k_sq), float(t))
     pos = x > 0.0
     out[pos] = t * (-np.expm1(-x[pos]) / x[pos])
     return out
+
+
+def heat_integral_factor(grid: Grid, t: float, eps: float) -> np.ndarray:
+    return heat_integral_multiplier(grid.k_sq, t, eps)
 
 
 def heat_propagate(V: SpectralField, t: float, eps: float) -> SpectralField:

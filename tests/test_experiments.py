@@ -675,6 +675,53 @@ class TestEvolutionLayouts:
         assert runs and all(r["layout"] == "ball" and "M" not in r for r in runs)
 
 
+GOLDEN_P4 = Path(__file__).parent / "data" / "family_gap_p4_small.json"
+
+
+class TestEnvelopeRecordsOnTheBoxes:
+    """An envelope run's states, gaps and remainders are ``BoxField``; their
+    one exit to the half-spectrum (``BoxField.spectral``, through
+    ``solvers._embed``) serves only the norms at p != 2."""
+
+    @pytest.mark.parametrize("run", [run_expansion_residuals, run_family_gap])
+    def test_p2_run_never_leaves_the_boxes(self, small_cfg, run, monkeypatch):
+        import invlab.solvers as solvers
+
+        def no_exit(*args, **kwargs):
+            raise AssertionError("a field was scattered to the half-spectrum")
+
+        # the datum is built in constructions, without the exit
+        monkeypatch.setattr(solvers, "_embed", no_exit)
+        cfg = replace(small_cfg, t_grid=(0.01, 0.02))
+        records = run(cfg, ExperimentContext(cfg))
+        assert records and not [r for r in records if r.verdict == "fail"]
+
+    def test_other_p_takes_the_exit(self, small_cfg, monkeypatch):
+        # at (s, p, r) = (3, 4, 2) each gap and state leaves the boxes once,
+        # and the records are those of the half-spectrum fields of the
+        # scattered slab increments (golden file, written before the boxes
+        # kept their fields), within GOLDEN_REL
+        import invlab.solvers as solvers
+
+        embed, calls = solvers._embed, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return embed(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_embed", counted)
+        cfg = replace(small_cfg, bp=BesovParams(3.0, 4.0, 2.0), t_grid=(0.01, 0.02))
+        records = run_family_gap(cfg, ExperimentContext(cfg))
+        assert len(calls) == 2 + 2 * 2  # the gaps, and the states of two runs
+        golden = json.loads(GOLDEN_P4.read_text())
+        assert [row[:5] for row in golden] == [
+            [r.experiment, r.quantity, r.n, r.eps, r.t] for r in records
+        ]
+        for row, r in zip(golden, records):
+            assert r.verdict == row[6], row[:5]
+            assert abs(r.value - float(row[5])) <= GOLDEN_REL * abs(float(row[5])), row[:5]
+
+
 class TestPerturbedGap:
     def test_zero_background_reduces_to_family_gap(self, small_cfg, family_gap_records):
         d_ref = next(

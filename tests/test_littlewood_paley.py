@@ -227,6 +227,17 @@ class TestMultiplierBoxes:
         cached = sum(vals.nbytes for _, vals in map(part.block, range(-1, part.j_max + 1)))
         assert cached <= 10 * 2**20
 
+    @pytest.mark.parametrize("g", BOX_GRIDS, ids=lambda g: f"N{g.N}-R{g.R:g}")
+    def test_stacked_multipliers_are_the_block_values(self, g):
+        # one theta per scale, block j the difference of two: bitwise the
+        # values of theta and phi that the boxes of the half-spectrum hold
+        part = build_partition(g)
+        stacked = part.multipliers(g.k_mag)
+        assert stacked.shape == (part.j_max + 2,) + g.spectral_shape
+        for j in range(-1, part.j_max + 1):
+            box, vals = part.block(j)
+            assert stacked[j + 1][box].tobytes() == vals.tobytes(), j
+
     def test_low_pass_is_computed_on_each_call(self):
         # the experiments ask for each low-pass about once: none is kept
         part = build_partition(Grid(2, 64, 12.0))

@@ -20,11 +20,12 @@ from invlab.errors import (
     SolverDivergenceError,
 )
 from invlab.experiments import DEFAULT_T_GRID
-from invlab.littlewood_paley import BesovParams, besov_norm
+from invlab.littlewood_paley import BesovParams, DyadicPartition, besov_norm
 from invlab.solvers import (
     REFINE_TOL,
     RING_TOL,
     Ball,
+    BoxField,
     Envelopes,
     RhsWork,
     Trajectory,
@@ -35,6 +36,7 @@ from invlab.solvers import (
     trajectory_gap,
     u2_duhamel,
     vorticity_rhs,
+    _check_same_data,
 )
 from invlab.spectral import (
     Grid,
@@ -573,6 +575,16 @@ class TestTrajectoryGap:
         with pytest.raises(ValueError, match="different initial data"):
             trajectory_gap(a, b, 0.1)
 
+    def test_same_data_object_not_compared(self):
+        # one u0 object is one datum: no pass over its coefficients
+        class Untouchable:
+            @property
+            def coeffs(self):
+                raise AssertionError("the coefficients were compared")
+
+        u0 = Untouchable()
+        _check_same_data(u0, types.SimpleNamespace(u0=u0))
+
 
 class TestFirstOrderApproximants:
     def test_u1_identity_cases(self, shell_setup):
@@ -1052,7 +1064,7 @@ class TestEnvelopes:
         # H = 1) and exactly 0 outside them
         u0, lay = shell_envelopes(n, N)
         if evolved:
-            u0 = evolve(u0, 2.0**-6, [0.04], layout=lay).state_at(0.04)
+            u0 = evolve(u0, 2.0**-6, [0.04], layout=lay).state_at(0.04).spectral()
         g = u0.grid
         w, mean = lay.data(u0)
         out = np.empty_like(w)
@@ -1075,7 +1087,7 @@ class TestEnvelopes:
             assert env.layout == lay and ball.layout == Ball(u0.grid)
             assert np.array_equal(env.diagnostics["dt"], ball.diagnostics["dt"])
             for t in times:
-                assert vf_rel_diff(env.increment_at(t), ball.increment_at(t)) <= 1e-13
+                assert vf_rel_diff(env.increment_at(t).spectral(), ball.increment_at(t)) <= 1e-13
             assert len(env.diagnostics["ring_share"]) == len(times)
             assert max(env.diagnostics["ring_share"]) <= RING_TOL
             assert len(ball.diagnostics["ring_share"]) == 0
@@ -1085,7 +1097,7 @@ class TestEnvelopes:
         times, eps = (0.01, 0.02), 2.0**-6
         ball = u2_duhamel(u0, times, eps, nodes=9)
         for a, b in zip(u2_duhamel(u0, times, eps, nodes=9, layout=lay), ball):
-            assert vf_rel_diff(a, b) <= 1e-13
+            assert vf_rel_diff(a.spectral(), b) <= 1e-13
 
     def test_remainders_need_one_layout(self, envelope_datum, shell_trajectories):
         u0, lay = envelope_datum
@@ -1093,6 +1105,8 @@ class TestEnvelopes:
         env = evolve(u0, eps, times, layout=lay)
         with pytest.raises(ValueError, match="different layouts"):
             first_order_remainders(traj0, env, times)
+        with pytest.raises(ValueError, match="different layouts"):
+            trajectory_gap(env, traj0, times[0])
 
     def test_layout_of_another_grid_rejected(self, envelope_datum):
         u0, _ = envelope_datum
@@ -1171,3 +1185,98 @@ class TestEnvelopeTransformCount:
             ("forward", -2, (2,) + shape): 4 * steps,
             ("forward", -1, (2,) + shape): 4 * steps,
         }
+
+
+# ---------------------------------------------------------------------------
+# fields on the boxes
+
+
+@pytest.fixture(scope="module", params=[(3, 512), (4, 1024)], ids=["n3", "n4"])
+def envelope_pair(request):
+    """The layout, sample times and ideal and viscous envelope runs of shell n."""
+    n, N = request.param
+    u0, lay = shell_envelopes(n, N)
+    times = (0.01, 0.04)
+    runs = [evolve(u0, eps, times, layout=lay) for eps in (0.0, 2.0 ** (-2 * n))]
+    return (lay, times, *runs)
+
+
+def box_fields(lay, times, traj0, traj_eps):
+    """The states, gaps and remainder fields of an envelope pair, by name."""
+    out = {}
+    for t in times:
+        out[f"state0@{t}"] = traj0.state_at(t)
+        out[f"state_eps@{t}"] = traj_eps.state_at(t)
+        out[f"gap@{t}"] = trajectory_gap(traj_eps, traj0, t)
+    for t, rem in zip(times, first_order_remainders(traj0, traj_eps, times, nodes=9)):
+        for name in rem.FIELDS:
+            out[f"{name}@{t}"] = getattr(rem, name)
+    return out
+
+
+# The box and the half-spectrum sum the same non-negative terms, with the
+# same weights, in another order.  numpy's pairwise summation bounds the
+# relative error of a sum of K such terms by about (16 + log2(K / 128)) u,
+# u = 2^-53 (its blocks of 128 terms are added 8 ways, 16 terms each): 21 u
+# for the K <= 2 * 2 * 32^2 entries of the boxes and for the half-spectrum's
+# boxes of the blocks alike.  A block norm is the root of such a sum, so the
+# two differ by at most 21 u relative, as does the Besov norm, a weighted
+# root-sum of squares of them; a divergence defect, a quotient of two L2
+# norms, by at most twice that.  Measured: 2.5e-16 (2.3 u) and 3.4e-16.
+BOX_BESOV_REL = 21 * 2.0**-53
+BOX_DIV_REL = 42 * 2.0**-53
+
+
+class TestBoxFields:
+    def test_fields_of_the_layout(self, envelope_pair):
+        lay, times, traj0, traj_eps = envelope_pair
+        fields = box_fields(*envelope_pair)
+        assert len(fields) == 7 * len(times)
+        for name, F in fields.items():
+            assert type(F) is BoxField and F.layout is lay, name
+            assert F.coeffs.shape == (2, lay.H + 1, lay.M, lay.M)
+            assert not np.any(F.coeffs[:, ~lay.mask]), name
+        assert all(np.shape(inc) == lay.k_sq.shape for inc in traj0.increments)
+
+    def test_norms_match_the_scattered_field(self, envelope_pair, bp):
+        lay = envelope_pair[0]
+        for name, F in box_fields(*envelope_pair).items():
+            half = F.spectral()
+            box, ref = besov_norm(F, bp), besov_norm(half, bp)
+            assert abs(box - ref) <= BOX_BESOV_REL * ref, name
+            box, ref = lay.divergence_defect(F), divergence_defect(half)
+            assert abs(box - ref) <= BOX_DIV_REL * ref, name
+
+    def test_exit_is_the_scattered_half_spectrum(self, envelope_pair):
+        # the state on the half-spectrum is the heat flow of u0 plus the
+        # ball's Biot-Savart image of the scattered increment
+        lay, times, _, traj_eps = envelope_pair
+        u0, g, t = traj_eps.u0, lay.grid, times[-1]
+        w = lay.slab(traj_eps.increments[-1])
+        ref = heat_factor(g, t, traj_eps.eps) * u0.coeffs + Ball(g).velocity(w).coeffs
+        assert np.array_equal(traj_eps.state_at(t).spectral().coeffs, ref)
+
+    def test_truncation_warning_and_non_finite_errors(self, envelope_pair, bp, monkeypatch):
+        # the box path warns and raises where the half-spectrum path does
+        lay, times, _, traj_eps = envelope_pair
+        F = traj_eps.state_at(times[-1])
+        with monkeypatch.context() as m:
+            m.setattr(DyadicPartition, "coverage_radius", property(lambda self: 0.0))
+            for field in (F, F.spectral()):
+                with pytest.warns(UserWarning, match="Besov blocks are truncated"):
+                    besov_norm(field, bp)
+        entry = tuple(ix[0] for ix in lay.direct[0])  # an entry the exit writes
+        for bad, match in ((np.nan, "non-finite coefficient"), (1e300, "L\\^2 norm is non-finite")):
+            coeffs = F.coeffs.copy()
+            coeffs[(0,) + entry] = bad
+            G = BoxField(lay, coeffs)
+            for field in (G, G.spectral()):
+                with np.errstate(over="ignore"), pytest.raises(NumericsError, match=match):
+                    besov_norm(field, bp)
+
+    def test_shape_checked(self, envelope_datum):
+        from invlab.errors import ConfigError
+
+        lay = envelope_datum[1]
+        with pytest.raises(ConfigError, match="entries of the layout"):
+            BoxField(lay, np.zeros(lay.k_sq.shape, dtype=complex))
