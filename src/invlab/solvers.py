@@ -20,18 +20,19 @@ inverse and 2 forward transforms and no Leray projection (velocity form: 6,
 covers the keep + 1 columns of the slab only, and truncates each product to
 the ball (``spectral.zero_outside_ball``).  Every array it writes is handed
 in, its result and an ``RhsWork``.  The work arrays are allocated once per
-evolution and once per thread of a Duhamel sweep; the velocity samples it
-returns are overwritten by the next call.  ``Envelopes`` is the Galerkin
-system of the ball restricted to boxes of modes around the harmonics ``h c``
-of a carrier mode: a shell datum and its evolution live there, so its cost
-does not grow with the grid.  Measured on the n = 3 shell (N = 512, H = 1,
+evolution and once per Duhamel sweep; the velocity samples it returns are
+overwritten by the next call.  ``Envelopes`` is the Galerkin system of the
+ball restricted to boxes of modes around the harmonics ``h c`` of a carrier
+mode: a shell datum and its evolution live there, so its cost does not grow
+with the grid.  Measured on the n = 3 shell (N = 512, H = 1,
 t up to 0.08, eps = 0 and 2^-6), the two layouts give increments 1.5-7.4e-15
 apart relative in L2 and 3.1-5.1e-13 in the Besov norm restricted to the
 boxes; outside the boxes the ball holds FFT noise, about 1e-23 of the peak
 per mode, which the Besov weights of the high blocks raise to a raw Besov
 difference of 6.5e-12-4.2e-11.  One envelope evolution took 0.2 s against
 6.3-7.0 s on the ball.  The data enter as their vorticity in the layout and
-their mean velocity (``_slab_data``, ``Envelopes.data``).
+their mean velocity (``Ball.data``, ``Envelopes.data``, which takes the curl
+on the boxes with the layout's own multipliers).
 
 A run stays in its layout's arrays up to its records.  Each layout has its
 own velocity fields (``Ball.field_of``, ``velocity``, ``field_k_sq``): the
@@ -79,20 +80,20 @@ refinement check reuses the integrand evaluations), and
 increments, ``u2`` and the exact linear time integral ``t phi1(t eps |xi|^2)``.
 ``u2_duhamel`` takes all sample times at once and sweeps the sorted union of
 their Simpson nodes, evaluating the integrand once per distinct node (the
-dyadic sample times share nodes bitwise), on every CPU through
-``threaded_map``.  Each time's sum still adds its own terms in its own node
-order, so the result equals a per-time loop bitwise.  The sums live in the
+dyadic sample times share nodes bitwise), in ascending order on the calling
+thread.  Each time's sum still adds its own terms in its own node order, so
+the result equals a per-time loop bitwise.  Nothing in this module starts a
+thread: which evolutions run side by side is decided by their one batching
+caller, ``experiments.ExperimentContext.trajectory``.  The sums live in the
 layout, where its right-hand side puts every nonzero entry, and ``u2``,
 ``pa0`` and the remainder fields are fields of the layout.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -145,86 +146,6 @@ REFINE_TOL = 1e-8
 # truncation of the boxes below that rounding; a larger one says the state
 # has outgrown them.  The shell runs measure 9e-27-7e-25 (n = 3, 4, 5).
 RING_TOL = 1e-14
-
-
-def threaded_map(fn: Callable, jobs: Iterable) -> Iterator:
-    """Yield ``fn(job)`` for each of ``jobs``, in order.
-
-    The calls run on min(len(jobs), CPUs) threads, the calling thread one of
-    them, so a single job runs on the calling thread.  Its heap arena thus
-    serves jobs too: with new threads only, the peak RSS of a strict n = 3
-    ``expansion-residuals`` run rose from 168 to 191 MiB (2 CPUs, glibc,
-    which keeps one arena per thread).  Jobs start in order, at most
-    twice the thread count ahead of the next result to be yielded, so the
-    results waiting for the caller stay bounded.  If a call raises, no
-    further job starts, the running ones finish, and its error is raised
-    when its turn comes: the results before it are yielded as in a
-    sequence.  The helper threads are joined before the generator returns,
-    raises or is closed.
-    """
-    jobs = list(jobs)
-    width = min(len(jobs), len(os.sched_getaffinity(0)))
-    window = 2 * width
-    done: dict = {}  # job index -> (ok, result or error), until yielded
-    cond = threading.Condition()
-    # next job to start, next result to yield, and whether no job may start
-    state = {"start": 0, "yield": 0, "stop": False}
-
-    def take():
-        # with cond held: the index of a job that may start now, or None
-        i = state["start"]
-        if state["stop"] or i >= len(jobs) or i >= state["yield"] + window:
-            return None
-        state["start"] = i + 1
-        return i
-
-    def run(i):
-        try:
-            out = (True, fn(jobs[i]))
-        except Exception as err:
-            out = (False, err)
-        with cond:
-            done[i] = out
-            state["stop"] |= not out[0]
-            cond.notify_all()
-
-    def helper():
-        while True:
-            with cond:
-                while (i := take()) is None:
-                    if state["stop"] or state["start"] >= len(jobs):
-                        return
-                    cond.wait()
-            run(i)
-
-    helpers = [threading.Thread(target=helper) for _ in range(width - 1)]
-    for h in helpers:
-        h.start()
-    try:
-        for k in range(len(jobs)):
-            # job k has started, or starts here: a failure before it was
-            # raised at its own turn
-            while True:
-                with cond:
-                    if k in done:
-                        ok, out = done.pop(k)
-                        state["yield"] = k + 1
-                        cond.notify_all()
-                        break
-                    i = take()
-                    if i is None:
-                        cond.wait()
-                        continue
-                run(i)
-            if not ok:
-                raise out
-            yield out
-    finally:
-        with cond:
-            state["stop"] = True  # also when the caller is interrupted
-            cond.notify_all()
-        for h in helpers:
-            h.join()
 
 
 @dataclass(frozen=True)
@@ -315,11 +236,6 @@ def _max_speed(u1, u2) -> float:
     return float(np.sqrt(np.max(u1)))
 
 
-def _slab_data(u0: SpectralField) -> tuple:
-    """The data's vorticity on the slab, a copy, and its mean velocity."""
-    return curl(u0).coeffs[u0.grid.slab].copy(), u0.coeffs[:, 0, 0]
-
-
 def _velocity(grid: Grid, w: np.ndarray) -> np.ndarray:
     """Stacked velocity half-spectra of zero mean of slab vorticity ``w``."""
     out = _embed(grid.biot_savart[(slice(None),) + grid.slab] * w, grid)
@@ -405,7 +321,7 @@ class Ball:
         return float(self.grid.k_sq.max())
 
     def data(self, u0: SpectralField) -> tuple:
-        return _slab_data(u0)
+        return curl(u0).coeffs[self.grid.slab].copy(), u0.coeffs[:, 0, 0]
 
     def work(self) -> RhsWork:
         return RhsWork(self.grid)
@@ -416,13 +332,6 @@ class Ball:
     @staticmethod
     def speed(samples) -> float:
         return _max_speed(*samples)
-
-    def data_speed(self, u0: SpectralField, w, mean, work) -> float:
-        """The largest speed of the samples of ``u0`` itself."""
-        g = self.grid
-        return _max_speed(
-            *(_inverse(c[g.slab], g, p, work.scratch) for c, p in zip(u0.coeffs, work.phys))
-        )
 
     def velocity_l2(self, w, mean, work) -> float:
         # each velocity component on the whole half-spectrum, in the row-pass
@@ -548,19 +457,25 @@ class Envelopes:
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
-    def data(self, u0: SpectralField) -> tuple:
-        g = self.grid
-        covered = np.zeros(g.spectral_shape, dtype=bool)
+    @cached_property
+    def uncovered(self) -> np.ndarray:
+        """The modes of the half-spectrum of ``grid`` that no entry stands for."""
+        covered = np.zeros(self.grid.spectral_shape, dtype=bool)
         for _, at in (self.direct, self.mirror):
             covered[at] = True
-        if np.any(np.any(u0.coeffs != 0, axis=0) & ~covered):
+        return ~covered
+
+    def data(self, u0: SpectralField) -> tuple:
+        if np.any(np.any(u0.coeffs != 0, axis=0) & self.uncovered):
             raise ResolutionError(
                 f"field has nonzero coefficients outside the harmonic boxes "
                 f"|m - h c| <= {self.width}, |h| <= {self.H}, c = {self.carrier}, "
-                f"of the ball of N={g.N}"
+                f"of the ball of N={self.grid.N}"
             )
-        w, mean = _slab_data(u0)
-        return self._gather(w), mean
+        # curl u0 = d1 u2 - d2 u1 on the entries: minus_div holds -i xi_j, so
+        # each product is the negation of curl's, and the vorticity its bits
+        u1, u2 = self.field_of(u0).coeffs
+        return self.minus_div[1] * u1 - self.minus_div[0] * u2, u0.coeffs[:, 0, 0]
 
     def _gather(self, c: np.ndarray) -> np.ndarray:
         # the entries of the layout read from a slab or half-spectrum, or a
@@ -611,9 +526,6 @@ class Envelopes:
         ``|u| <= |U_0| + 2 sum_(h>0) |U_h|`` whatever the carrier's phase."""
         mag = np.sqrt(np.abs(samples[0]) ** 2 + np.abs(samples[1]) ** 2)
         return float(np.max(mag[0] + 2.0 * mag[1:].sum(axis=0)))
-
-    def data_speed(self, u0: SpectralField, w, mean, work) -> float:
-        return self.speed(self._samples(w, mean, work)[1:])
 
     def velocity_l2(self, w, mean, work) -> float:
         u = np.multiply(self.biot_savart, w, out=work.spec[1:])
@@ -761,8 +673,7 @@ def evolve(
 
     increments = []
     diag = {k: [] for k in ("t", "dt", "energy", "max_speed", "ring_share")}
-    speed0 = layout.data_speed(u0, base, mean, work)
-    guard = BLOWUP_FACTOR * max(speed0, 1e-300)
+    guard = None  # BLOWUP_FACTOR times the data's speed, set on the first step
     # a new step size recomputes the half-step factors (the final step
     # before each sample time is shorter)
     step_dt = None
@@ -799,6 +710,8 @@ def evolve(
             speed = layout.speed(layout.rhs(s, mean, work, k1))
             if not np.isfinite(speed):
                 raise NumericsError(f"non-finite state at t={t}")
+            if guard is None:  # the first step's stage 1 runs at s = base
+                guard = BLOWUP_FACTOR * max(speed, 1e-300)
             if speed > guard:
                 raise SolverDivergenceError(
                     f"max speed {speed:.3e} exceeded {BLOWUP_FACTOR:g} x initial "
@@ -910,10 +823,15 @@ def u2_duhamel(
 
     The vorticity of the integrand, ``F(tau) = -div(u w)`` at ``w =
     exp(tau eps Lap) w0`` with ``w0 = curl u0``, is evaluated in the layout
-    (``rhs``) once per distinct node of all the times, tau = 0 among them
-    (``threaded_map``, one work object per thread).  Each time's sum, an
-    array of the layout, adds its terms ``w_i exp((t-tau_i) eps Lap)
-    F(tau_i)`` in ascending node order, as a loop over its own nodes would.
+    (``rhs``) once per distinct node of all the times, tau = 0 among them,
+    in ascending order on the calling thread with one work object.  The
+    experiments sweep envelopes only (``expansion-residuals``), whose
+    right-hand sides on 32 x 32 boxes hold the interpreter lock for most of
+    their time: with the sweep and the evolutions in order, a strict n = 3
+    run fell from 0.31 to 0.20 s and from 47.5 to 43.0 MiB peak RSS
+    (2 CPUs).  Each time's sum, an array of the layout, adds its terms
+    ``w_i exp((t-tau_i) eps Lap) F(tau_i)`` in ascending node order, as a
+    loop over its own nodes would.
     The sweep and every refinement check run on the call; the returned
     iterator yields one velocity field of the layout per time, the
     Biot-Savart image of its sum (``velocity``), built as it advances.
@@ -937,33 +855,26 @@ def u2_duhamel(
     coarse_w = [_simpson_weights(t, nodes) for t in times]
     k_sq = layout.k_sq
     w0, mean = layout.data(u0)
-    # one work object per thread of the sweep, dropped with it
-    local = threading.local()
-
-    def terms(tau):
-        # exp((t - tau) eps Lap) F(tau) in the layout, for each time with node tau
-        if not hasattr(local, "work"):
-            local.work = layout.work()
-        w = heat_multiplier(k_sq, tau, eps) * w0  # the data's heat flow
-        f = np.empty_like(w)
-        layout.rhs(w, mean, local.work, f)
-        return {
-            k: f * heat_multiplier(k_sq, times[k] - tau, eps)
-            for k in dict.fromkeys(k for k, _ in uses[tau])
-        }
-
+    work = layout.work()
+    F = np.empty_like(w0)
     fine = [np.zeros(k_sq.shape, dtype=np.complex128) for _ in times]
     coarse = [np.zeros_like(s) for s in fine] if refine else None
-    order = sorted(uses)
-    for tau, term in zip(order, threaded_map(terms, order)):
+    for tau in sorted(uses):
+        # F(tau) at the data's heat flow, then exp((t - tau) eps Lap) F(tau)
+        # for each time with node tau
+        layout.rhs(heat_multiplier(k_sq, tau, eps) * w0, mean, work, F)
+        terms = {
+            k: F * heat_multiplier(k_sq, times[k] - tau, eps)
+            for k in dict.fromkeys(k for k, _ in uses[tau])
+        }
         for k, i in uses[tau]:
-            fine[k] += fine_w[k][i] * term[k]
+            fine[k] += fine_w[k][i] * terms[k]
             if refine and i % 2 == 0:
                 # tau_i on the fine grid equals tau_(i/2) on the coarse one
-                coarse[k] += coarse_w[k][i // 2] * term[k]
+                coarse[k] += coarse_w[k][i // 2] * terms[k]
     if refine:
         # L2 norms of the velocities, of zero mean
-        work, zero = layout.work(), np.zeros(2)
+        zero = np.zeros(2)
         for t, f, c in zip(times, fine, coarse):
             c -= f
             diff = layout.velocity_l2(c, zero, work)
@@ -1058,7 +969,8 @@ def first_order_remainders(
       ``u2 = -int_0^t exp((t-tau) eps Lap) F(tau) dtau``, this equals
       ``-u2 - int_0^t exp((t-tau) eps Lap) dtau . pa0``, and the linear
       integral is the exact multiplier ``t phi1(t eps |xi|^2)``
-      (``heat_integral_factor``), so no further quadrature is needed;
+      (``spectral.heat_integral_multiplier``), so no further quadrature is
+      needed;
     - heat_defect: ``int_0^t (exp((t-tau) eps Lap) - Id) pa0 dtau``
       ``= (t phi1 - t) pa0``.
 

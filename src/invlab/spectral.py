@@ -392,10 +392,6 @@ def heat_integral_multiplier(k_sq: np.ndarray, t: float, eps: float) -> np.ndarr
     return out
 
 
-def heat_integral_factor(grid: Grid, t: float, eps: float) -> np.ndarray:
-    return heat_integral_multiplier(grid.k_sq, t, eps)
-
-
 def heat_propagate(V: SpectralField, t: float, eps: float) -> SpectralField:
     """Apply the heat semigroup exp(t*eps*Laplacian) componentwise."""
     return apply_multiplier(V, heat_factor(V.grid, t, eps))

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -65,3 +67,33 @@ def half_spectrum_weights(grid):
     w[..., 0] = 1.0
     w[..., -1] = 1.0
     return w
+
+
+def thread_starts(monkeypatch):
+    """Record the name of each thread started from now on; each still starts."""
+    started = []
+    start = threading.Thread.start
+
+    def recorded(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    return started
+
+
+def bounded(fn, timeout=120.0):
+    """``fn()`` on its own thread, joined with a timeout: ``(result, error)``."""
+    out = [None, None]
+
+    def target():
+        try:
+            out[0] = fn()
+        except Exception as err:
+            out[1] = err
+
+    th = threading.Thread(target=target)
+    th.start()
+    th.join(timeout)
+    assert not th.is_alive(), "the call did not finish in time"
+    return tuple(out)

@@ -20,11 +20,12 @@ from invlab.experiments import (
     run_perturbed_gap,
     run_validation_suite,
     scaled,
+    threaded_map,
 )
 from invlab.littlewood_paley import BesovParams
 from invlab.spectral import SpectralField, divergence_defect
 
-from conftest import half_spectrum_weights
+from conftest import bounded, half_spectrum_weights, thread_starts
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +270,27 @@ class TestTrajectoryBatch:
         assert threads_seen == [threading.get_ident()]
         assert threading.active_count() == before
 
+    def test_envelope_batch_runs_in_order_on_the_calling_thread(
+        self, small_cfg, threads_seen, monkeypatch
+    ):
+        # two runs of the n = 3 shell on its boxes start no thread, even with
+        # three CPUs, and each equals its evolution alone
+        import threading
+
+        from invlab.solvers import evolve
+
+        ctx = ExperimentContext(small_cfg)
+        lay, u0 = ctx.envelopes(3), ctx.datum(3)
+        started = thread_starts(monkeypatch)
+        batch = ctx.trajectory([(u0, 0.0), (u0, small_cfg.eps_n(3))], [0.01], lay)
+        assert threads_seen == [threading.get_ident()] * 2
+        assert started == []
+        assert [r["layout"] for r in ctx.evolutions] == ["envelopes"] * 2
+        for traj in batch:
+            alone = evolve(u0, traj.eps, [0.01], layout=lay)
+            assert traj.layout == lay
+            assert np.array_equal(traj.increments[0], alone.increments[0])
+
     def test_every_request_evolves(self, small_cfg, threads_seen):
         # a request repeated in a batch, or asked for again, evolves again:
         # the context keeps no trajectory
@@ -370,6 +392,87 @@ class TestTrajectoryBatch:
         # the requests before the failing one are kept, as in a sequence
         kept = 0 if failing_first else 1
         assert len(ctx.evolutions) == kept
+
+
+class TestThreadedMap:
+    """``threaded_map``: the work loop of the ball's batches."""
+
+    @pytest.fixture(autouse=True)
+    def cpus(self, monkeypatch):
+        # six CPUs on any machine, so the jobs below spread over threads
+        import os
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)))
+
+    def test_in_order_results(self):
+        # a short switch interval and more jobs than threads: each job runs
+        # once, several threads take them, and each result lands at its index
+        import sys
+        import threading
+        import time
+
+        taken = []
+
+        def job(i):
+            taken.append((i, threading.get_ident()))
+            time.sleep(1e-3)
+            return i * i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out, err = bounded(lambda: list(threaded_map(job, range(40))))
+        finally:
+            sys.setswitchinterval(interval)
+        assert err is None and out == [i * i for i in range(40)]
+        assert sorted(i for i, _ in taken) == list(range(40))
+        assert len({thread for _, thread in taken}) > 1
+
+    def test_no_job_starts_after_a_failure(self):
+        # jobs 5 and 6 fail, 6 at once and 5 late: jobs start in order and
+        # none after a failure, so at most the five other threads' jobs
+        # follow job 5, and the results before it come out, then its error
+        import time
+
+        started = []
+
+        def job(i):
+            started.append(i)
+            if i == 5:
+                time.sleep(0.05)
+            if i in (5, 6):
+                raise FloatingPointError(f"job {i}")
+            time.sleep(1e-3)
+            return i
+
+        out = []
+
+        def consume():
+            for value in threaded_map(job, range(40)):
+                out.append(value)
+
+        _, err = bounded(consume)
+        assert isinstance(err, FloatingPointError) and str(err) == "job 5"
+        assert out == [0, 1, 2, 3, 4]
+        assert sorted(started) == list(range(len(started)))
+        assert len(started) <= 6 + 5
+
+    def test_helpers_joined_before_the_first_result(self):
+        # also when a job fails or the caller stops early
+        import threading
+
+        before = threading.active_count()
+        results = threaded_map(lambda i: i, range(40))
+        assert next(results) == 0
+        assert threading.active_count() == before
+        results.close()
+
+        def fail(i):
+            raise FloatingPointError("injected")
+
+        with pytest.raises(FloatingPointError):
+            next(threaded_map(fail, range(40)))
+        assert threading.active_count() == before
 
 
 class TestHeatLaw:

@@ -1,7 +1,4 @@
-import os
-import sys
 import threading
-import time
 import types
 
 import numpy as np
@@ -32,7 +29,6 @@ from invlab.solvers import (
     evolve,
     EXPONENT_LIMIT,
     first_order_remainders,
-    threaded_map,
     trajectory_gap,
     u2_duhamel,
     vorticity_rhs,
@@ -47,7 +43,7 @@ from invlab.spectral import (
     divergence_defect,
     gradient,
     heat_factor,
-    heat_integral_factor,
+    heat_integral_multiplier,
     heat_propagate,
     l2_norm_spectral,
     leray_project,
@@ -57,7 +53,7 @@ from invlab.spectral import (
     zero_outside_ball,
 )
 
-from conftest import ball_mask, spectral_of
+from conftest import ball_mask, bounded, spectral_of, thread_starts
 
 
 def full_rhs(g, w, mean):
@@ -361,9 +357,9 @@ def recording_backend(monkeypatch):
 class TestTransformCount:
     @pytest.mark.parametrize("eps", [0.0, 0.02], ids=["ideal", "viscous"])
     def test_transforms_per_evolution_and_step(self, monkeypatch, eps):
-        # 2 inverse transforms for the initial speed guard; per RK4 step 4
-        # vorticity right-hand sides, each 3 inverse (u1, u2, w) and 2
-        # forward (u1 w, u2 w), and stage 1's u1, u2 also give the CFL speed:
+        # per RK4 step 4 vorticity right-hand sides, each 3 inverse (u1, u2,
+        # w) and 2 forward (u1 w, u2 w), and stage 1's u1, u2 also give the
+        # CFL speed, on the first step the blow-up guard's reference too:
         # 4 * 2 = 8 forward and 4 * 3 = 12 inverse per step.  Each transform
         # is a row pass and a column pass, the column pass over the keep + 1
         # columns of the 2/3 ball only.
@@ -381,8 +377,8 @@ class TestTransformCount:
         assert counts == {
             ("forward", 0): 8 * steps,
             ("forward", 1): 8 * steps,
-            ("inverse", 0): 2 + 12 * steps,
-            ("inverse", 1): 2 + 12 * steps,
+            ("inverse", 0): 12 * steps,
+            ("inverse", 1): 12 * steps,
         }
         assert {p[2] for p in passes if p[1] == 0} == {(g.N, g.dealias_keep + 1)}
 
@@ -399,8 +395,8 @@ class TestTransformCount:
         assert all(p[3] is not None for p in passes)
         written = [p[3].__array_interface__["data"][0] for p in passes]
         per_step = 2 * (8 + 12)
-        assert len(written) == 4 + 64 * per_step
-        assert set(written[: 4 + 8 * per_step]) == set(written)
+        assert len(written) == 64 * per_step
+        assert set(written[: 8 * per_step]) == set(written)
         assert len(set(written)) <= 8
 
 
@@ -755,23 +751,6 @@ def counting_rhs(monkeypatch, fail_at=None):
     return calls
 
 
-def bounded(fn, timeout=120.0):
-    """``fn()`` on its own thread, joined with a timeout: ``(result, error)``."""
-    out = [None, None]
-
-    def target():
-        try:
-            out[0] = fn()
-        except Exception as err:
-            out[1] = err
-
-    th = threading.Thread(target=target)
-    th.start()
-    th.join(timeout)
-    assert not th.is_alive(), "the sweep did not finish in time"
-    return tuple(out)
-
-
 class TestDuhamelSweep:
     """``u2_duhamel`` evaluates each distinct node once for all sample times."""
 
@@ -804,84 +783,32 @@ class TestDuhamelSweep:
         assert len(list(rems)) == len(DEFAULT_T_GRID)
         assert len(calls) == 1 + 120
 
-    def test_more_threads_than_cores(self, ball_datum, sweep_references, monkeypatch):
-        # six threads on any machine and a short switch interval: every
-        # node is taken once and each sum adds its terms in node order
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)))
-        calls = counting_rhs(monkeypatch)
-        before = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            out, err = bounded(
-                lambda: list(u2_duhamel(ball_datum, DEFAULT_T_GRID, 2.0**-6, refine=True))
-            )
-        finally:
-            sys.setswitchinterval(interval)
-        assert err is None
-        assert threading.active_count() == before
-        assert len(calls) == 120 and len(set(calls)) > 1
-        for a, b in zip(out, sweep_references[(True, 2.0**-6)]):
-            assert np.array_equal(a.coeffs, b.coeffs)
-
     def test_rejected_inputs_leave_no_thread(self, ball_datum, monkeypatch):
         import invlab.solvers as solvers
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)))
         u0, eps = ball_datum, 2.0**-6
         g = u0.grid
         c = u0.coeffs.copy()
         c[0, 0, g.dealias_keep + 1] = 1e-300  # u1 at (0, keep + 1): xi1 = 0
         outside = SpectralField(g, c)
         before = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            _, err = bounded(lambda: u2_duhamel(outside, DEFAULT_T_GRID, eps))
-            assert isinstance(err, ResolutionError) and "outside the 2/3-rule ball" in str(err)
-            assert threading.active_count() == before
+        _, err = bounded(lambda: u2_duhamel(outside, DEFAULT_T_GRID, eps))
+        assert isinstance(err, ResolutionError) and "outside the 2/3-rule ball" in str(err)
+        assert threading.active_count() == before
 
-            monkeypatch.setattr(solvers, "REFINE_TOL", 1e-30)
-            _, err = bounded(lambda: u2_duhamel(u0, DEFAULT_T_GRID, eps, refine=True))
-            assert isinstance(err, QuadratureError)
-            assert threading.active_count() == before
-            monkeypatch.setattr(solvers, "REFINE_TOL", REFINE_TOL)
+        monkeypatch.setattr(solvers, "REFINE_TOL", 1e-30)
+        _, err = bounded(lambda: u2_duhamel(u0, DEFAULT_T_GRID, eps, refine=True))
+        assert isinstance(err, QuadratureError)
+        assert threading.active_count() == before
+        monkeypatch.setattr(solvers, "REFINE_TOL", REFINE_TOL)
 
-            # a failing node: no node starts after it, so at most the two
-            # before it and a window of 2 * 6 were taken, and its error is
-            # the one raised
-            calls = counting_rhs(monkeypatch, fail_at=3)
-            _, err = bounded(lambda: u2_duhamel(u0, DEFAULT_T_GRID, eps, refine=True))
-            assert isinstance(err, FloatingPointError)
-            assert 3 <= len(calls) <= 2 + 2 * 6
-            assert threading.active_count() == before
-        finally:
-            sys.setswitchinterval(interval)
-
-
-class TestThreadedMap:
-    def test_in_order_with_bounded_lead(self, monkeypatch):
-        # three threads: when result k is handed over, at most 2 * 3 jobs
-        # past it have started
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        started = []
-
-        def job(i):
-            started.append(i)
-            return i * i
-
-        for k, value in enumerate(threaded_map(job, range(40))):
-            assert value == k * k
-            time.sleep(1e-3)  # let the helpers run ahead as far as they may
-            assert len(started) <= k + 1 + 2 * 3
-        assert sorted(started) == list(range(40))
-
-    def test_closing_early_joins_the_helpers(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        before = threading.active_count()
-        results = threaded_map(lambda i: i, range(40))
-        assert next(results) == 0
-        results.close()
+        # a failing node: the sweep runs in node order on the thread that
+        # calls it, so exactly the four evaluations up to the failing one
+        # ran, and its error is the one raised
+        calls = counting_rhs(monkeypatch, fail_at=4)
+        _, err = bounded(lambda: u2_duhamel(u0, DEFAULT_T_GRID, eps, refine=True))
+        assert isinstance(err, FloatingPointError)
+        assert len(calls) == 4 and len(set(calls)) == 1
         assert threading.active_count() == before
 
 
@@ -933,7 +860,7 @@ class TestExpansionResiduals:
         (rem,) = first_order_remainders(traj0, traj_eps, [t])
         (u2,) = u2_duhamel(u0, [t], eps)
         pa0 = -_velocity(g, full_rhs(g, curl(u0).coeffs, u0.coeffs[:, 0, 0])[g.slab])
-        lin = heat_integral_factor(g, t, eps)
+        lin = heat_integral_multiplier(g.k_sq, t, eps)
         expected = {
             "euler": traj0.increment_at(t).coeffs + t * pa0,
             "navier_stokes": traj_eps.increment_at(t).coeffs - u2.coeffs,
@@ -1077,6 +1004,18 @@ class TestEnvelopes:
         assert np.max(np.abs(got - ref)[boxes]) <= 1e-13 * peak
         assert not np.any(got[~boxes])
 
+    @pytest.mark.parametrize("evolved", [False, True], ids=["datum", "evolved"])
+    def test_data_is_the_gathered_curl(self, envelope_datum, evolved):
+        # the vorticity taken on the boxes with the layout's multipliers has
+        # the values of the half-spectrum's curl read at the entries, bit for
+        # bit (a zero may differ in sign)
+        u0, lay = envelope_datum
+        if evolved:
+            u0 = evolve(u0, 2.0**-6, [0.04], layout=lay).state_at(0.04).spectral()
+        w, mean = lay.data(u0)
+        assert np.array_equal(w, lay._gather(curl(u0).coeffs))
+        assert np.array_equal(mean, u0.coeffs[:, 0, 0])
+
     def test_evolution_matches_the_ball(self, envelope_datum, shell_trajectories):
         # the increments of one Galerkin system in two layouts: 1.5-7.4e-15
         # relative in L2 measured at n = 3
@@ -1098,6 +1037,23 @@ class TestEnvelopes:
         ball = u2_duhamel(u0, times, eps, nodes=9)
         for a, b in zip(u2_duhamel(u0, times, eps, nodes=9, layout=lay), ball):
             assert vf_rel_diff(a.spectral(), b) <= 1e-13
+
+    def test_sweep_runs_on_the_calling_thread(self, envelope_datum, monkeypatch):
+        # the strict sweep of the default times starts no thread: each of its
+        # 120 right-hand sides runs on the caller's
+        u0, lay = envelope_datum
+        seen, rhs = [], Envelopes.rhs
+
+        def recorded(self, *args):
+            seen.append(threading.get_ident())
+            return rhs(self, *args)
+
+        monkeypatch.setattr(Envelopes, "rhs", recorded)
+        started = thread_starts(monkeypatch)
+        out = list(u2_duhamel(u0, DEFAULT_T_GRID, 2.0**-6, refine=True, layout=lay))
+        assert len(out) == len(DEFAULT_T_GRID)
+        assert seen == [threading.get_ident()] * 120
+        assert started == []
 
     def test_remainders_need_one_layout(self, envelope_datum, shell_trajectories):
         u0, lay = envelope_datum
@@ -1166,8 +1122,7 @@ class TestEnvelopes:
 
 class TestEnvelopeTransformCount:
     def test_transforms_per_evolution_and_step(self, envelope_datum, monkeypatch):
-        # one complex M x M inverse call for the data's speed; per RK4 step 4
-        # right-hand sides, each one inverse call on the samples of w, u1
+        # per RK4 step 4 right-hand sides, each one inverse call on the samples of w, u1
         # and u2 and one forward call on the two products, per harmonic: no
         # transform of the N = 512 grid
         u0, lay = envelope_datum
@@ -1180,8 +1135,8 @@ class TestEnvelopeTransformCount:
         for kind, ax, in_shape, _ in passes:
             counts[(kind, ax, in_shape)] = counts.get((kind, ax, in_shape), 0) + 1
         assert counts == {
-            ("inverse", -2, (3,) + shape): 1 + 4 * steps,
-            ("inverse", -1, (3,) + shape): 1 + 4 * steps,
+            ("inverse", -2, (3,) + shape): 4 * steps,
+            ("inverse", -1, (3,) + shape): 4 * steps,
             ("forward", -2, (2,) + shape): 4 * steps,
             ("forward", -1, (2,) + shape): 4 * steps,
         }

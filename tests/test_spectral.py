@@ -24,7 +24,6 @@ from invlab.spectral import (
     divergence_defect,
     gradient,
     heat_factor,
-    heat_integral_factor,
     heat_integral_multiplier,
     heat_multiplier,
     heat_propagate,
@@ -245,17 +244,13 @@ class TestHeatPropagator:
                 multiplier(grid.k_sq, -0.1, 0.5)
 
     def test_one_arithmetic_on_any_k_sq(self, lab_grid):
-        # the grid's factors are the multipliers at its |xi|^2, so on the
-        # slab (or any other selection of modes) they are the same bits
+        # the grid's factor is the multiplier at its |xi|^2, so on the slab
+        # (or any other selection of modes) it has the same bits
         g = lab_grid
         for t, eps in ((0.05, 2.0**-6), (0.3, 0.0), (0.0, 0.2)):
-            for grid_form, form in (
-                (heat_factor, heat_multiplier),
-                (heat_integral_factor, heat_integral_multiplier),
-            ):
-                full = grid_form(g, t, eps)
-                assert full.tobytes() == form(g.k_sq, t, eps).tobytes()
-                assert full[g.slab].tobytes() == form(g.k_sq[g.slab], t, eps).tobytes()
+            full = heat_factor(g, t, eps)
+            assert full.tobytes() == heat_multiplier(g.k_sq, t, eps).tobytes()
+            assert full[g.slab].tobytes() == heat_multiplier(g.k_sq[g.slab], t, eps).tobytes()
 
     def test_semigroup_law(self, grid, rng):
         V = random_vector_field(grid, rng)

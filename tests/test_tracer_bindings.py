@@ -89,6 +89,29 @@ def test_install_wraps_every_traced_name_and_uninstall_restores_all():
     assert calls["spectral.l2_norm_spectral"] == 2 * (1 + samples)
 
 
+def test_envelope_batch_spans_nest_in_the_batch(monkeypatch):
+    # an envelope batch runs in order on the calling thread, so both of its
+    # evolve spans are children of the batch's trajectory span, whatever
+    # the CPU count
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    ctx = experiments.ExperimentContext(experiments.ExperimentConfig(n_list=(3,)))
+    u0, lay = ctx.datum(3), ctx.envelopes(3)
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    uninstall = tracer.install(t)
+    try:
+        ctx.trajectory([(u0, 0.0), (u0, 2.0**-6)], [0.01], lay)
+    finally:
+        uninstall()
+    names = [span[0] for span in t.spans]
+    batch = names.index("experiments.trajectory")
+    evolves = [span for span in t.spans if span[0] == "solvers.evolve"]
+    assert len(evolves) == 2
+    assert all(span[1] == batch for span in evolves)
+
+
 def test_each_transform_records_a_row_and_a_column_span():
     # the proxy of spectral._fft sees numpy.fft's n-dimensional entry
     # points, and a transform calls one per axis: a row pass and a column
