@@ -27,11 +27,10 @@ is the same.  ``perturbed-gap`` stays on the ball: its additivity defect
 subtracts the bare-shell run from runs with a background, which fills a low
 box of radius 2^psi_band R, so all of them must be one Galerkin system.
 ``validate`` evolves Taylor-Green vortices on the ball of N = 64.
-An envelope run stays on its boxes up to its records: its states, gaps and
-remainder fields are ``solvers.BoxField``, whose p = 2 Besov norms are
-Parseval sums over the boxes, and only a norm at p != 2 scatters them to
-the half-spectrum of the datum grid (``BoxField.spectral``).  The datum
-itself, its initial Besov norm and its heat defect stay half-spectra.
+An envelope run stays on its boxes up to its records: its datum, states,
+gaps and remainder fields are ``solvers.BoxField``, whose p = 2 Besov norms
+are Parseval sums over the boxes, and only a norm at p != 2 scatters them
+to the half-spectrum of the datum grid (``BoxField.spectral``).
 The expansion residuals take their four remainder fields from
 ``solvers.first_order_remainders``: one Duhamel sweep for all sample times,
 which evaluates each distinct quadrature node once (refined in the same pass
@@ -44,7 +43,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -92,6 +91,7 @@ from .spectral import (
     divergence_defect,
     gradient,
     heat_factor,
+    heat_multiplier,
     heat_propagate,
     l2_norm_spectral,
     leray_complement,
@@ -365,9 +365,12 @@ class ExperimentContext:
 
 def _evolution_stats(traj: Trajectory, wall_s: float) -> dict:
     """Grid, layout, eps, wall time and solver statistics of one evolution."""
-    d, e0, lay = traj.diagnostics, l2_norm_spectral(traj.u0), traj.layout
+    d, lay = traj.diagnostics, traj.layout
+    envelopes = isinstance(lay, Envelopes)
+    # E(0) by the rule of the per-step energies (``velocity_l2``)
+    e0 = lay.l2(traj.u0_field.coeffs) if envelopes else l2_norm_spectral(traj.u0)
     stats = {"N": traj.u0.grid.N, "layout": "ball"}
-    if isinstance(lay, Envelopes):  # and the largest ring share its guard measured
+    if envelopes:  # and the largest ring share its guard measured
         stats.update(layout="envelopes", M=lay.M, W=lay.width, H=lay.H,
                      ring_share_max=float(d["ring_share"].max()))
     stats.update(eps=traj.eps, steps=len(d["dt"]), wall_s=wall_s,
@@ -611,9 +614,12 @@ def run_family_gap(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
     sup_besov: dict = {}
 
     for n in cfg.n_list:
-        g = ctx.datum_grid(n)
         u0 = ctx.datum(n)
         eps_n = cfg.eps_n(n)
+        traj0, traj_eps = ctx.trajectory(
+            [(u0, 0.0), (u0, eps_n)], cfg.t_grid, ctx.envelopes(n)
+        )
+        u0 = traj0.u0_field  # the datum where the runs hold it
         b0 = besov_norm(u0, bp)
         init_norms[n] = b0
         records.append(ResultRecord(ex, "initial_besov", b0, n, eps_n))
@@ -624,9 +630,6 @@ def run_family_gap(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
             )
         )
 
-        traj0, traj_eps = ctx.trajectory(
-            [(u0, 0.0), (u0, eps_n)], cfg.t_grid, ctx.envelopes(n)
-        )
         gaps = []
         for t in cfg.t_grid:
             d = besov_norm(trajectory_gap(traj_eps, traj0, t), bp)
@@ -642,9 +645,8 @@ def run_family_gap(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
         records.append(ResultRecord(ex, "trajectory_besov_sup", sup, n, eps_n))
 
         # the linear heat defect is the gap's leading term
-        main = besov_norm(
-            apply_multiplier(u0, heat_factor(g, cfg.t0, eps_n) - 1.0), bp
-        )
+        heat = heat_multiplier(traj0.layout.field_k_sq, cfg.t0, eps_n)
+        main = besov_norm(replace(u0, coeffs=(heat - 1.0) * u0.coeffs), bp)
         records.append(
             ResultRecord(ex, "heat_defect_main_term", main, n, eps_n, cfg.t0)
         )

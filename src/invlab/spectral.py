@@ -30,10 +30,11 @@ The 2/3-rule ball is the set of modes ``|m_j| <= keep = (N - 1) // 3``
 ``Grid.box(keep)``.  A product of two fields in the ball, truncated back to it
 (``zero_outside_ball``), is alias-free: a mode folded onto ``|m| <= keep``
 comes from ``|m'| >= N - keep > 2 keep``, beyond the product's reach.
-``require_in_ball`` admits a field, as ``advect`` (both arguments),
-``solvers.evolve`` and ``solvers.u2_duhamel`` do: a non-finite coefficient
-raises NumericsError, and one outside the ball that is not exactly 0 raises
-ResolutionError with ``required_n = dealias_grid_size(largest nonzero |m_j|)``.
+``require_in_ball`` admits a field, as ``advect`` (both arguments) and the
+admission of the solvers' layouts do (``solvers`` module docstring): a
+non-finite coefficient raises NumericsError, and one outside the ball that
+is not exactly 0 raises ResolutionError with ``required_n =
+dealias_grid_size(largest nonzero |m_j|)``.
 Every column of the ball lies in the **slab**, columns ``0 .. keep`` of the
 stored half-spectrum over all N rows, indexed by ``Grid.slab`` (shape
 ``Grid.slab_shape``).  The one transform pair, ``_forward`` and ``_inverse``,

@@ -799,11 +799,48 @@ class TestEnvelopeRecordsOnTheBoxes:
         records = run(cfg, ExperimentContext(cfg))
         assert records and not [r for r in records if r.verdict == "fail"]
 
+    def test_envelope_run_admits_and_norms_on_the_boxes(self, small_cfg, monkeypatch):
+        # at p = 2 no check or L2 sum of the half-spectrum runs: the datum is
+        # admitted by Envelopes.data, which reads every coefficient once per
+        # evolve or u2_duhamel call, and first_order_remainders admits
+        # nothing beyond the call of its sweep
+        from invlab import experiments, littlewood_paley, solvers
+        from invlab.solvers import Envelopes, evolve, first_order_remainders, u2_duhamel
+
+        def no_half_spectrum(*args, **kwargs):
+            raise AssertionError("a half-spectrum check or L2 sum ran")
+
+        for module in (solvers, littlewood_paley, experiments):
+            for name in ("divergence_defect", "require_in_ball", "half_spectrum_l2",
+                         "l2_norm_spectral"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, no_half_spectrum)
+        data, admitted = Envelopes.data, []
+
+        def counted(self, u0):
+            admitted.append(u0)
+            return data(self, u0)
+
+        monkeypatch.setattr(Envelopes, "data", counted)
+        cfg = replace(small_cfg, t_grid=(0.01, 0.02))
+        ctx = ExperimentContext(cfg)
+        u0, lay, eps = ctx.datum(3), ctx.envelopes(3), cfg.eps_n(3)
+        traj0, traj_eps = (evolve(u0, e, cfg.t_grid, layout=lay) for e in (0.0, eps))
+        assert len(admitted) == 2
+        assert len(list(u2_duhamel(u0, cfg.t_grid, eps, layout=lay))) == 2
+        assert len(admitted) == 3
+        assert len(list(first_order_remainders(traj0, traj_eps, cfg.t_grid))) == 2
+        assert len(admitted) == 4
+        records = run_family_gap(cfg, ctx)
+        assert len(admitted) == 4 + 2  # the two evolutions of the shell
+        assert records and not [r for r in records if r.verdict == "fail"]
+
     def test_other_p_takes_the_exit(self, small_cfg, monkeypatch):
-        # at (s, p, r) = (3, 4, 2) each gap and state leaves the boxes once,
-        # and the records are those of the half-spectrum fields of the
-        # scattered slab increments (golden file, written before the boxes
-        # kept their fields), within GOLDEN_REL
+        # at (s, p, r) = (3, 4, 2) the datum, its heat defect and each gap
+        # and state leave the boxes once, and the records are those of the
+        # half-spectrum fields of the datum and of the scattered slab
+        # increments (golden file, written before the boxes kept their
+        # fields), within GOLDEN_REL
         import invlab.solvers as solvers
 
         embed, calls = solvers._embed, []
@@ -815,7 +852,8 @@ class TestEnvelopeRecordsOnTheBoxes:
         monkeypatch.setattr(solvers, "_embed", counted)
         cfg = replace(small_cfg, bp=BesovParams(3.0, 4.0, 2.0), t_grid=(0.01, 0.02))
         records = run_family_gap(cfg, ExperimentContext(cfg))
-        assert len(calls) == 2 + 2 * 2  # the gaps, and the states of two runs
+        # the datum and its heat defect, the gaps, and the states of two runs
+        assert len(calls) == 2 + 2 + 2 * 2
         golden = json.loads(GOLDEN_P4.read_text())
         assert [row[:5] for row in golden] == [
             [r.experiment, r.quantity, r.n, r.eps, r.t] for r in records

@@ -32,7 +32,7 @@ from invlab.solvers import (
     trajectory_gap,
     u2_duhamel,
     vorticity_rhs,
-    _check_same_data,
+    _check_same_run,
 )
 from invlab.spectral import (
     Grid,
@@ -92,13 +92,39 @@ def shell_trajectories(shell_setup):
     return times, eps, traj0, traj_eps
 
 
-# the entry points of the Galerkin system, each given bad data and good data
-BALL_ENTRY_POINTS = {
+# the entry points of the Galerkin system, each given bad data and good data,
+# a Taylor-Green vortex of TG_GRID: on the ball, and on envelopes whose box 0
+# holds its modes (+/-1, +/-1)
+TG_GRID = Grid(2, 64, 1.0)
+TG_ENVELOPES = Envelopes(TG_GRID, 4, 1, 1)
+ENTRY_POINTS = {
     "evolve": lambda bad, good: evolve(bad, 0.0, [0.1]),
     "u2_duhamel": lambda bad, good: u2_duhamel(bad, [0.1], 0.0),
     "advect-first": lambda bad, good: advect(bad, good),
     "advect-second": lambda bad, good: advect(good, bad),
+    "evolve-envelopes": lambda bad, good: evolve(bad, 0.0, [0.1], layout=TG_ENVELOPES),
+    "u2_duhamel-envelopes": lambda bad, good: u2_duhamel(bad, [0.1], 0.0, layout=TG_ENVELOPES),
 }
+
+
+def refuse_work(monkeypatch, entry, outside_boxes):
+    """Make every right-hand side and transform raise.  An envelope entry
+    admits on its boxes, so the half-spectrum's checks raise too, but for
+    ``require_in_ball`` on data outside the boxes, which it names."""
+    import invlab.solvers as solvers
+    import invlab.spectral as spectral
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a right-hand side, a transform or a half-spectrum check ran")
+
+    monkeypatch.setattr(solvers, "vorticity_rhs", no_work)
+    monkeypatch.setattr(Envelopes, "rhs", no_work)
+    names = ("rfftn", "irfftn", "fftn", "ifftn")
+    monkeypatch.setattr(spectral, "_fft", types.SimpleNamespace(**dict.fromkeys(names, no_work)))
+    if entry.endswith("envelopes"):
+        monkeypatch.setattr(solvers, "divergence_defect", no_work)
+        if not outside_boxes:
+            monkeypatch.setattr(solvers, "require_in_ball", no_work)
 
 
 class TestEvolve:
@@ -212,20 +238,14 @@ class TestEvolve:
         ref = SpectralField(g, decay * tg.coeffs)
         assert vf_rel_diff(traj.state_at(T), ref) <= 1e-6
 
-    @pytest.mark.parametrize("entry", list(BALL_ENTRY_POINTS))
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
     @pytest.mark.parametrize("defect", ["row", "column", "nan"])
     def test_data_outside_the_ball_rejected(self, monkeypatch, entry, defect):
         # one 1e-300 coefficient just outside the 2/3 ball, on a mode whose
-        # divergence it leaves exactly zero, or a NaN inside the ball: the
-        # admission rule refuses the data before any right-hand side or
+        # divergence it leaves exactly zero, or a NaN inside the ball (in a
+        # box): the admission refuses the data before any right-hand side or
         # transform runs
-        import invlab.solvers as solvers
-        import invlab.spectral as spectral
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("a right-hand side or a transform ran")
-
-        g = Grid(2, 64, 1.0)
+        g = TG_GRID
         good = taylor_green(g)
         c = good.coeffs.copy()
         out = g.dealias_keep + 1
@@ -236,17 +256,28 @@ class TestEvolve:
         else:
             c[0, 1, 1] = np.nan
         bad = SpectralField(g, c)
-        monkeypatch.setattr(solvers, "vorticity_rhs", no_work)
-        no_fft = types.SimpleNamespace(rfftn=no_work, irfftn=no_work)
-        monkeypatch.setattr(spectral, "_fft", no_fft)
+        refuse_work(monkeypatch, entry, outside_boxes=defect != "nan")
         if defect == "nan":
             with pytest.raises(NumericsError, match="non-finite"):
-                BALL_ENTRY_POINTS[entry](bad, good)
+                ENTRY_POINTS[entry](bad, good)
         else:
             assert divergence_defect(bad) <= 1e-10
             with pytest.raises(ResolutionError, match="outside the 2/3-rule ball") as exc:
-                BALL_ENTRY_POINTS[entry](bad, good)
+                ENTRY_POINTS[entry](bad, good)
             assert exc.value.required_n == 2 * g.N
+
+    @pytest.mark.parametrize("entry", [e for e in ENTRY_POINTS if not e.startswith("advect")])
+    def test_gradient_part_rejected(self, monkeypatch, entry):
+        # a gradient part on the modes of the vortex (in the ball and in box
+        # 0): the admission of each layout refuses it before any work
+        g = TG_GRID
+        good = taylor_green(g)
+        phi = np.zeros(g.spectral_shape, dtype=np.complex128)
+        phi[1, 1] = 1e-6
+        bad = SpectralField(g, good.coeffs + gradient(SpectralField(g, phi)).coeffs)
+        refuse_work(monkeypatch, entry, outside_boxes=False)
+        with pytest.raises(ValueError, match="not divergence-free"):
+            ENTRY_POINTS[entry](bad, good)
 
     def test_mean_velocity_carried_bitwise(self):
         # Taylor-Green plus a constant flow U solves the system as the decaying
@@ -579,7 +610,8 @@ class TestTrajectoryGap:
                 raise AssertionError("the coefficients were compared")
 
         u0 = Untouchable()
-        _check_same_data(u0, types.SimpleNamespace(u0=u0))
+        run = types.SimpleNamespace(layout=None, u0=u0, u0_field=u0)
+        _check_same_run(run, types.SimpleNamespace(**vars(run)))
 
 
 class TestFirstOrderApproximants:
@@ -816,7 +848,7 @@ def remainder_norms(traj0, traj_eps, times, bp):
     """Besov norms of the four remainder fields at each time, by field."""
     out = {}
     for rem in first_order_remainders(traj0, traj_eps, times):
-        for name in rem.FIELDS:
+        for name in rem._fields:
             out.setdefault(name, []).append(besov_norm(getattr(rem, name), bp))
     return out
 
@@ -849,8 +881,8 @@ class TestExpansionResiduals:
                 assert slope >= 1.8, name
 
     def test_fields_are_the_expansion_expressions_built_on_read(self, shell_trajectories):
-        # each read builds a new array, bitwise the expression of the
-        # first_order_remainders docstring
+        # each field is bitwise the expression of the first_order_remainders
+        # docstring
         from invlab.solvers import _velocity
 
         times, eps, traj0, traj_eps = shell_trajectories
@@ -867,12 +899,9 @@ class TestExpansionResiduals:
             "drift": -u2.coeffs - lin * pa0,
             "heat_defect": (lin - t) * pa0,
         }
-        assert rem.FIELDS == tuple(expected)
+        assert rem._fields == tuple(expected)
         for name, ref in expected.items():
-            first, second = getattr(rem, name), getattr(rem, name)
-            assert first.coeffs is not second.coeffs
-            assert np.array_equal(first.coeffs, ref), name
-            assert np.array_equal(second.coeffs, ref), name
+            assert np.array_equal(getattr(rem, name).coeffs, ref), name
 
     def test_wrong_viscosity_rejected(self, shell_trajectories):
         times, eps, traj0, traj_eps = shell_trajectories
@@ -916,6 +945,32 @@ class TestExpansionResiduals:
         times, eps, traj0, traj_eps = shell_trajectories
         again = remainder_norms(traj0, traj_eps, (t for t in times), bp)
         assert again == shell_remainders
+
+    def test_replayed_datum_outside_the_ball_rejected(self, shell_trajectories, monkeypatch):
+        # trajectories rebuilt around a datum with a 1e-300 coefficient just
+        # outside the 2/3 ball: the admission of the sweep refuses it before
+        # any right-hand side runs
+        import invlab.solvers as solvers
+
+        times, eps, traj0, traj_eps = shell_trajectories
+        g = traj0.u0.grid
+        c = traj0.u0.coeffs.copy()
+        out = g.dealias_keep + 1
+        c[1, out, 0] = c[1, -out, 0] = 1e-300
+        bad = SpectralField(g, c)
+        replays = [
+            Trajectory(times=traj.times, increments=traj.increments, eps=traj.eps, u0=bad,
+                       diagnostics=traj.diagnostics)
+            for traj in (traj0, traj_eps)
+        ]
+
+        def no_rhs(*args, **kwargs):
+            raise AssertionError("a right-hand side ran")
+
+        monkeypatch.setattr(solvers, "vorticity_rhs", no_rhs)
+        with pytest.raises(ResolutionError, match="outside the 2/3-rule ball") as exc:
+            first_order_remainders(*replays, times)
+        assert exc.value.required_n == 2 * g.N
 
     def test_replay_from_stored_snapshot(
         self, shell_setup, shell_trajectories, shell_remainders, tmp_path
@@ -1164,7 +1219,7 @@ def box_fields(lay, times, traj0, traj_eps):
         out[f"state_eps@{t}"] = traj_eps.state_at(t)
         out[f"gap@{t}"] = trajectory_gap(traj_eps, traj0, t)
     for t, rem in zip(times, first_order_remainders(traj0, traj_eps, times, nodes=9)):
-        for name in rem.FIELDS:
+        for name in rem._fields:
             out[f"{name}@{t}"] = getattr(rem, name)
     return out
 

@@ -89,6 +89,27 @@ def test_install_wraps_every_traced_name_and_uninstall_restores_all():
     assert calls["spectral.l2_norm_spectral"] == 2 * (1 + samples)
 
 
+def test_envelope_evolve_records_no_half_spectrum_norm():
+    # an envelope evolution admits its datum and measures its states on the
+    # boxes (Envelopes.data, Envelopes.divergence_defect): no span of the
+    # half-spectrum's divergence defect or L2 norm is recorded, while the
+    # ball's evolution above records 1 + samples and 2 * (1 + samples)
+    ctx = experiments.ExperimentContext(experiments.ExperimentConfig(n_list=(3,)))
+    u0, lay = ctx.datum(3), ctx.envelopes(3)
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    uninstall = tracer.install(t)
+    try:
+        traj = solvers.evolve(u0, 2.0**-6, [0.01, 0.02], layout=lay)
+    finally:
+        uninstall()
+    names = [span[0] for span in t.spans]
+    assert names.count("solvers.evolve") == 1 and len(traj.div_rel) == 2
+    assert "spectral.fft_forward" in names  # the tracer saw the run's transforms
+    assert names.count("spectral.divergence_defect") == 0
+    assert names.count("spectral.l2_norm_spectral") == 0
+
+
 def test_envelope_batch_spans_nest_in_the_batch(monkeypatch):
     # an envelope batch runs in order on the calling thread, so both of its
     # evolve spans are children of the batch's trajectory span, whatever
