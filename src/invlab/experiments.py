@@ -31,6 +31,12 @@ An envelope run stays on its boxes up to its records: its datum, states,
 gaps and remainder fields are ``solvers.BoxField``, whose p = 2 Besov norms
 are Parseval sums over the boxes, and only a norm at p != 2 scatters them
 to the half-spectrum of the datum grid (``BoxField.spectral``).
+The datum's quadratic terms, in validate's product laws and in
+``nonlinear-drift``, are formed on the envelopes of ``ctx.product_grid(n)``
+(``ctx.product_datum``): the same boxes with H = 2, which hold the harmonics
+0 and +/-2c of u0 . grad u0 and of its heat flow, so at p = 2 no array of
+that grid is built.  The budget check of the product grid still decides which
+shells ``nonlinear-drift`` resolves.
 The expansion residuals take their four remainder fields from
 ``solvers.first_order_remainders``: one Duhamel sweep for all sample times,
 which evaluates each distinct quadrature node once (refined in the same pass
@@ -75,6 +81,7 @@ from .littlewood_paley import (
     low_pass,
 )
 from .solvers import (
+    BoxField,
     Envelopes,
     Trajectory,
     evolve,
@@ -305,7 +312,9 @@ class ExperimentContext:
         return self.grid(self._fit_grid(datum_mode_extent(n, self.cfg.R), f"datum n={n}"))
 
     def product_grid(self, n: int) -> Grid:
-        """Smallest grid resolving the exact quadratic product of the datum."""
+        """Smallest grid whose ball holds the exact quadratic product of the
+        datum, within the budget.  Its envelopes carry that product
+        (``product_datum``); no array of the grid is built for them."""
         extent = 2 * datum_mode_extent(n, self.cfg.R)
         return self.grid(self._fit_grid(extent, f"datum product n={n}"))
 
@@ -330,6 +339,21 @@ class ExperimentContext:
         return Envelopes(
             self.datum_grid(n), carrier_mode(n, R), envelope_half_width(R), bump_half_width(R)
         )
+
+    def product_datum(self, n: int) -> BoxField:
+        """The datum n on the envelopes of ``product_grid(n)``: the boxes of
+        ``envelopes(n)``, with H = 2, so they also hold the harmonics 0 and
+        +/-2c of its quadratic terms.
+
+        The datum is admitted once on its own layout (``Envelopes.data``) and
+        zero-padded from its harmonics h <= 1 (``Envelopes.padded``); the
+        budget check of ``product_grid`` comes first.
+        """
+        grid = self.product_grid(n)
+        own, u0 = self.envelopes(n), self.datum(n)
+        own.data(u0)
+        lay = Envelopes(grid, own.carrier, own.width, own.ring)
+        return lay.padded(own.field_of(u0))
 
     # -- trajectories --------------------------------------------------------
 
@@ -481,7 +505,7 @@ def run_nonlinear_drift(cfg: ExperimentConfig, ctx: ExperimentContext | None = N
 
     for n in cfg.n_list:
         try:
-            g = ctx.product_grid(n)
+            u0 = ctx.product_datum(n)
         except ResolutionError as err:
             records.append(
                 ResultRecord(
@@ -490,9 +514,9 @@ def run_nonlinear_drift(cfg: ExperimentConfig, ctx: ExperimentContext | None = N
             )
             continue
         resolvable.append(n)
-        u0 = ctx.datum(n, grid=g)
+        lay = u0.layout
         eps_n = cfg.eps_n(n)
-        pa = advect(u0, u0)
+        pa = lay.advect(u0, u0)
 
         reach = field_support_range(pa)[1]
         records.append(
@@ -505,9 +529,9 @@ def run_nonlinear_drift(cfg: ExperimentConfig, ctx: ExperimentContext | None = N
         a1 = {k: [] for k in (-1, 0, 1)}
         a2 = []
         for t in cfg.t_grid:
-            hf = heat_factor(g, t, eps_n)
-            ut = apply_multiplier(u0, hf)
-            drift = SpectralField(g, advect(ut, ut).coeffs - pa.coeffs)
+            hf = heat_multiplier(lay.k_sq, t, eps_n)
+            ut = replace(u0, coeffs=hf * u0.coeffs)
+            drift = replace(pa, coeffs=lay.advect(ut, ut).coeffs - pa.coeffs)
             blocks = block_lp_norms(drift, bp.p)
             for k in (-1, 0, 1):
                 v = besov_from_blocks(blocks, bp.shifted(k))
@@ -515,7 +539,7 @@ def run_nonlinear_drift(cfg: ExperimentConfig, ctx: ExperimentContext | None = N
                 records.append(
                     ResultRecord(ex, f"advection_drift[s{k:+d}]", v, n, eps_n, t)
                 )
-            v2 = besov_norm(apply_multiplier(pa, hf - 1.0), bp)
+            v2 = besov_norm(replace(pa, coeffs=(hf - 1.0) * pa.coeffs), bp)
             a2.append(v2)
             records.append(
                 ResultRecord(ex, "heat_defect_of_advection", v2, n, eps_n, t)
@@ -1046,15 +1070,15 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     ratios_q = {}
     for n in cfg.n_list:
         try:
-            gp = ctx.product_grid(n)
+            u0p = ctx.product_datum(n)
         except ResolutionError:
             continue
-        u0p = ctx.datum(n, grid=gp)
-        pa = advect(u0p, u0p)
+        lay = u0p.layout
+        pa = lay.advect(u0p, u0p)
         bu_s = besov_norm(u0p, bp)
         bu_sm1 = besov_norm(u0p, bp.shifted(-1))
         ratios_prod[n] = besov_norm(pa, bp.shifted(-1)) / (bu_sm1 * bu_s)
-        ratios_q[n] = besov_norm(leray_complement(pa), bp) / (bu_s * bu_s)
+        ratios_q[n] = besov_norm(lay.gradient_part(pa), bp) / (bu_s * bu_s)
         records.append(ResultRecord(ex, "product_law_constant", ratios_prod[n], n))
         records.append(ResultRecord(ex, "gradient_part_law_constant", ratios_q[n], n))
     for name, ratios in (

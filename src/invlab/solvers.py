@@ -386,6 +386,29 @@ class Ball:
         return divergence_defect(F)
 
 
+def _nonzero_parts(c: np.ndarray) -> int:
+    """The number of nonzero real and imaginary parts of a complex array."""
+    return np.count_nonzero(np.ascontiguousarray(c).view(np.float64))
+
+
+def _harmonic_products(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The envelopes p = 0 .. H of products of two envelope sums, into ``out``.
+
+    ``a`` and ``b`` hold the samples of the envelopes h = 0 .. H of their
+    sums on axis -3, after any leading axes, which broadcast.  The envelope
+    p of the product is ``sum_h a_h b_(p-h)`` over ``|h|, |p - h| <= H``,
+    with ``a_-h = conj(a_h)`` and ``b_-h = conj(b_h)`` on the samples, as the
+    sums are real.
+    """
+    H = a.shape[-3] - 1
+    ext = np.concatenate((np.conj(a[..., :0:-1, :, :]), a), axis=-3)  # a_(i - H) at i
+    rev = np.concatenate((np.conj(b[..., :0:-1, :, :]), b), axis=-3)[..., ::-1, :, :]
+    for p in range(H + 1):  # rev holds b_(H - i) at i
+        terms = ext[..., p:, :, :] * rev[..., : 2 * H + 1 - p, :, :]
+        np.sum(terms, axis=-3, out=out[..., p, :, :])
+    return out
+
+
 class EnvelopeWork:
     """The work arrays of ``Envelopes.rhs``: coefficients and samples of w
     and u, and the products' samples and coefficients, per harmonic."""
@@ -414,6 +437,13 @@ class Envelopes:
     3W + 1 points, and lands in the box of ``h + k`` alone when c > 3W (a
     mode of box p would need ``|(h + k - p) c + m| <= W``).  Biot-Savart and
     -div are multipliers at the true frequencies ``((h c + m_1)/R, m_2/R)``.
+
+    A shell datum's layout on its datum grid has H = 1.  On its product
+    grid, whose ball holds the datum's quadratic terms, the same boxes have
+    H = 2: the boxes of 0 and +/-2c hold those terms, and ``advect`` and
+    ``gradient_part`` form them in velocity form on the entries
+    (``spectral.advect``, ``spectral.leray_complement``); ``padded``
+    carries a field of the H = 1 layout over.
 
     ``data`` admits a velocity only if every nonzero coefficient lies in S,
     and checks it on S (module docstring); ``guard`` measures, at each
@@ -480,10 +510,11 @@ class Envelopes:
 
     def data(self, u0: SpectralField) -> tuple:
         # the modes of the entries and their mirrors are distinct, so they hold
-        # every nonzero coefficient (NaN among them) when they hold as many as
-        # the whole field: the one pass over every coefficient
+        # every nonzero coefficient (NaN among them) when they hold as many
+        # nonzero real and imaginary parts as the whole field: the one pass
+        # over every coefficient, on the float64 view
         covered = [u0.coeffs[(...,) + at] for _, at in (self.direct, self.mirror)]
-        if np.count_nonzero(u0.coeffs) > sum(map(np.count_nonzero, covered)):
+        if _nonzero_parts(u0.coeffs) > sum(map(_nonzero_parts, covered)):
             require_in_ball(u0)  # a non-finite value or one beyond the ball
             raise ResolutionError(
                 f"field has nonzero coefficients outside the harmonic boxes "
@@ -529,21 +560,49 @@ class Envelopes:
         return _box_inverse(work.spec, self.grid.L, work.phys)
 
     def rhs(self, w, mean, work, out):
-        """-div(u w) on the boxes into ``out``; returns the velocity samples.
-
-        The envelope p of u w is ``sum_h U_h W_(p-h)`` over ``|h|, |p - h| <=
-        H``, with ``U_-h = conj(U_h)`` and ``W_-h = conj(W_h)`` on the samples.
-        """
+        """-div(u w) on the boxes into ``out``; returns the velocity samples."""
         samples = self._samples(w, mean, work)
-        H, wh, uh = self.H, samples[0], samples[1:]
-        ws = np.concatenate((np.conj(wh[:0:-1]), wh))[::-1]  # W_(H - i) at i
-        us = np.concatenate((np.conj(uh[:, :0:-1]), uh), axis=1)  # U_(i - H) at i
-        for p in range(H + 1):
-            np.sum(us[:, p:] * ws[: 2 * H + 1 - p], axis=1, out=work.prod[:, p])
+        _harmonic_products(samples[1:], samples[0], work.prod)
         f = _box_forward(work.prod, self.grid.L, work.coef)
         np.multiply(self.minus_div[0], f[0], out=out)
         out += np.multiply(self.minus_div[1], f[1], out=f[1])
-        return uh
+        return samples[1:]
+
+    def advect(self, u: BoxField, v: BoxField) -> BoxField:
+        """``u . grad v`` on the boxes, in velocity form (``spectral.advect``).
+
+        One inverse transform of the stacked envelopes of u_j and of d_j v_i
+        (d_j = -``minus_div[j]``), their harmonic products summed over j
+        (``_harmonic_products``) and one forward transform, masked.  The
+        entries are the ball's product where its modes lie in the boxes: for
+        the shell datum and its heat flow, whose modes lie within b of +/-c,
+        every mode of a product lies within 2b < W of 0 or +/-2c, so on a
+        layout with H = 2 the entries hold the whole product.
+        """
+        shape = self.k_sq.shape
+        grad = -self.minus_div[None] * v.coeffs[:, None]  # d_j v_i at [i, j]
+        stack = np.concatenate((u.coeffs, grad.reshape((4,) + shape)))
+        samples = _box_inverse(stack, self.grid.L)
+        prod = np.empty((2, 2) + shape, dtype=np.complex128)
+        _harmonic_products(samples[:2], samples[2:].reshape(prod.shape), prod)
+        f = _box_forward(prod.sum(axis=1), self.grid.L)
+        return BoxField(self, f * self.mask)
+
+    def gradient_part(self, F: BoxField) -> BoxField:
+        """The gradient part ``xi (xi . F) / |xi|^2`` of a field of the layout,
+        0 at xi = 0 (``spectral.leray_complement``)."""
+        div = self.minus_div[0] * F.coeffs[0] + self.minus_div[1] * F.coeffs[1]
+        np.divide(div, self.k_sq, out=div, where=self.k_sq > 0)  # div is 0 at xi = 0
+        return BoxField(self, -self.minus_div * div)
+
+    def padded(self, F: BoxField) -> BoxField:
+        """``F``, a field of a layout with this one's carrier and boxes and
+        no more harmonics, on the entries of this layout: its entries are
+        the same torus modes, the harmonics it lacks are 0, and every entry
+        off ``mask`` is 0."""
+        out = np.zeros((F.coeffs.shape[0],) + self.k_sq.shape, dtype=np.complex128)
+        out[:, : F.layout.H + 1] = F.coeffs
+        return BoxField(self, out * self.mask)
 
     @staticmethod
     def speed(samples) -> float:

@@ -430,8 +430,9 @@ def advect(u: SpectralField, v: SpectralField) -> SpectralField:
     slab is 0, so each transform covers the slab's keep + 1 columns only,
     and the result is the slab embedded in a half-spectrum.  The time
     stepper and the Duhamel integrand use the vorticity form
-    (``solvers.vorticity_rhs``); this velocity form serves the checks of
-    ``run_validation_suite`` and the measurements of ``run_nonlinear_drift``.
+    (``solvers.vorticity_rhs``), and the shell datum's quadratic terms are
+    formed on its envelopes (``solvers.Envelopes.advect``); this velocity
+    form serves validate's ``gradient_part_symmetry``, on random fields.
     """
     if u.grid != v.grid:
         raise ConfigError("advect requires fields on the same grid")

@@ -54,12 +54,14 @@ def heat_law_records(small_cfg):
 
 
 @pytest.fixture(scope="module")
-def drift_records(small_cfg):
+def drift_cfg(small_cfg):
     # the N=1024 budget resolves shell 3 only
-    cfg = ExperimentConfig(
-        n_list=(3, 4), t_grid=small_cfg.t_grid, T0=0.1, t0=0.02, N=1024
-    )
-    return run_nonlinear_drift(cfg, ExperimentContext(cfg))
+    return ExperimentConfig(n_list=(3, 4), t_grid=small_cfg.t_grid, T0=0.1, t0=0.02, N=1024)
+
+
+@pytest.fixture(scope="module")
+def drift_records(drift_cfg):
+    return run_nonlinear_drift(drift_cfg, ExperimentContext(drift_cfg))
 
 
 @pytest.fixture(scope="module")
@@ -861,6 +863,109 @@ class TestEnvelopeRecordsOnTheBoxes:
         for row, r in zip(golden, records):
             assert r.verdict == row[6], row[:5]
             assert abs(r.value - float(row[5])) <= GOLDEN_REL * abs(float(row[5])), row[:5]
+
+
+class TestQuadraticTermsOnTheBoxes:
+    """validate's product laws and ``nonlinear-drift`` form u0 . grad u0 on the
+    envelopes of the product grid (``ExperimentContext.product_datum``)."""
+
+    @staticmethod
+    def guard_product_grid(monkeypatch, grid):
+        # advect, the exit to the half-spectrum and the datum's construction
+        # raise on ``grid``; elsewhere they run as before
+        from invlab import constructions, experiments, solvers, spectral
+
+        def guarded(fn, of):
+            def call(*args, **kwargs):
+                if of(*args) == grid:
+                    raise AssertionError(f"{fn.__name__} ran on the product grid")
+                return fn(*args, **kwargs)
+
+            return call
+
+        advect = guarded(spectral.advect, lambda u, v: u.grid)
+        shell = guarded(constructions.shell_velocity, lambda datum, g: g)
+        for module in (spectral, experiments):
+            monkeypatch.setattr(module, "advect", advect)
+        for module in (constructions, experiments):
+            monkeypatch.setattr(module, "shell_velocity", shell)
+        monkeypatch.setattr(solvers, "_embed", guarded(solvers._embed, lambda v, g: g))
+
+    def test_p2_validate_builds_nothing_on_the_product_grid(
+        self, small_cfg, validation_records, monkeypatch
+    ):
+        ctx = ExperimentContext(small_cfg)
+        grid = ctx.product_grid(3)
+        self.guard_product_grid(monkeypatch, grid)
+        records = run_validation_suite(small_cfg, ctx)
+        assert [(r.key(), r.value, r.verdict) for r in records] == [
+            (r.key(), r.value, r.verdict) for r in validation_records
+        ]
+        assert by_quantity(records, "product_law_constant")
+        # no frequency array of the N = 1024 grid was built (they are lazy)
+        assert not {"k_sq", "k_mag", "biot_savart"} & set(vars(grid))
+
+    def test_p2_drift_builds_nothing_on_the_product_grid(
+        self, drift_cfg, drift_records, monkeypatch
+    ):
+        ctx = ExperimentContext(drift_cfg)
+        grid = ctx.product_grid(3)
+        self.guard_product_grid(monkeypatch, grid)
+        records = run_nonlinear_drift(drift_cfg, ctx)
+        assert [(r.key(), r.value, r.verdict) for r in records] == [
+            (r.key(), r.value, r.verdict) for r in drift_records
+        ]
+        assert not {"k_sq", "k_mag", "biot_savart"} & set(vars(grid))
+
+    def test_p4_drift_takes_the_exit_and_matches_the_ball(self, monkeypatch):
+        # at (s, p, r) = (3, 4, 2) each drift and heat defect leaves the boxes
+        # once; the records equal, within GOLDEN_REL, the ball's values:
+        # spectral.advect of the datum and of its heat flow on the product grid
+        import invlab.solvers as solvers
+        from invlab.constructions import ShellDatum, shell_velocity
+        from invlab.littlewood_paley import (
+            besov_from_blocks, besov_norm, block_lp_norms, field_support_range,
+        )
+        from invlab.spectral import advect, heat_factor
+
+        embed, calls = solvers._embed, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].N)
+            return embed(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_embed", counted)
+        cfg = ExperimentConfig(bp=BesovParams(3.0, 4.0, 2.0), n_list=(3,), N=1024,
+                               t_grid=(0.01, 0.02), T0=0.1, t0=0.02)
+        records = run_nonlinear_drift(cfg, ExperimentContext(cfg))
+        assert calls == [1024] * 2 * len(cfg.t_grid)
+
+        g, eps = ExperimentContext(cfg).product_grid(3), cfg.eps_n(3)
+        u0 = shell_velocity(ShellDatum(3, cfg.bp), g)
+        pa = advect(u0, u0)
+        ball = {("advection_support_radius", None): field_support_range(pa)[1]}
+        for t in cfg.t_grid:
+            hf = heat_factor(g, t, eps)
+            ut = SpectralField(g, hf * u0.coeffs)
+            blocks = block_lp_norms(SpectralField(g, advect(ut, ut).coeffs - pa.coeffs), 4.0)
+            for k in (-1, 0, 1):
+                ball[(f"advection_drift[s{k:+d}]", t)] = besov_from_blocks(
+                    blocks, cfg.bp.shifted(k)
+                )
+            ball[("heat_defect_of_advection", t)] = besov_norm(
+                SpectralField(g, (hf - 1.0) * pa.coeffs), cfg.bp
+            )
+        for k in (-1, 0, 1):
+            series = [ball[(f"advection_drift[s{k:+d}]", t)] for t in cfg.t_grid]
+            ball[(f"advection_drift_slope[s{k:+d}]", None)] = lsq_slope(cfg.t_grid, series)
+        series = [ball[("heat_defect_of_advection", t)] for t in cfg.t_grid]
+        ball[("heat_defect_of_advection_slope", None)] = lsq_slope(cfg.t_grid, series)
+
+        assert sorted(ball, key=str) == sorted(((r.quantity, r.t) for r in records), key=str)
+        for r in records:
+            ref = ball[(r.quantity, r.t)]
+            assert abs(r.value - ref) <= GOLDEN_REL * abs(ref), (r.quantity, r.t)
+        assert not [r for r in records if r.verdict == "fail"]
 
 
 class TestPerturbedGap:

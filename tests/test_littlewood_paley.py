@@ -378,23 +378,41 @@ class TestBlockSpectrumReport:
 
 
 class TestProductLawConstants:
-    def test_measured_constants_do_not_grow(self, bp):
+    """validate's product laws take u0 . grad u0 and its gradient part on the
+    envelopes of the product grid (``ExperimentContext.product_datum``); on
+    that grid's half-spectrum they are ``spectral.advect`` and
+    ``leray_complement``."""
+
+    @pytest.mark.parametrize("n, N", [(3, 1024), (4, 2048)])
+    def test_layout_product_is_the_ball_product(self, bp, n, N):
+        from invlab.experiments import ExperimentConfig, ExperimentContext
         from invlab.spectral import advect, leray_complement
 
-        ratios, qratios = {}, {}
-        for n, N in ((3, 1024), (4, 2048)):
-            g = Grid(2, N, 12.0)
-            u0 = shell_velocity(ShellDatum(n, bp), g)
-            pa = advect(u0, u0)
-            bs = besov_norm(u0, bp)
-            bsm1 = besov_norm(u0, BesovParams(bp.s - 1, bp.p, bp.r, bp.d))
-            ratios[n] = (
-                besov_norm(pa, BesovParams(bp.s - 1, bp.p, bp.r, bp.d))
-                / (bsm1 * bs)
-            )
-            qratios[n] = besov_norm(leray_complement(pa), bp) / bs**2
-        # the constants in the product and gradient-part estimates must not
-        # grow along the family (the measured values in fact decay; see the
-        # decisions ledger)
-        assert ratios[4] <= 2.0 * ratios[3]
-        assert qratios[4] <= 2.0 * qratios[3]
+        ctx = ExperimentContext(ExperimentConfig(n_list=(n,), N=N))
+        u0 = ctx.product_datum(n)
+        lay, g = u0.layout, ctx.product_grid(n)
+        assert (g.N, lay.H, lay.M) == (N, 2, 32)
+        ball = shell_velocity(ShellDatum(n, bp), g)
+        # the padded datum is the ball's datum gathered to the entries
+        assert np.array_equal(u0.coeffs, lay.field_of(ball).coeffs)
+        pa = advect(ball, ball)
+        # Each coefficient of u . grad v is a sum of terms u_j(k) (i xi_j)
+        # v_i(m - k) / L^2 whose magnitudes add up to at most A below (the
+        # half-spectrum holds half of each l1 norm, so twice its sum bounds
+        # it).  The transforms of either route round each coefficient by at
+        # most about eps log2(N^2) of the l1 mass they sum; the leray
+        # complement is a contraction per mode.  So both routes lie within
+        # eps log2(N^2) A of the exact product, which holds no mode outside
+        # the boxes (the layout's entries are exactly 0 there).
+        l1 = lambda c: 2.0 * float(np.sum(np.abs(c)))
+        A = sum(
+            l1(ball.coeffs[j]) * l1(g.freq_axis(j) * ball.coeffs[i])
+            for i in range(2) for j in range(2)
+        ) / g.L**2
+        bound = np.finfo(float).eps * np.log2(N**2) * A
+        got = lay.advect(u0, u0)
+        assert np.max(np.abs(got.spectral().coeffs - pa.coeffs)) <= bound
+        q = lay.gradient_part(got).spectral().coeffs
+        assert np.max(np.abs(q - leray_complement(pa).coeffs)) <= 2.0 * bound
+        # a wrong harmonic would miss by the size of the product itself
+        assert 1e6 * bound < np.max(np.abs(pa.coeffs))
