@@ -14,6 +14,14 @@ largest |m| at which the profile is nonzero.  Every grid that carries the datum
 is sized from it, and ``oscillating_profile_spectral`` checks its ball by it.
 An evolved shell state stays in boxes of ``envelope_half_width`` around the
 carrier's harmonics, the envelopes on which ``solvers`` evolves it.
+
+The datum is also born on those boxes, with no array of its grid
+(``shell_box_velocity``).  Its stream function is ``a(m_1 - c) a(m_2)`` at
+the mode m, c the carrier and ``a`` the profile bump, so the datum is closed
+form at each entry of the layout: box h = 1 holds ``amp * (-i xi_2, i xi_1)
+a(m_1 - c) a(m_2)`` at the entry of mode m, xi = m/R, and every other box
+is 0.  The products are taken in ``shell_velocity``'s order, so the
+entries equal that half-spectrum gathered to the boxes bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, ResolutionError
 from .littlewood_paley import BesovParams, besov_norm, radial_cutoff
+from .solvers import BoxField, Envelopes
 from .spectral import (
     Grid,
     SpectralField,
@@ -207,6 +216,44 @@ def shell_velocity(datum: ShellDatum, grid: Grid) -> SpectralField:
     if datum.shift != 0.0:
         F = translate(F, (datum.shift, 0.0))
     return SpectralField(grid, datum.amplitude * perp_gradient(F).coeffs)
+
+
+def shell_box_velocity(datum: ShellDatum, layout: Envelopes) -> BoxField:
+    """The shell velocity of ``shell_velocity`` as a field of an envelope
+    layout of its carrier, in closed form on the entries (module docstring).
+
+    The layout's boxes must hold the bump and its grid's ball the datum's
+    extent, else the datum would be clipped; a translated datum is built on
+    the half-spectrum (``shell_velocity``).
+    """
+    R = layout.grid.R
+    if datum.shift != 0.0:
+        raise ConfigError("a translated shell datum is built on the half-spectrum")
+    if layout.carrier != carrier_mode(datum.n, R) or layout.width < bump_half_width(R):
+        raise ConfigError(
+            f"the layout's boxes (carrier {layout.carrier}, half-width {layout.width}) "
+            f"do not hold the shell datum n={datum.n}"
+        )
+    m_max = datum_mode_extent(datum.n, R)
+    if m_max > layout.grid.dealias_keep:
+        n_req = dealias_grid_size(m_max)
+        raise ResolutionError(
+            f"shell datum n={datum.n} reaches mode {m_max}, beyond the dealias-safe "
+            f"ball of N={layout.grid.N}; need N>={n_req}",
+            required_n=n_req,
+        )
+    def bump(m):  # the profile bump at lattice offsets m (``ProfileBump.a_hat``)
+        return radial_cutoff(np.abs(m) / R, BUMP_INNER, BUMP_OUTER)
+
+    t1, t2 = layout.modes[:, 1]  # the torus modes of box h = 1
+    xi1, xi2 = t1 / R, t2 / R
+    # the stream function, cast to complex where shell_velocity casts its
+    # sum of the two shifted bumps
+    F = bump(t1 - layout.carrier).astype(np.complex128) * bump(t2)
+    u = datum.amplitude * np.stack((-(1j * xi2) * F, (1j * xi1) * F))
+    coeffs = np.zeros((2,) + layout.k_sq.shape, dtype=np.complex128)
+    coeffs[:, 1] = np.where(layout.mask[1], u, 0.0)
+    return BoxField(layout, coeffs)
 
 
 def _vortex_cell(grid: Grid, amplitude: float, k: int) -> np.ndarray:

@@ -19,24 +19,35 @@ shell datum, in ``family-gap``, ``expansion-residuals`` (with its Duhamel
 sums and ``pa0``) and ``fixed-limit``, evolves on ``ctx.envelopes(n)``: that
 ball restricted to the boxes around the harmonics of the datum's carrier,
 at a cost that does not grow with n.  The layout follows from the datum, not
-from a setting.  The two layouts agree because the ball's state holds,
-outside the boxes, only FFT rounding (every mode above 1e-20 of the peak
-lies within 6 modes of a harmonic at n = 3 and 4, t = 0.08): their
-increments differ by 1.5-7.4e-15 relative in L2 at n = 3, and every verdict
-is the same.  ``perturbed-gap`` stays on the ball: its additivity defect
-subtracts the bare-shell run from runs with a background, which fills a low
-box of radius 2^psi_band R, so all of them must be one Galerkin system.
-``validate`` evolves Taylor-Green vortices on the ball of N = 64.
-An envelope run stays on its boxes up to its records: its datum, states,
-gaps and remainder fields are ``solvers.BoxField``, whose p = 2 Besov norms
-are Parseval sums over the boxes, and only a norm at p != 2 scatters them
-to the half-spectrum of the datum grid (``BoxField.spectral``).
-The datum's quadratic terms, in validate's product laws and in
-``nonlinear-drift``, are formed on the envelopes of ``ctx.product_grid(n)``
-(``ctx.product_datum``): the same boxes with H = 2, which hold the harmonics
-0 and +/-2c of u0 . grad u0 and of its heat flow, so at p = 2 no array of
-that grid is built.  The budget check of the product grid still decides which
-shells ``nonlinear-drift`` resolves.
+from a setting: the datum is born on it (``ctx.box_datum``,
+``constructions.shell_box_velocity``), a ``solvers.BoxField`` in closed form
+on the entries, and the runs read their layout from it.  The two layouts
+agree because the ball's state holds, outside the boxes, only FFT rounding
+(every mode above 1e-20 of the peak lies within 6 modes of a harmonic at
+n = 3 and 4, t = 0.08): their increments differ by 1.5-7.4e-15 relative in
+L2 at n = 3, and every verdict is the same.  ``perturbed-gap`` stays on the
+ball: its additivity defect subtracts the bare-shell run from runs with a
+background, which fills a low box of radius 2^psi_band R, so all of them
+must be one Galerkin system.  ``validate`` evolves Taylor-Green vortices on
+the ball of N = 64.
+A shell run stays on its boxes up to its records: its datum, states, gaps
+and remainder fields are ``BoxField``, whose p = 2 Besov norms are Parseval
+sums over the boxes, and only a norm at p != 2 scatters them to the
+half-spectrum of their grid (``BoxField.spectral``).  ``heat-law`` and
+validate's single-block checks norm the datum on its boxes too.  The datum's
+quadratic terms, in validate's product laws and in ``nonlinear-drift``, are
+formed on the envelopes of ``ctx.product_grid(n)`` (``ctx.product_datum``):
+the same boxes with H = 2, which hold the harmonics 0 and +/-2c of
+u0 . grad u0 and of its heat flow; the datum is born there too.
+A shell layout's grid is sized from the datum's extent alone, since no array
+of it is built, so at p = 2 every shell runs, at any n.  The budget ``N``
+bounds the arrays of N x N grids: the ball's, and at p != 2 those of the
+exit (``littlewood_paley.normed_on_boxes``), where ``ctx.envelopes`` and
+``ctx.product_grid`` raise ResolutionError with ``required_n``.  Each
+experiment builds every shell's datum before its first evolution or norm,
+so a datum above the budget stops it at once; a product grid above it skips
+the shell's product laws in validate and is recorded as
+``resolution_limited`` in ``nonlinear-drift``.
 The expansion residuals take their four remainder fields from
 ``solvers.first_order_remainders``: one Duhamel sweep for all sample times,
 which evaluates each distinct quadrature node once (refined in the same pass
@@ -64,6 +75,7 @@ from .constructions import (
     carrier_mode,
     datum_mode_extent,
     envelope_half_width,
+    shell_box_velocity,
     shell_velocity,
     taylor_green,
     taylor_green_two_mode,
@@ -79,6 +91,7 @@ from .littlewood_paley import (
     dyadic_block,
     field_support_range,
     low_pass,
+    normed_on_boxes,
 )
 from .solvers import (
     BoxField,
@@ -95,9 +108,7 @@ from .spectral import (
     advect,
     apply_multiplier,
     dealias_grid_size,
-    divergence_defect,
     gradient,
-    heat_factor,
     heat_multiplier,
     heat_propagate,
     l2_norm_spectral,
@@ -117,7 +128,9 @@ class ExperimentConfig:
 
     bp: BesovParams = BesovParams(3.0, 2.0, 2.0, 2)
     R: float = 12.0
-    N: int = 2048  # resolution budget per axis; per-datum grids stay within it
+    # budget per axis of the grids whose N x N arrays are built: the ball's,
+    # and at p != 2 a shell layout's grid; it bounds arrays, not shells
+    N: int = 2048
     n_list: tuple = (3, 4, 5)
     t_grid: tuple = DEFAULT_T_GRID
     T0: float = 0.1
@@ -308,15 +321,22 @@ class ExperimentContext:
         return N
 
     def datum_grid(self, n: int) -> Grid:
-        """Smallest power-of-two grid with the datum inside the 2/3 ball."""
+        """Smallest power-of-two grid with the datum inside the 2/3 ball,
+        within the budget: the grid of the half-spectrum datum on the ball."""
         return self.grid(self._fit_grid(datum_mode_extent(n, self.cfg.R), f"datum n={n}"))
+
+    def _shell_grid(self, extent: int, what: str) -> Grid:
+        # a shell layout's grid builds N x N arrays only where its norms
+        # leave the boxes (littlewood_paley.normed_on_boxes)
+        if normed_on_boxes(self.cfg.bp.p):
+            return self.grid(dealias_grid_size(extent))
+        return self.grid(self._fit_grid(extent, what))
 
     def product_grid(self, n: int) -> Grid:
         """Smallest grid whose ball holds the exact quadratic product of the
-        datum, within the budget.  Its envelopes carry that product
-        (``product_datum``); no array of the grid is built for them."""
-        extent = 2 * datum_mode_extent(n, self.cfg.R)
-        return self.grid(self._fit_grid(extent, f"datum product n={n}"))
+        datum, within the budget at p != 2 only.  Its envelopes carry that
+        product (``product_datum``); at p = 2 no array of the grid is built."""
+        return self._shell_grid(2 * datum_mode_extent(n, self.cfg.R), f"datum product n={n}")
 
     def background_grid(self, n_max: int) -> Grid:
         extent = max(
@@ -332,54 +352,49 @@ class ExperimentContext:
         grid = grid or self.datum_grid(n)
         return shell_velocity(ShellDatum(n, self.cfg.bp, shift), grid)
 
-    def envelopes(self, n: int) -> Envelopes:
-        """The layout of the bare shell datum n on ``datum_grid(n)``: boxes of
-        ``envelope_half_width`` around the harmonics of its carrier mode."""
+    def envelopes(self, n: int, grid: Grid | None = None) -> Envelopes:
+        """The layout of the bare shell datum n: boxes of
+        ``envelope_half_width`` around the harmonics of its carrier mode, on
+        ``grid``, by default the smallest grid whose ball holds the datum,
+        within the budget at p != 2 only (module docstring)."""
         R = self.cfg.R
-        return Envelopes(
-            self.datum_grid(n), carrier_mode(n, R), envelope_half_width(R), bump_half_width(R)
-        )
+        grid = grid or self._shell_grid(datum_mode_extent(n, R), f"datum n={n}")
+        return Envelopes(grid, carrier_mode(n, R), envelope_half_width(R), bump_half_width(R))
+
+    def box_datum(self, n: int, grid: Grid | None = None) -> BoxField:
+        """The shell datum n born on ``envelopes(n, grid)``
+        (``constructions.shell_box_velocity``)."""
+        return shell_box_velocity(ShellDatum(n, self.cfg.bp), self.envelopes(n, grid))
 
     def product_datum(self, n: int) -> BoxField:
         """The datum n on the envelopes of ``product_grid(n)``: the boxes of
         ``envelopes(n)``, with H = 2, so they also hold the harmonics 0 and
-        +/-2c of its quadratic terms.
-
-        The datum is admitted once on its own layout (``Envelopes.data``) and
-        zero-padded from its harmonics h <= 1 (``Envelopes.padded``); the
-        budget check of ``product_grid`` comes first.
-        """
-        grid = self.product_grid(n)
-        own, u0 = self.envelopes(n), self.datum(n)
-        own.data(u0)
-        lay = Envelopes(grid, own.carrier, own.width, own.ring)
-        return lay.padded(own.field_of(u0))
+        +/-2c of its quadratic terms."""
+        return self.box_datum(n, self.product_grid(n))
 
     # -- trajectories --------------------------------------------------------
 
-    def trajectory(
-        self, requests: Sequence[tuple], times: Iterable[float], layout: Envelopes | None = None
-    ) -> list[Trajectory]:
+    def trajectory(self, requests: Sequence[tuple], times: Iterable[float]) -> list[Trajectory]:
         """The trajectories of the requests, each sampled at ``times``.
 
         A request is ``(u0, eps)``, or ``(u0, eps, dt_fixed)`` for a fixed
         step: the arguments of ``evolve`` but the sample times.  Every request
-        evolves in ``layout``, by default the ball of its grid: side by side
-        on the ball, in order on envelopes.  Returned in request order, with
+        evolves in the layout of its data: a batch of ``BoxField`` in order
+        on its envelopes, a batch of half-spectra side by side on the ball of
+        their grid.  Returned in request order, with
         the per-evolution statistics appended to ``evolutions`` in that
         order.  If an evolution raises, the running ones finish, none is
         started, and the first error in request order is raised; the
         statistics of the requests before it are kept.
         """
         times = tuple(times)
-        on = {} if layout is None else {"layout": layout}
 
         def timed(request):
             start = time.perf_counter()
-            traj = evolve(*request[:2], times, *request[2:], **on)
+            traj = evolve(*request[:2], times, *request[2:])
             return traj, time.perf_counter() - start
 
-        batch = map if isinstance(layout, Envelopes) else threaded_map
+        batch = map if all(isinstance(r[0], BoxField) for r in requests) else threaded_map
         out = []
         for traj, wall_s in batch(timed, requests):
             self.evolutions.append(_evolution_stats(traj, wall_s))
@@ -392,7 +407,7 @@ def _evolution_stats(traj: Trajectory, wall_s: float) -> dict:
     d, lay = traj.diagnostics, traj.layout
     envelopes = isinstance(lay, Envelopes)
     # E(0) by the rule of the per-step energies (``velocity_l2``)
-    e0 = lay.l2(traj.u0_field.coeffs) if envelopes else l2_norm_spectral(traj.u0)
+    e0 = lay.l2(traj.u0.coeffs) if envelopes else l2_norm_spectral(traj.u0)
     stats = {"N": traj.u0.grid.N, "layout": "ball"}
     if envelopes:  # and the largest ring share its guard measured
         stats.update(layout="envelopes", M=lay.M, W=lay.width, H=lay.H,
@@ -419,9 +434,8 @@ def run_heat_law(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
     base_norm: dict = {}
     qhat = CARRIER_RATIO**2
 
-    for n in cfg.n_list:
-        g = ctx.datum_grid(n)
-        u0 = ctx.datum(n)
+    data = {n: ctx.box_datum(n) for n in cfg.n_list}
+    for n, u0 in data.items():
         eps_n = cfg.eps_n(n)
         u0_blocks = block_lp_norms(u0, bp.p)
         for k in (-1, 0, 1):
@@ -429,8 +443,8 @@ def run_heat_law(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
             if n == cfg.n_list[0]:
                 base_norm[k] = bnorm / 2.0 ** (k * n)
         for t in cfg.t_grid:
-            fac = heat_factor(g, t, eps_n) - 1.0
-            blocks = block_lp_norms(apply_multiplier(u0, fac), bp.p)
+            fac = heat_multiplier(u0.layout.field_k_sq, t, eps_n) - 1.0
+            blocks = block_lp_norms(replace(u0, coeffs=fac * u0.coeffs), bp.p)
             for k in (-1, 0, 1):
                 q = besov_from_blocks(blocks, bp.shifted(k)) / (t * 2.0 ** (k * n))
                 q_values[(n, k, t)] = q
@@ -506,7 +520,7 @@ def run_nonlinear_drift(cfg: ExperimentConfig, ctx: ExperimentContext | None = N
     for n in cfg.n_list:
         try:
             u0 = ctx.product_datum(n)
-        except ResolutionError as err:
+        except ResolutionError as err:  # above the budget, at p != 2 only
             records.append(
                 ResultRecord(
                     ex, "resolution_limited", float(err.required_n or 0), n
@@ -594,12 +608,10 @@ def run_expansion_residuals(cfg: ExperimentConfig, ctx: ExperimentContext | None
     nodes = cfg.quadrature_nodes
     records = []
 
-    for n in cfg.n_list:
-        u0 = ctx.datum(n)
+    data = {n: ctx.box_datum(n) for n in cfg.n_list}
+    for n, u0 in data.items():
         eps_n = cfg.eps_n(n)
-        traj0, traj_eps = ctx.trajectory(
-            [(u0, 0.0), (u0, eps_n)], cfg.t_grid, ctx.envelopes(n)
-        )
+        traj0, traj_eps = ctx.trajectory([(u0, 0.0), (u0, eps_n)], cfg.t_grid)
 
         series: dict = {field: [] for field in _REMAINDER_LABELS}
         for rem in first_order_remainders(
@@ -637,13 +649,10 @@ def run_family_gap(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
     init_norms: dict = {}
     sup_besov: dict = {}
 
-    for n in cfg.n_list:
-        u0 = ctx.datum(n)
+    data = {n: ctx.box_datum(n) for n in cfg.n_list}
+    for n, u0 in data.items():
         eps_n = cfg.eps_n(n)
-        traj0, traj_eps = ctx.trajectory(
-            [(u0, 0.0), (u0, eps_n)], cfg.t_grid, ctx.envelopes(n)
-        )
-        u0 = traj0.u0_field  # the datum where the runs hold it
+        traj0, traj_eps = ctx.trajectory([(u0, 0.0), (u0, eps_n)], cfg.t_grid)
         b0 = besov_norm(u0, bp)
         init_norms[n] = b0
         records.append(ResultRecord(ex, "initial_besov", b0, n, eps_n))
@@ -724,11 +733,9 @@ def run_fixed_datum_limit(cfg: ExperimentConfig, ctx: ExperimentContext | None =
     bp = cfg.bp
     records = []
     n = cfg.n_list[0]
-    u0 = ctx.datum(n)
+    u0 = ctx.box_datum(n)
     sweep = [2.0 ** (-2 * m) for m in cfg.eps_exponents]
-    traj0, *trajs = ctx.trajectory(
-        [(u0, eps) for eps in [0.0, *sweep]], [cfg.t0], ctx.envelopes(n)
-    )
+    traj0, *trajs = ctx.trajectory([(u0, eps) for eps in [0.0, *sweep]], [cfg.t0])
     records.append(ResultRecord(ex, "solution_gap_vs_eps", 0.0, n, 0.0, cfg.t0))
 
     gaps = []
@@ -928,6 +935,7 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     bp = cfg.bp
     records = []
     rng = np.random.default_rng(cfg.seed)
+    data = {n: ctx.box_datum(n) for n in cfg.n_list}
     g = ctx.grid(256)
     part = build_partition(g)
 
@@ -1028,15 +1036,17 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     semi = _rel_l2(one, two)
     records.append(ResultRecord(ex, "heat_semigroup_defect", semi, verdict=check(semi, hi=1e-13)))
 
-    # single-block property and cumulative low-pass on the datum family
-    for n in cfg.n_list:
-        u0n = ctx.datum(n)
-        scale = l2_norm_spectral(u0n)
-        own = _rel_l2(dyadic_block(n, u0n), u0n)
-        # block_lp_norms(., 2) is indexed j = -1 .. j_max
+    # single-block property and cumulative low-pass on the datum family, on
+    # the datum's boxes: Delta_n and S_n are their multipliers at the entries
+    for n, u0n in data.items():
+        lay = u0n.layout
+        scale = lay.l2(u0n.coeffs)
+        block = lay.blocks[n + 1] * u0n.coeffs  # lay.blocks is indexed j = -1 .. j_max
+        own = lay.l2(block - u0n.coeffs) / max(lay.l2(block), scale, 1e-300)
         blocks = block_lp_norms(u0n, 2.0)
         others = max(b / scale for j, b in enumerate(blocks, start=-1) if j != n)
-        lp_val = l2_norm_spectral(low_pass(n, u0n)) / scale
+        low = build_partition(lay.grid).theta(lay.k_mag / 2.0**n)
+        lp_val = lay.l2(low * u0n.coeffs) / scale
         records.append(
             ResultRecord(ex, "single_block_defect", own, n, verdict=check(own, hi=1e-12))
         )
@@ -1046,11 +1056,10 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
         records.append(
             ResultRecord(ex, "low_pass_leakage", lp_val, n, verdict=check(lp_val, hi=1e-12))
         )
-        div = divergence_defect(u0n)
+        div = lay.divergence_defect(u0n)
         records.append(
             ResultRecord(ex, "datum_divergence_defect", div, n, verdict=check(div, hi=1e-12))
         )
-    del u0n  # the last shell's datum, the largest, is not needed below
 
     # norm-equivalence sanity (logged, asserted finite and positive)
     zf = _random_stream(g, rng, g.dealias_keep)
@@ -1071,7 +1080,7 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     for n in cfg.n_list:
         try:
             u0p = ctx.product_datum(n)
-        except ResolutionError:
+        except ResolutionError:  # above the budget, at p != 2 only
             continue
         lay = u0p.layout
         pa = lay.advect(u0p, u0p)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -124,18 +124,34 @@ class DyadicPartition:
         return box, self.theta(g.k_mag[box] / 2.0**n)
 
 
-@lru_cache(maxsize=None)
+# the calls of ``build_partition`` that found a grid's partition and that built it
+_partition_calls = {"hits": 0, "misses": 0}
+
+
 def build_partition(grid: Grid) -> DyadicPartition:
     """Dyadic partition sized for the grid.
 
     ``j_max`` is the smallest J with ``(3/4) * 2**(J+1) >= xi_Nyquist``, so
     blocks above ``j_max`` vanish for every resolved field and the partition
     sums to 1 on the whole per-axis frequency range.
+
+    The partition is built once per ``Grid`` instance and kept in the
+    grid's instance dictionary, as the grid keeps its frequency arrays, so
+    it and its cached blocks live as long as the grid and no longer.
+    ``build_partition.cache_info()`` counts the calls that found it
+    (``hits``) and those that built it (``misses``).
     """
-    j = -1
-    while THETA_ONE * 2.0 ** (j + 1) < grid.nyquist:
-        j += 1
-    return DyadicPartition(grid=grid, j_max=j)
+    part = vars(grid).get("partition")
+    _partition_calls["misses" if part is None else "hits"] += 1
+    if part is None:
+        j = -1
+        while THETA_ONE * 2.0 ** (j + 1) < grid.nyquist:
+            j += 1
+        part = vars(grid)["partition"] = DyadicPartition(grid=grid, j_max=j)
+    return part
+
+
+build_partition.cache_info = lambda: SimpleNamespace(**_partition_calls)
 
 
 def _on_box(F: SpectralField, box: tuple, values: np.ndarray) -> SpectralField:
@@ -236,6 +252,13 @@ def field_support_range(F) -> tuple:
     return (0.0, 0.0) if hi == 0.0 else (lo, hi)
 
 
+def normed_on_boxes(p: float) -> bool:
+    """Whether ``block_lp_norms`` at ``p`` norms a ``solvers.BoxField`` on its
+    entries, building no array of its grid; else it takes the field's
+    half-spectrum (``BoxField.spectral``)."""
+    return p == 2
+
+
 def block_lp_norms(F, p: float) -> np.ndarray:
     """L^p norms of the dyadic blocks, indexed j = -1 .. j_max.
 
@@ -245,7 +268,7 @@ def block_lp_norms(F, p: float) -> np.ndarray:
     non-finite coefficient (``support_mask``) or block norm raises
     NumericsError.
     """
-    if p != 2 and not isinstance(F, SpectralField):
+    if not (normed_on_boxes(p) or isinstance(F, SpectralField)):
         F = F.spectral()
     part = build_partition(F.grid)
     r_lo, r_hi = field_support_range(F)

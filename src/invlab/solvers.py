@@ -11,8 +11,8 @@ ball are alias-free (``spectral`` module docstring).  The mean ``u(0)`` is
 constant and carried on its own.
 
 A **layout** holds the state and evaluates ``-div(u w)`` on it; ``evolve``
-and ``u2_duhamel`` take one, and their RK4 and integrating-factor loop and
-their Duhamel sweep are the same for both.  ``Ball``, the default, is the
+and ``u2_duhamel`` run in the layout of their data, and their RK4 and
+integrating-factor loop and their Duhamel sweep are the same for both.  ``Ball``, the default, is the
 slab of the 2/3 ball, indexed by ``Grid.slab``: ``vorticity_rhs`` takes 3
 inverse and 2 forward transforms and no Leray projection (velocity form: 6,
 2 and a projection), hands the slab to the one transform pair
@@ -32,22 +32,23 @@ per mode, which the Besov weights of the high blocks raise to a raw Besov
 difference of 6.5e-12-4.2e-11.  One envelope evolution took 0.2 s against
 6.3-7.0 s on the ball.
 
-Each layout owns the one admission of the data, ``data``, called once by
-``evolve`` and by ``u2_duhamel`` and repeated by nothing: a non-finite
-coefficient raises NumericsError, a nonzero one outside the 2/3-rule ball
-ResolutionError with ``required_n`` (``spectral.require_in_ball``), one
-outside the boxes of ``Envelopes`` ResolutionError, and a divergence defect
-above 1e-10 ValueError; it returns the data's vorticity in the layout and
-mean velocity (``state_of``).  ``Ball`` checks the half-spectrum.
-``Envelopes`` reads every coefficient once, to test that each nonzero one is
-the mode of an entry or of its mirror, and checks the rest on those modes,
-with its Parseval weights; only data that fail the test reach
-``require_in_ball``.  At n = 5 (N = 2048) an envelope ``evolve`` admits its
-datum in 16-18 ms, against 115-133 ms with the half-spectrum's checks.
+The data of ``evolve`` and ``u2_duhamel`` decide their layout: a
+``SpectralField`` runs on the ``Ball`` of its grid, a ``BoxField`` on its own
+``Envelopes``.  Each layout owns the one admission of the data,
+``data``, called once by ``evolve`` and by ``u2_duhamel`` and repeated by
+nothing: a non-finite value raises NumericsError, a nonzero coefficient
+outside the 2/3-rule ball ResolutionError with ``required_n``
+(``spectral.require_in_ball``), and a divergence defect above 1e-10
+ValueError; it returns the data's vorticity in the layout and mean velocity
+(``state_of``).  ``Ball`` checks the half-spectrum.  ``Envelopes`` checks a
+``BoxField`` on its entries alone, with its Parseval weights, and refuses a
+nonzero entry off its mask with ResolutionError: nothing lies outside the
+entries, so no array of the grid is read, and a shell datum born on its
+boxes (``constructions.shell_box_velocity``) runs at any n.
 
 A run stays in its layout's arrays up to its records.  Each layout has its
-own velocity fields (``Ball.field_of``, ``velocity``, ``field_k_sq``): the
-ball's are half-spectra (``SpectralField``, built from slab vorticity by
+own velocity fields (``velocity``, ``field_k_sq``): the ball's are
+half-spectra (``SpectralField``, built from slab vorticity by
 ``_velocity``), the envelopes' are ``BoxField``: the two components on the
 entries of the boxes.  The heat multipliers act on them at the layout's
 |xi|^2 (``spectral.heat_multiplier``), the divergence defect and the L2 and
@@ -161,8 +162,9 @@ RING_TOL = 1e-14
 class Trajectory:
     """Sampled solution of one evolution, with per-step diagnostics.
 
-    ``layout`` is the layout the solver evolved (``Ball`` of the grid of
-    ``u0`` when none is given), and ``increments[i]`` is the vorticity
+    ``u0`` is the data, a field of its layout, and ``layout`` the layout
+    the solver evolved, read from ``u0`` on construction (module
+    docstring); ``increments[i]`` is the vorticity
     increment ``w(t_i) - exp(t_i eps Lap) w0`` in the layout's own array
     (``layout.k_sq.shape``): the ball's slab of the grid of ``u0``, or the
     boxes of ``Envelopes``.  ``increment_at`` returns its Biot-Savart image
@@ -180,15 +182,13 @@ class Trajectory:
     times: tuple
     increments: tuple
     eps: float
-    u0: SpectralField
+    u0: SpectralField | BoxField
     diagnostics: dict = field(compare=False)
-    layout: Ball | Envelopes | None = field(default=None, compare=False)
+    layout: Ball | Envelopes = field(init=False, compare=False)
     div_rel: tuple = field(init=False, compare=False)
-    # u0 as a field of the layout (``field_of``), whose heat flow the states add
-    u0_field: SpectralField | BoxField = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        layout = _layout_for(self.u0.grid, self.layout)
+        layout = _layout_of(self.u0)
         object.__setattr__(self, "layout", layout)
         for inc in self.increments:
             if np.shape(inc) != layout.k_sq.shape:
@@ -196,7 +196,6 @@ class Trajectory:
                     "an increment is stored as vorticity in the array of the layout "
                     "(on the ball, the slab of the grid of u0)"
                 )
-        object.__setattr__(self, "u0_field", layout.field_of(self.u0))
         # checked on the solution: the velocity increment is divergence-free
         # to rounding by construction, the data need not be
         defects = tuple(layout.divergence_defect(self.state_at(t)) for t in self.times)
@@ -218,8 +217,7 @@ class Trajectory:
 
     def state_at(self, t: float) -> SpectralField | BoxField:
         fac = heat_multiplier(self.layout.field_k_sq, t, self.eps)
-        u0 = self.u0_field
-        return replace(u0, coeffs=fac * u0.coeffs + self.increment_at(t).coeffs)
+        return replace(self.u0, coeffs=fac * self.u0.coeffs + self.increment_at(t).coeffs)
 
 
 def trajectory_gap(a: Trajectory, b: Trajectory, t: float) -> SpectralField | BoxField:
@@ -233,7 +231,7 @@ def trajectory_gap(a: Trajectory, b: Trajectory, t: float) -> SpectralField | Bo
     k_sq = a.layout.field_k_sq
     fac = heat_multiplier(k_sq, t, a.eps) - heat_multiplier(k_sq, t, b.eps)
     inc = a.increment_at(t).coeffs - b.increment_at(t).coeffs
-    return replace(a.u0_field, coeffs=fac * a.u0_field.coeffs + inc)
+    return replace(a.u0, coeffs=fac * a.u0.coeffs + inc)
 
 
 def _max_speed(u1, u2) -> float:
@@ -317,10 +315,10 @@ class Ball:
     a field of the layout (module docstring), ``rhs`` writes the
     right-hand side and returns samples for ``speed``, ``velocity_l2`` is the
     L2 norm of the velocity, and ``guard`` checks a state at a sample time.
-    A layout also has its own velocity fields: ``field_of`` gives the data
-    as one, ``velocity`` the Biot-Savart image of a state, ``field_k_sq`` is
-    |xi|^2 at the entries of a component, where the heat multipliers act,
-    and ``divergence_defect`` measures a field.  The ball's fields are the
+    A layout also has its own velocity fields: ``velocity`` gives the
+    Biot-Savart image of a state, ``field_k_sq`` is |xi|^2 at the entries
+    of a component, where the heat multipliers act, and
+    ``divergence_defect`` measures a field.  The ball's fields are the
     half-spectra of ``grid``.
     """
 
@@ -374,21 +372,12 @@ class Ball:
     def field_k_sq(self) -> np.ndarray:
         return self.grid.k_sq
 
-    @staticmethod
-    def field_of(u0: SpectralField) -> SpectralField:
-        return u0
-
     def velocity(self, w: np.ndarray) -> SpectralField:
         return SpectralField(self.grid, _velocity(self.grid, w))
 
     @staticmethod
     def divergence_defect(F: SpectralField) -> float:
         return divergence_defect(F)
-
-
-def _nonzero_parts(c: np.ndarray) -> int:
-    """The number of nonzero real and imaginary parts of a complex array."""
-    return np.count_nonzero(np.ascontiguousarray(c).view(np.float64))
 
 
 def _harmonic_products(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -442,11 +431,12 @@ class Envelopes:
     grid, whose ball holds the datum's quadratic terms, the same boxes have
     H = 2: the boxes of 0 and +/-2c hold those terms, and ``advect`` and
     ``gradient_part`` form them in velocity form on the entries
-    (``spectral.advect``, ``spectral.leray_complement``); ``padded``
-    carries a field of the H = 1 layout over.
+    (``spectral.advect``, ``spectral.leray_complement``).  The datum is born
+    on either layout (``constructions.shell_box_velocity``), whose entries
+    ``modes`` names: ``modes[j]`` is the torus mode m_j of each entry.
 
-    ``data`` admits a velocity only if every nonzero coefficient lies in S,
-    and checks it on S (module docstring); ``guard`` measures, at each
+    ``data`` admits a field of the layout on its entries (module
+    docstring); ``guard`` measures, at each
     sample time, the vorticity's L2 share in the outer ring ``|m|_inf > W -
     ring`` of the boxes of each harmonic and raises ResolutionError above
     ``RING_TOL``; ``slab`` scatters a state, or a stack of them, into the
@@ -489,6 +479,7 @@ class Envelopes:
         derived = dict(
             H=H,
             M=M,
+            modes=np.stack((t1, t2)),
             mask=mask,
             k_sq=k_sq,
             k_mag=np.sqrt(k_sq),
@@ -502,45 +493,28 @@ class Envelopes:
             weight=np.where(h == 0, np.sign(m2) + 1.0, 2.0),
             outer=mask & (np.maximum(np.abs(m1), np.abs(m2)) > W - self.ring),
             direct=at(mask & (t2 >= 0), 1),  # stored as they are
-            below=at(mask & (t2 < 0), -1),  # read from their conjugate mirrors
             mirror=at(mask & (t2 <= 0) & (h >= 1), -1),  # the mirrors of box -h
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
-    def data(self, u0: SpectralField) -> tuple:
-        # the modes of the entries and their mirrors are distinct, so they hold
-        # every nonzero coefficient (NaN among them) when they hold as many
-        # nonzero real and imaginary parts as the whole field: the one pass
-        # over every coefficient, on the float64 view
-        covered = [u0.coeffs[(...,) + at] for _, at in (self.direct, self.mirror)]
-        if _nonzero_parts(u0.coeffs) > sum(map(_nonzero_parts, covered)):
-            require_in_ball(u0)  # a non-finite value or one beyond the ball
+    def data(self, u0: BoxField) -> tuple:
+        """The admission (module docstring), on the entries."""
+        if not np.isfinite(u0.coeffs).all():
+            raise NumericsError("field has a non-finite entry")
+        if np.any(u0.coeffs[:, ~self.mask]):
             raise ResolutionError(
-                f"field has nonzero coefficients outside the harmonic boxes "
-                f"|m - h c| <= {self.width}, |h| <= {self.H}, c = {self.carrier}, "
-                f"of the ball of N={self.grid.N}"
+                "field has nonzero entries off the layout's mask, beyond its "
+                f"boxes |m - h c| <= {self.width} or the ball of N={self.grid.N}"
             )
-        if not all(np.isfinite(c).all() for c in covered):
-            raise NumericsError("field has a non-finite coefficient")
-        F = self.field_of(u0)
-        _require_divergence_free(self.divergence_defect(F))
-        return self.state_of(F)
+        _require_divergence_free(self.divergence_defect(u0))
+        return self.state_of(u0)
 
     def state_of(self, F: BoxField) -> tuple:
         # curl u = d1 u2 - d2 u1 on the entries: minus_div holds -i xi_j, so
         # each product is the negation of curl's, and the vorticity its bits
         u1, u2 = F.coeffs
         return self.minus_div[1] * u1 - self.minus_div[0] * u2, F.coeffs[:, 0, 0, 0]
-
-    def _gather(self, c: np.ndarray) -> np.ndarray:
-        # the entries of the layout read from a slab or half-spectrum, or a
-        # stack of them, a mode whose column is not stored from its mirror
-        out = np.zeros(c.shape[:-2] + self.k_sq.shape, dtype=np.complex128)
-        (i, at), (j, mirrored) = self.direct, self.below
-        out[(...,) + i] = c[(...,) + at]
-        out[(...,) + j] = np.conj(c[(...,) + mirrored])
-        return out
 
     def slab(self, w: np.ndarray) -> np.ndarray:
         out = np.zeros(w.shape[:-3] + self.grid.slab_shape, dtype=np.complex128)
@@ -595,15 +569,6 @@ class Envelopes:
         np.divide(div, self.k_sq, out=div, where=self.k_sq > 0)  # div is 0 at xi = 0
         return BoxField(self, -self.minus_div * div)
 
-    def padded(self, F: BoxField) -> BoxField:
-        """``F``, a field of a layout with this one's carrier and boxes and
-        no more harmonics, on the entries of this layout: its entries are
-        the same torus modes, the harmonics it lacks are 0, and every entry
-        off ``mask`` is 0."""
-        out = np.zeros((F.coeffs.shape[0],) + self.k_sq.shape, dtype=np.complex128)
-        out[:, : F.layout.H + 1] = F.coeffs
-        return BoxField(self, out * self.mask)
-
     @staticmethod
     def speed(samples) -> float:
         """An upper bound of the speed at the envelope lattice's points:
@@ -625,10 +590,6 @@ class Envelopes:
     @property
     def field_k_sq(self) -> np.ndarray:
         return self.k_sq
-
-    def field_of(self, u0: SpectralField) -> BoxField:
-        """``u0``, admitted by ``data``, on the entries of the layout."""
-        return BoxField(self, self._gather(u0.coeffs))
 
     def velocity(self, w: np.ndarray) -> BoxField:
         return BoxField(self, self.biot_savart * w)
@@ -698,11 +659,10 @@ class BoxField:
 
 
 def evolve(
-    u0: SpectralField,
+    u0: SpectralField | BoxField,
     eps: float,
     sample_times: Sequence[float],
     dt_fixed: float | None = None,
-    layout: Ball | Envelopes | None = None,
 ) -> Trajectory:
     """Integrate the projected system, landing exactly on the sample times.
 
@@ -710,11 +670,11 @@ def evolve(
     the CFL condition on the grid of ``u0``; ``dt_fixed`` forces a constant
     step (for convergence studies) and bypasses both.  ``eps * T *
     max|xi|^2`` of the layout may not exceed ``EXPONENT_LIMIT``.  ``u0`` must
-    pass the layout's admission (``data``: finite, in the ball and in the
-    layout, with a divergence defect of at most 1e-10); the states' defects
-    are taken per sample time, by ``Trajectory``.  ``layout`` is the
-    ``Ball`` of the grid of ``u0`` by default, or ``Envelopes`` of that
-    grid.  The vorticity
+    pass the admission of its layout (``data``: finite, in the ball and in
+    the layout, with a divergence defect of at most 1e-10); the states'
+    defects are taken per sample time, by ``Trajectory``.  A half-spectrum
+    runs on the ``Ball`` of its grid, a ``BoxField`` on its own
+    ``Envelopes``.  The vorticity
     increment at a sample time is the decoded E, in the layout's array.  Each
     per-step diagnostic has one entry per step, none when only t = 0 is
     sampled.
@@ -724,7 +684,7 @@ def evolve(
     if dt_fixed is not None and not dt_fixed > 0:
         raise ValueError(f"a fixed step must be > 0, got {dt_fixed}")
     g = u0.grid
-    layout = _layout_for(g, layout)
+    layout = _layout_of(u0)
     base, mean = layout.data(u0)
     targets = sorted(set(float(t) for t in sample_times))
     if not targets or targets[0] < 0:
@@ -858,17 +818,13 @@ def evolve(
         eps=eps,
         u0=u0,
         diagnostics={k: np.asarray(v) for k, v in diag.items()},
-        layout=layout,
     )
 
 
-def _layout_for(grid: Grid, layout) -> Ball | Envelopes:
-    """``layout``, by default the ``Ball`` of ``grid``; it must be of ``grid``."""
-    if layout is None:
-        return Ball(grid)
-    if layout.grid != grid:
-        raise ValueError(f"the layout is of {layout.grid}, the data of {grid}")
-    return layout
+def _layout_of(u0: SpectralField | BoxField) -> Ball | Envelopes:
+    """The layout of the data ``u0``: a ``BoxField``'s own, else the
+    ``Ball`` of the grid of ``u0``."""
+    return u0.layout if isinstance(u0, BoxField) else Ball(u0.grid)
 
 
 def _simpson_weights(t: float, nodes: int) -> np.ndarray:
@@ -880,13 +836,12 @@ def _simpson_weights(t: float, nodes: int) -> np.ndarray:
 
 
 def u2_duhamel(
-    u0: SpectralField,
+    u0: SpectralField | BoxField,
     times: Iterable[float],
     eps: float,
     nodes: int = 17,
     refine: bool = False,
-    layout: Ball | Envelopes | None = None,
-) -> Iterator[SpectralField]:
+) -> Iterator[SpectralField | BoxField]:
     """First-order nonlinear correction at each of ``times``, by composite Simpson.
 
     Solves ``d/dt u2 = eps*Lap(u2) - P(u1 . grad u1)`` from zero data, i.e.
@@ -896,9 +851,8 @@ def u2_duhamel(
     the fine sum is the result, the even-indexed nodes give the
     ``nodes``-point sum, and a relative change between the two above
     ``REFINE_TOL``, at any of the times, raises a QuadratureError, and a
-    non-finite change or fine sum a NumericsError.  ``u0`` must pass the
-    admission of ``layout``, as for ``evolve``, whose default layout it
-    shares.
+    non-finite change or fine sum a NumericsError.  ``u0`` runs in its
+    layout and must pass its admission, as for ``evolve``.
 
     The vorticity of the integrand, ``F(tau) = -div(u w)`` at ``w =
     exp(tau eps Lap) w0`` with ``w0 = curl u0``, is evaluated in the layout
@@ -918,7 +872,7 @@ def u2_duhamel(
     g = u0.grid
     if nodes < 9 or nodes % 2 == 0:
         raise ValueError(f"composite Simpson needs an odd node count >= 9, got {nodes}")
-    layout = _layout_for(g, layout)
+    layout = _layout_of(u0)
     w0, mean = layout.data(u0)
     times = tuple(times)
     for t in times:
@@ -970,12 +924,13 @@ def u2_duhamel(
 
 
 def _check_same_run(a: Trajectory, b: Trajectory) -> None:
-    """Raise unless ``a`` and ``b`` evolved one layout from one datum."""
+    """Raise unless ``a`` and ``b`` evolved one layout from one datum, whose
+    entries in the layout they compare."""
     if a.layout != b.layout:
         raise ValueError("the trajectories evolved different layouts")
     if a.u0 is b.u0:
         return
-    fa, fb = a.u0_field.coeffs, b.u0_field.coeffs
+    fa, fb = a.u0.coeffs, b.u0.coeffs
     if np.max(np.abs(fa - fb)) > 1e-13 * max(np.max(np.abs(fa)), 1e-300):
         raise ValueError("trajectory was computed from different initial data")
 
@@ -1023,15 +978,15 @@ def first_order_remainders(
     data and the layout of ``traj0``), then ``u2_duhamel``: its admission of
     ``u0`` is the only one, so it also covers trajectories rebuilt from
     stored increments, and its one sweep serves all the times.  ``pa0`` is
-    taken from ``traj0.u0_field``.  A time's ``u2`` and its four remainder
+    taken from ``traj0.u0``.  A time's ``u2`` and its four remainder
     fields are built together as the iterator reaches it.
     """
     if traj0.eps != 0.0:
         raise ValueError(f"need an ideal (eps=0) trajectory, got eps={traj0.eps}")
     _check_same_run(traj0, traj_eps)
     times, layout, eps = tuple(times), traj0.layout, traj_eps.eps
-    u2s = u2_duhamel(traj0.u0, times, eps, nodes, refine, layout)
-    w0, mean = layout.state_of(traj0.u0_field)
+    u2s = u2_duhamel(traj0.u0, times, eps, nodes, refine)
+    w0, mean = layout.state_of(traj0.u0)
     r0 = np.empty_like(w0)
     layout.rhs(w0, mean, layout.work(), r0)
     pa0 = -layout.velocity(r0).coeffs  # coefficients of P(u0 . grad u0)

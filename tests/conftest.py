@@ -33,6 +33,19 @@ def random_real_field(grid, rng):
     return rng.standard_normal(grid.shape)
 
 
+def gathered(layout, F):
+    """The half-spectrum velocity ``F`` read at the entries of the envelope
+    layout, as a ``BoxField``: a mode whose column is not stored (m_2 < 0)
+    from its conjugate mirror, 0 off the mask."""
+    from invlab.solvers import BoxField
+
+    t1, t2 = layout.modes
+    below = t2 < 0
+    vals = F.coeffs[:, np.where(below, -t1, t1) % F.grid.N, np.abs(t2)]
+    vals = np.where(below, np.conj(vals), vals)
+    return BoxField(layout, np.where(layout.mask, vals, 0.0))
+
+
 def spectral_of(grid, samples):
     """The spectral field of samples on the grid's lattice."""
     return SpectralField(grid, _forward(samples, grid))

@@ -8,7 +8,9 @@ from invlab.constructions import (
     bump_half_width,
     carrier_mode,
     datum_mode_extent,
+    envelope_half_width,
     oscillating_profile_spectral,
+    shell_box_velocity,
     shell_velocity,
     taylor_green,
     taylor_green_two_mode,
@@ -28,7 +30,7 @@ from invlab.spectral import (
     translate,
 )
 
-from conftest import ball_mask, spectral_of
+from conftest import ball_mask, gathered, spectral_of
 
 
 class TestProfileBump:
@@ -174,6 +176,54 @@ class TestShellDatum:
         back = translate(moved, (-lab_grid.L / 2, 0.0))
         diff = np.max(np.abs(back.coeffs - plain.coeffs))
         assert diff <= 1e-12 * np.max(np.abs(plain.coeffs))
+
+
+class TestShellBoxVelocity:
+    """The shell datum born on its envelope boxes, in closed form on the
+    entries, is the half-spectrum datum gathered to them, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        from invlab.experiments import ExperimentConfig, ExperimentContext
+
+        return ExperimentContext(ExperimentConfig())
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_box_datum_is_the_gathered_datum(self, ctx, n):
+        box, lay = ctx.box_datum(n), ctx.envelopes(n)
+        assert box.layout == lay and lay.H == 1
+        assert np.array_equal(box.coeffs, gathered(lay, ctx.datum(n)).coeffs)
+        assert not np.any(box.coeffs[:, 0]) and np.any(box.coeffs[:, 1])
+
+    def test_product_datum_is_the_padded_datum(self, ctx):
+        # on the H = 2 layout of the product grid the datum's entries are
+        # those of its H = 1 layout, with box 2 zero: what zero-padding the
+        # gathered datum gave
+        u0 = ctx.product_datum(3)
+        lay, own = u0.layout, ctx.envelopes(3)
+        assert (lay.grid.N, lay.H) == (1024, 2)
+        padded = np.zeros((2,) + lay.k_sq.shape, dtype=complex)
+        padded[:, :2] = gathered(own, ctx.datum(3)).coeffs
+        assert np.array_equal(u0.coeffs, padded * lay.mask)
+
+    def test_data_the_boxes_cannot_hold_refused(self, bp):
+        from invlab.solvers import Envelopes
+
+        R = 12.0
+        W, b = envelope_half_width(R), bump_half_width(R)
+        lay = Envelopes(Grid(2, 512, R), carrier_mode(3, R), W, b)
+        with pytest.raises(ConfigError, match="translated"):
+            shell_box_velocity(ShellDatum(3, bp, shift=1.0), lay)
+        with pytest.raises(ConfigError, match="do not hold"):
+            shell_box_velocity(ShellDatum(4, bp), lay)
+        narrow = Envelopes(Grid(2, 512, R), carrier_mode(3, R), 1, 1)
+        with pytest.raises(ConfigError, match="do not hold"):
+            shell_box_velocity(ShellDatum(3, bp), narrow)
+        # n = 3 reaches mode 138 (carrier 136 plus 2), beyond the ball of N = 256
+        small = Envelopes(Grid(2, 256, R), carrier_mode(3, R), W, b)
+        with pytest.raises(ResolutionError) as exc:
+            shell_box_velocity(ShellDatum(3, bp), small)
+        assert exc.value.required_n == 512
 
 
 class TestBackgroundField:

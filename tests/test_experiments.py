@@ -55,7 +55,8 @@ def heat_law_records(small_cfg):
 
 @pytest.fixture(scope="module")
 def drift_cfg(small_cfg):
-    # the N=1024 budget resolves shell 3 only
+    # shell 4's product grid (N = 2048) exceeds the N = 1024 budget, which at
+    # p = 2 bounds no shell: no array of it is built
     return ExperimentConfig(n_list=(3, 4), t_grid=small_cfg.t_grid, T0=0.1, t0=0.02, N=1024)
 
 
@@ -189,24 +190,60 @@ class TestContext:
         assert small_ctx.product_grid(3).N == 1024
         assert small_ctx.product_grid(4).N == 2048
 
-    def test_resolution_budget_enforced(self, small_cfg):
+    def test_resolution_budget_bounds_arrays_not_shells(self, small_cfg):
+        # the budget bounds the grids whose N x N arrays are built: the ball's
+        # (datum_grid), and at p != 2, where the norms exit to the
+        # half-spectrum, a shell layout's; at p = 2 no array of it is built
         from invlab.errors import ResolutionError
 
         ctx = ExperimentContext(small_cfg)
-        with pytest.raises(ResolutionError):
-            ctx.product_grid(5)  # would need 4096 > budget 2048
+        assert ctx.product_grid(5).N == 4096 and ctx.envelopes(6).grid.N == 4096
+        with pytest.raises(ResolutionError) as exc:
+            ctx.datum_grid(6)
+        assert exc.value.required_n == 4096
+        ctx = ExperimentContext(replace(small_cfg, bp=BesovParams(3.0, 4.0, 2.0)))
+        for layout_grid in (lambda: ctx.product_grid(5), lambda: ctx.envelopes(6).grid):
+            with pytest.raises(ResolutionError) as exc:
+                layout_grid()
+            assert exc.value.required_n == 4096
 
     def test_grids_hold_the_whole_datum_at_radius_60(self):
         # at R = 60 the n = 5 datum reaches 2720 + 14 = 2734: its grid needs
-        # N >= 3 * 2734 + 1, so 16384, and its product 32768, over the budget;
-        # a half-width read on 16 points (8) would size them at 8192 and 16384
+        # N >= 3 * 2734 + 1, so 16384, and its product 32768, over the budget
+        # at p != 2; a half-width read on 16 points (8) would size them at
+        # 8192 and 16384
         from invlab.errors import ResolutionError
 
-        ctx = ExperimentContext(ExperimentConfig(R=60.0, N=16384, n_list=(5,)))
-        assert ctx.datum_grid(5).N == 16384
+        cfg = ExperimentConfig(R=60.0, N=16384, n_list=(5,))
+        ctx = ExperimentContext(cfg)
+        assert ctx.datum_grid(5).N == ctx.envelopes(5).grid.N == 16384
+        assert ctx.product_grid(5).N == 32768
+        ctx = ExperimentContext(replace(cfg, bp=BesovParams(3.0, 4.0, 2.0)))
         with pytest.raises(ResolutionError) as exc:
             ctx.product_grid(5)
         assert exc.value.required_n == 32768
+
+    @pytest.mark.parametrize(
+        "run, required",
+        [(run_family_gap, 2048), (run_validation_suite, 2048)],
+    )
+    def test_budget_at_other_p_raises_before_any_evolution(self, run, required, monkeypatch):
+        # at p = 4 the n = 5 datum's grid (N = 2048) exceeds a budget of
+        # 1024: the run stops at shell 5's layout, before it evolves or
+        # norms shell 3
+        import invlab.experiments as experiments
+        from invlab.errors import ResolutionError
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a norm or an evolution ran")
+
+        for name in ("besov_norm", "block_lp_norms", "evolve"):
+            monkeypatch.setattr(experiments, name, no_work)
+        cfg = ExperimentConfig(bp=BesovParams(3.0, 4.0, 2.0), N=1024, n_list=(3, 5))
+        ctx = ExperimentContext(cfg)
+        with pytest.raises(ResolutionError) as exc:
+            run(cfg, ctx)
+        assert exc.value.required_n == required and ctx.evolutions == []
 
 
 class TestTrajectoryBatch:
@@ -282,15 +319,15 @@ class TestTrajectoryBatch:
         from invlab.solvers import evolve
 
         ctx = ExperimentContext(small_cfg)
-        lay, u0 = ctx.envelopes(3), ctx.datum(3)
+        u0 = ctx.box_datum(3)
         started = thread_starts(monkeypatch)
-        batch = ctx.trajectory([(u0, 0.0), (u0, small_cfg.eps_n(3))], [0.01], lay)
+        batch = ctx.trajectory([(u0, 0.0), (u0, small_cfg.eps_n(3))], [0.01])
         assert threads_seen == [threading.get_ident()] * 2
         assert started == []
         assert [r["layout"] for r in ctx.evolutions] == ["envelopes"] * 2
         for traj in batch:
-            alone = evolve(u0, traj.eps, [0.01], layout=lay)
-            assert traj.layout == lay
+            alone = evolve(u0, traj.eps, [0.01])
+            assert traj.layout == u0.layout
             assert np.array_equal(traj.increments[0], alone.increments[0])
 
     def test_every_request_evolves(self, small_cfg, threads_seen):
@@ -544,11 +581,20 @@ class TestNonlinearDrift:
         sup = by_quantity(recs, "advection_support_radius")
         assert sup and all(r.verdict == "pass" for r in sup)
 
-    def test_budget_limited_shell_reported(self, drift_records):
+    def test_budget_does_not_limit_shells_at_p2(self, drift_cfg, drift_records):
+        # shell 4's product grid is above the budget, and it runs
         recs = drift_records
-        limited = by_quantity(recs, "resolution_limited")
-        assert [r.n for r in limited] == [4]
-        assert limited[0].value == 2048.0
+        assert ExperimentContext(drift_cfg).product_grid(4).N == 2048 > drift_cfg.N
+        assert [r.n for r in by_quantity(recs, "advection_support_radius")] == [3, 4]
+        growth = by_quantity(recs, "advection_drift_over_t_n_growth")
+        assert [r.n for r in growth] == [4] * len(drift_cfg.t_grid)
+
+    def test_budget_limited_shell_reported_at_p4(self):
+        # at p != 2 the norms leave the boxes, so the budget bounds the
+        # product grid: shell 3's needs N = 1024 > 512 and is recorded, not run
+        cfg = ExperimentConfig(bp=BesovParams(3.0, 4.0, 2.0), N=512, n_list=(3,))
+        recs = run_nonlinear_drift(cfg, ExperimentContext(cfg))
+        assert [(r.quantity, r.n, r.value) for r in recs] == [("resolution_limited", 3, 1024.0)]
 
     def test_two_resolved_shells_pass(self, small_cfg):
         # A_i(t)/t falls about 16x from n = 3 to n = 4; only growth may fail
@@ -802,9 +848,9 @@ class TestEnvelopeRecordsOnTheBoxes:
         assert records and not [r for r in records if r.verdict == "fail"]
 
     def test_envelope_run_admits_and_norms_on_the_boxes(self, small_cfg, monkeypatch):
-        # at p = 2 no check or L2 sum of the half-spectrum runs: the datum is
-        # admitted by Envelopes.data, which reads every coefficient once per
-        # evolve or u2_duhamel call, and first_order_remainders admits
+        # at p = 2 no check or L2 sum of the half-spectrum runs: the datum,
+        # born on its boxes, is admitted on its entries by Envelopes.data once
+        # per evolve or u2_duhamel call, and first_order_remainders admits
         # nothing beyond the call of its sweep
         from invlab import experiments, littlewood_paley, solvers
         from invlab.solvers import Envelopes, evolve, first_order_remainders, u2_duhamel
@@ -826,16 +872,17 @@ class TestEnvelopeRecordsOnTheBoxes:
         monkeypatch.setattr(Envelopes, "data", counted)
         cfg = replace(small_cfg, t_grid=(0.01, 0.02))
         ctx = ExperimentContext(cfg)
-        u0, lay, eps = ctx.datum(3), ctx.envelopes(3), cfg.eps_n(3)
-        traj0, traj_eps = (evolve(u0, e, cfg.t_grid, layout=lay) for e in (0.0, eps))
+        u0, eps = ctx.box_datum(3), cfg.eps_n(3)
+        traj0, traj_eps = (evolve(u0, e, cfg.t_grid) for e in (0.0, eps))
         assert len(admitted) == 2
-        assert len(list(u2_duhamel(u0, cfg.t_grid, eps, layout=lay))) == 2
+        assert len(list(u2_duhamel(u0, cfg.t_grid, eps))) == 2
         assert len(admitted) == 3
         assert len(list(first_order_remainders(traj0, traj_eps, cfg.t_grid))) == 2
         assert len(admitted) == 4
         records = run_family_gap(cfg, ctx)
         assert len(admitted) == 4 + 2  # the two evolutions of the shell
         assert records and not [r for r in records if r.verdict == "fail"]
+        assert all(isinstance(u, solvers.BoxField) for u in admitted)
 
     def test_other_p_takes_the_exit(self, small_cfg, monkeypatch):
         # at (s, p, r) = (3, 4, 2) the datum, its heat defect and each gap
@@ -968,6 +1015,58 @@ class TestQuadraticTermsOnTheBoxes:
         assert not [r for r in records if r.verdict == "fail"]
 
 
+def raising_frequency_arrays(monkeypatch, above: int):
+    """Make ``Grid.k_sq`` and ``Grid.k_mag`` raise on every grid with N above
+    ``above``; on the others they are computed on each read."""
+    from invlab.spectral import Grid
+
+    for name in ("k_sq", "k_mag"):
+        compute = getattr(Grid, name).func
+
+        def read(self, compute=compute, name=name):
+            if self.N > above:
+                raise AssertionError(f"Grid.{name} was built at N={self.N}")
+            return compute(self)
+
+        monkeypatch.setattr(Grid, name, property(read))
+
+
+class TestNoLargeArray:
+    """A shell run builds no N x N array: its datum is born on its boxes, and
+    at p = 2 every norm is a Parseval sum over them."""
+
+    def test_p2_family_gap_at_shell_8(self, monkeypatch):
+        # shell 8 sits on a grid of N = 16384, beyond the budget of 2048; each
+        # gap at t lies in the heat-flow bracket [1 - e^(-16t/9), 1 -
+        # e^(-9t/4)] of the datum's norm (eps |xi|^2 in [16/9, 9/4])
+        raising_frequency_arrays(monkeypatch, above=0)
+        cfg = ExperimentConfig(n_list=(8,), t_grid=(0.025, 0.05), t0=0.05)
+        ctx = ExperimentContext(cfg)
+        records = run_family_gap(cfg, ctx)
+        assert not [r for r in records if r.verdict == "fail"]
+        assert {(r["N"], r["layout"]) for r in ctx.evolutions} == {(16384, "envelopes")}
+        (b0,) = by_quantity(records, "initial_besov")
+        gaps = by_quantity(records, "solution_gap")
+        assert [r.t for r in gaps] == list(cfg.t_grid)
+        for r in gaps:
+            lo, hi = (1.0 - np.exp(-c * r.t) for c in (16.0 / 9.0, 9.0 / 4.0))
+            assert lo <= r.value / b0.value <= hi
+
+    def test_validation_suite_builds_no_array_above_512(self, monkeypatch):
+        # the default config's shells 3, 4 and 5 and their product grids (up
+        # to N = 4096) are normed on their boxes; the records are those of an
+        # unguarded run, with the n = 5 product laws among them
+        cfg = ExperimentConfig()
+        free = run_validation_suite(cfg, ExperimentContext(cfg))
+        raising_frequency_arrays(monkeypatch, above=512)
+        records = run_validation_suite(cfg, ExperimentContext(cfg))
+        assert [(r.key(), r.value, r.verdict) for r in records] == [
+            (r.key(), r.value, r.verdict) for r in free
+        ]
+        assert [r.n for r in by_quantity(records, "product_law_growth")] == [4, 5]
+        assert not [r for r in records if r.verdict == "fail"]
+
+
 class TestPerturbedGap:
     def test_zero_background_reduces_to_family_gap(self, small_cfg, family_gap_records):
         d_ref = next(
@@ -1020,6 +1119,16 @@ class TestValidationSuite:
     def test_record_keys_unique(self, validation_records):
         keys = [r.key() for r in validation_records]
         assert len(keys) == len(set(keys))
+
+    def test_product_laws_skipped_above_the_budget_at_p4(self):
+        # at p = 4 shell 3's product grid (N = 1024) is above the budget of
+        # 512: its product laws are skipped and every other check runs
+        cfg = ExperimentConfig(bp=BesovParams(3.0, 4.0, 2.0), N=512, n_list=(3,))
+        records = run_validation_suite(cfg, ExperimentContext(cfg))
+        assert not [r for r in records if "_law_" in r.quantity]
+        assert not [r for r in records if r.verdict == "fail"]
+        assert [r.n for r in by_quantity(records, "single_block_defect")] == [3]
+        assert by_quantity(records, "vortex_analytic_error")
 
     def test_every_evolution_is_listed(self, validation_ctx, validation_records):
         # four cellular-vortex runs, then the stepper-order runs: a T/512

@@ -23,7 +23,13 @@ from invlab.spectral import (
     lp_norm,
 )
 
-from conftest import ball_mask, random_real_field, random_vector_field, spectral_of
+from conftest import (
+    ball_mask,
+    gathered,
+    random_real_field,
+    random_vector_field,
+    spectral_of,
+)
 
 
 class TestCutoffs:
@@ -43,6 +49,25 @@ class TestCutoffs:
             assert part.phi(np.array([r]))[0] == 1.0
         assert part.phi(np.array([0.7]))[0] == 0.0
         assert part.phi(np.array([2.7]))[0] == 0.0
+
+    def test_partition_lives_as_long_as_its_grid(self):
+        # built once per Grid instance, counted by cache_info, and freed with
+        # the grid: an unbounded cache would keep the partition of every grid
+        import gc
+        import weakref
+
+        g = Grid(2, 64, 1.0)
+        before = build_partition.cache_info()
+        part = build_partition(g)
+        assert build_partition(g) is part
+        assert build_partition(Grid(2, 64, 1.0)) is not part  # another instance
+        after = build_partition.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 2)
+        part.block(0)  # a cached block multiplier goes with it
+        ref = weakref.ref(part)
+        del g, part
+        gc.collect()
+        assert ref() is None
 
     def test_ramp_is_monotone(self):
         u = np.linspace(-0.5, 1.5, 201)
@@ -379,9 +404,9 @@ class TestBlockSpectrumReport:
 
 class TestProductLawConstants:
     """validate's product laws take u0 . grad u0 and its gradient part on the
-    envelopes of the product grid (``ExperimentContext.product_datum``); on
-    that grid's half-spectrum they are ``spectral.advect`` and
-    ``leray_complement``."""
+    envelopes of the product grid (``ExperimentContext.product_datum``, the
+    datum born there); on that grid's half-spectrum they are
+    ``spectral.advect`` and ``leray_complement``."""
 
     @pytest.mark.parametrize("n, N", [(3, 1024), (4, 2048)])
     def test_layout_product_is_the_ball_product(self, bp, n, N):
@@ -393,8 +418,8 @@ class TestProductLawConstants:
         lay, g = u0.layout, ctx.product_grid(n)
         assert (g.N, lay.H, lay.M) == (N, 2, 32)
         ball = shell_velocity(ShellDatum(n, bp), g)
-        # the padded datum is the ball's datum gathered to the entries
-        assert np.array_equal(u0.coeffs, lay.field_of(ball).coeffs)
+        # the datum born on the boxes is the ball's datum gathered to them
+        assert np.array_equal(u0.coeffs, gathered(lay, ball).coeffs)
         pa = advect(ball, ball)
         # Each coefficient of u . grad v is a sum of terms u_j(k) (i xi_j)
         # v_i(m - k) / L^2 whose magnitudes add up to at most A below (the

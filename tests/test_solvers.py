@@ -53,7 +53,7 @@ from invlab.spectral import (
     zero_outside_ball,
 )
 
-from conftest import ball_mask, bounded, spectral_of, thread_starts
+from conftest import ball_mask, bounded, gathered, spectral_of, thread_starts
 
 
 def full_rhs(g, w, mean):
@@ -94,7 +94,7 @@ def shell_trajectories(shell_setup):
 
 # the entry points of the Galerkin system, each given bad data and good data,
 # a Taylor-Green vortex of TG_GRID: on the ball, and on envelopes whose box 0
-# holds its modes (+/-1, +/-1)
+# holds its modes (+/-1, +/-1), as the fields of the boxes read from them
 TG_GRID = Grid(2, 64, 1.0)
 TG_ENVELOPES = Envelopes(TG_GRID, 4, 1, 1)
 ENTRY_POINTS = {
@@ -102,15 +102,16 @@ ENTRY_POINTS = {
     "u2_duhamel": lambda bad, good: u2_duhamel(bad, [0.1], 0.0),
     "advect-first": lambda bad, good: advect(bad, good),
     "advect-second": lambda bad, good: advect(good, bad),
-    "evolve-envelopes": lambda bad, good: evolve(bad, 0.0, [0.1], layout=TG_ENVELOPES),
-    "u2_duhamel-envelopes": lambda bad, good: u2_duhamel(bad, [0.1], 0.0, layout=TG_ENVELOPES),
+    "evolve-envelopes": lambda bad, good: evolve(gathered(TG_ENVELOPES, bad), 0.0, [0.1]),
+    "u2_duhamel-envelopes": lambda bad, good: u2_duhamel(
+        gathered(TG_ENVELOPES, bad), [0.1], 0.0
+    ),
 }
 
 
-def refuse_work(monkeypatch, entry, outside_boxes):
+def refuse_work(monkeypatch, entry):
     """Make every right-hand side and transform raise.  An envelope entry
-    admits on its boxes, so the half-spectrum's checks raise too, but for
-    ``require_in_ball`` on data outside the boxes, which it names."""
+    admits on its boxes, so the half-spectrum's checks raise too."""
     import invlab.solvers as solvers
     import invlab.spectral as spectral
 
@@ -123,8 +124,7 @@ def refuse_work(monkeypatch, entry, outside_boxes):
     monkeypatch.setattr(spectral, "_fft", types.SimpleNamespace(**dict.fromkeys(names, no_work)))
     if entry.endswith("envelopes"):
         monkeypatch.setattr(solvers, "divergence_defect", no_work)
-        if not outside_boxes:
-            monkeypatch.setattr(solvers, "require_in_ball", no_work)
+        monkeypatch.setattr(solvers, "require_in_ball", no_work)
 
 
 class TestEvolve:
@@ -238,8 +238,17 @@ class TestEvolve:
         ref = SpectralField(g, decay * tg.coeffs)
         assert vf_rel_diff(traj.state_at(T), ref) <= 1e-6
 
-    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
-    @pytest.mark.parametrize("defect", ["row", "column", "nan"])
+    @pytest.mark.parametrize(
+        "defect, entry",
+        [
+            (defect, entry)
+            for defect in ("row", "column", "nan")
+            for entry in ENTRY_POINTS
+            # a field of the boxes has no entry outside the ball
+            if defect == "nan" or not entry.endswith("envelopes")
+        ],
+        ids=lambda v: v,
+    )
     def test_data_outside_the_ball_rejected(self, monkeypatch, entry, defect):
         # one 1e-300 coefficient just outside the 2/3 ball, on a mode whose
         # divergence it leaves exactly zero, or a NaN inside the ball (in a
@@ -256,7 +265,7 @@ class TestEvolve:
         else:
             c[0, 1, 1] = np.nan
         bad = SpectralField(g, c)
-        refuse_work(monkeypatch, entry, outside_boxes=defect != "nan")
+        refuse_work(monkeypatch, entry)
         if defect == "nan":
             with pytest.raises(NumericsError, match="non-finite"):
                 ENTRY_POINTS[entry](bad, good)
@@ -275,7 +284,7 @@ class TestEvolve:
         phi = np.zeros(g.spectral_shape, dtype=np.complex128)
         phi[1, 1] = 1e-6
         bad = SpectralField(g, good.coeffs + gradient(SpectralField(g, phi)).coeffs)
-        refuse_work(monkeypatch, entry, outside_boxes=False)
+        refuse_work(monkeypatch, entry)
         with pytest.raises(ValueError, match="not divergence-free"):
             ENTRY_POINTS[entry](bad, good)
 
@@ -610,7 +619,7 @@ class TestTrajectoryGap:
                 raise AssertionError("the coefficients were compared")
 
         u0 = Untouchable()
-        run = types.SimpleNamespace(layout=None, u0=u0, u0_field=u0)
+        run = types.SimpleNamespace(layout=None, u0=u0)
         _check_same_run(run, types.SimpleNamespace(**vars(run)))
 
 
@@ -1007,7 +1016,8 @@ class TestExpansionResiduals:
 
 
 def shell_envelopes(n, N):
-    """The shell datum n on Grid(2, N, 12) and its envelope layout."""
+    """The shell datum n on Grid(2, N, 12), a half-spectrum, and its
+    envelope layout."""
     from invlab.constructions import bump_half_width, carrier_mode, envelope_half_width
 
     g = Grid(2, N, 12.0)
@@ -1046,9 +1056,9 @@ class TestEnvelopes:
         # H = 1) and exactly 0 outside them
         u0, lay = shell_envelopes(n, N)
         if evolved:
-            u0 = evolve(u0, 2.0**-6, [0.04], layout=lay).state_at(0.04).spectral()
+            u0 = evolve(gathered(lay, u0), 2.0**-6, [0.04]).state_at(0.04).spectral()
         g = u0.grid
-        w, mean = lay.data(u0)
+        w, mean = lay.data(gathered(lay, u0))
         out = np.empty_like(w)
         lay.rhs(w, mean, lay.work(), out)
         got = lay.slab(out)
@@ -1066,9 +1076,11 @@ class TestEnvelopes:
         # bit (a zero may differ in sign)
         u0, lay = envelope_datum
         if evolved:
-            u0 = evolve(u0, 2.0**-6, [0.04], layout=lay).state_at(0.04).spectral()
-        w, mean = lay.data(u0)
-        assert np.array_equal(w, lay._gather(curl(u0).coeffs))
+            u0 = evolve(gathered(lay, u0), 2.0**-6, [0.04]).state_at(0.04).spectral()
+        w, mean = lay.data(gathered(lay, u0))
+        vorticity = curl(u0).coeffs
+        pair = gathered(lay, SpectralField(u0.grid, np.stack((vorticity, vorticity))))
+        assert np.array_equal(w, pair.coeffs[0])
         assert np.array_equal(mean, u0.coeffs[:, 0, 0])
 
     def test_evolution_matches_the_ball(self, envelope_datum, shell_trajectories):
@@ -1077,7 +1089,7 @@ class TestEnvelopes:
         u0, lay = envelope_datum
         times, eps, traj0, traj_eps = shell_trajectories
         for ball in (traj0, traj_eps):
-            env = evolve(u0, ball.eps, times, layout=lay)
+            env = evolve(gathered(lay, u0), ball.eps, times)
             assert env.layout == lay and ball.layout == Ball(u0.grid)
             assert np.array_equal(env.diagnostics["dt"], ball.diagnostics["dt"])
             for t in times:
@@ -1090,7 +1102,7 @@ class TestEnvelopes:
         u0, lay = envelope_datum
         times, eps = (0.01, 0.02), 2.0**-6
         ball = u2_duhamel(u0, times, eps, nodes=9)
-        for a, b in zip(u2_duhamel(u0, times, eps, nodes=9, layout=lay), ball):
+        for a, b in zip(u2_duhamel(gathered(lay, u0), times, eps, nodes=9), ball):
             assert vf_rel_diff(a.spectral(), b) <= 1e-13
 
     def test_sweep_runs_on_the_calling_thread(self, envelope_datum, monkeypatch):
@@ -1105,7 +1117,7 @@ class TestEnvelopes:
 
         monkeypatch.setattr(Envelopes, "rhs", recorded)
         started = thread_starts(monkeypatch)
-        out = list(u2_duhamel(u0, DEFAULT_T_GRID, 2.0**-6, refine=True, layout=lay))
+        out = list(u2_duhamel(gathered(lay, u0), DEFAULT_T_GRID, 2.0**-6, refine=True))
         assert len(out) == len(DEFAULT_T_GRID)
         assert seen == [threading.get_ident()] * 120
         assert started == []
@@ -1113,17 +1125,11 @@ class TestEnvelopes:
     def test_remainders_need_one_layout(self, envelope_datum, shell_trajectories):
         u0, lay = envelope_datum
         times, eps, traj0, _ = shell_trajectories
-        env = evolve(u0, eps, times, layout=lay)
+        env = evolve(gathered(lay, u0), eps, times)
         with pytest.raises(ValueError, match="different layouts"):
             first_order_remainders(traj0, env, times)
         with pytest.raises(ValueError, match="different layouts"):
             trajectory_gap(env, traj0, times[0])
-
-    def test_layout_of_another_grid_rejected(self, envelope_datum):
-        u0, _ = envelope_datum
-        other = shell_envelopes(3, 1024)[1]
-        with pytest.raises(ValueError, match="the layout is of"):
-            evolve(u0, 0.0, [0.01], layout=other)
 
     def test_carrier_must_exceed_three_widths(self):
         # at c <= 3W a product of two envelopes reaches a neighbouring box
@@ -1132,28 +1138,54 @@ class TestEnvelopes:
             Envelopes(g, 30, 10, 2)
         assert Envelopes(g, 31, 10, 2).H == 5
 
-    @pytest.mark.parametrize("where", ["between-boxes", "beyond-box"])
-    def test_data_outside_the_boxes_rejected(self, envelope_datum, monkeypatch, where):
-        # one 1e-300 stream coefficient inside the ball but outside the boxes:
-        # the admission refuses the data before any transform runs
-        import invlab.spectral as spectral
+    @pytest.mark.parametrize("entry", ["evolve", "u2_duhamel"])
+    @pytest.mark.parametrize("bad", ["nan", "divergent", "off-mask"])
+    def test_box_data_admitted_on_the_entries(self, envelope_datum, monkeypatch, entry, bad):
+        # a field of the boxes is the layout's data: the datum born there
+        # runs, and one with a NaN entry, a divergence defect above 1e-10 or
+        # a nonzero entry off the mask is refused before any right-hand side
+        from invlab.constructions import shell_box_velocity
 
-        u0, lay = envelope_datum
-        g = u0.grid
-        psi = np.zeros(g.spectral_shape, dtype=np.complex128)
-        c, W = lay.carrier, lay.width
-        psi[(c // 2, 3) if where == "between-boxes" else (c + W + 1, 3)] = 1e-300
-        bad = SpectralField(g, u0.coeffs + perp_gradient(SpectralField(g, psi)).coeffs)
-        assert divergence_defect(bad) <= 1e-10
+        lay = envelope_datum[1]
+        run = {
+            "evolve": lambda u: evolve(u, 0.0, [0.01]),
+            "u2_duhamel": lambda u: list(u2_duhamel(u, [0.01], 0.0)),
+        }[entry]
+        good = shell_box_velocity(ShellDatum(3, BesovParams(3.0, 2.0, 2.0, 2)), lay)
+        coeffs = good.coeffs.copy()
+        peak = np.max(np.abs(coeffs))
+        # the mode (c, 0): xi is along the first axis, so a first component
+        # there is a pure divergence, about 1e-6 of the field
+        coeffs[0, 1, 0, 0] = np.nan if bad == "nan" else 1e-6 * peak
+        if bad == "off-mask":  # offset m_1 = -M/2, beyond the half-width W
+            coeffs[0, 1, 0, 0] = 0.0
+            coeffs[0, 1, lay.M // 2, 0] = 1e-300
+        field = BoxField(lay, coeffs)
+        if bad == "divergent":
+            assert lay.divergence_defect(field) > 1e-10
 
         def no_work(*args, **kwargs):
-            raise AssertionError("a transform ran")
+            raise AssertionError("a right-hand side ran")
 
-        monkeypatch.setattr(spectral, "_fft", types.SimpleNamespace(fftn=no_work, ifftn=no_work))
-        with pytest.raises(ResolutionError, match="outside the harmonic boxes"):
-            evolve(bad, 0.0, [0.01], layout=lay)
-        with pytest.raises(ResolutionError, match="outside the harmonic boxes"):
-            u2_duhamel(bad, [0.01], 0.0, layout=lay)
+        with monkeypatch.context() as m:
+            m.setattr(Envelopes, "rhs", no_work)
+            refusal = {"nan": NumericsError, "divergent": ValueError, "off-mask": ResolutionError}
+            with pytest.raises(refusal[bad]):
+                run(field)
+        assert run(good)
+
+    def test_box_data_evolve_in_their_own_layout(self, envelope_datum):
+        # the datum born on the boxes runs as the half-spectrum datum read at
+        # the entries does, bit for bit
+        from invlab.constructions import shell_box_velocity
+
+        u0, lay = envelope_datum
+        box = shell_box_velocity(ShellDatum(3, BesovParams(3.0, 2.0, 2.0, 2)), lay)
+        traj = evolve(box, 2.0**-6, [0.01])
+        ref = evolve(gathered(lay, u0), 2.0**-6, [0.01])
+        assert traj.layout == lay and traj.u0 is box
+        assert np.array_equal(traj.u0.coeffs, ref.u0.coeffs)
+        assert np.array_equal(traj.increments[0], ref.increments[0])
 
     @pytest.mark.parametrize("share", [1e-12, 1e-15])
     def test_ring_guard(self, envelope_datum, share):
@@ -1166,12 +1198,12 @@ class TestEnvelopes:
         psi[lay.carrier, lay.width] = 1.0
         ring = perp_gradient(SpectralField(g, psi)).coeffs
         scale = share * l2_norm_spectral(curl(u0)) / l2_norm_spectral(curl(SpectralField(g, ring)))
-        u = SpectralField(g, u0.coeffs + scale * ring)
+        u = gathered(lay, SpectralField(g, u0.coeffs + scale * ring))
         if share > 1e-14:
             with pytest.raises(ResolutionError, match="M = 64"):
-                evolve(u, 0.0, [0.0, 0.01], layout=lay)
+                evolve(u, 0.0, [0.0, 0.01])
         else:
-            traj = evolve(u, 0.0, [0.0], layout=lay)
+            traj = evolve(u, 0.0, [0.0])
             assert traj.diagnostics["ring_share"][0] == pytest.approx(share, rel=1e-6)
 
 
@@ -1182,7 +1214,7 @@ class TestEnvelopeTransformCount:
         # transform of the N = 512 grid
         u0, lay = envelope_datum
         passes = recording_backend(monkeypatch)
-        traj = evolve(u0, 2.0**-6, [0.04, 0.08], layout=lay)
+        traj = evolve(gathered(lay, u0), 2.0**-6, [0.04, 0.08])
         steps = len(traj.diagnostics["dt"])
         assert steps == 64
         shape = (lay.H + 1, lay.M, lay.M)
@@ -1207,7 +1239,7 @@ def envelope_pair(request):
     n, N = request.param
     u0, lay = shell_envelopes(n, N)
     times = (0.01, 0.04)
-    runs = [evolve(u0, eps, times, layout=lay) for eps in (0.0, 2.0 ** (-2 * n))]
+    runs = [evolve(gathered(lay, u0), eps, times) for eps in (0.0, 2.0 ** (-2 * n))]
     return (lay, times, *runs)
 
 
@@ -1261,7 +1293,7 @@ class TestBoxFields:
         # the state on the half-spectrum is the heat flow of u0 plus the
         # ball's Biot-Savart image of the scattered increment
         lay, times, _, traj_eps = envelope_pair
-        u0, g, t = traj_eps.u0, lay.grid, times[-1]
+        u0, g, t = traj_eps.u0.spectral(), lay.grid, times[-1]
         w = lay.slab(traj_eps.increments[-1])
         ref = heat_factor(g, t, traj_eps.eps) * u0.coeffs + Ball(g).velocity(w).coeffs
         assert np.array_equal(traj_eps.state_at(t).spectral().coeffs, ref)

@@ -95,12 +95,12 @@ def test_envelope_evolve_records_no_half_spectrum_norm():
     # half-spectrum's divergence defect or L2 norm is recorded, while the
     # ball's evolution above records 1 + samples and 2 * (1 + samples)
     ctx = experiments.ExperimentContext(experiments.ExperimentConfig(n_list=(3,)))
-    u0, lay = ctx.datum(3), ctx.envelopes(3)
+    u0 = ctx.box_datum(3)
     tracer = load_tracer()
     t = tracer.Tracer()
     uninstall = tracer.install(t)
     try:
-        traj = solvers.evolve(u0, 2.0**-6, [0.01, 0.02], layout=lay)
+        traj = solvers.evolve(u0, 2.0**-6, [0.01, 0.02])
     finally:
         uninstall()
     names = [span[0] for span in t.spans]
@@ -118,12 +118,12 @@ def test_envelope_batch_spans_nest_in_the_batch(monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     ctx = experiments.ExperimentContext(experiments.ExperimentConfig(n_list=(3,)))
-    u0, lay = ctx.datum(3), ctx.envelopes(3)
+    u0 = ctx.box_datum(3)
     tracer = load_tracer()
     t = tracer.Tracer()
     uninstall = tracer.install(t)
     try:
-        ctx.trajectory([(u0, 0.0), (u0, 2.0**-6)], [0.01], lay)
+        ctx.trajectory([(u0, 0.0), (u0, 2.0**-6)], [0.01])
     finally:
         uninstall()
     names = [span[0] for span in t.spans]
