@@ -11,17 +11,20 @@ divergence-free velocity through the perpendicular gradient.  The amplitude
 The datum's extent, the largest |m_j| it carries, is stated once from n and R:
 ``datum_mode_extent`` is the carrier mode plus the bump's half-width, the
 largest |m| at which the profile is nonzero.  Every grid that carries the datum
-is sized from it, and ``oscillating_profile_spectral`` checks its ball by it.
-An evolved shell state stays in boxes of ``envelope_half_width`` around the
-carrier's harmonics, the envelopes on which ``solvers`` evolves it.
+is sized from it, and the datum checks its grid's ball by it.  An evolved shell
+state stays in boxes of ``envelope_half_width`` around the carrier's
+harmonics, the envelopes on which ``solvers`` evolves it; ``shell_layout`` is
+the one recipe of those boxes on a grid.
 
-The datum is also born on those boxes, with no array of its grid
-(``shell_box_velocity``).  Its stream function is ``a(m_1 - c) a(m_2)`` at
-the mode m, c the carrier and ``a`` the profile bump, so the datum is closed
-form at each entry of the layout: box h = 1 holds ``amp * (-i xi_2, i xi_1)
-a(m_1 - c) a(m_2)`` at the entry of mode m, xi = m/R, and every other box
-is 0.  The products are taken in ``shell_velocity``'s order, so the
-entries equal that half-spectrum gathered to the boxes bit for bit.
+The datum is stated once, in closed form on box h = 1 of its layout
+(``_shell_stream``): its stream function, the oscillating profile, is
+``a(m_1 - c) a(m_2)`` at the mode m, c the carrier and ``a`` the profile
+bump, and every other box is 0.
+``shell_box_velocity`` takes its perpendicular gradient ``amp * (-i xi_2,
+i xi_1)`` on the entries, xi = m/R, so no array of the grid is built;
+``shell_velocity`` scatters the stream function to the half-spectrum
+(``Envelopes.slab``, box -1 the conjugate mirror of box 1), translates it
+and takes the gradient there.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .spectral import (
     Grid,
     SpectralField,
     _conj_mirror,
+    _embed,
     dealias_grid_size,
     perp_gradient,
     translate,
@@ -189,12 +193,18 @@ class ShellDatum:
         return 2.0 ** (-self.n * (self.bp.s + 1.0))
 
 
-def oscillating_profile_spectral(n: int, grid: Grid) -> SpectralField:
-    """Frequency-space construction of the carrier-modulated profile.
+def shell_layout(n: int, grid: Grid) -> Envelopes:
+    """The envelope layout of the shell datum n on ``grid``: boxes of
+    ``envelope_half_width`` around the harmonics of its carrier mode, whose
+    outer rings of one bump half-width ``Envelopes.guard`` watches."""
+    R = grid.R
+    return Envelopes(grid, carrier_mode(n, R), envelope_half_width(R), bump_half_width(R))
 
-    The first axis carries the bump shifted to +/- the carrier mode; the
-    second carries the unshifted bump on its stored half.
-    """
+
+def _shell_stream(n: int, grid: Grid) -> tuple:
+    """The layout of the shell datum n on ``grid`` and the datum's stream
+    function on its entries (module docstring).  The grid's ball must hold
+    the datum's extent, else ResolutionError names the grid it needs."""
     m_max = datum_mode_extent(n, grid.R)
     if m_max > grid.dealias_keep:
         n_req = dealias_grid_size(m_max)
@@ -204,53 +214,40 @@ def oscillating_profile_spectral(n: int, grid: Grid) -> SpectralField:
             f"of N={grid.N}; need N>={n_req}",
             required_n=n_req,
         )
-    cm = carrier_mode(n, grid.R)
-    a1 = build_profile_bump(grid).a_hat
-    axis1 = (np.roll(a1, cm) + np.roll(a1, -cm)).astype(np.complex128)
-    return SpectralField(grid, np.multiply.outer(axis1, a1[: grid.spectral_shape[1]]))
+    layout = shell_layout(n, grid)
+
+    def bump(m):  # the profile bump at lattice offsets m (``ProfileBump.a_hat``)
+        return radial_cutoff(np.abs(m) / grid.R, BUMP_INNER, BUMP_OUTER)
+
+    t1, t2 = layout.modes[:, 1]  # the torus modes of box h = 1
+    # real, so the conjugate mirrors of box 1 carry no -0.0 imaginary parts;
+    # 0 off the mask, since the ball holds the bump around c
+    F = np.zeros(layout.k_sq.shape)
+    F[1] = bump(t1 - layout.carrier) * bump(t2)
+    return layout, F
 
 
 def shell_velocity(datum: ShellDatum, grid: Grid) -> SpectralField:
-    """Divergence-free shell velocity for the datum, optionally translated."""
-    F = oscillating_profile_spectral(datum.n, grid)
+    """Divergence-free shell velocity for the datum on the half-spectrum of
+    ``grid``, optionally translated: the stream function scattered to it,
+    translated, then its perpendicular gradient."""
+    layout, F = _shell_stream(datum.n, grid)
+    F = SpectralField(grid, _embed(layout.slab(F), grid))
     if datum.shift != 0.0:
         F = translate(F, (datum.shift, 0.0))
     return SpectralField(grid, datum.amplitude * perp_gradient(F).coeffs)
 
 
-def shell_box_velocity(datum: ShellDatum, layout: Envelopes) -> BoxField:
-    """The shell velocity of ``shell_velocity`` as a field of an envelope
-    layout of its carrier, in closed form on the entries (module docstring).
-
-    The layout's boxes must hold the bump and its grid's ball the datum's
-    extent, else the datum would be clipped; a translated datum is built on
-    the half-spectrum (``shell_velocity``).
-    """
-    R = layout.grid.R
+def shell_box_velocity(datum: ShellDatum, grid: Grid) -> BoxField:
+    """The shell velocity of ``shell_velocity`` as a field of its layout on
+    ``grid`` (``shell_layout``), the perpendicular gradient of the stream
+    function on the entries; a translated datum is built on the
+    half-spectrum (``shell_velocity``)."""
     if datum.shift != 0.0:
         raise ConfigError("a translated shell datum is built on the half-spectrum")
-    if layout.carrier != carrier_mode(datum.n, R) or layout.width < bump_half_width(R):
-        raise ConfigError(
-            f"the layout's boxes (carrier {layout.carrier}, half-width {layout.width}) "
-            f"do not hold the shell datum n={datum.n}"
-        )
-    m_max = datum_mode_extent(datum.n, R)
-    if m_max > layout.grid.dealias_keep:
-        n_req = dealias_grid_size(m_max)
-        raise ResolutionError(
-            f"shell datum n={datum.n} reaches mode {m_max}, beyond the dealias-safe "
-            f"ball of N={layout.grid.N}; need N>={n_req}",
-            required_n=n_req,
-        )
-    def bump(m):  # the profile bump at lattice offsets m (``ProfileBump.a_hat``)
-        return radial_cutoff(np.abs(m) / R, BUMP_INNER, BUMP_OUTER)
-
-    t1, t2 = layout.modes[:, 1]  # the torus modes of box h = 1
-    xi1, xi2 = t1 / R, t2 / R
-    # the stream function, cast to complex where shell_velocity casts its
-    # sum of the two shifted bumps
-    F = bump(t1 - layout.carrier).astype(np.complex128) * bump(t2)
-    u = datum.amplitude * np.stack((-(1j * xi2) * F, (1j * xi1) * F))
+    layout, F = _shell_stream(datum.n, grid)
+    xi1, xi2 = layout.modes[:, 1] / grid.R
+    u = datum.amplitude * np.stack((-(1j * xi2) * F[1], (1j * xi1) * F[1]))
     coeffs = np.zeros((2,) + layout.k_sq.shape, dtype=np.complex128)
     coeffs[:, 1] = np.where(layout.mask[1], u, 0.0)
     return BoxField(layout, coeffs)

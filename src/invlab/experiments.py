@@ -16,12 +16,13 @@ twice keeps it.
 
 Every evolution is the Galerkin system of the 2/3 ball of its grid.  A bare
 shell datum, in ``family-gap``, ``expansion-residuals`` (with its Duhamel
-sums and ``pa0``) and ``fixed-limit``, evolves on ``ctx.envelopes(n)``: that
-ball restricted to the boxes around the harmonics of the datum's carrier,
-at a cost that does not grow with n.  The layout follows from the datum, not
-from a setting: the datum is born on it (``ctx.box_datum``,
-``constructions.shell_box_velocity``), a ``solvers.BoxField`` in closed form
-on the entries, and the runs read their layout from it.  The two layouts
+sums and ``pa0``) and ``fixed-limit``, evolves on its envelopes: that ball
+restricted to the boxes around the harmonics of the datum's carrier
+(``constructions.shell_layout``), at a cost that does not grow with n.  The
+layout follows from the datum, not from a setting: the datum is born on it
+(``ctx.box_datum``, ``constructions.shell_box_velocity``), a
+``solvers.BoxField`` in closed form on the entries, and the runs read their
+layout from it.  The two layouts
 agree because the ball's state holds, outside the boxes, only FFT rounding
 (every mode above 1e-20 of the peak lies within 6 modes of a harmonic at
 n = 3 and 4, t = 0.08): their increments differ by 1.5-7.4e-15 relative in
@@ -36,18 +37,20 @@ sums over the boxes, and only a norm at p != 2 scatters them to the
 half-spectrum of their grid (``BoxField.spectral``).  ``heat-law`` and
 validate's single-block checks norm the datum on its boxes too.  The datum's
 quadratic terms, in validate's product laws and in ``nonlinear-drift``, are
-formed on the envelopes of ``ctx.product_grid(n)`` (``ctx.product_datum``):
-the same boxes with H = 2, which hold the harmonics 0 and +/-2c of
-u0 . grad u0 and of its heat flow; the datum is born there too.
-A shell layout's grid is sized from the datum's extent alone, since no array
-of it is built, so at p = 2 every shell runs, at any n.  The budget ``N``
-bounds the arrays of N x N grids: the ball's, and at p != 2 those of the
-exit (``littlewood_paley.normed_on_boxes``), where ``ctx.envelopes`` and
-``ctx.product_grid`` raise ResolutionError with ``required_n``.  Each
-experiment builds every shell's datum before its first evolution or norm,
-so a datum above the budget stops it at once; a product grid above it skips
-the shell's product laws in validate and is recorded as
-``resolution_limited`` in ``nonlinear-drift``.
+formed on the envelopes of the datum of order 2, ``ctx.box_datum(n,
+order=2)``: its grid's ball holds twice the datum's extent, so the same
+boxes reach the harmonics 0 and +/-2c, which hold u0 . grad u0 and its heat
+flow.
+``box_datum`` is the one sizing rule of a shell layout's grid: the smallest
+power of two whose ball holds ``order`` times the datum's extent.  No array
+of that grid is built at p = 2, so there every shell runs, at any n.  The
+budget ``N`` bounds the arrays of N x N grids: the ball's (``datum``,
+``background_grid``), and at p != 2 those of the exit
+(``littlewood_paley.normed_on_boxes``), where ``box_datum`` raises
+ResolutionError with ``required_n``.  Each experiment builds every shell's
+datum before its first evolution or norm, so a datum above the budget stops
+it at once; a datum of order 2 above it skips the shell's product laws in
+validate and is recorded as ``resolution_limited`` in ``nonlinear-drift``.
 The expansion residuals take their four remainder fields from
 ``solvers.first_order_remainders``: one Duhamel sweep for all sample times,
 which evaluates each distinct quadrature node once (refined in the same pass
@@ -71,10 +74,7 @@ from .constructions import (
     background_field,
     background_mode_extent,
     build_profile_bump,
-    bump_half_width,
-    carrier_mode,
     datum_mode_extent,
-    envelope_half_width,
     shell_box_velocity,
     shell_velocity,
     taylor_green,
@@ -129,7 +129,8 @@ class ExperimentConfig:
     bp: BesovParams = BesovParams(3.0, 2.0, 2.0, 2)
     R: float = 12.0
     # budget per axis of the grids whose N x N arrays are built: the ball's,
-    # and at p != 2 a shell layout's grid; it bounds arrays, not shells
+    # and at p != 2 a shell datum's grid (ExperimentContext.box_datum); it
+    # bounds arrays, not shells
     N: int = 2048
     n_list: tuple = (3, 4, 5)
     t_grid: tuple = DEFAULT_T_GRID
@@ -320,24 +321,6 @@ class ExperimentContext:
             )
         return N
 
-    def datum_grid(self, n: int) -> Grid:
-        """Smallest power-of-two grid with the datum inside the 2/3 ball,
-        within the budget: the grid of the half-spectrum datum on the ball."""
-        return self.grid(self._fit_grid(datum_mode_extent(n, self.cfg.R), f"datum n={n}"))
-
-    def _shell_grid(self, extent: int, what: str) -> Grid:
-        # a shell layout's grid builds N x N arrays only where its norms
-        # leave the boxes (littlewood_paley.normed_on_boxes)
-        if normed_on_boxes(self.cfg.bp.p):
-            return self.grid(dealias_grid_size(extent))
-        return self.grid(self._fit_grid(extent, what))
-
-    def product_grid(self, n: int) -> Grid:
-        """Smallest grid whose ball holds the exact quadratic product of the
-        datum, within the budget at p != 2 only.  Its envelopes carry that
-        product (``product_datum``); at p = 2 no array of the grid is built."""
-        return self._shell_grid(2 * datum_mode_extent(n, self.cfg.R), f"datum product n={n}")
-
     def background_grid(self, n_max: int) -> Grid:
         extent = max(
             datum_mode_extent(n_max, self.cfg.R),
@@ -348,29 +331,32 @@ class ExperimentContext:
     # -- data --------------------------------------------------------------
 
     def datum(self, n: int, grid: Grid | None = None, shift: float = 0.0):
-        """The shell velocity of index n on the grid (default ``datum_grid``)."""
-        grid = grid or self.datum_grid(n)
+        """The shell velocity of index n on the half-spectrum of ``grid``, by
+        default the smallest power-of-two grid whose ball holds the datum,
+        within the budget."""
+        R = self.cfg.R
+        grid = grid or self.grid(self._fit_grid(datum_mode_extent(n, R), f"datum n={n}"))
         return shell_velocity(ShellDatum(n, self.cfg.bp, shift), grid)
 
-    def envelopes(self, n: int, grid: Grid | None = None) -> Envelopes:
-        """The layout of the bare shell datum n: boxes of
-        ``envelope_half_width`` around the harmonics of its carrier mode, on
-        ``grid``, by default the smallest grid whose ball holds the datum,
-        within the budget at p != 2 only (module docstring)."""
-        R = self.cfg.R
-        grid = grid or self._shell_grid(datum_mode_extent(n, R), f"datum n={n}")
-        return Envelopes(grid, carrier_mode(n, R), envelope_half_width(R), bump_half_width(R))
+    def box_datum(self, n: int, order: int = 1) -> BoxField:
+        """The shell datum n born on its envelopes (``shell_box_velocity``),
+        on the smallest power-of-two grid whose ball holds ``order`` times
+        its extent: order 1 holds the datum, order 2 its quadratic terms.
 
-    def box_datum(self, n: int, grid: Grid | None = None) -> BoxField:
-        """The shell datum n born on ``envelopes(n, grid)``
-        (``constructions.shell_box_velocity``)."""
-        return shell_box_velocity(ShellDatum(n, self.cfg.bp), self.envelopes(n, grid))
-
-    def product_datum(self, n: int) -> BoxField:
-        """The datum n on the envelopes of ``product_grid(n)``: the boxes of
-        ``envelopes(n)``, with H = 2, so they also hold the harmonics 0 and
-        +/-2c of its quadratic terms."""
-        return self.box_datum(n, self.product_grid(n))
+        The layout's H is the number of harmonics whose boxes meet the ball
+        of that power-of-two grid, not ``order`` itself.  For n = 3 .. 12 it
+        equals ``order`` at R = 12, 24, 48 and 96; order 2 gives H = 3 at
+        R = 36, 72 and 144; at R = 60 and 120, for n = 3, 4 and 5, order 1
+        gives H = 2 and order 2 gives H = 4.
+        """
+        extent = order * datum_mode_extent(n, self.cfg.R)
+        # no array of the grid is built unless a norm leaves the boxes
+        # through BoxField.spectral, at p != 2: only then the budget applies
+        if normed_on_boxes(self.cfg.bp.p):
+            N = dealias_grid_size(extent)
+        else:
+            N = self._fit_grid(extent, f"shell datum n={n} of order {order}")
+        return shell_box_velocity(ShellDatum(n, self.cfg.bp), self.grid(N))
 
     # -- trajectories --------------------------------------------------------
 
@@ -519,7 +505,7 @@ def run_nonlinear_drift(cfg: ExperimentConfig, ctx: ExperimentContext | None = N
 
     for n in cfg.n_list:
         try:
-            u0 = ctx.product_datum(n)
+            u0 = ctx.box_datum(n, order=2)
         except ResolutionError as err:  # above the budget, at p != 2 only
             records.append(
                 ResultRecord(
@@ -1079,7 +1065,7 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     ratios_q = {}
     for n in cfg.n_list:
         try:
-            u0p = ctx.product_datum(n)
+            u0p = ctx.box_datum(n, order=2)
         except ResolutionError:  # above the budget, at p != 2 only
             continue
         lay = u0p.layout
@@ -1150,7 +1136,7 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     )
 
     # profile bump diagnostics
-    bump = build_profile_bump(ctx.datum_grid(cfg.n_list[0]))
+    bump = build_profile_bump(u0.grid)
     a0 = float(bump.a_hat[0])
     records.append(ResultRecord(ex, "bump_center_value", a0, verdict=check(a0, 1.0, 1.0)))
     phi = bump.physical_profile()

@@ -43,8 +43,8 @@ ValueError; it returns the data's vorticity in the layout and mean velocity
 (``state_of``).  ``Ball`` checks the half-spectrum.  ``Envelopes`` checks a
 ``BoxField`` on its entries alone, with its Parseval weights, and refuses a
 nonzero entry off its mask with ResolutionError: nothing lies outside the
-entries, so no array of the grid is read, and a shell datum born on its
-boxes (``constructions.shell_box_velocity``) runs at any n.
+entries, so no array of the grid is read, and a shell datum born on the
+layout of its grid (``constructions.shell_box_velocity``) runs at any n.
 
 A run stays in its layout's arrays up to its records.  Each layout has its
 own velocity fields (``velocity``, ``field_k_sq``): the ball's are
@@ -427,13 +427,15 @@ class Envelopes:
     mode of box p would need ``|(h + k - p) c + m| <= W``).  Biot-Savart and
     -div are multipliers at the true frequencies ``((h c + m_1)/R, m_2/R)``.
 
-    A shell datum's layout on its datum grid has H = 1.  On its product
-    grid, whose ball holds the datum's quadratic terms, the same boxes have
-    H = 2: the boxes of 0 and +/-2c hold those terms, and ``advect`` and
-    ``gradient_part`` form them in velocity form on the entries
-    (``spectral.advect``, ``spectral.leray_complement``).  The datum is born
-    on either layout (``constructions.shell_box_velocity``), whose entries
-    ``modes`` names: ``modes[j]`` is the torus mode m_j of each entry.
+    A shell datum is born on the layout of its grid
+    (``constructions.shell_box_velocity``), whose entries ``modes`` names:
+    ``modes[j]`` is the torus mode m_j of each entry.  H is what the ball of
+    that power-of-two grid holds, not the ``order`` it was sized for
+    (``ExperimentContext.box_datum`` lists the radii where they differ); at
+    R = 12 the grid of the datum has H = 1, and that of its quadratic terms
+    H = 2, whose boxes of 0 and +/-2c hold the terms ``advect`` and
+    ``gradient_part`` form in velocity form on the entries
+    (``spectral.advect``, ``spectral.leray_complement``).
 
     ``data`` admits a field of the layout on its entries (module
     docstring); ``guard`` measures, at each

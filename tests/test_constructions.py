@@ -8,9 +8,9 @@ from invlab.constructions import (
     bump_half_width,
     carrier_mode,
     datum_mode_extent,
-    envelope_half_width,
-    oscillating_profile_spectral,
+    _shell_stream,
     shell_box_velocity,
+    shell_layout,
     shell_velocity,
     taylor_green,
     taylor_green_two_mode,
@@ -24,6 +24,7 @@ from invlab.littlewood_paley import (
 from invlab.spectral import (
     Grid,
     SpectralField,
+    _embed,
     _inverse,
     divergence_defect,
     l2_norm_spectral,
@@ -72,16 +73,28 @@ class TestProfileBump:
         assert 0.0 < frac < 0.1
 
 
+def profile(n, grid):
+    """The shell datum's stream function, the oscillating profile, scattered
+    from the entries of its layout to the half-spectrum of ``grid``."""
+    layout, F = _shell_stream(n, grid)
+    return SpectralField(grid, _embed(layout.slab(F), grid))
+
+
 class TestOscillatingProfile:
     def test_support_inside_dyadic_annulus(self, lab_grid):
-        F = oscillating_profile_spectral(3, lab_grid)
+        F = profile(3, lab_grid)
         lo, hi = field_support_range(F)
         carrier = 17.0 / 12.0 * 8
         assert carrier - 0.5 <= lo <= hi <= carrier + 0.5
         assert 4.0 / 3.0 * 8 <= lo and hi <= 1.5 * 8
 
     def test_real_and_even(self, lab_grid):
-        s = _inverse(oscillating_profile_spectral(3, lab_grid).coeffs, lab_grid)
+        F = profile(3, lab_grid)
+        # the column m_2 = 0 holds both m and -m: conjugate symmetric there,
+        # the half-spectrum is that of a real field
+        col = F.coeffs[:, 0]
+        assert np.array_equal(col, np.conj(np.roll(col[::-1], 1)))
+        s = _inverse(F.coeffs, lab_grid)
         for ax in range(2):
             flipped = np.roll(np.flip(s, axis=ax), 1, axis=ax)
             assert np.max(np.abs(s - flipped)) <= 1e-12 * np.max(np.abs(s))
@@ -89,7 +102,7 @@ class TestOscillatingProfile:
     def test_matches_physical_product_construction(self, lab_grid):
         # the frequency-space field equals 2 * cos(carrier x1) times the
         # periodized profile in each coordinate
-        f = _inverse(oscillating_profile_spectral(3, lab_grid).coeffs, lab_grid)
+        f = _inverse(profile(3, lab_grid).coeffs, lab_grid)
         phi = build_profile_bump(lab_grid).physical_profile()
         x = lab_grid.x_1d
         carrier = 17.0 / 12.0 * 8
@@ -104,10 +117,9 @@ class TestOscillatingProfile:
         with pytest.raises(ConfigError):
             carrier_mode(3, 1.0)
 
-    def test_insufficient_resolution_names_requirement(self):
-        g = Grid(2, 256, 12.0)
+    def test_insufficient_resolution_names_requirement(self, bp):
         with pytest.raises(ResolutionError) as exc:
-            oscillating_profile_spectral(3, g)
+            shell_velocity(ShellDatum(3, bp), Grid(2, 256, 12.0))
         assert exc.value.required_n == 512
 
 
@@ -143,7 +155,7 @@ class TestDatumExtent:
     def test_outermost_mode_is_the_extent(self):
         # the n = 4 datum at R = 6 reaches 136 + 1, inside the ball of N = 512
         g = Grid(2, 512, 6.0)
-        F = oscillating_profile_spectral(4, g)
+        F = profile(4, g)
         m = datum_mode_extent(4, g.R)
         assert F.coeffs[m, 0] != 0.0 and not F.coeffs[m + 1].any()
 
@@ -190,39 +202,29 @@ class TestShellBoxVelocity:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_box_datum_is_the_gathered_datum(self, ctx, n):
-        box, lay = ctx.box_datum(n), ctx.envelopes(n)
-        assert box.layout == lay and lay.H == 1
-        assert np.array_equal(box.coeffs, gathered(lay, ctx.datum(n)).coeffs)
+        box, ball = ctx.box_datum(n), ctx.datum(n)
+        lay = box.layout
+        assert lay == shell_layout(n, ball.grid) and lay.H == 1
+        assert np.array_equal(box.coeffs, gathered(lay, ball).coeffs)
         assert not np.any(box.coeffs[:, 0]) and np.any(box.coeffs[:, 1])
 
     def test_product_datum_is_the_padded_datum(self, ctx):
-        # on the H = 2 layout of the product grid the datum's entries are
+        # on the H = 2 layout of the order-2 grid the datum's entries are
         # those of its H = 1 layout, with box 2 zero: what zero-padding the
         # gathered datum gave
-        u0 = ctx.product_datum(3)
-        lay, own = u0.layout, ctx.envelopes(3)
+        u0 = ctx.box_datum(3, order=2)
+        lay, own = u0.layout, ctx.box_datum(3).layout
         assert (lay.grid.N, lay.H) == (1024, 2)
         padded = np.zeros((2,) + lay.k_sq.shape, dtype=complex)
         padded[:, :2] = gathered(own, ctx.datum(3)).coeffs
         assert np.array_equal(u0.coeffs, padded * lay.mask)
 
     def test_data_the_boxes_cannot_hold_refused(self, bp):
-        from invlab.solvers import Envelopes
-
-        R = 12.0
-        W, b = envelope_half_width(R), bump_half_width(R)
-        lay = Envelopes(Grid(2, 512, R), carrier_mode(3, R), W, b)
         with pytest.raises(ConfigError, match="translated"):
-            shell_box_velocity(ShellDatum(3, bp, shift=1.0), lay)
-        with pytest.raises(ConfigError, match="do not hold"):
-            shell_box_velocity(ShellDatum(4, bp), lay)
-        narrow = Envelopes(Grid(2, 512, R), carrier_mode(3, R), 1, 1)
-        with pytest.raises(ConfigError, match="do not hold"):
-            shell_box_velocity(ShellDatum(3, bp), narrow)
+            shell_box_velocity(ShellDatum(3, bp, shift=1.0), Grid(2, 512, 12.0))
         # n = 3 reaches mode 138 (carrier 136 plus 2), beyond the ball of N = 256
-        small = Envelopes(Grid(2, 256, R), carrier_mode(3, R), W, b)
         with pytest.raises(ResolutionError) as exc:
-            shell_box_velocity(ShellDatum(3, bp), small)
+            shell_box_velocity(ShellDatum(3, bp), Grid(2, 256, 12.0))
         assert exc.value.required_n == 512
 
 

@@ -176,51 +176,64 @@ class TestConfigAndRecords:
 
 class TestContext:
     def test_datum_grids_scale_with_shell(self, small_ctx):
-        assert small_ctx.datum_grid(3).N == 512
-        assert small_ctx.datum_grid(4).N == 1024
-        assert small_ctx.datum_grid(5).N == 2048
+        for n, N in ((3, 512), (4, 1024), (5, 2048)):
+            assert small_ctx.datum(n).grid.N == N
+            assert small_ctx.box_datum(n).grid.N == N
 
     def test_datum_grid_needs_the_carrier_on_the_lattice(self):
         # the carrier 17/12 2**3 R of R = 13 is no lattice mode: the grid is
         # refused, as the datum itself would be
-        with pytest.raises(ConfigError, match="not on the lattice"):
-            ExperimentContext(ExperimentConfig(R=13.0)).datum_grid(3)
+        ctx = ExperimentContext(ExperimentConfig(R=13.0))
+        for datum in (ctx.datum, ctx.box_datum):
+            with pytest.raises(ConfigError, match="not on the lattice"):
+                datum(3)
 
     def test_product_grids_double(self, small_ctx):
-        assert small_ctx.product_grid(3).N == 1024
-        assert small_ctx.product_grid(4).N == 2048
+        assert small_ctx.box_datum(3, order=2).grid.N == 1024
+        assert small_ctx.box_datum(4, order=2).grid.N == 2048
+
+    def test_layout_harmonics_equal_the_order_at_radius_12(self, small_ctx):
+        # at R = 12 the ball of the power-of-two grid sized for order times
+        # the datum's extent meets exactly ``order`` harmonics of the carrier
+        for n in range(3, 13):
+            for order in (1, 2):
+                assert small_ctx.box_datum(n, order).layout.H == order, (n, order)
 
     def test_resolution_budget_bounds_arrays_not_shells(self, small_cfg):
         # the budget bounds the grids whose N x N arrays are built: the ball's
-        # (datum_grid), and at p != 2, where the norms exit to the
-        # half-spectrum, a shell layout's; at p = 2 no array of it is built
+        # (datum), and at p != 2, where the norms exit to the half-spectrum,
+        # a shell layout's; at p = 2 no array of it is built
         from invlab.errors import ResolutionError
 
         ctx = ExperimentContext(small_cfg)
-        assert ctx.product_grid(5).N == 4096 and ctx.envelopes(6).grid.N == 4096
+        assert ctx.box_datum(5, order=2).grid.N == 4096 and ctx.box_datum(6).grid.N == 4096
         with pytest.raises(ResolutionError) as exc:
-            ctx.datum_grid(6)
+            ctx.datum(6)
         assert exc.value.required_n == 4096
         ctx = ExperimentContext(replace(small_cfg, bp=BesovParams(3.0, 4.0, 2.0)))
-        for layout_grid in (lambda: ctx.product_grid(5), lambda: ctx.envelopes(6).grid):
+        for layout_datum in (lambda: ctx.box_datum(5, order=2), lambda: ctx.box_datum(6)):
             with pytest.raises(ResolutionError) as exc:
-                layout_grid()
+                layout_datum()
             assert exc.value.required_n == 4096
 
     def test_grids_hold_the_whole_datum_at_radius_60(self):
         # at R = 60 the n = 5 datum reaches 2720 + 14 = 2734: its grid needs
         # N >= 3 * 2734 + 1, so 16384, and its product 32768, over the budget
         # at p != 2; a half-width read on 16 points (8) would size them at
-        # 8192 and 16384
+        # 8192 and 16384.  The ball's datum is sized under a budget of 8192,
+        # so that no 16384 x 16384 array is built
         from invlab.errors import ResolutionError
 
         cfg = ExperimentConfig(R=60.0, N=16384, n_list=(5,))
         ctx = ExperimentContext(cfg)
-        assert ctx.datum_grid(5).N == ctx.envelopes(5).grid.N == 16384
-        assert ctx.product_grid(5).N == 32768
+        assert ctx.box_datum(5).grid.N == 16384
+        assert ctx.box_datum(5, order=2).grid.N == 32768
+        with pytest.raises(ResolutionError) as exc:
+            ExperimentContext(replace(cfg, N=8192)).datum(5)
+        assert exc.value.required_n == 16384
         ctx = ExperimentContext(replace(cfg, bp=BesovParams(3.0, 4.0, 2.0)))
         with pytest.raises(ResolutionError) as exc:
-            ctx.product_grid(5)
+            ctx.box_datum(5, order=2)
         assert exc.value.required_n == 32768
 
     @pytest.mark.parametrize(
@@ -544,9 +557,9 @@ class TestHeatLaw:
         from invlab.spectral import heat_factor
 
         records = heat_law_records
-        g = small_ctx.datum_grid(3)
-        part = build_partition(g)
         u0 = small_ctx.datum(3)
+        g = u0.grid
+        part = build_partition(g)
         t = small_cfg.t_grid[2]
         fac = heat_factor(g, t, small_cfg.eps_n(3)) - 1.0
         w = half_spectrum_weights(g)
@@ -584,7 +597,7 @@ class TestNonlinearDrift:
     def test_budget_does_not_limit_shells_at_p2(self, drift_cfg, drift_records):
         # shell 4's product grid is above the budget, and it runs
         recs = drift_records
-        assert ExperimentContext(drift_cfg).product_grid(4).N == 2048 > drift_cfg.N
+        assert ExperimentContext(drift_cfg).box_datum(4, order=2).grid.N == 2048 > drift_cfg.N
         assert [r.n for r in by_quantity(recs, "advection_support_radius")] == [3, 4]
         growth = by_quantity(recs, "advection_drift_over_t_n_growth")
         assert [r.n for r in growth] == [4] * len(drift_cfg.t_grid)
@@ -914,7 +927,7 @@ class TestEnvelopeRecordsOnTheBoxes:
 
 class TestQuadraticTermsOnTheBoxes:
     """validate's product laws and ``nonlinear-drift`` form u0 . grad u0 on the
-    envelopes of the product grid (``ExperimentContext.product_datum``)."""
+    envelopes of the datum of order 2 (``ExperimentContext.box_datum``)."""
 
     @staticmethod
     def guard_product_grid(monkeypatch, grid):
@@ -942,7 +955,7 @@ class TestQuadraticTermsOnTheBoxes:
         self, small_cfg, validation_records, monkeypatch
     ):
         ctx = ExperimentContext(small_cfg)
-        grid = ctx.product_grid(3)
+        grid = ctx.box_datum(3, order=2).grid
         self.guard_product_grid(monkeypatch, grid)
         records = run_validation_suite(small_cfg, ctx)
         assert [(r.key(), r.value, r.verdict) for r in records] == [
@@ -956,7 +969,7 @@ class TestQuadraticTermsOnTheBoxes:
         self, drift_cfg, drift_records, monkeypatch
     ):
         ctx = ExperimentContext(drift_cfg)
-        grid = ctx.product_grid(3)
+        grid = ctx.box_datum(3, order=2).grid
         self.guard_product_grid(monkeypatch, grid)
         records = run_nonlinear_drift(drift_cfg, ctx)
         assert [(r.key(), r.value, r.verdict) for r in records] == [
@@ -987,7 +1000,7 @@ class TestQuadraticTermsOnTheBoxes:
         records = run_nonlinear_drift(cfg, ExperimentContext(cfg))
         assert calls == [1024] * 2 * len(cfg.t_grid)
 
-        g, eps = ExperimentContext(cfg).product_grid(3), cfg.eps_n(3)
+        g, eps = ExperimentContext(cfg).box_datum(3, order=2).grid, cfg.eps_n(3)
         u0 = shell_velocity(ShellDatum(3, cfg.bp), g)
         pa = advect(u0, u0)
         ball = {("advection_support_radius", None): field_support_range(pa)[1]}

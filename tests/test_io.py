@@ -84,6 +84,20 @@ class TestFieldSnapshots:
         raw = write_field(tmp_path / "u0.spf", u0).read_bytes()
         assert hashlib.blake2b(raw).hexdigest() == ref["blake2b"]
 
+    @pytest.mark.parametrize(
+        "pin",
+        json.loads((Path(__file__).parent / "data" / "shell_velocity_blake2b.json").read_text())["pins"],
+        ids=lambda pin: f"n{pin['n']}-N{pin['N']}-shift{pin['shift']:g}",
+    )
+    def test_shell_velocity_bytes_pinned(self, bp, pin):
+        # the half-spectrum datum, unshifted and at the shift pi R of
+        # perturbed-gap, keeps its bits, the signs of its zeros included
+        from invlab.constructions import ShellDatum, shell_velocity
+        from invlab.spectral import Grid
+
+        u0 = shell_velocity(ShellDatum(pin["n"], bp, pin["shift"]), Grid(2, pin["N"], 12.0))
+        assert hashlib.blake2b(u0.coeffs.tobytes()).hexdigest() == pin["blake2b"]
+
     def test_non_hermitian_payload_rejected(self, grid, rng, tmp_path):
         p = write_field(tmp_path / "v.spf", random_vector_field(grid, rng))
         raw = bytearray(p.read_bytes())

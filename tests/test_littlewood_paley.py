@@ -404,8 +404,8 @@ class TestBlockSpectrumReport:
 
 class TestProductLawConstants:
     """validate's product laws take u0 . grad u0 and its gradient part on the
-    envelopes of the product grid (``ExperimentContext.product_datum``, the
-    datum born there); on that grid's half-spectrum they are
+    envelopes of the datum of order 2 (``ExperimentContext.box_datum``, on
+    the grid whose ball holds the product); on that grid's half-spectrum they are
     ``spectral.advect`` and ``leray_complement``."""
 
     @pytest.mark.parametrize("n, N", [(3, 1024), (4, 2048)])
@@ -414,8 +414,8 @@ class TestProductLawConstants:
         from invlab.spectral import advect, leray_complement
 
         ctx = ExperimentContext(ExperimentConfig(n_list=(n,), N=N))
-        u0 = ctx.product_datum(n)
-        lay, g = u0.layout, ctx.product_grid(n)
+        u0 = ctx.box_datum(n, order=2)
+        lay, g = u0.layout, u0.grid
         assert (g.N, lay.H, lay.M) == (N, 2, 32)
         ball = shell_velocity(ShellDatum(n, bp), g)
         # the datum born on the boxes is the ball's datum gathered to them

@@ -1018,11 +1018,11 @@ class TestExpansionResiduals:
 def shell_envelopes(n, N):
     """The shell datum n on Grid(2, N, 12), a half-spectrum, and its
     envelope layout."""
-    from invlab.constructions import bump_half_width, carrier_mode, envelope_half_width
+    from invlab.constructions import shell_layout
 
     g = Grid(2, N, 12.0)
     u0 = shell_velocity(ShellDatum(n, BesovParams(3.0, 2.0, 2.0, 2)), g)
-    return u0, Envelopes(g, carrier_mode(n, 12.0), envelope_half_width(12.0), bump_half_width(12.0))
+    return u0, shell_layout(n, g)
 
 
 def in_boxes(layout):
@@ -1151,7 +1151,7 @@ class TestEnvelopes:
             "evolve": lambda u: evolve(u, 0.0, [0.01]),
             "u2_duhamel": lambda u: list(u2_duhamel(u, [0.01], 0.0)),
         }[entry]
-        good = shell_box_velocity(ShellDatum(3, BesovParams(3.0, 2.0, 2.0, 2)), lay)
+        good = shell_box_velocity(ShellDatum(3, BesovParams(3.0, 2.0, 2.0, 2)), lay.grid)
         coeffs = good.coeffs.copy()
         peak = np.max(np.abs(coeffs))
         # the mode (c, 0): xi is along the first axis, so a first component
@@ -1180,7 +1180,7 @@ class TestEnvelopes:
         from invlab.constructions import shell_box_velocity
 
         u0, lay = envelope_datum
-        box = shell_box_velocity(ShellDatum(3, BesovParams(3.0, 2.0, 2.0, 2)), lay)
+        box = shell_box_velocity(ShellDatum(3, BesovParams(3.0, 2.0, 2.0, 2)), lay.grid)
         traj = evolve(box, 2.0**-6, [0.01])
         ref = evolve(gathered(lay, u0), 2.0**-6, [0.01])
         assert traj.layout == lay and traj.u0 is box
