@@ -12,25 +12,30 @@ constant and carried on its own.
 
 A **layout** holds the state and evaluates ``-div(u w)`` on it; ``evolve``
 and ``u2_duhamel`` run in the layout of their data, and their RK4 and
-integrating-factor loop and their Duhamel sweep are the same for both.  ``Ball``, the default, is the
-slab of the 2/3 ball, indexed by ``Grid.slab``: ``vorticity_rhs`` takes 3
-inverse and 2 forward transforms and no Leray projection (velocity form: 6,
-2 and a projection), hands the slab to the one transform pair
+integrating-factor loop and their Duhamel sweep are the same for both.
+``Ball``, the default, is the slab of the 2/3 ball, indexed by
+``Grid.slab``: ``vorticity_rhs`` takes one inverse transform of the stack of
+the slabs of w, u1 and u2 and one forward transform of the stack of the
+products u1 w and u2 w, and no Leray projection (velocity form: 6 inverse, 2
+forward and a projection).  It hands the slabs to the one transform pair
 (``spectral._inverse``, ``spectral._forward``), whose column pass then
 covers the keep + 1 columns of the slab only, and truncates each product to
-the ball (``spectral.zero_outside_ball``).  Every array it writes is handed
-in, its result and an ``RhsWork``.  The work arrays are allocated once per
-evolution and once per Duhamel sweep; the velocity samples it returns are
-overwritten by the next call.  ``Envelopes`` is the Galerkin system of the
-ball restricted to boxes of modes around the harmonics ``h c`` of a carrier
-mode: a shell datum and its evolution live there, so its cost does not grow
-with the grid.  Measured on the n = 3 shell (N = 512, H = 1,
-t up to 0.08, eps = 0 and 2^-6), the two layouts give increments 1.5-7.4e-15
-apart relative in L2 and 3.1-5.1e-13 in the Besov norm restricted to the
-boxes; outside the boxes the ball holds FFT noise, about 1e-23 of the peak
-per mode, which the Besov weights of the high blocks raise to a raw Besov
-difference of 6.5e-12-4.2e-11.  One envelope evolution took 0.2 s against
-6.3-7.0 s on the ball.
+the ball (``spectral.zero_outside_ball``).  Each field of a stack gets the
+values of its own call, bitwise, and the right-hand side takes 4 calls of
+the FFT backend where one transform per field would take 10; at N = 64 the
+fixed cost of a call is about that of its work.  Every array it writes is
+handed in, its result and an ``RhsWork``.  The work arrays are allocated
+once per evolution and once per Duhamel sweep; the velocity samples it
+returns, views of them, are overwritten by the next call.  ``Envelopes`` is
+the Galerkin system of the ball restricted to boxes of modes around the
+harmonics ``h c`` of a carrier mode: a shell datum and its evolution live
+there, so its cost does not grow with the grid.  Measured on the n = 3 shell
+(N = 512, H = 1, t up to 0.08, eps = 0 and 2^-6), the two layouts give
+increments 1.5-7.4e-15 apart relative in L2 and 3.1-5.1e-13 in the Besov
+norm restricted to the boxes; outside the boxes the ball holds FFT noise,
+about 1e-23 of the peak per mode, which the Besov weights of the high blocks
+raise to a raw Besov difference of 6.5e-12-4.2e-11.  One envelope evolution
+took 0.2 s against 6.3-7.0 s on the ball.
 
 The data of ``evolve`` and ``u2_duhamel`` decide their layout: a
 ``SpectralField`` runs on the ``Ball`` of its grid, a ``BoxField`` on its own
@@ -249,23 +254,30 @@ def _velocity(grid: Grid, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _velocity_slab(grid: Grid, w: np.ndarray, mean, ax: int, out: np.ndarray) -> np.ndarray:
-    """Component ``ax`` of the velocity of slab vorticity ``w`` with mean
-    ``mean``, into ``out``."""
-    np.multiply(grid.biot_savart[ax][grid.slab], w, out=out)
-    out[0, 0] = mean[ax]
+def _velocity_slabs(grid: Grid, w: np.ndarray, mean, out: np.ndarray) -> np.ndarray:
+    """The stacked velocity slabs of slab vorticity ``w`` with mean ``mean``,
+    into ``out``."""
+    np.multiply(grid.biot_savart[(slice(None),) + grid.slab], w, out=out)
+    out[:, 0, 0] = mean
     return out
 
 
 class RhsWork:
-    """The work arrays of ``vorticity_rhs`` on one grid: three sample arrays,
-    the column-pass scratch (``Grid.slab_shape``) and the row-pass buffer
-    (``Grid.spectral_shape``).  One holder serves one thread at a time."""
+    """The work arrays of ``vorticity_rhs`` on one grid, as stacks.
+
+    ``phys`` holds four sample arrays: the first product, then the samples
+    of w (which take the second product), u1 and u2.  ``rows`` is the row
+    pass of the two products, a half-spectrum each, whose column pass runs
+    in place in the leading keep + 1 columns.  ``slabs`` stacks the slabs
+    of w, u1 and u2 at the front of the same memory (3 (keep + 1) <= N + 2
+    columns), free again once their column pass has run in place.  One
+    holder serves one thread at a time."""
 
     def __init__(self, grid: Grid):
-        self.phys = tuple(np.empty(grid.shape) for _ in range(3))
-        self.scratch = np.empty(grid.slab_shape, dtype=np.complex128)
-        self.rows = np.empty(grid.spectral_shape, dtype=np.complex128)
+        self.phys = np.empty((4,) + grid.shape)
+        self.rows = np.empty((2,) + grid.spectral_shape, dtype=np.complex128)
+        size = 3 * np.prod(grid.slab_shape)
+        self.slabs = self.rows.reshape(-1)[:size].reshape((3,) + grid.slab_shape)
 
 
 def vorticity_rhs(
@@ -277,22 +289,24 @@ def vorticity_rhs(
     ``w`` and ``out`` are distinct slabs (``Grid.slab_shape``) and ``u`` is
     the Biot-Savart velocity of the dealias-safe ``w`` plus ``mean``.  The
     result is ``-curl P(u . grad u)``; its Biot-Savart image is ``-P(u .
-    grad u)`` less its mean, which is zero in exact arithmetic.  Every array
-    the transforms write is ``out`` or one of ``work``, so the returned
-    samples are overwritten by the next call with the same ``work``.
+    grad u)`` less its mean, which is zero in exact arithmetic.  One inverse
+    transforms the stack of w, u1 and u2, one forward the stack of u1 w and
+    u2 w.  Every array the transforms write is ``out`` or one of ``work``,
+    so the returned samples are overwritten by the next call with the same
+    ``work``.
     """
-    w_phys, u1, u2 = work.phys
-    vel = work.rows[grid.slab]  # free between the transforms
-    _inverse(w, grid, w_phys, work.scratch)
-    _inverse(_velocity_slab(grid, w, mean, 0, vel), grid, u1, work.scratch)
-    _forward(np.multiply(u1, w_phys, out=u2), grid, out, work.rows)
-    zero_outside_ball(out, grid)
-    out *= -1j * grid.freq_axis(0)
-    _inverse(_velocity_slab(grid, w, mean, 1, vel), grid, u2, work.scratch)
-    f = _forward(np.multiply(u2, w_phys, out=w_phys), grid, work.scratch, work.rows)
+    slabs = work.slabs
+    np.copyto(slabs[0], w)
+    _velocity_slabs(grid, w, mean, slabs[1:])
+    _inverse(slabs, grid, work.phys[1:], slabs)
+    prod, w_phys, u1, u2 = work.phys
+    np.multiply(u1, w_phys, out=prod)
+    np.multiply(u2, w_phys, out=w_phys)
+    f = _forward(work.phys[:2], grid, work.rows[..., : grid.slab_shape[-1]], work.rows)
     zero_outside_ball(f, grid)
-    f *= 1j * grid.freq_axis(1)[grid.slab]
-    out -= f
+    np.multiply(f[0], -1j * grid.freq_axis(0), out=out)
+    f[1] *= 1j * grid.freq_axis(1)[grid.slab]
+    out -= f[1]
     return u1, u2
 
 
@@ -352,18 +366,13 @@ class Ball:
         return _max_speed(*samples)
 
     def velocity_l2(self, w, mean, work) -> float:
-        # each velocity component on the whole half-spectrum, in the row-pass
-        # buffer: half_spectrum_l2 sums the same array as it would for the
-        # velocity of the embedded state
+        # the velocity on the whole half-spectrum, in the row-pass buffers:
+        # half_spectrum_l2 sums the same arrays as it would for the velocity
+        # of the embedded state
         g = self.grid
-
-        def components():
-            for ax in range(g.d):
-                _velocity_slab(g, w, mean, ax, work.rows[g.slab])
-                work.rows[:, g.slab_shape[-1] :] = 0.0
-                yield work.rows
-
-        return half_spectrum_l2(components(), g)
+        _velocity_slabs(g, w, mean, work.rows[(slice(None),) + g.slab])
+        work.rows[..., g.slab_shape[-1] :] = 0.0
+        return half_spectrum_l2(work.rows, g)
 
     def guard(self, w, t: float) -> None:
         return None

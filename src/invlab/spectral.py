@@ -38,8 +38,9 @@ dealias_grid_size(largest nonzero |m_j|)``.
 Every column of the ball lies in the **slab**, columns ``0 .. keep`` of the
 stored half-spectrum over all N rows, indexed by ``Grid.slab`` (shape
 ``Grid.slab_shape``).  The one transform pair, ``_forward`` and ``_inverse``,
-takes the leading columns it is given, so ball data (``advect``, the time
-stepper's state) are transformed on the slab; ``zero_outside_ball`` works on
+works over the last two axes of a field or a stack of them and takes the
+leading columns it is given, so ball data (``advect``, the time stepper's
+state) are transformed on the slab; ``zero_outside_ball`` works on
 a slab as on a half-spectrum, and ``_embed`` puts a slab back into a
 half-spectrum.
 
@@ -259,33 +260,40 @@ def _conj_mirror(full: np.ndarray) -> np.ndarray:
 # The one transform pair and the envelope pair below are the only routes to
 # the FFT backend, numpy's pocketfft.  Each transform of the pair is two
 # passes through the module-level ``_fft``, as numpy's rfftn and irfftn make
-# them: a row pass (axis 1, real to half spectrum) and a column pass (axis
-# 0), each transforming every column on its own.  The column pass covers the
-# leading columns its caller hands over, the whole half-spectrum or the
-# ball's slab (``Grid.slab``); the row pass of an inverse zero-pads each row
-# to N/2 + 1 columns as irfftn does, so either way the values are those of
-# rfftn and irfftn, bitwise.  Both scale in place, and write into ``out``
-# (and ``rows``, ``scratch``) when handed.
+# them, over the last two axes of a stack: a row pass (axis -1, real to half
+# spectrum) and a column pass (axis -2), each transforming every line of
+# every field of the stack on its own, so a stack of fields gets the values
+# of one call per field, bitwise, in one call per pass.  The column pass
+# covers the leading columns its caller hands over, the whole half-spectrum
+# or the ball's slab (``Grid.slab``); the row pass of an inverse zero-pads
+# each row to N/2 + 1 columns as irfftn does, so either way the values are
+# those of rfftn and irfftn, bitwise.  Both scale in place, and write into
+# ``out`` (and ``rows``, ``scratch``) when handed; the column pass may write
+# over its own input (``out`` a view of ``rows``, ``scratch`` the
+# coefficients themselves), as a forward without ``out`` does.  Every pass
+# is handed its length N as ``s``, which spares numpy's n-dimensional
+# wrapper its shape lookup, a sizeable part of a call at N = 64.
 
 
 def _forward(samples: np.ndarray, grid: Grid, out=None, rows=None) -> np.ndarray:
-    """Coefficients of ``samples`` in the leading ``out.shape[-1]`` columns,
-    into ``out``; the row pass fills ``rows`` (``Grid.spectral_shape``).
-    Without ``out``, all N/2 + 1 columns, in place in ``rows``."""
-    rows = _fft.rfftn(samples, axes=(1,), out=rows)
+    """Coefficients of ``samples`` (a field or a stack of them) in the leading
+    ``out.shape[-1]`` columns, into ``out``; the row pass fills ``rows``
+    (``Grid.spectral_shape`` per field).  Without ``out``, all N/2 + 1
+    columns, in place in ``rows``."""
+    rows = _fft.rfftn(samples, s=(grid.N,), axes=(-1,), out=rows)
     if out is None:
         out = rows
-    _fft.fftn(rows[:, : out.shape[-1]], axes=(0,), out=out)
+    _fft.fftn(rows[..., : out.shape[-1]], s=(grid.N,), axes=(-2,), out=out)
     out *= grid.dx**grid.d
     return out
 
 
 def _inverse(coeffs: np.ndarray, grid: Grid, out=None, scratch=None) -> np.ndarray:
-    """Samples of the field whose half-spectrum holds ``coeffs`` in its
-    leading columns and 0 in the rest, into ``out``; the column pass goes
-    through ``scratch`` (the shape of ``coeffs``)."""
-    cols = _fft.ifftn(coeffs, axes=(0,), out=scratch)
-    out = _fft.irfftn(cols, s=(grid.N,), axes=(1,), out=out)
+    """Samples of the field (or stack of fields) whose half-spectrum holds
+    ``coeffs`` in its leading columns and 0 in the rest, into ``out``; the
+    column pass goes through ``scratch`` (the shape of ``coeffs``)."""
+    cols = _fft.ifftn(coeffs, s=(grid.N,), axes=(-2,), out=scratch)
+    out = _fft.irfftn(cols, s=(grid.N,), axes=(-1,), out=out)
     out *= (grid.N / grid.L) ** grid.d
     return out
 

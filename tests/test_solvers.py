@@ -49,11 +49,20 @@ from invlab.spectral import (
     leray_project,
     perp_gradient,
     _embed,
+    _forward,
+    _inverse,
     translate,
     zero_outside_ball,
 )
 
-from conftest import ball_mask, bounded, gathered, spectral_of, thread_starts
+from conftest import (
+    ball_mask,
+    bounded,
+    gathered,
+    random_vector_field,
+    spectral_of,
+    thread_starts,
+)
 
 
 def full_rhs(g, w, mean):
@@ -397,36 +406,35 @@ def recording_backend(monkeypatch):
 class TestTransformCount:
     @pytest.mark.parametrize("eps", [0.0, 0.02], ids=["ideal", "viscous"])
     def test_transforms_per_evolution_and_step(self, monkeypatch, eps):
-        # per RK4 step 4 vorticity right-hand sides, each 3 inverse (u1, u2,
-        # w) and 2 forward (u1 w, u2 w), and stage 1's u1, u2 also give the
-        # CFL speed, on the first step the blow-up guard's reference too:
-        # 4 * 2 = 8 forward and 4 * 3 = 12 inverse per step.  Each transform
-        # is a row pass and a column pass, the column pass over the keep + 1
-        # columns of the 2/3 ball only.
+        # per RK4 step 4 vorticity right-hand sides, each one inverse of the
+        # stack of w, u1 and u2 and one forward of the stack of u1 w and u2 w,
+        # and stage 1's u1, u2 also give the CFL speed, on the first step the
+        # blow-up guard's reference too: 4 forward and 4 inverse per step.
+        # Each transform is a row pass (axis -1) and a column pass (axis -2),
+        # the column pass over the keep + 1 columns of the 2/3 ball only.
         g = Grid(2, 32, 1.0)
         w = taylor_green_two_mode(g)
         passes = recording_backend(monkeypatch)
         traj = evolve(w, eps, [0.05, 0.1])
         steps = len(traj.diagnostics["dt"])
         assert steps == 64
-        counts = {
-            (kind, ax): sum(1 for p in passes if p[:2] == (kind, ax))
-            for kind in ("forward", "inverse")
-            for ax in (0, 1)
-        }
+        counts = {}
+        for kind, ax, in_shape, _ in passes:
+            counts[(kind, ax, in_shape)] = counts.get((kind, ax, in_shape), 0) + 1
+        N, K = g.N, g.dealias_keep + 1
         assert counts == {
-            ("forward", 0): 8 * steps,
-            ("forward", 1): 8 * steps,
-            ("inverse", 0): 12 * steps,
-            ("inverse", 1): 12 * steps,
+            ("inverse", -2, (3, N, K)): 4 * steps,
+            ("inverse", -1, (3, N, K)): 4 * steps,
+            ("forward", -1, (2, N, N)): 4 * steps,
+            ("forward", -2, (2, N, K)): 4 * steps,
         }
-        assert {p[2] for p in passes if p[1] == 0} == {(g.N, g.dealias_keep + 1)}
 
     def test_stage_reuses_its_arrays(self, monkeypatch):
-        # every pass writes into an array it is handed: the three sample
-        # arrays, the column scratch and the row buffer of the right-hand
-        # side, and the stage arrays k1, k2, k3 (k4 reuses k3's), the same
-        # arrays after 8 steps as after 64
+        # every pass writes into an array it is handed, the same arrays after
+        # 8 steps as after 64: the samples of w, u1 and u2 (the inverse's row
+        # pass), and the front of the row buffer, where the inverse's column
+        # pass runs in place on the stacked slabs and the forward's row pass
+        # writes, and whose leading columns take its column pass in place
         g = Grid(2, 32, 1.0)
         w = taylor_green_two_mode(g)
         passes = recording_backend(monkeypatch)
@@ -434,10 +442,10 @@ class TestTransformCount:
         assert len(traj.diagnostics["dt"]) == 64
         assert all(p[3] is not None for p in passes)
         written = [p[3].__array_interface__["data"][0] for p in passes]
-        per_step = 2 * (8 + 12)
+        per_step = 2 * (4 + 4)
         assert len(written) == 64 * per_step
         assert set(written[: 8 * per_step]) == set(written)
-        assert len(set(written)) <= 8
+        assert len(set(written)) == 2
 
 
 class TestVorticityRhs:
@@ -481,8 +489,51 @@ class TestVorticityRhs:
         for a, e in zip(samples, u_phys):
             assert np.max(np.abs(a - e)) <= 1e-13 * np.max(np.abs(e))
         assert not np.any(r[~ball_mask(grid)])
-        # the samples are the work object's arrays
-        assert all(any(a is p for p in work.phys) for a in samples)
+        # the samples are views of the work object's arrays
+        assert all(np.shares_memory(a, work.phys) for a in samples)
+
+    @pytest.mark.parametrize("N", [32, 64, 256])
+    def test_equals_per_component_reference_bitwise(self, N, rng):
+        # the stacked transforms give each field the values of its own call,
+        # and the arithmetic after them is the reference's, in its order
+        g = Grid(2, N, 1.5)
+        u = random_vector_field(g, rng, band=g.dealias_keep)
+        mean = np.array([0.7, -1.3])
+        w = curl(u).coeffs[g.slab].copy()
+        out, ref = (np.full(g.slab_shape, np.nan + 0j) for _ in range(2))
+        work = RhsWork(g)
+        for _ in range(2):  # a second call on the same work arrays
+            samples = vorticity_rhs(g, w, mean, work, out)
+            expected = vorticity_rhs_reference(g, w, mean, ref)
+            assert np.array_equal(out, ref)
+            assert all(np.array_equal(a, e) for a, e in zip(samples, expected))
+        assert np.any(out != 0.0)
+
+
+def vorticity_rhs_reference(grid, w, mean, out):
+    """``vorticity_rhs`` one field per transform: 3 inverse (w, u1, u2)
+    and 2 forward (u1 w, u2 w) calls, each on its own arrays."""
+    w_phys, u1, u2 = (np.empty(grid.shape) for _ in range(3))
+    scratch = np.empty(grid.slab_shape, dtype=np.complex128)
+    rows = np.empty(grid.spectral_shape, dtype=np.complex128)
+    vel = rows[grid.slab]
+
+    def velocity_slab(ax):
+        np.multiply(grid.biot_savart[ax][grid.slab], w, out=vel)
+        vel[0, 0] = mean[ax]
+        return vel
+
+    _inverse(w, grid, w_phys, scratch)
+    _inverse(velocity_slab(0), grid, u1, scratch)
+    _forward(np.multiply(u1, w_phys, out=u2), grid, out, rows)
+    zero_outside_ball(out, grid)
+    out *= -1j * grid.freq_axis(0)
+    _inverse(velocity_slab(1), grid, u2, scratch)
+    f = _forward(np.multiply(u2, w_phys, out=w_phys), grid, scratch, rows)
+    zero_outside_ball(f, grid)
+    f *= 1j * grid.freq_axis(1)[grid.slab]
+    out -= f
+    return u1, u2
 
 
 class TestTrajectory:

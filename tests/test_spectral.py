@@ -179,6 +179,41 @@ class TestTransforms:
         assert g.slab_shape == (N, K)
         assert g.k_sq[g.slab].shape == g.slab_shape
 
+    @pytest.mark.parametrize("N", [16, 64, 512])
+    def test_pair_on_a_stack_equals_one_call_per_field_bitwise(self, N, rng):
+        # a stack of three fields over the last two axes: the values of
+        # three single calls, bit for bit, on all N/2 + 1 columns and on the
+        # leading keep + 1 (which the test above ties to the full call), with
+        # the arrays handed and with the column pass in place (the scratch
+        # the coefficients, ``out`` a view of ``rows``)
+        g = Grid(2, N, 1.5)
+        K = g.dealias_keep + 1
+        inside = ball_mask(g)
+        shape = (3,) + inside.shape
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        c = np.where(inside, c, 0.0)
+        single = np.stack([_inverse(ci, g) for ci in c])
+        assert np.array_equal(_inverse(c, g), single)
+        slab = c[..., :K]
+        single = np.stack([_inverse(ci, g, np.empty(g.shape), np.empty_like(ci)) for ci in slab])
+        samples = np.empty((3,) + g.shape)
+        assert _inverse(slab, g, samples, np.empty_like(slab)) is samples
+        assert np.array_equal(samples, single)
+        in_place = slab.copy()
+        assert _inverse(in_place, g, samples, in_place) is samples
+        assert np.array_equal(samples, single)
+
+        f = rng.standard_normal((3,) + g.shape)
+        single = np.stack([_forward(fi, g) for fi in f])
+        assert np.array_equal(_forward(f, g), single)
+        rows = np.empty((3,) + g.spectral_shape, dtype=np.complex128)
+        out = np.full((3,) + g.slab_shape, np.nan + 0j)
+        assert _forward(f, g, out, rows) is out
+        assert np.array_equal(out, single[..., :K])
+        lead = _forward(f, g, rows[..., :K], rows)
+        assert np.shares_memory(lead, rows)
+        assert np.array_equal(lead, single[..., :K])
+
     def test_parseval(self, grid, rng):
         f = random_real_field(grid, rng)
         F = spectral_of(grid, f)
