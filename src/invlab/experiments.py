@@ -18,7 +18,7 @@ Every evolution is the Galerkin system of the 2/3 ball of its grid.  A bare
 shell datum, in ``family-gap``, ``expansion-residuals`` (with its Duhamel
 sums and ``pa0``) and ``fixed-limit``, evolves on its envelopes: that ball
 restricted to the boxes around the harmonics of the datum's carrier
-(``constructions.shell_layout``), at a cost that does not grow with n.  The
+(``constructions.shell_layout``), at a cost that does not rise with n.  The
 layout follows from the datum, not from a setting: the datum is born on it
 (``ctx.box_datum``, ``constructions.shell_box_velocity``), a
 ``solvers.BoxField`` in closed form on the entries, and the runs read their
@@ -49,8 +49,9 @@ budget ``N`` bounds the arrays of N x N grids: the ball's (``datum``,
 (``littlewood_paley.normed_on_boxes``), where ``box_datum`` raises
 ResolutionError with ``required_n``.  Each experiment builds every shell's
 datum before its first evolution or norm, so a datum above the budget stops
-it at once; a datum of order 2 above it skips the shell's product laws in
-validate and is recorded as ``resolution_limited`` in ``nonlinear-drift``.
+it at once; a datum of order 2 above it is recorded as
+``resolution_limited``, with ``required_n``, in ``nonlinear-drift`` and in
+place of the shell's product laws in validate.
 The expansion residuals take their four remainder fields from
 ``solvers.first_order_remainders``: one Duhamel sweep for all sample times,
 which evaluates each distinct quadrature node once (refined in the same pass
@@ -286,31 +287,29 @@ def threaded_map(fn: Callable, jobs: Iterable) -> Iterator:
 class ExperimentContext:
     """Grids, data and evolutions for one configuration.
 
-    The context caches only its grids, since a ``Grid`` caches its frequency
-    arrays per instance.  ``trajectory`` evolves every request of a batch,
-    and is the one place that decides whether they run side by side.  A
-    batch on the ball runs on min(number of requests, CPUs this process may
-    run on) threads (``threaded_map``): its evolutions spend most of their
-    time in FFTs and array arithmetic that release the interpreter lock,
-    and ``perturbed-gap {"n_list":[3]}`` took 19-24 s against 37-51 s in
-    order (2 CPUs).  A batch on envelopes runs in order on the calling
-    thread: on 32 x 32 boxes an evolution holds the lock for most of its
-    time, and in order a strict n = 3 ``expansion-residuals`` run fell from
-    0.31 to 0.20 s, from 0.72 to 0.52 s of CPU and from 47.5 to 43.0 MiB
-    peak RSS (medians of 10 runs each).
+    The context caches nothing: ``grid(N)`` builds a new ``Grid``, which
+    builds its frequency arrays on first use.  ``trajectory`` evolves every
+    request of a batch, and is the one place that decides whether they run
+    side by side.  A batch on the ball runs on min(number of requests, CPUs
+    this process may run on) threads (``threaded_map``): its evolutions
+    spend most of their time in FFTs and array arithmetic that release the
+    interpreter lock, and ``perturbed-gap {"n_list":[3]}`` took 19-24 s
+    against 37-51 s in order (2 CPUs).  A batch on envelopes runs in order
+    on the calling thread: on 32 x 32 boxes an evolution holds the lock for
+    most of its time, and in order a strict n = 3 ``expansion-residuals``
+    run fell from 0.31 to 0.20 s, from 0.72 to 0.52 s of CPU and from 47.5
+    to 43.0 MiB peak RSS (medians of 10 runs each).
     """
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self._grids: dict = {}
         self.evolutions: list = []  # grid, eps and solver statistics per evolve call
 
     # -- grids -------------------------------------------------------------
 
     def grid(self, N: int) -> Grid:
-        if N not in self._grids:
-            self._grids[N] = Grid(2, N, self.cfg.R)
-        return self._grids[N]
+        """A new grid of N points per axis at the configured radius."""
+        return Grid(2, N, self.cfg.R)
 
     def _fit_grid(self, max_mode: int, what: str) -> int:
         N = dealias_grid_size(max_mode)
@@ -761,15 +760,11 @@ def _additivity_defect(t_sum, t_psi, t_u, t, bp) -> float:
     return besov_norm(SpectralField(s_sum.grid, s_sum.coeffs - s_psi.coeffs - s_u.coeffs), bp)
 
 
-def run_perturbed_gap(
-    cfg: ExperimentConfig,
-    ctx: ExperimentContext | None = None,
-    background: SpectralField | None = None,
-):
+def run_perturbed_gap(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
     """Perturbed viscous-vs-ideal gap with truncation and additivity terms.
 
-    ``background`` overrides the seeded random field (used by degenerate-case
-    tests).  A shell whose low-pass S_n keeps the whole background
+    The background is the seeded random field (``background_field``).  A
+    shell whose low-pass S_n keeps the whole background
     (``high_pass_background`` = 0), or whose truncation bound would scale a
     zero constant, gets a ``truncation_not_evaluated`` record (value: the
     vanishing factor) in place of the truncation constant or bound.  Each
@@ -784,9 +779,7 @@ def run_perturbed_gap(
     if not ns:
         raise ConfigError("the background experiment needs shell indices <= 4")
     g = ctx.background_grid(max(ns))
-    psi = background if background is not None else background_field(
-        g, cfg.seed, cfg.psi_band, bp
-    )
+    psi = background_field(g, cfg.seed, cfg.psi_band, bp)
     k_shift = cfg.shift_value
     t0 = cfg.t0
     times = [t0 / 2.0, t0]
@@ -1059,14 +1052,17 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     )
 
     # product and gradient-part norm ratios over the family: the measured
-    # constants must not grow with n (see the decisions ledger on why the
+    # constants must not rise with n (see the decisions ledger on why the
     # raw values decay)
     ratios_prod = {}
     ratios_q = {}
     for n in cfg.n_list:
         try:
             u0p = ctx.box_datum(n, order=2)
-        except ResolutionError:  # above the budget, at p != 2 only
+        except ResolutionError as err:  # above the budget, at p != 2 only
+            records.append(
+                ResultRecord(ex, "resolution_limited", float(err.required_n or 0), n)
+            )
             continue
         lay = u0p.layout
         pa = lay.advect(u0p, u0p)

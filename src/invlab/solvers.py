@@ -29,7 +29,7 @@ once per evolution and once per Duhamel sweep; the velocity samples it
 returns, views of them, are overwritten by the next call.  ``Envelopes`` is
 the Galerkin system of the ball restricted to boxes of modes around the
 harmonics ``h c`` of a carrier mode: a shell datum and its evolution live
-there, so its cost does not grow with the grid.  Measured on the n = 3 shell
+there, so its cost does not rise with the grid.  Measured on the n = 3 shell
 (N = 512, H = 1, t up to 0.08, eps = 0 and 2^-6), the two layouts give
 increments 1.5-7.4e-15 apart relative in L2 and 3.1-5.1e-13 in the Besov
 norm restricted to the boxes; outside the boxes the ball holds FFT noise,
@@ -73,19 +73,24 @@ datum (``trajectory_gap``) or a first-order remainder never subtracts two
 arrays of the size of ``u0``.  A ``Trajectory`` stores each increment as
 vorticity in the layout's array, and builds its Biot-Savart image, a field
 of the layout, on request.
-Classical RK4 advances the vorticity increment in the integrating-factor
-variable anchored at t = 0 (Cox & Matthews 2002),
-``E = exp(-t eps Lap)(w - exp(t eps Lap) w0)``, so stiffness
-from the viscous term never enters the stability restriction, and
-``exp(+t eps |xi|^2)`` must stay finite: ``eps T max|xi|^2`` <=
-``EXPONENT_LIMIT``.  The horizon T is the last sample time; it also caps the
-step at T/64.  The admission keeps the data in the ball, so the projection
-drops nothing.  The state holds every nonzero entry; a sample's vorticity
-increment is the decoded E, in the layout's array.  No step measures the
-divergence, zero up to rounding for a Biot-Savart image: the admission
-checks the data's, and ``Trajectory`` the state's once per sample time
-(``div_rel``), in the layout's fields; on envelopes ``evolve`` also checks
-that the boxes still hold the state (``Envelopes.guard``).
+Classical RK4 advances the vorticity increment in Lawson's
+integrating-factor form (Lawson 1967; Cox & Matthews 2002), anchored at the
+start of each step, so stiffness from the viscous term never enters the
+stability restriction.  With ``E = exp(eps Lap dt/2)`` and ``b`` the heat
+flow of the data at the stage's time, the stages take the right-hand side at
+``E(delta + dt/2 k1) + b``, ``E delta + dt/2 k2 + b`` and ``E(E delta + dt
+k3) + b``, and the step ends at ``E(E(delta + dt/6 k1) + dt/3 (k2 + k3)) +
+dt/6 k4``: in exact arithmetic the same scheme as the one anchored at t = 0,
+whose factors ``exp(+t eps |xi|^2)`` can overflow.  Here every factor is a
+decay, so no viscosity, horizon or grid makes one overflow.  The horizon T
+is the last sample time; it caps the step at T/64.  The admission keeps the
+data in the ball, so the projection drops nothing.  The state holds every
+nonzero entry; a sample's vorticity increment is delta itself, in the
+layout's array.  No step measures the divergence, zero up to rounding for a
+Biot-Savart image: the admission checks the data's, and ``Trajectory`` the
+state's once per sample time (``div_rel``), in the layout's fields; on
+envelopes ``evolve`` also checks that the boxes still hold the state
+(``Envelopes.guard``).
 
 The first-order expansion ``S^eps_t(u0) = u1(t) + u2(t) + O(t^2)`` is
 computed here once: ``u1`` is the heat flow of the data, ``u2`` the Duhamel
@@ -145,9 +150,6 @@ from .spectral import (
 CFL = 0.5
 # a step whose max speed exceeds this multiple of the initial one diverged
 BLOWUP_FACTOR = 1e3
-# largest eps * T * max|xi|^2 (T the last sample time): exp(+eps t |xi|^2)
-# stays below the largest double, about exp(709.78)
-EXPONENT_LIMIT = 700.0
 # largest relative change of u2_duhamel when its node count is doubled
 REFINE_TOL = 1e-8
 # largest L2 share of the vorticity in the outer rings of the envelope boxes
@@ -342,10 +344,6 @@ class Ball:
     def k_sq(self) -> np.ndarray:
         return self.grid.k_sq[self.grid.slab]
 
-    @property
-    def k_sq_max(self) -> float:
-        return float(self.grid.k_sq.max())
-
     def data(self, u0: SpectralField) -> tuple:
         """The admission (module docstring), on the half-spectrum."""
         _require_divergence_free(divergence_defect(u0))
@@ -494,7 +492,6 @@ class Envelopes:
             mask=mask,
             k_sq=k_sq,
             k_mag=np.sqrt(k_sq),
-            k_sq_max=float(k_sq[mask].max()),
             biot_savart=np.stack((1j * xi2 * inv, -1j * xi1 * inv)) * mask,
             minus_div=np.stack((-1j * xi1, -1j * xi2)) * mask,
             # Parseval weight of each entry, the half-spectrum's rule on the
@@ -679,16 +676,16 @@ def evolve(
 
     The horizon T is the last sample time.  Steps are capped at T/64 and by
     the CFL condition on the grid of ``u0``; ``dt_fixed`` forces a constant
-    step (for convergence studies) and bypasses both.  ``eps * T *
-    max|xi|^2`` of the layout may not exceed ``EXPONENT_LIMIT``.  ``u0`` must
-    pass the admission of its layout (``data``: finite, in the ball and in
-    the layout, with a divergence defect of at most 1e-10); the states'
-    defects are taken per sample time, by ``Trajectory``.  A half-spectrum
-    runs on the ``Ball`` of its grid, a ``BoxField`` on its own
-    ``Envelopes``.  The vorticity
-    increment at a sample time is the decoded E, in the layout's array.  Each
-    per-step diagnostic has one entry per step, none when only t = 0 is
-    sampled.
+    step (for convergence studies) and bypasses both.  ``u0`` must pass the
+    admission of its layout (``data``: finite, in the ball and in the
+    layout, with a divergence defect of at most 1e-10); the states' defects
+    are taken per sample time, by ``Trajectory``.  A half-spectrum runs on
+    the ``Ball`` of its grid, a ``BoxField`` on its own ``Envelopes``.  Each
+    step is RK4 in Lawson's form anchored at its start (module docstring),
+    whose factors only decay, so any ``eps`` in [0, 1] runs to any horizon.
+    The vorticity increment at a sample time is the state's delta, in the
+    layout's array.  Each per-step diagnostic has one entry per step, none
+    when only t = 0 is sampled.
     """
     if not (0.0 <= eps <= 1.0):
         raise ValueError(f"viscosity must lie in [0, 1], got {eps}")
@@ -696,55 +693,37 @@ def evolve(
         raise ValueError(f"a fixed step must be > 0, got {dt_fixed}")
     g = u0.grid
     layout = _layout_of(u0)
-    base, mean = layout.data(u0)
+    b, mean = layout.data(u0)
     targets = sorted(set(float(t) for t in sample_times))
     if not targets or targets[0] < 0:
         raise ValueError(f"need one or more sample times >= 0, got {targets}")
     horizon = targets[-1]
-    exponent = eps * horizon * layout.k_sq_max
-    if exponent > EXPONENT_LIMIT:
-        raise NumericsError(
-            f"heat exponent eps*T*max|xi|^2 = {exponent:.6g} exceeds "
-            f"{EXPONENT_LIMIT:g}: the integrating factor would overflow"
-        )
 
     # every array of the state has the layout's shape, allocated once: the
-    # data's vorticity (the mean velocity is constant), the encoded increment
-    # E (0 at t = 0), a stage's state (between steps, w(t)), exp(-/+ eps t
-    # |xi|^2) at the current stage time, the half-step factors of the last
-    # step size, and the stages' right-hand sides (k4 reuses k3's array)
+    # data's heat flow b = exp(t eps Lap) w0 at the current stage time (the
+    # layout's own copy; the mean velocity is constant), the increment delta
+    # = w - b (0 at t = 0), a stage's state (between steps, w(t)), the decay
+    # E = exp(-eps |xi|^2 dt/2) over half a step of the last step size, and
+    # the stages' right-hand sides (k4 reuses k3's array)
     k_sq = layout.k_sq
-    enc = np.zeros_like(base)
-    s = base.copy()
-    dec, grow = np.ones(k_sq.shape), np.ones(k_sq.shape)
-    E, G = np.empty(k_sq.shape), np.empty(k_sq.shape)
-    k1, k2, k3 = (np.empty_like(base) for _ in range(3))
+    delta = np.zeros_like(b)
+    s = b.copy()
+    E = np.empty(k_sq.shape)
+    k1, k2, k3 = (np.empty_like(b) for _ in range(3))
     work = layout.work()
 
     increments = []
     diag = {k: [] for k in ("t", "dt", "energy", "max_speed", "ring_share")}
     guard = None  # BLOWUP_FACTOR times the data's speed, set on the first step
-    # a new step size recomputes the half-step factors (the final step
-    # before each sample time is shorter)
+    # a new step size recomputes E (the final step before each sample time
+    # is shorter)
     step_dt = None
 
-    def half_step_factors(dt):
-        # E, G = exp(-/+ eps |xi|^2 dt/2): the decay and growth over half a step
-        np.multiply(np.multiply(k_sq, eps, out=E), dt / 2.0, out=E)
-        np.exp(E, out=G)
-        np.exp(np.negative(E, out=E), out=E)
-
     def load(h, k):
-        # a stage's state dec * ((enc + h k) + base), into s
+        # a stage's state (h k + delta) + b, into s
         np.multiply(k, h, out=s)
-        np.add(s, enc, out=s)
-        np.add(s, base, out=s)
-        np.multiply(s, dec, out=s)
-
-    def rhs(k):
-        # the encoded right-hand side at the state in s, into k
-        layout.rhs(s, mean, work, k)
-        k *= grow
+        np.add(s, delta, out=s)
+        np.add(s, b, out=s)
 
     # A step that would end within ``land`` of a sample time ends on it.
     # Each ``t + dt`` rounds by at most half an ulp, 2**-53 * horizon, so m
@@ -756,11 +735,11 @@ def evolve(
     for target in targets:
         while t < target - land:
             # stage 1 of RK4 needs no dt: its velocity samples give the CFL
-            # speed; k1 is encoded after the step's factors are known
+            # speed
             speed = layout.speed(layout.rhs(s, mean, work, k1))
             if not np.isfinite(speed):
                 raise NumericsError(f"non-finite state at t={t}")
-            if guard is None:  # the first step's stage 1 runs at s = base
+            if guard is None:  # the first step's stage 1 runs at s = b
                 guard = BLOWUP_FACTOR * max(speed, 1e-300)
             if speed > guard:
                 raise SolverDivergenceError(
@@ -779,33 +758,40 @@ def evolve(
                 dt = remaining
             if dt != step_dt:
                 step_dt = dt
-                half_step_factors(dt)
+                np.multiply(np.multiply(k_sq, eps, out=E), -dt / 2.0, out=E)
+                np.exp(E, out=E)
 
-            # classical RK4 on E; each stage decodes its state with the
-            # accumulated decay factor and encodes the nonlinear term back,
-            # both moved on by half a step at the midpoint and at the end
-            k1 *= grow
-            dec *= E
-            grow *= G
+            # classical RK4 in Lawson's form, anchored at the start of the
+            # step: the stage states are E(delta + dt/2 k1) + b, E delta +
+            # dt/2 k2 + b and E(E delta + dt k3) + b, with b moved on by
+            # half a step at the midpoint and at the end
+            k1 *= E
+            delta *= E
+            b *= E
             load(dt / 2.0, k1)
-            rhs(k2)
+            layout.rhs(s, mean, work, k2)
             load(dt / 2.0, k2)
-            rhs(k3)
+            layout.rhs(s, mean, work, k3)
             # the update needs only k2 + k3, so k3's array takes k4 once
             # stage 4 has its state
             k2 += k3
-            dec *= E
-            grow *= G
-            load(dt, k3)
-            rhs(k3)
-            # enc += dt/6 (k1 + 2 (k2 + k3) + k4), then the state after the step
+            np.multiply(k3, dt, out=s)
+            s += delta
+            s *= E
+            b *= E
+            s += b
+            layout.rhs(s, mean, work, k3)
+            # delta <- E(E(delta + dt/6 k1) + dt/3 (k2 + k3)) + dt/6 k4, as
+            # E (E delta) + dt/6 (E (E k1 + 2 (k2 + k3)) + k4), then the
+            # state after the step
             k2 *= 2.0
             k2 += k1
+            k2 *= E
             k2 += k3
             k2 *= dt / 6.0
-            enc += k2
-            np.add(enc, base, out=s)
-            s *= dec
+            delta *= E
+            delta += k2
+            np.add(delta, b, out=s)
 
             t = target if final_step else t + dt
             energy = layout.velocity_l2(s, mean, work)
@@ -818,11 +804,10 @@ def evolve(
         share = layout.guard(s, target)  # s is the state w(target)
         if share is not None:
             diag["ring_share"].append(share)
-        # one exact heat factor from t = 0 decodes E, the vorticity increment
-        increments.append(heat_multiplier(k_sq, target, eps) * enc)
+        increments.append(delta.copy())
 
     # the work arrays are freed before Trajectory measures the sampled states
-    del work, base, enc, s, k1, k2, k3, E, G, dec, grow
+    del work, b, delta, s, k1, k2, k3, E
     return Trajectory(
         times=tuple(targets),
         increments=tuple(increments),

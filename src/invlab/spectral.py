@@ -447,7 +447,6 @@ def advect(u: SpectralField, v: SpectralField) -> SpectralField:
     g = u.grid
     require_in_ball(u)
     require_in_ball(v)
-    # one component at a time: no stacked temporaries on the N = 2048 grids
     u_phys = [_inverse(c[g.slab], g) for c in u.coeffs]
     out = np.empty((g.d,) + g.slab_shape, dtype=np.complex128)
     for i in range(g.d):

@@ -424,21 +424,23 @@ class TestTrajectoryBatch:
         import threading
 
         from invlab.constructions import taylor_green_two_mode
-        from invlab.solvers import EXPONENT_LIMIT, evolve
+        from invlab.solvers import evolve
         from invlab.spectral import Grid
 
         ctx = ExperimentContext(small_cfg)
         g = Grid(2, 32, 1.0)
         u0 = taylor_green_two_mode(g)
-        # eps * T * max|xi|^2 = 1 * 2 * 512 exceeds the limit on N = 32, R = 1
-        assert 1.0 * 2.0 * g.k_sq.max() > EXPONENT_LIMIT
+        # a datum with a NaN coefficient fails the admission
+        coeffs = u0.coeffs.copy()
+        coeffs[0, 1, 0] = np.nan
+        bad = SpectralField(g, coeffs)
         with pytest.raises(NumericsError) as alone:
-            evolve(u0, 1.0, [2.0])
-        requests = [(u0, 1e-3), (u0, 1.0), (u0, 2e-3)]
+            evolve(bad, 1e-3, [2.0])
+        requests = [(u0, 1e-3), (bad, 1e-3), (u0, 2e-3)]
         if failing_first:
             requests = requests[1:]
         before = threading.active_count()
-        with pytest.raises(type(alone.value), match="exceeds"):
+        with pytest.raises(type(alone.value), match="non-finite"):
             ctx.trajectory(requests, [2.0])
         assert threading.active_count() == before
         # the requests before the failing one are kept, as in a sequence
@@ -1081,16 +1083,23 @@ class TestNoLargeArray:
 
 
 class TestPerturbedGap:
-    def test_zero_background_reduces_to_family_gap(self, small_cfg, family_gap_records):
+    def test_zero_background_reduces_to_family_gap(
+        self, small_cfg, family_gap_records, monkeypatch
+    ):
+        import invlab.experiments as experiments
+
         d_ref = next(
             r.value
             for r in family_gap_records
             if r.quantity == "solution_gap" and r.n == 3 and abs(r.t - 0.02) < 1e-12
         )
         ctx = ExperimentContext(small_cfg)
-        g = ctx.background_grid(3)
-        zero = SpectralField(g, np.zeros((2,) + g.spectral_shape, dtype=complex))
-        records = run_perturbed_gap(small_cfg, ctx, background=zero)
+
+        def zero(g, *args):
+            return SpectralField(g, np.zeros((2,) + g.spectral_shape, dtype=complex))
+
+        monkeypatch.setattr(experiments, "background_field", zero)
+        records = run_perturbed_gap(small_cfg, ctx)
         # S_3 passes the zero background whole, so the truncated run is the
         # full viscous run: five runs for the shell, two for the shift
         assert len(ctx.evolutions) == 5 + 2
@@ -1135,10 +1144,15 @@ class TestValidationSuite:
 
     def test_product_laws_skipped_above_the_budget_at_p4(self):
         # at p = 4 shell 3's product grid (N = 1024) is above the budget of
-        # 512: its product laws are skipped and every other check runs
+        # 512: its product laws are recorded as resolution-limited, with the
+        # grid they need, and every other check runs
         cfg = ExperimentConfig(bp=BesovParams(3.0, 4.0, 2.0), N=512, n_list=(3,))
         records = run_validation_suite(cfg, ExperimentContext(cfg))
         assert not [r for r in records if "_law_" in r.quantity]
+        limited = by_quantity(records, "resolution_limited")
+        assert [(r.quantity, r.n, r.value) for r in limited] == [
+            ("resolution_limited", 3, 1024.0)
+        ]
         assert not [r for r in records if r.verdict == "fail"]
         assert [r.n for r in by_quantity(records, "single_block_defect")] == [3]
         assert by_quantity(records, "vortex_analytic_error")

@@ -467,9 +467,10 @@ class TestCli:
         assert energies == list(traj.diagnostics["energy"])
         assert run["div_rel_max"] == max(traj.div_rel)
 
-    def test_evolve_above_heat_exponent_limit_exits_3(self, tmp_path, capsys):
-        # eps * T * max|xi|^2 = 1 * 1 * 910.2 on the N = 512 datum grid
+    def test_evolve_at_large_heat_exponent_exits_0(self, tmp_path, capsys):
+        # eps * T * max|xi|^2 = 1 * 1 * 910.2 on the N = 512 datum grid: the
+        # integrating factors only decay, so the run completes
         cfg = self._config(tmp_path, t_grid=[0.5, 1.0], T0=1.0, t0=1.0, evolve={"eps": 1.0})
         code = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert code == 3
-        assert "exceeds 700" in capsys.readouterr().err
+        assert code == 0
+        assert "0 fail" in capsys.readouterr().out

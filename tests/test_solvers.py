@@ -27,7 +27,6 @@ from invlab.solvers import (
     RhsWork,
     Trajectory,
     evolve,
-    EXPONENT_LIMIT,
     first_order_remainders,
     trajectory_gap,
     u2_duhamel,
@@ -226,26 +225,32 @@ class TestEvolve:
         with pytest.raises((SolverDivergenceError, NumericsError)):
             evolve(w, 0.0, [10.0], dt_fixed=0.8)
 
-    def test_heat_exponent_limit(self, monkeypatch):
-        # eps * T * max|xi|^2 = 1 * 0.5 * 2048 on Grid(2, 64, 1): refused
-        # before any step and before exp(+eps t |xi|^2) can overflow
-        import invlab.solvers as solvers
-
-        def no_step(*args, **kwargs):
-            raise AssertionError("a step was taken")
-
+    def test_viscous_decay_at_a_large_heat_exponent(self):
+        # eps * T * max|xi|^2 = 1 * 0.5 * 2048 on Grid(2, 64, 1): every
+        # integrating factor is a decay, so none overflows
         g = Grid(2, 64, 1.0)
         tg = taylor_green(g)
-        monkeypatch.setattr(solvers, "vorticity_rhs", no_step)
-        with pytest.raises(NumericsError, match="= 1024 exceeds 700"):
-            evolve(tg, 1.0, [0.5])
-        monkeypatch.undo()
-        # at the limit itself the factors stay finite: no overflow warning
-        T = EXPONENT_LIMIT / float(g.k_sq.max())
-        traj = evolve(tg, 1.0, [T])
-        decay = np.exp(-2.0 * T)
-        ref = SpectralField(g, decay * tg.coeffs)
-        assert vf_rel_diff(traj.state_at(T), ref) <= 1e-6
+        with np.errstate(over="raise", invalid="raise"):
+            traj = evolve(tg, 1.0, [0.5])
+        ref = SpectralField(g, np.exp(-2.0 * 0.5) * tg.coeffs)
+        assert vf_rel_diff(traj.state_at(0.5), ref) <= 1e-6
+
+    def test_envelopes_past_the_mask_exponent_evolve_cleanly(self):
+        # the shell datum n = 3 at eps = 1 up to eps T max|xi|^2 = 699 on the
+        # layout's mask, and above 700 on its other entries: no factor
+        # overflows anywhere, and the energy only falls
+        from invlab.experiments import ExperimentConfig, ExperimentContext
+
+        u0 = ExperimentContext(ExperimentConfig()).box_datum(3)
+        lay = u0.layout
+        T = 699.0 / float(lay.k_sq[lay.mask].max())
+        assert T * float(lay.k_sq.max()) > 700.0
+        with np.errstate(all="raise", under="ignore"):
+            traj = evolve(u0, 1.0, [T / 2.0, T])
+        energy = traj.diagnostics["energy"]
+        assert np.all(np.diff(energy) < 0.0)
+        assert energy[0] < lay.l2(u0.coeffs)
+        assert all(np.isfinite(inc).all() for inc in traj.increments)
 
     @pytest.mark.parametrize(
         "defect, entry",
