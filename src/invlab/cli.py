@@ -84,13 +84,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override seed")
-        p.add_argument(
-            "--mode", choices=("strict", "relaxed"), default=None, help="override mode"
-        )
     return parser
 
 
-def _run_make_data(cfg, ctx, out_dir: Path):
+def _run_make_data(ctx, out_dir: Path):
+    cfg = ctx.cfg
     records = []
     fields_dir = out_dir / "fields"
     for n in cfg.n_list:
@@ -114,7 +112,8 @@ def _run_make_data(cfg, ctx, out_dir: Path):
     return records
 
 
-def _run_evolve(cfg, ctx, out_dir: Path, raw_cfg: dict):
+def _run_evolve(ctx, out_dir: Path, raw_cfg: dict):
+    cfg = ctx.cfg
     opts = raw_cfg.get("evolve", {})
     n = int(opts.get("n", cfg.n_list[0]))
     eps = opts.get("eps")
@@ -149,8 +148,6 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        if args.mode is not None:
-            cfg = replace(cfg, mode=args.mode)
         echo_config(cfg, out_dir, {"command": args.command})
     except (ConfigError, OSError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
@@ -160,12 +157,12 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         if args.command == "make-data":
-            records = _run_make_data(cfg, ctx, out_dir)
+            records = _run_make_data(ctx, out_dir)
         elif args.command == "evolve":
             raw_cfg = json.loads(Path(args.config).read_text())
-            records = _run_evolve(cfg, ctx, out_dir, raw_cfg)
+            records = _run_evolve(ctx, out_dir, raw_cfg)
         else:
-            records = _EXPERIMENTS[args.command](cfg, ctx)
+            records = _EXPERIMENTS[args.command](ctx)
         wall_s = time.perf_counter() - start  # the experiment alone, without the report
         constants = collect_constants(records, _CONSTANT_NAMES)
         meta = {"seed": cfg.seed, "mode": cfg.mode, "wall_s": wall_s}

@@ -1,7 +1,8 @@
 """Experiment harness: measured quantities, tolerance verdicts, records.
 
-Each ``run_*`` function measures one family of quantities on the configured
-datum family and returns a list of ResultRecords.  Every pass/fail verdict is
+Each ``run_*`` function takes its ExperimentContext alone (which holds the
+config, ``ctx.cfg``), measures one family of quantities on the configured
+datum family and returns ResultRecords.  Every pass/fail verdict is
 ``check(value, lo, hi)`` on the value its record carries, so each verdict can
 be rechecked from records.csv alone; a bound on a quotient is stated on that
 quotient.  Mode-dependent bounds come from ``scaled``: ``relaxed`` uses the
@@ -35,12 +36,13 @@ A shell run stays on its boxes up to its records: its datum, states, gaps
 and remainder fields are ``BoxField``, whose p = 2 Besov norms are Parseval
 sums over the boxes, and only a norm at p != 2 scatters them to the
 half-spectrum of their grid (``BoxField.spectral``).  ``heat-law`` and
-validate's single-block checks norm the datum on its boxes too.  The datum's
-quadratic terms, in validate's product laws and in ``nonlinear-drift``, are
-formed on the envelopes of the datum of order 2, ``ctx.box_datum(n,
-order=2)``: its grid's ball holds twice the datum's extent, so the same
-boxes reach the harmonics 0 and +/-2c, which hold u0 . grad u0 and its heat
-flow.
+validate's shell checks (derivative bracket, single blocks, borderline norm)
+norm the datum on its boxes too; only the ball runs of ``perturbed-gap``
+take a shell on the half-spectrum (``ctx.datum``).  The datum's quadratic
+terms, in validate's product laws and in ``nonlinear-drift``, are formed on
+the envelopes of the datum of order 2, ``ctx.box_datum(n, order=2)``: its
+grid's ball holds twice the datum's extent, so the same boxes reach the
+harmonics 0 and +/-2c, which hold u0 . grad u0 and its heat flow.
 ``box_datum`` is the one sizing rule of a shell layout's grid: the smallest
 power of two whose ball holds ``order`` times the datum's extent.  No array
 of that grid is built at p = 2, so there every shell runs, at any n.  The
@@ -107,7 +109,6 @@ from .spectral import (
     SpectralField,
     _forward,
     advect,
-    apply_multiplier,
     dealias_grid_size,
     gradient,
     heat_multiplier,
@@ -285,7 +286,7 @@ def threaded_map(fn: Callable, jobs: Iterable) -> Iterator:
 
 
 class ExperimentContext:
-    """Grids, data and evolutions for one configuration.
+    """Grids, data and evolutions of one configuration: an experiment's one input.
 
     The context caches nothing: ``grid(N)`` builds a new ``Grid``, which
     builds its frequency arrays on first use.  ``trajectory`` evolves every
@@ -410,8 +411,8 @@ def _evolution_stats(traj: Trajectory, wall_s: float) -> dict:
 # heat-defect law (linear mechanism behind the t-linear lower bound)
 
 
-def run_heat_law(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
-    ctx = ctx or ExperimentContext(cfg)
+def run_heat_law(ctx: ExperimentContext):
+    cfg = ctx.cfg
     ex = "heat_law"
     bp = cfg.bp
     records = []
@@ -494,8 +495,8 @@ def run_heat_law(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
 # drift of the advection term under the heat flow
 
 
-def run_nonlinear_drift(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
-    ctx = ctx or ExperimentContext(cfg)
+def run_nonlinear_drift(ctx: ExperimentContext):
+    cfg = ctx.cfg
     ex = "nonlinear_drift"
     bp = cfg.bp
     records = []
@@ -586,8 +587,8 @@ _REMAINDER_LABELS = {
 }
 
 
-def run_expansion_residuals(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
-    ctx = ctx or ExperimentContext(cfg)
+def run_expansion_residuals(ctx: ExperimentContext):
+    cfg = ctx.cfg
     ex = "expansion_residuals"
     bp = cfg.bp
     nodes = cfg.quadrature_nodes
@@ -623,10 +624,10 @@ def run_expansion_residuals(cfg: ExperimentConfig, ctx: ExperimentContext | None
 # viscous-vs-ideal gap across the datum family
 
 
-def run_family_gap(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
+def run_family_gap(ctx: ExperimentContext):
+    cfg = ctx.cfg
     if cfg.t0 not in cfg.t_grid:
         raise ConfigError(f"family-gap checks its gap at t0={cfg.t0}, not in t_grid {cfg.t_grid}")
-    ctx = ctx or ExperimentContext(cfg)
     ex = "family_gap"
     bp = cfg.bp
     records = []
@@ -712,8 +713,8 @@ def run_family_gap(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
 # fixed-datum limit along a viscosity sweep
 
 
-def run_fixed_datum_limit(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
-    ctx = ctx or ExperimentContext(cfg)
+def run_fixed_datum_limit(ctx: ExperimentContext):
+    cfg = ctx.cfg
     ex = "fixed_datum_limit"
     bp = cfg.bp
     records = []
@@ -760,7 +761,7 @@ def _additivity_defect(t_sum, t_psi, t_u, t, bp) -> float:
     return besov_norm(SpectralField(s_sum.grid, s_sum.coeffs - s_psi.coeffs - s_u.coeffs), bp)
 
 
-def run_perturbed_gap(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
+def run_perturbed_gap(ctx: ExperimentContext):
     """Perturbed viscous-vs-ideal gap with truncation and additivity terms.
 
     The background is the seeded random field (``background_field``).  A
@@ -769,12 +770,14 @@ def run_perturbed_gap(cfg: ExperimentConfig, ctx: ExperimentContext | None = Non
     zero constant, gets a ``truncation_not_evaluated`` record (value: the
     vanishing factor) in place of the truncation constant or bound.  Each
     shell evolves six runs, five when S_n keeps the whole background; the
-    shift comparison evolves two more.
+    shift comparison evolves two more.  Only shells n <= 4 are evolved, on a
+    ball that holds the largest (N = 1024 at n = 4, R = 12); a shell above 4
+    gets a ``shell_not_evaluated`` record of value 4.
     """
-    ctx = ctx or ExperimentContext(cfg)
+    cfg = ctx.cfg
     ex = "perturbed_gap"
     bp = cfg.bp
-    records = []
+    records = [ResultRecord(ex, "shell_not_evaluated", 4.0, n) for n in cfg.n_list if n > 4]
     ns = [n for n in cfg.n_list if n <= 4]
     if not ns:
         raise ConfigError("the background experiment needs shell indices <= 4")
@@ -908,8 +911,8 @@ def _random_stream(grid: Grid, rng, band_modes: int) -> SpectralField:
     return SpectralField(grid, np.where(keep, _noise(grid, rng), 0.0))
 
 
-def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = None):
-    ctx = ctx or ExperimentContext(cfg)
+def run_validation_suite(ctx: ExperimentContext):
+    cfg = ctx.cfg
     ex = "validation"
     bp = cfg.bp
     records = []
@@ -947,15 +950,14 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
         )
     )
 
-    # frequency-localized derivative bracket on the first datum shell
+    # frequency-localized derivative bracket on the first datum shell, on its
+    # boxes: |grad u|^2 = sum_j |d_j u|^2, and d_j u has the entries i xi_j u
     n0 = cfg.n_list[0]
-    u0 = ctx.datum(n0)
-    gd = u0.grid
-    # |grad u|^2 = sum_j |d_j u|^2, and d_j u is a vector field
-    gnorm = math.hypot(
-        *(lp_norm(apply_multiplier(u0, 1j * gd.freq_axis(j)), 2.0) for j in range(gd.d))
-    )
-    unorm = lp_norm(u0, 2.0)
+    u0 = data[n0]
+    lay = u0.layout
+    xi = lay.modes / lay.grid.R
+    gnorm = math.hypot(*(lay.l2(xi[j] * u0.coeffs) for j in range(lay.grid.d)))
+    unorm = lay.l2(u0.coeffs)
     ratio = gnorm / unorm
     lo, hi = (r * slack for r, slack in zip(block_annulus(n0), (1 - 1e-12, 1 + 1e-12)))
     records.append(
@@ -1162,7 +1164,7 @@ def run_validation_suite(cfg: ExperimentConfig, ctx: ExperimentContext | None = 
     borderline = BesovParams(bp.d / bp.p + 1.0, bp.p, 1.0, bp.d)
     bl = besov_norm(u0, borderline)
     records.append(ResultRecord(ex, "borderline_besov", bl, n0))
-    lp_u0 = lp_norm(u0, borderline.p)
+    lp_u0 = unorm if normed_on_boxes(borderline.p) else lp_norm(u0.spectral(), borderline.p)
     records.append(
         ResultRecord(ex, "borderline_single_shell_ratio", bl / (2.0 ** (n0 * borderline.s) * lp_u0), n0)
     )

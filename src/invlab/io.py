@@ -301,8 +301,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("the experiment harness runs in dimension 2")
     p = _exponent(data.get("p", 2.0), "p")
     r = _exponent(data.get("r", 2.0), "r")
-    bp = BesovParams(kwargs.pop("s", 3.0), p, r, d).validate()
-    return ExperimentConfig(bp=bp, **kwargs)
+    return ExperimentConfig(bp=BesovParams(kwargs.pop("s", 3.0), p, r, d), **kwargs)
 
 
 def parse_config(path) -> ExperimentConfig:

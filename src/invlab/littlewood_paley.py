@@ -77,7 +77,8 @@ class DyadicPartition:
     the multiplier's box into a half-spectrum array (module docstring) and
     its values there, computed from ``theta``/``phi`` on ``grid.k_mag[box]``.
     Outside the box the multiplier is exactly 0.  Only the blocks, which every
-    Besov norm reads, are cached.
+    Besov norm of a ``SpectralField`` reads, are cached; the norms of a
+    ``solvers.BoxField`` read its layout's ``Envelopes.blocks`` instead.
     """
 
     grid: Grid

@@ -50,7 +50,7 @@ def small_ctx(small_cfg):
 
 @pytest.fixture(scope="module")
 def heat_law_records(small_cfg):
-    return run_heat_law(small_cfg, ExperimentContext(small_cfg))
+    return run_heat_law(ExperimentContext(small_cfg))
 
 
 @pytest.fixture(scope="module")
@@ -62,12 +62,12 @@ def drift_cfg(small_cfg):
 
 @pytest.fixture(scope="module")
 def drift_records(drift_cfg):
-    return run_nonlinear_drift(drift_cfg, ExperimentContext(drift_cfg))
+    return run_nonlinear_drift(ExperimentContext(drift_cfg))
 
 
 @pytest.fixture(scope="module")
 def family_gap_records(small_cfg):
-    return run_family_gap(small_cfg, ExperimentContext(small_cfg))
+    return run_family_gap(ExperimentContext(small_cfg))
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +75,7 @@ def two_shell_gap_records(small_cfg):
     # shells 3 and 4 on their own datum grids (N = 512 and 1024), with the
     # horizons and the resolution budget of small_cfg
     cfg = replace(small_cfg, n_list=(3, 4))
-    return run_family_gap(cfg, ExperimentContext(cfg))
+    return run_family_gap(ExperimentContext(cfg))
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +84,8 @@ def fixed_limit_ctx(small_cfg):
 
 
 @pytest.fixture(scope="module")
-def fixed_limit_records(small_cfg, fixed_limit_ctx):
-    return run_fixed_datum_limit(small_cfg, fixed_limit_ctx)
+def fixed_limit_records(fixed_limit_ctx):
+    return run_fixed_datum_limit(fixed_limit_ctx)
 
 
 @pytest.fixture(scope="module")
@@ -94,9 +94,9 @@ def perturbed_ctx(small_cfg):
 
 
 @pytest.fixture(scope="module")
-def perturbed_gap_records(small_cfg, perturbed_ctx):
+def perturbed_gap_records(perturbed_ctx):
     # the seeded random background
-    return run_perturbed_gap(small_cfg, perturbed_ctx)
+    return run_perturbed_gap(perturbed_ctx)
 
 
 @pytest.fixture(scope="module")
@@ -105,8 +105,8 @@ def validation_ctx(small_cfg):
 
 
 @pytest.fixture(scope="module")
-def validation_records(small_cfg, validation_ctx):
-    return run_validation_suite(small_cfg, validation_ctx)
+def validation_records(validation_ctx):
+    return run_validation_suite(validation_ctx)
 
 
 def by_quantity(records, name):
@@ -255,7 +255,7 @@ class TestContext:
         cfg = ExperimentConfig(bp=BesovParams(3.0, 4.0, 2.0), N=1024, n_list=(3, 5))
         ctx = ExperimentContext(cfg)
         with pytest.raises(ResolutionError) as exc:
-            run(cfg, ctx)
+            run(ctx)
         assert exc.value.required_n == required and ctx.evolutions == []
 
 
@@ -541,14 +541,14 @@ class TestHeatLaw:
 
     def test_spreads_checked_over_two_shells(self):
         cfg = ExperimentConfig(n_list=(3, 4), t_grid=(0.005, 0.01), N=1024)
-        records = run_heat_law(cfg, ExperimentContext(cfg))
+        records = run_heat_law(ExperimentContext(cfg))
         spreads = [r for r in records if r.quantity.startswith("heat_defect_n_spread")]
         assert len(spreads) == 6
         assert all(r.verdict == "pass" and r.value > 1.0 for r in spreads)
 
     def test_deterministic_records(self, small_cfg, heat_law_records):
         a = heat_law_records
-        b = run_heat_law(small_cfg, ExperimentContext(small_cfg))
+        b = run_heat_law(ExperimentContext(small_cfg))
         assert [(r.key(), r.value, r.verdict) for r in a] == [
             (r.key(), r.value, r.verdict) for r in b
         ]
@@ -608,7 +608,7 @@ class TestNonlinearDrift:
         # at p != 2 the norms leave the boxes, so the budget bounds the
         # product grid: shell 3's needs N = 1024 > 512 and is recorded, not run
         cfg = ExperimentConfig(bp=BesovParams(3.0, 4.0, 2.0), N=512, n_list=(3,))
-        recs = run_nonlinear_drift(cfg, ExperimentContext(cfg))
+        recs = run_nonlinear_drift(ExperimentContext(cfg))
         assert [(r.quantity, r.n, r.value) for r in recs] == [("resolution_limited", 3, 1024.0)]
 
     def test_two_resolved_shells_pass(self, small_cfg):
@@ -616,7 +616,7 @@ class TestNonlinearDrift:
         cfg = ExperimentConfig(
             n_list=(3, 4), t_grid=small_cfg.t_grid, T0=0.1, t0=0.02, N=2048
         )
-        recs = run_nonlinear_drift(cfg, ExperimentContext(cfg))
+        recs = run_nonlinear_drift(ExperimentContext(cfg))
         assert not by_quantity(recs, "resolution_limited")
         assert not [r for r in recs if r.verdict == "fail"]
         growth = by_quantity(recs, "advection_drift_over_t_n_growth")
@@ -696,7 +696,7 @@ def remainders_at(cfg, pair, t):
 
 @pytest.fixture(scope="module")
 def residual_records(small_cfg):
-    return run_expansion_residuals(small_cfg, ExperimentContext(small_cfg))
+    return run_expansion_residuals(ExperimentContext(small_cfg))
 
 
 class TestExpansionResiduals:
@@ -859,7 +859,7 @@ class TestEnvelopeRecordsOnTheBoxes:
         # the datum is built in constructions, without the exit
         monkeypatch.setattr(solvers, "_embed", no_exit)
         cfg = replace(small_cfg, t_grid=(0.01, 0.02))
-        records = run(cfg, ExperimentContext(cfg))
+        records = run(ExperimentContext(cfg))
         assert records and not [r for r in records if r.verdict == "fail"]
 
     def test_envelope_run_admits_and_norms_on_the_boxes(self, small_cfg, monkeypatch):
@@ -894,7 +894,7 @@ class TestEnvelopeRecordsOnTheBoxes:
         assert len(admitted) == 3
         assert len(list(first_order_remainders(traj0, traj_eps, cfg.t_grid))) == 2
         assert len(admitted) == 4
-        records = run_family_gap(cfg, ctx)
+        records = run_family_gap(ctx)
         assert len(admitted) == 4 + 2  # the two evolutions of the shell
         assert records and not [r for r in records if r.verdict == "fail"]
         assert all(isinstance(u, solvers.BoxField) for u in admitted)
@@ -915,7 +915,7 @@ class TestEnvelopeRecordsOnTheBoxes:
 
         monkeypatch.setattr(solvers, "_embed", counted)
         cfg = replace(small_cfg, bp=BesovParams(3.0, 4.0, 2.0), t_grid=(0.01, 0.02))
-        records = run_family_gap(cfg, ExperimentContext(cfg))
+        records = run_family_gap(ExperimentContext(cfg))
         # the datum and its heat defect, the gaps, and the states of two runs
         assert len(calls) == 2 + 2 + 2 * 2
         golden = json.loads(GOLDEN_P4.read_text())
@@ -959,7 +959,7 @@ class TestQuadraticTermsOnTheBoxes:
         ctx = ExperimentContext(small_cfg)
         grid = ctx.box_datum(3, order=2).grid
         self.guard_product_grid(monkeypatch, grid)
-        records = run_validation_suite(small_cfg, ctx)
+        records = run_validation_suite(ctx)
         assert [(r.key(), r.value, r.verdict) for r in records] == [
             (r.key(), r.value, r.verdict) for r in validation_records
         ]
@@ -973,7 +973,7 @@ class TestQuadraticTermsOnTheBoxes:
         ctx = ExperimentContext(drift_cfg)
         grid = ctx.box_datum(3, order=2).grid
         self.guard_product_grid(monkeypatch, grid)
-        records = run_nonlinear_drift(drift_cfg, ctx)
+        records = run_nonlinear_drift(ctx)
         assert [(r.key(), r.value, r.verdict) for r in records] == [
             (r.key(), r.value, r.verdict) for r in drift_records
         ]
@@ -999,7 +999,7 @@ class TestQuadraticTermsOnTheBoxes:
         monkeypatch.setattr(solvers, "_embed", counted)
         cfg = ExperimentConfig(bp=BesovParams(3.0, 4.0, 2.0), n_list=(3,), N=1024,
                                t_grid=(0.01, 0.02), T0=0.1, t0=0.02)
-        records = run_nonlinear_drift(cfg, ExperimentContext(cfg))
+        records = run_nonlinear_drift(ExperimentContext(cfg))
         assert calls == [1024] * 2 * len(cfg.t_grid)
 
         g, eps = ExperimentContext(cfg).box_datum(3, order=2).grid, cfg.eps_n(3)
@@ -1057,7 +1057,7 @@ class TestNoLargeArray:
         raising_frequency_arrays(monkeypatch, above=0)
         cfg = ExperimentConfig(n_list=(8,), t_grid=(0.025, 0.05), t0=0.05)
         ctx = ExperimentContext(cfg)
-        records = run_family_gap(cfg, ctx)
+        records = run_family_gap(ctx)
         assert not [r for r in records if r.verdict == "fail"]
         assert {(r["N"], r["layout"]) for r in ctx.evolutions} == {(16384, "envelopes")}
         (b0,) = by_quantity(records, "initial_besov")
@@ -1067,14 +1067,16 @@ class TestNoLargeArray:
             lo, hi = (1.0 - np.exp(-c * r.t) for c in (16.0 / 9.0, 9.0 / 4.0))
             assert lo <= r.value / b0.value <= hi
 
-    def test_validation_suite_builds_no_array_above_512(self, monkeypatch):
-        # the default config's shells 3, 4 and 5 and their product grids (up
-        # to N = 4096) are normed on their boxes; the records are those of an
-        # unguarded run, with the n = 5 product laws among them
+    def test_validation_suite_builds_no_array_above_256(self, monkeypatch):
+        # the default config's shells 3, 4 and 5 (N = 512 to 2048) and their
+        # product grids (up to N = 4096) are normed on their boxes, and so are
+        # shell 3's derivative bracket and borderline norm; the lattice checks
+        # run on N = 256.  The records are those of an unguarded run, with the
+        # n = 5 product laws among them
         cfg = ExperimentConfig()
-        free = run_validation_suite(cfg, ExperimentContext(cfg))
-        raising_frequency_arrays(monkeypatch, above=512)
-        records = run_validation_suite(cfg, ExperimentContext(cfg))
+        free = run_validation_suite(ExperimentContext(cfg))
+        raising_frequency_arrays(monkeypatch, above=256)
+        records = run_validation_suite(ExperimentContext(cfg))
         assert [(r.key(), r.value, r.verdict) for r in records] == [
             (r.key(), r.value, r.verdict) for r in free
         ]
@@ -1093,16 +1095,22 @@ class TestPerturbedGap:
             for r in family_gap_records
             if r.quantity == "solution_gap" and r.n == 3 and abs(r.t - 0.02) < 1e-12
         )
-        ctx = ExperimentContext(small_cfg)
+        # shell 5 is above the shells perturbed-gap evolves: it gets one
+        # record and no run, and the background grid is sized from shell 3
+        ctx = ExperimentContext(replace(small_cfg, n_list=(3, 5)))
 
         def zero(g, *args):
             return SpectralField(g, np.zeros((2,) + g.spectral_shape, dtype=complex))
 
         monkeypatch.setattr(experiments, "background_field", zero)
-        records = run_perturbed_gap(small_cfg, ctx)
+        records = run_perturbed_gap(ctx)
+        skipped = by_quantity(records, "shell_not_evaluated")
+        assert [(r.n, r.value, r.verdict) for r in skipped] == [(5, 4.0, "info")]
+        assert {r.n for r in records} == {3, 5}
         # S_3 passes the zero background whole, so the truncated run is the
         # full viscous run: five runs for the shell, two for the shift
         assert len(ctx.evolutions) == 5 + 2
+        assert {r["N"] for r in ctx.evolutions} == {512}
         pert = next(r.value for r in records if r.quantity == "perturbed_gap")
         assert pert == pytest.approx(d_ref, rel=1e-12)
         defect = next(r.value for r in records if r.quantity == "additivity_defect")
@@ -1147,7 +1155,7 @@ class TestValidationSuite:
         # 512: its product laws are recorded as resolution-limited, with the
         # grid they need, and every other check runs
         cfg = ExperimentConfig(bp=BesovParams(3.0, 4.0, 2.0), N=512, n_list=(3,))
-        records = run_validation_suite(cfg, ExperimentContext(cfg))
+        records = run_validation_suite(ExperimentContext(cfg))
         assert not [r for r in records if "_law_" in r.quantity]
         limited = by_quantity(records, "resolution_limited")
         assert [(r.quantity, r.n, r.value) for r in limited] == [

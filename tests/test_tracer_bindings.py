@@ -161,15 +161,15 @@ def test_each_transform_records_a_row_and_a_column_span():
 
 
 def test_traced_validate_advects_only_for_the_gradient_part_symmetry():
-    # validate's product laws form u0 . grad u0 on the envelopes of the
-    # product grids (N = 1024 and 2048 for shells 3 and 4): the two
+    # validate's product laws form u0 . grad u0 on the boxes of the shells'
+    # data of order 2 (Envelopes.advect), building no N x N array: the two
     # spectral.advect spans are those of gradient_part_symmetry, on N = 256
     cfg = experiments.ExperimentConfig(n_list=(3, 4))
     tracer = load_tracer()
     t = tracer.Tracer()
     uninstall = tracer.install(t)
     try:
-        records = experiments.run_validation_suite(cfg, experiments.ExperimentContext(cfg))
+        records = experiments.run_validation_suite(experiments.ExperimentContext(cfg))
     finally:
         uninstall()
     assert [span[0] for span in t.spans].count("spectral.advect") == 2
