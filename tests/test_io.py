@@ -283,12 +283,13 @@ class TestCli:
         assert "0 fail" in capsys.readouterr().out
         # every evolution goes through the context: the four default-config
         # vortex evolutions, each 64 steps of T/64 with no sliver step to
-        # land on T, then the stepper-order runs at fixed steps T/512, T/8,
-        # T/16 and T/32
+        # land on T, then the stepper-order runs at fixed steps T/8, T/16,
+        # T/32 and T/64, with no reference run: 376 steps in all
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert "trajectory_cache" not in summary and "threads" not in summary
         runs, fixed = summary["trajectories"][:4], summary["trajectories"][4:]
-        assert [r["steps"] for r in fixed] == [512, 8, 16, 32]
+        assert [r["steps"] for r in fixed] == [8, 16, 32, 64]
+        assert sum(r["steps"] for r in runs + fixed) == 376
         assert all(r["N"] == 64 and r["eps"] == 0.0 for r in fixed)
         assert sorted(r["eps"] for r in runs) == [0.0, 0.0, 0.01, 0.05]
         assert all(r["N"] == 64 and r["steps"] == 64 for r in runs)
