@@ -20,11 +20,11 @@ The datum is stated once, in closed form on box h = 1 of its layout
 (``_shell_stream``): its stream function, the oscillating profile, is
 ``a(m_1 - c) a(m_2)`` at the mode m, c the carrier and ``a`` the profile
 bump, and every other box is 0.
-``shell_box_velocity`` takes its perpendicular gradient ``amp * (-i xi_2,
-i xi_1)`` on the entries, xi = m/R, so no array of the grid is built;
-``shell_velocity`` scatters the stream function to the half-spectrum
-(``Envelopes.slab``, box -1 the conjugate mirror of box 1), translates it
-and takes the gradient there.
+``shell_box_velocity``, the one constructor, moves it by the shift a
+along x1 (the phase ``exp(-i xi_1 a)``) and takes its perpendicular gradient
+``amp * (-i xi_2, i xi_1)`` on the entries, xi = m/R, so no array of the grid
+is built; ``shell_velocity`` is that field scattered to the half-spectrum
+(``BoxField.spectral``, box -1 the conjugate mirror of box 1).
 """
 
 from __future__ import annotations
@@ -42,10 +42,8 @@ from .spectral import (
     Grid,
     SpectralField,
     _conj_mirror,
-    _embed,
     dealias_grid_size,
     perp_gradient,
-    translate,
 )
 
 CARRIER_RATIO = 17.0 / 12.0
@@ -227,30 +225,22 @@ def _shell_stream(n: int, grid: Grid) -> tuple:
     return layout, F
 
 
-def shell_velocity(datum: ShellDatum, grid: Grid) -> SpectralField:
-    """Divergence-free shell velocity for the datum on the half-spectrum of
-    ``grid``, optionally translated: the stream function scattered to it,
-    translated, then its perpendicular gradient."""
-    layout, F = _shell_stream(datum.n, grid)
-    F = SpectralField(grid, _embed(layout.slab(F), grid))
-    if datum.shift != 0.0:
-        F = translate(F, (datum.shift, 0.0))
-    return SpectralField(grid, datum.amplitude * perp_gradient(F).coeffs)
-
-
 def shell_box_velocity(datum: ShellDatum, grid: Grid) -> BoxField:
-    """The shell velocity of ``shell_velocity`` as a field of its layout on
-    ``grid`` (``shell_layout``), the perpendicular gradient of the stream
-    function on the entries; a translated datum is built on the
-    half-spectrum (``shell_velocity``)."""
-    if datum.shift != 0.0:
-        raise ConfigError("a translated shell datum is built on the half-spectrum")
+    """The shell velocity of ``datum`` as a field of its layout on ``grid``
+    (``shell_layout``): the stream function on the entries, shifted by
+    ``datum.shift`` along x1, then its perpendicular gradient."""
     layout, F = _shell_stream(datum.n, grid)
     xi1, xi2 = layout.modes[:, 1] / grid.R
-    u = datum.amplitude * np.stack((-(1j * xi2) * F[1], (1j * xi1) * F[1]))
+    stream = F[1] * np.exp(-1j * xi1 * datum.shift)
+    u = datum.amplitude * np.stack((-(1j * xi2) * stream, (1j * xi1) * stream))
     coeffs = np.zeros((2,) + layout.k_sq.shape, dtype=np.complex128)
     coeffs[:, 1] = np.where(layout.mask[1], u, 0.0)
     return BoxField(layout, coeffs)
+
+
+def shell_velocity(datum: ShellDatum, grid: Grid) -> SpectralField:
+    """The shell velocity of ``datum`` on the half-spectrum of ``grid``."""
+    return shell_box_velocity(datum, grid).spectral()
 
 
 def _vortex_cell(grid: Grid, amplitude: float, k: int) -> np.ndarray:

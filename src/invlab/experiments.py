@@ -27,18 +27,23 @@ layout from it.  The two layouts
 agree because the ball's state holds, outside the boxes, only FFT rounding
 (every mode above 1e-20 of the peak lies within 6 modes of a harmonic at
 n = 3 and 4, t = 0.08): their increments differ by 1.5-7.4e-15 relative in
-L2 at n = 3, and every verdict is the same.  ``perturbed-gap`` stays on the
-ball: its additivity defect subtracts the bare-shell run from runs with a
-background, which fills a low box of radius 2^psi_band R, so all of them
-must be one Galerkin system.  ``validate`` evolves Taylor-Green vortices on
-the ball of N = 64.
+L2 at n = 3, and every verdict is the same.  ``perturbed-gap`` evolves on
+the ball only the runs that carry its background, which fills a low box of
+radius 2^psi_band R that no envelope holds; its bare shells run on their
+boxes of the background grid, and its additivity defect subtracts their
+states scattered to the half-spectrum.  A bare shell's ball and box states
+differ by 7.4e-23 (n = 3) and 7.7e-25 (n = 4) in B^3_{2,2} at t0 = 0.05,
+about 1e-19 of additivity defects near 4e-4, and their gaps agree in every
+printed digit.  ``validate`` evolves Taylor-Green vortices on the ball of
+N = 64.
 A shell run stays on its boxes up to its records: its datum, states, gaps
 and remainder fields are ``BoxField``, whose p = 2 Besov norms are Parseval
 sums over the boxes, and only a norm at p != 2 scatters them to the
 half-spectrum of their grid (``BoxField.spectral``).  ``heat-law`` and
 validate's shell checks (derivative bracket, single blocks, borderline norm)
-norm the datum on its boxes too; only the ball runs of ``perturbed-gap``
-take a shell on the half-spectrum (``ctx.datum``).  The datum's quadratic
+norm the datum on its boxes too; the ball runs of ``perturbed-gap`` take
+a shell's half-spectrum (``BoxField.spectral``), and only the CLI's
+``make-data`` and ``evolve`` build one by ``ctx.datum``.  The datum's quadratic
 terms, in validate's product laws and in ``nonlinear-drift``, are formed on
 the envelopes of the datum of order 2, ``ctx.box_datum(n, order=2)``: its
 grid's ball holds twice the datum's extent, so the same boxes reach the
@@ -244,8 +249,8 @@ def threaded_map(fn: Callable, jobs: Iterable) -> Iterator:
     The calls run on min(len(jobs), CPUs) threads, the calling thread one of
     them, so a single job runs on the calling thread.  Its heap arena thus
     serves jobs too: with new threads only, the peak RSS of ``perturbed-gap
-    {"n_list":[3]}`` rose from 145.5 to 163.4 MiB (2 CPUs, glibc, which
-    keeps one arena per thread).  Each thread takes the next job from
+    {"n_list":[3]}`` rose from 135.0 to 154.6-155.2 MiB (2 CPUs, glibc,
+    which keeps one arena per thread).  Each thread takes the next job from
     one counter; once a call raises, no job starts.  Every thread is joined
     before the first result is yielded.  The results before the first
     failure in job order are yielded, then that failure is raised.
@@ -294,8 +299,8 @@ class ExperimentContext:
     side by side.  A batch on the ball runs on min(number of requests, CPUs
     this process may run on) threads (``threaded_map``): its evolutions
     spend most of their time in FFTs and array arithmetic that release the
-    interpreter lock, and ``perturbed-gap {"n_list":[3]}`` took 19-24 s
-    against 37-51 s in order (2 CPUs).  A batch on envelopes runs in order
+    interpreter lock, and ``perturbed-gap {"n_list":[3]}`` took 9.4-11.0 s
+    against 15.4-18.7 s in order (2 CPUs).  A batch on envelopes runs in order
     on the calling thread: on 32 x 32 boxes an evolution holds the lock for
     most of its time, and in order a strict n = 3 ``expansion-residuals``
     run fell from 0.31 to 0.20 s, from 0.72 to 0.52 s of CPU and from 47.5
@@ -330,12 +335,10 @@ class ExperimentContext:
 
     # -- data --------------------------------------------------------------
 
-    def datum(self, n: int, grid: Grid | None = None, shift: float = 0.0):
-        """The shell velocity of index n on the half-spectrum of ``grid``, by
-        default the smallest power-of-two grid whose ball holds the datum,
-        within the budget."""
-        R = self.cfg.R
-        grid = grid or self.grid(self._fit_grid(datum_mode_extent(n, R), f"datum n={n}"))
+    def datum(self, n: int, shift: float = 0.0) -> SpectralField:
+        """The shell velocity of index n on the half-spectrum of the smallest
+        power-of-two grid whose ball holds the datum, within the budget."""
+        grid = self.grid(self._fit_grid(datum_mode_extent(n, self.cfg.R), f"datum n={n}"))
         return shell_velocity(ShellDatum(n, self.cfg.bp, shift), grid)
 
     def box_datum(self, n: int, order: int = 1) -> BoxField:
@@ -756,8 +759,10 @@ def run_fixed_datum_limit(ctx: ExperimentContext):
 
 
 def _additivity_defect(t_sum, t_psi, t_u, t, bp) -> float:
-    """Besov norm of S(psi + u) - S(psi) - S(u) at t, from three evolutions."""
-    s_sum, s_psi, s_u = (tr.state_at(t) for tr in (t_sum, t_psi, t_u))
+    """Besov norm of S(psi + u) - S(psi) - S(u) at t, from two ball runs and
+    the shell's run on its boxes, scattered to their half-spectrum."""
+    s_sum, s_psi = t_sum.state_at(t), t_psi.state_at(t)
+    s_u = t_u.state_at(t).spectral()
     return besov_norm(SpectralField(s_sum.grid, s_sum.coeffs - s_psi.coeffs - s_u.coeffs), bp)
 
 
@@ -769,10 +774,13 @@ def run_perturbed_gap(ctx: ExperimentContext):
     (``high_pass_background`` = 0), or whose truncation bound would scale a
     zero constant, gets a ``truncation_not_evaluated`` record (value: the
     vanishing factor) in place of the truncation constant or bound.  Each
-    shell evolves six runs, five when S_n keeps the whole background; the
-    shift comparison evolves two more.  Only shells n <= 4 are evolved, on a
-    ball that holds the largest (N = 1024 at n = 4, R = 12); a shell above 4
-    gets a ``shell_not_evaluated`` record of value 4.
+    shell is built once on its boxes of the background grid; the runs that
+    carry the background evolve its half-spectrum on the ball, four of them,
+    three when S_n keeps the whole background, and the bare shell's two runs
+    evolve on its boxes.  The shift comparison evolves one more of each.
+    Only shells n <= 4 are evolved, on a ball that holds the largest
+    (N = 1024 at n = 4, R = 12); a shell above 4 gets a
+    ``shell_not_evaluated`` record of value 4.
     """
     cfg = ctx.cfg
     ex = "perturbed_gap"
@@ -790,28 +798,24 @@ def run_perturbed_gap(ctx: ExperimentContext):
 
     for n in ns:
         eps_n = cfg.eps_n(n)
-        u0k = ctx.datum(n, grid=g, shift=k_shift)
+        u0k = shell_box_velocity(ShellDatum(n, bp, k_shift), g)
+        u0k_ball = u0k.spectral()
         s_n_psi = low_pass(n, psi)
         hp = besov_norm(SpectralField(g, psi.coeffs - s_n_psi.coeffs), bp)
-        w_full = SpectralField(g, psi.coeffs + u0k.coeffs)
+        w_full = SpectralField(g, psi.coeffs + u0k_ball.coeffs)
         # where S_n keeps the whole background (hp = 0), the truncated datum
         # is the full one, and its run is the full viscous run
-        truncated = [] if hp == 0.0 else [(SpectralField(g, s_n_psi.coeffs + u0k.coeffs), eps_n)]
+        truncated = (
+            [] if hp == 0.0 else [(SpectralField(g, s_n_psi.coeffs + u0k_ball.coeffs), eps_n)]
+        )
 
         runs = ctx.trajectory(
-            [
-                (w_full, eps_n),
-                (w_full, 0.0),
-                *truncated,
-                (s_n_psi, eps_n),
-                (u0k, eps_n),
-                (u0k, 0.0),
-            ],
-            times,
+            [(w_full, eps_n), (w_full, 0.0), *truncated, (s_n_psi, eps_n)], times
         )
         if hp == 0.0:
             runs.insert(2, runs[0])
-        t_full_eps, t_full_0, t_trunc, t_psi, t_u0, base0 = runs
+        t_full_eps, t_full_0, t_trunc, t_psi = runs
+        t_u0, base0 = ctx.trajectory([(u0k, eps_n), (u0k, 0.0)], times)
 
         pert = besov_norm(trajectory_gap(t_full_eps, t_full_0, t0), bp)
         records.append(ResultRecord(ex, "perturbed_gap", pert, n, eps_n, t0))
@@ -877,9 +881,10 @@ def run_perturbed_gap(ctx: ExperimentContext):
     n = ns[0]
     eps_n = cfg.eps_n(n)
     s_n_psi, t_psi, shifted = first_shell
-    u0_0 = ctx.datum(n, grid=g, shift=0.0)
-    w0 = SpectralField(g, s_n_psi.coeffs + u0_0.coeffs)
-    t_trunc0, t_u00 = ctx.trajectory([(w0, eps_n), (u0_0, eps_n)], [t0])
+    u0_0 = shell_box_velocity(ShellDatum(n, bp), g)
+    w0 = SpectralField(g, s_n_psi.coeffs + u0_0.spectral().coeffs)
+    (t_trunc0,) = ctx.trajectory([(w0, eps_n)], [t0])
+    (t_u00,) = ctx.trajectory([(u0_0, eps_n)], [t0])
     defect0 = _additivity_defect(t_trunc0, t_psi, t_u00, t0, bp)
     records.append(ResultRecord(ex, "additivity_defect_unshifted", defect0, n, eps_n, t0))
     if defect0 > 0:

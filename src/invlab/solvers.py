@@ -34,8 +34,10 @@ there, so its cost does not rise with the grid.  Measured on the n = 3 shell
 increments 1.5-7.4e-15 apart relative in L2 and 3.1-5.1e-13 in the Besov
 norm restricted to the boxes; outside the boxes the ball holds FFT noise,
 about 1e-23 of the peak per mode, which the Besov weights of the high blocks
-raise to a raw Besov difference of 6.5e-12-4.2e-11.  One envelope evolution
-took 0.2 s against 6.3-7.0 s on the ball.
+raise to an increment difference of 6.5e-12-4.2e-11 relative to the
+increment's Besov norm, itself 4e-14-6e-13.  The states, which
+``perturbed-gap``'s additivity defect subtracts, differ by 1.2-7.9e-24 in
+that norm.  One envelope evolution took 0.2 s against 6.3-7.0 s on the ball.
 
 The data of ``evolve`` and ``u2_duhamel`` decide their layout: a
 ``SpectralField`` runs on the ``Ball`` of its grid, a ``BoxField`` on its own
@@ -528,7 +530,9 @@ class Envelopes:
         out = np.zeros(w.shape[:-3] + self.grid.slab_shape, dtype=np.complex128)
         (i, at), (j, mirrored) = self.direct, self.mirror
         out[(...,) + at] = w[(...,) + i]
-        out[(...,) + mirrored] = np.conj(w[(...,) + j])
+        # + 0.0: the conjugate of a zero entry is -0.0j, and the half-spectrum
+        # holds +0.0 there (``constructions.shell_velocity`` is pinned by bytes)
+        out[(...,) + mirrored] = np.conj(w[(...,) + j]) + 0.0
         return out
 
     def work(self) -> EnvelopeWork:

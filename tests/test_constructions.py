@@ -219,9 +219,23 @@ class TestShellBoxVelocity:
         padded[:, :2] = gathered(own, ctx.datum(3)).coeffs
         assert np.array_equal(u0.coeffs, padded * lay.mask)
 
+    def test_translated_datum_is_the_translated_half_spectrum(self, bp, lab_grid):
+        # the phase exp(-i xi_1 a) on the stream's entries, before the
+        # gradient, against ``translate`` of the velocity on the half-spectrum,
+        # at a shift that makes no phase exact.  Per entry the two sides form
+        # the same product f * amp * (i xi_j) * exp(-i xi_1 a) in another
+        # order.  A product with a real or an imaginary factor rounds each
+        # part once (u = 2^-53 relative), the general product of translate
+        # within sqrt(5) u (Brent, Percival and Zimmermann, Math. Comp. 76,
+        # 2007), and each exp within 2 u: the constructor's
+        # 2 + 3 = 5 u and translate's 2 + 2 + sqrt(5) < 6.3 u stay below 12 u
+        a = 0.37 * lab_grid.L
+        moved = shell_velocity(ShellDatum(3, bp, shift=a), lab_grid).coeffs
+        ref = translate(shell_velocity(ShellDatum(3, bp), lab_grid), (a, 0.0)).coeffs
+        assert np.count_nonzero(ref) > 0
+        assert np.all(np.abs(moved - ref) <= 12 * 2.0**-53 * np.abs(ref))
+
     def test_data_the_boxes_cannot_hold_refused(self, bp):
-        with pytest.raises(ConfigError, match="translated"):
-            shell_box_velocity(ShellDatum(3, bp, shift=1.0), Grid(2, 512, 12.0))
         # n = 3 reaches mode 138 (carrier 136 plus 2), beyond the ball of N = 256
         with pytest.raises(ResolutionError) as exc:
             shell_box_velocity(ShellDatum(3, bp), Grid(2, 256, 12.0))

@@ -836,10 +836,18 @@ class TestEvolutionLayouts:
             assert 0.0 < r["ring_share_max"] <= 1e-14
 
     def test_background_runs_on_the_ball(self, perturbed_ctx, perturbed_gap_records):
-        # the additivity defect subtracts runs with and without a background,
-        # so all of them evolve one system: the ball
+        # a background fills a low box that no shell's envelopes hold, so the
+        # runs that carry it evolve on the ball; the bare shell's runs evolve
+        # on its boxes of the same grid, whose ball states they equal up to
+        # rounding outside the boxes
         runs = perturbed_ctx.evolutions
-        assert runs and all(r["layout"] == "ball" and "M" not in r for r in runs)
+        ball = [r for r in runs if r["layout"] == "ball"]
+        boxes = [r for r in runs if r["layout"] == "envelopes"]
+        assert len(ball) == 5 and not any("M" in r for r in ball)
+        assert len(boxes) == 3
+        for r in boxes:
+            assert (r["N"], r["M"], r["W"], r["H"]) == (512, 32, 10, 1)
+            assert 0.0 < r["ring_share_max"] <= 1e-14
 
 
 GOLDEN_P4 = Path(__file__).parent / "data" / "family_gap_p4_small.json"
@@ -1109,11 +1117,17 @@ class TestPerturbedGap:
         assert [(r.n, r.value, r.verdict) for r in skipped] == [(5, 4.0, "info")]
         assert {r.n for r in records} == {3, 5}
         # S_3 passes the zero background whole, so the truncated run is the
-        # full viscous run: five runs for the shell, two for the shift
-        assert len(ctx.evolutions) == 5 + 2
+        # full viscous run: three ball runs and the bare shell's two runs on
+        # its boxes, then one of each for the shift
+        layouts = ["ball"] * 3 + ["envelopes"] * 2 + ["ball", "envelopes"]
+        assert [r["layout"] for r in ctx.evolutions] == layouts
         assert {r["N"] for r in ctx.evolutions} == {512}
         pert = next(r.value for r in records if r.quantity == "perturbed_gap")
         assert pert == pytest.approx(d_ref, rel=1e-12)
+        # the translated shell on the boxes of the background grid gaps as
+        # family-gap's shell on its own
+        (ref,) = by_quantity(records, "unperturbed_gap_reference")
+        assert ref.value == pytest.approx(d_ref, rel=GOLDEN_REL)
         defect = next(r.value for r in records if r.quantity == "additivity_defect")
         assert defect <= 1e-12 * d_ref
         assert by_quantity(records, "truncation_not_evaluated")
@@ -1123,9 +1137,10 @@ class TestPerturbedGap:
 
     def test_random_background_records(self, perturbed_gap_records, perturbed_ctx):
         records = perturbed_gap_records
-        # six runs for the shell, two for the shift comparison, which reuses
-        # the shell's background run
-        assert len(perturbed_ctx.evolutions) == 6 + 2
+        # four ball runs and the bare shell's two on its boxes, then one of
+        # each for the shift comparison, which reuses the background run
+        layouts = ["ball"] * 4 + ["envelopes"] * 2 + ["ball", "envelopes"]
+        assert [r["layout"] for r in perturbed_ctx.evolutions] == layouts
         floor = by_quantity(records, "perturbed_gap_floor")
         assert floor and all(r.verdict == "pass" for r in floor)
         hp = by_quantity(records, "high_pass_background")
