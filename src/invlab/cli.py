@@ -1,12 +1,12 @@
 """Command-line surface: batch experiments writing CSV/JSON reports.
 
 Each command writes ``config.echo.json``, ``records.csv`` and ``summary.json``
-(verdict counts, constants, wall time and one entry per evolution: N, eps,
-steps, dt range, energy drift and the largest divergence defect of its
-sampled states) under ``--out``.  ``make-data`` adds ``fields/shell_n{n}.spf``;
-``evolve`` adds, under ``traj/<run>/``, the state at each sample time as
-``t{i:03d}.spf`` and ``steps.csv``, one row per RK4 step with the columns
-``t,dt,energy,max_speed``.
+(verdict counts, constants, wall time, the process's peak resident set in
+MiB, and one entry per evolution: N, eps, steps, dt range, energy drift and
+the largest divergence defect of its sampled states) under ``--out``.
+``make-data`` adds ``fields/shell_n{n}.spf``; ``evolve`` adds, under
+``traj/<run>/``, the state at each sample time as ``t{i:03d}.spf`` and
+``steps.csv``, one row per RK4 step with the columns ``t,dt,energy,max_speed``.
 
 Exit codes: 0 when every verdict passed (or was informational), 1 when fail
 verdicts are present, 2 for configuration problems, 3 for numeric or solver
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from dataclasses import replace
@@ -164,8 +165,9 @@ def main(argv=None) -> int:
         else:
             records = _EXPERIMENTS[args.command](ctx)
         wall_s = time.perf_counter() - start  # the experiment alone, without the report
+        peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
         constants = collect_constants(records, _CONSTANT_NAMES)
-        meta = {"seed": cfg.seed, "mode": cfg.mode, "wall_s": wall_s}
+        meta = {"seed": cfg.seed, "mode": cfg.mode, "wall_s": wall_s, "peak_rss_mb": peak_rss_mb}
         write_report(records, out_dir, constants, meta={**meta, "trajectories": ctx.evolutions})
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)

@@ -791,95 +791,19 @@ def run_perturbed_gap(ctx: ExperimentContext):
         raise ConfigError("the background experiment needs shell indices <= 4")
     g = ctx.background_grid(max(ns))
     psi = background_field(g, cfg.seed, cfg.psi_band, bp)
-    k_shift = cfg.shift_value
-    t0 = cfg.t0
-    times = [t0 / 2.0, t0]
     trunc_constant = None
-
     for n in ns:
-        eps_n = cfg.eps_n(n)
-        u0k = shell_box_velocity(ShellDatum(n, bp, k_shift), g)
-        u0k_ball = u0k.spectral()
-        s_n_psi = low_pass(n, psi)
-        hp = besov_norm(SpectralField(g, psi.coeffs - s_n_psi.coeffs), bp)
-        w_full = SpectralField(g, psi.coeffs + u0k_ball.coeffs)
-        # where S_n keeps the whole background (hp = 0), the truncated datum
-        # is the full one, and its run is the full viscous run
-        truncated = (
-            [] if hp == 0.0 else [(SpectralField(g, s_n_psi.coeffs + u0k_ball.coeffs), eps_n)]
-        )
-
-        runs = ctx.trajectory(
-            [(w_full, eps_n), (w_full, 0.0), *truncated, (s_n_psi, eps_n)], times
-        )
-        if hp == 0.0:
-            runs.insert(2, runs[0])
-        t_full_eps, t_full_0, t_trunc, t_psi = runs
-        t_u0, base0 = ctx.trajectory([(u0k, eps_n), (u0k, 0.0)], times)
-
-        pert = besov_norm(trajectory_gap(t_full_eps, t_full_0, t0), bp)
-        records.append(ResultRecord(ex, "perturbed_gap", pert, n, eps_n, t0))
-
-        ref = besov_norm(trajectory_gap(t_u0, base0, t0), bp)
-        records.append(ResultRecord(ex, "unperturbed_gap_reference", ref, n, eps_n, t0))
-        kept = pert / ref
-        records.append(
-            ResultRecord(
-                ex, "perturbed_gap_floor", kept, n, eps_n, t0,
-                check(kept, lo=scaled(0.25, cfg.mode)),
-            )
-        )
-
-        # additivity defect and its growth-rate proxy
-        defect = _additivity_defect(t_trunc, t_psi, t_u0, t0, bp)
-        records.append(ResultRecord(ex, "additivity_defect", defect, n, eps_n, t0))
+        rows, trunc_constant, shell = _perturbed_shell(ctx, g, psi, n, trunc_constant)
+        records += rows
         if n == ns[0]:
-            first_shell = s_n_psi, t_psi, defect  # for the shift comparison
-        shell_norms = [besov_norm(t_u0.state_at(t), bp) for t in times]
-        integral = t0 / 4.0 * (
-            besov_norm(u0k, bp) + 2.0 * shell_norms[0] + shell_norms[1]
-        )
-        bound_scale = 2.0 ** (n / 2.0) * math.sqrt(integral)
-        records.append(
-            ResultRecord(
-                ex,
-                "additivity_defect_constant",
-                defect / bound_scale,
-                n,
-                eps_n,
-                t0,
-            )
-        )
-
-        # sensitivity to truncating the background above the shell
-        i1 = besov_norm(
-            SpectralField(g, t_full_eps.state_at(t0).coeffs - t_trunc.state_at(t0).coeffs), bp
-        )
-        records.append(ResultRecord(ex, "truncation_sensitivity", i1, n, eps_n, t0))
-        records.append(ResultRecord(ex, "high_pass_background", hp, n, eps_n, t0))
-        if hp == 0.0 or trunc_constant == 0.0:
-            # S_n passes the whole background (psi - S_n psi = 0, so the
-            # constant i1/hp is 0/0), or the constant of an earlier shell is
-            # 0: either way the bound i1 <= 2*C*hp has a zero scale
-            vanishing = hp if hp == 0.0 else trunc_constant
-            records.append(
-                ResultRecord(ex, "truncation_not_evaluated", vanishing, n, eps_n, t0)
-            )
-        elif trunc_constant is None:
-            trunc_constant = i1 / hp
-            records.append(
-                ResultRecord(ex, "truncation_constant", trunc_constant, n, eps_n, t0)
-            )
-        else:
-            bound = i1 / (2.0 * trunc_constant * hp)
-            records.append(
-                ResultRecord(ex, "truncation_bound", bound, n, eps_n, t0, check(bound, hi=1.0))
-            )
+            first_shell = shell  # (S_n psi, its viscous run, defect), for the shift comparison
+    del shell  # the last shell's fields die before the shift comparison's runs
 
     # shift comparison at the smallest shell: defect with and without the
     # half-period translation (reported only; the torus has no far-field decay)
     n = ns[0]
     eps_n = cfg.eps_n(n)
+    t0 = cfg.t0
     s_n_psi, t_psi, shifted = first_shell
     u0_0 = shell_box_velocity(ShellDatum(n, bp), g)
     w0 = SpectralField(g, s_n_psi.coeffs + u0_0.spectral().coeffs)
@@ -896,8 +820,81 @@ def run_perturbed_gap(ctx: ExperimentContext):
     return records
 
 
+def _perturbed_shell(ctx: ExperimentContext, g: Grid, psi, n: int, trunc_constant):
+    """The records of shell n of ``run_perturbed_gap``, the truncation
+    constant for the next shell, and what the shift comparison reads.  The
+    shell's runs and half-spectra die when it returns."""
+    cfg = ctx.cfg
+    ex = "perturbed_gap"
+    bp = cfg.bp
+    t0 = cfg.t0
+    times = [t0 / 2.0, t0]
+    records = []
+    eps_n = cfg.eps_n(n)
+    u0k = shell_box_velocity(ShellDatum(n, bp, cfg.shift_value), g)
+    u0k_ball = u0k.spectral()
+    s_n_psi = low_pass(n, psi)
+    hp = besov_norm(SpectralField(g, psi.coeffs - s_n_psi.coeffs), bp)
+    w_full = SpectralField(g, psi.coeffs + u0k_ball.coeffs)
+    # where S_n keeps the whole background (hp = 0), the truncated datum
+    # is the full one, and its run is the full viscous run
+    truncated = [] if hp == 0.0 else [(SpectralField(g, s_n_psi.coeffs + u0k_ball.coeffs), eps_n)]
+    runs = ctx.trajectory([(w_full, eps_n), (w_full, 0.0), *truncated, (s_n_psi, eps_n)], times)
+    if hp == 0.0:
+        runs.insert(2, runs[0])
+    t_full_eps, t_full_0, t_trunc, t_psi = runs
+    t_u0, base0 = ctx.trajectory([(u0k, eps_n), (u0k, 0.0)], times)
+
+    pert = besov_norm(trajectory_gap(t_full_eps, t_full_0, t0), bp)
+    records.append(ResultRecord(ex, "perturbed_gap", pert, n, eps_n, t0))
+
+    ref = besov_norm(trajectory_gap(t_u0, base0, t0), bp)
+    records.append(ResultRecord(ex, "unperturbed_gap_reference", ref, n, eps_n, t0))
+    kept = pert / ref
+    records.append(
+        ResultRecord(
+            ex, "perturbed_gap_floor", kept, n, eps_n, t0,
+            check(kept, lo=scaled(0.25, cfg.mode)),
+        )
+    )
+
+    # additivity defect and its growth-rate proxy
+    defect = _additivity_defect(t_trunc, t_psi, t_u0, t0, bp)
+    records.append(ResultRecord(ex, "additivity_defect", defect, n, eps_n, t0))
+    shell_norms = [besov_norm(t_u0.state_at(t), bp) for t in times]
+    integral = t0 / 4.0 * (besov_norm(u0k, bp) + 2.0 * shell_norms[0] + shell_norms[1])
+    bound_scale = 2.0 ** (n / 2.0) * math.sqrt(integral)
+    records.append(
+        ResultRecord(ex, "additivity_defect_constant", defect / bound_scale, n, eps_n, t0)
+    )
+
+    # sensitivity to truncating the background above the shell
+    i1 = besov_norm(
+        SpectralField(g, t_full_eps.state_at(t0).coeffs - t_trunc.state_at(t0).coeffs), bp
+    )
+    records.append(ResultRecord(ex, "truncation_sensitivity", i1, n, eps_n, t0))
+    records.append(ResultRecord(ex, "high_pass_background", hp, n, eps_n, t0))
+    if hp == 0.0 or trunc_constant == 0.0:
+        # S_n passes the whole background (psi - S_n psi = 0, so the
+        # constant i1/hp is 0/0), or the constant of an earlier shell is
+        # 0: either way the bound i1 <= 2*C*hp has a zero scale
+        vanishing = hp if hp == 0.0 else trunc_constant
+        records.append(ResultRecord(ex, "truncation_not_evaluated", vanishing, n, eps_n, t0))
+    elif trunc_constant is None:
+        trunc_constant = i1 / hp
+        records.append(ResultRecord(ex, "truncation_constant", trunc_constant, n, eps_n, t0))
+    else:
+        bound = i1 / (2.0 * trunc_constant * hp)
+        records.append(
+            ResultRecord(ex, "truncation_bound", bound, n, eps_n, t0, check(bound, hi=1.0))
+        )
+    return records, trunc_constant, (s_n_psi, t_psi, defect)
+
+
 # ---------------------------------------------------------------------------
 # validation suite
+
+_SUITE = "validation"
 
 
 def _rel_l2(a: SpectralField, b: SpectralField) -> float:
@@ -917,16 +914,32 @@ def _random_stream(grid: Grid, rng, band_modes: int) -> SpectralField:
 
 
 def run_validation_suite(ctx: ExperimentContext):
+    """The lab's own checks, one section function each: a section's N = 256
+    fields die when it returns.  The sections draw from one seeded generator
+    and run in the order of their records."""
     cfg = ctx.cfg
-    ex = "validation"
-    bp = cfg.bp
-    records = []
     rng = np.random.default_rng(cfg.seed)
     data = {n: ctx.box_datum(n) for n in cfg.n_list}
     g = ctx.grid(256)
-    part = build_partition(g)
+    n0 = cfg.n_list[0]
+    return [
+        *_partition_checks(g, build_partition(g), rng),
+        *_derivative_bracket_check(data[n0], n0),
+        *_projector_checks(g, rng),
+        *_gradient_part_symmetry_check(g, rng),
+        *_transform_checks(g, rng),
+        *_datum_family_checks(data),
+        *_norm_equivalence_check(g, rng, cfg.bp),
+        *_product_law_checks(ctx),
+        *_vortex_checks(ctx),
+        *_bump_and_borderline_checks(data[n0], n0, cfg.bp),
+        *_replay_check(g, cfg),
+    ]
 
-    # partition of unity and telescoping on the lattice
+
+def _partition_checks(g: Grid, part, rng) -> list:
+    """Partition of unity and telescoping on the lattice, and block
+    almost-orthogonality on a random band-limited field."""
     k = g.k_mag
     total = part.theta(k).copy()
     for j in range(0, part.j_max + 1):
@@ -934,14 +947,7 @@ def run_validation_suite(ctx: ExperimentContext):
     tele = np.max(np.abs(total - part.theta(k / 2.0 ** (part.j_max + 1))))
     covered = k <= part.coverage_radius
     unity = np.max(np.abs(total[covered] - 1.0))
-    records.append(
-        ResultRecord(ex, "partition_unity_defect", unity, verdict=check(unity, hi=1e-12))
-    )
-    records.append(
-        ResultRecord(ex, "partition_telescoping_defect", tele, verdict=check(tele, hi=1e-12))
-    )
 
-    # block almost-orthogonality on a random band-limited field
     f = _random_stream(g, rng, g.dealias_keep)
     nf = l2_norm_spectral(f)
     worst = 0.0
@@ -949,81 +955,95 @@ def run_validation_suite(ctx: ExperimentContext):
         bj = dyadic_block(j, f)
         for j2 in range(j + 2, part.j_max + 1):
             worst = max(worst, l2_norm_spectral(dyadic_block(j2, bj)) / nf)
-    records.append(
-        ResultRecord(
-            ex, "block_orthogonality_defect", worst, verdict=check(worst, hi=1e-12)
-        )
-    )
+    return [
+        ResultRecord(_SUITE, "partition_unity_defect", unity, verdict=check(unity, hi=1e-12)),
+        ResultRecord(_SUITE, "partition_telescoping_defect", tele, verdict=check(tele, hi=1e-12)),
+        ResultRecord(_SUITE, "block_orthogonality_defect", worst, verdict=check(worst, hi=1e-12)),
+    ]
 
-    # frequency-localized derivative bracket on the first datum shell, on its
-    # boxes: |grad u|^2 = sum_j |d_j u|^2, and d_j u has the entries i xi_j u
-    n0 = cfg.n_list[0]
-    u0 = data[n0]
+
+def _derivative_bracket_check(u0: BoxField, n0: int) -> list:
+    """Frequency-localized derivative bracket on the first datum shell, on its
+    boxes: |grad u|^2 = sum_j |d_j u|^2, and d_j u has the entries i xi_j u."""
     lay = u0.layout
     xi = lay.modes / lay.grid.R
     gnorm = math.hypot(*(lay.l2(xi[j] * u0.coeffs) for j in range(lay.grid.d)))
-    unorm = lay.l2(u0.coeffs)
-    ratio = gnorm / unorm
+    ratio = gnorm / lay.l2(u0.coeffs)
     lo, hi = (r * slack for r, slack in zip(block_annulus(n0), (1 - 1e-12, 1 + 1e-12)))
-    records.append(
-        ResultRecord(ex, "derivative_bracket_ratio", ratio, n0, verdict=check(ratio, lo, hi))
-    )
+    verdict = check(ratio, lo, hi)
+    return [ResultRecord(_SUITE, "derivative_bracket_ratio", ratio, n0, verdict=verdict)]
 
-    # projector identities on a random field
+
+def _projector_checks(g: Grid, rng) -> list:
+    """Projector identities on random fields, drawn as V, a gradient and a
+    solenoidal field; each is dropped once its checks are done."""
     V = SpectralField(g, np.stack([_noise(g, rng) for _ in range(g.d)]))
     P = leray_project(V)
+    p_idem = _rel_l2(leray_project(P), P)
+    cross = l2_norm_spectral(leray_complement(P)) / l2_norm_spectral(V)
     Q = leray_complement(V)
+    sum_identity = _rel_l2(SpectralField(g, P.coeffs + Q.coeffs), V)
+    del V, P
+    q_idem = _rel_l2(leray_complement(Q), Q)
+    del Q
     grad = gradient(SpectralField(g, _noise(g, rng)))
-    checks = {
-        "projector_idempotency": _rel_l2(leray_project(P), P),
-        "complement_idempotency": _rel_l2(leray_complement(Q), Q),
-        "projector_sum_identity": _rel_l2(SpectralField(g, P.coeffs + Q.coeffs), V),
-        "projector_cross_vanishing": l2_norm_spectral(leray_complement(P))
-        / l2_norm_spectral(V),
-        "projector_kills_gradient": l2_norm_spectral(leray_project(grad))
-        / l2_norm_spectral(grad),
-    }
+    kills = l2_norm_spectral(leray_project(grad)) / l2_norm_spectral(grad)
+    del grad
     sol = perp_gradient(_random_stream(g, rng, 40))
-    checks["projector_fixes_solenoidal"] = _rel_l2(leray_project(sol), sol)
-    for name, val in checks.items():
-        records.append(ResultRecord(ex, name, val, verdict=check(val, hi=1e-13)))
+    checks = {
+        "projector_idempotency": p_idem,
+        "complement_idempotency": q_idem,
+        "projector_sum_identity": sum_identity,
+        "projector_cross_vanishing": cross,
+        "projector_kills_gradient": kills,
+        "projector_fixes_solenoidal": _rel_l2(leray_project(sol), sol),
+    }
+    return [ResultRecord(_SUITE, k, v, verdict=check(v, hi=1e-13)) for k, v in checks.items()]
 
-    # symmetry of the gradient part of the advection bracket
+
+def _gradient_part_symmetry_check(g: Grid, rng) -> list:
+    """Symmetry of the gradient part of the advection bracket; each product
+    is dropped once its norm and gradient part are taken."""
     u = perp_gradient(_random_stream(g, rng, g.dealias_keep // 2))
     v = perp_gradient(_random_stream(g, rng, g.dealias_keep // 2))
-    auv, avu = advect(u, v), advect(v, u)
-    quv, qvu = leray_complement(auv), leray_complement(avu)
-    scale = max(l2_norm_spectral(auv), l2_norm_spectral(avu))
+    auv = advect(u, v)
+    norm_uv, quv = l2_norm_spectral(auv), leray_complement(auv)
+    del auv
+    avu = advect(v, u)
+    scale = max(norm_uv, l2_norm_spectral(avu))
+    qvu = leray_complement(avu)
     qsym = l2_norm_spectral(SpectralField(g, quv.coeffs - qvu.coeffs)) / scale
-    records.append(
-        ResultRecord(ex, "gradient_part_symmetry", qsym, verdict=check(qsym, hi=1e-11))
-    )
+    return [ResultRecord(_SUITE, "gradient_part_symmetry", qsym, verdict=check(qsym, hi=1e-11))]
 
-    # Parseval and transform isometries
+
+def _transform_checks(g: Grid, rng) -> list:
+    """Parseval, the translation isometries and the heat semigroup law."""
     samples = rng.standard_normal(g.shape)
     F = SpectralField(g, _forward(samples, g))
     phys = (g.dx**g.d) * np.sum(samples**2)
     spec = l2_norm_spectral(F) ** 2
     pars = abs(phys - spec) / phys
-    records.append(ResultRecord(ex, "parseval_defect", pars, verdict=check(pars, hi=1e-12)))
-
     shift = np.full(g.d, 0.37 * g.L)
     iso = abs(l2_norm_spectral(translate(F, shift)) - l2_norm_spectral(F)) / l2_norm_spectral(F)
-    records.append(ResultRecord(ex, "translation_isometry_defect", iso, verdict=check(iso, hi=1e-12)))
     per = l2_norm_spectral(
         SpectralField(g, translate(F, np.full(g.d, g.L)).coeffs - F.coeffs)
     ) / l2_norm_spectral(F)
-    records.append(ResultRecord(ex, "translation_periodicity_defect", per, verdict=check(per, hi=1e-12)))
-
-    # heat semigroup law
     W = SpectralField(g, np.stack([F.coeffs, _noise(g, rng)]))
     one = heat_propagate(W, 0.7, 0.3)
     two = heat_propagate(heat_propagate(W, 0.3, 0.3), 0.4, 0.3)
     semi = _rel_l2(one, two)
-    records.append(ResultRecord(ex, "heat_semigroup_defect", semi, verdict=check(semi, hi=1e-13)))
+    return [
+        ResultRecord(_SUITE, "parseval_defect", pars, verdict=check(pars, hi=1e-12)),
+        ResultRecord(_SUITE, "translation_isometry_defect", iso, verdict=check(iso, hi=1e-12)),
+        ResultRecord(_SUITE, "translation_periodicity_defect", per, verdict=check(per, hi=1e-12)),
+        ResultRecord(_SUITE, "heat_semigroup_defect", semi, verdict=check(semi, hi=1e-13)),
+    ]
 
-    # single-block property and cumulative low-pass on the datum family, on
-    # the datum's boxes: Delta_n and S_n are their multipliers at the entries
+
+def _datum_family_checks(data: dict) -> list:
+    """Single-block property and cumulative low-pass on the datum family, on
+    the datum's boxes: Delta_n and S_n are their multipliers at the entries."""
+    records = []
     for n, u0n in data.items():
         lay = u0n.layout
         scale = lay.l2(u0n.coeffs)
@@ -1033,42 +1053,38 @@ def run_validation_suite(ctx: ExperimentContext):
         others = max(b / scale for j, b in enumerate(blocks, start=-1) if j != n)
         low = build_partition(lay.grid).theta(lay.k_mag / 2.0**n)
         lp_val = lay.l2(low * u0n.coeffs) / scale
-        records.append(
-            ResultRecord(ex, "single_block_defect", own, n, verdict=check(own, hi=1e-12))
-        )
-        records.append(
-            ResultRecord(ex, "other_block_mass", others, n, verdict=check(others, hi=1e-12))
-        )
-        records.append(
-            ResultRecord(ex, "low_pass_leakage", lp_val, n, verdict=check(lp_val, hi=1e-12))
-        )
         div = lay.divergence_defect(u0n)
-        records.append(
-            ResultRecord(ex, "datum_divergence_defect", div, n, verdict=check(div, hi=1e-12))
-        )
+        records += [
+            ResultRecord(_SUITE, "single_block_defect", own, n, verdict=check(own, hi=1e-12)),
+            ResultRecord(_SUITE, "other_block_mass", others, n, verdict=check(others, hi=1e-12)),
+            ResultRecord(_SUITE, "low_pass_leakage", lp_val, n, verdict=check(lp_val, hi=1e-12)),
+            ResultRecord(_SUITE, "datum_divergence_defect", div, n, verdict=check(div, hi=1e-12)),
+        ]
+    return records
 
-    # norm-equivalence sanity (logged, asserted finite and positive)
+
+def _norm_equivalence_check(g: Grid, rng, bp: BesovParams) -> list:
+    """Norm-equivalence sanity (logged, asserted finite and positive)."""
     zf = _random_stream(g, rng, g.dealias_keep)
-    bz = besov_norm(zf, bp)
-    low = lp_norm(zf, bp.p)
-    ratio_eq = bz / max(low, 1e-300)
-    records.append(
-        ResultRecord(
-            ex, "norm_equivalence_ratio", ratio_eq, verdict=check(ratio_eq, lo=math.ulp(0.0))
-        )
-    )
+    ratio_eq = besov_norm(zf, bp) / max(lp_norm(zf, bp.p), 1e-300)
+    verdict = check(ratio_eq, lo=math.ulp(0.0))
+    return [ResultRecord(_SUITE, "norm_equivalence_ratio", ratio_eq, verdict=verdict)]
 
-    # product and gradient-part norm ratios over the family: the measured
-    # constants must not rise with n (see the decisions ledger on why the
-    # raw values decay)
+
+def _product_law_checks(ctx: ExperimentContext) -> list:
+    """Product and gradient-part norm ratios over the family: the measured
+    constants must not rise with n (see the decisions ledger on why the raw
+    values decay)."""
+    bp = ctx.cfg.bp
+    records = []
     ratios_prod = {}
     ratios_q = {}
-    for n in cfg.n_list:
+    for n in ctx.cfg.n_list:
         try:
             u0p = ctx.box_datum(n, order=2)
         except ResolutionError as err:  # above the budget, at p != 2 only
             records.append(
-                ResultRecord(ex, "resolution_limited", float(err.required_n or 0), n)
+                ResultRecord(_SUITE, "resolution_limited", float(err.required_n or 0), n)
             )
             continue
         lay = u0p.layout
@@ -1077,8 +1093,8 @@ def run_validation_suite(ctx: ExperimentContext):
         bu_sm1 = besov_norm(u0p, bp.shifted(-1))
         ratios_prod[n] = besov_norm(pa, bp.shifted(-1)) / (bu_sm1 * bu_s)
         ratios_q[n] = besov_norm(lay.gradient_part(pa), bp) / (bu_s * bu_s)
-        records.append(ResultRecord(ex, "product_law_constant", ratios_prod[n], n))
-        records.append(ResultRecord(ex, "gradient_part_law_constant", ratios_q[n], n))
+        records.append(ResultRecord(_SUITE, "product_law_constant", ratios_prod[n], n))
+        records.append(ResultRecord(_SUITE, "gradient_part_law_constant", ratios_q[n], n))
     for name, ratios in (
         ("product_law_growth", ratios_prod),
         ("gradient_part_law_growth", ratios_q),
@@ -1087,10 +1103,14 @@ def run_validation_suite(ctx: ExperimentContext):
         for a, b in zip(keys, keys[1:]):
             growth = ratios[b] / ratios[a]
             records.append(
-                ResultRecord(ex, name, growth, b, verdict=check(growth, hi=2.0))
+                ResultRecord(_SUITE, name, growth, b, verdict=check(growth, hi=2.0))
             )
+    return records
 
-    # cellular-vortex solver checks
+
+def _vortex_checks(ctx: ExperimentContext) -> list:
+    """Cellular-vortex solver checks, and RK4's observed order."""
+    records = []
     gt = Grid(2, 64, 1.0)
     tg = taylor_green(gt)
     (traj,) = ctx.trajectory([(tg, 0.01)], [1.0])
@@ -1098,12 +1118,12 @@ def run_validation_suite(ctx: ExperimentContext):
     ref = SpectralField(gt, decay * tg.coeffs)
     tg_err = _rel_l2(traj.state_at(1.0), ref)
     records.append(
-        ResultRecord(ex, "vortex_analytic_error", tg_err, verdict=check(tg_err, hi=1e-6))
+        ResultRecord(_SUITE, "vortex_analytic_error", tg_err, verdict=check(tg_err, hi=1e-6))
     )
     (traj0,) = ctx.trajectory([(tg, 0.0)], [1.0])
     steady = _rel_l2(traj0.state_at(1.0), tg)
     records.append(
-        ResultRecord(ex, "vortex_steady_error", steady, verdict=check(steady, hi=1e-8))
+        ResultRecord(_SUITE, "vortex_steady_error", steady, verdict=check(steady, hi=1e-8))
     )
 
     w0 = taylor_green_two_mode(gt)
@@ -1112,18 +1132,18 @@ def run_validation_suite(ctx: ExperimentContext):
     e0 = l2_norm_spectral(w0)
     drift = float(np.max(np.abs(en - e0)) / e0)
     records.append(
-        ResultRecord(ex, "ideal_energy_drift", drift, verdict=check(drift, hi=1e-7))
+        ResultRecord(_SUITE, "ideal_energy_drift", drift, verdict=check(drift, hi=1e-7))
     )
     divmax = max(trajE.div_rel)
     records.append(
-        ResultRecord(ex, "divergence_preservation", divmax, verdict=check(divmax, hi=1e-9))
+        ResultRecord(_SUITE, "divergence_preservation", divmax, verdict=check(divmax, hi=1e-9))
     )
     (trajV,) = ctx.trajectory([(w0, 0.05)], [0.1])
     env = np.concatenate([[l2_norm_spectral(w0)], trajV.diagnostics["energy"]])
     increase = float(np.max(np.diff(env)) / env[0])
     records.append(
         ResultRecord(
-            ex, "viscous_energy_max_increase", increase, verdict=check(increase, hi=1e-12)
+            _SUITE, "viscous_energy_max_increase", increase, verdict=check(increase, hi=1e-12)
         )
     )
 
@@ -1142,19 +1162,22 @@ def run_validation_suite(ctx: ExperimentContext):
     diffs = [l2_norm_spectral(SpectralField(gt, a - b)) for a, b in zip(sols, sols[1:])]
     order = min(math.log2(a / b) for a, b in zip(diffs, diffs[1:]))
     records.append(
-        ResultRecord(ex, "stepper_convergence_order", order, verdict=check(order, lo=3.5))
+        ResultRecord(_SUITE, "stepper_convergence_order", order, verdict=check(order, lo=3.5))
     )
+    return records
 
-    # profile bump diagnostics
+
+def _bump_and_borderline_checks(u0: BoxField, n0: int, bp: BesovParams) -> list:
+    """Profile bump diagnostics, and the borderline admissible triple on the
+    first datum shell, reported info-only."""
     bump = build_profile_bump(u0.grid)
     a0 = float(bump.a_hat[0])
-    records.append(ResultRecord(ex, "bump_center_value", a0, verdict=check(a0, 1.0, 1.0)))
+    records = [ResultRecord(_SUITE, "bump_center_value", a0, verdict=check(a0, 1.0, 1.0))]
     phi = bump.physical_profile()
     sup = bump.lp_norm_1d(np.inf)
     attained = abs(sup - phi[0]) / sup
-    records.append(
-        ResultRecord(ex, "bump_max_at_origin_defect", attained, verdict=check(attained, hi=1e-12))
-    )
+    verdict = check(attained, hi=1e-12)
+    records.append(ResultRecord(_SUITE, "bump_max_at_origin_defect", attained, verdict=verdict))
     phi0 = phi[0]
     x = bump.grid.x_1d
     dist = np.minimum(x, bump.grid.L - x)
@@ -1166,28 +1189,26 @@ def run_validation_suite(ctx: ExperimentContext):
         # a non-positive lower constant certifies nothing
         records.append(
             ResultRecord(
-                ex, f"bump_lp_norm[p={label}]", val,
+                _SUITE, f"bump_lp_norm[p={label}]", val,
                 verdict=check(val, lo=c1 if c1 > 0 else math.inf),
             )
         )
-    records.append(ResultRecord(ex, "bump_tail_fraction", bump.tail_fraction()))
+    records.append(ResultRecord(_SUITE, "bump_tail_fraction", bump.tail_fraction()))
 
-    # borderline admissible triple, reported info-only
     borderline = BesovParams(bp.d / bp.p + 1.0, bp.p, 1.0, bp.d)
     bl = besov_norm(u0, borderline)
-    records.append(ResultRecord(ex, "borderline_besov", bl, n0))
+    records.append(ResultRecord(_SUITE, "borderline_besov", bl, n0))
+    unorm = u0.layout.l2(u0.coeffs)
     lp_u0 = unorm if normed_on_boxes(borderline.p) else lp_norm(u0.spectral(), borderline.p)
-    records.append(
-        ResultRecord(ex, "borderline_single_shell_ratio", bl / (2.0 ** (n0 * borderline.s) * lp_u0), n0)
-    )
-
-    # deterministic replay of the seeded background field
-    psi_a = background_field(g, cfg.seed, 1, bp)
-    psi_b = background_field(g, cfg.seed, 1, bp)
-    identical = float(np.array_equal(psi_a.coeffs, psi_b.coeffs))
-    records.append(
-        ResultRecord(
-            ex, "background_replay_identical", identical, verdict=check(identical, lo=1.0)
-        )
-    )
+    ratio = bl / (2.0 ** (n0 * borderline.s) * lp_u0)
+    records.append(ResultRecord(_SUITE, "borderline_single_shell_ratio", ratio, n0))
     return records
+
+
+def _replay_check(g: Grid, cfg: ExperimentConfig) -> list:
+    """Deterministic replay of the seeded background field."""
+    psi_a = background_field(g, cfg.seed, 1, cfg.bp)
+    psi_b = background_field(g, cfg.seed, 1, cfg.bp)
+    identical = float(np.array_equal(psi_a.coeffs, psi_b.coeffs))
+    verdict = check(identical, lo=1.0)
+    return [ResultRecord(_SUITE, "background_replay_identical", identical, verdict=verdict)]

@@ -270,9 +270,9 @@ def _conj_mirror(full: np.ndarray) -> np.ndarray:
 # those of rfftn and irfftn, bitwise.  Both scale in place, and write into
 # ``out`` (and ``rows``, ``scratch``) when handed; the column pass may write
 # over its own input (``out`` a view of ``rows``, ``scratch`` the
-# coefficients themselves), as a forward without ``out`` does.  Every pass
-# is handed its length N as ``s``, which spares numpy's n-dimensional
-# wrapper its shape lookup, a sizeable part of a call at N = 64.
+# coefficients themselves), as a forward without ``out`` does.  Every pass,
+# and every envelope transform below, is handed its lengths as ``s``, which
+# spares numpy's wrapper its shape lookup, a sizeable part of a call at N = 64.
 
 
 def _forward(samples: np.ndarray, grid: Grid, out=None, rows=None) -> np.ndarray:
@@ -305,14 +305,14 @@ def _inverse(coeffs: np.ndarray, grid: Grid, out=None, scratch=None) -> np.ndarr
 
 def _box_forward(samples: np.ndarray, L: float, out=None) -> np.ndarray:
     """Coefficients of a stack of complex M x M samples of period ``L``."""
-    out = _fft.fftn(samples, axes=(-2, -1), out=out)
+    out = _fft.fftn(samples, s=samples.shape[-2:], axes=(-2, -1), out=out)
     out *= (L / samples.shape[-1]) ** 2
     return out
 
 
 def _box_inverse(coeffs: np.ndarray, L: float, out=None) -> np.ndarray:
     """Complex samples of a stack of M x M coefficient arrays of period ``L``."""
-    out = _fft.ifftn(coeffs, axes=(-2, -1), out=out)
+    out = _fft.ifftn(coeffs, s=coeffs.shape[-2:], axes=(-2, -1), out=out)
     out *= (coeffs.shape[-1] / L) ** 2
     return out
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -1188,6 +1189,26 @@ class TestValidationSuite:
         runs = validation_ctx.evolutions
         assert [r["steps"] for r in runs] == [64] * 4 + [8, 16, 32, 64]
         assert all(r["dt_min"] == r["dt_max"] for r in runs[4:])
+
+    def test_each_section_frees_its_fields(self, small_cfg):
+        # A section's fields die when it returns, so the traced peak is the
+        # largest section's live set.  That is the gradient-part symmetry:
+        # u, v, the two gradient parts, their difference and one advection
+        # product, six N = 256 vector half-spectra of 2 * 256 * 129 * 16 B =
+        # 1.06 MB each (6.3 MB), with advect's samples of 256^2 * 8 B =
+        # 0.52 MB each beside them.  The grid's cached arrays (k_mag, k_sq and
+        # the partition's blocks, 256 * 129 * 8 B = 0.26 MB each) and the
+        # datum's boxes add about 2.2 MB.  About 9.5 MB in all (8.9 MiB
+        # measured) against the bound of 12 MiB; with every section's fields
+        # alive to the end, as in one long body, the peak is about 25 MiB.
+        ctx = ExperimentContext(small_cfg)
+        tracemalloc.start()
+        try:
+            run_validation_suite(ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
 
 
 GOLDEN_SMALL = Path(__file__).parent / "data" / "golden_small.json"

@@ -306,6 +306,7 @@ class TestCli:
         (decay,) = [r["energy_drift"] for r in runs if r["eps"] == 0.01]
         assert decay == pytest.approx(-math.expm1(-0.02), rel=1e-6)
         assert summary["wall_s"] > 0.0
+        assert summary["peak_rss_mb"] > 0.0  # the process's peak resident set
         # each evolution's own wall time; validate requests them one at a
         # time, so they do not overlap and fit inside the experiment's
         assert all(r["wall_s"] > 0.0 for r in runs + fixed)
